@@ -341,14 +341,14 @@ class CheckpointSession:
             self._epml_names.update(self.vm.kernel.epml_consume_ring())
 
     def map(self, gva: int | None = None) -> int:
-        gva = self.vm.map_fresh(TRACKED_PID, gva)
+        # new regions join the monitoring baseline clean
+        gva = self.vm.map_fresh(
+            TRACKED_PID,
+            gva,
+            writable=self.technique != "uffd",
+            soft_dirty=self.technique != "proc",
+        )
         self.mapped.add(gva)
-        proc = self.vm.kernel.processes[TRACKED_PID]
-        if self.technique == "uffd":
-            proc.table.set_write_protect([gva], True)
-        elif self.technique == "proc":
-            # new regions join the monitoring baseline clean
-            proc.table.entries[gva].flags.soft_dirty = False
         return gva
 
     def unmap(self, gva: int) -> None:

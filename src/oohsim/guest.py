@@ -133,7 +133,7 @@ class GuestKernel:
     def note_unmap(self, pid: int, gva: int) -> None:
         """Capture the soft-dirty residue before a page leaves the table."""
         proc = self._proc(pid)
-        entry = proc.table.entries.get(gva)
+        entry = proc.table.entry(gva)
         if entry is not None and entry.flags.soft_dirty:
             proc.softdirty_residue.add(gva)
 
@@ -157,7 +157,7 @@ class GuestKernel:
         elif technique == "uffd":
             self.ledger.charge("M1", self.costs.cost_us("M1"))
             proc.uffd_mode = "write_protect"
-            proc.table.set_write_protect(list(proc.table.entries), True)
+            proc.table.write_protect_all()
         else:  # proc: open the pagemap/clear interfaces
             self.ledger.charge("M1", self.costs.cost_us("M1"))
         self.uio = UioModuleState(
@@ -260,12 +260,10 @@ class GuestKernel:
             return 0, 0.0  # ring saturated: buffer stays paused
         copied = buf.entries[:take]
         del buf.entries[:take]
-        proc = self._proc(pid)
-        for gva in copied:
-            uio.ring.append(gva)
-            entry = proc.table.entries.get(gva)
-            if entry is not None and self.ept.is_dirty(entry.gpa):
-                self.ept.clear_dirty([entry.gpa])  # re-arm: next write re-logs
+        uio.ring.extend(copied)
+        # re-arm: the next write to each copied page logs again
+        entries = map(self._proc(pid).table.entry, copied)
+        self.ept.clear_dirty([e.gpa for e in entries if e is not None])
         if not buf.entries and buf.index != buf.disabled_index:
             buf.index = buf.fresh_index
         per_entry = self.costs.per_page_us("M18", uio.memory_bytes)

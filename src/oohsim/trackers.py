@@ -674,11 +674,14 @@ class _MechanicalRun:
 
     def run_microbench(self) -> TrackerPhaseReport:
         cfg = self.cfg
+        # one int object per page, reused every round, so the page tables'
+        # dict lookups match keys by identity
+        gvas = list(self.gvas)
         self._sched("in")
         for rnd in range(1, cfg.rounds + 1):
             if self.truncated or self._horizon_hit():
                 break
-            for gva in self.gvas:
+            for gva in gvas:
                 if self.truncated or self._horizon_hit():
                     break
                 self._write(gva)
@@ -700,7 +703,6 @@ class _MechanicalRun:
 
     def run_trace(self, ops) -> TrackerPhaseReport:
         self._sched("in")
-        mapped = set(self.gvas)
         for op in ops:
             if self.truncated or self._horizon_hit():
                 break
@@ -708,22 +710,18 @@ class _MechanicalRun:
             if kind == "write":
                 self._write(op[1])
             elif kind == "map":
-                self.vm.map_fresh(TRACKED_PID, op[1])
-                mapped.add(op[1])
-                proc = self.vm.kernel.processes[TRACKED_PID]
-                if self.tech == "uffd":
-                    proc.table.set_write_protect([op[1]], True)
-                elif self.tech == "proc":
-                    # new regions join the monitoring baseline clean: only
-                    # writes after the mapping should show up as dirty
-                    proc.table.entries[op[1]].flags.soft_dirty = False
+                # new regions join the monitoring baseline clean: only
+                # writes after the mapping should show up as dirty
+                self.vm.map_fresh(
+                    TRACKED_PID,
+                    op[1],
+                    writable=self.tech != "uffd",
+                    soft_dirty=self.tech != "proc",
+                )
             elif kind == "unmap":
                 self.vm.unmap(TRACKED_PID, op[1])
-                mapped.discard(op[1])
             elif kind == "remap":
                 self.vm.remap(TRACKED_PID, op[1], op[2])
-                mapped.discard(op[1])
-                mapped.add(op[2])
             else:
                 raise ValueError(f"unknown trace op {kind!r}")
         self._sched("out")

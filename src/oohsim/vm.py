@@ -6,6 +6,11 @@ full per-write pipeline from the store instruction down to device logging,
 buffer-full handling, and softirq delivery.  Allocation hands out fresh
 guest-physical and host-physical frames — addresses are never reused, so a
 page remapped after churn is always distinguishable from its predecessor.
+
+:meth:`VirtualMachine.allocate` maps its pages as one region in the page
+table and one in the EPT, so it costs the same for any page count; each
+page gets its entries on first touch (see :mod:`oohsim.memory`).  The
+address counters advance exactly as if every page had been mapped singly.
 """
 
 from __future__ import annotations
@@ -88,8 +93,15 @@ class VirtualMachine:
         self._next_gpa += PAGE
         return gpa
 
-    def map_fresh(self, pid: int, gva: int | None = None) -> int:
-        """Map one new page at ``gva`` (or the next free address)."""
+    def map_fresh(
+        self,
+        pid: int,
+        gva: int | None = None,
+        *,
+        writable: bool = True,
+        soft_dirty: bool = True,
+    ) -> int:
+        """Map one new page at ``gva`` (or the next free address) with the given PTE flags."""
         proc = self.kernel._proc(pid)
         if gva is None:
             gva = self._next_gva[pid]
@@ -98,11 +110,21 @@ class VirtualMachine:
         hpa = self._next_hpa
         self._next_hpa += PAGE
         self.ept.map_gpa(gpa, hpa)
-        proc.table.map_page(gva, gpa)
+        proc.table.map_page(gva, gpa, writable=writable, soft_dirty=soft_dirty)
         return gva
 
-    def allocate(self, pid: int, n_pages: int) -> list[int]:
-        return [self.map_fresh(pid) for _ in range(n_pages)]
+    def allocate(self, pid: int, n_pages: int) -> range:
+        """Map ``n_pages`` new pages at the next free addresses; returns them."""
+        proc = self.kernel._proc(pid)
+        n_pages = max(n_pages, 0)
+        gva, gpa, hpa = self._next_gva[pid], self._next_gpa, self._next_hpa
+        span = n_pages * PAGE
+        self.ept.map_region(gpa, hpa, n_pages)
+        proc.table.map_region(gva, gpa, n_pages)
+        self._next_gva[pid] += span
+        self._next_gpa += span
+        self._next_hpa += span
+        return range(gva, gva + span, PAGE)
 
     def unmap(self, pid: int, gva: int) -> None:
         """Unmap a page, preserving the kernel's soft-dirty residue."""

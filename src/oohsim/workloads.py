@@ -166,8 +166,10 @@ class KvWorkloadSpec:
         ranks = np.arange(1, pages + 1, dtype=np.float64)
         cdf = np.cumsum(ranks ** (-self.write_skew))
         slot_of_rank = rng.permutation(pages)
-        # slot -> current gva; churned slots move to fresh addresses
-        gva_of_slot = [(i + 1) * PAGE for i in range(pages)]
+        # slot i starts at gva (i + 1) * PAGE; churned slots move to fresh
+        # addresses, recorded here (a list over every slot would cost more
+        # than the trace for a sparse multi-GB footprint)
+        moved: dict[int, int] = {}
         next_fresh = (pages + 1) * PAGE
 
         draws = np.searchsorted(cdf, rng.random(self.n_ops) * cdf[-1])
@@ -179,11 +181,11 @@ class KvWorkloadSpec:
         churned = 0
         for i, rank_idx in enumerate(draws, start=1):
             slot = int(slot_of_rank[rank_idx])
-            ops.append(("write", gva_of_slot[slot]))
+            gva = moved.get(slot, (slot + 1) * PAGE)
+            ops.append(("write", gva))
             if churns and churned < churns and i % churn_every == 0:
-                old = gva_of_slot[slot]
-                ops.append(("unmap", old))
-                gva_of_slot[slot] = next_fresh
+                ops.append(("unmap", gva))
+                moved[slot] = next_fresh
                 ops.append(("map", next_fresh))
                 next_fresh += PAGE
                 churned += 1

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oohsim.memory import (
     LOST,
+    PAGE_SIZE,
     AlreadyMapped,
     Ept,
     GuestPageTable,
+    MappingError,
     PageFlags,
     PageStore,
     UnknownMapping,
@@ -227,3 +231,108 @@ def test_reverse_map_inverts_translate_for_stable_mappings():
     for gva in range(32):
         gpa, _ = pt.translate_gva(gva)
         assert pt.reverse_map(gpa) == gva
+
+
+# ------------------------------------------------------ implicit regions
+
+REGION_GVA, REGION_GPA, REGION_HPA = 0x1000, 0x10_0000, 0x1000_0000
+P = PAGE_SIZE
+
+
+def _twin_spaces(n_pages: int):
+    """The same pages mapped twice: as one region, and page by page."""
+    lazy_pt, lazy_ept = GuestPageTable(pid=1), Ept()
+    lazy_ept.map_region(REGION_GPA, REGION_HPA, n_pages)
+    lazy_pt.map_region(REGION_GVA, REGION_GPA, n_pages)
+    eager_pt, eager_ept = GuestPageTable(pid=1), Ept()
+    for i in range(n_pages):
+        eager_ept.map_gpa(REGION_GPA + i * P, REGION_HPA + i * P)
+        eager_pt.map_page(REGION_GVA + i * P, REGION_GPA + i * P)
+    return (lazy_pt, lazy_ept), (eager_pt, eager_ept)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except MappingError as exc:
+        return type(exc)
+
+
+# addresses are drawn by index from a pool that covers the region, one page
+# either side, a misaligned address and a few fresh pages past the end
+_slot = st.integers(min_value=0, max_value=15)
+_ops = st.one_of(
+    st.tuples(st.just("write"), _slot, st.booleans()),
+    st.tuples(st.just("unmap"), _slot),
+    st.tuples(st.just("remap"), _slot, _slot),
+    st.tuples(st.just("map"), _slot, _slot, st.booleans(), st.booleans()),
+    st.tuples(st.just("clear_soft_dirty")),
+    st.tuples(st.just("protect_all"), st.booleans()),
+    st.tuples(st.just("protect"), st.lists(_slot, max_size=4), st.booleans()),
+    st.tuples(st.just("clear_dirty"), st.lists(_slot, max_size=4)),
+    st.tuples(st.just("ept_map"), _slot),
+    st.tuples(st.just("ept_unmap"), _slot),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_pages=st.integers(min_value=1, max_value=10), ops=st.lists(_ops, max_size=40))
+def test_region_pages_behave_like_mapped_pages(n_pages, ops):
+    gvas = [REGION_GVA + i * P for i in range(-1, 14)] + [REGION_GVA + P // 2]
+    gpas = [REGION_GPA + i * P for i in range(-1, 14)] + [REGION_GPA + P // 2]
+    lazy, eager = _twin_spaces(n_pages)
+
+    def step(pt, ept, op):
+        kind = op[0]
+        if kind == "write":
+            return pt.write_page(gvas[op[1]], ept, ignore_protection=op[2])
+        if kind == "unmap":
+            return pt.unmap(gvas[op[1]])
+        if kind == "remap":
+            return pt.remap(gvas[op[1]], gvas[op[2]])
+        if kind == "map":
+            gpa = gpas[op[2]]
+            if gpa not in ept:
+                ept.map_gpa(gpa, REGION_HPA + 0x100_0000 + gpa)
+            return pt.map_page(gvas[op[1]], gpa, writable=op[3], soft_dirty=op[4])
+        if kind == "clear_soft_dirty":
+            return pt.clear_soft_dirty()
+        if kind == "protect_all":
+            if pt is lazy[0]:
+                return pt.write_protect_all(op[1])
+            return pt.set_write_protect(list(pt.entries), op[1])
+        if kind == "protect":
+            return pt.set_write_protect([gvas[i] for i in op[1]], op[2])
+        if kind == "clear_dirty":
+            return ept.clear_dirty([gpas[i] for i in op[1]])
+        if kind == "ept_map":
+            return ept.map_gpa(gpas[op[1]], REGION_HPA + 0x200_0000 + gpas[op[1]])
+        return ept.unmap_gpa(gpas[op[1]])
+
+    for op in ops:
+        assert _outcome(lambda: step(*lazy, op)) == _outcome(lambda: step(*eager, op)), op
+        (lazy_pt, lazy_ept), (eager_pt, eager_ept) = lazy, eager
+        for gva in gvas:
+            assert lazy_pt.translate_gva(gva) == eager_pt.translate_gva(gva)
+            assert (gva in lazy_pt) == (gva in eager_pt)
+        for gpa in gpas:
+            assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
+            assert lazy_ept.translate(gpa) == eager_ept.translate(gpa)
+            assert (gpa in lazy_ept) == (gpa in eager_ept)
+        assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
+        assert lazy_pt.dirty_set() == eager_pt.dirty_set()
+        assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
+        assert len(lazy_pt) == len(eager_pt)
+
+
+def test_region_ranges_may_not_overlap():
+    pt, ept = GuestPageTable(pid=1), Ept()
+    pt.map_region(0x1000, 0x10_0000, 4)
+    ept.map_region(0x10_0000, 0x1000_0000, 4)
+    with pytest.raises(AlreadyMapped):
+        pt.map_region(0x4000, 0x20_0000, 2)
+    with pytest.raises(AlreadyMapped):
+        ept.map_region(0x10_3000, 0x2000_0000, 2)
+    pt.map_page(0x9000, 0x30_0000)
+    with pytest.raises(AlreadyMapped):
+        pt.map_region(0x8000, 0x40_0000, 2)

@@ -145,7 +145,7 @@ def test_mechanical_collects_exact_dirty_set(technique):
 def _flushed_spml_vm(n_pages: int) -> tuple[VirtualMachine, list[int]]:
     vm = VirtualMachine(CostTable.default())
     vm.create_process(1)
-    gvas = vm.allocate(1, n_pages)
+    gvas = list(vm.allocate(1, n_pages))
     vm.kernel.register_tracked(1, "spml", 4 * MB)
     vm.kernel.on_schedule(1, "in")
     for gva in gvas:
@@ -180,7 +180,7 @@ def test_drain_ring_reports_lost_and_inaccurate():
     # mapping resolves to the wrong name
     vm.unmap(1, gvas[0])
     proc = vm.kernel.processes[1]
-    gpa1 = proc.table.entries[gvas[1]].gpa
+    gpa1 = proc.table.entry(gvas[1]).gpa
     alias = 0x800
     proc.table.map_page(alias, gpa1)
     res = drain_ring(vm, 4 * MB)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from oohsim.vm import VirtualMachine
@@ -31,13 +33,13 @@ def test_addresses_are_never_reused():
     vm.create_process(2)
     a = vm.allocate(1, 3)
     b = vm.allocate(2, 3)
-    gpas = [vm.kernel.processes[1].table.entries[g].gpa for g in a]
-    gpas += [vm.kernel.processes[2].table.entries[g].gpa for g in b]
+    gpas = [vm.kernel.processes[1].table.entry(g).gpa for g in a]
+    gpas += [vm.kernel.processes[2].table.entry(g).gpa for g in b]
     assert len(set(gpas)) == 6
     vm.unmap(1, a[0])
     c = vm.map_fresh(1)
     assert c not in a  # virtual address moves on
-    assert vm.kernel.processes[1].table.entries[c].gpa not in gpas
+    assert vm.kernel.processes[1].table.entry(c).gpa not in gpas
 
 
 def test_remap_moves_dirty_state():
@@ -58,7 +60,7 @@ def test_plain_write_sets_all_dirty_layers():
     res = vm.write_one(7, gva(0))
     assert res.completed
     assert res.outcome.ept_dirty_set
-    entry = vm.kernel.processes[7].table.entries[gva(0)]
+    entry = vm.kernel.processes[7].table.entry(gva(0))
     assert entry.flags.dirty and entry.flags.soft_dirty
     assert vm.ept.is_dirty(entry.gpa)
 
@@ -181,3 +183,27 @@ def test_untracked_process_writes_log_nothing():
     res = vm.write_one(9, 0x1000)
     assert res.completed
     assert res.log.hv == "disabled"
+
+
+def test_allocation_makes_entries_only_for_touched_pages():
+    # fig8's key-value footprint: 614,400 pages mapped, 3 of them written
+    tracemalloc.start()
+    try:
+        vm = VirtualMachine()
+        vm.create_process(1)
+        gvas = vm.allocate(1, 614_400)
+        vm.kernel.register_tracked(1, "proc", len(gvas) * 4096)
+        vm.kernel.clear_soft_dirty(1)
+        written = {gvas[0], gvas[307_200], gvas[-1]}
+        for g in written:
+            assert vm.write_one(1, g).completed
+        dirty, _ = vm.kernel.read_pagemap(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = vm.kernel.processes[1].table
+    assert dirty == written
+    assert len(table) == 614_400
+    assert set(table.entries) == written
+    assert len(vm.ept.entries) == 3
+    assert peak < 4 * MB
