@@ -32,6 +32,7 @@ from .hypervisor import (
     model_check_coordination,
     run_migration,
 )
+from .pml import BUFFER_SLOTS
 from .reports import RunReport, write_report
 from .trackers import (
     TECHNIQUES,
@@ -175,6 +176,16 @@ class ExperimentConfig:
             raise ConfigError("ring_capacity: must be positive")
         if self.ring_full_policy not in ("stall", "drop"):
             raise ConfigError("ring_full_policy: must be 'stall' or 'drop'")
+        if (
+            "spml" in self.techniques
+            and self.ring_full_policy == "stall"
+            and self.ring_capacity < BUFFER_SLOTS
+        ):
+            raise ConfigError(
+                f"ring_capacity: {self.ring_capacity} is below the {BUFFER_SLOTS}-entry "
+                "PML buffer, so spml under 'stall' could never flush; use a larger "
+                "ring or ring_full_policy = drop"
+            )
         if self.horizon_us < 0:
             raise ConfigError("horizon_us: must be >= 0")
 

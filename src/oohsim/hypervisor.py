@@ -311,12 +311,10 @@ class Hypervisor:
         flush-before-reconfigure rule makes them match the flags at flush
         time (the model checker verifies exactly this).
         """
-        tag = (
-            self.flags.enable_by_guest and self.flags.sched_in,
-            self.flags.enable_by_vmm,
-        )
         outcome = self.pml.log_dirty(gpa, meta_gva)
         if outcome.hv == "logged":
+            flags = self.flags
+            tag = (flags.enable_by_guest and flags.sched_in, flags.enable_by_vmm)
             self._entry_tags.append(tag)
             if tag[0]:
                 self.logged_guest_tagged += 1

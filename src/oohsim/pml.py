@@ -10,9 +10,11 @@ disables logging outright.
 :class:`PmlState` pairs the hypervisor-level GPA buffer with the optional
 guest-level GVA buffer of the extended design, where one write logs into
 both buffers independently; the hypervisor buffer signals fullness with a
-vmexit while the guest buffer posts a virtual self-IPI.  Guest access to
-the device fields goes through a :class:`ShadowVmcs` under read/write
-bitmap control.
+vmexit while the guest buffer posts a virtual self-IPI.  What a log did is
+a :class:`LogOutcome`; the twelve possible outcomes are built once and
+shared, so logging a write allocates nothing but the buffer entry.  Guest
+access to the device fields goes through a :class:`ShadowVmcs` under
+read/write bitmap control.
 """
 
 from __future__ import annotations
@@ -109,13 +111,14 @@ class PmlBuffer:
         return self.index + 1 if self.index >= 0 else 0
 
     def log(self, entry) -> str:
-        if self.index == self.disabled_index:
+        index = self.index
+        if index == self.slots:  # disabled
             return LogResult.DISABLED
-        if self.index < 0:
+        if index < 0:
             self.drops_while_full += 1
             return LogResult.FULL
         self.entries.append(entry)
-        self.index -= 1
+        self.index = index - 1
         return LogResult.LOGGED
 
     def drain(self) -> list:
@@ -137,6 +140,33 @@ class PmlBuffer:
         self.entries = []
 
 
+@dataclass(frozen=True)
+class LogOutcome:
+    """What one dirty transition did in each buffer (``guest`` None without EPML).
+
+    There are only twelve possible outcomes, so :meth:`PmlState.log_dirty`
+    hands out shared instances from :data:`_LOG_OUTCOMES` instead of
+    building one per write; being frozen, they are safe to share.
+    """
+
+    hv: str
+    guest: str | None
+
+    @property
+    def hv_full(self) -> bool:
+        return self.hv == LogResult.FULL
+
+    @property
+    def guest_full(self) -> bool:
+        return self.guest == LogResult.FULL
+
+
+_RESULTS = (LogResult.LOGGED, LogResult.FULL, LogResult.DISABLED)
+_LOG_OUTCOMES = {
+    (hv, guest): LogOutcome(hv, guest) for hv in _RESULTS for guest in (None, *_RESULTS)
+}
+
+
 @dataclass
 class PmlState:
     """Per-vCPU device state: hypervisor buffer plus optional guest buffer.
@@ -153,27 +183,11 @@ class PmlState:
     guest_pml_address: int = 0  # stored as HPA (translated at vmwrite)
     guest_buffer: PmlBuffer = field(default_factory=PmlBuffer)
 
-    def log_dirty(self, gpa: int, gva: int) -> "LogOutcome":
+    def log_dirty(self, gpa: int, gva: int) -> LogOutcome:
         """Log one EPT dirty-bit transition into the armed buffer(s)."""
         hv = self.hv_buffer.log((gpa, gva))
-        guest = None
-        if self.epml_enabled:
-            guest = self.guest_buffer.log(gva)
-        return LogOutcome(hv=hv, guest=guest)
-
-
-@dataclass(frozen=True)
-class LogOutcome:
-    hv: str
-    guest: str | None
-
-    @property
-    def hv_full(self) -> bool:
-        return self.hv == LogResult.FULL
-
-    @property
-    def guest_full(self) -> bool:
-        return self.guest == LogResult.FULL
+        guest = self.guest_buffer.log(gva) if self.epml_enabled else None
+        return _LOG_OUTCOMES[hv, guest]
 
 
 FIELD_GUEST_PML_ADDRESS = "guest_pml_address"
@@ -222,13 +236,3 @@ class ShadowVmcs:
         if fld == FIELD_GUEST_PML_INDEX:
             return self.state.guest_buffer.index
         raise TrapViolation(fld)  # pragma: no cover
-
-
-def reset_index(state: PmlState, which: str, value: int) -> None:
-    """Reset one buffer's index to 511 (re-arm) or 512 (disable)."""
-    if which == "hypervisor":
-        state.hv_buffer.reset(value)
-    elif which == "guest":
-        state.guest_buffer.reset(value)
-    else:
-        raise ValueError(f"unknown buffer {which!r}")

@@ -3,9 +3,14 @@
 :class:`VirtualMachine` wires the layers together and provides the one
 operation everything else builds on: :meth:`VirtualMachine.write_one`, the
 full per-write pipeline from the store instruction down to device logging,
-buffer-full handling, and softirq delivery.  Allocation hands out fresh
-guest-physical and host-physical frames — addresses are never reused, so a
-page remapped after churn is always distinguishable from its predecessor.
+buffer-full handling, and softirq delivery.  It runs once per simulated
+write, so what it returns is cheap to make: a :class:`WriteResult` named
+tuple around the page table's :class:`~oohsim.memory.WriteOutcome` tuple
+and one of the shared :class:`~oohsim.pml.LogOutcome` instances.
+
+Allocation hands out fresh guest-physical and host-physical frames —
+addresses are never reused, so a page remapped after churn is always
+distinguishable from its predecessor.
 
 :meth:`VirtualMachine.allocate` maps its pages as one region in the page
 table and one in the EPT, so it costs the same for any page count; each
@@ -15,7 +20,7 @@ address counters advance exactly as if every page had been mapped singly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .costs import CostLedger, CostTable
 from .guest import GuestKernel, Process, SchedulerConfig
@@ -28,9 +33,12 @@ __all__ = ["WriteResult", "VirtualMachine"]
 PAGE = 0x1000
 
 
-@dataclass(frozen=True)
-class WriteResult:
-    """Everything one write did across the stack."""
+class WriteResult(NamedTuple):
+    """Everything one write did across the stack.
+
+    A named tuple, like :class:`~oohsim.memory.WriteOutcome`: immutable,
+    compared by value, and cheap to build once per write.
+    """
 
     outcome: WriteOutcome
     log: LogOutcome | None = None
@@ -158,8 +166,8 @@ class VirtualMachine:
             kern.uffd_record(pid, gva)
             uffd_recorded = True
             outcome = proc.table.write_page(gva, self.ept, ignore_protection=True)
-        if not outcome.completed:
-            return WriteResult(outcome=outcome, uffd_recorded=uffd_recorded)
+        if outcome.fault is not None:
+            return WriteResult(outcome, uffd_recorded=uffd_recorded)
 
         log = None
         vmexit = None
@@ -190,15 +198,15 @@ class VirtualMachine:
             hpa = self.ept.translate(outcome.gpa)
             self.store.write(hpa, payload)
         return WriteResult(
-            outcome=outcome,
-            log=log,
-            vmexit=vmexit,
-            softirq_copied=softirq_copied,
-            softirq_us=softirq_us,
-            guest_dropped=guest_dropped,
-            stalled=stalled,
-            refused=refused,
-            uffd_recorded=uffd_recorded,
+            outcome,
+            log,
+            vmexit,
+            softirq_copied,
+            softirq_us,
+            guest_dropped,
+            stalled,
+            refused,
+            uffd_recorded,
         )
 
     def read_page(self, pid: int, gva: int) -> bytes:

@@ -71,6 +71,7 @@ def test_unknown_key_rejected():
         ({"ring_capacity": 0}, "ring_capacity"),
         ({"ring_full_policy": "panic"}, "ring_full_policy"),
         ({"horizon_us": -1}, "horizon_us"),
+        ({"techniques": ("spml",), "ring_capacity": 256}, "ring_capacity"),
     ],
 )
 def test_bad_field_names_itself_in_the_diagnostic(overrides, field):

@@ -18,7 +18,6 @@ from oohsim.pml import (
     ShadowVmcs,
     TranslationFault,
     TrapViolation,
-    reset_index,
 )
 
 
@@ -153,16 +152,6 @@ def test_shadow_vmcs_rejects_bad_index_value():
     sv = ShadowVmcs(PmlState())
     with pytest.raises(InvalidIndexValue):
         sv.guest_vmwrite(FIELD_GUEST_PML_INDEX, 300)
-
-
-def test_reset_index_helper():
-    st = PmlState()
-    reset_index(st, "hypervisor", INDEX_FRESH)
-    assert st.hv_buffer.index == INDEX_FRESH
-    reset_index(st, "guest", INDEX_DISABLED)
-    assert st.guest_buffer.index == INDEX_DISABLED
-    with pytest.raises(ValueError):
-        reset_index(st, "nested", INDEX_FRESH)
 
 
 def test_no_entry_logged_while_disabled_fuzz():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from oohsim.costs import CostTable
+from oohsim.guest import TECHNIQUES
+from oohsim.pml import BUFFER_SLOTS
 from oohsim.trackers import (
     TrackerConfig,
     WrongTechnique,
@@ -14,6 +16,7 @@ from oohsim.trackers import (
     to_run_row,
 )
 from oohsim.vm import VirtualMachine
+from oohsim.workloads import random_trace
 
 MB = 1 << 20
 GB = 1000 * MB
@@ -33,6 +36,15 @@ def test_config_rejects_bad_values():
         TrackerConfig(technique="proc", rounds=-1)
     with pytest.raises(ValueError):
         TrackerConfig(technique="proc", quantum_us=0)
+
+
+def test_config_rejects_a_ring_that_can_never_take_an_spml_flush():
+    with pytest.raises(ValueError, match="ring_capacity"):
+        TrackerConfig(technique="spml", ring_capacity=256)
+    # dropping, or a technique that never flushes to the ring, stays valid
+    TrackerConfig(technique="spml", ring_capacity=256, ring_full_policy="drop")
+    TrackerConfig(technique="epml", ring_capacity=256)
+    TrackerConfig(technique="spml", ring_capacity=512)
 
 
 def test_pages_rounding():
@@ -137,6 +149,225 @@ def test_mechanical_collects_exact_dirty_set(technique):
     assert len(rep.dirty_set) == 1024
     assert rep.missed == set()
     assert rep.inaccurate == set()
+
+
+# ------------------------------------------- mechanical output, pinned values
+
+# Recorded from the mechanical engine while its per-write results were still
+# frozen dataclasses.  A speed-up of the write path must reproduce every row;
+# a row may only change with a deliberate change of the per-write semantics.
+# Row layout:
+_PINNED_FIELDS = (
+    "writes_done",
+    "vmexits",
+    "softirq_copies",
+    "dropped",
+    "n_sched_events",
+    "dirty_pages",
+    "missed",
+    "monitor_span_us",
+    "tracker_busy_us",
+)
+
+
+def _pinned_row(rep):
+    return (
+        rep.writes_done,
+        rep.vmexits,
+        rep.softirq_copies,
+        rep.dropped,
+        rep.n_sched_events,
+        rep.dirty_pages,
+        len(rep.missed),
+        rep.monitor_span_us,
+        rep.tracker_busy_us,
+    )
+
+
+def _mechanical_grid():
+    """(technique, MB, ring, policy, defer_reverse_map) over the knob space.
+
+    A ring smaller than the 512-entry buffer can never take an spml flush
+    under ``stall``, so that corner is rejected by the config and left out.
+    """
+    for tech in TECHNIQUES:
+        for mb in (1, 4):
+            for ring in (256, 1024, 16384):
+                for policy in ("stall", "drop"):
+                    if tech == "spml" and ring < BUFFER_SLOTS and policy == "stall":
+                        continue
+                    for defer in (False, True) if tech == "spml" else (False,):
+                        yield tech, mb, ring, policy, defer
+
+
+# (technique, MB, ring_capacity, ring_full_policy, defer_reverse_map) -> row
+_PINNED_MECHANICAL = {
+    ("proc", 1, 256, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 256, "drop", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 1024, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 1024, "drop", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 16384, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 16384, "drop", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 4, 256, "stall", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 256, "drop", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 1024, "stall", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 1024, "drop", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 16384, "stall", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 16384, "drop", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("uffd", 1, 256, "stall", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 256, "drop", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 1024, "stall", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 1024, "drop", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 16384, "stall", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 16384, "drop", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 4, 256, "stall", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 256, "drop", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 1024, "stall", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 1024, "drop", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 16384, "stall", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 16384, "drop", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("spml", 1, 256, "drop", False): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 256, "drop", True): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 1024, "stall", False): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 1024, "stall", True): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 1024, "drop", False): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 1024, "drop", True): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 16384, "stall", False): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 16384, "stall", True): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 16384, "drop", False): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 1, 16384, "drop", True): (768, 0, 0, 0, 2, 256, 0, 733.5, 8098.0),
+    ("spml", 4, 256, "drop", False): (3072, 5, 0, 1664, 2, 768, 256, 13267.1, 23075.375),
+    ("spml", 4, 256, "drop", True): (3072, 5, 0, 1280, 2, 768, 256, 13267.1, 27704.75),
+    ("spml", 4, 1024, "stall", False): (3072, 5, 0, 0, 2, 1024, 0, 26595.2333333, 43136.0),
+    ("spml", 4, 1024, "stall", True): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 1024, "drop", False): (3072, 5, 0, 896, 2, 1024, 0, 13267.1, 32334.125),
+    ("spml", 4, 1024, "drop", True): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "stall", False): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "stall", True): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "drop", False): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "drop", True): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("epml", 1, 256, "stall", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 256, "drop", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 1024, "stall", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 1024, "drop", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 16384, "stall", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 16384, "drop", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 4, 256, "stall", False): (3072, 0, 7, 512, 2, 512, 512, 2778.029, 0.0),
+    ("epml", 4, 256, "drop", False): (3072, 0, 7, 512, 2, 512, 512, 2778.029, 0.0),
+    ("epml", 4, 1024, "stall", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 1024, "drop", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 16384, "stall", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 16384, "drop", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+}
+
+# (seed, technique, ring_capacity) -> row; random_trace(seed), default policy
+_PINNED_TRACES = {
+    (0, "proc", 1024): (163, 0, 0, 0, 2, 160, 0, 166.196502869, 16949.8520508),
+    (0, "proc", 16384): (163, 0, 0, 0, 2, 160, 0, 166.196502869, 16949.8520508),
+    (0, "uffd", 1024): (163, 0, 0, 0, 2, 160, 0, 1971.55923209, 1824.85923209),
+    (0, "uffd", 16384): (163, 0, 0, 0, 2, 160, 0, 1971.55923209, 1824.85923209),
+    (0, "spml", 1024): (163, 0, 0, 0, 2, 160, 0, 202.220214844, 18332.9977646),
+    (0, "spml", 16384): (163, 0, 0, 0, 2, 160, 0, 202.220214844, 18332.9977646),
+    (0, "epml", 1024): (163, 0, 1, 0, 2, 160, 0, 150.896055237, 0.0),
+    (0, "epml", 16384): (163, 0, 1, 0, 2, 160, 0, 150.896055237, 0.0),
+    (1, "proc", 1024): (166, 0, 0, 0, 2, 158, 0, 167.322628449, 11091.8007812),
+    (1, "proc", 16384): (166, 0, 0, 0, 2, 158, 0, 167.322628449, 11091.8007812),
+    (1, "uffd", 1024): (166, 0, 0, 0, 2, 158, 0, 1933.15725648, 1783.75725648),
+    (1, "uffd", 16384): (166, 0, 0, 0, 2, 158, 0, 1933.15725648, 1783.75725648),
+    (1, "spml", 1024): (166, 0, 0, 0, 2, 157, 1, 195.35234375, 12695.6654707),
+    (1, "spml", 16384): (166, 0, 0, 0, 2, 157, 1, 195.35234375, 12695.6654707),
+    (1, "epml", 1024): (166, 0, 1, 0, 2, 158, 0, 153.71511317, 0.0),
+    (1, "epml", 16384): (166, 0, 1, 0, 2, 158, 0, 153.71511317, 0.0),
+    (2, "proc", 1024): (155, 0, 0, 0, 2, 153, 0, 158.11243704, 16805.6077148),
+    (2, "proc", 16384): (155, 0, 0, 0, 2, 153, 0, 158.11243704, 16805.6077148),
+    (2, "uffd", 1024): (155, 0, 0, 0, 2, 153, 0, 1871.99906357, 1732.49906357),
+    (2, "uffd", 16384): (155, 0, 0, 0, 2, 153, 0, 1871.99906357, 1732.49906357),
+    (2, "spml", 1024): (155, 0, 0, 0, 2, 153, 0, 194.540332031, 18134.8340773),
+    (2, "spml", 16384): (155, 0, 0, 0, 2, 153, 0, 194.540332031, 18134.8340773),
+    (2, "epml", 1024): (155, 0, 1, 0, 2, 153, 0, 143.67579519, 0.0),
+    (2, "epml", 16384): (155, 0, 1, 0, 2, 153, 0, 143.67579519, 0.0),
+    (3, "proc", 1024): (164, 0, 0, 0, 2, 163, 0, 167.360118175, 16519.7902344),
+    (3, "proc", 16384): (164, 0, 0, 0, 2, 163, 0, 167.360118175, 16519.7902344),
+    (3, "uffd", 1024): (164, 0, 0, 0, 2, 163, 0, 1974.54879099, 1826.94879099),
+    (3, "uffd", 16384): (164, 0, 0, 0, 2, 163, 0, 1974.54879099, 1826.94879099),
+    (3, "spml", 1024): (164, 0, 0, 0, 2, 162, 1, 201.689453125, 17950.4866153),
+    (3, "spml", 16384): (164, 0, 0, 0, 2, 162, 1, 201.689453125, 17950.4866153),
+    (3, "epml", 1024): (164, 0, 1, 0, 2, 163, 0, 151.817545897, 0.0),
+    (3, "epml", 16384): (164, 0, 1, 0, 2, 163, 0, 151.817545897, 0.0),
+    (4, "proc", 1024): (175, 0, 0, 0, 2, 171, 0, 177.959236391, 15590.215625),
+    (4, "proc", 16384): (175, 0, 0, 0, 2, 171, 0, 177.959236391, 15590.215625),
+    (4, "uffd", 1024): (175, 0, 0, 0, 2, 171, 0, 2082.39341818, 1924.89341818),
+    (4, "uffd", 16384): (175, 0, 0, 0, 2, 171, 0, 2082.39341818, 1924.89341818),
+    (4, "spml", 1024): (175, 0, 0, 0, 2, 171, 0, 208.496875, 17148.5314138),
+    (4, "spml", 16384): (175, 0, 0, 0, 2, 171, 0, 208.496875, 17148.5314138),
+    (4, "epml", 1024): (175, 0, 1, 0, 2, 171, 0, 161.775282762, 0.0),
+    (4, "epml", 16384): (175, 0, 1, 0, 2, 171, 0, 161.775282762, 0.0),
+    (5, "proc", 1024): (162, 0, 0, 0, 2, 159, 0, 164.624022585, 14981.1839844),
+    (5, "proc", 16384): (162, 0, 0, 0, 2, 159, 0, 164.624022585, 14981.1839844),
+    (5, "uffd", 1024): (162, 0, 0, 0, 2, 159, 0, 1909.65799331, 1763.85799331),
+    (5, "uffd", 16384): (162, 0, 0, 0, 2, 159, 0, 1909.65799331, 1763.85799331),
+    (5, "spml", 1024): (162, 0, 0, 0, 2, 158, 1, 194.770703125, 16472.4424638),
+    (5, "spml", 16384): (162, 0, 0, 0, 2, 158, 1, 194.770703125, 16472.4424638),
+    (5, "epml", 1024): (162, 0, 1, 0, 2, 159, 0, 150.053848185, 0.0),
+    (5, "epml", 16384): (162, 0, 1, 0, 2, 159, 0, 150.053848185, 0.0),
+    (6, "proc", 1024): (161, 0, 0, 0, 2, 153, 0, 162.104828494, 10459.0872396),
+    (6, "proc", 16384): (161, 0, 0, 0, 2, 153, 0, 162.104828494, 10459.0872396),
+    (6, "uffd", 1024): (161, 0, 0, 0, 2, 153, 0, 1873.42090357, 1728.52090357),
+    (6, "uffd", 16384): (161, 0, 0, 0, 2, 153, 0, 1873.42090357, 1728.52090357),
+    (6, "spml", 1024): (161, 0, 0, 0, 2, 153, 0, 190.600607639, 12032.9482581),
+    (6, "spml", 16384): (161, 0, 0, 0, 2, 153, 0, 190.600607639, 12032.9482581),
+    (6, "epml", 1024): (161, 0, 1, 0, 2, 153, 0, 149.20534951, 0.0),
+    (6, "epml", 16384): (161, 0, 1, 0, 2, 153, 0, 149.20534951, 0.0),
+    (7, "proc", 1024): (159, 0, 0, 0, 2, 157, 0, 162.433093334, 17980.9319336),
+    (7, "proc", 16384): (159, 0, 0, 0, 2, 157, 0, 162.433093334, 17980.9319336),
+    (7, "uffd", 1024): (159, 0, 0, 0, 2, 157, 0, 1941.35244557, 1798.25244557),
+    (7, "uffd", 16384): (159, 0, 0, 0, 2, 157, 0, 1941.35244557, 1798.25244557),
+    (7, "spml", 1024): (159, 0, 0, 0, 2, 156, 1, 202.050488281, 19295.2789033),
+    (7, "spml", 16384): (159, 0, 0, 0, 2, 156, 1, 202.050488281, 19295.2789033),
+    (7, "epml", 1024): (159, 0, 1, 0, 2, 157, 0, 147.263430602, 0.0),
+    (7, "epml", 16384): (159, 0, 1, 0, 2, 157, 0, 147.263430602, 0.0),
+}
+
+
+def _check_pinned(key, rep, want):
+    got = _pinned_row(rep)
+    msg = f"{key}: got {dict(zip(_PINNED_FIELDS, got))}, pinned {dict(zip(_PINNED_FIELDS, want))}"
+    assert got[:7] == want[:7], msg
+    assert got[7:] == pytest.approx(want[7:], rel=1e-9), msg
+
+
+def test_mechanical_engine_output_pinned_across_knob_grid():
+    grid = list(_mechanical_grid())
+    assert sorted(grid) == sorted(_PINNED_MECHANICAL)
+    for key in grid:
+        tech, mb, ring, policy, defer = key
+        rep = run_tracker(
+            cfg(
+                tech,
+                mb * MB,
+                rounds=3,
+                quantum_us=3_000.0,
+                ring_capacity=ring,
+                ring_full_policy=policy,
+                defer_reverse_map=defer,
+                mechanical=True,
+            )
+        )
+        _check_pinned(key, rep, _PINNED_MECHANICAL[key])
+
+
+def test_trace_runs_pinned_across_seeds_and_rings():
+    keys = [(s, t, r) for s in range(8) for t in TECHNIQUES for r in (1024, 16384)]
+    assert sorted(keys) == sorted(_PINNED_TRACES)
+    for seed in range(8):
+        trace = random_trace(seed)
+        for tech in TECHNIQUES:
+            for ring in (1024, 16384):
+                rep = run_tracker(
+                    cfg(tech, trace.memory_bytes, ring_capacity=ring, trace=trace)
+                )
+                key = (seed, tech, ring)
+                _check_pinned(key, rep, _PINNED_TRACES[key])
 
 
 # ------------------------------------------------------------- ring details
