@@ -262,8 +262,8 @@ class GuestKernel:
         del buf.entries[:take]
         uio.ring.extend(copied)
         # re-arm: the next write to each copied page logs again
-        entries = map(self._proc(pid).table.entry, copied)
-        self.ept.clear_dirty([e.gpa for e in entries if e is not None])
+        gpas = map(self._proc(pid).table.gpa_of, copied)
+        self.ept.clear_dirty([gpa for gpa in gpas if gpa is not None])
         if not buf.entries and buf.index != buf.disabled_index:
             buf.index = buf.fresh_index
         per_entry = self.costs.per_page_us("M18", uio.memory_bytes)

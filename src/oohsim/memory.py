@@ -9,12 +9,22 @@ bit that page-modification logging keys off.
 
 Both tables map a run of pages in one step as a *region*: page *i* of a
 region is backed by the region's base plus *i* pages, so translation and
-reverse mapping are arithmetic, and all of a region's untouched pages share
-one set of flags.  A page gets its own stored entry only when first touched
-(written, protected individually, unmapped or moved); until then it costs
-nothing, so mapping a large, sparsely written address space is cheap.
-Whole-table operations (soft-dirty clear, protect-all) flip a region's
-shared flags in one step and then visit only the stored entries.
+reverse mapping are arithmetic, and each page's state is one byte of the
+region's ``bytearray`` (page table: mapped, writable, dirty, soft-dirty;
+EPT: mapped, dirty, touched).  A page's first write, an individual protect
+and an EPT re-arm flip bits in place, so mapping a large address space and
+writing a sparse set of its pages once builds no per-page object.
+Whole-table operations (soft-dirty clear, protect-all, the dirty and
+soft-dirty sets, the page count) run over the bytes with
+``bytes.translate``, ``find`` and ``count``, then visit the stored entries.
+
+A region page moves to a stored entry (``entries``, plus the reverse index
+in the page table) when it is written a second time — its PTE dirty bit,
+or its EPT touched bit, is already set — or when it is unmapped, moved or
+mapped singly.  A page written over and over thus costs one dict hit per
+write, as if it had been mapped alone.  A region with no page left is
+dropped, and its table is then the same as one that mapped every page
+singly.
 """
 
 from __future__ import annotations
@@ -105,60 +115,91 @@ class WriteOutcome(NamedTuple):
         return self.fault is None
 
 
-class _Region:
-    """``count`` pages from ``base`` on; page *i* is backed by ``target + i·PAGE_SIZE``.
+# One byte of state per region page.  A zero byte is a page that has left
+# its region; every live byte has _MAPPED set.  Page-table regions use
+# _WRITABLE, _DIRTY and _SOFT_DIRTY; EPT regions use _DIRTY and _TOUCHED
+# (the frame's dirty bit has been set at least once).
+_MAPPED, _WRITABLE, _DIRTY, _SOFT_DIRTY, _TOUCHED = 1, 2, 4, 8, 16
+_PTE_FRESH = _MAPPED | _WRITABLE | _SOFT_DIRTY
 
-    ``out`` holds the region's pages that are no longer implicit: those
-    given a stored entry on first touch, and those unmapped before it
-    (holes).  ``writable`` and ``soft_dirty`` are the flags every implicit
-    page shares; only page-table regions use them.  A region with no
-    implicit page left is dropped by its table, which is then the same as
-    one that mapped every page singly.
+
+def _select(bit: int) -> bytes:
+    """``translate`` table: 1 for a byte with ``bit`` set, else 0."""
+    return bytes(1 if v & bit else 0 for v in range(256))
+
+
+_HAS_DIRTY, _HAS_SOFT_DIRTY = _select(_DIRTY), _select(_SOFT_DIRTY)
+_CLEAR_SOFT_DIRTY = bytes(v & ~_SOFT_DIRTY for v in range(256))
+_PROTECT = bytes(v & ~_WRITABLE for v in range(256))
+_UNPROTECT = bytes(v | _WRITABLE if v else 0 for v in range(256))
+
+
+class _Region:
+    """``len(bits)`` pages from ``base`` on; page *i* is backed by ``target + i·PAGE_SIZE``.
+
+    ``bits[i]`` is page *i*'s state, 0 once it has left the region (moved
+    to a stored entry, or unmapped); ``live`` counts the nonzero bytes.
     """
 
-    __slots__ = ("base", "end", "target", "count", "out", "writable", "soft_dirty")
+    __slots__ = ("base", "target", "span", "bits", "live")
 
-    def __init__(self, base: int, target: int, count: int):
+    def __init__(self, base: int, target: int, count: int, fresh: int):
         self.base = base
-        self.end = base + count * PAGE_SIZE
         self.target = target
-        self.count = count
-        self.out: set[int] = set()
-        self.writable = True
-        self.soft_dirty = True
+        self.span = count * PAGE_SIZE
+        self.bits = bytearray([fresh]) * count
+        self.live = count
 
     def overlaps(self, base: int, end: int) -> bool:
-        return base < self.end and self.base < end
+        return base < self.base + self.span and self.base < end
 
-    def implicit_count(self) -> int:
-        return self.count - len(self.out)
+    def index(self, off: int) -> int:
+        """Index of the live page ``off`` bytes into the region, else -1."""
+        if 0 <= off < self.span and not off % PAGE_SIZE:
+            i = off // PAGE_SIZE
+            if self.bits[i]:
+                return i
+        return -1
 
-    def implicit_pages(self) -> set[int]:
-        return set(range(self.base, self.end, PAGE_SIZE)) - self.out
+    def pages(self, select: bytes) -> list[int]:
+        """Addresses of the pages whose byte ``select`` maps to 1, a run at a time."""
+        marks = self.bits.translate(select)
+        out: list[int] = []
+        start = marks.find(1)
+        while start >= 0:
+            stop = marks.find(0, start)
+            if stop < 0:
+                stop = len(marks)
+            first, past = self.base + start * PAGE_SIZE, self.base + stop * PAGE_SIZE
+            out.extend(range(first, past, PAGE_SIZE))
+            start = marks.find(1, stop)
+        return out
 
-    def target_of(self, addr: int) -> int | None:
-        """Backing address of implicit page ``addr``, else None."""
-        off = addr - self.base
-        if 0 <= off and addr < self.end and not off % PAGE_SIZE and addr not in self.out:
-            return self.target + off
-        return None
 
-    def source_of(self, target: int) -> int | None:
-        """Implicit page backed by ``target``, else None."""
-        addr = self.base + target - self.target
-        return addr if self.target_of(addr) is not None else None
+def _find(regions: list[_Region], addr: int) -> tuple[_Region, int] | None:
+    """The region holding live page ``addr`` and its index there, else None."""
+    for region in regions:
+        i = region.index(addr - region.base)
+        if i >= 0:
+            return region, i
+    return None
 
-    def fresh_entry(self, addr: int) -> PageEntry:
-        """A new page-table entry for implicit page ``addr``, with the region's flags."""
-        return PageEntry(
-            self.target + addr - self.base,
-            PageFlags(writable=self.writable, soft_dirty=self.soft_dirty),
-        )
 
-    def take(self, addr: int) -> bool:
-        """Mark implicit page ``addr`` as no longer implicit; True when none is left."""
-        self.out.add(addr)
-        return len(self.out) == self.count
+def _release(regions: list[_Region], region: _Region, i: int) -> None:
+    """Page ``i`` leaves ``region``; the region is dropped once empty."""
+    region.bits[i] = 0
+    region.live -= 1
+    if not region.live:
+        regions.remove(region)
+
+
+def _region_entry(region: _Region, i: int) -> PageEntry:
+    """A page-table entry holding region page ``i``'s mapping and flags."""
+    bits = region.bits[i]
+    return PageEntry(
+        region.target + i * PAGE_SIZE,
+        PageFlags(True, bits & _WRITABLE != 0, bits & _DIRTY != 0, bits & _SOFT_DIRTY != 0),
+    )
 
 
 class GuestPageTable:
@@ -166,9 +207,10 @@ class GuestPageTable:
 
     Pages mapped by :meth:`map_page` are stored in ``entries`` (and the
     reverse index) at once.  Pages mapped as a run by :meth:`map_region`
-    stay implicit, sharing their region's flags, until first touched:
-    written, protected individually, unmapped or moved.  Then the page gets
-    a stored entry like any other.  Every query answers for both kinds.
+    keep their flags as one byte each in their region: a first write, a
+    protect or a soft-dirty clear flips bits there.  A second write or a
+    move gives the page a stored entry like any other; an unmap just takes
+    it out of its region.  Every query answers for both kinds.
     """
 
     def __init__(self, pid: int):
@@ -178,52 +220,32 @@ class GuestPageTable:
         self._regions: list[_Region] = []
 
     def __contains__(self, gva: int) -> bool:
-        return gva in self.entries or self._region_of(gva) is not None
+        return gva in self.entries or _find(self._regions, gva) is not None
 
     def __len__(self) -> int:
-        return len(self.entries) + sum(r.implicit_count() for r in self._regions)
-
-    def _region_of(self, gva: int) -> _Region | None:
-        for region in self._regions:
-            if region.target_of(gva) is not None:
-                return region
-        return None
+        return len(self.entries) + sum(r.live for r in self._regions)
 
     def _store(self, gva: int, entry: PageEntry) -> None:
         self.entries[gva] = entry
         self._rmap.setdefault(entry.gpa, set()).add(gva)
 
-    def _touch(self, gva: int) -> PageEntry | None:
-        """Give untouched region page ``gva`` its stored entry; None if it is not one.
-
-        Callers look in ``entries`` first.
-        """
-        region = self._region_of(gva)
-        if region is None:
-            return None
-        entry = region.fresh_entry(gva)
-        if region.take(gva):
-            self._regions.remove(region)
-        self._store(gva, entry)
-        return entry
-
     def entry(self, gva: int) -> PageEntry | None:
         """The entry mapping ``gva``, or None when not mapped.  No state change.
 
-        For an untouched region page this is a detached copy built from the
-        region's flags; change flags through the table's methods.
+        For a region page this is a detached copy built from its byte;
+        change flags through the table's methods.
         """
         entry = self.entries.get(gva)
         if entry is None:
-            region = self._region_of(gva)
-            if region is not None:
-                entry = region.fresh_entry(gva)
+            found = _find(self._regions, gva)
+            if found is not None:
+                entry = _region_entry(*found)
         return entry
 
     def map_region(self, gva: int, gpa: int, count: int) -> None:
         """Map ``count`` pages, ``PAGE_SIZE`` apart, from ``gva`` to GPAs from ``gpa``.
 
-        No per-page state is made.  The range must hold no mapped page and
+        One byte per page is made.  The range must hold no mapped page and
         overlap no earlier region.
         """
         if count <= 0:
@@ -233,7 +255,7 @@ class GuestPageTable:
             gva <= g < end for g in self.entries
         ):
             raise AlreadyMapped(gva)
-        self._regions.append(_Region(gva, gpa, count))
+        self._regions.append(_Region(gva, gpa, count, _PTE_FRESH))
 
     def map_page(
         self,
@@ -250,10 +272,14 @@ class GuestPageTable:
         return entry
 
     def unmap(self, gva: int) -> PageEntry:
-        entry = self.entries.get(gva) or self._touch(gva)
+        entry = self.entries.pop(gva, None)
         if entry is None:
-            raise UnknownMapping(gva)
-        del self.entries[gva]
+            found = _find(self._regions, gva)
+            if found is None:
+                raise UnknownMapping(gva)
+            entry = _region_entry(*found)
+            _release(self._regions, *found)
+            return entry
         peers = self._rmap[entry.gpa]
         peers.discard(gva)
         if not peers:
@@ -277,6 +303,17 @@ class GuestPageTable:
             return None
         return entry.gpa, entry.flags
 
+    def gpa_of(self, gva: int) -> int | None:
+        """The GPA ``gva`` translates to, as :meth:`translate_gva`, building no entry."""
+        entry = self.entries.get(gva)
+        if entry is not None:
+            return entry.gpa if entry.flags.present else None
+        for region in self._regions:
+            i = region.index(gva - region.base)
+            if i >= 0:
+                return region.target + i * PAGE_SIZE
+        return None
+
     def reverse_map(self, gpa: int) -> int | None:
         """Some GVA currently mapping ``gpa``; lowest page number on aliases.
 
@@ -286,9 +323,9 @@ class GuestPageTable:
         gvas = self._rmap.get(gpa)
         best = min(gvas) if gvas else LOST
         for region in self._regions:
-            gva = region.source_of(gpa)
-            if gva is not None and (best is LOST or gva < best):
-                best = gva
+            off = gpa - region.target
+            if region.index(off) >= 0 and (best is LOST or region.base + off < best):
+                best = region.base + off
         return best
 
     def write_page(self, gva: int, ept: "Ept", *, ignore_protection: bool = False) -> WriteOutcome:
@@ -300,11 +337,35 @@ class GuestPageTable:
         the PTE dirty bit, sets soft-dirty (flagging the kernel fault if it
         was clear), and sets the EPT dirty bit for the backing GPA,
         reporting whether that was a clear-to-set transition.
+
+        A region page's first write sets its bits in place; a region page
+        whose dirty bit is already set moves to a stored entry first.
         """
-        entry = self.entries.get(gva) or self._touch(gva)
-        if entry is None or not entry.flags.present:
-            return WriteOutcome(gva, None, "not_present")
+        entry = self.entries.get(gva)
+        if entry is None:
+            # inline region lookup: this runs on every first and second write
+            for region in self._regions:
+                off = gva - region.base
+                if 0 <= off < region.span:
+                    break
+            else:
+                return WriteOutcome(gva, None, "not_present")
+            i = off // PAGE_SIZE
+            bits = 0 if off % PAGE_SIZE else region.bits[i]
+            if not bits:
+                return WriteOutcome(gva, None, "not_present")
+            gpa = region.target + off
+            if not bits & _DIRTY:
+                if not bits & _WRITABLE and not ignore_protection:
+                    return WriteOutcome(gva, gpa, "write_protect")
+                region.bits[i] = bits | _DIRTY | _SOFT_DIRTY
+                return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, ept.set_dirty(gpa))
+            entry = _region_entry(region, i)
+            _release(self._regions, region, i)
+            self._store(gva, entry)
         flags = entry.flags
+        if not flags.present:
+            return WriteOutcome(gva, None, "not_present")
         if not flags.writable and not ignore_protection:
             return WriteOutcome(gva, entry.gpa, "write_protect")
         flags.dirty = True
@@ -317,9 +378,8 @@ class GuestPageTable:
         """Clear every soft-dirty bit; returns how many were set."""
         cleared = 0
         for region in self._regions:
-            if region.soft_dirty:
-                region.soft_dirty = False
-                cleared += region.implicit_count()
+            cleared += region.bits.translate(_HAS_SOFT_DIRTY).count(1)
+            region.bits = region.bits.translate(_CLEAR_SOFT_DIRTY)
         for entry in self.entries.values():
             if entry.flags.soft_dirty:
                 entry.flags.soft_dirty = False
@@ -329,25 +389,35 @@ class GuestPageTable:
     def soft_dirty_set(self) -> set[int]:
         out = {g for g, e in self.entries.items() if e.flags.soft_dirty}
         for region in self._regions:
-            if region.soft_dirty:
-                out |= region.implicit_pages()
+            out.update(region.pages(_HAS_SOFT_DIRTY))
         return out
 
     def dirty_set(self) -> set[int]:
-        # a write gives its page a stored entry, so implicit pages are clean
-        return {g for g, e in self.entries.items() if e.flags.dirty}
+        out = {g for g, e in self.entries.items() if e.flags.dirty}
+        for region in self._regions:
+            out.update(region.pages(_HAS_DIRTY))
+        return out
 
     def set_write_protect(self, gvas, protected: bool = True) -> None:
         for gva in gvas:
-            entry = self.entries.get(gva) or self._touch(gva)
-            if entry is None:
+            entry = self.entries.get(gva)
+            if entry is not None:
+                entry.flags.writable = not protected
+                continue
+            found = _find(self._regions, gva)
+            if found is None:
                 raise UnknownMapping(gva)
-            entry.flags.writable = not protected
+            region, i = found
+            if protected:
+                region.bits[i] &= ~_WRITABLE
+            else:
+                region.bits[i] |= _WRITABLE
 
     def write_protect_all(self, protected: bool = True) -> None:
         """Set (or lift) write protection on every mapped page."""
+        table = _PROTECT if protected else _UNPROTECT
         for region in self._regions:
-            region.writable = not protected
+            region.bits = region.bits.translate(table)
         for entry in self.entries.values():
             entry.flags.writable = not protected
 
@@ -355,9 +425,13 @@ class GuestPageTable:
 class Ept:
     """VM-wide GPA -> HPA map with per-entry hardware dirty bits.
 
-    Frames mapped by :meth:`map_region` stay implicit, and clean, until
-    their dirty bit is first set; frames mapped one at a time, and touched
-    region frames, are stored in ``entries``.
+    Frames mapped by :meth:`map_gpa` are stored in ``entries`` as
+    ``[hpa, dirty]``.  Frames mapped as a run by :meth:`map_region` keep a
+    dirty and a touched bit as one byte each in their region: the first
+    write to a frame sets both, and a re-arm clears the dirty bit in place.
+    The next write to a touched frame moves it to ``entries``; mapping a
+    region frame singly replaces it there, and unmapping takes it out of
+    its region.
     """
 
     def __init__(self):
@@ -365,17 +439,13 @@ class Ept:
         self._regions: list[_Region] = []
 
     def __contains__(self, gpa: int) -> bool:
-        return gpa in self.entries or self._implicit_hpa(gpa) is not None
+        return gpa in self.entries or _find(self._regions, gpa) is not None
 
-    def _implicit_hpa(self, gpa: int, take: bool = False) -> int | None:
-        """HPA of untouched region frame ``gpa``; ``take`` removes it from its region."""
-        for region in self._regions:
-            hpa = region.target_of(gpa)
-            if hpa is not None:
-                if take and region.take(gpa):
-                    self._regions.remove(region)
-                return hpa
-        return None
+    def _take(self, gpa: int) -> None:
+        """Remove region frame ``gpa`` from its region, if it is one."""
+        found = _find(self._regions, gpa)
+        if found is not None:
+            _release(self._regions, *found)
 
     def map_region(self, gpa: int, hpa: int, count: int) -> None:
         """Map ``count`` frames, ``PAGE_SIZE`` apart, from ``gpa`` to HPAs from ``hpa``.
@@ -389,52 +459,84 @@ class Ept:
         end = gpa + count * PAGE_SIZE
         if any(r.overlaps(gpa, end) for r in self._regions):
             raise AlreadyMapped(gpa)
-        region = _Region(gpa, hpa, count)
-        for g in [g for g in self.entries if region.target_of(g) is not None]:
+        for g in [g for g in self.entries if gpa <= g < end and not (g - gpa) % PAGE_SIZE]:
             del self.entries[g]
-        self._regions.append(region)
+        self._regions.append(_Region(gpa, hpa, count, _MAPPED))
 
     def map_gpa(self, gpa: int, hpa: int) -> None:
-        self._implicit_hpa(gpa, take=True)
+        self._take(gpa)
         self.entries[gpa] = [hpa, False]
 
     def unmap_gpa(self, gpa: int) -> None:
         if self.entries.pop(gpa, None) is None:
-            self._implicit_hpa(gpa, take=True)
+            self._take(gpa)
 
     def translate(self, gpa: int) -> int | None:
         entry = self.entries.get(gpa)
-        return self._implicit_hpa(gpa) if entry is None else entry[0]
+        if entry is not None:
+            return entry[0]
+        for region in self._regions:
+            i = region.index(gpa - region.base)
+            if i >= 0:
+                return region.target + i * PAGE_SIZE
+        return None
 
     def set_dirty(self, gpa: int) -> bool:
-        """Set the dirty bit; True when this was a clear-to-set transition."""
+        """Set the dirty bit; True when this was a clear-to-set transition.
+
+        A region frame's first set flips its bits in place; a later one
+        moves the frame to a stored entry.
+        """
         entry = self.entries.get(gpa)
         if entry is None:
-            hpa = self._implicit_hpa(gpa, take=True)
-            if hpa is None:
+            # inline region lookup, as in GuestPageTable.write_page
+            for region in self._regions:
+                off = gpa - region.base
+                if 0 <= off < region.span:
+                    break
+            else:
                 raise UnknownMapping(gpa)
-            self.entries[gpa] = [hpa, True]
-            return True
+            i = off // PAGE_SIZE
+            bits = 0 if off % PAGE_SIZE else region.bits[i]
+            if not bits:
+                raise UnknownMapping(gpa)
+            if not bits & _TOUCHED:
+                region.bits[i] = bits | _DIRTY | _TOUCHED
+                return True
+            entry = [region.target + off, bits & _DIRTY != 0]
+            _release(self._regions, region, i)
+            self.entries[gpa] = entry
         was = entry[1]
         entry[1] = True
         return not was
 
-    # implicit frames are clean, so the dirty-bit queries below need only
-    # the stored entries
-
     def is_dirty(self, gpa: int) -> bool:
         entry = self.entries.get(gpa)
-        return bool(entry and entry[1])
+        if entry is not None:
+            return entry[1]
+        found = _find(self._regions, gpa)
+        return found is not None and bool(found[0].bits[found[1]] & _DIRTY)
 
     def clear_dirty(self, gpas) -> None:
         """Re-arm logging for ``gpas``: the next write transitions again."""
+        entries = self.entries
         for gpa in gpas:
-            entry = self.entries.get(gpa)
+            entry = entries.get(gpa)
             if entry is not None:
                 entry[1] = False
+                continue
+            for region in self._regions:
+                off = gpa - region.base
+                if 0 <= off < region.span:
+                    if not off % PAGE_SIZE:  # a page that left keeps its 0 byte
+                        region.bits[off // PAGE_SIZE] &= ~_DIRTY
+                    break
 
     def dirty_gpas(self) -> set[int]:
-        return {g for g, e in self.entries.items() if e[1]}
+        out = {g for g, e in self.entries.items() if e[1]}
+        for region in self._regions:
+            out.update(region.pages(_HAS_DIRTY))
+        return out
 
 
 class PageStore:

@@ -88,6 +88,8 @@ class TrackerConfig:
             raise ValueError("rounds must be >= 0 and memory_bytes positive")
         if self.quantum_us <= 0 or self.collection_interval_us <= 0:
             raise ValueError("quantum and collection interval must be positive")
+        if self.ring_full_policy not in ("stall", "drop"):
+            raise ValueError(f"unknown ring_full_policy {self.ring_full_policy!r}")
         if (
             self.technique == "spml"
             and self.ring_full_policy == "stall"

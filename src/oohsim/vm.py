@@ -13,9 +13,12 @@ addresses are never reused, so a page remapped after churn is always
 distinguishable from its predecessor.
 
 :meth:`VirtualMachine.allocate` maps its pages as one region in the page
-table and one in the EPT, so it costs the same for any page count; each
-page gets its entries on first touch (see :mod:`oohsim.memory`).  The
-address counters advance exactly as if every page had been mapped singly.
+table and one in the EPT: one byte of state per page in each, and no
+per-page object.  A page's first write flips bits in those bytes; a page
+gets stored entries only when written again, unmapped or moved (see
+:mod:`oohsim.memory`).  The address counters advance exactly as if every
+page had been mapped singly.  :meth:`VirtualMachine.read_page` and the
+epml re-arm look a page's GPA up without building an entry for it.
 """
 
 from __future__ import annotations
@@ -212,8 +215,7 @@ class VirtualMachine:
     def read_page(self, pid: int, gva: int) -> bytes:
         """Read a page's stored payload through the translation stack."""
         proc = self.kernel._proc(pid)
-        translated = proc.table.translate_gva(gva)
-        if translated is None:
+        gpa = proc.table.gpa_of(gva)
+        if gpa is None:
             raise KeyError(f"gva {gva:#x} not readable")
-        gpa, _flags = translated
         return self.store.read(self.ept.translate(gpa))

@@ -14,6 +14,7 @@ from oohsim.memory import (
     Ept,
     GuestPageTable,
     MappingError,
+    PageEntry,
     PageFlags,
     PageStore,
     UnknownMapping,
@@ -336,3 +337,57 @@ def test_region_ranges_may_not_overlap():
     pt.map_page(0x9000, 0x30_0000)
     with pytest.raises(AlreadyMapped):
         pt.map_region(0x8000, 0x40_0000, 2)
+
+
+def _assert_same_answers(lazy, eager, gvas, gpas):
+    (lazy_pt, lazy_ept), (eager_pt, eager_ept) = lazy, eager
+    for gva in gvas:
+        assert lazy_pt.translate_gva(gva) == eager_pt.translate_gva(gva)
+    for gpa in gpas:
+        assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
+        assert lazy_ept.is_dirty(gpa) == eager_ept.is_dirty(gpa)
+    assert lazy_pt.dirty_set() == eager_pt.dirty_set()
+    assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
+    assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
+    assert len(lazy_pt) == len(eager_pt)
+
+
+def test_region_page_is_stored_only_when_written_twice():
+    lazy, eager = _twin_spaces(4)
+    (pt, ept), (eager_pt, eager_ept) = lazy, eager
+    gvas = [REGION_GVA + i * P for i in range(4)]
+    gpas = [REGION_GPA + i * P for i in range(4)]
+    gva, gpa = gvas[1], gpas[1]
+
+    def write():
+        out = pt.write_page(gva, ept)
+        assert out == eager_pt.write_page(gva, eager_ept)
+        return out
+
+    def clear_dirty():
+        ept.clear_dirty([gpa])
+        eager_ept.clear_dirty([gpa])
+
+    # the first write flips bits in the regions and stores nothing
+    assert write().ept_dirty_set
+    assert pt.entries == {} and pt._rmap == {} and ept.entries == {}
+    assert pt.dirty_set() == {gva} and ept.dirty_gpas() == {gpa}
+    _assert_same_answers(lazy, eager, gvas, gpas)
+
+    # a re-arm while the page is still in its region transitions again, and
+    # that second write stores the page in both tables
+    clear_dirty()
+    assert not ept.is_dirty(gpa)
+    _assert_same_answers(lazy, eager, gvas, gpas)
+    assert write().ept_dirty_set
+    assert pt.entries == {gva: PageEntry(gpa, PageFlags(dirty=True))}
+    assert pt._rmap == {gpa: {gva}}
+    assert ept.entries == {gpa: [REGION_HPA + P, True]}
+    _assert_same_answers(lazy, eager, gvas, gpas)
+
+    # and once stored, a re-arm still makes the next write transition
+    assert not write().ept_dirty_set
+    clear_dirty()
+    assert write().ept_dirty_set
+    assert len(pt.entries) == len(ept.entries) == 1
+    _assert_same_answers(lazy, eager, gvas, gpas)

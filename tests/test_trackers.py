@@ -36,6 +36,8 @@ def test_config_rejects_bad_values():
         TrackerConfig(technique="proc", rounds=-1)
     with pytest.raises(ValueError):
         TrackerConfig(technique="proc", quantum_us=0)
+    with pytest.raises(ValueError, match="'panic'"):
+        TrackerConfig(technique="spml", ring_capacity=1024, ring_full_policy="panic")
 
 
 def test_config_rejects_a_ring_that_can_never_take_an_spml_flush():

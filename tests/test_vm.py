@@ -204,6 +204,8 @@ def test_allocation_makes_entries_only_for_touched_pages():
     table = vm.kernel.processes[1].table
     assert dirty == written
     assert len(table) == 614_400
-    assert set(table.entries) == written
-    assert len(vm.ept.entries) == 3
+    # each page was written once, so it is still a byte in its region
+    assert table.entries == {}
+    assert vm.ept.entries == {}
+    assert table.dirty_set() == written
     assert peak < 4 * MB
