@@ -130,11 +130,10 @@ class GuestKernel:
         except KeyError:
             raise NotRegistered(f"no such pid {pid}") from None
 
-    def note_unmap(self, pid: int, gva: int) -> None:
-        """Capture the soft-dirty residue before a page leaves the table."""
+    def unmap(self, pid: int, gva: int) -> None:
+        """Take a page out of the table, keeping a set soft-dirty bit as residue."""
         proc = self._proc(pid)
-        entry = proc.table.entry(gva)
-        if entry is not None and entry.flags.soft_dirty:
+        if proc.table.unmap(gva).flags.soft_dirty:
             proc.softdirty_residue.add(gva)
 
     # --------------------------------------------------------- registration

@@ -518,19 +518,32 @@ class Ept:
         return found is not None and bool(found[0].bits[found[1]] & _DIRTY)
 
     def clear_dirty(self, gpas) -> None:
-        """Re-arm logging for ``gpas``: the next write transitions again."""
+        """Re-arm logging for ``gpas``: the next write transitions again.
+
+        Stored frames are cleared as they come; the rest are then cleared
+        one region at a time, each region in one pass over what is left.
+        """
         entries = self.entries
+        rest = []
         for gpa in gpas:
             entry = entries.get(gpa)
             if entry is not None:
                 entry[1] = False
-                continue
-            for region in self._regions:
-                off = gpa - region.base
-                if 0 <= off < region.span:
+            else:
+                rest.append(gpa)
+        for region in self._regions:
+            if not rest:
+                break
+            base, span, bits = region.base, region.span, region.bits
+            left = []
+            for gpa in rest:
+                off = gpa - base
+                if 0 <= off < span:
                     if not off % PAGE_SIZE:  # a page that left keeps its 0 byte
-                        region.bits[off // PAGE_SIZE] &= ~_DIRTY
-                    break
+                        bits[off // PAGE_SIZE] &= ~_DIRTY
+                else:
+                    left.append(gpa)
+            rest = left
 
     def dirty_gpas(self) -> set[int]:
         out = {g for g, e in self.entries.items() if e[1]}

@@ -12,7 +12,8 @@ guest-level GVA buffer of the extended design, where one write logs into
 both buffers independently; the hypervisor buffer signals fullness with a
 vmexit while the guest buffer posts a virtual self-IPI.  What a log did is
 a :class:`LogOutcome`; the twelve possible outcomes are built once and
-shared, so logging a write allocates nothing but the buffer entry.  Guest
+shared, so logging a write allocates nothing but the buffer entry, and
+each carries its ``hv_full``/``guest_full`` flags as precomputed fields.  Guest
 access to the device fields goes through a :class:`ShadowVmcs` under
 read/write bitmap control.
 """
@@ -147,18 +148,18 @@ class LogOutcome:
     There are only twelve possible outcomes, so :meth:`PmlState.log_dirty`
     hands out shared instances from :data:`_LOG_OUTCOMES` instead of
     building one per write; being frozen, they are safe to share.
+    ``hv_full`` and ``guest_full`` (that buffer refused the entry) are
+    worked out once per instance, so the per-write checks read a field.
     """
 
     hv: str
     guest: str | None
+    hv_full: bool = field(init=False, repr=False, compare=False)
+    guest_full: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def hv_full(self) -> bool:
-        return self.hv == LogResult.FULL
-
-    @property
-    def guest_full(self) -> bool:
-        return self.guest == LogResult.FULL
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hv_full", self.hv == LogResult.FULL)
+        object.__setattr__(self, "guest_full", self.guest == LogResult.FULL)
 
 
 _RESULTS = (LogResult.LOGGED, LogResult.FULL, LogResult.DISABLED)

@@ -20,7 +20,13 @@ region, one page-sized write each) — and reports where the time went:
 Two engines run the micro-benchmark.  The mechanical engine executes every
 write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
 semantics, runs every trace, and alone reports content-level results (the
-dirty set, missed and inaccurate pages).  The segment engine, the default
+dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
+feeds it its ops, the micro-benchmark one round of writes at a time.  A
+quiet write only adds its base cost to the clock, held in locals; an
+*event* (a vmexit, stall or softirq copy, a full quantum, a due collection
+tick, the horizon, or a map/unmap/remap op) puts the clock back on the run
+and goes through the one event method, which adds each cost in the same
+order as a write-by-write accounting would.  The segment engine, the default
 for the micro-benchmark because it is fast at large sizes, advances whole
 stretches of writes between events with closed-form arithmetic, following
 the mechanical event order (buffer event during the triggering write, then
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 from .costs import CostTable, overhead
@@ -535,6 +542,26 @@ class _SegmentRun:
 
 
 class _MechanicalRun:
+    """Every write executed through the machine: the reference engine.
+
+    :meth:`_drive` is the one loop over writes, for traces and for the
+    micro-benchmark's rounds alike.  It keeps ``t``, ``run_acc``,
+    ``writes_done`` and the uffd fault charges (``suspension``,
+    ``tracker_busy``) in locals while writes are quiet, and stores them
+    back only at an event exit:
+
+    * a write whose result carries a vmexit, a stall or a softirq copy;
+    * ``run_acc`` reaching the quantum;
+    * the clock reaching the next collection tick or the horizon;
+    * a non-write trace op.
+
+    :meth:`_event` then adds the write's device costs, waits out a stall,
+    swaps the quantum and runs the due ticks, with the same float
+    operations in the same order as a write-by-write accounting.  Past the
+    horizon the run is truncated if an op is left undone; a round whose
+    last write crosses it still counts.
+    """
+
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         self.c = _Costs(cfg)
@@ -575,12 +602,6 @@ class _MechanicalRun:
         self.lost_entries: list[tuple[int, int]] = []
 
     # ----- helpers -------------------------------------------------------
-
-    def _horizon_hit(self) -> bool:
-        if self.t >= self.cfg.horizon_us:
-            self.truncated = True
-            return True
-        return False
 
     def _sched(self, direction: str) -> None:
         us = self.vm.kernel.on_schedule(TRACKED_PID, direction)
@@ -628,59 +649,6 @@ class _MechanicalRun:
                 self._consume_tool_ring()
             self.next_tick += self.cfg.collection_interval_us
 
-    def _run_ticks(self) -> None:
-        while self.t >= self.next_tick:
-            self._tick()
-
-    def _write(self, gva: int) -> None:
-        c = self.c
-        res = self.vm.write_one(TRACKED_PID, gva)
-        outcome = res.outcome
-        wall = c.w
-        run = c.w
-        if outcome.softdirty_fault and self.tech == "proc":
-            run += c.softdirty_fault
-            wall += c.softdirty_fault
-        if res.uffd_recorded:
-            wall += c.uffd_fault
-            self.suspension += c.uffd_fault
-            self.tracker_busy += c.uffd_fault
-        if res.softirq_copied or res.softirq_us:
-            wall += res.softirq_us
-            self.suspension += res.softirq_us
-            self.softirqs += 1
-        if res.vmexit is not None and not res.stalled:
-            wall += c.c_ve
-            self.suspension += c.c_ve
-            self.vmexits += 1
-        self.t += wall
-        self.run_acc += run
-        if outcome.fault is None:
-            self.writes_done += 1
-            self.oracle.add(gva)
-        if res.stalled:
-            refused = res.refused
-            while True:
-                if self.next_tick > self.t:
-                    if self.next_tick >= self.cfg.horizon_us:
-                        self.t = self.cfg.horizon_us
-                        self.truncated = True
-                        return
-                    self.suspension += self.next_tick - self.t
-                    self.t = self.next_tick
-                self._tick()
-                retry = self.vm.hv.handle_pml_full_vmexit(refused=refused)
-                if not retry.stalled:
-                    self.t += c.c_ve
-                    self.suspension += c.c_ve
-                    self.vmexits += 1
-                    break
-        if self.run_acc >= self.cfg.quantum_us:
-            self._sched("out")
-            self._sched("in")
-            self.run_acc -= self.cfg.quantum_us
-        self._run_ticks()
-
     def _proc_collect(self) -> None:
         dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
         _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
@@ -693,6 +661,139 @@ class _MechanicalRun:
         self.parts["walk_us"] += read_us
         self.parts["other_us"] += clear_us
 
+    # ----- the driver loop -------------------------------------------------
+
+    def _drive(self, ops) -> None:
+        """Execute ``ops`` until they run out, the horizon passes or a stall truncates.
+
+        A write's base cost is ``w``, then the soft-dirty fault for
+        ``proc``, then the uffd fault for a recorded fault; the class
+        docstring lists the event exits.
+        """
+        it = iter(ops)
+        horizon = self.cfg.horizon_us
+        if self.t >= horizon:
+            self._stop(it)
+            return
+        quantum = self.cfg.quantum_us
+        c = self.c
+        w, uffd_fault = c.w, c.uffd_fault
+        sd_fault = c.softdirty_fault if self.tech == "proc" else None
+        pid, write_one = TRACKED_PID, self.vm.write_one
+        oracle_add = self.oracle.add
+        t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
+        suspension, busy = self.suspension, self.tracker_busy
+        limit = min(self.next_tick, horizon)
+        for op in it:
+            if op[0] != "write":
+                self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
+                self.suspension, self.tracker_busy = suspension, busy
+                self._apply(op)
+                continue
+            gva = op[1]
+            res = write_one(pid, gva)
+            outcome = res[0]
+            wall = run = w
+            if sd_fault is not None and outcome.softdirty_fault:
+                run += sd_fault
+                wall += sd_fault
+            if res.uffd_recorded:
+                wall += uffd_fault
+                suspension += uffd_fault
+                busy += uffd_fault
+            if outcome.fault is None:
+                writes_done += 1
+                oracle_add(gva)
+            if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
+                t += wall
+                run_acc += run
+                if t < limit and run_acc < quantum:
+                    continue
+                res = None  # counted: only the quantum and tick checks remain
+            self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
+            self.suspension, self.tracker_busy = suspension, busy
+            self._event(res, wall, run)
+            if self.truncated:
+                return
+            t, run_acc = self.t, self.run_acc
+            suspension, busy = self.suspension, self.tracker_busy
+            if t >= horizon:
+                self._stop(it)
+                return
+            limit = min(self.next_tick, horizon)
+        self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
+        self.suspension, self.tracker_busy = suspension, busy
+
+    def _stop(self, it) -> None:
+        """The horizon has passed: the run is truncated if an op is left undone."""
+        for _op in it:
+            self.truncated = True
+            break
+
+    def _event(self, res, wall: float, run: float) -> None:
+        """Finish the accounting of a write that ended a quiet stretch.
+
+        ``res`` is the write's result when it carried a vmexit, stall or
+        softirq copy; its ``wall`` and ``run`` time are then not yet on the
+        clock, and the device costs join ``wall`` first.  With ``res`` None
+        the write is already counted.  Then the quantum check and the
+        collection ticks due by now, in that order.
+        """
+        c = self.c
+        if res is not None:
+            if res.softirq_copied or res.softirq_us:
+                wall += res.softirq_us
+                self.suspension += res.softirq_us
+                self.softirqs += 1
+            if res.vmexit is not None and not res.stalled:
+                wall += c.c_ve
+                self.suspension += c.c_ve
+                self.vmexits += 1
+            self.t += wall
+            self.run_acc += run
+            if res.stalled:
+                # the producer waits for collection ticks to make ring room
+                while True:
+                    if self.next_tick > self.t:
+                        if self.next_tick >= self.cfg.horizon_us:
+                            self.t = self.cfg.horizon_us
+                            self.truncated = True
+                            return
+                        self.suspension += self.next_tick - self.t
+                        self.t = self.next_tick
+                    self._tick()
+                    retry = self.vm.hv.handle_pml_full_vmexit(refused=res.refused)
+                    if not retry.stalled:
+                        self.t += c.c_ve
+                        self.suspension += c.c_ve
+                        self.vmexits += 1
+                        break
+        if self.run_acc >= self.cfg.quantum_us:
+            self._sched("out")
+            self._sched("in")
+            self.run_acc -= self.cfg.quantum_us
+        while self.t >= self.next_tick:
+            self._tick()
+
+    def _apply(self, op) -> None:
+        """A trace's map, unmap or remap op."""
+        kind = op[0]
+        if kind == "map":
+            # new regions join the monitoring baseline clean: only
+            # writes after the mapping should show up as dirty
+            self.vm.map_fresh(
+                TRACKED_PID,
+                op[1],
+                writable=self.tech != "uffd",
+                soft_dirty=self.tech != "proc",
+            )
+        elif kind == "unmap":
+            self.vm.unmap(TRACKED_PID, op[1])
+        elif kind == "remap":
+            self.vm.remap(TRACKED_PID, op[1], op[2])
+        else:
+            raise ValueError(f"unknown trace op {kind!r}")
+
     # ----- workload drivers ----------------------------------------------
 
     def run_microbench(self) -> TrackerPhaseReport:
@@ -701,13 +802,8 @@ class _MechanicalRun:
         # dict lookups match keys by identity
         gvas = list(self.gvas)
         self._sched("in")
-        for rnd in range(1, cfg.rounds + 1):
-            if self.truncated or self._horizon_hit():
-                break
-            for gva in gvas:
-                if self.truncated or self._horizon_hit():
-                    break
-                self._write(gva)
+        for _rnd in range(cfg.rounds):
+            self._drive(zip(repeat("write"), gvas))
             if self.truncated:
                 break
             self.rounds_done += 1
@@ -726,27 +822,7 @@ class _MechanicalRun:
 
     def run_trace(self, ops) -> TrackerPhaseReport:
         self._sched("in")
-        for op in ops:
-            if self.truncated or self._horizon_hit():
-                break
-            kind = op[0]
-            if kind == "write":
-                self._write(op[1])
-            elif kind == "map":
-                # new regions join the monitoring baseline clean: only
-                # writes after the mapping should show up as dirty
-                self.vm.map_fresh(
-                    TRACKED_PID,
-                    op[1],
-                    writable=self.tech != "uffd",
-                    soft_dirty=self.tech != "proc",
-                )
-            elif kind == "unmap":
-                self.vm.unmap(TRACKED_PID, op[1])
-            elif kind == "remap":
-                self.vm.remap(TRACKED_PID, op[1], op[2])
-            else:
-                raise ValueError(f"unknown trace op {kind!r}")
+        self._drive(ops)
         self._sched("out")
         return self._finish(proc_final_read=True)
 

@@ -6,7 +6,11 @@ full per-write pipeline from the store instruction down to device logging,
 buffer-full handling, and softirq delivery.  It runs once per simulated
 write, so what it returns is cheap to make: a :class:`WriteResult` named
 tuple around the page table's :class:`~oohsim.memory.WriteOutcome` tuple
-and one of the shared :class:`~oohsim.pml.LogOutcome` instances.
+and one of the shared :class:`~oohsim.pml.LogOutcome` instances.  Most
+writes are quiet: the write logged nothing, or logged with neither buffer
+full.  ``write_one`` returns one of those as soon as it knows, with every
+device field at its default, and only a full buffer takes the flush,
+softirq and replay path.
 
 Allocation hands out fresh guest-physical and host-physical frames —
 addresses are never reused, so a page remapped after churn is always
@@ -139,8 +143,7 @@ class VirtualMachine:
 
     def unmap(self, pid: int, gva: int) -> None:
         """Unmap a page, preserving the kernel's soft-dirty residue."""
-        self.kernel.note_unmap(pid, gva)
-        self.kernel._proc(pid).table.unmap(gva)
+        self.kernel.unmap(pid, gva)
 
     def remap(self, pid: int, old_gva: int, new_gva: int) -> None:
         """Move a mapping; dirty state travels with it (mremap-style)."""
@@ -160,46 +163,52 @@ class VirtualMachine:
         returned for the caller to replay after draining.
         """
         kern = self.kernel
-        proc = kern._proc(pid)
-        outcome = proc.table.write_page(gva, self.ept)
+        proc = kern.processes.get(pid)
+        if proc is None:
+            proc = kern._proc(pid)  # raises NotRegistered
+        ept = self.ept
+        outcome = proc.table.write_page(gva, ept)
         uffd_recorded = False
-        if outcome.fault == "write_protect":
+        if outcome.fault is not None:
+            if outcome.fault != "write_protect":
+                return WriteResult(outcome)
             if proc.uffd_mode is None:
                 raise RuntimeError(f"write-protect fault without a monitor: {gva:#x}")
             kern.uffd_record(pid, gva)
             uffd_recorded = True
-            outcome = proc.table.write_page(gva, self.ept, ignore_protection=True)
-        if outcome.fault is not None:
-            return WriteResult(outcome, uffd_recorded=uffd_recorded)
+            outcome = proc.table.write_page(gva, ept, ignore_protection=True)
+            if outcome.fault is not None:
+                return WriteResult(outcome, uffd_recorded=uffd_recorded)
+        if payload is not None:
+            self.store.write(ept.translate(outcome.gpa), payload)
+        if not outcome.ept_dirty_set:
+            return WriteResult(outcome, None, None, 0, 0.0, 0, False, None, uffd_recorded)
+        log = self.hv.log_write(outcome.gpa, gva)
+        if not log.hv_full and not log.guest_full:
+            return WriteResult(outcome, log, None, 0, 0.0, 0, False, None, uffd_recorded)
 
-        log = None
         vmexit = None
         softirq_copied = 0
         softirq_us = 0.0
         guest_dropped = 0
         stalled = False
         refused = None
-        if outcome.ept_dirty_set:
-            log = self.hv.log_write(outcome.gpa, gva)
-            if log.hv_full:
-                refused = (outcome.gpa, gva)
-                vmexit = self.hv.handle_pml_full_vmexit(refused=refused)
-                if vmexit.stalled:
-                    stalled = True
-                else:
-                    refused = None
-            if log.guest_full:
-                softirq_copied, softirq_us = kern.deliver_guest_buffer_full(pid)
-                gbuf = self.hv.pml.guest_buffer
-                if gbuf.armed:
-                    gbuf.log(gva)  # replay the refused guest-side entry
-                else:
-                    guest_dropped = 1
-                    if kern.uio is not None:
-                        kern.uio.ring_dropped += 1
-        if payload is not None:
-            hpa = self.ept.translate(outcome.gpa)
-            self.store.write(hpa, payload)
+        if log.hv_full:
+            refused = (outcome.gpa, gva)
+            vmexit = self.hv.handle_pml_full_vmexit(refused=refused)
+            if vmexit.stalled:
+                stalled = True
+            else:
+                refused = None
+        if log.guest_full:
+            softirq_copied, softirq_us = kern.deliver_guest_buffer_full(pid)
+            gbuf = self.hv.pml.guest_buffer
+            if gbuf.armed:
+                gbuf.log(gva)  # replay the refused guest-side entry
+            else:
+                guest_dropped = 1
+                if kern.uio is not None:
+                    kern.uio.ring_dropped += 1
         return WriteResult(
             outcome,
             log,

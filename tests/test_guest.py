@@ -242,8 +242,7 @@ def test_pagemap_reports_live_and_residue_pages():
     ept = kern.ept
     proc.table.write_page(0x1000, ept)
     proc.table.write_page(0x2000, ept)
-    kern.note_unmap(7, 0x2000)
-    proc.table.unmap(0x2000)
+    kern.unmap(7, 0x2000)
     dirty, us = kern.read_pagemap(7)
     assert dirty == {0x1000, 0x2000}  # unmapped page survives via residue
     assert us == CostTable.default().cost_us("M16", MB)
@@ -260,8 +259,7 @@ def test_clear_soft_dirty_resets_everything():
     dirty, _ = kern.read_pagemap(7)
     assert dirty == set()
     proc.table.write_page(0x1000, kern.ept)
-    kern.note_unmap(7, 0x1000)
-    proc.table.unmap(0x1000)
+    kern.unmap(7, 0x1000)
     kern.clear_soft_dirty(7)  # also clears the residue
     dirty, _ = kern.read_pagemap(7)
     assert dirty == set()

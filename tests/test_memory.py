@@ -326,6 +326,28 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
         assert len(lazy_pt) == len(eager_pt)
 
 
+
+def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
+    ept = Ept()
+    ept.map_region(0x10_0000, 0x1000_0000, 4)
+    ept.map_region(0x20_0000, 0x2000_0000, 4)
+    ept.map_gpa(0x30_0000, 0x3000_0000)
+    first, second, single = 0x10_1000, 0x20_2000, 0x30_0000
+    stored = 0x10_3000  # a region frame dirtied twice has left its region
+    ept.set_dirty(stored)
+    ept.clear_dirty([stored])
+    ept.set_dirty(stored)
+    assert stored in ept.entries
+    untouched = 0x20_0000  # dirty, but not in the batch
+    for gpa in (first, second, single, untouched):
+        assert ept.set_dirty(gpa)
+    batch = [second, 0x10_0800, single, 0x90_0000, first, stored, 0x20_4000]
+    ept.clear_dirty(batch)  # misaligned, unmapped and past-the-end GPAs are ignored
+    assert ept.dirty_gpas() == {untouched}
+    for gpa in (first, second, single, stored):
+        assert ept.set_dirty(gpa)  # each one logs again
+    assert not ept.set_dirty(untouched)
+
 def test_region_ranges_may_not_overlap():
     pt, ept = GuestPageTable(pid=1), Ept()
     pt.map_region(0x1000, 0x10_0000, 4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from oohsim.costs import CostTable
@@ -9,6 +11,7 @@ from oohsim.guest import TECHNIQUES
 from oohsim.pml import BUFFER_SLOTS
 from oohsim.trackers import (
     TrackerConfig,
+    TrackerPhaseReport,
     WrongTechnique,
     drain_ring,
     run_tracker,
@@ -370,6 +373,245 @@ def test_trace_runs_pinned_across_seeds_and_rings():
                 )
                 key = (seed, tech, ring)
                 _check_pinned(key, rep, _PINNED_TRACES[key])
+
+
+# Runs that end by truncation or have events between writes, where an
+# engine that batches quiet writes is most likely to slip.  Recorded from
+# the mechanical engine before its driver loop kept the clock in locals.
+# "midround": a horizon that cuts round two; "roundend": a horizon that
+# round one's last write crosses, so round one still counts; "early": a
+# horizon before the first collection tick and quantum; "stall":
+# ring_capacity=512 under "stall" with a 5000 µs horizon, which the spml
+# producer reaches while stalled on a full ring; "events": a 50 µs quantum
+# and a 37 µs collection interval, so schedule and tick events land
+# between writes.
+_EDGE_HORIZON_MIDROUND = {"proc": 7500.0, "uffd": 17685.4, "spml": 6633.5, "epml": 1393.0}
+_EDGE_HORIZON_ROUNDEND = {"proc": 1023.1, "uffd": 11784.51, "spml": 3013.117, "epml": 925.734}
+_EDGE_SHAPES = {
+    "midround": lambda tech: {"horizon_us": _EDGE_HORIZON_MIDROUND[tech]},
+    "roundend": lambda tech: {"horizon_us": _EDGE_HORIZON_ROUNDEND[tech]},
+    "early": lambda tech: {"horizon_us": 300.0},
+    "stall": lambda tech: {"ring_capacity": 512, "horizon_us": 5000.0},
+    "events": lambda tech: {"quantum_us": 50.0, "collection_interval_us": 37.0},
+}
+_EDGE_EXACT = (
+    "writes_done",
+    "rounds_done",
+    "n_sched_events",
+    "vmexits",
+    "softirq_copies",
+    "dropped",
+    "truncated",
+    "dirty_pages",
+)
+_EDGE_US = (
+    "init_time_us",
+    "monitor_span_us",
+    "collect_time_us",
+    "exploit_time_us",
+    "tracked_suspension_total_us",
+    "ideal_us",
+    "tracker_busy_us",
+)
+_EDGE_PARTS = ("reverse_mapping_us", "walk_us", "copy_us", "other_us")
+
+# (shape, technique) -> (exact fields, µs fields, collect_parts, dirty_set
+# runs, missed runs, inaccurate); a run (a, b) stands for the pages a, a +
+# 0x1000, ... below b.  Every run is 4 MB, three rounds, mechanical.
+_PINNED_EDGE = {
+    ("midround", "proc"): (
+        (1348, 1, 2, 0, 0, 0, True, 1024),
+        (
+            52.04833333333334,
+            7500.0,
+            6152.733333333334,
+            0.0,
+            6152.733333333334,
+            1213.2,
+            6152.733333333334,
+        ),
+        (0.0, 6101.0, 0.0, 51.73333333333334),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("midround", "uffd"): (
+        (1536, 1, 2, 0, 0, 0, True, 0),
+        (0.315, 17685.4, 0.0, 0.0, 16302.99999999963, 1382.4, 16302.99999999963),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+        ((0x1000, 0x401000),),
+        (),
+    ),
+    ("midround", "spml"): (
+        (1537, 1, 2, 3, 0, 0, True, 448),
+        (5495.0, 6633.5, 5400.937499999996, 0.0, 6275.0, 1383.3, 5400.937499999996),
+        (5398.604166666663, 0.0, 2.333333333333334, 0.0),
+        ((0x1000, 0x1c1000),),
+        ((0x1c1000, 0x401000),),
+        (),
+    ),
+    ("midround", "epml"): (
+        (1537, 1, 2, 0, 4, 0, True, 1024),
+        (5878.0, 1393.0, 0.0, 0.0, 9.265208333333334, 1383.3, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("roundend", "proc"): (
+        (1024, 1, 2, 0, 0, 0, True, 1024),
+        (52.04833333333334, 1023.1, 6152.733333333334, 0.0, 1023.1, 921.6, 6152.733333333334),
+        (0.0, 6101.0, 0.0, 51.73333333333334),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("roundend", "uffd"): (
+        (1024, 1, 2, 0, 0, 0, True, 0),
+        (0.315, 11784.51, 0.0, 0.0, 10868.666666666608, 921.6, 10868.666666666608),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+        ((0x1000, 0x401000),),
+        (),
+    ),
+    ("roundend", "spml"): (
+        (1024, 1, 2, 1, 0, 0, True, 192),
+        (5495.0, 3013.117, 2314.6874999999986, 0.0, 2091.6666666666665, 921.6, 2314.6874999999986),
+        (2313.6874999999986, 0.0, 1.0, 0.0),
+        ((0x1000, 0xc1000),),
+        ((0xc1000, 0x401000),),
+        (),
+    ),
+    ("roundend", "epml"): (
+        (1024, 1, 2, 0, 2, 0, True, 1024),
+        (5878.0, 925.734, 0.0, 0.0, 5.963333333333334, 921.6, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("early", "proc"): (
+        (301, 0, 2, 0, 0, 0, True, 0),
+        (52.04833333333334, 300.0, 0.0, 0.0, 0.0, 270.90000000000003, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+        ((0x1000, 0x12e000),),
+        (),
+    ),
+    ("early", "uffd"): (
+        (27, 0, 2, 0, 0, 0, True, 0),
+        (0.315, 300.0, 0.0, 0.0, 286.576171875, 24.3, 286.576171875),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+        ((0x1000, 0x1c000),),
+        (),
+    ),
+    ("early", "spml"): (
+        (333, 0, 2, 0, 0, 0, True, 0),
+        (5495.0, 300.0, 0.0, 0.0, 0.0, 299.7, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+        ((0x1000, 0x14e000),),
+        (),
+    ),
+    ("early", "epml"): (
+        (332, 0, 2, 0, 1, 0, True, 332),
+        (5878.0, 300.0, 0.0, 0.0, 2.044166666666667, 298.8, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        ((0x1000, 0x14d000),),
+        (),
+        (),
+    ),
+    ("stall", "proc"): (
+        (1024, 1, 2, 0, 0, 0, True, 1024),
+        (52.04833333333334, 5000.0, 6152.733333333334, 0.0, 5000.0, 921.6, 6152.733333333334),
+        (0.0, 6101.0, 0.0, 51.73333333333334),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("stall", "uffd"): (
+        (435, 0, 2, 0, 0, 0, True, 0),
+        (0.315, 5000.0, 0.0, 0.0, 4617.060546874992, 391.5, 4617.060546874992),
+        (0.0, 0.0, 0.0, 0.0),
+        (),
+        ((0x1000, 0x1b4000),),
+        (),
+    ),
+    ("stall", "spml"): (
+        (1025, 1, 2, 1, 0, 0, True, 256),
+        (5495.0, 5000.0, 3086.249999999998, 0.0, 3077.1999999999575, 922.5, 3086.249999999998),
+        (3084.9166666666647, 0.0, 1.3333333333333335, 0.0),
+        ((0x1000, 0x101000),),
+        ((0x101000, 0x401000),),
+        (),
+    ),
+    ("stall", "epml"): (
+        (3072, 3, 2, 0, 9, 0, False, 1024),
+        (5878.0, 2786.0290000001582, 0.0, 0.0, 17.89, 2764.8, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("events", "proc"): (
+        (3072, 3, 124, 0, 0, 0, False, 1024),
+        (52.04833333333334, 21528.99999999924, 18458.2, 0.0, 18458.2, 2764.8, 18458.2),
+        (0.0, 18303.0, 0.0, 155.20000000000002),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("events", "uffd"): (
+        (3072, 3, 112, 0, 0, 0, False, 1024),
+        (0.315, 35370.79999999897, 0.0, 0.0, 32606.00000000148, 2764.8, 32606.00000000148),
+        (0.0, 0.0, 0.0, 0.0),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("events", "spml"): (
+        (3072, 3, 112, 0, 0, 0, False, 1024),
+        (5495.0, 5226.933333333269, 43135.99999999999, 0.0, 0.0, 2764.8, 43135.99999999999),
+        (37019.0, 6101.0, 16.00000000000001, 0.0),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+    ("events", "epml"): (
+        (3072, 3, 112, 0, 58, 0, False, 1024),
+        (5878.0, 2986.054000000164, 0.0, 0.0, 34.26999999999998, 2764.8, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        ((0x1000, 0x401000),),
+        (),
+        (),
+    ),
+}
+
+
+def _expand(runs):
+    return [gva for a, b in runs for gva in range(a, b, 0x1000)]
+
+
+def test_truncated_and_event_dense_runs_pinned():
+    covered = {"technique", "memory_bytes", "collect_parts", "dirty_set", "missed", "inaccurate"}
+    assert {f.name for f in fields(TrackerPhaseReport)} == covered | set(_EDGE_EXACT + _EDGE_US)
+    assert sorted(_PINNED_EDGE) == sorted((s, t) for s in _EDGE_SHAPES for t in TECHNIQUES)
+    for (shape, tech), want in _PINNED_EDGE.items():
+        exact, us, parts, dirty, missed, inaccurate = want
+        knobs = _EDGE_SHAPES[shape](tech)
+        rep = run_tracker(cfg(tech, 4 * MB, rounds=3, mechanical=True, **knobs))
+        key = (shape, tech)
+        assert (rep.technique, rep.memory_bytes) == (tech, 4 * MB), key
+        assert tuple(getattr(rep, f) for f in _EDGE_EXACT) == exact, key
+        assert tuple(getattr(rep, f) for f in _EDGE_US) == pytest.approx(us, rel=1e-9), key
+        assert sorted(rep.collect_parts) == sorted(_EDGE_PARTS), key
+        got_parts = tuple(rep.collect_parts[p] for p in _EDGE_PARTS)
+        assert got_parts == pytest.approx(parts, rel=1e-9), key
+        assert sorted(rep.dirty_set) == _expand(dirty), key
+        assert sorted(rep.missed) == _expand(missed), key
+        assert sorted(rep.inaccurate) == list(inaccurate), key
 
 
 # ------------------------------------------------------------- ring details

@@ -52,6 +52,20 @@ def test_remap_moves_dirty_state():
     assert vm.kernel.processes[7].softdirty_residue == set()
 
 
+
+def test_unmap_keeps_residue_only_for_a_soft_dirty_region_page():
+    vm = make_vm("proc")
+    vm.kernel.clear_soft_dirty(7)
+    vm.write_one(7, gva(0))  # soft-dirty again, still a region page
+    vm.unmap(7, gva(0))
+    vm.unmap(7, gva(1))  # clean
+    table = vm.kernel.processes[7].table
+    assert table.entries == {}  # both came straight out of the region
+    assert gva(0) not in table and gva(1) not in table
+    assert vm.kernel.processes[7].softdirty_residue == {gva(0)}
+    dirty, _ = vm.kernel.read_pagemap(7)
+    assert dirty == {gva(0)}
+
 # ----------------------------------------------------------- write pipeline
 
 
