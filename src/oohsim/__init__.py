@@ -12,7 +12,6 @@ from __future__ import annotations
 from oohsim.checkpoint import (
     CheckpointImage,
     CheckpointSession,
-    checkpoint,
     checkpoint_time_model,
     missed_pages_experiment,
     restore,
@@ -54,12 +53,10 @@ from oohsim.vm import VirtualMachine
 from oohsim.workloads import (
     KV_FOOTPRINTS,
     KvWorkloadSpec,
-    MicroBenchSpec,
     TraceWorkload,
     churn_trace,
     random_trace,
     replay_dirty_oracle,
-    run_microbench,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +72,6 @@ __all__ = [
     "ExperimentConfig",
     "KV_FOOTPRINTS",
     "KvWorkloadSpec",
-    "MicroBenchSpec",
     "MigrationJob",
     "MigrationReport",
     "RunReport",
@@ -86,7 +82,6 @@ __all__ = [
     "TrackerPhaseReport",
     "UnknownFigure",
     "VirtualMachine",
-    "checkpoint",
     "checkpoint_time_model",
     "churn_trace",
     "comparison_csv",
@@ -102,7 +97,6 @@ __all__ = [
     "restore",
     "restore_verify",
     "run",
-    "run_microbench",
     "run_migration",
     "run_tracker",
     "spml_bottleneck_breakdown",

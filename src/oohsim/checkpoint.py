@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .costs import CostTable
-from .memory import LOST, UnknownMapping
-from .trackers import TRACKED_PID, TrackerConfig, drain_ring, run_tracker
+from .memory import UnknownMapping
+from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
 from .vm import VirtualMachine
 from .workloads import churn_trace, replay_dirty_oracle
 
@@ -41,7 +41,6 @@ __all__ = [
     "MissedPoint",
     "NoBaseline",
     "VerifyResult",
-    "checkpoint",
     "checkpoint_time_model",
     "load_image",
     "missed_pages_experiment",
@@ -310,7 +309,6 @@ class CheckpointSession:
         )
         self.vm.create_process(TRACKED_PID, "tracked")
         self.gvas = self.vm.allocate(TRACKED_PID, self.pages)
-        self.mapped: set[int] = set(self.gvas)
         self.vm.kernel.register_tracked(TRACKED_PID, technique, memory_bytes)
         if technique == "proc":
             self.vm.kernel.clear_soft_dirty(TRACKED_PID)
@@ -341,39 +339,23 @@ class CheckpointSession:
             self._epml_names.update(self.vm.kernel.epml_consume_ring())
 
     def map(self, gva: int | None = None) -> int:
-        # new regions join the monitoring baseline clean
-        gva = self.vm.map_fresh(
-            TRACKED_PID,
-            gva,
-            writable=self.technique != "uffd",
-            soft_dirty=self.technique != "proc",
-        )
-        self.mapped.add(gva)
-        return gva
+        return self.vm.map_fresh(TRACKED_PID, gva)
 
     def unmap(self, gva: int) -> None:
         self.vm.unmap(TRACKED_PID, gva)
-        self.mapped.discard(gva)
-
-    def remap(self, old_gva: int, new_gva: int) -> None:
-        self.vm.remap(TRACKED_PID, old_gva, new_gva)
-        self.mapped.discard(old_gva)
-        self.mapped.add(new_gva)
 
     def run_ops(self, ops) -> None:
         """Feed a trace: (write|map|unmap|remap, addresses...) tuples."""
         for op in ops:
-            kind = op[0]
-            if kind == "write":
+            if op[0] == "write":
                 self.write(op[1])
-            elif kind == "map":
-                self.map(op[1])
-            elif kind == "unmap":
-                self.unmap(op[1])
-            elif kind == "remap":
-                self.remap(op[1], op[2])
             else:
-                raise ValueError(f"unknown trace op {kind!r}")
+                self.vm.apply_op(TRACKED_PID, op)
+
+    @property
+    def mapped(self) -> frozenset[int]:
+        """The tracked process's mapped page addresses, read from its page table."""
+        return frozenset(self.vm.kernel.processes[TRACKED_PID].table.mapped_set())
 
     # ------------------------------------------------------------- dumping
 
@@ -385,17 +367,18 @@ class CheckpointSession:
         kernel = self.vm.kernel
         kernel.on_schedule(TRACKED_PID, "out")  # freeze flushes device buffers
         names = self._collect()
+        mapped = self.mapped
         if mode == "full":
-            dump_gvas = set(self.mapped)
+            dump_gvas = mapped
             parent = None
         else:
-            dump_gvas = names & self.mapped
+            dump_gvas = names & mapped
             parent = self.images[-1].sequence_no
         image = CheckpointImage(
             sequence_no=self._seq,
             mode=mode,
             pages={gva: self._read(gva) for gva in sorted(dump_gvas)},
-            mapped=frozenset(self.mapped),
+            mapped=mapped,
             parent=parent,
         )
         self._seq += 1
@@ -408,7 +391,7 @@ class CheckpointSession:
                 table=self.vm.costs,
             )
         )
-        self.last_snapshot = self._snapshot()
+        self.last_snapshot = {g: c for g in mapped if (c := self._read(g)) != ZERO_PAGE}
         kernel.on_schedule(TRACKED_PID, "in")
         return image
 
@@ -436,42 +419,17 @@ class CheckpointSession:
             return names
         # shadowed device: resolve each logged frame once, newest name wins
         self._stage_ring()
-        latest: dict[int, int] = {}
-        for gpa, meta_gva in self._raw:
-            latest[gpa] = meta_gva
+        res = reverse_map_pairs(kernel.processes[TRACKED_PID].table, dict(self._raw).items())
         self._raw = []
-        proc = kernel.processes[TRACKED_PID]
-        names: set[int] = set()
-        for gpa, meta_gva in latest.items():
-            gva = proc.table.reverse_map(gpa)
-            if gva is LOST:
-                self.lost.append((gpa, meta_gva))
-            else:
-                if gva != meta_gva:
-                    self.inaccurate.append((gva, meta_gva))
-                names.add(gva)
-        return names
+        self.lost.extend(res.lost)
+        self.inaccurate.extend(res.inaccurate)
+        return set(res.gvas)
 
     def _read(self, gva: int) -> bytes:
         try:
             return self.vm.read_page(TRACKED_PID, gva)
         except (KeyError, UnknownMapping):
             return ZERO_PAGE
-
-    def _snapshot(self) -> dict[int, bytes]:
-        out: dict[int, bytes] = {}
-        for gva in self.mapped:
-            content = self._read(gva)
-            if content != ZERO_PAGE:
-                out[gva] = content
-        return out
-
-
-def checkpoint(pid: int, tracker: CheckpointSession, mode: str) -> CheckpointImage:
-    """Dump the tracked process through its session's technique."""
-    if pid != TRACKED_PID:
-        raise ValueError(f"session tracks pid {TRACKED_PID}, not {pid}")
-    return tracker.checkpoint(mode)
 
 
 # --------------------------------------------------------------------------

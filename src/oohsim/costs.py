@@ -100,10 +100,6 @@ _PARAM_DEFAULTS: dict[str, float] = {
     "dump_page_us": 4.0,
     # Tracker-side ring consumption budget per collection tick (SPML).
     "spml_drain_batch": 64.0,
-    # Pre-copy migration model.
-    "migration_page_xfer_us": 2.5,
-    "migration_stop_threshold_pages": 64.0,
-    "migration_max_rounds": 30.0,
 }
 
 

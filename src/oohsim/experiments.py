@@ -128,7 +128,6 @@ class ExperimentConfig:
     kv_ops: int = 20_000
     kv_churn_rate: float = 0.0
     quantum_us: float = 10_000.0
-    competitors: int = 0
     collection_interval_us: float = 1_000.0
     ring_capacity: int = 16_384
     ring_full_policy: str = "stall"
@@ -168,8 +167,6 @@ class ExperimentConfig:
             raise ConfigError("kv_churn_rate: must be >= 0")
         if self.quantum_us <= 0:
             raise ConfigError("quantum_us: must be positive")
-        if self.competitors < 0:
-            raise ConfigError("competitors: must be >= 0")
         if self.collection_interval_us <= 0:
             raise ConfigError("collection_interval_us: must be positive")
         if self.ring_capacity <= 0:
@@ -257,7 +254,7 @@ def _coerce_field(name: str, raw: Any) -> Any:
         return tuple(parse_size(p) for p in parts)
     if name == "techniques":
         return _parse_list(raw)
-    if name in ("seed", "vcpus", "rounds", "kv_ops", "competitors", "ring_capacity"):
+    if name in ("seed", "vcpus", "rounds", "kv_ops", "ring_capacity"):
         return int(str(raw).strip()) if not isinstance(raw, int) else raw
     if name in ("kv_churn_rate", "quantum_us", "collection_interval_us", "horizon_us"):
         return float(raw)
@@ -291,9 +288,7 @@ def _tracker_config(
         collection_interval_us=config.collection_interval_us,
         ring_capacity=config.ring_capacity,
         ring_full_policy=config.ring_full_policy,
-        competitors=config.competitors,
         horizon_us=config.horizon_us,
-        seed=config.seed,
         table=table,
         trace=trace,
     )

@@ -34,7 +34,6 @@ __all__ = [
     "NotRegistered",
     "TECHNIQUES",
     "Process",
-    "SchedulerConfig",
     "UioModuleState",
     "GuestKernel",
     "GUEST_RING_GPA",
@@ -69,12 +68,6 @@ class Process:
 
 
 @dataclass
-class SchedulerConfig:
-    quantum_us: float = 10_000.0
-    competitors: int = 0
-
-
-@dataclass
 class UioModuleState:
     """Registration record of the in-guest tracking tool's kernel module."""
 
@@ -86,7 +79,6 @@ class UioModuleState:
     # shared pathway consumes the hypervisor ring directly)
     ring: list[int] = field(default_factory=list)
     ring_dropped: int = 0
-    scheduled_in: bool = False
 
     @property
     def ring_free(self) -> int:
@@ -102,14 +94,12 @@ class GuestKernel:
         table: CostTable,
         ledger: CostLedger,
         ept: Ept,
-        sched: SchedulerConfig | None = None,
         ring_capacity: int = 16384,
     ):
         self.hv = hv
         self.costs = table
         self.ledger = ledger
         self.ept = ept
-        self.sched = sched or SchedulerConfig()
         self.ring_capacity = ring_capacity
         self.processes: dict[int, Process] = {}
         self.uio: UioModuleState | None = None
@@ -197,7 +187,6 @@ class GuestKernel:
         if uio is None or uio.pid != pid:
             return 0.0
         self.ledger.bump("sched_events")
-        uio.scheduled_in = direction == "in"
         if uio.technique == "spml":
             if direction == "in":
                 us = self.costs.cost_us("M13")
@@ -261,8 +250,7 @@ class GuestKernel:
         del buf.entries[:take]
         uio.ring.extend(copied)
         # re-arm: the next write to each copied page logs again
-        gpas = map(self._proc(pid).table.gpa_of, copied)
-        self.ept.clear_dirty([gpa for gpa in gpas if gpa is not None])
+        self.ept.clear_dirty(self._proc(pid).table.gpas_of(copied))
         if not buf.entries and buf.index != buf.disabled_index:
             buf.index = buf.fresh_index
         per_entry = self.costs.per_page_us("M18", uio.memory_bytes)

@@ -128,7 +128,7 @@ def _select(bit: int) -> bytes:
     return bytes(1 if v & bit else 0 for v in range(256))
 
 
-_HAS_DIRTY, _HAS_SOFT_DIRTY = _select(_DIRTY), _select(_SOFT_DIRTY)
+_HAS_DIRTY, _HAS_SOFT_DIRTY, _LIVE = _select(_DIRTY), _select(_SOFT_DIRTY), _select(_MAPPED)
 _CLEAR_SOFT_DIRTY = bytes(v & ~_SOFT_DIRTY for v in range(256))
 _PROTECT = bytes(v & ~_WRITABLE for v in range(256))
 _UNPROTECT = bytes(v | _WRITABLE if v else 0 for v in range(256))
@@ -314,6 +314,30 @@ class GuestPageTable:
                 return region.target + i * PAGE_SIZE
         return None
 
+    def gpas_of(self, gvas: list[int]) -> list[int]:
+        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped ones.
+
+        Stored entries first; the rest are resolved one region at a time, as
+        :meth:`Ept.clear_dirty` does.
+        """
+        entries = self.entries
+        out = [e.gpa for e in map(entries.get, gvas) if e is not None and e.flags.present]
+        rest = [gva for gva in gvas if gva not in entries]
+        for region in self._regions:
+            if not rest:
+                break
+            base, span, bits, target = region.base, region.span, region.bits, region.target
+            left = []
+            for gva in rest:
+                off = gva - base
+                if 0 <= off < span:
+                    if not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
+                        out.append(target + off)
+                else:
+                    left.append(gva)
+            rest = left
+        return out
+
     def reverse_map(self, gpa: int) -> int | None:
         """Some GVA currently mapping ``gpa``; lowest page number on aliases.
 
@@ -390,6 +414,12 @@ class GuestPageTable:
         out = {g for g, e in self.entries.items() if e.flags.soft_dirty}
         for region in self._regions:
             out.update(region.pages(_HAS_SOFT_DIRTY))
+        return out
+
+    def mapped_set(self) -> set[int]:
+        out = set(self.entries)
+        for region in self._regions:
+            out.update(region.pages(_LIVE))
         return out
 
     def dirty_set(self) -> set[int]:

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Any
 
 from .costs import CostTable, overhead
-from .guest import TECHNIQUES, SchedulerConfig
-from .memory import LOST
+from .guest import TECHNIQUES
+from .memory import LOST, GuestPageTable
 from .pml import BUFFER_SLOTS
 from .reports import RunRow
 from .vm import VirtualMachine
@@ -57,6 +58,7 @@ __all__ = [
     "TrackerPhaseReport",
     "DrainResult",
     "drain_ring",
+    "reverse_map_pairs",
     "run_tracker",
     "spml_bottleneck_breakdown",
     "to_run_row",
@@ -80,9 +82,7 @@ class TrackerConfig:
     collection_interval_us: float = 1_000.0
     ring_capacity: int = 16384
     ring_full_policy: str = "stall"
-    competitors: int = 0
     horizon_us: float = 60_000_000.0
-    seed: int = 0
     defer_reverse_map: bool = False
     mechanical: bool = False
     table: CostTable | None = None
@@ -221,19 +221,14 @@ def drain_ring(
     copy_pp = table.per_page_us("M18", memory_bytes)
     rm_pp = table.per_page_us("M17", memory_bytes)
     res.copy_us = len(entries) * copy_pp
-    for pid, gpa, meta_gva in entries:
-        if defer_reverse_map:
-            res.raw.append((gpa, meta_gva))
-            continue
-        res.rm_us += rm_pp
-        proc = vm.kernel.processes.get(pid)
-        gva = proc.table.reverse_map(gpa) if proc is not None else LOST
-        if gva is LOST:
-            res.lost.append((gpa, meta_gva))
-        else:
-            if gva != meta_gva:
-                res.inaccurate.append((gva, meta_gva))
-            res.gvas.append(gva)
+    if defer_reverse_map:
+        res.raw.extend((gpa, meta_gva) for _pid, gpa, meta_gva in entries)
+        return res
+    processes = vm.kernel.processes
+    for pid, run in groupby(entries, itemgetter(0)):
+        proc = processes.get(pid)
+        pairs = ((gpa, meta_gva) for _pid, gpa, meta_gva in run)
+        reverse_map_pairs(proc.table if proc is not None else None, pairs, rm_pp, res)
     return res
 
 
@@ -241,13 +236,25 @@ def reverse_map_raw(
     vm: VirtualMachine, raw: list[tuple[int, int]], memory_bytes: int
 ) -> DrainResult:
     """Deferred reverse mapping of previously harvested raw addresses."""
-    table = vm.costs
-    res = DrainResult(consumed=len(raw))
-    rm_pp = table.per_page_us("M17", memory_bytes)
-    proc = vm.kernel.processes[TRACKED_PID]
-    for gpa, meta_gva in raw:
+    rm_pp = vm.costs.per_page_us("M17", memory_bytes)
+    table = vm.kernel.processes[TRACKED_PID].table
+    return reverse_map_pairs(table, raw, rm_pp, DrainResult(consumed=len(raw)))
+
+
+def reverse_map_pairs(
+    table: GuestPageTable | None, pairs, rm_pp: float = 0.0, res: DrainResult | None = None
+) -> DrainResult:
+    """Reverse-map logged ``(gpa, meta_gva)`` pairs through a page table into ``res``.
+
+    The one GPA-to-GVA loop: the step spml pays ``rm_pp`` per pair for and
+    epml skips.  A GPA no GVA maps any more (every GPA, when ``table`` is
+    None) is lost; one that maps back to another GVA than the one written
+    is inaccurate.
+    """
+    res = res if res is not None else DrainResult()
+    for gpa, meta_gva in pairs:
         res.rm_us += rm_pp
-        gva = proc.table.reverse_map(gpa)
+        gva = table.reverse_map(gpa) if table is not None else LOST
         if gva is LOST:
             res.lost.append((gpa, meta_gva))
         else:
@@ -571,7 +578,6 @@ class _MechanicalRun:
             cfg.cost_table(),
             ring_capacity=cfg.ring_capacity,
             ring_full_policy=cfg.ring_full_policy,
-            sched=SchedulerConfig(quantum_us=cfg.quantum_us, competitors=cfg.competitors),
         )
         self.vm.create_process(TRACKED_PID)
         self.gvas = self.vm.allocate(TRACKED_PID, self.P)
@@ -679,7 +685,7 @@ class _MechanicalRun:
         c = self.c
         w, uffd_fault = c.w, c.uffd_fault
         sd_fault = c.softdirty_fault if self.tech == "proc" else None
-        pid, write_one = TRACKED_PID, self.vm.write_one
+        pid, write_one, apply_op = TRACKED_PID, self.vm.write_one, self.vm.apply_op
         oracle_add = self.oracle.add
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
@@ -688,7 +694,7 @@ class _MechanicalRun:
             if op[0] != "write":
                 self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
                 self.suspension, self.tracker_busy = suspension, busy
-                self._apply(op)
+                apply_op(pid, op)
                 continue
             gva = op[1]
             res = write_one(pid, gva)
@@ -774,25 +780,6 @@ class _MechanicalRun:
             self.run_acc -= self.cfg.quantum_us
         while self.t >= self.next_tick:
             self._tick()
-
-    def _apply(self, op) -> None:
-        """A trace's map, unmap or remap op."""
-        kind = op[0]
-        if kind == "map":
-            # new regions join the monitoring baseline clean: only
-            # writes after the mapping should show up as dirty
-            self.vm.map_fresh(
-                TRACKED_PID,
-                op[1],
-                writable=self.tech != "uffd",
-                soft_dirty=self.tech != "proc",
-            )
-        elif kind == "unmap":
-            self.vm.unmap(TRACKED_PID, op[1])
-        elif kind == "remap":
-            self.vm.remap(TRACKED_PID, op[1], op[2])
-        else:
-            raise ValueError(f"unknown trace op {kind!r}")
 
     # ----- workload drivers ----------------------------------------------
 

@@ -23,6 +23,10 @@ gets stored entries only when written again, unmapped or moved (see
 :mod:`oohsim.memory`).  The address counters advance exactly as if every
 page had been mapped singly.  :meth:`VirtualMachine.read_page` and the
 epml re-arm look a page's GPA up without building an entry for it.
+
+A trace's ``map``/``unmap``/``remap`` ops, for the tracker engine and for
+checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and
+:meth:`VirtualMachine.map_fresh` maps a tracked process's new page clean.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .costs import CostLedger, CostTable
-from .guest import GuestKernel, Process, SchedulerConfig
+from .guest import GuestKernel, Process
 from .hypervisor import Hypervisor, VmexitResult
 from .memory import Ept, PageStore, WriteOutcome
 from .pml import LogOutcome
@@ -72,7 +76,6 @@ class VirtualMachine:
         ring_capacity: int = 16384,
         ring_full_policy: str = "stall",
         buffer_slots: int = 512,
-        sched: SchedulerConfig | None = None,
     ):
         self.costs = table or CostTable.default()
         self.ledger = CostLedger()
@@ -89,7 +92,6 @@ class VirtualMachine:
             self.costs,
             self.ledger,
             self.ept,
-            sched=sched,
             ring_capacity=ring_capacity,
         )
         self._next_gpa = 0x10_0000
@@ -108,16 +110,17 @@ class VirtualMachine:
         self._next_gpa += PAGE
         return gpa
 
-    def map_fresh(
-        self,
-        pid: int,
-        gva: int | None = None,
-        *,
-        writable: bool = True,
-        soft_dirty: bool = True,
-    ) -> int:
-        """Map one new page at ``gva`` (or the next free address) with the given PTE flags."""
+    def map_fresh(self, pid: int, gva: int | None = None) -> int:
+        """Map one new page at ``gva`` (or the next free address); returns its address.
+
+        A page mapped into the tracked process joins the monitoring baseline
+        clean, so only writes after the mapping show up as dirty: it is
+        write-protected under ``uffd`` and has its soft-dirty bit clear
+        under ``proc``.  Any other page gets the default flags.
+        """
         proc = self.kernel._proc(pid)
+        uio = self.kernel.uio
+        technique = uio.technique if uio is not None and uio.pid == pid else None
         if gva is None:
             gva = self._next_gva[pid]
         self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), gva + PAGE)
@@ -125,7 +128,7 @@ class VirtualMachine:
         hpa = self._next_hpa
         self._next_hpa += PAGE
         self.ept.map_gpa(gpa, hpa)
-        proc.table.map_page(gva, gpa, writable=writable, soft_dirty=soft_dirty)
+        proc.table.map_page(gva, gpa, writable=technique != "uffd", soft_dirty=technique != "proc")
         return gva
 
     def allocate(self, pid: int, n_pages: int) -> range:
@@ -149,6 +152,18 @@ class VirtualMachine:
         """Move a mapping; dirty state travels with it (mremap-style)."""
         self.kernel._proc(pid).table.remap(old_gva, new_gva)
         self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), new_gva + PAGE)
+
+    def apply_op(self, pid: int, op: tuple) -> None:
+        """Apply a trace's ``("map", gva)``, ``("unmap", gva)`` or ``("remap", old, new)`` op."""
+        kind = op[0]
+        if kind == "map":
+            self.map_fresh(pid, op[1])
+        elif kind == "unmap":
+            self.unmap(pid, op[1])
+        elif kind == "remap":
+            self.remap(pid, op[1], op[2])
+        else:
+            raise ValueError(f"unknown trace op {kind!r}")
 
     # -------------------------------------------------------------- writing
 

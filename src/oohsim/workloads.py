@@ -1,6 +1,7 @@
-"""Workload generators: the page-sweep micro-benchmark, a synthetic
-key-value store with skewed writes, random churn traces, and the
-brute-force dirty-set oracle used to judge what a tracker collected.
+"""Workload generators: a synthetic key-value store with skewed writes,
+random churn traces, and the brute-force dirty-set oracle used to judge
+what a tracker collected.  The page-sweep micro-benchmark is
+:func:`oohsim.trackers.run_tracker` without a trace.
 """
 
 from __future__ import annotations
@@ -10,17 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostTable
-from .trackers import TrackerConfig, TrackerPhaseReport, run_tracker
+
+# Not used here: the benchmark harness rebinds ``run_tracker`` in every
+# module that holds the name, this one included, and fails if it is absent.
+from .trackers import run_tracker  # noqa: F401
 
 __all__ = [
     "MB",
     "PAGE",
     "KV_FOOTPRINTS",
-    "MicroBenchSpec",
     "KvWorkloadSpec",
     "TraceWorkload",
-    "WorkloadReport",
-    "run_microbench",
     "random_trace",
     "churn_trace",
     "OracleResult",
@@ -64,73 +65,6 @@ class TraceWorkload:
 
     def initial_gvas(self) -> list[int]:
         return [(i + 1) * PAGE for i in range(self.initial_pages)]
-
-
-@dataclass
-class MicroBenchSpec:
-    """One write per page per round over a fixed region."""
-
-    memory_bytes: int
-    rounds: int = 13
-
-    @property
-    def num_pages(self) -> int:
-        return max(1, -(-self.memory_bytes // PAGE))
-
-
-@dataclass
-class WorkloadReport:
-    ideal_us: float
-    tracked_us: float
-    overhead_pct: float
-    n_sched_events: int
-    phase: TrackerPhaseReport | None = None
-
-
-def run_microbench(
-    spec: MicroBenchSpec,
-    tracked_by: TrackerConfig | str | None = None,
-    *,
-    table: CostTable | None = None,
-    quantum_us: float = 10_000.0,
-    mechanical: bool = False,
-) -> WorkloadReport:
-    """Run the sweep untracked (the ideal baseline) or under a tracker.
-
-    ``tracked_by`` may be a technique name or a full tracker config; when
-    None the run is the vanilla baseline — the same writes, no tracking,
-    only scheduler pairs — whose time and event count feed the estimator.
-    """
-    t = table or CostTable.default()
-    if tracked_by is None:
-        w = t.param("write_cost_us")
-        ideal = spec.num_pages * spec.rounds * w
-        pairs = int(ideal // quantum_us)
-        return WorkloadReport(
-            ideal_us=ideal,
-            tracked_us=ideal,
-            overhead_pct=0.0,
-            n_sched_events=2 * pairs + 2,
-        )
-    if isinstance(tracked_by, TrackerConfig):
-        cfg = tracked_by
-    else:
-        cfg = TrackerConfig(
-            technique=tracked_by,
-            memory_bytes=spec.memory_bytes,
-            rounds=spec.rounds,
-            quantum_us=quantum_us,
-            table=t,
-            mechanical=mechanical,
-        )
-    rep = run_tracker(cfg)
-    return WorkloadReport(
-        ideal_us=rep.ideal_us,
-        tracked_us=rep.tracked_us,
-        overhead_pct=rep.overhead_tracked_pct,
-        n_sched_events=rep.n_sched_events,
-        phase=rep,
-    )
 
 
 @dataclass

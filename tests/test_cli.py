@@ -48,9 +48,14 @@ def test_run_without_config_uses_defaults(tmp_path, capsys):
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[experiment]\nmemory_size = 1MB\n")
-    assert main(["run", "--config", cfg]) == EXIT_CONFIG
-    assert "memory_size" in capsys.readouterr().err
+    for key in ("memory_size", "competitors"):  # misspelt, and never read
+        cfg = write_config(tmp_path, f"[experiment]\n{key} = 1\n")
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+    cal = tmp_path / "old.cal"
+    cal.write_text("migration_max_rounds = 30\n")
+    assert main(["run", "--calibration", str(cal)]) == EXIT_CONFIG
+    assert "migration_max_rounds" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_3(tmp_path, capsys):

@@ -158,6 +158,8 @@ def test_calibration_errors(tmp_path):
     with pytest.raises(CalibrationError):
         t.apply_overrides({"bogus_key": 1.0})
     with pytest.raises(CalibrationError):
+        t.apply_overrides({"migration_page_xfer_us": 2.5})  # nothing would read it
+    with pytest.raises(CalibrationError):
         t.apply_overrides({"M17@10parsecs": 1.0})
     bad = tmp_path / "bad.cal"
     bad.write_text("M8 0.9\n")

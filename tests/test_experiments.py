@@ -47,8 +47,10 @@ def test_parse_size_accepts_suffixes_and_bytes():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config key 'memory_size'"):
-        ExperimentConfig.from_mapping({"memory_size": "1MB"})
+    # a misspelt key, and one that would change no result
+    for key in ("memory_size", "competitors"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_mapping({key: "1"})
 
 
 @pytest.mark.parametrize(
@@ -66,7 +68,7 @@ def test_unknown_key_rejected():
         ({"kv_ops": -5}, "kv_ops"),
         ({"kv_churn_rate": -0.1}, "kv_churn_rate"),
         ({"quantum_us": 0}, "quantum_us"),
-        ({"competitors": -1}, "competitors"),
+        ({"seed": 1.5}, "seed"),
         ({"collection_interval_us": 0}, "collection_interval_us"),
         ({"ring_capacity": 0}, "ring_capacity"),
         ({"ring_full_policy": "panic"}, "ring_full_policy"),

@@ -324,6 +324,9 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
         assert lazy_pt.dirty_set() == eager_pt.dirty_set()
         assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
         assert len(lazy_pt) == len(eager_pt)
+        want = sorted(g for g in map(eager_pt.gpa_of, gvas) if g is not None)
+        assert sorted(lazy_pt.gpas_of(gvas)) == sorted(eager_pt.gpas_of(gvas)) == want
+        assert lazy_pt.mapped_set() == eager_pt.mapped_set() == {g for g in gvas if g in eager_pt}
 
 
 

@@ -42,6 +42,25 @@ def test_addresses_are_never_reused():
     assert vm.kernel.processes[1].table.entry(c).gpa not in gpas
 
 
+@pytest.mark.parametrize(
+    "technique, writable, soft_dirty",
+    [("proc", True, False), ("uffd", False, True), ("spml", True, True), ("epml", True, True)],
+)
+def test_map_fresh_joins_the_tracked_baseline_clean(technique, writable, soft_dirty):
+    vm = make_vm(technique)
+    vm.create_process(8)
+    flags = vm.kernel.processes[7].table.entry(vm.map_fresh(7)).flags
+    assert (flags.writable, flags.soft_dirty) == (writable, soft_dirty)
+    untracked = vm.kernel.processes[8].table.entry(vm.map_fresh(8)).flags
+    assert (untracked.writable, untracked.soft_dirty) == (True, True)
+
+
+def test_unknown_trace_op_rejected():
+    vm = make_vm("epml")
+    with pytest.raises(ValueError, match="unknown trace op 'fork'"):
+        vm.apply_op(7, ("fork", gva(0)))
+
+
 def test_remap_moves_dirty_state():
     vm = make_vm("proc")
     vm.kernel.clear_soft_dirty(7)

@@ -10,41 +10,12 @@ from oohsim.workloads import (
     MB,
     PAGE,
     KvWorkloadSpec,
-    MicroBenchSpec,
     churn_trace,
     random_trace,
     replay_dirty_oracle,
-    run_microbench,
 )
 
 GB = 1000 * MB
-
-
-# ------------------------------------------------------------- microbench
-
-
-def test_untracked_run_is_the_ideal_baseline():
-    rep = run_microbench(MicroBenchSpec(memory_bytes=GB))
-    assert rep.overhead_pct == 0.0
-    assert rep.tracked_us == rep.ideal_us == pytest.approx(13 * 256_000 * 0.9)
-    pairs = int(rep.ideal_us // 10_000)
-    assert rep.n_sched_events == 2 * pairs + 2
-    assert rep.phase is None
-
-
-def test_tracked_run_matches_direct_tracker_call():
-    spec = MicroBenchSpec(memory_bytes=100 * MB)
-    via_workload = run_microbench(spec, tracked_by="uffd")
-    direct = run_tracker(TrackerConfig(technique="uffd", memory_bytes=100 * MB))
-    assert via_workload.overhead_pct == direct.overhead_tracked_pct
-    assert via_workload.phase is not None
-
-
-def test_explicit_tracker_config_is_honored():
-    cfg = TrackerConfig(technique="proc", memory_bytes=10 * MB, rounds=2)
-    rep = run_microbench(MicroBenchSpec(memory_bytes=GB), tracked_by=cfg)
-    assert rep.phase.memory_bytes == 10 * MB
-    assert rep.phase.rounds_done == 2
 
 
 # ---------------------------------------------------------------- kv store
