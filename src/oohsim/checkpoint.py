@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .costs import PAGE_SIZE as PAGE
 from .costs import CostTable
 from .memory import UnknownMapping
 from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
@@ -49,7 +50,6 @@ __all__ = [
     "save_image",
 ]
 
-PAGE = 0x1000
 ZERO_PAGE = b"\x00" * PAGE
 
 #: Page retirements per tracking interval used by the missed-pages sweep.

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .costs import PAGE_SIZE
+
 __all__ = [
     "PAGE_SIZE",
     "PageFlags",
@@ -45,8 +47,6 @@ __all__ = [
     "Ept",
     "PageStore",
 ]
-
-PAGE_SIZE = 4096
 
 #: Sentinel returned by reverse_map when no GVA currently maps the GPA.
 LOST = None

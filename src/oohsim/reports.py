@@ -151,13 +151,27 @@ def _coerce(column: str, raw: str) -> Any:
     return float(raw)
 
 
+def _typed_row(rec: Any, where: str) -> dict[str, Any]:
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} is not a row of named columns")
+    if None in rec:  # csv.DictReader files surplus cells under None
+        raise ValueError(f"{where} has more cells than columns")
+    for c in CSV_COLUMNS:
+        if rec.get(c) is None:
+            raise ValueError(f"{where} has no {c!r} column")
+    return {c: _coerce(c, str(rec[c])) for c in CSV_COLUMNS}
+
+
 def rows_from_csv(text: str) -> list[dict[str, Any]]:
     reader = csv.DictReader(io.StringIO(text))
     if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
         raise ValueError("unexpected csv header")
-    return [{c: _coerce(c, rec[c]) for c in CSV_COLUMNS} for rec in reader]
+    return [_typed_row(rec, f"csv line {reader.line_num}") for rec in reader]
 
 
 def rows_from_json(text: str) -> list[dict[str, Any]]:
     payload = json.loads(text)
-    return [{c: _coerce(c, str(rec[c])) for c in CSV_COLUMNS} for rec in payload["rows"]]
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError('a json report is an object whose "rows" is a list')
+    return [_typed_row(rec, f"json row {i}") for i, rec in enumerate(rows)]

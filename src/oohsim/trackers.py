@@ -17,7 +17,10 @@ region, one page-sized write each) — and reports where the time went:
   ring-copy rate; scheduling costs are three shadow-field writes and one
   read per quantum pair.
 
-Two engines run the micro-benchmark.  The mechanical engine executes every
+Two engines run the micro-benchmark on one run skeleton (``_Run``: the
+clock, the collection ticks, stalls, quantum swaps, the round loop, the final
+harvest and the report) and differ only in how they apply a round of writes
+and keep the device state.  The mechanical engine executes every
 write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
 semantics, runs every trace, and alone reports content-level results (the
 dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
@@ -41,11 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any
 
-from .costs import CostTable, overhead
+from .costs import MB, CostTable, overhead, pages_for
 from .guest import TECHNIQUES
 from .memory import LOST, GuestPageTable
 from .pml import BUFFER_SLOTS
@@ -64,8 +68,6 @@ __all__ = [
     "to_run_row",
 ]
 
-MB = 1 << 20
-PAGE = 0x1000
 TRACKED_PID = 1
 
 
@@ -109,7 +111,7 @@ class TrackerConfig:
 
     @property
     def pages(self) -> int:
-        return max(1, -(-self.memory_bytes // 4096))
+        return pages_for(self.memory_bytes)
 
     def cost_table(self) -> CostTable:
         return self.table or CostTable.default()
@@ -312,19 +314,20 @@ def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> floa
 
 
 # --------------------------------------------------------------------------
-# segment engine (closed-form stretches between events)
+# the run skeleton shared by both engines
 # --------------------------------------------------------------------------
 
 
-class _SegmentRun:
-    """Closed-form approximation of :class:`_MechanicalRun`'s micro-benchmark.
+class _Run:
+    """One tracked run: the clock, the counters, the collection schedule and the report.
 
-    It tracks buffer, ring and tool-ring occupancy as counts and jumps from
-    one event to the next.  It assumes every write logs a fresh entry and
-    does not clip a stretch at the horizon, so it departs from the
-    mechanical engine at 512 pages or fewer, near the horizon and with
-    small rings (ROADMAP open item 2); the mechanical engine is the
-    reference.
+    Both engines advance time here in the same way.  Each supplies how it
+    applies a round of writes (``_round``), ends a round (``_round_end``),
+    switches the tracked process (``_sched``), drains the spml ring
+    (``_drain``, returning the drain's cost; ``ring_used`` is what is left),
+    hands over the epml tool ring (``_consume_tool_ring``), maps deferred
+    ring entries (``_reverse_map_deferred``, returning its cost) and fills
+    the report's content fields (``_content``).
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -348,18 +351,146 @@ class _SegmentRun:
         self.dropped = 0
         self.truncated = False
 
-        # device-side occupancy
+    # ----- time -----------------------------------------------------------
+
+    def _tick(self) -> None:
+        interval = self.cfg.collection_interval_us
+        if self.tech == "spml":
+            start = self.next_tick
+            self.next_tick = _next_tick_after(start + self._drain(), start, interval)
+        else:
+            if self.tech == "epml":
+                self._consume_tool_ring()
+            self.next_tick += interval
+
+    def _stall(self, flushed) -> bool:
+        """The spml producer waits for collection ticks until ``flushed()`` gets its
+        buffer into the ring; False if the horizon comes first (the run is truncated)."""
+        while True:
+            if self.next_tick > self.t:
+                if self.next_tick >= self.cfg.horizon_us:
+                    self.t = self.cfg.horizon_us
+                    self.truncated = True
+                    return False
+                self.suspension += self.next_tick - self.t
+                self.t = self.next_tick
+            self._tick()
+            if flushed():
+                return True
+
+    def _vmexit(self) -> None:
+        self.t += self.c.c_ve
+        self.suspension += self.c.c_ve
+        self.vmexits += 1
+
+    def _swap_and_tick(self) -> None:
+        """A full quantum swaps the tracked process out and in; then the due ticks."""
+        if self.run_acc >= self.cfg.quantum_us:
+            self._sched("out")
+            self._sched("in")
+            self.run_acc -= self.cfg.quantum_us
+        while self.t >= self.next_tick:
+            self._tick()
+
+    def _charge(self, part: str, us: float) -> None:
+        """Collection work done off the tracked process's clock."""
+        self.tracker_busy += us
+        self.collect_us += us
+        self.parts[part] += us
+
+    def _charge_walk(self, read_us: float, clear_us: float) -> None:
+        """proc's round end: the pagemap walk and bit clear suspend the process."""
+        cost = read_us + clear_us
+        self.t += cost
+        self.suspension += cost
+        self.tracker_busy += cost
+        self.collect_us += cost
+        self.parts["walk_us"] += read_us
+        self.parts["other_us"] += clear_us
+
+    # ----- the run --------------------------------------------------------
+
+    def run(self) -> TrackerPhaseReport:
+        self._sched("in")
+        self._workload()
+        self._sched("out")
+        return self._finish()
+
+    def _workload(self) -> None:
+        """The micro-benchmark: ``rounds`` sweeps over every page."""
+        for _rnd in range(self.cfg.rounds):
+            self._round()
+            if self.truncated:
+                break
+            self.rounds_done += 1
+            self._round_end()
+
+    def _harvest(self) -> None:
+        """Collect what is still queued once the tracked process is done.
+
+        spml ticks until its ring is empty, maps the deferred entries and
+        ends with one userspace page-table walk (M16).
+        """
+        if self.tech == "spml" and self.writes_done:
+            while self.ring_used > 0:
+                if self.t < self.next_tick:
+                    self.t = self.next_tick
+                self._tick()
+            if self.cfg.defer_reverse_map:
+                self._charge("reverse_mapping_us", self._reverse_map_deferred())
+            self._charge("walk_us", self.c.m16)
+
+    def _finish(self) -> TrackerPhaseReport:
+        monitor_span = min(self.t, self.cfg.horizon_us)
+        if not self.truncated:
+            self._harvest()
+        content = self._content()
+        return TrackerPhaseReport(
+            technique=self.tech,
+            memory_bytes=self.cfg.memory_bytes,
+            init_time_us=self.c.init_us,
+            monitor_span_us=monitor_span,
+            collect_time_us=self.collect_us,
+            exploit_time_us=0.0,
+            tracked_suspension_total_us=min(self.suspension, monitor_span),
+            ideal_us=self.writes_done * self.c.w,
+            tracker_busy_us=self.tracker_busy,
+            writes_done=self.writes_done,
+            rounds_done=self.rounds_done,
+            n_sched_events=self.sched_events,
+            vmexits=self.vmexits,
+            softirq_copies=self.softirqs,
+            dropped=self.dropped,
+            truncated=self.truncated,
+            collect_parts=dict(self.parts),
+            **content,
+        )
+
+
+# --------------------------------------------------------------------------
+# segment engine (closed-form stretches between events)
+# --------------------------------------------------------------------------
+
+
+class _SegmentRun(_Run):
+    """Closed-form approximation of :class:`_MechanicalRun`'s micro-benchmark.
+
+    It tracks buffer, ring and tool-ring occupancy as counts and jumps from
+    one event to the next.  It assumes every write logs a fresh entry and
+    does not clip a stretch at the horizon, so it departs from the
+    mechanical engine at 512 pages or fewer, near the horizon and with
+    small rings (ROADMAP open item 2); the mechanical engine is the
+    reference.
+    """
+
+    def __init__(self, cfg: TrackerConfig):
+        super().__init__(cfg)
         self.buf_fill = 0  # hv buffer (spml) or guest buffer (epml)
         self.ring_used = 0  # spml hypervisor ring
         self.tool_ring = 0  # epml tool-side ring
 
-    # ----- event helpers -----------------------------------------------
-
-    def _horizon_hit(self) -> bool:
-        if self.t >= self.cfg.horizon_us:
-            self.truncated = True
-            return True
-        return False
+    def run(self) -> TrackerPhaseReport:  # its own entry: bench/tracing.py times it
+        return super().run()
 
     def _sched(self, direction: str) -> None:
         cost = self.c.sched_cost(self.tech, direction)
@@ -383,7 +514,7 @@ class _SegmentRun:
         self.softirqs += 1
         return cost
 
-    def _spml_tick(self) -> None:
+    def _drain(self) -> float:
         k = min(self.c.drain_batch, self.ring_used)
         if self.cfg.defer_reverse_map:
             cost = k * self.c.m18_pp
@@ -395,152 +526,78 @@ class _SegmentRun:
         self.ring_used -= k
         self.tracker_busy += cost
         self.collect_us += cost
-        self.next_tick = _next_tick_after(
-            self.next_tick + cost, self.next_tick, self.cfg.collection_interval_us
-        )
+        return cost
 
-    def _tick(self) -> None:
-        if self.tech == "spml":
-            self._spml_tick()
-        else:
-            if self.tech == "epml":
-                self.tool_ring = 0  # tool consumes its ring (set union, free)
-            self.next_tick += self.cfg.collection_interval_us
+    def _consume_tool_ring(self) -> None:
+        self.tool_ring = 0  # tool consumes its ring (set union, free)
 
-    def _run_ticks(self) -> None:
-        while self.t >= self.next_tick:
-            self._tick()
+    def _reverse_map_deferred(self) -> float:
+        return self.writes_done * self.c.m17_pp  # every logged entry mapped
 
     def _spml_vmexit(self) -> None:
         """Buffer-full during a write: stall if needed, flush, replay."""
-        pending = 512
+        pending, cap = 512, self.cfg.ring_capacity
         if self.cfg.ring_full_policy == "stall":
-            while self.cfg.ring_capacity - self.ring_used < pending:
-                if self.next_tick > self.t:
-                    if self.next_tick >= self.cfg.horizon_us:
-                        self.t = self.cfg.horizon_us
-                        self.truncated = True
-                        return
-                    self.suspension += self.next_tick - self.t
-                    self.t = self.next_tick
-                self._tick()
+            if cap - self.ring_used < pending and not self._stall(
+                lambda: cap - self.ring_used >= pending
+            ):
+                return
             self.ring_used += pending
         else:  # drop
-            space = max(0, self.cfg.ring_capacity - self.ring_used)
-            sent = min(pending, space)
+            sent = min(pending, max(0, cap - self.ring_used))
             self.ring_used += sent
             self.dropped += pending - sent
-        self.t += self.c.c_ve
-        self.suspension += self.c.c_ve
-        self.vmexits += 1
+        self._vmexit()
         self.buf_fill = 1  # the refused entry, replayed after the reset
 
-    # ----- main loop ----------------------------------------------------
-
-    def run(self) -> TrackerPhaseReport:
+    def _round(self) -> None:
+        """One sweep over every page, a stretch of writes at a time."""
         cfg, c = self.cfg, self.c
-        self._sched("in")
         logging = self.tech in ("spml", "epml")
-
-        for _rnd in range(1, cfg.rounds + 1):
-            if self.truncated or self._horizon_hit():
-                break
-            w_run = c.w
-            if self.tech == "proc":
-                w_run += c.softdirty_fault  # every post-clear write microfaults
-            w_wall = w_run + (c.uffd_fault if self.tech == "uffd" else 0.0)
-            left = self.P
-            while left > 0:
-                if self.truncated or self._horizon_hit():
-                    break
-                n_event = (512 - self.buf_fill) + 1 if logging else left + 1
-                n_quant = math.ceil(max(0.0, cfg.quantum_us - self.run_acc) / w_run)
-                n_tick = (
-                    math.ceil(max(0.0, self.next_tick - self.t) / w_wall)
-                    if logging
-                    else left + 1
-                )
-                n = min(left, n_event, max(1, n_quant), max(1, n_tick))
-                self.t += n * w_wall
-                self.run_acc += n * w_run
-                if self.tech == "uffd":
-                    self.suspension += n * c.uffd_fault
-                    self.tracker_busy += n * c.uffd_fault
-                self.writes_done += n
-                left -= n
-                if logging:
-                    self.buf_fill += n
-                if logging and n == n_event:
-                    if self.tech == "spml":
-                        self.buf_fill = 512  # the 513th attempt was refused
-                        self._spml_vmexit()
-                    else:
-                        self.buf_fill = 512
-                        self.t += self._epml_copy(512)
-                        self.buf_fill = 1
+        w_run = c.w
+        if self.tech == "proc":
+            w_run += c.softdirty_fault  # every post-clear write microfaults
+        w_wall = w_run + (c.uffd_fault if self.tech == "uffd" else 0.0)
+        left = self.P
+        while left > 0:
+            if self.t >= cfg.horizon_us:
+                self.truncated = True
+                return
+            n_event = (512 - self.buf_fill) + 1 if logging else left + 1
+            n_quant = math.ceil(max(0.0, cfg.quantum_us - self.run_acc) / w_run)
+            n_tick = (
+                math.ceil(max(0.0, self.next_tick - self.t) / w_wall) if logging else left + 1
+            )
+            n = min(left, n_event, max(1, n_quant), max(1, n_tick))
+            self.t += n * w_wall
+            self.run_acc += n * w_run
+            if self.tech == "uffd":
+                self.suspension += n * c.uffd_fault
+                self.tracker_busy += n * c.uffd_fault
+            self.writes_done += n
+            left -= n
+            if logging:
+                self.buf_fill += n
+            if logging and n == n_event:
+                self.buf_fill = 512  # the 513th attempt was refused
+                if self.tech == "spml":
+                    self._spml_vmexit()
                     if self.truncated:
-                        break
-                if self.run_acc >= cfg.quantum_us:
-                    self._sched("out")
-                    self._sched("in")
-                    self.run_acc -= cfg.quantum_us
-                self._run_ticks()
-            if self.truncated:
-                break
-            self.rounds_done += 1
-            if self.tech == "proc":
-                cost = c.m16 + c.m15
-                self.t += cost
-                self.suspension += cost
-                self.tracker_busy += cost
-                self.collect_us += cost
-                self.parts["walk_us"] += c.m16
-                self.parts["other_us"] += c.m15
-            elif self.tech == "epml" and self.buf_fill:
-                self.t += self._epml_copy(self.buf_fill)
-                self.buf_fill = 0
+                        return
+                else:
+                    self.t += self._epml_copy(512)
+                    self.buf_fill = 1
+            self._swap_and_tick()
 
-        self._sched("out")
-        monitor_span = min(self.t, cfg.horizon_us)
+    def _round_end(self) -> None:
+        if self.tech == "proc":
+            self._charge_walk(self.c.m16, self.c.m15)
+        elif self.tech == "epml" and self.buf_fill:
+            self.t += self._epml_copy(self.buf_fill)
+            self.buf_fill = 0
 
-        # collection tail: drain what is still queued (tracked process done)
-        if self.tech == "spml" and not self.truncated and self.writes_done:
-            while self.ring_used > 0:
-                if self.t < self.next_tick:
-                    self.t = self.next_tick
-                self._tick()
-            if cfg.defer_reverse_map:
-                rm = self.writes_done * c.m17_pp  # every logged entry mapped
-                self.parts["reverse_mapping_us"] += rm
-                self.tracker_busy += rm
-                self.collect_us += rm
-            self.parts["walk_us"] += c.m16
-            self.tracker_busy += c.m16
-            self.collect_us += c.m16
-        if self.tech == "epml":
-            self.tool_ring = 0
-
-        return TrackerPhaseReport(
-            technique=self.tech,
-            memory_bytes=cfg.memory_bytes,
-            init_time_us=c.init_us,
-            monitor_span_us=monitor_span,
-            collect_time_us=self.collect_us,
-            exploit_time_us=0.0,
-            tracked_suspension_total_us=min(self.suspension, monitor_span),
-            ideal_us=self.writes_done * c.w,
-            tracker_busy_us=self.tracker_busy,
-            writes_done=self.writes_done,
-            rounds_done=self.rounds_done,
-            n_sched_events=self.sched_events,
-            vmexits=self.vmexits,
-            softirq_copies=self.softirqs,
-            dropped=self.dropped,
-            truncated=self.truncated,
-            collect_parts=dict(self.parts),
-            dirty_set=None,
-            dirty_pages=min(self.writes_done, self.P),
-        )
+    def _content(self) -> dict[str, Any]:
+        return {"dirty_pages": min(self.writes_done, self.P)}
 
 
 # --------------------------------------------------------------------------
@@ -548,7 +605,7 @@ class _SegmentRun:
 # --------------------------------------------------------------------------
 
 
-class _MechanicalRun:
+class _MechanicalRun(_Run):
     """Every write executed through the machine: the reference engine.
 
     :meth:`_drive` is the one loop over writes, for traces and for the
@@ -570,10 +627,7 @@ class _MechanicalRun:
     """
 
     def __init__(self, cfg: TrackerConfig):
-        self.cfg = cfg
-        self.c = _Costs(cfg)
-        self.tech = cfg.technique
-        self.P = cfg.pages
+        super().__init__(cfg)
         self.vm = VirtualMachine(
             cfg.cost_table(),
             ring_capacity=cfg.ring_capacity,
@@ -586,26 +640,21 @@ class _MechanicalRun:
             # start from a clean slate: allocation-time bits are not workload
             self.vm.kernel.clear_soft_dirty(TRACKED_PID)
 
-        self.t = 0.0
-        self.run_acc = 0.0
-        self.next_tick = cfg.collection_interval_us
-        self.suspension = 0.0
-        self.tracker_busy = 0.0
-        self.collect_us = 0.0
-        self.parts = {"reverse_mapping_us": 0.0, "walk_us": 0.0, "copy_us": 0.0, "other_us": 0.0}
-        self.writes_done = 0
-        self.rounds_done = 0
-        self.vmexits = 0
-        self.softirqs = 0
-        self.sched_events = 0
-        self.dropped = 0
-        self.truncated = False
-
         self.oracle: set[int] = set()
         self.collected: set[int] = set()
         self.inaccurate: set[tuple[int, int]] = set()
         self.raw_entries: list[tuple[int, int]] = []
-        self.lost_entries: list[tuple[int, int]] = []
+
+    @property
+    def ring_used(self) -> int:
+        return self.vm.hv.ring.used
+
+    @cached_property
+    def _sweep(self) -> list[int]:
+        # one int object per page, reused every round, so the page tables'
+        # dict lookups match keys by identity; built for the micro-benchmark
+        # only, as a trace may map far more pages than it writes
+        return list(self.gvas)
 
     # ----- helpers -------------------------------------------------------
 
@@ -625,47 +674,35 @@ class _MechanicalRun:
         if self.vm.kernel.uio and self.vm.kernel.uio.technique == "epml":
             self.collected.update(self.vm.kernel.epml_consume_ring())
 
-    def _drain(self) -> None:
-        batch = None if self.cfg.defer_reverse_map else self.c.drain_batch
-        res = drain_ring(
-            self.vm,
-            self.cfg.memory_bytes,
-            batch=batch,
-            defer_reverse_map=self.cfg.defer_reverse_map,
-        )
+    def _deliver_leftover(self) -> float:
+        """Copy the guest buffer's leftover entries out in one softirq; return its µs."""
+        if not self.vm.hv.pml.guest_buffer.entries:
+            return 0.0
+        _, us = self.vm.kernel.deliver_guest_buffer_full(TRACKED_PID)
+        self.suspension += us
+        self.softirqs += 1
+        return us
+
+    def _drain(self) -> float:
+        pre, defer = self.collect_us, self.cfg.defer_reverse_map
+        batch = None if defer else self.c.drain_batch
+        res = drain_ring(self.vm, self.cfg.memory_bytes, batch=batch, defer_reverse_map=defer)
         self.collected.update(res.gvas)
         self.raw_entries.extend(res.raw)
-        self.lost_entries.extend(res.lost)
         self.inaccurate.update(res.inaccurate)
         self.tracker_busy += res.total_us
         self.collect_us += res.total_us
         self.parts["reverse_mapping_us"] += res.rm_us
         self.parts["copy_us"] += res.copy_us
+        return self.collect_us - pre  # as the collection clock rounds it
 
-    def _tick(self) -> None:
-        if self.tech == "spml":
-            start = self.next_tick
-            pre = self.collect_us
-            self._drain()
-            self.next_tick = _next_tick_after(
-                start + (self.collect_us - pre), start, self.cfg.collection_interval_us
-            )
-        else:
-            if self.tech == "epml":
-                self._consume_tool_ring()
-            self.next_tick += self.cfg.collection_interval_us
-
-    def _proc_collect(self) -> None:
-        dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
-        _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-        self.collected.update(dirty)
-        cost = read_us + clear_us
-        self.t += cost
-        self.suspension += cost
-        self.tracker_busy += cost
-        self.collect_us += cost
-        self.parts["walk_us"] += read_us
-        self.parts["other_us"] += clear_us
+    def _reverse_map_deferred(self) -> float:
+        if not self.raw_entries:
+            return 0.0
+        res = reverse_map_raw(self.vm, self.raw_entries, self.cfg.memory_bytes)
+        self.collected.update(res.gvas)
+        self.inaccurate.update(res.inaccurate)
+        return res.rm_us
 
     # ----- the driver loop -------------------------------------------------
 
@@ -759,120 +796,56 @@ class _MechanicalRun:
             self.run_acc += run
             if res.stalled:
                 # the producer waits for collection ticks to make ring room
-                while True:
-                    if self.next_tick > self.t:
-                        if self.next_tick >= self.cfg.horizon_us:
-                            self.t = self.cfg.horizon_us
-                            self.truncated = True
-                            return
-                        self.suspension += self.next_tick - self.t
-                        self.t = self.next_tick
-                    self._tick()
-                    retry = self.vm.hv.handle_pml_full_vmexit(refused=res.refused)
-                    if not retry.stalled:
-                        self.t += c.c_ve
-                        self.suspension += c.c_ve
-                        self.vmexits += 1
-                        break
-        if self.run_acc >= self.cfg.quantum_us:
-            self._sched("out")
-            self._sched("in")
-            self.run_acc -= self.cfg.quantum_us
-        while self.t >= self.next_tick:
-            self._tick()
+                hv, refused = self.vm.hv, res.refused
+                if not self._stall(lambda: not hv.handle_pml_full_vmexit(refused=refused).stalled):
+                    return
+                self._vmexit()
+        self._swap_and_tick()
 
     # ----- workload drivers ----------------------------------------------
 
-    def run_microbench(self) -> TrackerPhaseReport:
-        cfg = self.cfg
-        # one int object per page, reused every round, so the page tables'
-        # dict lookups match keys by identity
-        gvas = list(self.gvas)
-        self._sched("in")
-        for _rnd in range(cfg.rounds):
-            self._drive(zip(repeat("write"), gvas))
-            if self.truncated:
-                break
-            self.rounds_done += 1
-            if self.tech == "proc":
-                self._proc_collect()
-            elif self.tech == "epml":
-                pending = len(self.vm.hv.pml.guest_buffer.entries)
-                if pending:
-                    _, us = self.vm.kernel.deliver_guest_buffer_full(TRACKED_PID)
-                    self.t += us
-                    self.suspension += us
-                    self.softirqs += 1
-                self._consume_tool_ring()
-        self._sched("out")
-        return self._finish(proc_final_read=False)
+    def _workload(self) -> None:
+        if self.cfg.trace is None:
+            super()._workload()
+        else:
+            self._drive(getattr(self.cfg.trace, "ops", self.cfg.trace))
 
-    def run_trace(self, ops) -> TrackerPhaseReport:
-        self._sched("in")
-        self._drive(ops)
-        self._sched("out")
-        return self._finish(proc_final_read=True)
+    def _round(self) -> None:
+        self._drive(zip(repeat("write"), self._sweep))
 
-    def _finish(self, proc_final_read: bool) -> TrackerPhaseReport:
-        cfg, c = self.cfg, self.c
-        monitor_span = min(self.t, cfg.horizon_us)
-        if not self.truncated:
-            if self.tech == "proc" and proc_final_read:
-                # traces have no per-round collection: harvest at the end
-                dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
-                self.collected.update(dirty)
-                self.tracker_busy += read_us
-                self.collect_us += read_us
-                self.parts["walk_us"] += read_us
-            elif self.tech == "uffd":
-                self.collected.update(self.vm.kernel.uffd_harvest(TRACKED_PID))
-            elif self.tech == "epml":
-                if self.vm.hv.pml.guest_buffer.entries:
-                    _, us = self.vm.kernel.deliver_guest_buffer_full(TRACKED_PID)
-                    self.suspension += us  # conservatively still suspension
-                    self.softirqs += 1
-                self._consume_tool_ring()
-            elif self.tech == "spml" and self.writes_done:
-                while self.vm.hv.ring.used > 0:
-                    if self.t < self.next_tick:
-                        self.t = self.next_tick
-                    self._tick()
-                if cfg.defer_reverse_map and self.raw_entries:
-                    res = reverse_map_raw(self.vm, self.raw_entries, cfg.memory_bytes)
-                    self.collected.update(res.gvas)
-                    self.lost_entries.extend(res.lost)
-                    self.inaccurate.update(res.inaccurate)
-                    self.tracker_busy += res.rm_us
-                    self.collect_us += res.rm_us
-                    self.parts["reverse_mapping_us"] += res.rm_us
-                self.tracker_busy += c.m16
-                self.collect_us += c.m16
-                self.parts["walk_us"] += c.m16
+    def _round_end(self) -> None:
+        if self.tech == "proc":
+            dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
+            _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
+            self.collected.update(dirty)
+            self._charge_walk(read_us, clear_us)
+        elif self.tech == "epml":
+            self.t += self._deliver_leftover()
+            self._consume_tool_ring()
+
+    def _harvest(self) -> None:
+        kernel = self.vm.kernel
+        if self.tech == "proc" and self.cfg.trace is not None:
+            # traces have no per-round collection: harvest at the end
+            dirty, read_us = kernel.read_pagemap(TRACKED_PID)
+            self.collected.update(dirty)
+            self._charge("walk_us", read_us)
+        elif self.tech == "uffd":
+            self.collected.update(kernel.uffd_harvest(TRACKED_PID))
+        elif self.tech == "epml":
+            self._deliver_leftover()  # conservatively still suspension, off the clock
+            self._consume_tool_ring()
+        else:
+            super()._harvest()
+
+    def _content(self) -> dict[str, Any]:
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
-        missed = self.oracle - self.collected
-        return TrackerPhaseReport(
-            technique=self.tech,
-            memory_bytes=cfg.memory_bytes,
-            init_time_us=c.init_us,
-            monitor_span_us=monitor_span,
-            collect_time_us=self.collect_us,
-            exploit_time_us=0.0,
-            tracked_suspension_total_us=min(self.suspension, monitor_span),
-            ideal_us=self.writes_done * c.w,
-            tracker_busy_us=self.tracker_busy,
-            writes_done=self.writes_done,
-            rounds_done=self.rounds_done,
-            n_sched_events=self.sched_events,
-            vmexits=self.vmexits,
-            softirq_copies=self.softirqs,
-            dropped=self.dropped,
-            truncated=self.truncated,
-            collect_parts=dict(self.parts),
-            dirty_set=set(self.collected),
-            missed=missed,
-            inaccurate=set(self.inaccurate),
-        )
+        return {
+            "dirty_set": set(self.collected),
+            "missed": self.oracle - self.collected,
+            "inaccurate": set(self.inaccurate),
+        }
 
 
 # --------------------------------------------------------------------------
@@ -889,12 +862,8 @@ def run_tracker(cfg: TrackerConfig) -> TrackerPhaseReport:
     they agree on the shapes the tests compare and disagree at 512 pages or
     fewer, at the horizon and with small rings (ROADMAP open item 2).
     """
-    if cfg.trace is not None:
-        ops = getattr(cfg.trace, "ops", cfg.trace)
-        return _MechanicalRun(cfg).run_trace(ops)
-    if cfg.mechanical:
-        return _MechanicalRun(cfg).run_microbench()
-    return _SegmentRun(cfg).run()
+    mechanical = cfg.mechanical or cfg.trace is not None
+    return (_MechanicalRun if mechanical else _SegmentRun)(cfg).run()
 
 
 def spml_bottleneck_breakdown(report: TrackerPhaseReport) -> dict[str, float]:

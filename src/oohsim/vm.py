@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .costs import PAGE_SIZE as PAGE
 from .costs import CostLedger, CostTable
 from .guest import GuestKernel, Process
 from .hypervisor import Hypervisor, VmexitResult
@@ -40,8 +41,6 @@ from .memory import Ept, PageStore, WriteOutcome
 from .pml import LogOutcome
 
 __all__ = ["WriteResult", "VirtualMachine"]
-
-PAGE = 0x1000
 
 
 class WriteResult(NamedTuple):

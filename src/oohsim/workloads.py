@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostTable
+from .costs import MB, CostTable, pages_for
+from .costs import PAGE_SIZE as PAGE
 
 # Not used here: the benchmark harness rebinds ``run_tracker`` in every
 # module that holds the name, this one included, and fails if it is absent.
@@ -27,9 +28,6 @@ __all__ = [
     "OracleResult",
     "replay_dirty_oracle",
 ]
-
-PAGE = 0x1000
-MB = 1 << 20
 
 # synthetic key-value store engines and their resident-set footprints
 KV_FOOTPRINTS: dict[str, int] = {
@@ -91,7 +89,7 @@ class KvWorkloadSpec:
 
     @property
     def num_pages(self) -> int:
-        return max(1, -(-self.footprint_bytes // PAGE))
+        return pages_for(self.footprint_bytes)
 
     def make_trace(self, table: CostTable | None = None) -> TraceWorkload:
         t = table or CostTable.default()

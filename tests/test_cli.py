@@ -203,6 +203,18 @@ def test_report_on_garbage_exits_2(tmp_path, capsys):
     garbage = tmp_path / "x.csv"
     garbage.write_text("not,a,report\n1,2,3\n")
     assert main(["report", str(garbage)]) == EXIT_CONFIG
+    # well-formed files with rows of the wrong shape name what is wrong
+    header = ",".join(CSV_COLUMNS)
+    for name, text, named in (
+        ("row.json", '{"rows":[{"technique":"proc"}]}', "'memory_bytes'"),
+        ("list.json", "[]", '"rows"'),
+        ("short.csv", f"{header}\nproc,1\n", "'ideal_us'"),
+        ("long.csv", f"{header}\nproc" + ",1" * len(CSV_COLUMNS) + "\n", "more cells"),
+    ):
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / name)]) == EXIT_CONFIG, name
+        assert named in capsys.readouterr().err, name
 
 
 def test_report_missing_input_exits_3(tmp_path):

@@ -265,6 +265,90 @@ _PINNED_MECHANICAL = {
     ("epml", 4, 16384, "drop", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
 }
 
+# The segment engine's rows over the same grid (keys as above) and over the
+# ``_EDGE_SHAPES`` below (keyed (shape, technique); 4 MB, three rounds),
+# recorded before its run loop and the mechanical engine's shared one
+# skeleton.  The engines differ on some of these rows (ROADMAP open item 2);
+# each is pinned to itself.
+_PINNED_SEGMENT = {
+    ("proc", 1, 256, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 256, "drop", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 1024, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 1024, "drop", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 16384, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 1, 16384, "drop", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
+    ("proc", 4, 256, "stall", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 256, "drop", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 1024, "stall", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 1024, "drop", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 16384, "stall", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("proc", 4, 16384, "drop", False): (3072, 0, 0, 0, 4, 1024, 0, 21529.0, 18458.2),
+    ("uffd", 1, 256, "stall", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 256, "drop", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 1024, "stall", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 1024, "drop", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 16384, "stall", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 1, 16384, "drop", False): (768, 0, 0, 0, 2, 256, 0, 8200.2, 7509.0),
+    ("uffd", 4, 256, "stall", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 256, "drop", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 1024, "stall", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 1024, "drop", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 16384, "stall", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("uffd", 4, 16384, "drop", False): (3072, 0, 0, 0, 2, 1024, 0, 35370.8, 32606.0),
+    ("spml", 1, 256, "drop", False): (768, 1, 0, 256, 2, 256, 0, 2823.5, 14284.0),
+    ("spml", 1, 256, "drop", True): (768, 1, 0, 256, 2, 256, 0, 2823.5, 20467.0),
+    ("spml", 1, 1024, "stall", False): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 1024, "stall", True): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 1024, "drop", False): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 1024, "drop", True): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 16384, "stall", False): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 16384, "stall", True): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 16384, "drop", False): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 1, 16384, "drop", True): (768, 1, 0, 0, 2, 256, 0, 2823.5, 20470.0),
+    ("spml", 4, 256, "drop", False): (3072, 5, 0, 1664, 2, 1024, 0, 13267.1, 23075.375),
+    ("spml", 4, 256, "drop", True): (3072, 5, 0, 1664, 2, 1024, 0, 13267.1, 43127.3333333),
+    ("spml", 4, 1024, "stall", False): (3072, 5, 0, 0, 2, 1024, 0, 26595.2333333, 43136.0),
+    ("spml", 4, 1024, "stall", True): (3072, 5, 0, 0, 2, 1024, 0, 26595.2333333, 43136.0),
+    ("spml", 4, 1024, "drop", False): (3072, 5, 0, 896, 2, 1024, 0, 13267.1, 32334.125),
+    ("spml", 4, 1024, "drop", True): (3072, 5, 0, 896, 2, 1024, 0, 13267.1, 43131.3333333),
+    ("spml", 4, 16384, "stall", False): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "stall", True): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "drop", False): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("spml", 4, 16384, "drop", True): (3072, 5, 0, 0, 2, 1024, 0, 13267.1, 43136.0),
+    ("epml", 1, 256, "stall", False): (768, 0, 3, 512, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 256, "drop", False): (768, 0, 3, 512, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 1024, "stall", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 1024, "drop", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 16384, "stall", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 1, 16384, "drop", False): (768, 0, 3, 0, 2, 256, 0, 704.484, 0.0),
+    ("epml", 4, 256, "stall", False): (3072, 0, 6, 2304, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 256, "drop", False): (3072, 0, 6, 2304, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 1024, "stall", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 1024, "drop", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 16384, "stall", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("epml", 4, 16384, "drop", False): (3072, 0, 6, 0, 2, 1024, 0, 2786.029, 0.0),
+    ("midround", "proc"): (2048, 0, 0, 0, 2, 1024, 0, 7500.0, 12305.4666667),
+    ("midround", "uffd"): (2048, 0, 0, 0, 2, 1024, 0, 17685.4, 21737.3333333),
+    ("midround", "spml"): (1537, 3, 0, 0, 2, 1024, 0, 6633.5, 5400.9375),
+    ("midround", "epml"): (1537, 0, 4, 0, 2, 1024, 0, 1393.0, 0.0),
+    ("roundend", "proc"): (1024, 0, 0, 0, 2, 1024, 0, 1023.1, 6152.73333333),
+    ("roundend", "uffd"): (1024, 0, 0, 0, 2, 1024, 0, 11784.51, 10868.6666667),
+    ("roundend", "spml"): (1024, 1, 0, 0, 2, 1024, 0, 3013.117, 2314.6875),
+    ("roundend", "epml"): (1024, 0, 2, 0, 2, 1024, 0, 925.734, 0.0),
+    ("early", "proc"): (1024, 0, 0, 0, 2, 1024, 0, 300.0, 6152.73333333),
+    ("early", "uffd"): (1024, 0, 0, 0, 2, 1024, 0, 300.0, 10868.6666667),
+    ("early", "spml"): (513, 1, 0, 0, 2, 513, 0, 300.0, 1543.125),
+    ("early", "epml"): (513, 0, 2, 0, 2, 513, 0, 300.0, 0.0),
+    ("stall", "proc"): (1024, 0, 0, 0, 2, 1024, 0, 5000.0, 6152.73333333),
+    ("stall", "uffd"): (1024, 0, 0, 0, 2, 1024, 0, 5000.0, 10868.6666667),
+    ("stall", "spml"): (1025, 1, 0, 0, 2, 1024, 0, 5000.0, 3086.25),
+    ("stall", "epml"): (3072, 0, 6, 1536, 2, 1024, 0, 2786.029, 0.0),
+    ("events", "proc"): (3072, 0, 0, 0, 124, 1024, 0, 21529.0, 18458.2),
+    ("events", "uffd"): (3072, 0, 0, 0, 112, 1024, 0, 35370.8, 32606.0),
+    ("events", "spml"): (3072, 0, 0, 0, 112, 1024, 0, 5226.93333333, 43136.0),
+    ("events", "epml"): (3072, 0, 58, 0, 112, 1024, 0, 2986.054, 0.0),
+}
+
 # (seed, technique, ring_capacity) -> row; random_trace(seed), default policy
 _PINNED_TRACES = {
     (0, "proc", 1024): (163, 0, 0, 0, 2, 160, 0, 166.196502869, 16949.8520508),
@@ -344,21 +428,22 @@ def _check_pinned(key, rep, want):
 def test_mechanical_engine_output_pinned_across_knob_grid():
     grid = list(_mechanical_grid())
     assert sorted(grid) == sorted(_PINNED_MECHANICAL)
-    for key in grid:
-        tech, mb, ring, policy, defer = key
-        rep = run_tracker(
-            cfg(
-                tech,
-                mb * MB,
-                rounds=3,
-                quantum_us=3_000.0,
-                ring_capacity=ring,
-                ring_full_policy=policy,
-                defer_reverse_map=defer,
-                mechanical=True,
+    for mechanical, pinned in ((True, _PINNED_MECHANICAL), (False, _PINNED_SEGMENT)):
+        for key in grid:
+            tech, mb, ring, policy, defer = key
+            rep = run_tracker(
+                cfg(
+                    tech,
+                    mb * MB,
+                    rounds=3,
+                    quantum_us=3_000.0,
+                    ring_capacity=ring,
+                    ring_full_policy=policy,
+                    defer_reverse_map=defer,
+                    mechanical=mechanical,
+                )
             )
-        )
-        _check_pinned(key, rep, _PINNED_MECHANICAL[key])
+            _check_pinned((mechanical, *key), rep, pinned[key])
 
 
 def test_trace_runs_pinned_across_seeds_and_rings():
@@ -598,6 +683,7 @@ def test_truncated_and_event_dense_runs_pinned():
     covered = {"technique", "memory_bytes", "collect_parts", "dirty_set", "missed", "inaccurate"}
     assert {f.name for f in fields(TrackerPhaseReport)} == covered | set(_EDGE_EXACT + _EDGE_US)
     assert sorted(_PINNED_EDGE) == sorted((s, t) for s in _EDGE_SHAPES for t in TECHNIQUES)
+    assert sorted(_PINNED_SEGMENT) == sorted(list(_mechanical_grid()) + list(_PINNED_EDGE))
     for (shape, tech), want in _PINNED_EDGE.items():
         exact, us, parts, dirty, missed, inaccurate = want
         knobs = _EDGE_SHAPES[shape](tech)
@@ -612,6 +698,8 @@ def test_truncated_and_event_dense_runs_pinned():
         assert sorted(rep.dirty_set) == _expand(dirty), key
         assert sorted(rep.missed) == _expand(missed), key
         assert sorted(rep.inaccurate) == list(inaccurate), key
+        seg = run_tracker(cfg(tech, 4 * MB, rounds=3, **knobs))
+        _check_pinned(key, seg, _PINNED_SEGMENT[key])
 
 
 # ------------------------------------------------------------- ring details
