@@ -30,7 +30,7 @@ from .costs import PAGE_SIZE as PAGE
 from .costs import CostTable
 from .memory import UnknownMapping
 from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
-from .vm import VirtualMachine
+from .trackers import tracked_machine
 from .workloads import churn_trace, replay_dirty_oracle
 
 __all__ = [
@@ -286,7 +286,8 @@ class CheckpointSession:
     The session owns the machine, keeps payloads enabled so dumps are
     byte-verifiable, and freezes the process around each dump (the freeze
     flushes partially filled device buffers, so the collection below it
-    always sees a complete log).
+    always sees a complete log).  The ``TrackerConfig`` it builds checks its
+    arguments: a bad one raises ``ValueError`` naming the field.
     """
 
     def __init__(
@@ -297,21 +298,10 @@ class CheckpointSession:
         table: CostTable | None = None,
         ring_capacity: int = 16384,
     ):
-        if technique not in ("proc", "uffd", "spml", "epml"):
-            raise ValueError(f"unknown technique {technique!r}")
+        cfg = TrackerConfig(technique, memory_bytes, ring_capacity=ring_capacity, table=table)
         self.technique = technique
         self.memory_bytes = memory_bytes
-        self.pages = -(-memory_bytes // PAGE)
-        self.vm = VirtualMachine(
-            table or CostTable.default(),
-            ring_capacity=ring_capacity,
-            ring_full_policy="stall",
-        )
-        self.vm.create_process(TRACKED_PID, "tracked")
-        self.gvas = self.vm.allocate(TRACKED_PID, self.pages)
-        self.vm.kernel.register_tracked(TRACKED_PID, technique, memory_bytes)
-        if technique == "proc":
-            self.vm.kernel.clear_soft_dirty(TRACKED_PID)
+        self.vm, self.gvas = tracked_machine(cfg)
         self.vm.kernel.on_schedule(TRACKED_PID, "in")
         self.images: list[CheckpointImage] = []
         self.timings: list[CheckpointTiming] = []
@@ -330,11 +320,11 @@ class CheckpointSession:
         self._token += 1
         payload = self._token.to_bytes(8, "little")
         res = self.vm.write_one(TRACKED_PID, gva, payload=payload)
-        while res.stalled:
+        if res.stalled:
+            # the ring holds at least one full buffer (TrackerConfig checks
+            # it), so once it is drained the flush fits
             self._stage_ring()
-            retry = self.vm.hv.handle_pml_full_vmexit(refused=res.refused)
-            if not retry.stalled:
-                break
+            self.vm.hv.handle_pml_full_vmexit(refused=res.refused)
         if res.softirq_copied:
             self._epml_names.update(self.vm.kernel.epml_consume_ring())
 

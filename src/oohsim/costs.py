@@ -222,6 +222,11 @@ class CostTable:
         except KeyError as exc:
             raise UnknownMetric(key) from exc
 
+    def vmexit_service_us(self, memory_bytes: int) -> float:
+        """One buffer-full vmexit's service: the M14-anchored handler base plus
+        an EPT dirty-bit clear for each entry of the full 512-slot buffer."""
+        return self.cost_us("M14", memory_bytes) + 512 * self.param("vmexit_ept_clear_us")
+
     # -- calibration ----------------------------------------------------
 
     def apply_overrides(self, overrides: dict[str, float]) -> None:

@@ -23,14 +23,7 @@ class SimulationError(RuntimeError):
 
 class EventKind(Enum):
     WRITE = "Write"
-    PAGE_FAULT = "PageFault"
-    SCHEDULE = "Schedule"
-    HYPERCALL = "Hypercall"
     VMEXIT = "VmExit"
-    SELF_IPI = "SelfIpi"
-    SOFTIRQ = "Softirq"
-    RING_DRAIN = "RingDrain"
-    CHECKPOINT_TICK = "CheckpointTick"
     MIGRATION_ROUND = "MigrationRound"
 
 

@@ -32,7 +32,6 @@ from .hypervisor import (
     model_check_coordination,
     run_migration,
 )
-from .pml import BUFFER_SLOTS
 from .reports import RunReport, write_report
 from .trackers import (
     TECHNIQUES,
@@ -159,32 +158,15 @@ class ExperimentConfig:
                     "workload: expected 'microbench' or 'kv:<engine>' with "
                     f"engine in {sorted(KV_FOOTPRINTS)}, got {self.workload!r}"
                 )
-        if self.rounds < 0:
-            raise ConfigError("rounds: must be >= 0")
         if self.kv_ops < 0:
             raise ConfigError("kv_ops: must be >= 0")
-        if self.kv_churn_rate < 0:
+        if not self.kv_churn_rate >= 0:  # NaN fails too
             raise ConfigError("kv_churn_rate: must be >= 0")
-        if self.quantum_us <= 0:
-            raise ConfigError("quantum_us: must be positive")
-        if self.collection_interval_us <= 0:
-            raise ConfigError("collection_interval_us: must be positive")
-        if self.ring_capacity <= 0:
-            raise ConfigError("ring_capacity: must be positive")
-        if self.ring_full_policy not in ("stall", "drop"):
-            raise ConfigError("ring_full_policy: must be 'stall' or 'drop'")
-        if (
-            "spml" in self.techniques
-            and self.ring_full_policy == "stall"
-            and self.ring_capacity < BUFFER_SLOTS
-        ):
-            raise ConfigError(
-                f"ring_capacity: {self.ring_capacity} is below the {BUFFER_SLOTS}-entry "
-                "PML buffer, so spml under 'stall' could never flush; use a larger "
-                "ring or ring_full_policy = drop"
-            )
-        if self.horizon_us < 0:
-            raise ConfigError("horizon_us: must be >= 0")
+        try:
+            for technique, size in self.points():
+                self.tracker_config(technique, size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- construction -----------------------------------------------------
 
@@ -232,6 +214,23 @@ class ExperimentConfig:
     def cost_table(self) -> CostTable:
         return CostTable.from_calibration(self.calibration)
 
+    def tracker_config(
+        self, technique: str, size: int, *, table: CostTable | None = None, trace: Any = None
+    ) -> TrackerConfig:
+        """The tracker run of one (technique, size) point of this config."""
+        return TrackerConfig(
+            technique=technique,
+            memory_bytes=size,
+            rounds=self.rounds,
+            quantum_us=self.quantum_us,
+            collection_interval_us=self.collection_interval_us,
+            ring_capacity=self.ring_capacity,
+            ring_full_policy=self.ring_full_policy,
+            horizon_us=self.horizon_us,
+            table=table,
+            trace=trace,
+        )
+
     def points(self) -> list[tuple[str, int]]:
         """The (technique, memory_bytes) grid this config runs, sorted."""
         techniques = sorted(set(self.techniques))
@@ -267,33 +266,6 @@ def _coerce_field(name: str, raw: Any) -> Any:
 # ---------------------------------------------------------------- execution
 
 
-def _tracker_config(
-    config: ExperimentConfig, technique: str, size: int, table: CostTable
-) -> TrackerConfig:
-    trace = None
-    if config.workload.startswith("kv:"):
-        engine = config.workload.partition(":")[2]
-        trace = KvWorkloadSpec(
-            name=engine,
-            footprint_bytes=KV_FOOTPRINTS[engine],
-            churn_rate=config.kv_churn_rate,
-            n_ops=config.kv_ops,
-            seed=config.seed,
-        ).make_trace(table)
-    return TrackerConfig(
-        technique=technique,
-        memory_bytes=size,
-        rounds=config.rounds,
-        quantum_us=config.quantum_us,
-        collection_interval_us=config.collection_interval_us,
-        ring_capacity=config.ring_capacity,
-        ring_full_policy=config.ring_full_policy,
-        horizon_us=config.horizon_us,
-        table=table,
-        trace=trace,
-    )
-
-
 def run(config: ExperimentConfig) -> RunReport:
     """Run every (technique, size) point of ``config`` and collect rows.
 
@@ -306,7 +278,17 @@ def run(config: ExperimentConfig) -> RunReport:
         return report
     table = config.cost_table()
     for technique, size in config.points():
-        phase = run_tracker(_tracker_config(config, technique, size, table))
+        trace = None
+        if config.workload.startswith("kv:"):
+            engine = config.workload.partition(":")[2]
+            trace = KvWorkloadSpec(
+                name=engine,
+                footprint_bytes=KV_FOOTPRINTS[engine],
+                churn_rate=config.kv_churn_rate,
+                n_ops=config.kv_ops,
+                seed=config.seed,
+            ).make_trace(table)
+        phase = run_tracker(config.tracker_config(technique, size, table=table, trace=trace))
         dirty = phase.dirty_pages if phase.dirty_set is not None else None
         model = checkpoint_time_model(technique, size, dirty_pages=dirty, table=table)
         report.add(to_run_row(phase, checkpoint_ms=model.total_ms))
@@ -590,7 +572,7 @@ def repro_coexist(table: CostTable | None = None) -> list[ComparisonRow]:
     ref = reference_values()["coexist"]
     guest = _micro("spml", 50 * MB, t)
     period_us = guest.monitor_span_us / max(1, guest.vmexits)
-    service_us = t.cost_us("M14", 50 * MB) + 512 * t.param("vmexit_ept_clear_us")
+    service_us = t.vmexit_service_us(50 * MB)
     solo = run_migration(MigrationJob(), t)
     shared = run_migration(MigrationJob(), t, concurrent_load=(period_us, service_us))
     inflation = 100.0 * (shared.total_ms / solo.total_ms - 1.0)

@@ -58,7 +58,6 @@ class NotRegistered(RuntimeError):
 class Process:
     pid: int
     table: GuestPageTable
-    name: str = ""
     # soft-dirty pages unmapped before the interval's pagemap read; the
     # kernel reports them so no dirtied page is lost to address-space churn
     softdirty_residue: set[int] = field(default_factory=set)
@@ -107,10 +106,10 @@ class GuestKernel:
 
     # ------------------------------------------------------------ processes
 
-    def new_process(self, pid: int, name: str = "") -> Process:
+    def new_process(self, pid: int) -> Process:
         if pid in self.processes:
             raise AlreadyRegistered(f"pid {pid} exists")
-        proc = Process(pid=pid, table=GuestPageTable(pid), name=name)
+        proc = Process(pid=pid, table=GuestPageTable(pid))
         self.processes[pid] = proc
         return proc
 

@@ -66,6 +66,7 @@ __all__ = [
     "run_tracker",
     "spml_bottleneck_breakdown",
     "to_run_row",
+    "tracked_machine",
 ]
 
 TRACKED_PID = 1
@@ -77,6 +78,10 @@ class WrongTechnique(RuntimeError):
 
 @dataclass
 class TrackerConfig:
+    """One tracked run's inputs and the one home of their rules, which checkpoint
+    sessions and experiment configs reuse: a bad value raises ``ValueError``
+    with a message that starts with the field's name."""
+
     technique: str
     memory_bytes: int = 100 * MB
     rounds: int = 13
@@ -92,22 +97,36 @@ class TrackerConfig:
 
     def __post_init__(self) -> None:
         if self.technique not in TECHNIQUES:
-            raise ValueError(f"unknown technique {self.technique!r}")
-        if self.rounds < 0 or self.memory_bytes <= 0:
-            raise ValueError("rounds must be >= 0 and memory_bytes positive")
-        if self.quantum_us <= 0 or self.collection_interval_us <= 0:
-            raise ValueError("quantum and collection interval must be positive")
+            raise ValueError(
+                f"technique: must be one of {sorted(TECHNIQUES)}, got {self.technique!r}"
+            )
+        if self.memory_bytes <= 0:
+            raise ValueError("memory_bytes: must be positive")
+        if self.rounds < 0:
+            raise ValueError("rounds: must be >= 0")
+        # the float fields are compared so that NaN fails too
+        if not self.quantum_us > 0:
+            raise ValueError("quantum_us: must be positive")
+        if not self.collection_interval_us > 0:
+            raise ValueError("collection_interval_us: must be positive")
+        if self.ring_capacity <= 0:
+            raise ValueError("ring_capacity: must be positive")
         if self.ring_full_policy not in ("stall", "drop"):
-            raise ValueError(f"unknown ring_full_policy {self.ring_full_policy!r}")
+            raise ValueError(
+                f"ring_full_policy: must be 'stall' or 'drop', got {self.ring_full_policy!r}"
+            )
         if (
             self.technique == "spml"
             and self.ring_full_policy == "stall"
             and self.ring_capacity < BUFFER_SLOTS
         ):
             raise ValueError(
-                f"ring_capacity {self.ring_capacity} is below the {BUFFER_SLOTS}-entry "
-                "PML buffer: an spml flush could never fit under 'stall'"
+                f"ring_capacity: {self.ring_capacity} is below the {BUFFER_SLOTS}-entry "
+                "PML buffer, so spml under 'stall' could never flush; use a larger "
+                "ring or ring_full_policy = drop"
             )
+        if not self.horizon_us >= 0:
+            raise ValueError("horizon_us: must be >= 0")
 
     @property
     def pages(self) -> int:
@@ -266,6 +285,22 @@ def reverse_map_pairs(
     return res
 
 
+def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range]:
+    """The tracked machine and its pages; under ``proc`` the soft-dirty bits start
+    clear, so allocation-time bits are not counted as the workload's."""
+    vm = VirtualMachine(
+        cfg.cost_table(),
+        ring_capacity=cfg.ring_capacity,
+        ring_full_policy=cfg.ring_full_policy,
+    )
+    vm.create_process(TRACKED_PID)
+    gvas = vm.allocate(TRACKED_PID, cfg.pages)
+    vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.memory_bytes)
+    if cfg.technique == "proc":
+        vm.kernel.clear_soft_dirty(TRACKED_PID)
+    return vm, gvas
+
+
 # --------------------------------------------------------------------------
 # cost bundle shared by both engines
 # --------------------------------------------------------------------------
@@ -287,7 +322,7 @@ class _Costs:
         self.m7 = t.cost_us("M7")
         self.m8 = t.cost_us("M8")
         self.m1 = t.cost_us("M1")
-        self.c_ve = self.m14 + 512 * t.param("vmexit_ept_clear_us")
+        self.c_ve = t.vmexit_service_us(size)
         self.drain_batch = int(t.param("spml_drain_batch"))
         # proc starts with one bit-clear so that tracking begins from a
         # clean slate (otherwise allocation-time bits pollute round one)
@@ -628,18 +663,7 @@ class _MechanicalRun(_Run):
 
     def __init__(self, cfg: TrackerConfig):
         super().__init__(cfg)
-        self.vm = VirtualMachine(
-            cfg.cost_table(),
-            ring_capacity=cfg.ring_capacity,
-            ring_full_policy=cfg.ring_full_policy,
-        )
-        self.vm.create_process(TRACKED_PID)
-        self.gvas = self.vm.allocate(TRACKED_PID, self.P)
-        self.vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.memory_bytes)
-        if cfg.technique == "proc":
-            # start from a clean slate: allocation-time bits are not workload
-            self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-
+        self.vm, self.gvas = tracked_machine(cfg)
         self.oracle: set[int] = set()
         self.collected: set[int] = set()
         self.inaccurate: set[tuple[int, int]] = set()

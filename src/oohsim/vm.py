@@ -99,8 +99,8 @@ class VirtualMachine:
 
     # ----------------------------------------------------------- allocation
 
-    def create_process(self, pid: int, name: str = "") -> Process:
-        proc = self.kernel.new_process(pid, name)
+    def create_process(self, pid: int) -> Process:
+        proc = self.kernel.new_process(pid)
         self._next_gva[pid] = 0x1000
         return proc
 

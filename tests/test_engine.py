@@ -35,9 +35,9 @@ def test_handler_may_schedule_forward():
     def chain(ev: Event) -> None:
         seen.append(eng.now)
         if ev.payload > 0:
-            eng.schedule(2.0, EventKind.SCHEDULE, chain, ev.payload - 1)
+            eng.schedule(2.0, EventKind.MIGRATION_ROUND, chain, ev.payload - 1)
 
-    eng.schedule_at(1.0, EventKind.SCHEDULE, chain, 3)
+    eng.schedule_at(1.0, EventKind.MIGRATION_ROUND, chain, 3)
     eng.run()
     assert seen == [1.0, 3.0, 5.0, 7.0]
 
@@ -96,18 +96,7 @@ def test_event_counts_by_kind():
 
 
 def test_kind_names_are_stable():
-    assert {k.value for k in EventKind} == {
-        "Write",
-        "PageFault",
-        "Schedule",
-        "Hypercall",
-        "VmExit",
-        "SelfIpi",
-        "Softirq",
-        "RingDrain",
-        "CheckpointTick",
-        "MigrationRound",
-    }
+    assert {k.value for k in EventKind} == {"Write", "VmExit", "MigrationRound"}
 
 
 def test_randomized_order_is_deterministic():

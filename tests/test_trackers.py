@@ -6,7 +6,9 @@ from dataclasses import fields
 
 import pytest
 
-from oohsim.costs import CostTable
+from oohsim.checkpoint import CheckpointSession
+from oohsim.costs import PAGE_SIZE, CostTable
+from oohsim.experiments import ConfigError, ExperimentConfig
 from oohsim.guest import TECHNIQUES
 from oohsim.pml import BUFFER_SLOTS
 from oohsim.trackers import (
@@ -50,6 +52,43 @@ def test_config_rejects_a_ring_that_can_never_take_an_spml_flush():
     TrackerConfig(technique="spml", ring_capacity=256, ring_full_policy="drop")
     TrackerConfig(technique="epml", ring_capacity=256)
     TrackerConfig(technique="spml", ring_capacity=512)
+
+
+# how ExperimentConfig spells a TrackerConfig field, where it differs
+_EXPERIMENT_KEY = {"technique": "techniques", "memory_bytes": "memory_sizes"}
+_SESSION_FIELDS = {"technique", "memory_bytes", "ring_capacity"}
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("technique", {"technique": "pml"}),
+        ("rounds", {"rounds": -1}),
+        ("memory_bytes", {"memory_bytes": 0}),
+        ("quantum_us", {"quantum_us": 0}),
+        ("quantum_us", {"quantum_us": float("nan")}),
+        ("collection_interval_us", {"collection_interval_us": 0}),
+        ("collection_interval_us", {"collection_interval_us": float("nan")}),
+        ("ring_capacity", {"ring_capacity": 0}),
+        ("ring_capacity", {"ring_capacity": -4}),
+        ("ring_full_policy", {"ring_full_policy": "panic"}),
+        ("ring_capacity", {"technique": "spml", "ring_capacity": 256}),
+        ("horizon_us", {"horizon_us": -1}),
+        ("horizon_us", {"horizon_us": float("nan")}),
+    ],
+)
+def test_bad_run_field_is_rejected_by_every_entry_point(field, bad):
+    # each rule lives in TrackerConfig; the experiment config and the
+    # checkpoint session must reject the same value at construction
+    kwargs = {"technique": "epml", "memory_bytes": 16 * PAGE_SIZE, **bad}
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        TrackerConfig(**kwargs)
+    mapping = {_EXPERIMENT_KEY.get(k, k): str(v) for k, v in kwargs.items()}
+    with pytest.raises(ConfigError, match=f"^{_EXPERIMENT_KEY.get(field, field)}:"):
+        ExperimentConfig.from_mapping(mapping)
+    if set(bad) <= _SESSION_FIELDS:
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            CheckpointSession(**kwargs)
 
 
 def test_pages_rounding():
