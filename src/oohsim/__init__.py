@@ -18,7 +18,6 @@ from oohsim.checkpoint import (
     restore_verify,
 )
 from oohsim.costs import (
-    CostLedger,
     CostTable,
     EpmlEstimate,
     estimate_epml,
@@ -66,7 +65,6 @@ __all__ = [
     "CheckpointSession",
     "ComparisonRow",
     "ConfigError",
-    "CostLedger",
     "CostTable",
     "EpmlEstimate",
     "ExperimentConfig",

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .costs import PAGE_SIZE as PAGE
-from .costs import CostTable
+from .costs import CostTable, Prices, pages_for
+from .guest import TECHNIQUES
 from .memory import UnknownMapping
 from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
 from .trackers import tracked_machine
@@ -257,22 +258,28 @@ def checkpoint_time_model(
     the dirty set; the extended device and the fault tracker deliver
     virtual addresses during monitoring, so collection is free at dump
     time.  Every dump then pays a fixed base cost plus a per-page copy.
+    A bad argument raises ``ValueError`` naming it.
     """
-    t = table or CostTable.default()
-    pages = -(-memory_bytes // PAGE)
-    dirty = pages if dirty_pages is None else dirty_pages
+    if technique not in TECHNIQUES:
+        raise ValueError(f"technique: must be one of {sorted(TECHNIQUES)}, got {technique!r}")
+    if memory_bytes <= 0:
+        raise ValueError("memory_bytes: must be positive")
+    if dirty_pages is not None and dirty_pages < 0:
+        raise ValueError("dirty_pages: must be >= 0")
+    dirty = pages_for(memory_bytes) if dirty_pages is None else dirty_pages
+    return _dump_timing(technique, (table or CostTable.default()).prices(memory_bytes), dirty)
+
+
+def _dump_timing(technique: str, prices: Prices, dirty: int) -> CheckpointTiming:
+    """One dump of ``dirty`` pages at ``prices`` (arguments already checked)."""
     if technique == "proc":
-        collect = t.cost_us("M15", memory_bytes) + t.cost_us("M16", memory_bytes)
+        collect = prices.m15 + prices.m16
     elif technique == "spml":
-        collect = t.cost_us("M16", memory_bytes) + dirty * t.per_page_us(
-            "M17", memory_bytes
-        )
-    elif technique in ("epml", "uffd"):
+        collect = prices.m16 + dirty * prices.m17_pp
+    else:  # epml, uffd
         collect = 0.0
-    else:
-        raise ValueError(f"unknown technique {technique!r}")
-    dump = t.param("dump_base_ms") * 1000.0 + dirty * t.param("dump_page_us")
-    return CheckpointTiming(technique, memory_bytes, collect, dump)
+    dump = prices.dump_base + dirty * prices.dump_page
+    return CheckpointTiming(technique, prices.memory_bytes, collect, dump)
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +307,7 @@ class CheckpointSession:
     ):
         cfg = TrackerConfig(technique, memory_bytes, ring_capacity=ring_capacity, table=table)
         self.technique = technique
-        self.memory_bytes = memory_bytes
-        self.vm, self.gvas = tracked_machine(cfg)
+        self.vm, self.gvas, _init_us = tracked_machine(cfg)
         self.vm.kernel.on_schedule(TRACKED_PID, "in")
         self.images: list[CheckpointImage] = []
         self.timings: list[CheckpointTiming] = []
@@ -373,14 +379,7 @@ class CheckpointSession:
         )
         self._seq += 1
         self.images.append(image)
-        self.timings.append(
-            checkpoint_time_model(
-                self.technique,
-                self.memory_bytes,
-                dirty_pages=len(image.pages),
-                table=self.vm.costs,
-            )
-        )
+        self.timings.append(_dump_timing(self.technique, kernel.uio.prices, len(image.pages)))
         self.last_snapshot = {g: c for g in mapped if (c := self._read(g)) != ZERO_PAGE}
         kernel.on_schedule(TRACKED_PID, "in")
         return image
@@ -392,7 +391,7 @@ class CheckpointSession:
     # ------------------------------------------------------------ plumbing
 
     def _stage_ring(self) -> None:
-        res = drain_ring(self.vm, self.memory_bytes, defer_reverse_map=True)
+        res = drain_ring(self.vm, defer_reverse_map=True)
         self._raw.extend(res.raw)
 
     def _collect(self) -> set[int]:

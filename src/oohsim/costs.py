@@ -1,4 +1,4 @@
-"""Calibrated timing model: metric catalog, size interpolation, charge ledger.
+"""Calibrated timing model: metric catalog, size interpolation, price list.
 
 Every simulated action is priced through a :class:`CostTable`.  Metrics are
 named ``M1`` .. ``M18``:
@@ -31,12 +31,16 @@ table linearly interpolates between anchors, linearly extrapolates beyond
 the largest anchor, and clamps below the smallest.  The size axis is in MB
 (1 MB = 2**20 bytes) with 1 GB treated as 1000 MB so that every anchor maps
 to an integral page count (256 pages per MB).
+
+A run looks its prices up once: :meth:`CostTable.prices` returns the frozen
+:class:`Prices` of one memory size, read by the kernel, the tracker engines
+and the checkpoint and migration models.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PAGE_SIZE",
@@ -45,7 +49,7 @@ __all__ = [
     "UnknownMetric",
     "CalibrationError",
     "CostTable",
-    "CostLedger",
+    "Prices",
     "EpmlEstimate",
     "estimate_epml",
     "overhead",
@@ -186,9 +190,6 @@ class CostTable:
 
     # -- lookup ---------------------------------------------------------
 
-    def is_sized(self, metric: str) -> bool:
-        return metric in self.sized_ms
-
     def cost_us(self, metric: str, memory_bytes: int | None = None) -> float:
         """Cost of ``metric`` in microseconds.
 
@@ -222,10 +223,33 @@ class CostTable:
         except KeyError as exc:
             raise UnknownMetric(key) from exc
 
-    def vmexit_service_us(self, memory_bytes: int) -> float:
-        """One buffer-full vmexit's service: the M14-anchored handler base plus
-        an EPT dirty-bit clear for each entry of the full 512-slot buffer."""
-        return self.cost_us("M14", memory_bytes) + 512 * self.param("vmexit_ept_clear_us")
+    def prices(self, memory_bytes: int) -> "Prices":
+        """Every price of a run that tracks ``memory_bytes``, looked up once."""
+        m5_pp = self.per_page_us("M5", memory_bytes)
+        m14 = self.cost_us("M14", memory_bytes)
+        return Prices(
+            memory_bytes=memory_bytes,
+            write=self.param("write_cost_us"),
+            softdirty_fault=m5_pp,
+            uffd_fault=m5_pp + self.per_page_us("M6", memory_bytes),
+            m1=self.cost_us("M1"),
+            m7=self.cost_us("M7"),
+            m8=self.cost_us("M8"),
+            m9=self.cost_us("M9"),
+            m10=self.cost_us("M10"),
+            m11=self.cost_us("M11"),
+            m12=self.cost_us("M12"),
+            m13=self.cost_us("M13"),
+            m14=m14,
+            m15=self.cost_us("M15", memory_bytes),
+            m16=self.cost_us("M16", memory_bytes),
+            m17_pp=self.per_page_us("M17", memory_bytes),
+            m18_pp=self.per_page_us("M18", memory_bytes),
+            vmexit_service=m14 + 512 * self.param("vmexit_ept_clear_us"),
+            drain_batch=int(self.param("spml_drain_batch")),
+            dump_base=self.param("dump_base_ms") * 1000.0,
+            dump_page=self.param("dump_page_us"),
+        )
 
     # -- calibration ----------------------------------------------------
 
@@ -322,40 +346,66 @@ def load_calibration_file(path: str) -> dict[str, float]:
     return overrides
 
 
-@dataclass
-class CostLedger:
-    """Accumulated charges by metric, per entity (tracker or tracked).
+@dataclass(frozen=True)
+class Prices:
+    """The price list of one tracked run, in µs, at one tracked-memory size.
 
-    ``totals_us`` sums microseconds per metric id (free-form ids allowed for
-    model-specific charges such as ``dump`` or ``ideal``); ``counts`` tracks
-    event tallies (faults, vmexits, drains, sched events, drops).
+    ``m<k>`` is metric ``M<k>``, whole; ``m17_pp``/``m18_pp`` are per page.
+    ``write`` is one ideal write, ``softdirty_fault`` a post-clear kernel fault
+    (M5 per page), ``uffd_fault`` a userspace-resolved fault (M5 + M6 per page),
+    ``vmexit_service`` one buffer-full vmexit (M14 plus an EPT dirty-bit clear
+    per buffer slot), ``drain_batch`` the spml ring entries drained per tick,
+    and ``dump_base``/``dump_page`` a checkpoint dump's base and per-page cost.
     """
 
-    totals_us: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    memory_bytes: int
+    write: float
+    softdirty_fault: float
+    uffd_fault: float
+    m1: float
+    m7: float
+    m8: float
+    m9: float
+    m10: float
+    m11: float
+    m12: float
+    m13: float
+    m14: float
+    m15: float
+    m16: float
+    m17_pp: float
+    m18_pp: float
+    vmexit_service: float
+    drain_batch: int
+    dump_base: float
+    dump_page: float
 
-    def charge(self, metric: str, us: float, *, count: int = 1) -> float:
-        self.totals_us[metric] = self.totals_us.get(metric, 0.0) + us
-        if count:
-            self.counts[metric] = self.counts.get(metric, 0) + count
-        return us
+    def register_us(self, technique: str) -> float:
+        """The init hypercall (spml M9, epml M10), else opening the interface (M1)."""
+        return {"spml": self.m9, "epml": self.m10}.get(technique, self.m1)
 
-    def bump(self, counter: str, n: int = 1) -> None:
-        self.counts[counter] = self.counts.get(counter, 0) + n
+    def unregister_us(self, technique: str) -> float:
+        """The deactivation hypercall (spml M11, epml M12); free otherwise."""
+        return {"spml": self.m11, "epml": self.m12}.get(technique, 0.0)
 
-    def total_us(self, *metrics: str) -> float:
-        if metrics:
-            return sum(self.totals_us.get(m, 0.0) for m in metrics)
-        return sum(self.totals_us.values())
+    def init_us(self, technique: str) -> float:
+        """Registration; ``proc`` also clears its bits once (M15) to start clean."""
+        if technique == "proc":
+            return self.m1 + self.m15
+        return self.register_us(technique)
 
-    def count(self, counter: str) -> int:
-        return self.counts.get(counter, 0)
+    def sched_us(self, technique: str, direction: str) -> float:
+        """One schedule in/out: spml turns logging on (M13) or off (M14); epml
+        writes the buffer address and index (2 M8) or reads and parks it (M7 + M8)."""
+        if technique == "spml":
+            return self.m13 if direction == "in" else self.m14
+        if technique == "epml":
+            return 2 * self.m8 if direction == "in" else self.m7 + self.m8
+        return 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "totals_us": dict(sorted(self.totals_us.items())),
-            "counts": dict(sorted(self.counts.items())),
-        }
+    def copy_us(self, k: int) -> float:
+        """One copy of ``k`` log entries: a context switch (M1) plus M18 per entry."""
+        return self.m1 + k * self.m18_pp
 
 
 @dataclass(frozen=True)

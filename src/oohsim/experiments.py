@@ -277,17 +277,17 @@ def run(config: ExperimentConfig) -> RunReport:
     if config.horizon_us == 0:
         return report
     table = config.cost_table()
+    trace = None
+    if config.workload.startswith("kv:"):  # one trace, shared by every point
+        engine = config.workload.partition(":")[2]
+        trace = KvWorkloadSpec(
+            name=engine,
+            footprint_bytes=KV_FOOTPRINTS[engine],
+            churn_rate=config.kv_churn_rate,
+            n_ops=config.kv_ops,
+            seed=config.seed,
+        ).make_trace(table)
     for technique, size in config.points():
-        trace = None
-        if config.workload.startswith("kv:"):
-            engine = config.workload.partition(":")[2]
-            trace = KvWorkloadSpec(
-                name=engine,
-                footprint_bytes=KV_FOOTPRINTS[engine],
-                churn_rate=config.kv_churn_rate,
-                n_ops=config.kv_ops,
-                seed=config.seed,
-            ).make_trace(table)
         phase = run_tracker(config.tracker_config(technique, size, table=table, trace=trace))
         dirty = phase.dirty_pages if phase.dirty_set is not None else None
         model = checkpoint_time_model(technique, size, dirty_pages=dirty, table=table)
@@ -572,7 +572,7 @@ def repro_coexist(table: CostTable | None = None) -> list[ComparisonRow]:
     ref = reference_values()["coexist"]
     guest = _micro("spml", 50 * MB, t)
     period_us = guest.monitor_span_us / max(1, guest.vmexits)
-    service_us = t.vmexit_service_us(50 * MB)
+    service_us = t.prices(50 * MB).vmexit_service
     solo = run_migration(MigrationJob(), t)
     shared = run_migration(MigrationJob(), t, concurrent_load=(period_us, service_us))
     inflation = 100.0 * (shared.total_ms / solo.total_ms - 1.0)

@@ -2,7 +2,7 @@
 kernel services each technique relies on.
 
 The :class:`GuestKernel` glues per-process page tables to the hypervisor's
-log device and charges every kernel-level cost into the run's ledger:
+log device; each kernel service returns its µs from the registration's prices:
 
 * registration/unregistration of the tracked process (hypercall round trips),
 * scheduler callbacks at quantum boundaries (enable/disable hypercalls on the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .costs import CostLedger, CostTable
+from .costs import CostTable, Prices
 from .hypervisor import Hypervisor
 from .memory import Ept, GuestPageTable
 from .pml import (
@@ -72,7 +72,7 @@ class UioModuleState:
 
     technique: str
     pid: int
-    memory_bytes: int
+    prices: Prices  # looked up once, for the tracked memory size
     ring_capacity: int
     # tool-visible ring of harvested virtual addresses (extended mode; the
     # shared pathway consumes the hypervisor ring directly)
@@ -91,13 +91,11 @@ class GuestKernel:
         self,
         hv: Hypervisor,
         table: CostTable,
-        ledger: CostLedger,
         ept: Ept,
         ring_capacity: int = 16384,
     ):
         self.hv = hv
         self.costs = table
-        self.ledger = ledger
         self.ept = ept
         self.ring_capacity = ring_capacity
         self.processes: dict[int, Process] = {}
@@ -127,49 +125,48 @@ class GuestKernel:
 
     # --------------------------------------------------------- registration
 
-    def register_tracked(self, pid: int, technique: str, memory_bytes: int) -> None:
+    def register_tracked(self, pid: int, technique: str, memory_bytes: int) -> float:
+        """Register ``pid`` with the tool and price its run; returns the µs charged."""
         if technique not in TECHNIQUES:
             raise ValueError(f"unknown technique {technique!r}")
         if self.uio is not None:
             raise AlreadyRegistered(f"tool already tracks pid {self.uio.pid}")
         proc = self._proc(pid)
         if technique == "spml":
-            self.ledger.charge("M9", self.costs.cost_us("M9"))
             self.hv.hypercall("init_pml")
         elif technique == "epml":
-            self.ledger.charge("M10", self.costs.cost_us("M10"))
             self.hv.hypercall("init_shadow_vmcs")
             self.shadow = ShadowVmcs(self.hv.pml)
             if self.ept.translate(GUEST_RING_GPA) is None:
                 self.ept.map_gpa(GUEST_RING_GPA, GUEST_RING_GPA | 0x8000_0000)
         elif technique == "uffd":
-            self.ledger.charge("M1", self.costs.cost_us("M1"))
             proc.uffd_mode = "write_protect"
             proc.table.write_protect_all()
-        else:  # proc: open the pagemap/clear interfaces
-            self.ledger.charge("M1", self.costs.cost_us("M1"))
+        prices = self.costs.prices(memory_bytes)
         self.uio = UioModuleState(
             technique=technique,
             pid=pid,
-            memory_bytes=memory_bytes,
+            prices=prices,
             ring_capacity=self.ring_capacity,
         )
+        return prices.register_us(technique)
 
-    def unregister(self) -> None:
+    def unregister(self) -> float:
+        """Deactivate the tool; returns the µs charged."""
         if self.uio is None:
             raise NotRegistered("no tracked process")
         technique = self.uio.technique
         if technique == "spml":
-            self.ledger.charge("M11", self.costs.cost_us("M11"))
             self.hv.hypercall("deactivate_pml")
         elif technique == "epml":
-            self.ledger.charge("M12", self.costs.cost_us("M12"))
             self.hv.hypercall("deactivate_shadow_vmcs")
             self.shadow = None
         elif technique == "uffd":
             proc = self._proc(self.uio.pid)
             proc.uffd_mode = None
+        us = self.uio.prices.unregister_us(technique)
         self.uio = None
+        return us
 
     # ------------------------------------------------------------ scheduling
 
@@ -177,28 +174,21 @@ class GuestKernel:
         """Scheduler callback for the tracked process; returns the µs charged.
 
         Untracked processes cost nothing here.  Every call on the tracked
-        process bumps the ``sched_events`` counter — the N that the
-        performance estimator consumes.
+        process is one of the schedule events that the performance estimator
+        counts (its N).
         """
         if direction not in ("in", "out"):
             raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
         uio = self.uio
         if uio is None or uio.pid != pid:
             return 0.0
-        self.ledger.bump("sched_events")
+        us = uio.prices.sched_us(uio.technique, direction)
         if uio.technique == "spml":
             if direction == "in":
-                us = self.costs.cost_us("M13")
-                self.ledger.charge("M13", us)
                 self.hv.hypercall("enable_logging", pid=pid)
             else:
-                us = self.costs.cost_us("M14", uio.memory_bytes)
-                self.ledger.charge("M14", us)
                 self.hv.hypercall("disable_logging")
-            return us
-        if uio.technique == "epml":
-            m7 = self.costs.cost_us("M7")
-            m8 = self.costs.cost_us("M8")
+        elif uio.technique == "epml":
             if direction == "in":
                 # point the device at this process's buffer, then arm it
                 self.shadow.guest_vmwrite(
@@ -206,8 +196,6 @@ class GuestKernel:
                 )
                 fresh = self.hv.pml.guest_buffer.fresh_index
                 self.shadow.guest_vmwrite(FIELD_GUEST_PML_INDEX, fresh)
-                us = 2 * m8
-                self.ledger.charge("M8", m8, count=2)
                 self.hv.coordinate("sched_in", pid=pid)
             else:
                 # read how far the buffer filled, drain the leftovers to the
@@ -218,12 +206,9 @@ class GuestKernel:
                 if buf.entries:  # tool ring saturated: parking loses these
                     uio.ring_dropped += len(buf.entries)
                 self.shadow.guest_vmwrite(FIELD_GUEST_PML_INDEX, buf.disabled_index)
-                us = m7 + m8 + drain_us
-                self.ledger.charge("M7", m7)
-                self.ledger.charge("M8", m8)
+                us += drain_us
                 self.hv.coordinate("sched_out")
-            return us
-        return 0.0  # proc/uffd: kernel techniques need no per-schedule work
+        return us
 
     # ------------------------------------------------- guest buffer servicing
 
@@ -252,12 +237,7 @@ class GuestKernel:
         self.ept.clear_dirty(self._proc(pid).table.gpas_of(copied))
         if not buf.entries and buf.index != buf.disabled_index:
             buf.index = buf.fresh_index
-        per_entry = self.costs.per_page_us("M18", uio.memory_bytes)
-        us = self.costs.cost_us("M1") + take * per_entry
-        self.ledger.charge("M1", self.costs.cost_us("M1"))
-        self.ledger.charge("M18", take * per_entry, count=take)
-        self.ledger.bump("softirq_copies")
-        return take, us
+        return take, uio.prices.copy_us(take)
 
     def epml_consume_ring(self, max_n: int | None = None) -> list[int]:
         """Tool side: take harvested virtual addresses off the ring."""
@@ -276,11 +256,9 @@ class GuestKernel:
         if uio is None or uio.pid != pid:
             raise NotRegistered(f"pid {pid} is not tracked")
         proc = self._proc(pid)
-        us = self.costs.cost_us("M15", uio.memory_bytes)
-        self.ledger.charge("M15", us)
         count = proc.table.clear_soft_dirty()
         proc.softdirty_residue.clear()
-        return count, us
+        return count, uio.prices.m15
 
     def read_pagemap(self, pid: int) -> tuple[set[int], float]:
         """Walk the pagemap (suspends the process); returns (dirty GVAs, µs).
@@ -292,9 +270,7 @@ class GuestKernel:
         if uio is None or uio.pid != pid:
             raise NotRegistered(f"pid {pid} is not tracked")
         proc = self._proc(pid)
-        us = self.costs.cost_us("M16", uio.memory_bytes)
-        self.ledger.charge("M16", us)
-        return proc.table.soft_dirty_set() | set(proc.softdirty_residue), us
+        return proc.table.soft_dirty_set() | set(proc.softdirty_residue), uio.prices.m16
 
     # ------------------------------------------------- userspace-fault (uffd)
 

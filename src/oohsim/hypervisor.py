@@ -122,8 +122,6 @@ class SpmlRingBuffer:
         self.capacity = capacity
         self.blocks: list[RingBlock] = []
         self.used = 0
-        self.appended_total = 0
-        self.consumed_total = 0
 
     @property
     def free(self) -> int:
@@ -144,7 +142,6 @@ class SpmlRingBuffer:
         else:
             self.blocks.append(RingBlock(pid, list(entries)))
         self.used += n
-        self.appended_total += n
 
     def consume(self, max_addresses: int) -> list[tuple[int, int, int]]:
         """Pop up to ``max_addresses`` entries FIFO as (pid, gpa, meta_gva)."""
@@ -158,7 +155,6 @@ class SpmlRingBuffer:
             if blk.count == 0:
                 self.blocks.pop(0)
         self.used -= len(out)
-        self.consumed_total += len(out)
         return out
 
 
@@ -560,11 +556,9 @@ class HvCore:
         self.engine = engine
         self.busy_until = 0.0
         self.busy_total = 0.0
-        self.services = 0
         self._job_remaining = 0.0
         self._job_last = 0.0
         self._job_callback: Callable[[float], None] | None = None
-        self._job_kind = EventKind.MIGRATION_ROUND
         self._generation = 0
 
     @property
@@ -579,23 +573,16 @@ class HvCore:
         end = start + duration_us
         self.busy_until = end
         self.busy_total += duration_us
-        self.services += 1
         if self.job_active:
             self._schedule_completion()
         return start, end
 
-    def start_background(
-        self,
-        work_us: float,
-        callback: Callable[[float], None],
-        kind: EventKind = EventKind.MIGRATION_ROUND,
-    ) -> None:
+    def start_background(self, work_us: float, callback: Callable[[float], None]) -> None:
         if self.job_active:
             raise RuntimeError("background job already active")
         self._job_remaining = work_us
         self._job_last = self.engine.now
         self._job_callback = callback
-        self._job_kind = kind
         self._schedule_completion()
 
     def _accrue(self, upto: float) -> None:
@@ -624,7 +611,7 @@ class HvCore:
             else:  # pragma: no cover - completion always lands on time
                 self._schedule_completion()
 
-        self.engine.schedule_at(t_done, self._job_kind, fire)
+        self.engine.schedule_at(t_done, EventKind.MIGRATION_ROUND, fire)
 
 
 # ---------------------------------------------------------------- migration
@@ -661,10 +648,6 @@ class MigrationReport:
     writes_total: int
     core_busy_ms: float
 
-    @property
-    def pages_sent_total(self) -> int:
-        return sum(r.pages_sent for r in self.rounds)
-
 
 def run_migration(
     job: MigrationJob,
@@ -688,8 +671,7 @@ def run_migration(
     core = HvCore(engine)
     rng = np.random.default_rng(job.seed)
 
-    vm_bytes = job.vm_pages * 4096
-    flush_service_us = table.cost_us("M1") + 512 * table.per_page_us("M18", vm_bytes)
+    flush_service_us = table.prices(job.vm_pages * 4096).copy_us(512)
     write_period_us = 1e6 / job.writes_per_s
 
     dirty: set[int] = set()

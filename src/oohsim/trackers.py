@@ -49,7 +49,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any
 
-from .costs import MB, CostTable, overhead, pages_for
+from .costs import MB, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
 from .memory import LOST, GuestPageTable
 from .pml import BUFFER_SLOTS
@@ -220,7 +220,6 @@ class DrainResult:
 
 def drain_ring(
     vm: VirtualMachine,
-    memory_bytes: int,
     *,
     batch: int | None = None,
     defer_reverse_map: bool = False,
@@ -233,15 +232,13 @@ def drain_ring(
     actually written are reported inaccurate.  (Logging was re-armed when
     the device flushed these entries, not here.)
     """
-    table = vm.costs
     n = batch if batch is not None else vm.hv.ring.used
     entries = vm.hv.ring.consume(n)
     res = DrainResult(consumed=len(entries))
     if not entries:
         return res
-    copy_pp = table.per_page_us("M18", memory_bytes)
-    rm_pp = table.per_page_us("M17", memory_bytes)
-    res.copy_us = len(entries) * copy_pp
+    prices = vm.kernel.uio.prices
+    res.copy_us = len(entries) * prices.m18_pp
     if defer_reverse_map:
         res.raw.extend((gpa, meta_gva) for _pid, gpa, meta_gva in entries)
         return res
@@ -249,15 +246,13 @@ def drain_ring(
     for pid, run in groupby(entries, itemgetter(0)):
         proc = processes.get(pid)
         pairs = ((gpa, meta_gva) for _pid, gpa, meta_gva in run)
-        reverse_map_pairs(proc.table if proc is not None else None, pairs, rm_pp, res)
+        reverse_map_pairs(proc.table if proc is not None else None, pairs, prices.m17_pp, res)
     return res
 
 
-def reverse_map_raw(
-    vm: VirtualMachine, raw: list[tuple[int, int]], memory_bytes: int
-) -> DrainResult:
+def reverse_map_raw(vm: VirtualMachine, raw: list[tuple[int, int]]) -> DrainResult:
     """Deferred reverse mapping of previously harvested raw addresses."""
-    rm_pp = vm.costs.per_page_us("M17", memory_bytes)
+    rm_pp = vm.kernel.uio.prices.m17_pp
     table = vm.kernel.processes[TRACKED_PID].table
     return reverse_map_pairs(table, raw, rm_pp, DrainResult(consumed=len(raw)))
 
@@ -285,9 +280,9 @@ def reverse_map_pairs(
     return res
 
 
-def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range]:
-    """The tracked machine and its pages; under ``proc`` the soft-dirty bits start
-    clear, so allocation-time bits are not counted as the workload's."""
+def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range, float]:
+    """The tracked machine, its pages and the µs its set-up cost; under ``proc`` the
+    soft-dirty bits start clear, so allocation-time bits are not the workload's."""
     vm = VirtualMachine(
         cfg.cost_table(),
         ring_capacity=cfg.ring_capacity,
@@ -295,50 +290,10 @@ def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range]:
     )
     vm.create_process(TRACKED_PID)
     gvas = vm.allocate(TRACKED_PID, cfg.pages)
-    vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.memory_bytes)
+    init_us = vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.memory_bytes)
     if cfg.technique == "proc":
-        vm.kernel.clear_soft_dirty(TRACKED_PID)
-    return vm, gvas
-
-
-# --------------------------------------------------------------------------
-# cost bundle shared by both engines
-# --------------------------------------------------------------------------
-
-
-class _Costs:
-    def __init__(self, cfg: TrackerConfig):
-        t = cfg.cost_table()
-        size = cfg.memory_bytes
-        self.w = t.param("write_cost_us")
-        self.softdirty_fault = t.per_page_us("M5", size)
-        self.uffd_fault = t.per_page_us("M5", size) + t.per_page_us("M6", size)
-        self.m17_pp = t.per_page_us("M17", size)
-        self.m18_pp = t.per_page_us("M18", size)
-        self.m15 = t.cost_us("M15", size)
-        self.m16 = t.cost_us("M16", size)
-        self.m13 = t.cost_us("M13")
-        self.m14 = t.cost_us("M14", size)
-        self.m7 = t.cost_us("M7")
-        self.m8 = t.cost_us("M8")
-        self.m1 = t.cost_us("M1")
-        self.c_ve = t.vmexit_service_us(size)
-        self.drain_batch = int(t.param("spml_drain_batch"))
-        # proc starts with one bit-clear so that tracking begins from a
-        # clean slate (otherwise allocation-time bits pollute round one)
-        self.init_us = {
-            "proc": self.m1 + self.m15,
-            "uffd": self.m1,
-            "spml": t.cost_us("M9"),
-            "epml": t.cost_us("M10"),
-        }[cfg.technique]
-
-    def sched_cost(self, technique: str, direction: str) -> float:
-        if technique == "spml":
-            return self.m13 if direction == "in" else self.m14
-        if technique == "epml":
-            return 2 * self.m8 if direction == "in" else self.m7 + self.m8
-        return 0.0
+        init_us += vm.kernel.clear_soft_dirty(TRACKED_PID)[1]
+    return vm, gvas, init_us
 
 
 def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> float:
@@ -365,9 +320,10 @@ class _Run:
     the report's content fields (``_content``).
     """
 
-    def __init__(self, cfg: TrackerConfig):
+    def __init__(self, cfg: TrackerConfig, prices: Prices, init_us: float):
         self.cfg = cfg
-        self.c = _Costs(cfg)
+        self.c = prices
+        self.init_us = init_us
         self.tech = cfg.technique
         self.P = cfg.pages
 
@@ -414,8 +370,8 @@ class _Run:
                 return True
 
     def _vmexit(self) -> None:
-        self.t += self.c.c_ve
-        self.suspension += self.c.c_ve
+        self.t += self.c.vmexit_service
+        self.suspension += self.c.vmexit_service
         self.vmexits += 1
 
     def _swap_and_tick(self) -> None:
@@ -483,12 +439,12 @@ class _Run:
         return TrackerPhaseReport(
             technique=self.tech,
             memory_bytes=self.cfg.memory_bytes,
-            init_time_us=self.c.init_us,
+            init_time_us=self.init_us,
             monitor_span_us=monitor_span,
             collect_time_us=self.collect_us,
             exploit_time_us=0.0,
             tracked_suspension_total_us=min(self.suspension, monitor_span),
-            ideal_us=self.writes_done * self.c.w,
+            ideal_us=self.writes_done * self.c.write,
             tracker_busy_us=self.tracker_busy,
             writes_done=self.writes_done,
             rounds_done=self.rounds_done,
@@ -519,7 +475,8 @@ class _SegmentRun(_Run):
     """
 
     def __init__(self, cfg: TrackerConfig):
-        super().__init__(cfg)
+        prices = cfg.cost_table().prices(cfg.memory_bytes)
+        super().__init__(cfg, prices, prices.init_us(cfg.technique))
         self.buf_fill = 0  # hv buffer (spml) or guest buffer (epml)
         self.ring_used = 0  # spml hypervisor ring
         self.tool_ring = 0  # epml tool-side ring
@@ -528,7 +485,7 @@ class _SegmentRun(_Run):
         return super().run()
 
     def _sched(self, direction: str) -> None:
-        cost = self.c.sched_cost(self.tech, direction)
+        cost = self.c.sched_us(self.tech, direction)
         if self.tech == "epml" and direction == "out" and self.buf_fill:
             cost += self._epml_copy(self.buf_fill)
             self.buf_fill = 0
@@ -539,7 +496,7 @@ class _SegmentRun(_Run):
         self.sched_events += 1
 
     def _epml_copy(self, k: int) -> float:
-        cost = self.c.m1 + k * self.c.m18_pp
+        cost = self.c.copy_us(k)
         space = self.cfg.ring_capacity - self.tool_ring
         if k > space:  # tool too slow: losses are counted, never silent
             self.dropped += k - space
@@ -589,7 +546,7 @@ class _SegmentRun(_Run):
         """One sweep over every page, a stretch of writes at a time."""
         cfg, c = self.cfg, self.c
         logging = self.tech in ("spml", "epml")
-        w_run = c.w
+        w_run = c.write
         if self.tech == "proc":
             w_run += c.softdirty_fault  # every post-clear write microfaults
         w_wall = w_run + (c.uffd_fault if self.tech == "uffd" else 0.0)
@@ -662,8 +619,8 @@ class _MechanicalRun(_Run):
     """
 
     def __init__(self, cfg: TrackerConfig):
-        super().__init__(cfg)
-        self.vm, self.gvas = tracked_machine(cfg)
+        self.vm, self.gvas, init_us = tracked_machine(cfg)
+        super().__init__(cfg, self.vm.kernel.uio.prices, init_us)
         self.oracle: set[int] = set()
         self.collected: set[int] = set()
         self.inaccurate: set[tuple[int, int]] = set()
@@ -688,7 +645,7 @@ class _MechanicalRun(_Run):
         self.sched_events += 1
         if self.tech == "epml" and direction == "out":
             # an embedded leftover drain is a softirq-style copy
-            drain_us = us - self.c.sched_cost("epml", "out")
+            drain_us = us - self.c.sched_us("epml", "out")
             if drain_us > 0:
                 self.suspension += drain_us
                 self.softirqs += 1
@@ -710,7 +667,7 @@ class _MechanicalRun(_Run):
     def _drain(self) -> float:
         pre, defer = self.collect_us, self.cfg.defer_reverse_map
         batch = None if defer else self.c.drain_batch
-        res = drain_ring(self.vm, self.cfg.memory_bytes, batch=batch, defer_reverse_map=defer)
+        res = drain_ring(self.vm, batch=batch, defer_reverse_map=defer)
         self.collected.update(res.gvas)
         self.raw_entries.extend(res.raw)
         self.inaccurate.update(res.inaccurate)
@@ -723,7 +680,7 @@ class _MechanicalRun(_Run):
     def _reverse_map_deferred(self) -> float:
         if not self.raw_entries:
             return 0.0
-        res = reverse_map_raw(self.vm, self.raw_entries, self.cfg.memory_bytes)
+        res = reverse_map_raw(self.vm, self.raw_entries)
         self.collected.update(res.gvas)
         self.inaccurate.update(res.inaccurate)
         return res.rm_us
@@ -744,7 +701,7 @@ class _MechanicalRun(_Run):
             return
         quantum = self.cfg.quantum_us
         c = self.c
-        w, uffd_fault = c.w, c.uffd_fault
+        w, uffd_fault = c.write, c.uffd_fault
         sd_fault = c.softdirty_fault if self.tech == "proc" else None
         pid, write_one, apply_op = TRACKED_PID, self.vm.write_one, self.vm.apply_op
         oracle_add = self.oracle.add
@@ -813,8 +770,8 @@ class _MechanicalRun(_Run):
                 self.suspension += res.softirq_us
                 self.softirqs += 1
             if res.vmexit is not None and not res.stalled:
-                wall += c.c_ve
-                self.suspension += c.c_ve
+                wall += c.vmexit_service
+                self.suspension += c.vmexit_service
                 self.vmexits += 1
             self.t += wall
             self.run_acc += run

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .costs import PAGE_SIZE as PAGE
-from .costs import CostLedger, CostTable
+from .costs import CostTable
 from .guest import GuestKernel, Process
 from .hypervisor import Hypervisor, VmexitResult
 from .memory import Ept, PageStore, WriteOutcome
@@ -77,7 +77,6 @@ class VirtualMachine:
         buffer_slots: int = 512,
     ):
         self.costs = table or CostTable.default()
-        self.ledger = CostLedger()
         self.ept = Ept()
         self.store = PageStore()
         self.hv = Hypervisor(
@@ -86,13 +85,7 @@ class VirtualMachine:
             buffer_slots=buffer_slots,
             ept=self.ept,
         )
-        self.kernel = GuestKernel(
-            self.hv,
-            self.costs,
-            self.ledger,
-            self.ept,
-            ring_capacity=ring_capacity,
-        )
+        self.kernel = GuestKernel(self.hv, self.costs, self.ept, ring_capacity=ring_capacity)
         self._next_gpa = 0x10_0000
         self._next_hpa = 0x1000_0000
         self._next_gva: dict[int, int] = {}

@@ -150,8 +150,21 @@ def test_dirty_count_scales_the_dump():
 
 
 def test_unknown_technique_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="technique"):
         checkpoint_time_model("vanilla", GB)
+
+
+@pytest.mark.parametrize(
+    ("args", "kwargs", "field"),
+    [
+        (("epml", GB), {"dirty_pages": -100_000}, "dirty_pages"),
+        (("proc", -4096), {}, "memory_bytes"),
+        (("proc", 0), {}, "memory_bytes"),
+    ],
+)
+def test_time_model_rejects_bad_numbers(args, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        checkpoint_time_model(*args, **kwargs)
 
 
 # ---------------------------------------------------------------- sessions

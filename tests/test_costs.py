@@ -1,4 +1,4 @@
-"""Cost table, interpolation, calibration files, ledger, and estimator."""
+"""Cost table, interpolation, calibration files, price list, and estimator."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from oohsim.costs import (
     MB,
     CalibrationError,
-    CostLedger,
     CostTable,
     EpmlEstimate,
     UnknownMetric,
@@ -180,22 +179,6 @@ def test_anchor_lists_strictly_increasing_after_overrides():
     # interpolation now uses the inserted 2GB anchor
     mid = t.cost_us("M17", mb(1500))
     assert mid == pytest.approx((15738.0 + 30000.0) / 2 * 1000.0)
-
-
-def test_ledger_accumulation():
-    led = CostLedger()
-    led.charge("M17", 100.0)
-    led.charge("M17", 50.0, count=5)
-    led.charge("M16", 10.0, count=0)
-    led.bump("vmexits", 3)
-    assert led.totals_us["M17"] == pytest.approx(150.0)
-    assert led.counts["M17"] == 6
-    assert "M16" not in led.counts
-    assert led.count("vmexits") == 3
-    assert led.total_us() == pytest.approx(160.0)
-    assert led.total_us("M17") == pytest.approx(150.0)
-    d = led.as_dict()
-    assert d["totals_us"]["M16"] == pytest.approx(10.0)
 
 
 def test_estimator_trivial_case():

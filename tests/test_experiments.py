@@ -24,7 +24,7 @@ from oohsim.experiments import (
     validate_estimator,
 )
 from oohsim.reports import CSV_COLUMNS, render, rows_from_csv
-from oohsim.workloads import KV_FOOTPRINTS, MB
+from oohsim.workloads import KV_FOOTPRINTS, MB, KvWorkloadSpec
 
 
 # ----------------------------------------------------------- config parsing
@@ -179,6 +179,26 @@ def test_kv_run_uses_observed_dirty_pages_for_the_checkpoint_column():
     footprint = KV_FOOTPRINTS["stdtree"]
     full_dirty = checkpoint_time_model("epml", footprint).total_ms
     assert 0 < row.checkpoint_ms < full_dirty
+
+
+def test_kv_run_builds_its_trace_once(monkeypatch):
+    cfg = ExperimentConfig(workload="kv:stdtree", kv_ops=500)
+    alone = [
+        row
+        for tech in cfg.techniques
+        for row in run(ExperimentConfig(workload="kv:stdtree", kv_ops=500, techniques=(tech,))).rows
+    ]
+    calls = []
+    make_trace = KvWorkloadSpec.make_trace
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return make_trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(KvWorkloadSpec, "make_trace", counted)
+    rows = run(cfg).rows
+    assert len(cfg.techniques) == 4 and calls == ["stdtree"]
+    assert rows == sorted(alone, key=lambda r: (r.technique, r.memory_bytes))
 
 
 def test_emit_reports_writes_each_format(tmp_path: Path):

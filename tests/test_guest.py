@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oohsim.costs import CostLedger, CostTable
+from oohsim.costs import CostTable
 from oohsim.guest import (
     GUEST_RING_GPA,
     AlreadyRegistered,
@@ -19,9 +19,7 @@ MB = 1 << 20
 
 def make_kernel(ring_capacity: int = 16384):
     hv = Hypervisor()
-    kern = GuestKernel(
-        hv, CostTable.default(), CostLedger(), Ept(), ring_capacity=ring_capacity
-    )
+    kern = GuestKernel(hv, CostTable.default(), Ept(), ring_capacity=ring_capacity)
     return kern, hv
 
 
@@ -39,17 +37,16 @@ def map_pages(kern: GuestKernel, pid: int, n: int, base: int = 0x1000):
 
 
 def test_register_charges_the_init_hypercall():
-    for technique, metric in (("spml", "M9"), ("epml", "M10")):
+    prices = CostTable.default().prices(100 * MB)
+    for technique, expected in (("spml", prices.m9), ("epml", prices.m10)):
         kern, hv = make_kernel()
         kern.new_process(7)
-        kern.register_tracked(7, technique, 100 * MB)
-        expected = CostTable.default().cost_us(metric)
-        assert kern.ledger.totals_us[metric] == expected
+        assert kern.register_tracked(7, technique, 100 * MB) == expected
+        assert kern.uio.prices == prices
         assert hv.flags.enable_by_guest
     kern, hv = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "proc", 100 * MB)
-    assert "M9" not in kern.ledger.totals_us and "M10" not in kern.ledger.totals_us
+    assert kern.register_tracked(7, "proc", 100 * MB) == prices.m1  # no hypercall
 
 
 def test_register_twice_rejected():
@@ -87,8 +84,8 @@ def test_unregister_charges_deactivation():
     kern, hv = make_kernel()
     kern.new_process(7)
     kern.register_tracked(7, "spml", MB)
-    kern.unregister()
-    assert kern.ledger.totals_us["M11"] == CostTable.default().cost_us("M11")
+    prices = kern.uio.prices
+    assert kern.unregister() == prices.m11
     assert not hv.flags.enable_by_guest
     with pytest.raises(NotRegistered):
         kern.unregister()
@@ -96,8 +93,7 @@ def test_unregister_charges_deactivation():
     kern, hv = make_kernel()
     kern.new_process(7)
     kern.register_tracked(7, "epml", MB)
-    kern.unregister()
-    assert kern.ledger.totals_us["M12"] == CostTable.default().cost_us("M12")
+    assert kern.unregister() == prices.m12
     assert not hv.pml.epml_enabled
 
 
@@ -110,7 +106,7 @@ def test_untracked_pid_schedules_for_free():
     kern.new_process(9)
     kern.register_tracked(7, "spml", MB)
     assert kern.on_schedule(9, "in") == 0.0
-    assert kern.ledger.count("sched_events") == 0
+    assert kern.on_schedule(9, "out") == 0.0
 
 
 def test_spml_schedule_pair_charges_hypercalls():
@@ -124,7 +120,8 @@ def test_spml_schedule_pair_charges_hypercalls():
     us_out = kern.on_schedule(7, "out")
     assert us_out == table.cost_us("M14", 100 * MB)
     assert not hv.pml.hv_buffer.armed
-    assert kern.ledger.count("sched_events") == 2
+    assert us_in == kern.uio.prices.sched_us("spml", "in")
+    assert us_out == kern.uio.prices.sched_us("spml", "out")
 
 
 def test_epml_schedule_pair_is_three_writes_one_read():
@@ -191,7 +188,7 @@ def test_softirq_copy_charges_ring_copy_rate():
     )
     assert len(kern.uio.ring) == 5
     assert hv.pml.guest_buffer.armed  # fully drained: re-armed
-    assert kern.ledger.count("softirq_copies") == 1
+    assert us == kern.uio.prices.copy_us(5)
 
 
 def test_softirq_copy_rearms_ept_dirty_bits():
@@ -308,12 +305,3 @@ def test_uffd_record_requires_registration():
     with pytest.raises(NotRegistered):
         kern.uffd_harvest(7)
 
-
-def test_sched_event_count_matches_ledger():
-    kern, _ = make_kernel()
-    kern.new_process(7)
-    kern.register_tracked(7, "epml", MB)
-    for _ in range(5):
-        kern.on_schedule(7, "in")
-        kern.on_schedule(7, "out")
-    assert kern.ledger.count("sched_events") == 10

@@ -12,6 +12,7 @@ from oohsim.experiments import ConfigError, ExperimentConfig
 from oohsim.guest import TECHNIQUES
 from oohsim.pml import BUFFER_SLOTS
 from oohsim.trackers import (
+    TRACKED_PID,
     TrackerConfig,
     TrackerPhaseReport,
     WrongTechnique,
@@ -19,6 +20,7 @@ from oohsim.trackers import (
     run_tracker,
     spml_bottleneck_breakdown,
     to_run_row,
+    tracked_machine,
 )
 from oohsim.vm import VirtualMachine
 from oohsim.workloads import random_trace
@@ -184,6 +186,44 @@ def test_segment_engine_matches_mechanical_engine(technique):
     assert mech.tracker_busy_us == pytest.approx(seg.tracker_busy_us, rel=rel, abs=1e-6)
     assert mech.collect_time_us == pytest.approx(seg.collect_time_us, rel=rel, abs=1e-6)
     assert mech.init_time_us == pytest.approx(seg.init_time_us)
+
+
+def _overridden_table() -> CostTable:
+    table = CostTable.default()
+    table.apply_overrides(
+        {"M1": 0.5, "M8": 1.2, "M9": 6000.0, "M5@4MB": 0.05, "M15@4MB": 0.06, "M18@4MB": 0.02}
+    )
+    return table
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+@pytest.mark.parametrize(
+    ("size", "calibrated"), [(MB, False), (4 * MB, False), (GB, False), (4 * MB, True)]
+)
+def test_every_charge_is_read_from_the_price_list(technique, size, calibrated):
+    table = _overridden_table() if calibrated else CostTable.default()
+    prices = table.prices(size)
+    assert prices.m15 == table.cost_us("M15", size)
+    assert prices.m18_pp == table.per_page_us("M18", size)
+    assert prices.uffd_fault == table.per_page_us("M5", size) + table.per_page_us("M6", size)
+    seg, mech = (
+        run_tracker(cfg(technique, size, rounds=0, table=table, mechanical=m)) for m in (False, True)
+    )
+    assert seg.init_time_us == mech.init_time_us == prices.init_us(technique)
+
+    vm, gvas, init_us = tracked_machine(cfg(technique, size, table=table))
+    kern = vm.kernel
+    assert kern.uio.prices == prices
+    assert init_us == prices.init_us(technique)
+    assert kern.on_schedule(TRACKED_PID, "in") == prices.sched_us(technique, "in")
+    for gva in gvas[:5]:
+        vm.write_one(TRACKED_PID, gva)
+    if technique == "epml":
+        assert kern.deliver_guest_buffer_full(TRACKED_PID) == (5, prices.copy_us(5))
+    if technique == "proc":
+        assert kern.read_pagemap(TRACKED_PID)[1] == prices.m16
+        assert kern.clear_soft_dirty(TRACKED_PID)[1] == prices.m15
+    assert kern.on_schedule(TRACKED_PID, "out") == prices.sched_us(technique, "out")
 
 
 @pytest.mark.parametrize("technique", ["proc", "uffd", "spml", "epml"])
@@ -758,7 +798,7 @@ def _flushed_spml_vm(n_pages: int) -> tuple[VirtualMachine, list[int]]:
 
 def test_drain_ring_reverse_maps_batch():
     vm, gvas = _flushed_spml_vm(5)
-    res = drain_ring(vm, 4 * MB, batch=3)
+    res = drain_ring(vm, batch=3)
     assert res.consumed == 3
     assert res.gvas == gvas[:3]
     assert res.lost == [] and res.inaccurate == []
@@ -770,7 +810,7 @@ def test_drain_ring_reverse_maps_batch():
 
 def test_drain_ring_deferred_keeps_raw_addresses():
     vm, gvas = _flushed_spml_vm(4)
-    res = drain_ring(vm, 4 * MB, defer_reverse_map=True)
+    res = drain_ring(vm, defer_reverse_map=True)
     assert res.consumed == 4
     assert res.gvas == [] and res.rm_us == 0.0
     assert [meta for _gpa, meta in res.raw] == gvas
@@ -785,7 +825,7 @@ def test_drain_ring_reports_lost_and_inaccurate():
     gpa1 = proc.table.entry(gvas[1]).gpa
     alias = 0x800
     proc.table.map_page(alias, gpa1)
-    res = drain_ring(vm, 4 * MB)
+    res = drain_ring(vm)
     assert [meta for _gpa, meta in res.lost] == [gvas[0]]
     assert (alias, gvas[1]) in res.inaccurate
     assert gvas[2] in res.gvas
