@@ -281,6 +281,13 @@ class GuestKernel:
             raise NotRegistered(f"pid {pid} has no fault registration")
         proc.uffd_dirty.add(gva)
 
+    def uffd_record_run(self, pid: int, gvas: list[int]) -> None:
+        """:meth:`uffd_record` for each of ``gvas``."""
+        proc = self._proc(pid)
+        if proc.uffd_mode is None:
+            raise NotRegistered(f"pid {pid} has no fault registration")
+        proc.uffd_dirty.update(gvas)
+
     def uffd_harvest(self, pid: int) -> set[int]:
         proc = self._proc(pid)
         if proc.uffd_mode is None:

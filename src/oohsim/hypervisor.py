@@ -309,14 +309,24 @@ class Hypervisor:
         """
         outcome = self.pml.log_dirty(gpa, meta_gva)
         if outcome.hv == "logged":
-            flags = self.flags
-            tag = (flags.enable_by_guest and flags.sched_in, flags.enable_by_vmm)
-            self._entry_tags.append(tag)
-            if tag[0]:
-                self.logged_guest_tagged += 1
-            if tag[1]:
-                self.logged_vmm_tagged += 1
+            self._tag(1)
         return outcome
+
+    def log_writes(self, pairs: list[tuple[int, int]]) -> None:
+        """:meth:`log_write` for each ``(gpa, meta_gva)`` in order, where none finds
+        a buffer full (the caller checked :meth:`PmlState.free_slots`)."""
+        if self.pml.log_dirty_run(pairs):
+            self._tag(len(pairs))
+
+    def _tag(self, n: int) -> None:
+        """Tag the last ``n`` logged entries with the entitlement in force now."""
+        flags = self.flags
+        tag = (flags.enable_by_guest and flags.sched_in, flags.enable_by_vmm)
+        self._entry_tags.extend([tag] * n)
+        if tag[0]:
+            self.logged_guest_tagged += n
+        if tag[1]:
+            self.logged_vmm_tagged += n
 
     def _flush_buffer(self, allow_drop: bool) -> FlushResult:
         """Copy-out and re-arm: route every buffered entry by its tag.
@@ -421,7 +431,6 @@ class Hypervisor:
 class ModelCheckResult:
     states_explored: int
     transitions: int
-    max_depth_reached: int
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -488,12 +497,10 @@ def model_check_coordination(
     frontier: list[tuple] = [start]
     violations: list[str] = []
     transitions = 0
-    depth_reached = 0
 
-    for d in range(depth):
+    for _ in range(depth):
         if not frontier:
             break
-        depth_reached = d + 1
         next_frontier: list[tuple] = []
         for state in frontier:
             if state in expanded:
@@ -534,7 +541,6 @@ def model_check_coordination(
     return ModelCheckResult(
         states_explored=len(expanded),
         transitions=transitions,
-        max_depth_reached=depth_reached,
         violations=violations,
     )
 
@@ -555,7 +561,6 @@ class HvCore:
     def __init__(self, engine: SimEngine):
         self.engine = engine
         self.busy_until = 0.0
-        self.busy_total = 0.0
         self._job_remaining = 0.0
         self._job_last = 0.0
         self._job_callback: Callable[[float], None] | None = None
@@ -572,7 +577,6 @@ class HvCore:
             self._accrue(start)
         end = start + duration_us
         self.busy_until = end
-        self.busy_total += duration_us
         if self.job_active:
             self._schedule_completion()
         return start, end
@@ -645,8 +649,6 @@ class MigrationReport:
     downtime_ms: float
     stop_reason: str
     vmexits: int
-    writes_total: int
-    core_busy_ms: float
 
 
 def run_migration(
@@ -761,6 +763,4 @@ def run_migration(
         downtime_ms=state["downtime_ms"],
         stop_reason=state["stop_reason"],
         vmexits=state["vmexits"],
-        writes_total=state["writes"],
-        core_busy_ms=core.busy_total / 1000.0,
     )

@@ -11,25 +11,26 @@ Both tables map a run of pages in one step as a *region*: page *i* of a
 region is backed by the region's base plus *i* pages, so translation and
 reverse mapping are arithmetic, and each page's state is one byte of the
 region's ``bytearray`` (page table: mapped, writable, dirty, soft-dirty;
-EPT: mapped, dirty, touched).  A page's first write, an individual protect
-and an EPT re-arm flip bits in place, so mapping a large address space and
-writing a sparse set of its pages once builds no per-page object.
-Whole-table operations (soft-dirty clear, protect-all, the dirty and
-soft-dirty sets, the page count) run over the bytes with
-``bytes.translate``, ``find`` and ``count``, then visit the stored entries.
+EPT: mapped, dirty).  Writes, individual protects and EPT re-arms flip bits
+in place, so mapping a large address space and writing it over and over
+builds no per-page object.  Whole-table operations (soft-dirty clear,
+protect-all, the dirty and soft-dirty sets, the page count) run over the
+bytes with ``bytes.translate``, ``find`` and ``count``, then visit the
+stored entries.  A run of writes to consecutive region pages
+(:meth:`GuestPageTable.write_run`) is two slice operations, one on each
+table.
 
 A region page moves to a stored entry (``entries``, plus the reverse index
-in the page table) when it is written a second time — its PTE dirty bit,
-or its EPT touched bit, is already set — or when it is unmapped, moved or
-mapped singly.  A page written over and over thus costs one dict hit per
-write, as if it had been mapped alone.  A region with no page left is
-dropped, and its table is then the same as one that mapped every page
-singly.
+in the page table) only when it is moved or mapped singly; an unmap just
+takes it out of its region.  A region with no page left is dropped, and its
+table is then the same as one that mapped every page singly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .costs import PAGE_SIZE
@@ -46,6 +47,7 @@ __all__ = [
     "GuestPageTable",
     "Ept",
     "PageStore",
+    "write_faults",
 ]
 
 #: Sentinel returned by reverse_map when no GVA currently maps the GPA.
@@ -117,9 +119,8 @@ class WriteOutcome(NamedTuple):
 
 # One byte of state per region page.  A zero byte is a page that has left
 # its region; every live byte has _MAPPED set.  Page-table regions use
-# _WRITABLE, _DIRTY and _SOFT_DIRTY; EPT regions use _DIRTY and _TOUCHED
-# (the frame's dirty bit has been set at least once).
-_MAPPED, _WRITABLE, _DIRTY, _SOFT_DIRTY, _TOUCHED = 1, 2, 4, 8, 16
+# _WRITABLE, _DIRTY and _SOFT_DIRTY; EPT regions use _DIRTY.
+_MAPPED, _WRITABLE, _DIRTY, _SOFT_DIRTY = 1, 2, 4, 8
 _PTE_FRESH = _MAPPED | _WRITABLE | _SOFT_DIRTY
 
 
@@ -128,10 +129,40 @@ def _select(bit: int) -> bytes:
     return bytes(1 if v & bit else 0 for v in range(256))
 
 
+def _lacks(bit: int) -> bytes:
+    """``translate`` table: 1 for a live byte with ``bit`` clear, else 0."""
+    return bytes(1 if v and not v & bit else 0 for v in range(256))
+
+
 _HAS_DIRTY, _HAS_SOFT_DIRTY, _LIVE = _select(_DIRTY), _select(_SOFT_DIRTY), _select(_MAPPED)
+_CLEAN, _PROTECTED = _lacks(_DIRTY), _lacks(_WRITABLE)
 _CLEAR_SOFT_DIRTY = bytes(v & ~_SOFT_DIRTY for v in range(256))
 _PROTECT = bytes(v & ~_WRITABLE for v in range(256))
 _UNPROTECT = bytes(v | _WRITABLE if v else 0 for v in range(256))
+_WRITTEN = bytes(v | _DIRTY | _SOFT_DIRTY if v else 0 for v in range(256))
+_SET_DIRTY = bytes(v | _DIRTY if v else 0 for v in range(256))
+
+
+def write_faults(bits: int) -> tuple[bool, bool]:
+    """The faults a write to a page-table region page in state ``bits`` takes:
+    (soft-dirty fault, write-protect fault), as :meth:`GuestPageTable.write_page`
+    reports them."""
+    return not bits & _SOFT_DIRTY, not bits & _WRITABLE
+
+
+def _addresses(bits: bytes, select: bytes, base: int) -> list[int]:
+    """Addresses, ``PAGE_SIZE`` apart from ``base``, of the bytes ``select`` maps to 1,
+    a run at a time."""
+    marks = bits.translate(select)
+    out: list[int] = []
+    start = marks.find(1)
+    while start >= 0:
+        stop = marks.find(0, start)
+        if stop < 0:
+            stop = len(marks)
+        out.extend(range(base + start * PAGE_SIZE, base + stop * PAGE_SIZE, PAGE_SIZE))
+        start = marks.find(1, stop)
+    return out
 
 
 class _Region:
@@ -162,18 +193,8 @@ class _Region:
         return -1
 
     def pages(self, select: bytes) -> list[int]:
-        """Addresses of the pages whose byte ``select`` maps to 1, a run at a time."""
-        marks = self.bits.translate(select)
-        out: list[int] = []
-        start = marks.find(1)
-        while start >= 0:
-            stop = marks.find(0, start)
-            if stop < 0:
-                stop = len(marks)
-            first, past = self.base + start * PAGE_SIZE, self.base + stop * PAGE_SIZE
-            out.extend(range(first, past, PAGE_SIZE))
-            start = marks.find(1, stop)
-        return out
+        """Addresses of the pages whose byte ``select`` maps to 1."""
+        return _addresses(self.bits, select, self.base)
 
 
 def _find(regions: list[_Region], addr: int) -> tuple[_Region, int] | None:
@@ -183,6 +204,21 @@ def _find(regions: list[_Region], addr: int) -> tuple[_Region, int] | None:
         if i >= 0:
             return region, i
     return None
+
+
+def _live_run(regions: list[_Region], addr: int, n: int) -> tuple[_Region, int, bytearray] | None:
+    """The region holding live page ``addr``, its index there and the bytes of
+    the live pages from it on: at most ``n``, up to the first that left or the
+    region's end.  None when ``addr`` is no live region page."""
+    if n < 1:
+        raise ValueError(f"a run holds at least one page, got {n}")
+    found = _find(regions, addr)
+    if found is None:
+        return None
+    region, i = found
+    bits = region.bits[i : i + n]
+    stop = bits.find(0)
+    return region, i, bits if stop < 0 else bits[:stop]
 
 
 def _release(regions: list[_Region], region: _Region, i: int) -> None:
@@ -207,10 +243,10 @@ class GuestPageTable:
 
     Pages mapped by :meth:`map_page` are stored in ``entries`` (and the
     reverse index) at once.  Pages mapped as a run by :meth:`map_region`
-    keep their flags as one byte each in their region: a first write, a
-    protect or a soft-dirty clear flips bits there.  A second write or a
-    move gives the page a stored entry like any other; an unmap just takes
-    it out of its region.  Every query answers for both kinds.
+    keep their flags as one byte each in their region: a write, a protect
+    or a soft-dirty clear flips bits there.  A move gives the page a stored
+    entry like any other; an unmap just takes it out of its region.  Every
+    query answers for both kinds.
     """
 
     def __init__(self, pid: int):
@@ -344,13 +380,26 @@ class GuestPageTable:
         Returns :data:`LOST` (None) when no GVA maps the GPA — the
         missed-address pathology of GPA-level logging.
         """
-        gvas = self._rmap.get(gpa)
-        best = min(gvas) if gvas else LOST
+        return self.reverse_map_many([gpa])[0]
+
+    def reverse_map_many(self, gpas: list[int]) -> list[int | None]:
+        """:meth:`reverse_map` of each of ``gpas``, in order.
+
+        Stored aliases first; then each region in one pass over the batch,
+        keeping the lowest page number.
+        """
+        rmap = self._rmap
+        out = [min(gvas) if gvas else LOST for gvas in map(rmap.get, gpas)]
         for region in self._regions:
-            off = gpa - region.target
-            if region.index(off) >= 0 and (best is LOST or region.base + off < best):
-                best = region.base + off
-        return best
+            target, span, bits = region.target, region.span, region.bits
+            shift = region.base - target
+            for k, gpa in enumerate(gpas):
+                off = gpa - target
+                if 0 <= off < span and not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
+                    best = out[k]
+                    if best is LOST or gpa + shift < best:
+                        out[k] = gpa + shift
+        return out
 
     def write_page(self, gva: int, ept: "Ept", *, ignore_protection: bool = False) -> WriteOutcome:
         """One store to ``gva``: fault checks, then PTE/EPT dirty updates.
@@ -362,12 +411,11 @@ class GuestPageTable:
         was clear), and sets the EPT dirty bit for the backing GPA,
         reporting whether that was a clear-to-set transition.
 
-        A region page's first write sets its bits in place; a region page
-        whose dirty bit is already set moves to a stored entry first.
+        A region page's write sets its bits in place.
         """
         entry = self.entries.get(gva)
         if entry is None:
-            # inline region lookup: this runs on every first and second write
+            # inline region lookup: this runs on every write to a region page
             for region in self._regions:
                 off = gva - region.base
                 if 0 <= off < region.span:
@@ -379,14 +427,10 @@ class GuestPageTable:
             if not bits:
                 return WriteOutcome(gva, None, "not_present")
             gpa = region.target + off
-            if not bits & _DIRTY:
-                if not bits & _WRITABLE and not ignore_protection:
-                    return WriteOutcome(gva, gpa, "write_protect")
-                region.bits[i] = bits | _DIRTY | _SOFT_DIRTY
-                return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, ept.set_dirty(gpa))
-            entry = _region_entry(region, i)
-            _release(self._regions, region, i)
-            self._store(gva, entry)
+            if not bits & _WRITABLE and not ignore_protection:
+                return WriteOutcome(gva, gpa, "write_protect")
+            region.bits[i] = bits | _DIRTY | _SOFT_DIRTY
+            return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, ept.set_dirty(gpa))
         flags = entry.flags
         if not flags.present:
             return WriteOutcome(gva, None, "not_present")
@@ -397,6 +441,44 @@ class GuestPageTable:
         flags.soft_dirty = True
         gpa = entry.gpa
         return WriteOutcome(gva, gpa, None, softdirty_fault, ept.set_dirty(gpa))
+
+    def region_run(self, gva: int, n: int, *, protected: bool = True) -> tuple[bytes, int]:
+        """State bytes of the live region pages from ``gva`` on and the GPA of the first.
+
+        The run holds at most ``n`` pages and stops before the first page that
+        is no live page of ``gva``'s region; with ``protected`` False also
+        before the first write-protected one.  Empty when ``gva`` is no live
+        region page.  No state change.
+        """
+        run = _live_run(self._regions, gva, n)
+        if run is None:
+            return b"", 0
+        region, i, bits = run
+        if not protected:
+            stop = bits.translate(_PROTECTED).find(1)
+            if stop >= 0:
+                bits = bits[:stop]
+        return bytes(bits), region.target + i * PAGE_SIZE
+
+    def write_run(
+        self, gva: int, count: int, ept: "Ept"
+    ) -> tuple[list[int], list[tuple[int, int]]]:
+        """``count`` writes to the region pages from ``gva`` on, in address order.
+
+        Each leaves the state :meth:`write_page` leaves when it completes the
+        write, a write-protected page's with ``ignore_protection``.  The pages
+        must be a run :meth:`region_run` and :meth:`Ept.region_run` returned.
+        Returns the write-protected pages, whose writes faulted first, and the
+        ``(gpa, gva)`` of each write that set an EPT dirty bit, in order.
+        """
+        region, i = _find(self._regions, gva)
+        stop = i + count
+        bits = region.bits[i:stop]
+        region.bits[i:stop] = bits.translate(_WRITTEN)
+        gpa = region.target + i * PAGE_SIZE
+        shift = gva - gpa
+        logged = [(frame, frame + shift) for frame in ept.set_dirty_run(gpa, count)]
+        return _addresses(bits, _PROTECTED, gva), logged
 
     def clear_soft_dirty(self) -> int:
         """Clear every soft-dirty bit; returns how many were set."""
@@ -456,12 +538,10 @@ class Ept:
     """VM-wide GPA -> HPA map with per-entry hardware dirty bits.
 
     Frames mapped by :meth:`map_gpa` are stored in ``entries`` as
-    ``[hpa, dirty]``.  Frames mapped as a run by :meth:`map_region` keep a
-    dirty and a touched bit as one byte each in their region: the first
-    write to a frame sets both, and a re-arm clears the dirty bit in place.
-    The next write to a touched frame moves it to ``entries``; mapping a
-    region frame singly replaces it there, and unmapping takes it out of
-    its region.
+    ``[hpa, dirty]``.  Frames mapped as a run by :meth:`map_region` keep
+    their dirty bit in one byte each in their region: a write sets it and a
+    re-arm clears it in place.  Mapping a region frame singly replaces it in
+    ``entries``, and unmapping takes it out of its region.
     """
 
     def __init__(self):
@@ -512,11 +592,7 @@ class Ept:
         return None
 
     def set_dirty(self, gpa: int) -> bool:
-        """Set the dirty bit; True when this was a clear-to-set transition.
-
-        A region frame's first set flips its bits in place; a later one
-        moves the frame to a stored entry.
-        """
+        """Set the dirty bit; True when this was a clear-to-set transition."""
         entry = self.entries.get(gpa)
         if entry is None:
             # inline region lookup, as in GuestPageTable.write_page
@@ -530,15 +606,39 @@ class Ept:
             bits = 0 if off % PAGE_SIZE else region.bits[i]
             if not bits:
                 raise UnknownMapping(gpa)
-            if not bits & _TOUCHED:
-                region.bits[i] = bits | _DIRTY | _TOUCHED
-                return True
-            entry = [region.target + off, bits & _DIRTY != 0]
-            _release(self._regions, region, i)
-            self.entries[gpa] = entry
+            region.bits[i] = bits | _DIRTY
+            return not bits & _DIRTY
         was = entry[1]
         entry[1] = True
         return not was
+
+    def region_run(self, gpa: int, n: int, transitions: int | None = None) -> int:
+        """How many of the ``n`` frames from ``gpa`` on a run of writes can dirty.
+
+        The run stops before the first frame that is no live frame of
+        ``gpa``'s region and, when ``transitions`` is given, before the
+        clean frame that would be the ``transitions + 1``-th to set its dirty
+        bit.  No state change.
+        """
+        run = _live_run(self._regions, gpa, n)
+        if run is None:
+            return 0
+        bits = run[2]
+        if transitions is None:
+            return len(bits)
+        clean = bits.translate(_CLEAN)
+        if clean.count(1) <= transitions:
+            return len(bits)
+        return bisect_left(list(accumulate(clean)), transitions + 1)
+
+    def set_dirty_run(self, gpa: int, count: int) -> list[int]:
+        """:meth:`set_dirty` on the ``count`` region frames from ``gpa`` on, which
+        :meth:`region_run` returned; the frames it set from clear, in order."""
+        region, i = _find(self._regions, gpa)
+        stop = i + count
+        bits = region.bits[i:stop]
+        region.bits[i:stop] = bits.translate(_SET_DIRTY)
+        return _addresses(bits, _CLEAN, gpa)
 
     def is_dirty(self, gpa: int) -> bool:
         entry = self.entries.get(gpa)

@@ -122,6 +122,17 @@ class PmlBuffer:
         self.index = index - 1
         return LogResult.LOGGED
 
+    def log_run(self, entries: list) -> bool:
+        """Log ``entries`` in order, as that many :meth:`log` calls would when
+        each finds a free slot; False, logging nothing, when disabled."""
+        if self.index == self.slots:
+            return False
+        if len(entries) > self.slots_left:
+            raise ValueError(f"{len(entries)} entries, {self.slots_left} free slots")
+        self.entries.extend(entries)
+        self.index -= len(entries)
+        return True
+
     def drain(self) -> list:
         """Take all entries and re-arm (copy-then-reset handler order).
 
@@ -189,6 +200,20 @@ class PmlState:
         hv = self.hv_buffer.log((gpa, gva))
         guest = self.guest_buffer.log(gva) if self.epml_enabled else None
         return _LOG_OUTCOMES[hv, guest]
+
+    def log_dirty_run(self, pairs: list[tuple[int, int]]) -> bool:
+        """:meth:`log_dirty` for each ``(gpa, gva)`` in order, none finding a
+        buffer full; True when the hypervisor buffer logged them."""
+        hv = self.hv_buffer.log_run(pairs)
+        if self.epml_enabled:
+            self.guest_buffer.log_run([gva for _gpa, gva in pairs])
+        return hv
+
+    def free_slots(self) -> int | None:
+        """Dirty transitions the buffers take before one refuses; None when none logs."""
+        bufs = (self.hv_buffer, self.guest_buffer) if self.epml_enabled else (self.hv_buffer,)
+        free = [buf.slots_left for buf in bufs if buf.index != buf.disabled_index]
+        return min(free) if free else None
 
 
 FIELD_GUEST_PML_ADDRESS = "guest_pml_address"

@@ -25,11 +25,13 @@ write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
 semantics, runs every trace, and alone reports content-level results (the
 dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
 feeds it its ops, the micro-benchmark one round of writes at a time.  A
-quiet write only adds its base cost to the clock, held in locals; an
-*event* (a vmexit, stall or softirq copy, a full quantum, a due collection
-tick, the horizon, or a map/unmap/remap op) puts the clock back on the run
-and goes through the one event method, which adds each cost in the same
-order as a write-by-write accounting would.  The segment engine, the default
+quiet write only adds its base cost to the clock, held in locals, and in a
+round a whole stretch of quiet writes is applied in one step that leaves
+the clock and state of one write at a time.  An *event* (a vmexit, stall
+or softirq copy, a full quantum, a due collection tick, the horizon, or a
+map/unmap/remap op) puts the clock back on the run and goes through the
+one event method, which adds each cost in the same order as a
+write-by-write accounting would.  The segment engine, the default
 for the micro-benchmark because it is fast at large sizes, advances whole
 stretches of writes between events with closed-form arithmetic, following
 the mechanical event order (buffer event during the triggering write, then
@@ -43,15 +45,16 @@ they differ.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import groupby, repeat
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import accumulate, groupby, islice, repeat
+from operator import add, itemgetter
 from typing import Any
 
 from .costs import MB, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
-from .memory import LOST, GuestPageTable
+from .memory import LOST, GuestPageTable, write_faults
 from .pml import BUFFER_SLOTS
 from .reports import RunRow
 from .vm import VirtualMachine
@@ -268,15 +271,19 @@ def reverse_map_pairs(
     is inaccurate.
     """
     res = res if res is not None else DrainResult()
-    for gpa, meta_gva in pairs:
-        res.rm_us += rm_pp
-        gva = table.reverse_map(gpa) if table is not None else LOST
+    pairs = list(pairs)
+    gpas = [gpa for gpa, _meta_gva in pairs]
+    gvas = table.reverse_map_many(gpas) if table is not None else repeat(LOST)
+    rm_us, found = res.rm_us, res.gvas.append
+    for (gpa, meta_gva), gva in zip(pairs, gvas):
+        rm_us += rm_pp
         if gva is LOST:
             res.lost.append((gpa, meta_gva))
         else:
             if gva != meta_gva:
                 res.inaccurate.append((gva, meta_gva))
-            res.gvas.append(gva)
+            found(gva)
+    res.rm_us = rm_us
     return res
 
 
@@ -616,6 +623,20 @@ class _MechanicalRun(_Run):
     operations in the same order as a write-by-write accounting.  Past the
     horizon the run is truncated if an op is left undone; a round whose
     last write crosses it still counts.
+
+    In a micro-benchmark round, writes to consecutive pages, a *stretch*
+    of quiet writes takes one step.  The machine says how many of the next
+    writes would be quiet and hands back each one's page byte
+    (:meth:`~oohsim.vm.VirtualMachine.quiet_run`); a 256-entry table built
+    from the price list turns each byte into that write's wall and run
+    µs.  :func:`itertools.accumulate` advances the clock and the run time
+    one write at a time, as the per-write loop adds them, and
+    :func:`bisect.bisect_left` finds the first write that reaches the tick,
+    the horizon or the quantum.  The machine applies the writes up to and
+    including it (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that
+    write's event exit is the per-write loop's.  The state, the counters and
+    every float are those of write-by-write stepping; the write that finds
+    a log buffer full still goes through ``write_one``.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -632,10 +653,35 @@ class _MechanicalRun(_Run):
 
     @cached_property
     def _sweep(self) -> list[int]:
-        # one int object per page, reused every round, so the page tables'
-        # dict lookups match keys by identity; built for the micro-benchmark
-        # only, as a trace may map far more pages than it writes
+        # one int object per page, reused every round, so the oracle's set
+        # lookups match keys by identity; built for the micro-benchmark only,
+        # as a trace may map far more pages than it writes
         return list(self.gvas)
+
+    @cached_property
+    def _write_us(self) -> list[tuple[float, float]]:
+        """A write's (wall, run) µs, at index soft-dirty fault + 2 × uffd fault."""
+        c = self.c
+        out = []
+        for uffd_recorded in (False, True):
+            for softdirty_fault in (False, True):
+                wall = run = c.write
+                if softdirty_fault and self.tech == "proc":
+                    run += c.softdirty_fault
+                    wall += c.softdirty_fault
+                if uffd_recorded:
+                    wall += c.uffd_fault
+                out.append((wall, run))
+        return out
+
+    @cached_property
+    def _byte_us(self) -> tuple[list[float], list[float], bytes]:
+        """By a region page's state byte: its write's wall µs, its run µs, and a
+        ``translate`` table that marks the writes with a uffd fault."""
+        faults = [write_faults(bits) for bits in range(256)]
+        costs = [self._write_us[sd + 2 * wp] for sd, wp in faults]
+        walls, runs = [wall for wall, _ in costs], [run for _, run in costs]
+        return walls, runs, bytes(wp for _, wp in faults)
 
     # ----- helpers -------------------------------------------------------
 
@@ -687,24 +733,34 @@ class _MechanicalRun(_Run):
 
     # ----- the driver loop -------------------------------------------------
 
-    def _drive(self, ops) -> None:
+    def _drive(self, ops=None) -> None:
         """Execute ``ops`` until they run out, the horizon passes or a stall truncates.
 
-        A write's base cost is ``w``, then the soft-dirty fault for
-        ``proc``, then the uffd fault for a recorded fault; the class
-        docstring lists the event exits.
+        ``ops`` None is one round of the micro-benchmark: a write to each
+        page of the sweep, in order.  There a stretch of quiet writes
+        (:meth:`~oohsim.vm.VirtualMachine.quiet_run`) is applied in one step;
+        a write a stretch cannot take goes through ``write_one``, as every
+        trace write does.  A write's cost is ``w``, then the soft-dirty fault
+        for ``proc``, then the uffd fault for a recorded fault
+        (``_write_us``); the class docstring lists the event exits.
         """
-        it = iter(ops)
+        if ops is None:
+            sweep, (walls, runs, recorded) = self._sweep, self._byte_us
+            it = iter(zip(repeat("write"), sweep))
+        else:
+            sweep, it = None, iter(ops)
         horizon = self.cfg.horizon_us
         if self.t >= horizon:
             self._stop(it)
             return
         quantum = self.cfg.quantum_us
-        c = self.c
-        w, uffd_fault = c.write, c.uffd_fault
-        sd_fault = c.softdirty_fault if self.tech == "proc" else None
-        pid, write_one, apply_op = TRACKED_PID, self.vm.write_one, self.vm.apply_op
+        w, uffd_fault = self.c.write, self.c.uffd_fault
+        write_us = self._write_us
+        vm, pid = self.vm, TRACKED_PID
+        write_one, apply_op = vm.write_one, vm.apply_op
+        quiet_run, write_run = vm.quiet_run, vm.write_run
         oracle_add = self.oracle.add
+        first = self.writes_done  # every sweep write completes
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
         limit = min(self.next_tick, horizon)
@@ -715,25 +771,51 @@ class _MechanicalRun(_Run):
                 apply_op(pid, op)
                 continue
             gva = op[1]
-            res = write_one(pid, gva)
-            outcome = res[0]
-            wall = run = w
-            if sd_fault is not None and outcome.softdirty_fault:
-                run += sd_fault
-                wall += sd_fault
-            if res.uffd_recorded:
-                wall += uffd_fault
-                suspension += uffd_fault
-                busy += uffd_fault
-            if outcome.fault is None:
-                writes_done += 1
-                oracle_add(gva)
-            if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
-                t += wall
-                run_acc += run
+            bits = b""
+            if sweep is not None and t < limit and run_acc < quantum:
+                # peek at enough writes to reach the tick or the quantum at ``w`` each;
+                # a round can start past the tick (proc's pagemap walk is not ticked),
+                # and then its first write ends the stretch alone, by ``write_one``
+                left = len(sweep) - (writes_done - first)
+                n = min(left, int((limit - t) / w) + 2, int((quantum - run_acc) / w) + 2)
+                bits = quiet_run(pid, gva, n)
+            if bits:
+                # dearer writes (uffd's) reach the tick sooner: clock no more of them
+                bits = bits[: int((limit - t) / walls[bits[0]]) + 2]
+                # the stretch ends with the first write whose clock reaches the
+                # limit or whose run time reaches the quantum, if one does
+                ts = list(accumulate(map(walls.__getitem__, bits), initial=t))
+                rs = list(accumulate(map(runs.__getitem__, bits), initial=run_acc))
+                k = min(bisect_left(ts, limit, 1), bisect_left(rs, quantum, 1), len(bits))
+                write_run(pid, gva, k)
+                faults = bits[:k].translate(recorded).count(1)
+                if faults:
+                    suspension = reduce(add, repeat(uffd_fault, faults), suspension)
+                    busy = reduce(add, repeat(uffd_fault, faults), busy)
+                self.oracle.update(sweep[writes_done - first : writes_done - first + k])
+                writes_done += k
+                if k > 1:
+                    next(islice(it, k - 2, None))  # the stretch's other writes
+                t, run_acc = ts[k], rs[k]
                 if t < limit and run_acc < quantum:
                     continue
-                res = None  # counted: only the quantum and tick checks remain
+                res, wall, run = None, walls[bits[k - 1]], runs[bits[k - 1]]
+            else:
+                res = write_one(pid, gva)
+                outcome = res[0]
+                wall, run = write_us[outcome.softdirty_fault + 2 * res.uffd_recorded]
+                if res.uffd_recorded:
+                    suspension += uffd_fault
+                    busy += uffd_fault
+                if outcome.fault is None:
+                    writes_done += 1
+                    oracle_add(gva)
+                if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
+                    t += wall
+                    run_acc += run
+                    if t < limit and run_acc < quantum:
+                        continue
+                    res = None  # counted: only the quantum and tick checks remain
             self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
             self.suspension, self.tracker_busy = suspension, busy
             self._event(res, wall, run)
@@ -792,7 +874,7 @@ class _MechanicalRun(_Run):
             self._drive(getattr(self.cfg.trace, "ops", self.cfg.trace))
 
     def _round(self) -> None:
-        self._drive(zip(repeat("write"), self._sweep))
+        self._drive()
 
     def _round_end(self) -> None:
         if self.tech == "proc":

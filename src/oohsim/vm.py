@@ -12,17 +12,24 @@ full.  ``write_one`` returns one of those as soon as it knows, with every
 device field at its default, and only a full buffer takes the flush,
 softirq and replay path.
 
+:meth:`VirtualMachine.quiet_run` and :meth:`VirtualMachine.write_run` are
+the bulk form of ``write_one`` for writes to consecutive pages: the first
+says how many of the next writes would be quiet and how each would fault,
+the second applies them as slice operations on the two tables and bulk
+appends to the log buffers, entry tags and uffd record, leaving exactly the
+state that one ``write_one`` per write leaves.
+
 Allocation hands out fresh guest-physical and host-physical frames —
 addresses are never reused, so a page remapped after churn is always
 distinguishable from its predecessor.
 
 :meth:`VirtualMachine.allocate` maps its pages as one region in the page
 table and one in the EPT: one byte of state per page in each, and no
-per-page object.  A page's first write flips bits in those bytes; a page
-gets stored entries only when written again, unmapped or moved (see
-:mod:`oohsim.memory`).  The address counters advance exactly as if every
-page had been mapped singly.  :meth:`VirtualMachine.read_page` and the
-epml re-arm look a page's GPA up without building an entry for it.
+per-page object.  A write flips bits in those bytes; a page gets stored
+entries only when moved or mapped singly (see :mod:`oohsim.memory`).  The
+address counters advance exactly as if every page had been mapped singly.
+:meth:`VirtualMachine.read_page` and the epml re-arm look a page's GPA up
+without building an entry for it.
 
 A trace's ``map``/``unmap``/``remap`` ops, for the tracker engine and for
 checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and
@@ -227,6 +234,34 @@ class VirtualMachine:
             refused,
             uffd_recorded,
         )
+
+    def quiet_run(self, pid: int, gva: int, n: int) -> bytes:
+        """The state bytes of the next ``n`` or fewer writes to consecutive pages
+        from ``gva`` that :meth:`write_one` would complete quietly.
+
+        Quiet means no vmexit, stall or softirq copy.  The run stops before
+        a page that is no live region page (in the page table or the EPT),
+        before a write-protect fault with no monitor to take it, and before
+        the write whose dirty transition would find a log buffer full.
+        :func:`~oohsim.memory.write_faults` reads the faults each write
+        takes from its byte.  ``n`` must be at least 1.  No state change.
+        """
+        proc = self.kernel._proc(pid)
+        bits, gpa = proc.table.region_run(gva, n, protected=proc.uffd_mode is not None)
+        if not bits:
+            return bits
+        return bits[: self.ept.region_run(gpa, len(bits), self.hv.pml.free_slots())]
+
+    def write_run(self, pid: int, gva: int, count: int) -> None:
+        """The first ``count`` writes of a :meth:`quiet_run` from ``gva``, applied in
+        one step: the state after is the state after ``count`` :meth:`write_one`
+        calls."""
+        proc = self.kernel._proc(pid)
+        protected, logged = proc.table.write_run(gva, count, self.ept)
+        if protected:
+            self.kernel.uffd_record_run(pid, protected)
+        if logged:
+            self.hv.log_writes(logged)
 
     def read_page(self, pid: int, gva: int) -> bytes:
         """Read a page's stored payload through the translation stack."""

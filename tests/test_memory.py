@@ -320,6 +320,8 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
             assert lazy_ept.translate(gpa) == eager_ept.translate(gpa)
             assert (gpa in lazy_ept) == (gpa in eager_ept)
+        want = [eager_pt.reverse_map(gpa) for gpa in gpas]
+        assert lazy_pt.reverse_map_many(gpas) == eager_pt.reverse_map_many(gpas) == want
         assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
         assert lazy_pt.dirty_set() == eager_pt.dirty_set()
         assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
@@ -336,10 +338,8 @@ def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
     ept.map_region(0x20_0000, 0x2000_0000, 4)
     ept.map_gpa(0x30_0000, 0x3000_0000)
     first, second, single = 0x10_1000, 0x20_2000, 0x30_0000
-    stored = 0x10_3000  # a region frame dirtied twice has left its region
-    ept.set_dirty(stored)
-    ept.clear_dirty([stored])
-    ept.set_dirty(stored)
+    stored = 0x10_3000  # a region frame mapped singly has left its region
+    ept.map_gpa(stored, 0x4000_0000)
     assert stored in ept.entries
     untouched = 0x20_0000  # dirty, but not in the batch
     for gpa in (first, second, single, untouched):
@@ -377,10 +377,10 @@ def _assert_same_answers(lazy, eager, gvas, gpas):
     assert len(lazy_pt) == len(eager_pt)
 
 
-def test_region_page_is_stored_only_when_written_twice():
+def test_region_page_keeps_its_byte_until_moved():
     lazy, eager = _twin_spaces(4)
     (pt, ept), (eager_pt, eager_ept) = lazy, eager
-    gvas = [REGION_GVA + i * P for i in range(4)]
+    gvas = [REGION_GVA + i * P for i in range(4)] + [REGION_GVA + 9 * P]
     gpas = [REGION_GPA + i * P for i in range(4)]
     gva, gpa = gvas[1], gpas[1]
 
@@ -393,26 +393,29 @@ def test_region_page_is_stored_only_when_written_twice():
         ept.clear_dirty([gpa])
         eager_ept.clear_dirty([gpa])
 
+    def nothing_stored():
+        return pt.entries == {} and pt._rmap == {} and ept.entries == {}
+
     # the first write flips bits in the regions and stores nothing
     assert write().ept_dirty_set
-    assert pt.entries == {} and pt._rmap == {} and ept.entries == {}
+    assert nothing_stored()
     assert pt.dirty_set() == {gva} and ept.dirty_gpas() == {gpa}
     _assert_same_answers(lazy, eager, gvas, gpas)
 
-    # a re-arm while the page is still in its region transitions again, and
-    # that second write stores the page in both tables
+    # a rewrite leaves the page in its region: no transition while dirty, a
+    # transition again after a re-arm, and still nothing stored
+    assert not write().ept_dirty_set
     clear_dirty()
     assert not ept.is_dirty(gpa)
     _assert_same_answers(lazy, eager, gvas, gpas)
     assert write().ept_dirty_set
-    assert pt.entries == {gva: PageEntry(gpa, PageFlags(dirty=True))}
-    assert pt._rmap == {gpa: {gva}}
-    assert ept.entries == {gpa: [REGION_HPA + P, True]}
+    assert not write().ept_dirty_set
+    assert nothing_stored()
     _assert_same_answers(lazy, eager, gvas, gpas)
 
-    # and once stored, a re-arm still makes the next write transition
-    assert not write().ept_dirty_set
-    clear_dirty()
-    assert write().ept_dirty_set
-    assert len(pt.entries) == len(ept.entries) == 1
+    # a move stores the page, with its flags, under its new address
+    pt.remap(gva, gvas[4])
+    eager_pt.remap(gva, gvas[4])
+    assert pt.entries == {gvas[4]: PageEntry(gpa, PageFlags(dirty=True))}
+    assert pt._rmap == {gpa: {gvas[4]}}
     _assert_same_answers(lazy, eager, gvas, gpas)

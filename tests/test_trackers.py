@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oohsim.checkpoint import CheckpointSession
 from oohsim.costs import PAGE_SIZE, CostTable
@@ -939,3 +941,69 @@ def test_zero_horizon_truncates_immediately():
     assert rep.truncated
     assert rep.writes_done == 0
     assert rep.monitor_span_us == 0.0
+
+
+# ------------------------------------------------ quiet stretches are exact
+
+
+def _field_bits(report: TrackerPhaseReport) -> dict:
+    """Every report field, floats as their exact hex form."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return {k: exact(v) for k, v in value.items()}
+        return value
+
+    return {f.name: exact(getattr(report, f.name)) for f in fields(report)}
+
+
+def _assert_stretches_exact(config) -> None:
+    """The run gives the report it gives with every write by ``write_one``."""
+    stretched = run_tracker(config)
+    with pytest.MonkeyPatch.context() as mp:
+        # no quiet run: every write goes through write_one
+        mp.setattr(VirtualMachine, "quiet_run", lambda self, pid, gva, n: b"")
+        stepped = run_tracker(config)
+    assert _field_bits(stretched) == _field_bits(stepped)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    technique=st.sampled_from(TECHNIQUES),
+    pages=st.sampled_from([1, 77, 512, 513, 700]),
+    rounds=st.integers(min_value=0, max_value=3),
+    quantum_us=st.sampled_from([0.5, 300.0, 3_000.0, 10_000.0]),
+    interval_us=st.sampled_from([40.0, 250.0, 1_000.0, 2_000.0]),
+    ring=st.sampled_from([512, 1024, 16384]),
+    policy=st.sampled_from(["stall", "drop"]),
+    defer=st.booleans(),
+    horizon_us=st.sampled_from([0.0, 350.0, 3_000.0, 6e7]),
+)
+def test_quiet_stretches_leave_every_report_field_as_write_by_write(
+    technique, pages, rounds, quantum_us, interval_us, ring, policy, defer, horizon_us
+):
+    config = cfg(
+        technique,
+        pages * PAGE_SIZE,
+        rounds=rounds,
+        quantum_us=quantum_us,
+        collection_interval_us=interval_us,
+        ring_capacity=ring,
+        ring_full_policy=policy,
+        defer_reverse_map=defer,
+        horizon_us=horizon_us,
+        mechanical=True,
+    )
+    _assert_stretches_exact(config)
+
+
+@pytest.mark.parametrize("rounds", [2, 3])
+@pytest.mark.parametrize("interval_us", [1_900.0, 2_000.0, 2_100.0, 2_200.0])
+def test_a_round_that_starts_past_the_tick_is_exact(rounds, interval_us):
+    # proc's pagemap walk is not ticked, so at these intervals a round starts
+    # with the clock already past the next collection tick
+    config = cfg(
+        "proc", 256 * PAGE_SIZE, rounds=rounds, collection_interval_us=interval_us, mechanical=True
+    )
+    _assert_stretches_exact(config)

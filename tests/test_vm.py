@@ -5,7 +5,11 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oohsim.guest import TECHNIQUES
+from oohsim.memory import write_faults
 from oohsim.vm import VirtualMachine
 
 MB = 1 << 20
@@ -237,8 +241,111 @@ def test_allocation_makes_entries_only_for_touched_pages():
     table = vm.kernel.processes[1].table
     assert dirty == written
     assert len(table) == 614_400
-    # each page was written once, so it is still a byte in its region
+    # a written page stays a byte in its region
     assert table.entries == {}
     assert vm.ept.entries == {}
     assert table.dirty_set() == written
     assert peak < 4 * MB
+
+
+# ------------------------------------------------------------ quiet runs
+
+P = 0x1000
+TWIN_PAGES = 24
+
+
+def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm):
+    """A tracked machine with an unmapped hole, a singly mapped page, a protected
+    page and partly filled buffers; the same arguments build the same machine."""
+    vm = VirtualMachine(ring_capacity=64, ring_full_policy="drop", buffer_slots=8)
+    vm.create_process(7)
+    pages = vm.allocate(7, TWIN_PAGES)
+    vm.unmap(7, pages[hole])
+    if single != hole:
+        vm.unmap(7, pages[single])
+        vm.map_fresh(7, pages[single])
+    vm.kernel.register_tracked(7, technique, TWIN_PAGES * P)
+    if protect not in (hole, single):
+        vm.kernel.processes[7].table.set_write_protect([pages[protect]])
+    if sched_in:
+        vm.kernel.on_schedule(7, "in")
+    for i in prewrites:
+        if i != hole and (i != protect or technique == "uffd"):
+            vm.write_one(7, pages[i])
+    table = vm.kernel.processes[7].table
+    vm.ept.clear_dirty(table.gpas_of([pages[i] for i in rearm]))
+    return vm, pages
+
+
+def _machine_state(vm):
+    def regions(tab):
+        return [(r.base, r.target, bytes(r.bits), r.live) for r in tab._regions]
+
+    proc = vm.kernel.processes[7]
+    hv, pml = vm.hv, vm.hv.pml
+    return (
+        proc.table.entries, proc.table._rmap, regions(proc.table),
+        vm.ept.entries, regions(vm.ept),
+        [(b.entries, b.index, b.drops_while_full) for b in (pml.hv_buffer, pml.guest_buffer)],
+        hv._entry_tags, hv.logged_guest_tagged, hv.logged_vmm_tagged,
+        proc.uffd_dirty, vm.kernel.uio.ring, [(b.pid, b.entries) for b in hv.ring.blocks],
+    )
+
+
+_page = st.integers(min_value=0, max_value=TWIN_PAGES - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    technique=st.sampled_from(TECHNIQUES),
+    sched_in=st.booleans(),
+    hole=_page,
+    single=_page,
+    protect=_page,
+    prewrites=st.lists(_page, max_size=14),
+    rearm=st.lists(_page, max_size=6),
+    start=_page,
+    n=st.integers(min_value=1, max_value=TWIN_PAGES),
+    data=st.data(),
+)
+def test_write_run_leaves_the_state_of_one_write_one_per_write(
+    technique, sched_in, hole, single, protect, prewrites, rearm, start, n, data
+):
+    args = (technique, sched_in, hole, single, protect, prewrites, rearm)
+    (bulk, pages), (single_steps, _) = _twin_machine(*args), _twin_machine(*args)
+    first = pages[start]
+    bits = bulk.quiet_run(7, first, n)
+    assert len(bits) <= n
+    assert _machine_state(bulk) == _machine_state(single_steps)  # the peek changes nothing
+    if bits:
+        k = data.draw(st.integers(min_value=1, max_value=len(bits)), label="k")
+        bulk.write_run(7, first, k)
+    else:
+        k = 0
+    for i in range(k):
+        res = single_steps.write_one(7, first + i * P)
+        assert res.completed and res.vmexit is None and not res.softirq_copied
+        assert not res.stalled and not res.guest_dropped
+        assert (res.outcome.softdirty_fault, res.uffd_recorded) == write_faults(bits[i])
+    assert _machine_state(bulk) == _machine_state(single_steps)
+
+    # the run stopped for a reason: the page after it is no region page, a
+    # protect fault no monitor takes, or a write that finds a buffer full
+    if k == len(bits) < n and start + k < TWIN_PAGES:
+        gva_next = first + k * P
+        table = single_steps.kernel.processes[7].table
+        entry = table.entry(gva_next)
+        if entry is None or gva_next in table.entries or entry.gpa in single_steps.ept.entries:
+            return
+        if not entry.flags.writable and technique != "uffd":
+            return
+        log = single_steps.write_one(7, gva_next).log
+        assert log is not None and (log.hv_full or log.guest_full)
+
+
+@pytest.mark.parametrize("n", [0, -1, -200])
+def test_quiet_run_rejects_a_run_of_no_pages(n):
+    # a slice with a negative length would count from the region's end
+    vm, pages = _twin_machine("spml", True, 0, 0, 0, [], [])
+    with pytest.raises(ValueError):
+        vm.quiet_run(7, pages[1], n)
