@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .costs import PAGE_SIZE as PAGE
-from .costs import CostTable, Prices, pages_for
-from .guest import TECHNIQUES
+from .costs import CostTable, Prices
 from .memory import UnknownMapping
 from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
 from .trackers import tracked_machine
@@ -260,14 +259,11 @@ def checkpoint_time_model(
     time.  Every dump then pays a fixed base cost plus a per-page copy.
     A bad argument raises ``ValueError`` naming it.
     """
-    if technique not in TECHNIQUES:
-        raise ValueError(f"technique: must be one of {sorted(TECHNIQUES)}, got {technique!r}")
-    if memory_bytes <= 0:
-        raise ValueError("memory_bytes: must be positive")
+    cfg = TrackerConfig(technique, memory_bytes, table=table)
     if dirty_pages is not None and dirty_pages < 0:
         raise ValueError("dirty_pages: must be >= 0")
-    dirty = pages_for(memory_bytes) if dirty_pages is None else dirty_pages
-    return _dump_timing(technique, (table or CostTable.default()).prices(memory_bytes), dirty)
+    dirty = cfg.pages if dirty_pages is None else dirty_pages
+    return _dump_timing(technique, cfg.cost_table().prices(memory_bytes), dirty)
 
 
 def _dump_timing(technique: str, prices: Prices, dirty: int) -> CheckpointTiming:

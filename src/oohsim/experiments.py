@@ -119,7 +119,6 @@ class ExperimentConfig:
     """
 
     seed: int = 0
-    vcpus: int = 1
     memory_sizes: tuple[int, ...] = (100 * MB,)
     techniques: tuple[str, ...] = ("proc", "uffd", "spml", "epml")
     workload: str = "microbench"
@@ -137,8 +136,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed: must be a non-negative integer")
-        if self.vcpus != 1:
-            raise ConfigError("vcpus: this model simulates a single vCPU")
         if not self.memory_sizes:
             raise ConfigError("memory_sizes: at least one size is required")
         for size in self.memory_sizes:
@@ -253,7 +250,7 @@ def _coerce_field(name: str, raw: Any) -> Any:
         return tuple(parse_size(p) for p in parts)
     if name == "techniques":
         return _parse_list(raw)
-    if name in ("seed", "vcpus", "rounds", "kv_ops", "ring_capacity"):
+    if name in ("seed", "rounds", "kv_ops", "ring_capacity"):
         return int(str(raw).strip()) if not isinstance(raw, int) else raw
     if name in ("kv_churn_rate", "quantum_us", "collection_interval_us", "horizon_us"):
         return float(raw)

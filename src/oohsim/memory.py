@@ -7,30 +7,26 @@ numbers.  A per-process :class:`GuestPageTable` maps GVA pages to GPA pages
 :class:`Ept` maps GPA pages to HPA pages while owning the hardware dirty
 bit that page-modification logging keys off.
 
-Both tables map a run of pages in one step as a *region*: page *i* of a
-region is backed by the region's base plus *i* pages, so translation and
-reverse mapping are arithmetic, and each page's state is one byte of the
-region's ``bytearray`` (page table: mapped, writable, dirty, soft-dirty;
-EPT: mapped, dirty).  Writes, individual protects and EPT re-arms flip bits
-in place, so mapping a large address space and writing it over and over
-builds no per-page object.  Whole-table operations (soft-dirty clear,
-protect-all, the dirty and soft-dirty sets, the page count) run over the
-bytes with ``bytes.translate``, ``find`` and ``count``, then visit the
-stored entries.  A run of writes to consecutive region pages
-(:meth:`GuestPageTable.write_run`) is two slice operations, one on each
-table.
-
-A region page moves to a stored entry (``entries``, plus the reverse index
-in the page table) only when it is moved or mapped singly; an unmap just
-takes it out of its region.  A region with no page left is dropped, and its
-table is then the same as one that mapped every page singly.
+Both tables hold every page in a *region*: page *i* of a region is backed
+by the region's base plus *i* pages, so translation and reverse mapping are
+arithmetic, and each page's state is one byte of the region's
+``bytearray`` (page table: mapped, writable, dirty, soft-dirty; EPT: mapped,
+dirty).  An allocation is one region in each table; a page mapped singly
+or moved is a one-page region, kept in ``entries`` under its address.  So
+each rule about a page's state is one byte table, applied to one byte (a
+write, a protect, a re-arm) or to a slice (a run of writes,
+:meth:`GuestPageTable.write_run`); whole-table operations (soft-dirty
+clear, protect-all, the dirty and soft-dirty sets) run over the bytes with
+``bytes.translate``, ``find`` and ``count``.  Mapping a large address space
+and writing it over and over builds no per-page object.  An unmap takes a
+page out of its region, and a region with no page left is dropped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate
+from collections.abc import Iterator
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .costs import PAGE_SIZE
@@ -66,29 +62,24 @@ class AlreadyMapped(MappingError):
     """Attempt to map a GVA page that already has a mapping."""
 
 
-@dataclass(slots=True)
-class PageFlags:
-    """Per-PTE bookkeeping bits.
+class PageFlags(NamedTuple):
+    """A page-table entry's bits, read from its state byte.
 
     ``soft_dirty`` starts set at allocation (the kernel marks the first
     touch); an explicit soft-dirty clear resets it, and the next write takes
     the kernel fault path that sets it again.
     """
 
-    present: bool = True
-    writable: bool = True
-    dirty: bool = False
-    soft_dirty: bool = True
-
-    def validate(self) -> None:
-        if self.dirty and not self.present:
-            raise ValueError("dirty page must be present")
+    writable: bool
+    dirty: bool
+    soft_dirty: bool
 
 
-@dataclass(slots=True)
-class PageEntry:
+class PageEntry(NamedTuple):
+    """A read-only view of one mapping; change it through the table's methods."""
+
     gpa: int
-    flags: PageFlags = field(default_factory=PageFlags)
+    flags: PageFlags
 
 
 class WriteOutcome(NamedTuple):
@@ -117,8 +108,8 @@ class WriteOutcome(NamedTuple):
         return self.fault is None
 
 
-# One byte of state per region page.  A zero byte is a page that has left
-# its region; every live byte has _MAPPED set.  Page-table regions use
+# One byte of state per page.  A zero byte is a page that has left its
+# region; every live byte has _MAPPED set.  Page-table regions use
 # _WRITABLE, _DIRTY and _SOFT_DIRTY; EPT regions use _DIRTY.
 _MAPPED, _WRITABLE, _DIRTY, _SOFT_DIRTY = 1, 2, 4, 8
 _PTE_FRESH = _MAPPED | _WRITABLE | _SOFT_DIRTY
@@ -144,10 +135,17 @@ _SET_DIRTY = bytes(v | _DIRTY if v else 0 for v in range(256))
 
 
 def write_faults(bits: int) -> tuple[bool, bool]:
-    """The faults a write to a page-table region page in state ``bits`` takes:
+    """The faults a write to a page-table page in state ``bits`` takes:
     (soft-dirty fault, write-protect fault), as :meth:`GuestPageTable.write_page`
     reports them."""
     return not bits & _SOFT_DIRTY, not bits & _WRITABLE
+
+
+def _view(gpa: int, bits: int) -> PageEntry:
+    """The page-table entry of a page backed by ``gpa`` in state ``bits``."""
+    return PageEntry(
+        gpa, PageFlags(bits & _WRITABLE != 0, bits & _DIRTY != 0, bits & _SOFT_DIRTY != 0)
+    )
 
 
 def _addresses(bits: bytes, select: bytes, base: int) -> list[int]:
@@ -168,8 +166,8 @@ def _addresses(bits: bytes, select: bytes, base: int) -> list[int]:
 class _Region:
     """``len(bits)`` pages from ``base`` on; page *i* is backed by ``target + i·PAGE_SIZE``.
 
-    ``bits[i]`` is page *i*'s state, 0 once it has left the region (moved
-    to a stored entry, or unmapped); ``live`` counts the nonzero bytes.
+    ``bits[i]`` is page *i*'s state, 0 once it has left the region;
+    ``live`` counts the nonzero bytes.
     """
 
     __slots__ = ("base", "target", "span", "bits", "live")
@@ -192,91 +190,160 @@ class _Region:
                 return i
         return -1
 
-    def pages(self, select: bytes) -> list[int]:
-        """Addresses of the pages whose byte ``select`` maps to 1."""
-        return _addresses(self.bits, select, self.base)
 
+class _PageMap:
+    """Page addresses mapped to targets, each page with one state byte in a region.
 
-def _find(regions: list[_Region], addr: int) -> tuple[_Region, int] | None:
-    """The region holding live page ``addr`` and its index there, else None."""
-    for region in regions:
-        i = region.index(addr - region.base)
-        if i >= 0:
-            return region, i
-    return None
+    ``entries`` holds the one-page regions of pages mapped singly or moved,
+    under their address; ``_regions`` the regions mapped as a run.  A live
+    address is in exactly one of them.
+    """
 
+    def __init__(self):
+        self.entries: dict[int, _Region] = {}
+        self._regions: list[_Region] = []
 
-def _live_run(regions: list[_Region], addr: int, n: int) -> tuple[_Region, int, bytearray] | None:
-    """The region holding live page ``addr``, its index there and the bytes of
-    the live pages from it on: at most ``n``, up to the first that left or the
-    region's end.  None when ``addr`` is no live region page."""
-    if n < 1:
-        raise ValueError(f"a run holds at least one page, got {n}")
-    found = _find(regions, addr)
-    if found is None:
+    def _locate(self, addr: int) -> tuple[_Region, int] | None:
+        """The region holding live page ``addr`` and its index there, else None."""
+        region = self.entries.get(addr)
+        if region is not None:
+            return region, 0
+        for region in self._regions:
+            i = region.index(addr - region.base)
+            if i >= 0:
+                return region, i
         return None
-    region, i = found
-    bits = region.bits[i : i + n]
-    stop = bits.find(0)
-    return region, i, bits if stop < 0 else bits[:stop]
+
+    def __contains__(self, addr: int) -> bool:
+        return self._locate(addr) is not None
+
+    def _target(self, addr: int) -> int | None:
+        """The address page ``addr`` maps to, or None when it is not mapped."""
+        region = self.entries.get(addr)
+        if region is not None:
+            return region.target
+        # _locate's scan, inline: this runs for every payload write and page read
+        for region in self._regions:
+            i = region.index(addr - region.base)
+            if i >= 0:
+                return region.target + i * PAGE_SIZE
+        return None
+
+    def _walk(self, addrs: list[int]) -> Iterator[tuple[_Region, list[int]]]:
+        """The regions holding live pages among ``addrs``, each with those pages' indices.
+
+        Pages in ``entries`` come first; the rest are then resolved one run
+        at a time, each run in one pass over what is left.
+        """
+        entries = self.entries
+        rest = [addr for addr in addrs if addr not in entries]
+        if len(rest) < len(addrs):
+            yield from ((entries[addr], [0]) for addr in addrs if addr in entries)
+        for region in self._regions:
+            if not rest:
+                return
+            base, span, bits = region.base, region.span, region.bits
+            hits, left = [], []
+            for addr in rest:
+                off = addr - base
+                if 0 <= off < span:
+                    if not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
+                        hits.append(off // PAGE_SIZE)
+                else:
+                    left.append(addr)
+            yield region, hits
+            rest = left
+
+    def _all(self) -> Iterator[_Region]:
+        return chain(self._regions, self.entries.values())
+
+    def _pages(self, select: bytes) -> set[int]:
+        """Addresses of the pages whose byte ``select`` maps to 1."""
+        out = {addr for addr, region in self.entries.items() if select[region.bits[0]]}
+        for region in self._regions:
+            out.update(_addresses(region.bits, select, region.base))
+        return out
+
+    def _translate(self, table: bytes) -> None:
+        """Every page's byte ``b`` becomes ``table[b]``."""
+        for region in self._all():
+            region.bits = region.bits.translate(table)
+
+    def _take(self, addr: int) -> tuple[int, int] | None:
+        """Take page ``addr`` out of the map: its target and state byte, or None
+        when it is not mapped.  A region left with no page is dropped."""
+        region = self.entries.pop(addr, None)
+        if region is not None:
+            return region.target, region.bits[0]
+        found = self._locate(addr)
+        if found is None:
+            return None
+        region, i = found
+        bits = region.bits[i]
+        region.bits[i] = 0
+        region.live -= 1
+        if not region.live:
+            self._regions.remove(region)
+        return region.target + i * PAGE_SIZE, bits
+
+    def _live_run(self, addr: int, n: int) -> tuple[_Region, int, bytearray] | None:
+        """The region holding live page ``addr``, its index there and the bytes of
+        the live pages from it on: at most ``n``, up to the first that left or
+        the region's end.  None when ``addr`` is no live page of a region mapped
+        as a run."""
+        if n < 1:
+            raise ValueError(f"a run holds at least one page, got {n}")
+        found = None if addr in self.entries else self._locate(addr)
+        if found is None:
+            return None
+        region, i = found
+        bits = region.bits[i : i + n]
+        stop = bits.find(0)
+        return region, i, bits if stop < 0 else bits[:stop]
 
 
-def _release(regions: list[_Region], region: _Region, i: int) -> None:
-    """Page ``i`` leaves ``region``; the region is dropped once empty."""
-    region.bits[i] = 0
-    region.live -= 1
-    if not region.live:
-        regions.remove(region)
-
-
-def _region_entry(region: _Region, i: int) -> PageEntry:
-    """A page-table entry holding region page ``i``'s mapping and flags."""
-    bits = region.bits[i]
-    return PageEntry(
-        region.target + i * PAGE_SIZE,
-        PageFlags(True, bits & _WRITABLE != 0, bits & _DIRTY != 0, bits & _SOFT_DIRTY != 0),
-    )
-
-
-class GuestPageTable:
+class GuestPageTable(_PageMap):
     """GVA -> (GPA, flags) map for one process, with a GPA reverse index.
 
-    Pages mapped by :meth:`map_page` are stored in ``entries`` (and the
-    reverse index) at once.  Pages mapped as a run by :meth:`map_region`
-    keep their flags as one byte each in their region: a write, a protect
-    or a soft-dirty clear flips bits there.  A move gives the page a stored
-    entry like any other; an unmap just takes it out of its region.  Every
-    query answers for both kinds.
+    Pages mapped as a run by :meth:`map_region` share a region; a page
+    mapped by :meth:`map_page` or moved by :meth:`remap` is a one-page
+    region in ``entries`` and in the reverse index ``_rmap`` (GPA -> its
+    singly mapped GVAs).  A write, a protect or a soft-dirty clear flips
+    bits in the page's byte.
     """
 
     def __init__(self, pid: int):
+        super().__init__()
         self.pid = pid
-        self.entries: dict[int, PageEntry] = {}
         self._rmap: dict[int, set[int]] = {}
-        self._regions: list[_Region] = []
-
-    def __contains__(self, gva: int) -> bool:
-        return gva in self.entries or _find(self._regions, gva) is not None
 
     def __len__(self) -> int:
         return len(self.entries) + sum(r.live for r in self._regions)
 
-    def _store(self, gva: int, entry: PageEntry) -> None:
-        self.entries[gva] = entry
-        self._rmap.setdefault(entry.gpa, set()).add(gva)
+    def _store(self, gva: int, gpa: int, bits: int) -> None:
+        self.entries[gva] = _Region(gva, gpa, 1, bits)
+        self._rmap.setdefault(gpa, set()).add(gva)
+
+    def _take(self, gva: int) -> tuple[int, int] | None:
+        taken = _PageMap._take(self, gva)
+        if taken is not None:
+            peers = self._rmap.get(taken[0])
+            if peers is not None:
+                peers.discard(gva)
+                if not peers:
+                    del self._rmap[taken[0]]
+        return taken
 
     def entry(self, gva: int) -> PageEntry | None:
-        """The entry mapping ``gva``, or None when not mapped.  No state change.
+        """The entry mapping ``gva``, or None when not mapped.  No state change."""
+        found = self._locate(gva)
+        if found is None:
+            return None
+        region, i = found
+        return _view(region.target + i * PAGE_SIZE, region.bits[i])
 
-        For a region page this is a detached copy built from its byte;
-        change flags through the table's methods.
-        """
-        entry = self.entries.get(gva)
-        if entry is None:
-            found = _find(self._regions, gva)
-            if found is not None:
-                entry = _region_entry(*found)
-        return entry
+    translate_gva = entry  # the mapping as ``(gpa, flags)``
+    gpa_of = _PageMap._target  # the GPA alone, building no entry
 
     def map_region(self, gva: int, gpa: int, count: int) -> None:
         """Map ``count`` pages, ``PAGE_SIZE`` apart, from ``gva`` to GPAs from ``gpa``.
@@ -300,27 +367,17 @@ class GuestPageTable:
         *,
         writable: bool = True,
         soft_dirty: bool = True,
-    ) -> PageEntry:
+    ) -> None:
         if gva in self:
             raise AlreadyMapped(gva)
-        entry = PageEntry(gpa, PageFlags(writable=writable, soft_dirty=soft_dirty))
-        self._store(gva, entry)
-        return entry
+        bits = _MAPPED | (_WRITABLE if writable else 0) | (_SOFT_DIRTY if soft_dirty else 0)
+        self._store(gva, gpa, bits)
 
     def unmap(self, gva: int) -> PageEntry:
-        entry = self.entries.pop(gva, None)
-        if entry is None:
-            found = _find(self._regions, gva)
-            if found is None:
-                raise UnknownMapping(gva)
-            entry = _region_entry(*found)
-            _release(self._regions, *found)
-            return entry
-        peers = self._rmap[entry.gpa]
-        peers.discard(gva)
-        if not peers:
-            del self._rmap[entry.gpa]
-        return entry
+        taken = self._take(gva)
+        if taken is None:
+            raise UnknownMapping(gva)
+        return _view(*taken)
 
     def remap(self, gva_old: int, gva_new: int) -> PageEntry:
         """Move the GPA backing (and flags) of ``gva_old`` to ``gva_new``."""
@@ -328,51 +385,13 @@ class GuestPageTable:
             raise UnknownMapping(gva_old)
         if gva_new in self:
             raise AlreadyMapped(gva_new)
-        entry = self.unmap(gva_old)
-        self._store(gva_new, entry)
-        return entry
-
-    def translate_gva(self, gva: int) -> tuple[int, PageFlags] | None:
-        """Mapping for ``gva``, or None when not mapped.  No state change."""
-        entry = self.entry(gva)
-        if entry is None or not entry.flags.present:
-            return None
-        return entry.gpa, entry.flags
-
-    def gpa_of(self, gva: int) -> int | None:
-        """The GPA ``gva`` translates to, as :meth:`translate_gva`, building no entry."""
-        entry = self.entries.get(gva)
-        if entry is not None:
-            return entry.gpa if entry.flags.present else None
-        for region in self._regions:
-            i = region.index(gva - region.base)
-            if i >= 0:
-                return region.target + i * PAGE_SIZE
-        return None
+        gpa, bits = self._take(gva_old)
+        self._store(gva_new, gpa, bits)
+        return _view(gpa, bits)
 
     def gpas_of(self, gvas: list[int]) -> list[int]:
-        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped ones.
-
-        Stored entries first; the rest are resolved one region at a time, as
-        :meth:`Ept.clear_dirty` does.
-        """
-        entries = self.entries
-        out = [e.gpa for e in map(entries.get, gvas) if e is not None and e.flags.present]
-        rest = [gva for gva in gvas if gva not in entries]
-        for region in self._regions:
-            if not rest:
-                break
-            base, span, bits, target = region.base, region.span, region.bits, region.target
-            left = []
-            for gva in rest:
-                off = gva - base
-                if 0 <= off < span:
-                    if not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
-                        out.append(target + off)
-                else:
-                    left.append(gva)
-            rest = left
-        return out
+        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped ones."""
+        return [r.target + i * PAGE_SIZE for r, hits in self._walk(gvas) for i in hits]
 
     def reverse_map(self, gpa: int) -> int | None:
         """Some GVA currently mapping ``gpa``; lowest page number on aliases.
@@ -385,8 +404,8 @@ class GuestPageTable:
     def reverse_map_many(self, gpas: list[int]) -> list[int | None]:
         """:meth:`reverse_map` of each of ``gpas``, in order.
 
-        Stored aliases first; then each region in one pass over the batch,
-        keeping the lowest page number.
+        Singly mapped aliases first; then each run in one pass over the
+        batch, keeping the lowest page number.
         """
         rmap = self._rmap
         out = [min(gvas) if gvas else LOST for gvas in map(rmap.get, gpas)]
@@ -410,12 +429,10 @@ class GuestPageTable:
         the PTE dirty bit, sets soft-dirty (flagging the kernel fault if it
         was clear), and sets the EPT dirty bit for the backing GPA,
         reporting whether that was a clear-to-set transition.
-
-        A region page's write sets its bits in place.
         """
-        entry = self.entries.get(gva)
-        if entry is None:
-            # inline region lookup: this runs on every write to a region page
+        region = self.entries.get(gva)
+        if region is None:
+            # inline run lookup: this runs on every write, and a call costs
             for region in self._regions:
                 off = gva - region.base
                 if 0 <= off < region.span:
@@ -424,33 +441,26 @@ class GuestPageTable:
                 return WriteOutcome(gva, None, "not_present")
             i = off // PAGE_SIZE
             bits = 0 if off % PAGE_SIZE else region.bits[i]
-            if not bits:
-                return WriteOutcome(gva, None, "not_present")
-            gpa = region.target + off
-            if not bits & _WRITABLE and not ignore_protection:
-                return WriteOutcome(gva, gpa, "write_protect")
-            region.bits[i] = bits | _DIRTY | _SOFT_DIRTY
-            return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, ept.set_dirty(gpa))
-        flags = entry.flags
-        if not flags.present:
+        else:
+            off = i = 0
+            bits = region.bits[0]
+        if not bits:
             return WriteOutcome(gva, None, "not_present")
-        if not flags.writable and not ignore_protection:
-            return WriteOutcome(gva, entry.gpa, "write_protect")
-        flags.dirty = True
-        softdirty_fault = not flags.soft_dirty
-        flags.soft_dirty = True
-        gpa = entry.gpa
-        return WriteOutcome(gva, gpa, None, softdirty_fault, ept.set_dirty(gpa))
+        gpa = region.target + off
+        if not bits & _WRITABLE and not ignore_protection:
+            return WriteOutcome(gva, gpa, "write_protect")
+        region.bits[i] = _WRITTEN[bits]
+        return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, ept.set_dirty(gpa))
 
     def region_run(self, gva: int, n: int, *, protected: bool = True) -> tuple[bytes, int]:
-        """State bytes of the live region pages from ``gva`` on and the GPA of the first.
+        """State bytes of the live pages of a run from ``gva`` on and the GPA of the first.
 
         The run holds at most ``n`` pages and stops before the first page that
         is no live page of ``gva``'s region; with ``protected`` False also
         before the first write-protected one.  Empty when ``gva`` is no live
-        region page.  No state change.
+        page of a region mapped by :meth:`map_region`.  No state change.
         """
-        run = _live_run(self._regions, gva, n)
+        run = self._live_run(gva, n)
         if run is None:
             return b"", 0
         region, i, bits = run
@@ -471,7 +481,7 @@ class GuestPageTable:
         Returns the write-protected pages, whose writes faulted first, and the
         ``(gpa, gva)`` of each write that set an EPT dirty bit, in order.
         """
-        region, i = _find(self._regions, gva)
+        region, i = self._locate(gva)
         stop = i + count
         bits = region.bits[i:stop]
         region.bits[i:stop] = bits.translate(_WRITTEN)
@@ -482,80 +492,43 @@ class GuestPageTable:
 
     def clear_soft_dirty(self) -> int:
         """Clear every soft-dirty bit; returns how many were set."""
-        cleared = 0
-        for region in self._regions:
-            cleared += region.bits.translate(_HAS_SOFT_DIRTY).count(1)
-            region.bits = region.bits.translate(_CLEAR_SOFT_DIRTY)
-        for entry in self.entries.values():
-            if entry.flags.soft_dirty:
-                entry.flags.soft_dirty = False
-                cleared += 1
+        cleared = sum(r.bits.translate(_HAS_SOFT_DIRTY).count(1) for r in self._all())
+        self._translate(_CLEAR_SOFT_DIRTY)
         return cleared
 
     def soft_dirty_set(self) -> set[int]:
-        out = {g for g, e in self.entries.items() if e.flags.soft_dirty}
-        for region in self._regions:
-            out.update(region.pages(_HAS_SOFT_DIRTY))
-        return out
+        return self._pages(_HAS_SOFT_DIRTY)
 
     def mapped_set(self) -> set[int]:
-        out = set(self.entries)
-        for region in self._regions:
-            out.update(region.pages(_LIVE))
-        return out
+        return self._pages(_LIVE)
 
     def dirty_set(self) -> set[int]:
-        out = {g for g, e in self.entries.items() if e.flags.dirty}
-        for region in self._regions:
-            out.update(region.pages(_HAS_DIRTY))
-        return out
+        return self._pages(_HAS_DIRTY)
 
     def set_write_protect(self, gvas, protected: bool = True) -> None:
+        table = _PROTECT if protected else _UNPROTECT
         for gva in gvas:
-            entry = self.entries.get(gva)
-            if entry is not None:
-                entry.flags.writable = not protected
-                continue
-            found = _find(self._regions, gva)
+            found = self._locate(gva)
             if found is None:
                 raise UnknownMapping(gva)
             region, i = found
-            if protected:
-                region.bits[i] &= ~_WRITABLE
-            else:
-                region.bits[i] |= _WRITABLE
+            region.bits[i] = table[region.bits[i]]
 
     def write_protect_all(self, protected: bool = True) -> None:
         """Set (or lift) write protection on every mapped page."""
-        table = _PROTECT if protected else _UNPROTECT
-        for region in self._regions:
-            region.bits = region.bits.translate(table)
-        for entry in self.entries.values():
-            entry.flags.writable = not protected
+        self._translate(_PROTECT if protected else _UNPROTECT)
 
 
-class Ept:
-    """VM-wide GPA -> HPA map with per-entry hardware dirty bits.
+class Ept(_PageMap):
+    """VM-wide GPA -> HPA map with per-frame hardware dirty bits.
 
-    Frames mapped by :meth:`map_gpa` are stored in ``entries`` as
-    ``[hpa, dirty]``.  Frames mapped as a run by :meth:`map_region` keep
-    their dirty bit in one byte each in their region: a write sets it and a
-    re-arm clears it in place.  Mapping a region frame singly replaces it in
-    ``entries``, and unmapping takes it out of its region.
+    Frames mapped as a run by :meth:`map_region` share a region; a frame
+    mapped by :meth:`map_gpa` is a one-page region in ``entries``, which
+    replaces any mapping the frame had.  A write sets a frame's dirty bit
+    and a re-arm clears it in place.
     """
 
-    def __init__(self):
-        self.entries: dict[int, list] = {}  # gpa -> [hpa, dirty]
-        self._regions: list[_Region] = []
-
-    def __contains__(self, gpa: int) -> bool:
-        return gpa in self.entries or _find(self._regions, gpa) is not None
-
-    def _take(self, gpa: int) -> None:
-        """Remove region frame ``gpa`` from its region, if it is one."""
-        found = _find(self._regions, gpa)
-        if found is not None:
-            _release(self._regions, *found)
+    translate = _PageMap._target
 
     def map_region(self, gpa: int, hpa: int, count: int) -> None:
         """Map ``count`` frames, ``PAGE_SIZE`` apart, from ``gpa`` to HPAs from ``hpa``.
@@ -575,27 +548,16 @@ class Ept:
 
     def map_gpa(self, gpa: int, hpa: int) -> None:
         self._take(gpa)
-        self.entries[gpa] = [hpa, False]
+        self.entries[gpa] = _Region(gpa, hpa, 1, _MAPPED)
 
     def unmap_gpa(self, gpa: int) -> None:
-        if self.entries.pop(gpa, None) is None:
-            self._take(gpa)
-
-    def translate(self, gpa: int) -> int | None:
-        entry = self.entries.get(gpa)
-        if entry is not None:
-            return entry[0]
-        for region in self._regions:
-            i = region.index(gpa - region.base)
-            if i >= 0:
-                return region.target + i * PAGE_SIZE
-        return None
+        self._take(gpa)
 
     def set_dirty(self, gpa: int) -> bool:
         """Set the dirty bit; True when this was a clear-to-set transition."""
-        entry = self.entries.get(gpa)
-        if entry is None:
-            # inline region lookup, as in GuestPageTable.write_page
+        region = self.entries.get(gpa)
+        if region is None:
+            # inline run lookup, for the same reason as in GuestPageTable.write_page
             for region in self._regions:
                 off = gpa - region.base
                 if 0 <= off < region.span:
@@ -604,23 +566,22 @@ class Ept:
                 raise UnknownMapping(gpa)
             i = off // PAGE_SIZE
             bits = 0 if off % PAGE_SIZE else region.bits[i]
-            if not bits:
-                raise UnknownMapping(gpa)
-            region.bits[i] = bits | _DIRTY
-            return not bits & _DIRTY
-        was = entry[1]
-        entry[1] = True
-        return not was
+        else:
+            i, bits = 0, region.bits[0]
+        if not bits:
+            raise UnknownMapping(gpa)
+        region.bits[i] = _SET_DIRTY[bits]
+        return not bits & _DIRTY
 
     def region_run(self, gpa: int, n: int, transitions: int | None = None) -> int:
         """How many of the ``n`` frames from ``gpa`` on a run of writes can dirty.
 
         The run stops before the first frame that is no live frame of
-        ``gpa``'s region and, when ``transitions`` is given, before the
-        clean frame that would be the ``transitions + 1``-th to set its dirty
-        bit.  No state change.
+        ``gpa``'s region (one mapped by :meth:`map_region`) and, when
+        ``transitions`` is given, before the clean frame that would be the
+        ``transitions + 1``-th to set its dirty bit.  No state change.
         """
-        run = _live_run(self._regions, gpa, n)
+        run = self._live_run(gpa, n)
         if run is None:
             return 0
         bits = run[2]
@@ -634,52 +595,26 @@ class Ept:
     def set_dirty_run(self, gpa: int, count: int) -> list[int]:
         """:meth:`set_dirty` on the ``count`` region frames from ``gpa`` on, which
         :meth:`region_run` returned; the frames it set from clear, in order."""
-        region, i = _find(self._regions, gpa)
+        region, i = self._locate(gpa)
         stop = i + count
         bits = region.bits[i:stop]
         region.bits[i:stop] = bits.translate(_SET_DIRTY)
         return _addresses(bits, _CLEAN, gpa)
 
     def is_dirty(self, gpa: int) -> bool:
-        entry = self.entries.get(gpa)
-        if entry is not None:
-            return entry[1]
-        found = _find(self._regions, gpa)
+        found = self._locate(gpa)
         return found is not None and bool(found[0].bits[found[1]] & _DIRTY)
 
-    def clear_dirty(self, gpas) -> None:
+    def clear_dirty(self, gpas: list[int]) -> None:
         """Re-arm logging for ``gpas``: the next write transitions again.
-
-        Stored frames are cleared as they come; the rest are then cleared
-        one region at a time, each region in one pass over what is left.
-        """
-        entries = self.entries
-        rest = []
-        for gpa in gpas:
-            entry = entries.get(gpa)
-            if entry is not None:
-                entry[1] = False
-            else:
-                rest.append(gpa)
-        for region in self._regions:
-            if not rest:
-                break
-            base, span, bits = region.base, region.span, region.bits
-            left = []
-            for gpa in rest:
-                off = gpa - base
-                if 0 <= off < span:
-                    if not off % PAGE_SIZE:  # a page that left keeps its 0 byte
-                        bits[off // PAGE_SIZE] &= ~_DIRTY
-                else:
-                    left.append(gpa)
-            rest = left
+        Unmapped GPAs are skipped."""
+        for region, hits in self._walk(gpas):
+            bits = region.bits
+            for i in hits:
+                bits[i] &= ~_DIRTY
 
     def dirty_gpas(self) -> set[int]:
-        out = {g for g, e in self.entries.items() if e[1]}
-        for region in self._regions:
-            out.update(region.pages(_HAS_DIRTY))
-        return out
+        return self._pages(_HAS_DIRTY)
 
 
 class PageStore:
@@ -690,23 +625,15 @@ class PageStore:
     Content is written as a fixed page-size block.
     """
 
-    def __init__(self, page_size: int = PAGE_SIZE):
-        self.page_size = page_size
+    def __init__(self):
         self.contents: dict[int, bytes] = {}
 
     def write(self, hpa: int, payload: bytes) -> None:
-        if len(payload) > self.page_size:
+        if len(payload) > PAGE_SIZE:
             raise ValueError("payload exceeds page size")
-        self.contents[hpa] = payload.ljust(self.page_size, b"\x00")
-
-    def write_token(self, hpa: int, token: int) -> None:
-        """Deterministic synthetic content for write number ``token``."""
-        self.write(hpa, token.to_bytes(8, "little"))
+        self.contents[hpa] = payload.ljust(PAGE_SIZE, b"\x00")
 
     def read(self, hpa: int) -> bytes:
         if hpa not in self.contents:
             raise UnknownMapping(hpa)
         return self.contents[hpa]
-
-    def __contains__(self, hpa: int) -> bool:
-        return hpa in self.contents

@@ -25,11 +25,11 @@ distinguishable from its predecessor.
 
 :meth:`VirtualMachine.allocate` maps its pages as one region in the page
 table and one in the EPT: one byte of state per page in each, and no
-per-page object.  A write flips bits in those bytes; a page gets stored
-entries only when moved or mapped singly (see :mod:`oohsim.memory`).  The
-address counters advance exactly as if every page had been mapped singly.
-:meth:`VirtualMachine.read_page` and the epml re-arm look a page's GPA up
-without building an entry for it.
+per-page object.  A write flips bits in those bytes; a page mapped singly
+(:meth:`VirtualMachine.map_fresh`) or moved is a one-page region (see
+:mod:`oohsim.memory`).  The address counters advance exactly as if every
+page had been mapped singly.  :meth:`VirtualMachine.read_page` and the epml
+re-arm look a page's GPA up without building an entry view for it.
 
 A trace's ``map``/``unmap``/``remap`` ops, for the tracker engine and for
 checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and

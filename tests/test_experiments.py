@@ -47,8 +47,8 @@ def test_parse_size_accepts_suffixes_and_bytes():
 
 
 def test_unknown_key_rejected():
-    # a misspelt key, and one that would change no result
-    for key in ("memory_size", "competitors"):
+    # a misspelt key, and ones that would change no result
+    for key in ("memory_size", "competitors", "vcpus"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             ExperimentConfig.from_mapping({key: "1"})
 
@@ -57,7 +57,7 @@ def test_unknown_key_rejected():
     "overrides, field",
     [
         ({"seed": -1}, "seed"),
-        ({"vcpus": 2}, "vcpus"),
+        ({"memory_sizes": (1.5,)}, "memory_sizes"),
         ({"memory_sizes": ()}, "memory_sizes"),
         ({"memory_sizes": (0,)}, "memory_sizes"),
         ({"techniques": ()}, "techniques"),

@@ -35,7 +35,7 @@ def test_translate_direct_lookup():
     pt.map_page(7, 100)  # alias of page 0's GPA
     gpa, flags = pt.translate_gva(7)
     assert gpa == 100
-    assert flags.present
+    assert flags == (True, False, True)  # writable, clean, soft-dirty at allocation
 
 
 def test_translate_unmapped_returns_none():
@@ -98,7 +98,7 @@ def test_write_sets_dirty_and_reports_ept_transition():
     out = pt.write_page(0, ept)
     assert out.completed and out.gpa == 100
     assert out.ept_dirty_set  # first write transitions the EPT dirty bit
-    assert pt.entries[0].flags.dirty
+    assert pt.entry(0).flags.dirty
     assert ept.is_dirty(100)
     again = pt.write_page(0, ept)
     assert again.completed and not again.ept_dirty_set  # no second transition
@@ -127,7 +127,7 @@ def test_write_protect_faults_without_side_effects():
     pt.set_write_protect([0])
     out = pt.write_page(0, ept)
     assert out.fault == "write_protect"
-    assert not pt.entries[0].flags.dirty
+    assert not pt.entry(0).flags.dirty
     assert not ept.is_dirty(100)
     # fault handler completes the write on the process's behalf
     done = pt.write_page(0, ept, ignore_protection=True)
@@ -136,14 +136,14 @@ def test_write_protect_faults_without_side_effects():
 
 def test_write_not_present_faults():
     pt, ept = make_space(1)
-    pt.entries[0].flags.present = False
+    pt.unmap(0)
     assert pt.write_page(0, ept).fault == "not_present"
     assert pt.write_page(42, ept).fault == "not_present"
 
 
 def test_soft_dirty_fault_on_first_write_after_clear():
     pt, ept = make_space(2)
-    assert pt.entries[0].flags.soft_dirty  # set at allocation
+    assert pt.entry(0).flags.soft_dirty  # set at allocation
     cleared = pt.clear_soft_dirty()
     assert cleared == 2
     assert pt.soft_dirty_set() == set()
@@ -153,12 +153,6 @@ def test_soft_dirty_fault_on_first_write_after_clear():
     assert not pt.write_page(0, ept).softdirty_fault  # only the first write
     # page 1 untouched: appears clean until written
     assert 1 not in pt.soft_dirty_set()
-
-
-def test_page_flags_validation():
-    PageFlags().validate()
-    with pytest.raises(ValueError):
-        PageFlags(present=False, dirty=True).validate()
 
 
 def test_ept_errors_and_queries():
@@ -175,15 +169,15 @@ def test_ept_errors_and_queries():
 
 
 def test_page_store_payloads():
-    store = PageStore(page_size=64)
-    store.write_token(7, 123456)
+    store = PageStore()
+    store.write(7, (123456).to_bytes(8, "little"))
     blob = store.read(7)
-    assert len(blob) == 64
-    assert int.from_bytes(blob[:8], "little") == 123456
+    assert len(blob) == PAGE_SIZE  # padded to a whole page
+    assert int.from_bytes(blob[:8], "little") == 123456 and not any(blob[8:])
     with pytest.raises(UnknownMapping):
         store.read(8)
     with pytest.raises(ValueError):
-        store.write(9, b"x" * 65)
+        store.write(9, b"x" * (PAGE_SIZE + 1))
 
 
 def test_dirty_set_matches_bruteforce_replay_oracle():
@@ -276,12 +270,104 @@ _ops = st.one_of(
 )
 
 
+class _DictModel:
+    """The twin test's reference, sharing no code with the tables: one dict
+    item per mapped page, ``gva -> [gpa, writable, dirty, soft_dirty]`` and
+    ``gpa -> [hpa, dirty]``.  Several GVAs may map one GPA, and a reverse
+    lookup answers with the lowest of them."""
+
+    def __init__(self, n_pages: int):
+        self.pt = {
+            REGION_GVA + i * P: [REGION_GPA + i * P, True, False, True] for i in range(n_pages)
+        }
+        self.ept = {REGION_GPA + i * P: [REGION_HPA + i * P, False] for i in range(n_pages)}
+
+    def entry(self, gva):
+        if gva not in self.pt:
+            return None
+        gpa, writable, dirty, soft_dirty = self.pt[gva]
+        return gpa, (writable, dirty, soft_dirty)
+
+    def reverse_map(self, gpa):
+        return min((g for g, e in self.pt.items() if e[0] == gpa), default=LOST)
+
+    def translate(self, gpa):
+        return self.ept[gpa][0] if gpa in self.ept else None
+
+    def pages(self, flag: int) -> set[int]:
+        return {g for g, e in self.pt.items() if e[flag]}
+
+    def write(self, gva, ignore_protection):
+        if gva not in self.pt:
+            return gva, None, "not_present", False, False
+        e = self.pt[gva]
+        if not e[1] and not ignore_protection:
+            return gva, e[0], "write_protect", False, False
+        softdirty_fault = not e[3]
+        e[2] = e[3] = True
+        if e[0] not in self.ept:  # the PTE is dirty before the EPT lookup fails
+            raise UnknownMapping(e[0])
+        frame = self.ept[e[0]]
+        transition, frame[1] = not frame[1], True
+        return gva, e[0], None, softdirty_fault, transition
+
+    def step(self, op, gvas, gpas):
+        kind, pt, ept = op[0], self.pt, self.ept
+        if kind == "write":
+            return self.write(gvas[op[1]], op[2])
+        if kind in ("unmap", "remap"):
+            gva = gvas[op[1]]
+            if gva not in pt:
+                raise UnknownMapping(gva)
+            if kind == "remap":
+                if gvas[op[2]] in pt:
+                    raise AlreadyMapped(gvas[op[2]])
+                pt[gvas[op[2]]] = pt[gva]
+            view = self.entry(gva)
+            del pt[gva]
+            return view
+        if kind == "map":
+            gva, gpa = gvas[op[1]], gpas[op[2]]
+            ept.setdefault(gpa, [REGION_HPA + 0x100_0000 + gpa, False])
+            if gva in pt:
+                raise AlreadyMapped(gva)
+            pt[gva] = [gpa, op[3], False, op[4]]
+            return None
+        if kind == "clear_soft_dirty":
+            cleared = sum(e[3] for e in pt.values())
+            for e in pt.values():
+                e[3] = False
+            return cleared
+        if kind == "protect_all":
+            for e in pt.values():
+                e[1] = not op[1]
+            return None
+        if kind == "protect":
+            for gva in (gvas[i] for i in op[1]):
+                if gva not in pt:
+                    raise UnknownMapping(gva)
+                pt[gva][1] = not op[2]
+            return None
+        if kind == "clear_dirty":
+            for gpa in (gpas[i] for i in op[1]):
+                if gpa in ept:
+                    ept[gpa][1] = False
+            return None
+        if kind == "ept_map":
+            ept[gpas[op[1]]] = [REGION_HPA + 0x200_0000 + gpas[op[1]], False]
+            return None
+        ept.pop(gpas[op[1]], None)
+        return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(n_pages=st.integers(min_value=1, max_value=10), ops=st.lists(_ops, max_size=40))
 def test_region_pages_behave_like_mapped_pages(n_pages, ops):
+    # one region, the same pages mapped one by one, and a plain-dict model
     gvas = [REGION_GVA + i * P for i in range(-1, 14)] + [REGION_GVA + P // 2]
     gpas = [REGION_GPA + i * P for i in range(-1, 14)] + [REGION_GPA + P // 2]
     lazy, eager = _twin_spaces(n_pages)
+    model = _DictModel(n_pages)
 
     def step(pt, ept, op):
         kind = op[0]
@@ -311,25 +397,26 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
         return ept.unmap_gpa(gpas[op[1]])
 
     for op in ops:
-        assert _outcome(lambda: step(*lazy, op)) == _outcome(lambda: step(*eager, op)), op
-        (lazy_pt, lazy_ept), (eager_pt, eager_ept) = lazy, eager
-        for gva in gvas:
-            assert lazy_pt.translate_gva(gva) == eager_pt.translate_gva(gva)
-            assert (gva in lazy_pt) == (gva in eager_pt)
-        for gpa in gpas:
-            assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
-            assert lazy_ept.translate(gpa) == eager_ept.translate(gpa)
-            assert (gpa in lazy_ept) == (gpa in eager_ept)
-        want = [eager_pt.reverse_map(gpa) for gpa in gpas]
-        assert lazy_pt.reverse_map_many(gpas) == eager_pt.reverse_map_many(gpas) == want
-        assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
-        assert lazy_pt.dirty_set() == eager_pt.dirty_set()
-        assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
-        assert len(lazy_pt) == len(eager_pt)
-        want = sorted(g for g in map(eager_pt.gpa_of, gvas) if g is not None)
-        assert sorted(lazy_pt.gpas_of(gvas)) == sorted(eager_pt.gpas_of(gvas)) == want
-        assert lazy_pt.mapped_set() == eager_pt.mapped_set() == {g for g in gvas if g in eager_pt}
-
+        want = _outcome(lambda: model.step(op, gvas, gpas))
+        for pt, ept in (lazy, eager):
+            assert _outcome(lambda: step(pt, ept, op)) == want, op
+        for pt, ept in (lazy, eager):
+            for gva in gvas:
+                assert pt.translate_gva(gva) == model.entry(gva)
+                assert (gva in pt) == (gva in model.pt)
+            for gpa in gpas:
+                assert pt.reverse_map(gpa) == model.reverse_map(gpa)
+                assert ept.translate(gpa) == model.translate(gpa)
+                assert (gpa in ept) == (gpa in model.ept)
+            assert pt.reverse_map_many(gpas) == [model.reverse_map(gpa) for gpa in gpas]
+            assert pt.soft_dirty_set() == model.pages(3)
+            assert pt.dirty_set() == model.pages(2)
+            assert ept.dirty_gpas() == {g for g, (_, dirty) in model.ept.items() if dirty}
+            assert len(pt) == len(model.pt)
+            want_gpas = [model.pt[g][0] if g in model.pt else None for g in gvas]
+            assert [pt.gpa_of(g) for g in gvas] == want_gpas
+            assert sorted(pt.gpas_of(gvas)) == sorted(g for g in want_gpas if g is not None)
+            assert pt.mapped_set() == set(model.pt)
 
 
 def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
@@ -413,9 +500,10 @@ def test_region_page_keeps_its_byte_until_moved():
     assert nothing_stored()
     _assert_same_answers(lazy, eager, gvas, gpas)
 
-    # a move stores the page, with its flags, under its new address
+    # a move carries the page's byte to a one-page region under its new address
     pt.remap(gva, gvas[4])
     eager_pt.remap(gva, gvas[4])
-    assert pt.entries == {gvas[4]: PageEntry(gpa, PageFlags(dirty=True))}
+    assert list(pt.entries) == [gvas[4]]
+    assert pt.entry(gvas[4]) == PageEntry(gpa, PageFlags(writable=True, dirty=True, soft_dirty=True))
     assert pt._rmap == {gpa: {gvas[4]}}
     _assert_same_answers(lazy, eager, gvas, gpas)

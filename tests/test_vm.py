@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -278,14 +279,16 @@ def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm):
 
 
 def _machine_state(vm):
-    def regions(tab):
-        return [(r.base, r.target, bytes(r.bits), r.live) for r in tab._regions]
+    def regions(tab):  # the runs, then the one-page regions of single pages
+        return [
+            (r.base, r.target, bytes(r.bits), r.live)
+            for r in chain(tab._regions, tab.entries.values())
+        ]
 
     proc = vm.kernel.processes[7]
     hv, pml = vm.hv, vm.hv.pml
     return (
-        proc.table.entries, proc.table._rmap, regions(proc.table),
-        vm.ept.entries, regions(vm.ept),
+        regions(proc.table), proc.table._rmap, regions(vm.ept),
         [(b.entries, b.index, b.drops_while_full) for b in (pml.hv_buffer, pml.guest_buffer)],
         hv._entry_tags, hv.logged_guest_tagged, hv.logged_vmm_tagged,
         proc.uffd_dirty, vm.kernel.uio.ring, [(b.pid, b.entries) for b in hv.ring.blocks],
