@@ -33,6 +33,8 @@ is what prevents cross-process misattribution and entitlement loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -103,10 +105,6 @@ class RingBlock:
     pid: int
     entries: list  # [(gpa, meta_gva), ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.entries)
-
 
 class SpmlRingBuffer:
     """Per-process-framed ring of logged addresses.
@@ -143,18 +141,19 @@ class SpmlRingBuffer:
             self.blocks.append(RingBlock(pid, list(entries)))
         self.used += n
 
-    def consume(self, max_addresses: int) -> list[tuple[int, int, int]]:
-        """Pop up to ``max_addresses`` entries FIFO as (pid, gpa, meta_gva)."""
-        out: list[tuple[int, int, int]] = []
-        while self.blocks and len(out) < max_addresses:
+    def consume(self, max_addresses: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Pop up to ``max_addresses`` entries FIFO, a block at a time, as
+        ``(pid, [(gpa, meta_gva), ...])``; the last block taken may be cut."""
+        out: list[tuple[int, list[tuple[int, int]]]] = []
+        left = max_addresses
+        while self.blocks and left > 0:
             blk = self.blocks[0]
-            take = min(blk.count, max_addresses - len(out))
-            for gpa, meta_gva in blk.entries[:take]:
-                out.append((blk.pid, gpa, meta_gva))
-            del blk.entries[:take]
-            if blk.count == 0:
+            out.append((blk.pid, blk.entries[:left]))
+            del blk.entries[:left]
+            if not blk.entries:
                 self.blocks.pop(0)
-        self.used -= len(out)
+            left -= len(out[-1][1])
+        self.used -= max_addresses - left
         return out
 
 
@@ -333,7 +332,8 @@ class Hypervisor:
 
         Guest-entitled entries go to the ring unless the guest consumes via
         its own dual-logged buffer (extended mode); vmm-entitled entries go
-        to the migration log.  With ``allow_drop`` the ring may refuse
+        to the migration log; others are discarded.  Each run of equal tags
+        goes as one slice of the buffer.  With ``allow_drop`` the ring may refuse
         entries beyond capacity (counted, interrupt injected by caller);
         otherwise delivery is forced.
         """
@@ -345,27 +345,24 @@ class Hypervisor:
             return FlushResult()
         if self.ept is not None:
             # hardware re-arms the flushed pages so the next write logs again
-            self.ept.clear_dirty([gpa for gpa, _gva in taken])
-        guest_now = self.flags.enable_by_guest and self.flags.sched_in
-        vmm_now = self.flags.enable_by_vmm
+            self.ept.clear_dirty(list(map(itemgetter(0), taken)))
+        now = (self.flags.enable_by_guest and self.flags.sched_in, self.flags.enable_by_vmm)
         ring_entries: list[tuple[int, int]] = []
-        n_mig = n_disc = mism = 0
-        for (gpa, gva), (g, v) in zip(taken, tags):
-            if g != guest_now or v != vmm_now:
-                mism += 1
-            delivered = False
-            if v:
-                self.migration_log.append((self.current_pid, gpa))
-                n_mig += 1
-                delivered = True
-            if g:
-                if self.pml.epml_enabled:
-                    delivered = True  # guest already holds the dual-logged copy
-                else:
-                    ring_entries.append((gpa, gva))
-                    delivered = True
-            if not delivered:
-                n_disc += 1
+        n_mig = n_disc = mism = pos = 0
+        for tag, run in groupby(tags[: len(taken)]):
+            n = len(list(run))
+            entries = taken[pos : pos + n]
+            pos += n
+            guest, vmm = tag
+            if tag != now:
+                mism += n
+            if vmm:
+                self.migration_log += zip(repeat(self.current_pid, n), map(itemgetter(0), entries))
+                n_mig += n
+            if guest and not self.pml.epml_enabled:
+                ring_entries.extend(entries)
+            elif not guest and not vmm:
+                n_disc += n
         dropped = 0
         if ring_entries:
             if allow_drop and len(ring_entries) > self.ring.free:

@@ -25,9 +25,11 @@ page out of its region, and a region with no page left is dropped.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .costs import PAGE_SIZE
 
@@ -132,6 +134,7 @@ _PROTECT = bytes(v & ~_WRITABLE for v in range(256))
 _UNPROTECT = bytes(v | _WRITABLE if v else 0 for v in range(256))
 _WRITTEN = bytes(v | _DIRTY | _SOFT_DIRTY if v else 0 for v in range(256))
 _SET_DIRTY = bytes(v | _DIRTY if v else 0 for v in range(256))
+_CLEAR_DIRTY = bytes(v & ~_DIRTY for v in range(256))
 
 
 def write_faults(bits: int) -> tuple[bool, bool]:
@@ -191,6 +194,42 @@ class _Region:
         return -1
 
 
+def _runs(addrs: list[int], regions: list[_Region], start: str) -> tuple[list, Sequence, list]:
+    """Split ``addrs`` into maximal runs ``PAGE_SIZE`` apart (by one array
+    difference: addresses are below 2**63).  Returns each run of two or more
+    cut at the ends of ``regions`` (page 0 at ``getattr(region, start)``)
+    and at pages that left them, as live slices ``(region, i, k, pos)``, so
+    ``addrs[pos : pos + k]`` are pages ``i .. i + k - 1`` of ``region``; and
+    the positions and addresses of the rest, for one pass per region."""
+    values = np.array(addrs, dtype=np.int64)
+    steps = (values[1:] - values[:-1] == PAGE_SIZE).tobytes()  # 1 where a run goes on
+    runs: list[tuple[_Region, int, int, int]] = []
+    singles: list[int] = []
+    pos, j = 0, steps.find(1)
+    if j < 0:
+        return runs, range(len(addrs)), addrs
+    while j >= 0:
+        end = steps.find(0, j)
+        end = len(steps) if end < 0 else end  # addrs[j : end + 1] is the run
+        singles += range(pos, j)
+        for region in regions:
+            off = addrs[j] - getattr(region, start)
+            if off % PAGE_SIZE:
+                continue
+            first, bits = off // PAGE_SIZE, region.bits  # index of addrs[j], maybe out of range
+            i, stop = max(first, 0), min(first + end + 1 - j, len(bits))
+            at = j + i - first
+            while i < stop:  # cut at the pages that left the region
+                dead = bits.find(0, i, stop)
+                dead = stop if dead < 0 else dead
+                if dead > i:
+                    runs.append((region, i, dead - i, at))
+                at, i = at + dead + 1 - i, dead + 1
+        pos, j = end + 1, steps.find(1, end + 1)
+    singles += range(pos, len(addrs))
+    return runs, singles, [addrs[at] for at in singles]
+
+
 class _PageMap:
     """Page addresses mapped to targets, each page with one state byte in a region.
 
@@ -229,30 +268,28 @@ class _PageMap:
                 return region.target + i * PAGE_SIZE
         return None
 
-    def _walk(self, addrs: list[int]) -> Iterator[tuple[_Region, list[int]]]:
-        """The regions holding live pages among ``addrs``, each with those pages' indices.
-
-        Pages in ``entries`` come first; the rest are then resolved one run
-        at a time, each run in one pass over what is left.
-        """
+    def _walk(self, addrs: list[int]) -> tuple[list, list[tuple[_Region, list[int]]]]:
+        """The live pages among ``addrs``: :func:`_runs`'s slices, and the others as
+        regions with indices, from ``entries``, then one pass per region over the rest."""
         entries = self.entries
         rest = [addr for addr in addrs if addr not in entries]
-        if len(rest) < len(addrs):
-            yield from ((entries[addr], [0]) for addr in addrs if addr in entries)
+        hits = [(entries[a], [0]) for a in addrs if a in entries] if len(rest) < len(addrs) else []
+        runs, _positions, rest = _runs(rest, self._regions, "base")
         for region in self._regions:
             if not rest:
-                return
+                break
             base, span, bits = region.base, region.span, region.bits
-            hits, left = [], []
+            indices, left = [], []
             for addr in rest:
                 off = addr - base
                 if 0 <= off < span:
                     if not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
-                        hits.append(off // PAGE_SIZE)
+                        indices.append(off // PAGE_SIZE)
                 else:
                     left.append(addr)
-            yield region, hits
+            hits.append((region, indices))
             rest = left
+        return runs, hits
 
     def _all(self) -> Iterator[_Region]:
         return chain(self._regions, self.entries.values())
@@ -342,7 +379,6 @@ class GuestPageTable(_PageMap):
         region, i = found
         return _view(region.target + i * PAGE_SIZE, region.bits[i])
 
-    translate_gva = entry  # the mapping as ``(gpa, flags)``
     gpa_of = _PageMap._target  # the GPA alone, building no entry
 
     def map_region(self, gva: int, gpa: int, count: int) -> None:
@@ -390,8 +426,14 @@ class GuestPageTable(_PageMap):
         return _view(gpa, bits)
 
     def gpas_of(self, gvas: list[int]) -> list[int]:
-        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped ones."""
-        return [r.target + i * PAGE_SIZE for r, hits in self._walk(gvas) for i in hits]
+        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped
+        ones; a ``range`` per run of pages, so not in the order of ``gvas``."""
+        runs, hits = self._walk(gvas)
+        out = [region.target + i * PAGE_SIZE for region, indices in hits for i in indices]
+        for region, i, k, _pos in runs:
+            gpa = region.target + i * PAGE_SIZE
+            out += range(gpa, gpa + k * PAGE_SIZE, PAGE_SIZE)
+        return out
 
     def reverse_map(self, gpa: int) -> int | None:
         """Some GVA currently mapping ``gpa``; lowest page number on aliases.
@@ -404,20 +446,29 @@ class GuestPageTable(_PageMap):
     def reverse_map_many(self, gpas: list[int]) -> list[int | None]:
         """:meth:`reverse_map` of each of ``gpas``, in order.
 
-        Singly mapped aliases first; then each run in one pass over the
-        batch, keeping the lowest page number.
+        Singly mapped aliases first; a run no alias contests is one slice
+        assignment; the rest in one pass per region, keeping the lowest.
         """
-        rmap = self._rmap
-        out = [min(gvas) if gvas else LOST for gvas in map(rmap.get, gpas)]
+        rmap, out = self._rmap, [LOST] * len(gpas)
+        if rmap:
+            out = [min(gvas) if gvas else LOST for gvas in map(rmap.get, gpas)]
+        runs, positions, rest = _runs(gpas, self._regions, "target")
+        for region, i, k, pos in runs:
+            if out[pos : pos + k].count(LOST) == k:
+                gva = region.base + i * PAGE_SIZE
+                out[pos : pos + k] = range(gva, gva + k * PAGE_SIZE, PAGE_SIZE)
+            else:  # contested: a list, as runs were found
+                positions += range(pos, pos + k)
+                rest += gpas[pos : pos + k]
         for region in self._regions:
             target, span, bits = region.target, region.span, region.bits
             shift = region.base - target
-            for k, gpa in enumerate(gpas):
+            for at, gpa in zip(positions, rest):
                 off = gpa - target
                 if 0 <= off < span and not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
-                    best = out[k]
+                    best = out[at]
                     if best is LOST or gpa + shift < best:
-                        out[k] = gpa + shift
+                        out[at] = gpa + shift
         return out
 
     def write_page(self, gva: int, ept: "Ept", *, ignore_protection: bool = False) -> WriteOutcome:
@@ -449,8 +500,9 @@ class GuestPageTable(_PageMap):
         gpa = region.target + off
         if not bits & _WRITABLE and not ignore_protection:
             return WriteOutcome(gva, gpa, "write_protect")
+        transition = ept.set_dirty(gpa)  # first: a frame the EPT lacks leaves the PTE as it was
         region.bits[i] = _WRITTEN[bits]
-        return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, ept.set_dirty(gpa))
+        return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, transition)
 
     def region_run(self, gva: int, n: int, *, protected: bool = True) -> tuple[bytes, int]:
         """State bytes of the live pages of a run from ``gva`` on and the GPA of the first.
@@ -601,17 +653,17 @@ class Ept(_PageMap):
         region.bits[i:stop] = bits.translate(_SET_DIRTY)
         return _addresses(bits, _CLEAN, gpa)
 
-    def is_dirty(self, gpa: int) -> bool:
-        found = self._locate(gpa)
-        return found is not None and bool(found[0].bits[found[1]] & _DIRTY)
-
     def clear_dirty(self, gpas: list[int]) -> None:
-        """Re-arm logging for ``gpas``: the next write transitions again.
-        Unmapped GPAs are skipped."""
-        for region, hits in self._walk(gpas):
+        """Re-arm logging for ``gpas``: the next write transitions again.  One
+        ``translate`` clears a run of frames.  Unmapped GPAs are skipped."""
+        runs, hits = self._walk(gpas)
+        for region, i, k, _pos in runs:
             bits = region.bits
-            for i in hits:
-                bits[i] &= ~_DIRTY
+            bits[i : i + k] = bits[i : i + k].translate(_CLEAR_DIRTY)
+        for region, indices in hits:
+            bits = region.bits
+            for i in indices:
+                bits[i] = _CLEAR_DIRTY[bits[i]]
 
     def dirty_gpas(self) -> set[int]:
         return self._pages(_HAS_DIRTY)

@@ -48,11 +48,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, groupby, islice, repeat
-from operator import add, itemgetter
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, is_not, itemgetter, ne
 from typing import Any
 
-from .costs import MB, CostTable, Prices, overhead, pages_for
+from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
 from .memory import LOST, GuestPageTable, write_faults
 from .pml import BUFFER_SLOTS
@@ -230,25 +230,25 @@ def drain_ring(
     """Consume ring entries: copy out, then reverse-map unless deferred.
 
     Per entry: one ring-copy charge; one reverse-mapping charge when mapping
-    immediately.  Addresses whose reverse mapping is gone are reported lost;
-    aliased pages that resolve to a different virtual address than the one
-    actually written are reported inaccurate.  (Logging was re-armed when
-    the device flushed these entries, not here.)
+    immediately, a ring block at a time.  Addresses whose reverse mapping is
+    gone are reported lost; aliased pages that resolve to a different virtual
+    address than the one written are reported inaccurate.  (Logging was
+    re-armed when the device flushed these entries, not here.)
     """
     n = batch if batch is not None else vm.hv.ring.used
-    entries = vm.hv.ring.consume(n)
-    res = DrainResult(consumed=len(entries))
-    if not entries:
+    blocks = vm.hv.ring.consume(n)
+    res = DrainResult(consumed=sum(len(pairs) for _pid, pairs in blocks))
+    if not blocks:
         return res
     prices = vm.kernel.uio.prices
-    res.copy_us = len(entries) * prices.m18_pp
+    res.copy_us = res.consumed * prices.m18_pp
     if defer_reverse_map:
-        res.raw.extend((gpa, meta_gva) for _pid, gpa, meta_gva in entries)
+        for _pid, pairs in blocks:
+            res.raw.extend(pairs)
         return res
     processes = vm.kernel.processes
-    for pid, run in groupby(entries, itemgetter(0)):
+    for pid, pairs in blocks:
         proc = processes.get(pid)
-        pairs = ((gpa, meta_gva) for _pid, gpa, meta_gva in run)
         reverse_map_pairs(proc.table if proc is not None else None, pairs, prices.m17_pp, res)
     return res
 
@@ -265,25 +265,27 @@ def reverse_map_pairs(
 ) -> DrainResult:
     """Reverse-map logged ``(gpa, meta_gva)`` pairs through a page table into ``res``.
 
-    The one GPA-to-GVA loop: the step spml pays ``rm_pp`` per pair for and
+    The one GPA-to-GVA step: the one spml pays ``rm_pp`` per pair for and
     epml skips.  A GPA no GVA maps any more (every GPA, when ``table`` is
     None) is lost; one that maps back to another GVA than the one written
-    is inaccurate.
+    is inaccurate.  The batch is mapped and compared with the logged GVAs
+    whole; only the pairs that differ are visited.
     """
     res = res if res is not None else DrainResult()
     pairs = list(pairs)
-    gpas = [gpa for gpa, _meta_gva in pairs]
-    gvas = table.reverse_map_many(gpas) if table is not None else repeat(LOST)
-    rm_us, found = res.rm_us, res.gvas.append
-    for (gpa, meta_gva), gva in zip(pairs, gvas):
-        rm_us += rm_pp
-        if gva is LOST:
-            res.lost.append((gpa, meta_gva))
-        else:
-            if gva != meta_gva:
-                res.inaccurate.append((gva, meta_gva))
-            found(gva)
-    res.rm_us = rm_us
+    logged = list(map(itemgetter(1), pairs))
+    gpas = list(map(itemgetter(0), pairs))
+    gvas = table.reverse_map_many(gpas) if table is not None else [LOST] * len(pairs)
+    # one addition per pair, in order, as a per-pair loop adds them
+    res.rm_us = reduce(add, repeat(rm_pp, len(pairs)), res.rm_us)
+    if gvas != logged:
+        for k in compress(count(), map(ne, gvas, logged)):
+            if gvas[k] is LOST:
+                res.lost.append((gpas[k], logged[k]))
+            else:
+                res.inaccurate.append((gvas[k], logged[k]))
+        gvas = list(compress(gvas, map(is_not, gvas, repeat(LOST))))
+    res.gvas.extend(gvas)
     return res
 
 
@@ -637,6 +639,11 @@ class _MechanicalRun(_Run):
     write's event exit is the per-write loop's.  The state, the counters and
     every float are those of write-by-write stepping; the write that finds
     a log buffer full still goes through ``write_one``.
+
+    ``oracle`` (pages written) and ``collected`` (pages reported) hold page
+    numbers, as page-aligned addresses share their low bits and a set of them
+    probes on most lookups; :meth:`_content` turns them into addresses, so a
+    trace must name its pages by page-aligned addresses.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -653,10 +660,10 @@ class _MechanicalRun(_Run):
 
     @cached_property
     def _sweep(self) -> list[int]:
-        # one int object per page, reused every round, so the oracle's set
-        # lookups match keys by identity; built for the micro-benchmark only,
-        # as a trace may map far more pages than it writes
-        return list(self.gvas)
+        # page numbers, one int object per page reused every round, so the
+        # oracle's set lookups match keys by identity; built for the
+        # micro-benchmark only, as a trace may map far more pages than it writes
+        return list(map(PAGE_SIZE.__rfloordiv__, self.gvas))
 
     @cached_property
     def _write_us(self) -> list[tuple[float, float]]:
@@ -697,9 +704,12 @@ class _MechanicalRun(_Run):
                 self.softirqs += 1
             self._consume_tool_ring()
 
+    def _collect(self, gvas) -> None:
+        self.collected.update(map(PAGE_SIZE.__rfloordiv__, gvas))
+
     def _consume_tool_ring(self) -> None:
         if self.vm.kernel.uio and self.vm.kernel.uio.technique == "epml":
-            self.collected.update(self.vm.kernel.epml_consume_ring())
+            self._collect(self.vm.kernel.epml_consume_ring())
 
     def _deliver_leftover(self) -> float:
         """Copy the guest buffer's leftover entries out in one softirq; return its µs."""
@@ -714,7 +724,7 @@ class _MechanicalRun(_Run):
         pre, defer = self.collect_us, self.cfg.defer_reverse_map
         batch = None if defer else self.c.drain_batch
         res = drain_ring(self.vm, batch=batch, defer_reverse_map=defer)
-        self.collected.update(res.gvas)
+        self._collect(res.gvas)
         self.raw_entries.extend(res.raw)
         self.inaccurate.update(res.inaccurate)
         self.tracker_busy += res.total_us
@@ -727,7 +737,7 @@ class _MechanicalRun(_Run):
         if not self.raw_entries:
             return 0.0
         res = reverse_map_raw(self.vm, self.raw_entries)
-        self.collected.update(res.gvas)
+        self._collect(res.gvas)
         self.inaccurate.update(res.inaccurate)
         return res.rm_us
 
@@ -746,7 +756,7 @@ class _MechanicalRun(_Run):
         """
         if ops is None:
             sweep, (walls, runs, recorded) = self._sweep, self._byte_us
-            it = iter(zip(repeat("write"), sweep))
+            it = iter(zip(repeat("write"), self.gvas))
         else:
             sweep, it = None, iter(ops)
         horizon = self.cfg.horizon_us
@@ -809,7 +819,7 @@ class _MechanicalRun(_Run):
                     busy += uffd_fault
                 if outcome.fault is None:
                     writes_done += 1
-                    oracle_add(gva)
+                    oracle_add(gva // PAGE_SIZE)
                 if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
                     t += wall
                     run_acc += run
@@ -880,7 +890,7 @@ class _MechanicalRun(_Run):
         if self.tech == "proc":
             dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
             _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-            self.collected.update(dirty)
+            self._collect(dirty)
             self._charge_walk(read_us, clear_us)
         elif self.tech == "epml":
             self.t += self._deliver_leftover()
@@ -891,10 +901,10 @@ class _MechanicalRun(_Run):
         if self.tech == "proc" and self.cfg.trace is not None:
             # traces have no per-round collection: harvest at the end
             dirty, read_us = kernel.read_pagemap(TRACKED_PID)
-            self.collected.update(dirty)
+            self._collect(dirty)
             self._charge("walk_us", read_us)
         elif self.tech == "uffd":
-            self.collected.update(kernel.uffd_harvest(TRACKED_PID))
+            self._collect(kernel.uffd_harvest(TRACKED_PID))
         elif self.tech == "epml":
             self._deliver_leftover()  # conservatively still suspension, off the clock
             self._consume_tool_ring()
@@ -905,8 +915,8 @@ class _MechanicalRun(_Run):
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
         return {
-            "dirty_set": set(self.collected),
-            "missed": self.oracle - self.collected,
+            "dirty_set": set(map(PAGE_SIZE.__mul__, self.collected)),
+            "missed": set(map(PAGE_SIZE.__mul__, self.oracle - self.collected)),
             "inaccurate": set(self.inaccurate),
         }
 

@@ -193,10 +193,10 @@ def test_softirq_copy_charges_ring_copy_rate():
 
 def test_softirq_copy_rearms_ept_dirty_bits():
     kern, _ = _epml_kernel_with_entries(2)
-    assert kern.ept.is_dirty(0x100000)
+    assert 0x100000 in kern.ept.dirty_gpas()
     kern.deliver_guest_buffer_full(7)
-    assert not kern.ept.is_dirty(0x100000)
-    assert not kern.ept.is_dirty(0x101000)
+    assert 0x100000 not in kern.ept.dirty_gpas()
+    assert 0x101000 not in kern.ept.dirty_gpas()
 
 
 def test_softirq_partial_copy_holds_remainder():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oohsim.engine import EventKind, SimEngine
 from oohsim.hypervisor import (
     CoexistenceFlags,
+    FlushResult,
     HvCore,
     Hypervisor,
     MigrationJob,
@@ -15,6 +18,7 @@ from oohsim.hypervisor import (
     model_check_coordination,
     run_migration,
 )
+from oohsim.memory import PAGE_SIZE, Ept
 
 # ----------------------------------------------------------------- ring
 
@@ -24,7 +28,7 @@ def test_ring_append_merges_same_pid_blocks():
     ring.append(7, [(1, 1), (2, 2)])
     ring.append(7, [(3, 3)])
     ring.append(9, [(4, 4)])
-    assert [(b.pid, b.count) for b in ring.blocks] == [(7, 3), (9, 1)]
+    assert [(b.pid, len(b.entries)) for b in ring.blocks] == [(7, 3), (9, 1)]
     assert ring.used == 4
     assert ring.free == 96
 
@@ -34,11 +38,12 @@ def test_ring_consume_is_fifo_and_decrements_counts():
     ring.append(7, [(1, 1), (2, 2), (3, 3)])
     ring.append(9, [(4, 4)])
     got = ring.consume(2)
-    assert got == [(7, 1, 1), (7, 2, 2)]
+    assert got == [(7, [(1, 1), (2, 2)])]  # the head block, cut
     assert ring.used == 2
     got = ring.consume(10)
-    assert got == [(7, 3, 3), (9, 4, 4)]
+    assert got == [(7, [(3, 3)]), (9, [(4, 4)])]
     assert ring.used == 0 and ring.blocks == []
+    assert ring.consume(5) == []
 
 
 def test_ring_capacity_counts_addresses_only():
@@ -172,7 +177,7 @@ def test_vmexit_flush_fills_ring_and_replays_refusal():
     assert res.replayed == "logged"
     assert hv.vmexit_count == 1
     assert hv.pml.hv_buffer.retrievable == 1  # the replayed entry
-    assert [(b.pid, b.count) for b in hv.ring.blocks] == [(7, 4)]
+    assert [(b.pid, len(b.entries)) for b in hv.ring.blocks] == [(7, 4)]
 
 
 def test_vmexit_with_both_owners_delivers_both_sides():
@@ -209,6 +214,101 @@ def test_drop_policy_drops_overflow_and_injects_interrupt():
     assert res.interrupt_injected
     assert hv.interrupts_injected == 1
     assert hv.dropped_total == 2
+
+
+def _flush_per_entry(taken, tags, now, epml, ring_free, allow_drop, pid):
+    """The flush's routing one entry at a time: the result, the ring entries
+    appended and the migration log entries appended."""
+    ring, migration = [], []
+    discarded = mismatches = 0
+    for (gpa, gva), tag in zip(taken, tags):
+        guest, vmm = tag
+        if tag != now:
+            mismatches += 1
+        if vmm:
+            migration.append((pid, gpa))
+        if guest and not epml:
+            ring.append((gpa, gva))
+        if not guest and not vmm:
+            discarded += 1
+    dropped = 0
+    if allow_drop and len(ring) > ring_free:
+        dropped = len(ring) - ring_free
+        ring = ring[:ring_free]
+    result = FlushResult(len(ring), len(migration), discarded, dropped, mismatches)
+    return result, ring, migration
+
+
+_owner_flags = st.tuples(st.booleans(), st.booleans(), st.booleans())  # guest, sched_in, vmm
+_COUNTERS = (
+    "tag_mismatches",
+    "discarded_total",
+    "dropped_total",
+    "ring_delivered_total",
+    "migration_delivered_total",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    logs=st.lists(
+        st.tuples(_owner_flags, st.integers(0, 24), st.integers(1, 6)), max_size=8
+    ),
+    now=_owner_flags,
+    epml=st.booleans(),
+    policy=st.sampled_from(["stall", "drop"]),
+    capacity=st.integers(1, 16),
+    queued=st.integers(0, 16),
+)
+def test_flush_routes_tag_runs_like_a_per_entry_loop(logs, now, epml, policy, capacity, queued):
+    # runs of consecutive frames, each logged under its own flags, then
+    # flushed under ``now``: tags that differ from it are mismatches
+    base, pid = 0x10_0000, 7
+    ept = Ept()
+    ept.map_region(base, 0x1000_0000, 32)
+    for i in range(32):
+        ept.set_dirty(base + i * PAGE_SIZE)
+    hv = Hypervisor(ring_capacity=capacity, ring_full_policy=policy, buffer_slots=64, ept=ept)
+    hv.current_pid = pid
+    hv.pml.epml_enabled = epml
+    hv.ring.append(3, [(i, i) for i in range(min(queued, capacity))])
+    hv.migration_log.append((3, 1))
+    hv.pml.hv_buffer.reset(hv.pml.hv_buffer.fresh_index)
+    for (guest, sched_in, vmm), start, n in logs:
+        hv.flags = CoexistenceFlags(enable_by_vmm=vmm, enable_by_guest=guest, sched_in=sched_in)
+        for i in range(start, start + n):
+            assert hv.log_write(base + i * PAGE_SIZE, 0x40_0000 + i * PAGE_SIZE).hv == "logged"
+    guest, sched_in, vmm = now
+    hv.flags = CoexistenceFlags(enable_by_vmm=vmm, enable_by_guest=guest, sched_in=sched_in)
+
+    taken, tags = list(hv.pml.hv_buffer.entries), list(hv._entry_tags)
+    ring_before = [(b.pid, e) for b in hv.ring.blocks for e in b.entries]
+    migration_before = list(hv.migration_log)
+    counters_before = {name: getattr(hv, name) for name in _COUNTERS}
+    allow_drop = policy == "drop"
+    want, ring, migration = _flush_per_entry(
+        taken, tags, (guest and sched_in, vmm), epml, hv.ring.free, allow_drop, pid
+    )
+
+    assert hv._flush_buffer(allow_drop=allow_drop) == want
+    assert [(b.pid, e) for b in hv.ring.blocks for e in b.entries] == ring_before + [
+        (pid, e) for e in ring
+    ]
+    assert hv.ring.used == len(ring_before) + len(ring)
+    assert hv.migration_log == migration_before + migration
+    assert {name: getattr(hv, name) for name in _COUNTERS} == {
+        "tag_mismatches": counters_before["tag_mismatches"] + want.tag_mismatches,
+        "discarded_total": counters_before["discarded_total"] + want.discarded,
+        "dropped_total": counters_before["dropped_total"] + want.dropped,
+        "ring_delivered_total": counters_before["ring_delivered_total"] + want.delivered_ring,
+        "migration_delivered_total": (
+            counters_before["migration_delivered_total"] + want.delivered_migration
+        ),
+    }
+    assert hv.pml.hv_buffer.entries == [] and hv._entry_tags == []
+    # every flushed frame is re-armed, and no other
+    flushed = {gpa for gpa, _gva in taken}
+    assert ept.dirty_gpas() == {base + i * PAGE_SIZE for i in range(32)} - flushed
 
 
 def test_extended_mode_keeps_hv_buffer_off_without_vmm():

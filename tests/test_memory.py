@@ -33,22 +33,22 @@ def make_space(n_pages: int) -> tuple[GuestPageTable, Ept]:
 def test_translate_direct_lookup():
     pt, _ = make_space(1)
     pt.map_page(7, 100)  # alias of page 0's GPA
-    gpa, flags = pt.translate_gva(7)
+    gpa, flags = pt.entry(7)
     assert gpa == 100
     assert flags == (True, False, True)  # writable, clean, soft-dirty at allocation
 
 
 def test_translate_unmapped_returns_none():
     pt, _ = make_space(1)
-    assert pt.translate_gva(9) is None
+    assert pt.entry(9) is None
 
 
 def test_translate_aliasing_permitted():
     pt, _ = make_space(0)
     pt.map_page(3, 50)
     pt.map_page(4, 50)
-    assert pt.translate_gva(3)[0] == 50
-    assert pt.translate_gva(4)[0] == 50
+    assert pt.entry(3)[0] == 50
+    assert pt.entry(4)[0] == 50
 
 
 def test_reverse_map_single_mapping():
@@ -76,7 +76,7 @@ def test_reverse_map_after_remap_returns_new_gva():
     pt.map_page(3, 50)
     pt.remap(3, 12)
     assert pt.reverse_map(50) == 12
-    assert pt.translate_gva(3) is None
+    assert pt.entry(3) is None
 
 
 def test_remap_and_unmap_errors():
@@ -99,7 +99,7 @@ def test_write_sets_dirty_and_reports_ept_transition():
     assert out.completed and out.gpa == 100
     assert out.ept_dirty_set  # first write transitions the EPT dirty bit
     assert pt.entry(0).flags.dirty
-    assert ept.is_dirty(100)
+    assert 100 in ept.dirty_gpas()
     again = pt.write_page(0, ept)
     assert again.completed and not again.ept_dirty_set  # no second transition
 
@@ -108,7 +108,7 @@ def test_ept_dirty_transition_rearm_after_clear():
     pt, ept = make_space(1)
     pt.write_page(0, ept)
     ept.clear_dirty([100])
-    assert not ept.is_dirty(100)
+    assert 100 not in ept.dirty_gpas()
     out = pt.write_page(0, ept)
     assert out.ept_dirty_set  # harvesting re-arms logging
 
@@ -128,7 +128,7 @@ def test_write_protect_faults_without_side_effects():
     out = pt.write_page(0, ept)
     assert out.fault == "write_protect"
     assert not pt.entry(0).flags.dirty
-    assert not ept.is_dirty(100)
+    assert 100 not in ept.dirty_gpas()
     # fault handler completes the write on the process's behalf
     done = pt.write_page(0, ept, ignore_protection=True)
     assert done.completed and done.ept_dirty_set
@@ -166,6 +166,19 @@ def test_ept_errors_and_queries():
     assert ept.dirty_gpas() == {5}
     ept.unmap_gpa(5)
     assert 5 not in ept
+
+
+def test_write_to_a_frame_the_ept_lacks_raises_and_leaves_the_pte():
+    pt, ept = make_space(0)
+    pt.map_region(0x1000, 0x10_0000, 2)
+    ept.map_region(0x10_0000, 0x1000_0000, 2)
+    pt.clear_soft_dirty()
+    before = pt.entry(0x2000)
+    ept.unmap_gpa(0x10_1000)
+    with pytest.raises(UnknownMapping):
+        pt.write_page(0x2000, ept)
+    assert pt.entry(0x2000) == before  # neither dirty nor soft-dirty
+    assert pt.dirty_set() == set() and pt.soft_dirty_set() == set()
 
 
 def test_page_store_payloads():
@@ -224,7 +237,7 @@ def test_reverse_map_inverts_translate_for_stable_mappings():
         if rng.random() < 0.5:
             pt.write_page(gva, ept)
     for gva in range(32):
-        gpa, _ = pt.translate_gva(gva)
+        gpa, _ = pt.entry(gva)
         assert pt.reverse_map(gpa) == gva
 
 
@@ -303,10 +316,10 @@ class _DictModel:
         e = self.pt[gva]
         if not e[1] and not ignore_protection:
             return gva, e[0], "write_protect", False, False
+        if e[0] not in self.ept:
+            raise UnknownMapping(e[0])
         softdirty_fault = not e[3]
         e[2] = e[3] = True
-        if e[0] not in self.ept:  # the PTE is dirty before the EPT lookup fails
-            raise UnknownMapping(e[0])
         frame = self.ept[e[0]]
         transition, frame[1] = not frame[1], True
         return gva, e[0], None, softdirty_fault, transition
@@ -402,7 +415,7 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             assert _outcome(lambda: step(pt, ept, op)) == want, op
         for pt, ept in (lazy, eager):
             for gva in gvas:
-                assert pt.translate_gva(gva) == model.entry(gva)
+                assert pt.entry(gva) == model.entry(gva)
                 assert (gva in pt) == (gva in model.pt)
             for gpa in gpas:
                 assert pt.reverse_map(gpa) == model.reverse_map(gpa)
@@ -417,6 +430,93 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             assert [pt.gpa_of(g) for g in gvas] == want_gpas
             assert sorted(pt.gpas_of(gvas)) == sorted(g for g in want_gpas if g is not None)
             assert pt.mapped_set() == set(model.pt)
+
+
+@st.composite
+def _run_layouts(draw):
+    """Up to three regions of 1-600 pages, adjacent or apart, the same in GVAs
+    and GPAs; a few pages unmapped or moved, a few frames unmapped or mapped
+    singly, a few aliases; and batches of runs of 1-600 pages from anywhere
+    around them, some misaligned, some repeated."""
+    sizes = draw(st.lists(st.integers(1, 600), min_size=1, max_size=3))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(sizes), max_size=len(sizes)))
+    starts, at = [], 0
+    for size, gap in zip(sizes, gaps):
+        starts.append(at + gap)
+        at += gap + size
+    total = at
+    index = st.integers(0, total - 1)
+    layout = {
+        "regions": list(zip(starts, sizes)),
+        "unmap": draw(st.lists(index, max_size=6)),
+        "move": draw(st.lists(index, max_size=3)),
+        "alias": draw(st.lists(index, max_size=3)),
+        "ept_unmap": draw(st.lists(index, max_size=4)),
+        "ept_single": draw(st.lists(index, max_size=3)),
+    }
+    segment = st.tuples(
+        st.integers(-3, total + 3), st.integers(1, 600), st.sampled_from([0, 0, 0, P // 2])
+    )
+    layout["batch"] = draw(st.lists(segment, min_size=1, max_size=4))
+    layout["repeat"] = draw(st.booleans())
+    return layout
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=_run_layouts())
+def test_run_walker_matches_the_dict_model(layout):
+    pt, ept, model = GuestPageTable(pid=1), Ept(), _DictModel(0)
+    base = 0x100_0000  # above the aliases mapped low, which win the reverse map
+    for start, size in layout["regions"]:
+        gva, gpa = base + start * P, REGION_GPA + start * P
+        pt.map_region(gva, gpa, size)
+        ept.map_region(gpa, REGION_HPA + start * P, size)
+        for i in range(size):
+            model.pt[gva + i * P] = [gpa + i * P, True, False, True]
+            model.ept[gpa + i * P] = [REGION_HPA + (start + i) * P, False]
+    far = base + 0x1000_0000  # fresh addresses for moved pages and aliases
+    for n, i in enumerate(layout["move"]):
+        gva = base + i * P
+        if gva in model.pt:
+            pt.remap(gva, far + n * P)
+            model.pt[far + n * P] = model.pt.pop(gva)
+    for n, i in enumerate(layout["alias"]):
+        gva, gpa = (far if n % 2 else REGION_GVA) + (100 + n) * P, REGION_GPA + i * P
+        if gpa in model.ept:
+            pt.map_page(gva, gpa)
+            model.pt[gva] = [gpa, True, False, True]
+    for i in layout["unmap"]:
+        gva = base + i * P
+        if gva in model.pt:
+            pt.unmap(gva)
+            del model.pt[gva]
+    for i in layout["ept_unmap"]:
+        ept.unmap_gpa(REGION_GPA + i * P)
+        model.ept.pop(REGION_GPA + i * P, None)
+    for i in layout["ept_single"]:
+        gpa = REGION_GPA + i * P
+        ept.map_gpa(gpa, REGION_HPA + 0x200_0000 + gpa)
+        model.ept[gpa] = [REGION_HPA + 0x200_0000 + gpa, False]
+
+    offsets = [
+        (first + k) * P + skew
+        for first, count, skew in layout["batch"]
+        for k in range(count)
+    ]
+    if layout["repeat"]:
+        offsets += offsets[: len(offsets) // 2]
+    gvas = [base + off for off in offsets] + [far + off for off in offsets[:200]]
+    gpas = [REGION_GPA + off for off in offsets]
+
+    assert sorted(pt.gpas_of(gvas)) == sorted(model.pt[g][0] for g in gvas if g in model.pt)
+    lowest: dict[int, int] = {}
+    for gva, (gpa, *_flags) in sorted(model.pt.items(), reverse=True):
+        lowest[gpa] = gva
+    assert pt.reverse_map_many(gpas) == [lowest.get(gpa, LOST) for gpa in gpas]
+    for gpa in model.ept:
+        ept.set_dirty(gpa)
+    ept.clear_dirty(gpas)
+    assert ept.dirty_gpas() == set(model.ept) - set(gpas)
 
 
 def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
@@ -454,10 +554,10 @@ def test_region_ranges_may_not_overlap():
 def _assert_same_answers(lazy, eager, gvas, gpas):
     (lazy_pt, lazy_ept), (eager_pt, eager_ept) = lazy, eager
     for gva in gvas:
-        assert lazy_pt.translate_gva(gva) == eager_pt.translate_gva(gva)
+        assert lazy_pt.entry(gva) == eager_pt.entry(gva)
     for gpa in gpas:
         assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
-        assert lazy_ept.is_dirty(gpa) == eager_ept.is_dirty(gpa)
+        assert (gpa in lazy_ept.dirty_gpas()) == (gpa in eager_ept.dirty_gpas())
     assert lazy_pt.dirty_set() == eager_pt.dirty_set()
     assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
     assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
@@ -493,7 +593,7 @@ def test_region_page_keeps_its_byte_until_moved():
     # transition again after a re-arm, and still nothing stored
     assert not write().ept_dirty_set
     clear_dirty()
-    assert not ept.is_dirty(gpa)
+    assert gpa not in ept.dirty_gpas()
     _assert_same_answers(lazy, eager, gvas, gpas)
     assert write().ept_dirty_set
     assert not write().ept_dirty_set

@@ -100,7 +100,7 @@ def test_plain_write_sets_all_dirty_layers():
     assert res.outcome.ept_dirty_set
     entry = vm.kernel.processes[7].table.entry(gva(0))
     assert entry.flags.dirty and entry.flags.soft_dirty
-    assert vm.ept.is_dirty(entry.gpa)
+    assert entry.gpa in vm.ept.dirty_gpas()
 
 
 def test_second_write_does_not_relog():
