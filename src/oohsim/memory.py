@@ -14,8 +14,10 @@ arithmetic, and each page's state is one byte of the region's
 dirty).  An allocation is one region in each table; a page mapped singly
 or moved is a one-page region, kept in ``entries`` under its address.  So
 each rule about a page's state is one byte table, applied to one byte (a
-write, a protect, a re-arm) or to a slice (a run of writes,
-:meth:`GuestPageTable.write_run`); whole-table operations (soft-dirty
+write, a protect, a re-arm), to a slice (writes to consecutive pages,
+:meth:`GuestPageTable.write_run`) or to the bytes of pages in any order,
+gathered and scattered with NumPy one region at a time (a trace's writes,
+a re-arm of logged frames); whole-table operations (soft-dirty
 clear, protect-all, the dirty and soft-dirty sets) run over the bytes with
 ``bytes.translate``, ``find`` and ``count``.  Mapping a large address space
 and writing it over and over builds no per-page object.  An unmap takes a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -135,6 +137,10 @@ _UNPROTECT = bytes(v | _WRITABLE if v else 0 for v in range(256))
 _WRITTEN = bytes(v | _DIRTY | _SOFT_DIRTY if v else 0 for v in range(256))
 _SET_DIRTY = bytes(v | _DIRTY if v else 0 for v in range(256))
 _CLEAR_DIRTY = bytes(v & ~_DIRTY for v in range(256))
+# the same tables as arrays, for the gathers of a sequence of pages
+_WRITTEN_A, _SET_DIRTY_A, _CLEAR_DIRTY_A = (
+    np.frombuffer(table, np.uint8) for table in (_WRITTEN, _SET_DIRTY, _CLEAR_DIRTY)
+)
 
 
 def write_faults(bits: int) -> tuple[bool, bool]:
@@ -152,18 +158,11 @@ def _view(gpa: int, bits: int) -> PageEntry:
 
 
 def _addresses(bits: bytes, select: bytes, base: int) -> list[int]:
-    """Addresses, ``PAGE_SIZE`` apart from ``base``, of the bytes ``select`` maps to 1,
-    a run at a time."""
+    """Addresses, ``PAGE_SIZE`` apart from ``base``, of the bytes ``select`` maps to 1."""
     marks = bits.translate(select)
-    out: list[int] = []
-    start = marks.find(1)
-    while start >= 0:
-        stop = marks.find(0, start)
-        if stop < 0:
-            stop = len(marks)
-        out.extend(range(base + start * PAGE_SIZE, base + stop * PAGE_SIZE, PAGE_SIZE))
-        start = marks.find(1, stop)
-    return out
+    if 1 not in marks:
+        return []
+    return (np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)) * PAGE_SIZE + base).tolist()
 
 
 class _Region:
@@ -192,6 +191,21 @@ class _Region:
             if self.bits[i]:
                 return i
         return -1
+
+
+def _consecutive(addrs: Sequence[int]) -> bool:
+    """Whether ``addrs`` is a ``range`` of pages, which takes the slice path."""
+    return isinstance(addrs, range) and addrs.step == PAGE_SIZE
+
+
+def _first(values: np.ndarray) -> np.ndarray:
+    """True where a value occurs for the first time in ``values``."""
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[order[:1]] = True
+    first[order[1:]] = ordered[1:] != ordered[:-1]
+    return first
 
 
 def _runs(addrs: list[int], regions: list[_Region], start: str) -> tuple[list, Sequence, list]:
@@ -268,28 +282,15 @@ class _PageMap:
                 return region.target + i * PAGE_SIZE
         return None
 
-    def _walk(self, addrs: list[int]) -> tuple[list, list[tuple[_Region, list[int]]]]:
-        """The live pages among ``addrs``: :func:`_runs`'s slices, and the others as
-        regions with indices, from ``entries``, then one pass per region over the rest."""
+    def _walk(self, addrs: list[int]) -> tuple[list, tuple]:
+        """The pages of ``addrs``: :func:`_runs`'s live slices of the regions, and
+        the others, with the singly mapped pages, gathered (:meth:`_gather`)."""
         entries = self.entries
-        rest = [addr for addr in addrs if addr not in entries]
-        hits = [(entries[a], [0]) for a in addrs if a in entries] if len(rest) < len(addrs) else []
-        runs, _positions, rest = _runs(rest, self._regions, "base")
-        for region in self._regions:
-            if not rest:
-                break
-            base, span, bits = region.base, region.span, region.bits
-            indices, left = [], []
-            for addr in rest:
-                off = addr - base
-                if 0 <= off < span:
-                    if not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
-                        indices.append(off // PAGE_SIZE)
-                else:
-                    left.append(addr)
-            hits.append((region, indices))
-            rest = left
-        return runs, hits
+        singles = [addr for addr in addrs if addr in entries] if entries else []
+        if singles:
+            addrs = [addr for addr in addrs if addr not in entries]
+        runs, _positions, rest = _runs(addrs, self._regions, "base")
+        return runs, self._gather(np.array(rest + singles, dtype=np.int64))
 
     def _all(self) -> Iterator[_Region]:
         return chain(self._regions, self.entries.values())
@@ -337,6 +338,49 @@ class _PageMap:
         bits = region.bits[i : i + n]
         stop = bits.find(0)
         return region, i, bits if stop < 0 else bits[:stop]
+
+    def _gather(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[list, list]]:
+        """Each of ``addrs``' state byte (0 for no live page) and target, one gather
+        per region, then ``entries``; and where each byte lives, for :meth:`_scatter`:
+        ``(region, positions, indices)`` per region and ``(position, region)`` per
+        singly mapped page."""
+        bits = np.zeros(len(addrs), dtype=np.uint8)
+        targets = np.zeros(len(addrs), dtype=np.int64)
+        places: tuple[list, list] = ([], [])
+        if not len(addrs):
+            return bits, targets, places
+        aligned = addrs % PAGE_SIZE == 0
+        for region in self._regions:
+            off = addrs - region.base
+            # a negative offset, read unsigned, is past the span too
+            pos = ((off.view(np.uint64) < region.span) & aligned).nonzero()[0]
+            if len(pos):
+                off = off[pos]
+                idx = off // PAGE_SIZE
+                bits[pos] = np.frombuffer(region.bits, dtype=np.uint8)[idx]
+                targets[pos] = off + region.target
+                places[0].append((region, pos, idx))
+        if self.entries:
+            hits = map(self.entries.get, addrs.tolist())
+            for j, region in enumerate(hits):
+                if region is not None:  # a page that left a region may be mapped singly
+                    bits[j], targets[j] = region.bits[0], region.target
+                    places[1].append((j, region))
+        return bits, targets, places
+
+    @staticmethod
+    def _scatter(places: tuple[list, list], count: int, table: bytes, array: np.ndarray) -> None:
+        """Byte ``b`` of each of the first ``count`` places :meth:`_gather` found becomes
+        ``table[b]`` (``array`` is the same table).  The tables applied this way
+        are idempotent, so a place found twice ends as if found once."""
+        in_regions, singles = places
+        for region, pos, idx in in_regions:
+            idx = idx[: np.searchsorted(pos, count)]
+            view = np.frombuffer(region.bits, dtype=np.uint8)
+            view[idx] = array[view[idx]]
+        for j, region in singles:
+            if j < count:
+                region.bits[0] = table[region.bits[0]]
 
 
 class GuestPageTable(_PageMap):
@@ -428,8 +472,8 @@ class GuestPageTable(_PageMap):
     def gpas_of(self, gvas: list[int]) -> list[int]:
         """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped
         ones; a ``range`` per run of pages, so not in the order of ``gvas``."""
-        runs, hits = self._walk(gvas)
-        out = [region.target + i * PAGE_SIZE for region, indices in hits for i in indices]
+        runs, (bits, targets, _) = self._walk(gvas)
+        out = targets[bits != 0].tolist()
         for region, i, k, _pos in runs:
             gpa = region.target + i * PAGE_SIZE
             out += range(gpa, gpa + k * PAGE_SIZE, PAGE_SIZE)
@@ -504,43 +548,66 @@ class GuestPageTable(_PageMap):
         region.bits[i] = _WRITTEN[bits]
         return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, transition)
 
-    def region_run(self, gva: int, n: int, *, protected: bool = True) -> tuple[bytes, int]:
-        """State bytes of the live pages of a run from ``gva`` on and the GPA of the first.
+    def region_run(
+        self, gvas: Sequence[int], *, protected: bool = True
+    ) -> tuple[bytes, Sequence[int]]:
+        """The state byte each write of a run to ``gvas`` finds, in order, and the GPAs.
 
-        The run holds at most ``n`` pages and stops before the first page that
-        is no live page of ``gva``'s region; with ``protected`` False also
-        before the first write-protected one.  Empty when ``gva`` is no live
-        page of a region mapped by :meth:`map_region`.  No state change.
+        A page written again in the run finds the byte its first write left.
+        The run stops before the first write to a page that is not mapped;
+        with ``protected`` False also before the first to a write-protected
+        one.  A ``range`` of pages takes the slice path: it also stops before
+        the first page that is no live page of the first one's region (one
+        mapped by :meth:`map_region`), and the GPAs are a ``range`` too.  Any
+        other sequence is gathered per region and from ``entries``, and its
+        GPAs are an array.  No state change.
         """
-        run = self._live_run(gva, n)
-        if run is None:
-            return b"", 0
-        region, i, bits = run
-        if not protected:
-            stop = bits.translate(_PROTECTED).find(1)
-            if stop >= 0:
-                bits = bits[:stop]
-        return bytes(bits), region.target + i * PAGE_SIZE
+        if _consecutive(gvas):
+            run = self._live_run(gvas.start, len(gvas))
+            if run is None:
+                return b"", range(0)
+            region, i, bits = run
+            if not protected:
+                stop = bits.translate(_PROTECTED).find(1)
+                if stop >= 0:
+                    bits = bits[:stop]
+            gpa = region.target + i * PAGE_SIZE
+            return bytes(bits), range(gpa, gpa + len(bits) * PAGE_SIZE, PAGE_SIZE)
+        addrs = np.asarray(gvas, dtype=np.int64)
+        bits, gpas, _ = self._gather(addrs)
+        stops = (bits & (_MAPPED if protected else _WRITABLE) == 0).nonzero()[0]
+        n = int(stops[0]) if len(stops) else len(addrs)
+        bits = bits[:n]
+        return np.where(_first(addrs[:n]), bits, _WRITTEN_A[bits]).tobytes(), gpas[:n]
 
     def write_run(
-        self, gva: int, count: int, ept: "Ept"
+        self, gvas: Sequence[int], ept: "Ept"
     ) -> tuple[list[int], list[tuple[int, int]]]:
-        """``count`` writes to the region pages from ``gva`` on, in address order.
+        """The writes of a run to ``gvas``, in order, that :meth:`region_run` and
+        :meth:`Ept.region_run` passed.
 
         Each leaves the state :meth:`write_page` leaves when it completes the
-        write, a write-protected page's with ``ignore_protection``.  The pages
-        must be a run :meth:`region_run` and :meth:`Ept.region_run` returned.
-        Returns the write-protected pages, whose writes faulted first, and the
+        write, a write-protected page's with ``ignore_protection``.  Returns
+        the GVAs whose writes faulted on write protection first, and the
         ``(gpa, gva)`` of each write that set an EPT dirty bit, in order.
         """
-        region, i = self._locate(gva)
-        stop = i + count
-        bits = region.bits[i:stop]
-        region.bits[i:stop] = bits.translate(_WRITTEN)
-        gpa = region.target + i * PAGE_SIZE
-        shift = gva - gpa
-        logged = [(frame, frame + shift) for frame in ept.set_dirty_run(gpa, count)]
-        return _addresses(bits, _PROTECTED, gva), logged
+        if _consecutive(gvas):
+            region, i = self._locate(gvas.start)
+            stop = i + len(gvas)
+            bits = region.bits[i:stop]
+            region.bits[i:stop] = bits.translate(_WRITTEN)
+            gpa = region.target + i * PAGE_SIZE
+            frames = range(gpa, gpa + len(gvas) * PAGE_SIZE, PAGE_SIZE)
+            protected = _addresses(bits, _PROTECTED, gvas.start)
+            logged = ept.set_dirty_run(frames)
+        else:
+            addrs = np.asarray(gvas, dtype=np.int64)
+            bits, gpas, places = self._gather(addrs)
+            self._scatter(places, len(addrs), _WRITTEN, _WRITTEN_A)
+            protected = addrs[bits & _WRITABLE == 0].tolist()
+            logged = ept.set_dirty_run(gpas)
+            frames, gvas = gpas.tolist(), addrs.tolist()
+        return protected, list(zip(compress(frames, logged), compress(gvas, logged)))
 
     def clear_soft_dirty(self) -> int:
         """Clear every soft-dirty bit; returns how many were set."""
@@ -625,45 +692,58 @@ class Ept(_PageMap):
         region.bits[i] = _SET_DIRTY[bits]
         return not bits & _DIRTY
 
-    def region_run(self, gpa: int, n: int, transitions: int | None = None) -> int:
-        """How many of the ``n`` frames from ``gpa`` on a run of writes can dirty.
+    def region_run(self, gpas: Sequence[int], transitions: int | None = None) -> int:
+        """How many writes of a run to the frames ``gpas``, in order, can dirty them.
 
-        The run stops before the first frame that is no live frame of
-        ``gpa``'s region (one mapped by :meth:`map_region`) and, when
-        ``transitions`` is given, before the clean frame that would be the
-        ``transitions + 1``-th to set its dirty bit.  No state change.
+        The run stops before the first frame that is not mapped and, when
+        ``transitions`` is given, before the write that would be the
+        ``transitions + 1``-th to set a dirty bit from clear: a frame's first
+        write in the run, if its bit is clear.  A ``range`` of frames also
+        stops before the first that is no live frame of the first one's
+        region (one mapped by :meth:`map_region`).  No state change.
         """
-        run = self._live_run(gpa, n)
-        if run is None:
-            return 0
-        bits = run[2]
-        if transitions is None:
-            return len(bits)
-        clean = bits.translate(_CLEAN)
-        if clean.count(1) <= transitions:
-            return len(bits)
-        return bisect_left(list(accumulate(clean)), transitions + 1)
+        if _consecutive(gpas):
+            run = self._live_run(gpas.start, len(gpas))
+            if run is None:
+                return 0
+            bits = run[2]
+            if transitions is None:
+                return len(bits)
+            clean = bits.translate(_CLEAN)
+            if clean.count(1) <= transitions:
+                return len(bits)
+            return bisect_left(list(accumulate(clean)), transitions + 1)
+        addrs = np.asarray(gpas, dtype=np.int64)
+        bits = self._gather(addrs)[0]
+        stops = (bits == 0).nonzero()[0]
+        n = int(stops[0]) if len(stops) else len(addrs)
+        if transitions is None or not n:
+            return n
+        seen = np.cumsum(_first(addrs[:n]) & (bits[:n] & _DIRTY == 0))  # integer counts
+        return n if seen[-1] <= transitions else int(np.searchsorted(seen, transitions + 1))
 
-    def set_dirty_run(self, gpa: int, count: int) -> list[int]:
-        """:meth:`set_dirty` on the ``count`` region frames from ``gpa`` on, which
-        :meth:`region_run` returned; the frames it set from clear, in order."""
-        region, i = self._locate(gpa)
-        stop = i + count
-        bits = region.bits[i:stop]
-        region.bits[i:stop] = bits.translate(_SET_DIRTY)
-        return _addresses(bits, _CLEAN, gpa)
+    def set_dirty_run(self, gpas: Sequence[int]) -> bytes:
+        """:meth:`set_dirty` for each of ``gpas``, in order, which :meth:`region_run`
+        passed; 1 for each write that set its frame's bit from clear, else 0."""
+        if _consecutive(gpas):
+            region, i = self._locate(gpas.start)
+            stop = i + len(gpas)
+            bits = region.bits[i:stop]
+            region.bits[i:stop] = bits.translate(_SET_DIRTY)
+            return bits.translate(_CLEAN)
+        addrs = np.asarray(gpas, dtype=np.int64)
+        bits, _, places = self._gather(addrs)
+        self._scatter(places, len(addrs), _SET_DIRTY, _SET_DIRTY_A)
+        return (_first(addrs) & (bits & _DIRTY == 0)).tobytes()
 
     def clear_dirty(self, gpas: list[int]) -> None:
         """Re-arm logging for ``gpas``: the next write transitions again.  One
         ``translate`` clears a run of frames.  Unmapped GPAs are skipped."""
-        runs, hits = self._walk(gpas)
+        runs, (_, _, places) = self._walk(gpas)
         for region, i, k, _pos in runs:
             bits = region.bits
             bits[i : i + k] = bits[i : i + k].translate(_CLEAR_DIRTY)
-        for region, indices in hits:
-            bits = region.bits
-            for i in indices:
-                bits[i] = _CLEAR_DIRTY[bits[i]]
+        self._scatter(places, len(gpas), _CLEAR_DIRTY, _CLEAR_DIRTY_A)
 
     def dirty_gpas(self) -> set[int]:
         return self._pages(_HAS_DIRTY)

@@ -21,6 +21,7 @@ read/write bitmap control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 __all__ = [
     "BUFFER_SLOTS",
@@ -206,7 +207,7 @@ class PmlState:
         buffer full; True when the hypervisor buffer logged them."""
         hv = self.hv_buffer.log_run(pairs)
         if self.epml_enabled:
-            self.guest_buffer.log_run([gva for _gpa, gva in pairs])
+            self.guest_buffer.log_run(list(map(itemgetter(1), pairs)))
         return hv
 
     def free_slots(self) -> int | None:

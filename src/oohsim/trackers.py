@@ -25,21 +25,21 @@ write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
 semantics, runs every trace, and alone reports content-level results (the
 dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
 feeds it its ops, the micro-benchmark one round of writes at a time.  A
-quiet write only adds its base cost to the clock, held in locals, and in a
-round a whole stretch of quiet writes is applied in one step that leaves
-the clock and state of one write at a time.  An *event* (a vmexit, stall
-or softirq copy, a full quantum, a due collection tick, the horizon, or a
-map/unmap/remap op) puts the clock back on the run and goes through the
-one event method, which adds each cost in the same order as a
-write-by-write accounting would.  The segment engine, the default
-for the micro-benchmark because it is fast at large sizes, advances whole
-stretches of writes between events with closed-form arithmetic, following
-the mechanical event order (buffer event during the triggering write, then
-the quantum check, then collection ticks).  The two agree on the shapes
-that ``tests/test_trackers.py`` compares (4 MB, three rounds, default ring),
-but not everywhere: they disagree at 512 pages or fewer, at the horizon and
-with small rings (ROADMAP open item 2).  Trust the mechanical engine where
-they differ.
+quiet write only adds its base cost to the clock, held in locals, and a
+whole stretch of quiet writes, in a round or in a trace's run of writes, is
+applied in one step that leaves the clock and state of one write at a time.
+An *event* (a vmexit, stall or softirq copy, a full quantum, a due
+collection tick, the horizon, or a map/unmap/remap op) puts the clock back
+on the run and goes through the one event method, which adds each cost in
+the same order as a write-by-write accounting would.  The segment engine,
+the default for the micro-benchmark because it is fast at large sizes,
+advances whole stretches of writes between events with closed-form
+arithmetic, following the mechanical event order (buffer event during the
+triggering write, then the quantum check, then collection ticks).  The two
+agree on the shapes that ``tests/test_trackers.py`` compares (4 MB, three
+rounds, default ring), but not everywhere: they disagree at 512 pages or fewer, at the horizon and
+with small rings (the ROADMAP item on one engine).  Trust the mechanical
+engine where they differ.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, is_not, itemgetter, ne
 from typing import Any
+
+import numpy as np
 
 from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
@@ -479,8 +481,8 @@ class _SegmentRun(_Run):
     one event to the next.  It assumes every write logs a fresh entry and
     does not clip a stretch at the horizon, so it departs from the
     mechanical engine at 512 pages or fewer, near the horizon and with
-    small rings (ROADMAP open item 2); the mechanical engine is the
-    reference.
+    small rings (the ROADMAP item on one engine); the mechanical engine is
+    the reference.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -605,6 +607,38 @@ class _SegmentRun(_Run):
 # mechanical engine (every write executed through the machine)
 # --------------------------------------------------------------------------
 
+# by a page-table page's state byte: the index of its write's faults in
+# ``_MechanicalRun._write_us``, and 1 where the write takes a uffd fault
+_FAULTS = [sd + 2 * wp for sd, wp in map(write_faults, range(256))]
+_UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
+
+#: The fewest writes a stretch peeks at; below it each write goes through
+#: ``write_one``.  A stretch of pages in any order has a fixed cost of about
+#: 150 µs of NumPy calls against about 4.5 µs per ``write_one`` (2-vCPU x86
+#: host, CPython 3.11), and the churn traces ran fastest with 32.
+STRETCH_MIN = 32
+
+
+def _decode(ops) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple]]:
+    """A trace's ops as :meth:`_MechanicalRun._drive` runs them: each op's page (the
+    page a write writes), the same as an array, their page numbers, the
+    positions of the ops that are not writes, and the ops.
+
+    A page is named by its page-aligned address: any other address raises
+    ``ValueError`` naming the first such op and the address.
+    """
+    ops = list(ops)
+    gvas = list(map(itemgetter(1), ops))
+    others = [i for i, op in enumerate(ops) if op[0] != "write"]
+    batch = np.array(gvas, dtype=np.int64)
+    bad = np.flatnonzero(batch % PAGE_SIZE).tolist()[:1]
+    bad += (i for i in others if ops[i][0] == "remap" and ops[i][2] % PAGE_SIZE)
+    if bad:
+        i = min(bad)
+        addr = gvas[i] if gvas[i] % PAGE_SIZE else ops[i][2]
+        raise ValueError(f"trace op {i}: address {addr:#x} is not page-aligned")
+    return gvas, batch, (batch // PAGE_SIZE).tolist(), others, ops
+
 
 class _MechanicalRun(_Run):
     """Every write executed through the machine: the reference engine.
@@ -626,24 +660,28 @@ class _MechanicalRun(_Run):
     horizon the run is truncated if an op is left undone; a round whose
     last write crosses it still counts.
 
-    In a micro-benchmark round, writes to consecutive pages, a *stretch*
-    of quiet writes takes one step.  The machine says how many of the next
-    writes would be quiet and hands back each one's page byte
-    (:meth:`~oohsim.vm.VirtualMachine.quiet_run`); a 256-entry table built
-    from the price list turns each byte into that write's wall and run
-    µs.  :func:`itertools.accumulate` advances the clock and the run time
-    one write at a time, as the per-write loop adds them, and
-    :func:`bisect.bisect_left` finds the first write that reaches the tick,
-    the horizon or the quantum.  The machine applies the writes up to and
+    A *stretch* of quiet writes takes one step, in a micro-benchmark round
+    (writes to consecutive pages) and in a trace's run of writes between
+    its other ops (pages in any order, some written more than once) alike.
+    The machine says how many of the next writes would be quiet and hands
+    back the page byte each one finds, a page written again finding the
+    byte its first write left (:meth:`~oohsim.vm.VirtualMachine.quiet_run`);
+    a 256-entry table built from the price list turns each byte into that
+    write's wall and run µs.  :func:`itertools.accumulate` advances the
+    clock and the run time one write at a time, as the per-write loop adds
+    them, and :func:`bisect.bisect_left` finds the first write that reaches
+    the tick, the horizon or the quantum.  The machine applies the writes up to and
     including it (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that
     write's event exit is the per-write loop's.  The state, the counters and
     every float are those of write-by-write stepping; the write that finds
-    a log buffer full still goes through ``write_one``.
+    a log buffer full still goes through ``write_one``, as does every write
+    of a stretch shorter than :data:`STRETCH_MIN`.
 
     ``oracle`` (pages written) and ``collected`` (pages reported) hold page
     numbers, as page-aligned addresses share their low bits and a set of them
     probes on most lookups; :meth:`_content` turns them into addresses, so a
-    trace must name its pages by page-aligned addresses.
+    trace must name its pages by page-aligned addresses (:func:`_decode`
+    rejects any other).
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -682,13 +720,10 @@ class _MechanicalRun(_Run):
         return out
 
     @cached_property
-    def _byte_us(self) -> tuple[list[float], list[float], bytes]:
-        """By a region page's state byte: its write's wall µs, its run µs, and a
-        ``translate`` table that marks the writes with a uffd fault."""
-        faults = [write_faults(bits) for bits in range(256)]
-        costs = [self._write_us[sd + 2 * wp] for sd, wp in faults]
-        walls, runs = [wall for wall, _ in costs], [run for _, run in costs]
-        return walls, runs, bytes(wp for _, wp in faults)
+    def _byte_us(self) -> tuple[list[float], list[float]]:
+        """By a page-table page's state byte: its write's wall µs and run µs."""
+        walls, runs = zip(*self._write_us)
+        return list(map(walls.__getitem__, _FAULTS)), list(map(runs.__getitem__, _FAULTS))
 
     # ----- helpers -------------------------------------------------------
 
@@ -747,21 +782,24 @@ class _MechanicalRun(_Run):
         """Execute ``ops`` until they run out, the horizon passes or a stall truncates.
 
         ``ops`` None is one round of the micro-benchmark: a write to each
-        page of the sweep, in order.  There a stretch of quiet writes
-        (:meth:`~oohsim.vm.VirtualMachine.quiet_run`) is applied in one step;
-        a write a stretch cannot take goes through ``write_one``, as every
-        trace write does.  A write's cost is ``w``, then the soft-dirty fault
-        for ``proc``, then the uffd fault for a recorded fault
-        (``_write_us``); the class docstring lists the event exits.
+        page of the sweep, in order.  A trace's ops are decoded first
+        (:func:`_decode`).  In each run of writes between the other ops, a
+        stretch of quiet writes (:meth:`~oohsim.vm.VirtualMachine.quiet_run`)
+        of at least :data:`STRETCH_MIN` writes is applied in one step; a
+        write a stretch cannot take goes through ``write_one``.  A write's
+        cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
+        fault for a recorded fault (``_write_us``); the class docstring lists
+        the event exits.
         """
         if ops is None:
-            sweep, (walls, runs, recorded) = self._sweep, self._byte_us
-            it = iter(zip(repeat("write"), self.gvas))
+            gvas, batch, pages, others, ops = self.gvas, self.gvas, self._sweep, [], ()
         else:
-            sweep, it = None, iter(ops)
+            gvas, batch, pages, others, ops = _decode(ops)
+        total = len(gvas)
         horizon = self.cfg.horizon_us
         if self.t >= horizon:
-            self._stop(it)
+            if total:  # an op is left undone
+                self.truncated = True
             return
         quantum = self.cfg.quantum_us
         w, uffd_fault = self.c.write, self.c.uffd_fault
@@ -769,82 +807,86 @@ class _MechanicalRun(_Run):
         vm, pid = self.vm, TRACKED_PID
         write_one, apply_op = vm.write_one, vm.apply_op
         quiet_run, write_run = vm.quiet_run, vm.write_run
-        oracle_add = self.oracle.add
-        first = self.writes_done  # every sweep write completes
+        stretch_min = STRETCH_MIN
+        oracle_add, oracle_update = self.oracle.add, self.oracle.update
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
         limit = min(self.next_tick, horizon)
-        for op in it:
-            if op[0] != "write":
+        pos = 0
+        for end in chain(others, (total,)):  # the writes up to the next other op
+            blocked = False
+            while pos < end:
+                bits = b""
+                if not blocked and end - pos >= stretch_min and t < limit and run_acc < quantum:
+                    # peek at enough writes to reach the tick or the quantum at ``w``
+                    # each; a round can start past the tick (proc's pagemap walk is
+                    # not ticked), and then its first write goes through write_one
+                    n = min(end - pos, int((limit - t) / w) + 2, int((quantum - run_acc) / w) + 2)
+                    if n >= stretch_min:
+                        stretch = batch[pos : pos + n]
+                        bits = quiet_run(pid, stretch, n)
+                blocked = False
+                if bits:
+                    walls, runs = self._byte_us
+                    quiet = len(bits)
+                    # dearer writes (uffd's) reach the tick sooner: clock no more of them
+                    bits = bits[: int((limit - t) / walls[bits[0]]) + 2]
+                    # the stretch ends with the first write whose clock reaches the
+                    # limit or whose run time reaches the quantum, if one does
+                    ts = list(accumulate(map(walls.__getitem__, bits), initial=t))
+                    rs = list(accumulate(map(runs.__getitem__, bits), initial=run_acc))
+                    k = min(bisect_left(ts, limit, 1), bisect_left(rs, quantum, 1), len(bits))
+                    write_run(pid, stretch, k)
+                    faults = bits[:k].translate(_UFFD_FAULTS).count(1)
+                    if faults:
+                        suspension = reduce(add, repeat(uffd_fault, faults), suspension)
+                        busy = reduce(add, repeat(uffd_fault, faults), busy)
+                    oracle_update(pages[pos : pos + k])
+                    pos += k
+                    writes_done += k
+                    t, run_acc = ts[k], rs[k]
+                    if t < limit and run_acc < quantum:
+                        # a stretch shorter than its peek stopped before a write
+                        # that is no quiet one: that write goes through write_one
+                        blocked = k == quiet < n
+                        continue
+                    res, wall, run = None, walls[bits[k - 1]], runs[bits[k - 1]]
+                else:
+                    res = write_one(pid, gvas[pos])
+                    outcome = res[0]
+                    wall, run = write_us[outcome.softdirty_fault + 2 * res.uffd_recorded]
+                    if res.uffd_recorded:
+                        suspension += uffd_fault
+                        busy += uffd_fault
+                    if outcome.fault is None:
+                        writes_done += 1
+                        oracle_add(pages[pos])
+                    pos += 1
+                    if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
+                        t += wall
+                        run_acc += run
+                        if t < limit and run_acc < quantum:
+                            continue
+                        res = None  # counted: only the quantum and tick checks remain
                 self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
                 self.suspension, self.tracker_busy = suspension, busy
-                apply_op(pid, op)
-                continue
-            gva = op[1]
-            bits = b""
-            if sweep is not None and t < limit and run_acc < quantum:
-                # peek at enough writes to reach the tick or the quantum at ``w`` each;
-                # a round can start past the tick (proc's pagemap walk is not ticked),
-                # and then its first write ends the stretch alone, by ``write_one``
-                left = len(sweep) - (writes_done - first)
-                n = min(left, int((limit - t) / w) + 2, int((quantum - run_acc) / w) + 2)
-                bits = quiet_run(pid, gva, n)
-            if bits:
-                # dearer writes (uffd's) reach the tick sooner: clock no more of them
-                bits = bits[: int((limit - t) / walls[bits[0]]) + 2]
-                # the stretch ends with the first write whose clock reaches the
-                # limit or whose run time reaches the quantum, if one does
-                ts = list(accumulate(map(walls.__getitem__, bits), initial=t))
-                rs = list(accumulate(map(runs.__getitem__, bits), initial=run_acc))
-                k = min(bisect_left(ts, limit, 1), bisect_left(rs, quantum, 1), len(bits))
-                write_run(pid, gva, k)
-                faults = bits[:k].translate(recorded).count(1)
-                if faults:
-                    suspension = reduce(add, repeat(uffd_fault, faults), suspension)
-                    busy = reduce(add, repeat(uffd_fault, faults), busy)
-                self.oracle.update(sweep[writes_done - first : writes_done - first + k])
-                writes_done += k
-                if k > 1:
-                    next(islice(it, k - 2, None))  # the stretch's other writes
-                t, run_acc = ts[k], rs[k]
-                if t < limit and run_acc < quantum:
-                    continue
-                res, wall, run = None, walls[bits[k - 1]], runs[bits[k - 1]]
-            else:
-                res = write_one(pid, gva)
-                outcome = res[0]
-                wall, run = write_us[outcome.softdirty_fault + 2 * res.uffd_recorded]
-                if res.uffd_recorded:
-                    suspension += uffd_fault
-                    busy += uffd_fault
-                if outcome.fault is None:
-                    writes_done += 1
-                    oracle_add(gva // PAGE_SIZE)
-                if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
-                    t += wall
-                    run_acc += run
-                    if t < limit and run_acc < quantum:
-                        continue
-                    res = None  # counted: only the quantum and tick checks remain
-            self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
-            self.suspension, self.tracker_busy = suspension, busy
-            self._event(res, wall, run)
-            if self.truncated:
-                return
-            t, run_acc = self.t, self.run_acc
-            suspension, busy = self.suspension, self.tracker_busy
-            if t >= horizon:
-                self._stop(it)
-                return
-            limit = min(self.next_tick, horizon)
+                self._event(res, wall, run)
+                if self.truncated:
+                    return
+                t, run_acc = self.t, self.run_acc
+                suspension, busy = self.suspension, self.tracker_busy
+                if t >= horizon:
+                    if pos < total:  # an op is left undone
+                        self.truncated = True
+                    return
+                limit = min(self.next_tick, horizon)
+            if end < total:
+                self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
+                self.suspension, self.tracker_busy = suspension, busy
+                apply_op(pid, ops[end])
+                pos = end + 1
         self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
         self.suspension, self.tracker_busy = suspension, busy
-
-    def _stop(self, it) -> None:
-        """The horizon has passed: the run is truncated if an op is left undone."""
-        for _op in it:
-            self.truncated = True
-            break
 
     def _event(self, res, wall: float, run: float) -> None:
         """Finish the accounting of a write that ended a quiet stretch.
@@ -933,7 +975,8 @@ def run_tracker(cfg: TrackerConfig) -> TrackerPhaseReport:
     only when ``cfg.mechanical`` is set.  The default segment engine is
     faster but only approximates the mechanical one, which is the reference:
     they agree on the shapes the tests compare and disagree at 512 pages or
-    fewer, at the horizon and with small rings (ROADMAP open item 2).
+    fewer, at the horizon and with small rings (the ROADMAP item on one
+    engine).
     """
     mechanical = cfg.mechanical or cfg.trace is not None
     return (_MechanicalRun if mechanical else _SegmentRun)(cfg).run()

@@ -13,11 +13,13 @@ device field at its default, and only a full buffer takes the flush,
 softirq and replay path.
 
 :meth:`VirtualMachine.quiet_run` and :meth:`VirtualMachine.write_run` are
-the bulk form of ``write_one`` for writes to consecutive pages: the first
-says how many of the next writes would be quiet and how each would fault,
-the second applies them as slice operations on the two tables and bulk
-appends to the log buffers, entry tags and uffd record, leaving exactly the
-state that one ``write_one`` per write leaves.
+the bulk form of ``write_one`` for a stretch of writes: to consecutive pages
+(a sweep) or to pages in any order, some more than once (a trace).  The
+first says how many of the next writes would be quiet and how each would
+fault; the second applies them to the two tables, as slice operations for
+consecutive pages and as one gather and scatter per region otherwise, and
+bulk appends to the log buffers, entry tags and uffd record, leaving exactly
+the state that one ``write_one`` per write leaves.
 
 Allocation hands out fresh guest-physical and host-physical frames —
 addresses are never reused, so a page remapped after churn is always
@@ -38,6 +40,7 @@ checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .costs import PAGE_SIZE as PAGE
@@ -235,29 +238,38 @@ class VirtualMachine:
             uffd_recorded,
         )
 
-    def quiet_run(self, pid: int, gva: int, n: int) -> bytes:
-        """The state bytes of the next ``n`` or fewer writes to consecutive pages
-        from ``gva`` that :meth:`write_one` would complete quietly.
+    def quiet_run(self, pid: int, gvas: int | Sequence[int], n: int) -> bytes:
+        """The state bytes of the next ``n`` or fewer writes to ``gvas`` that
+        :meth:`write_one` would complete quietly, one per write.
 
-        Quiet means no vmexit, stall or softirq copy.  The run stops before
-        a page that is no live region page (in the page table or the EPT),
-        before a write-protect fault with no monitor to take it, and before
-        the write whose dirty transition would find a log buffer full.
-        :func:`~oohsim.memory.write_faults` reads the faults each write
-        takes from its byte.  ``n`` must be at least 1.  No state change.
+        ``gvas`` is a sequence of page addresses, or the first of a run of
+        consecutive pages.  Quiet means no vmexit, stall or softirq copy.  The
+        run stops before a write to a page that is not mapped (in the page
+        table or the EPT), before a write-protect fault with no monitor to take
+        it, and before the write whose dirty transition would find a log buffer
+        full.  A page written again in the run finds the byte its first write
+        left; :func:`~oohsim.memory.write_faults` reads the faults each write
+        takes from its byte.  Consecutive pages take slice operations and stop
+        at the end of their region too.  ``n`` must be at least 1.  No state
+        change.
         """
+        if n < 1:
+            raise ValueError(f"a run holds at least one write, got {n}")
         proc = self.kernel._proc(pid)
-        bits, gpa = proc.table.region_run(gva, n, protected=proc.uffd_mode is not None)
+        gvas = range(gvas, gvas + n * PAGE, PAGE) if isinstance(gvas, int) else gvas[:n]
+        bits, gpas = proc.table.region_run(gvas, protected=proc.uffd_mode is not None)
         if not bits:
             return bits
-        return bits[: self.ept.region_run(gpa, len(bits), self.hv.pml.free_slots())]
+        return bits[: self.ept.region_run(gpas, self.hv.pml.free_slots())]
 
-    def write_run(self, pid: int, gva: int, count: int) -> None:
-        """The first ``count`` writes of a :meth:`quiet_run` from ``gva``, applied in
+    def write_run(self, pid: int, gvas: int | Sequence[int], count: int) -> None:
+        """The first ``count`` writes of a :meth:`quiet_run` of ``gvas``, applied in
         one step: the state after is the state after ``count`` :meth:`write_one`
         calls."""
         proc = self.kernel._proc(pid)
-        protected, logged = proc.table.write_run(gva, count, self.ept)
+        if isinstance(gvas, int):
+            gvas = range(gvas, gvas + count * PAGE, PAGE)
+        protected, logged = proc.table.write_run(gvas[:count], self.ept)
         if protected:
             self.kernel.uffd_record_run(pid, protected)
         if logged:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oohsim import trackers
 from oohsim.checkpoint import CheckpointSession
 from oohsim.costs import PAGE_SIZE, CostTable
 from oohsim.experiments import ConfigError, ExperimentConfig
@@ -1007,3 +1010,94 @@ def test_a_round_that_starts_past_the_tick_is_exact(rounds, interval_us):
         "proc", 256 * PAGE_SIZE, rounds=rounds, collection_interval_us=interval_us, mechanical=True
     )
     _assert_stretches_exact(config)
+
+
+# ------------------------------------------ trace stretches are exact too
+
+
+def _stretch_trace(seed: int, pages: int, n_ops: int, p_churn: float, hot: int) -> list[tuple]:
+    """Writes, most to a few hot pages and some to any page or to one that is
+    not mapped, mixed with maps, unmaps and moves of live pages."""
+    rng = random.Random(seed)
+    mapped = [(i + 1) * PAGE_SIZE for i in range(pages)]
+    fresh = (pages + 1) * PAGE_SIZE
+    ops: list[tuple] = []
+    for _ in range(n_ops):
+        r = rng.random()
+        if r < p_churn and len(mapped) > 1:
+            kind = rng.choice(["map", "unmap", "remap"])
+            if kind == "map":
+                ops.append(("map", fresh))
+                mapped.append(fresh)
+            elif kind == "unmap":
+                ops.append(("unmap", mapped.pop(rng.randrange(len(mapped)))))
+                continue
+            else:
+                i = rng.randrange(len(mapped))
+                ops.append(("remap", mapped[i], fresh))
+                mapped[i] = fresh
+            fresh += PAGE_SIZE
+        elif r < 0.5:
+            ops.append(("write", mapped[rng.randrange(min(hot, len(mapped)))]))
+        elif r < 0.51:
+            ops.append(("write", fresh + PAGE_SIZE * rng.randrange(4)))  # not mapped
+        else:
+            ops.append(("write", rng.choice(mapped)))
+    return ops
+
+
+_LONG_STRETCHES = dict(
+    pages=700, n_ops=2_500, p_churn=0.002, hot=1_000, seed=5, quantum_us=10_000.0,
+    interval_us=1_000.0, ring=1024, policy="stall", defer=False, horizon_us=6e7,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(technique="spml", **_LONG_STRETCHES)  # stretches that reach a full buffer
+@example(technique="epml", **_LONG_STRETCHES)
+@given(
+    technique=st.sampled_from(TECHNIQUES),
+    pages=st.sampled_from([3, 300, 512, 700]),
+    n_ops=st.sampled_from([1, 60, 700, 2_500]),
+    p_churn=st.sampled_from([0.0, 0.002, 0.05]),
+    hot=st.sampled_from([1, 40, 1_000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    quantum_us=st.sampled_from([0.5, 300.0, 10_000.0]),
+    interval_us=st.sampled_from([40.0, 1_000.0]),
+    ring=st.sampled_from([1024, 16384]),
+    policy=st.sampled_from(["stall", "drop"]),
+    defer=st.booleans(),
+    horizon_us=st.sampled_from([0.0, 350.0, 6e7]),
+)
+def test_trace_stretches_leave_every_report_field_as_write_by_write(
+    technique, pages, n_ops, p_churn, hot, seed, quantum_us, interval_us, ring, policy, defer,
+    horizon_us,
+):
+    ops = _stretch_trace(seed, pages, n_ops, p_churn, hot)
+    config = cfg(
+        technique,
+        pages * PAGE_SIZE,
+        quantum_us=quantum_us,
+        collection_interval_us=interval_us,
+        ring_capacity=ring,
+        ring_full_policy=policy,
+        defer_reverse_map=defer,
+        horizon_us=horizon_us,
+        trace=_Trace(ops),
+    )
+    reports = []
+    for stretch_min in (1, math.inf):  # every stretch batched, then none
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trackers, "STRETCH_MIN", stretch_min)
+            reports.append(_field_bits(run_tracker(config)))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_an_unaligned_trace_address_is_rejected(technique):
+    ops = [("map", 0x100800), ("write", 0x100800)]
+    with pytest.raises(ValueError, match=r"op 0: address 0x100800"):
+        run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=_Trace(ops)))
+    ops = [("write", _base_gvas(1)[0]), ("map", 0x20000), ("write", 0x1010)]
+    with pytest.raises(ValueError, match=r"op 2: address 0x1010 "):
+        run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=_Trace(ops)))

@@ -6,7 +6,7 @@ import tracemalloc
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oohsim.guest import TECHNIQUES
@@ -352,3 +352,71 @@ def test_quiet_run_rejects_a_run_of_no_pages(n):
     vm, pages = _twin_machine("spml", True, 0, 0, 0, [], [])
     with pytest.raises(ValueError):
         vm.quiet_run(7, pages[1], n)
+
+
+_target = st.integers(min_value=0, max_value=TWIN_PAGES + 1)  # the last two are not mapped
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # repeated pages, soft-dirty faults and a buffer that fills
+    technique="epml", sched_in=True, hole=20, single=5, protect=21, prewrites=[1, 2],
+    rearm=[], lacking=None, soft_clear=True, targets=[3, 5, 3, 5, 6, 7, 8, 9, 10, 11, 3], n=11,
+    cut=0,
+)
+@given(
+    technique=st.sampled_from(TECHNIQUES),
+    sched_in=st.booleans(),
+    hole=_page,
+    single=_page,
+    protect=_page,
+    prewrites=st.lists(_page, max_size=14),
+    rearm=st.lists(_page, max_size=6),
+    lacking=st.none() | _page,
+    soft_clear=st.booleans(),
+    targets=st.lists(_target, min_size=1, max_size=40),
+    n=st.integers(min_value=1, max_value=40),
+    cut=st.integers(min_value=0, max_value=40),
+)
+def test_write_run_of_any_pages_leaves_the_state_of_one_write_one_per_write(
+    technique, sched_in, hole, single, protect, prewrites, rearm, lacking, soft_clear, targets,
+    n, cut,
+):
+    # pages in any order, written again, singly mapped, unmapped or with no EPT
+    # frame; with soft-dirty bits clear, a page's first write takes the fault
+    args = (technique, sched_in, hole, single, protect, prewrites, rearm)
+    (bulk, pages), (single_steps, _) = _twin_machine(*args), _twin_machine(*args)
+    for vm in (bulk, single_steps):
+        if soft_clear:
+            vm.kernel.processes[7].table.clear_soft_dirty()
+        gpa = vm.kernel.processes[7].table.gpa_of(pages[lacking]) if lacking is not None else None
+        if gpa is not None:
+            vm.ept.unmap_gpa(gpa)
+    gvas = [pages[0] + i * P for i in targets]
+    bits = bulk.quiet_run(7, gvas, n)
+    assert len(bits) <= min(n, len(gvas))
+    assert _machine_state(bulk) == _machine_state(single_steps)  # the peek changes nothing
+    k = min(cut, len(bits)) if cut else len(bits)  # 0: the whole run
+    if k:
+        bulk.write_run(7, gvas, k)
+    for i in range(k):
+        res = single_steps.write_one(7, gvas[i])
+        assert res.completed and res.vmexit is None and not res.softirq_copied
+        assert not res.stalled and not res.guest_dropped
+        assert (res.outcome.softdirty_fault, res.uffd_recorded) == write_faults(bits[i])
+    assert _machine_state(bulk) == _machine_state(single_steps)
+
+    # the run stopped for a reason: the next write is to a page that is not
+    # mapped, a protect fault no monitor takes, a frame the EPT lacks, or one
+    # that finds a buffer full
+    if k == len(bits) < min(n, len(gvas)):
+        try:
+            res = single_steps.write_one(7, gvas[k])
+        except KeyError:  # the EPT lacks the frame
+            return
+        except RuntimeError:  # a protect fault no monitor takes
+            assert technique != "uffd"
+            return
+        if res.outcome.fault is not None:
+            assert res.outcome.fault == "not_present"
+            return
+        assert res.log is not None and (res.log.hv_full or res.log.guest_full)
