@@ -366,17 +366,18 @@ class CheckpointSession:
         else:
             dump_gvas = names & mapped
             parent = self.images[-1].sequence_no
+        contents = {gva: self._read(gva) for gva in mapped}  # each mapped page read once
         image = CheckpointImage(
             sequence_no=self._seq,
             mode=mode,
-            pages={gva: self._read(gva) for gva in sorted(dump_gvas)},
+            pages={gva: contents[gva] for gva in sorted(dump_gvas)},
             mapped=mapped,
             parent=parent,
         )
         self._seq += 1
         self.images.append(image)
         self.timings.append(_dump_timing(self.technique, kernel.uio.prices, len(image.pages)))
-        self.last_snapshot = {g: c for g in mapped if (c := self._read(g)) != ZERO_PAGE}
+        self.last_snapshot = {g: c for g, c in contents.items() if c != ZERO_PAGE}
         kernel.on_schedule(TRACKED_PID, "in")
         return image
 

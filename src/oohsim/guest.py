@@ -270,7 +270,9 @@ class GuestKernel:
         if uio is None or uio.pid != pid:
             raise NotRegistered(f"pid {pid} is not tracked")
         proc = self._proc(pid)
-        return proc.table.soft_dirty_set() | set(proc.softdirty_residue), uio.prices.m16
+        dirty = proc.table.soft_dirty_set()  # a fresh set: add the residue in place
+        dirty.update(proc.softdirty_residue)
+        return dirty, uio.prices.m16
 
     # ------------------------------------------------- userspace-fault (uffd)
 
@@ -292,6 +294,5 @@ class GuestKernel:
         proc = self._proc(pid)
         if proc.uffd_mode is None:
             raise NotRegistered(f"pid {pid} has no fault registration")
-        out = set(proc.uffd_dirty)
-        proc.uffd_dirty.clear()
+        out, proc.uffd_dirty = proc.uffd_dirty, set()  # the caller owns the old set
         return out

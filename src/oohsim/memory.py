@@ -14,21 +14,21 @@ arithmetic, and each page's state is one byte of the region's
 dirty).  An allocation is one region in each table; a page mapped singly
 or moved is a one-page region, kept in ``entries`` under its address.  So
 each rule about a page's state is one byte table, applied to one byte (a
-write, a protect, a re-arm), to a slice (writes to consecutive pages,
-:meth:`GuestPageTable.write_run`) or to the bytes of pages in any order,
-gathered and scattered with NumPy one region at a time (a trace's writes,
-a re-arm of logged frames); whole-table operations (soft-dirty
-clear, protect-all, the dirty and soft-dirty sets) run over the bytes with
-``bytes.translate``, ``find`` and ``count``.  Mapping a large address space
-and writing it over and over builds no per-page object.  An unmap takes a
-page out of its region, and a region with no page left is dropped.
+write, a protect, a re-arm), to a slice (writes to consecutive pages) or to
+the bytes of pages in any order, gathered and scattered with NumPy one
+region at a time (a trace's writes, a re-arm of logged frames); whole-table
+operations (soft-dirty clear, protect-all, the dirty and soft-dirty sets)
+run over the bytes with ``bytes.translate``, ``find`` and ``count``.  A
+:class:`Stretch` of writes looks each table up once, and applying its first
+writes reuses what that peek found.  Mapping a large address space and
+writing it over and over builds no per-page object.  An unmap takes a page
+out of its region, and a region with no page left is dropped.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "GuestPageTable",
     "Ept",
     "PageStore",
+    "Stretch",
     "write_faults",
 ]
 
@@ -196,6 +197,12 @@ class _Region:
 def _consecutive(addrs: Sequence[int]) -> bool:
     """Whether ``addrs`` is a ``range`` of pages, which takes the slice path."""
     return isinstance(addrs, range) and addrs.step == PAGE_SIZE
+
+
+def _until(stops: np.ndarray) -> int:
+    """Index of the first True in ``stops``, else its length."""
+    hits = stops.nonzero()[0]
+    return int(hits[0]) if len(hits) else len(stops)
 
 
 def _first(values: np.ndarray) -> np.ndarray:
@@ -548,67 +555,6 @@ class GuestPageTable(_PageMap):
         region.bits[i] = _WRITTEN[bits]
         return WriteOutcome(gva, gpa, None, not bits & _SOFT_DIRTY, transition)
 
-    def region_run(
-        self, gvas: Sequence[int], *, protected: bool = True
-    ) -> tuple[bytes, Sequence[int]]:
-        """The state byte each write of a run to ``gvas`` finds, in order, and the GPAs.
-
-        A page written again in the run finds the byte its first write left.
-        The run stops before the first write to a page that is not mapped;
-        with ``protected`` False also before the first to a write-protected
-        one.  A ``range`` of pages takes the slice path: it also stops before
-        the first page that is no live page of the first one's region (one
-        mapped by :meth:`map_region`), and the GPAs are a ``range`` too.  Any
-        other sequence is gathered per region and from ``entries``, and its
-        GPAs are an array.  No state change.
-        """
-        if _consecutive(gvas):
-            run = self._live_run(gvas.start, len(gvas))
-            if run is None:
-                return b"", range(0)
-            region, i, bits = run
-            if not protected:
-                stop = bits.translate(_PROTECTED).find(1)
-                if stop >= 0:
-                    bits = bits[:stop]
-            gpa = region.target + i * PAGE_SIZE
-            return bytes(bits), range(gpa, gpa + len(bits) * PAGE_SIZE, PAGE_SIZE)
-        addrs = np.asarray(gvas, dtype=np.int64)
-        bits, gpas, _ = self._gather(addrs)
-        stops = (bits & (_MAPPED if protected else _WRITABLE) == 0).nonzero()[0]
-        n = int(stops[0]) if len(stops) else len(addrs)
-        bits = bits[:n]
-        return np.where(_first(addrs[:n]), bits, _WRITTEN_A[bits]).tobytes(), gpas[:n]
-
-    def write_run(
-        self, gvas: Sequence[int], ept: "Ept"
-    ) -> tuple[list[int], list[tuple[int, int]]]:
-        """The writes of a run to ``gvas``, in order, that :meth:`region_run` and
-        :meth:`Ept.region_run` passed.
-
-        Each leaves the state :meth:`write_page` leaves when it completes the
-        write, a write-protected page's with ``ignore_protection``.  Returns
-        the GVAs whose writes faulted on write protection first, and the
-        ``(gpa, gva)`` of each write that set an EPT dirty bit, in order.
-        """
-        if _consecutive(gvas):
-            region, i = self._locate(gvas.start)
-            stop = i + len(gvas)
-            bits = region.bits[i:stop]
-            region.bits[i:stop] = bits.translate(_WRITTEN)
-            gpa = region.target + i * PAGE_SIZE
-            frames = range(gpa, gpa + len(gvas) * PAGE_SIZE, PAGE_SIZE)
-            protected = _addresses(bits, _PROTECTED, gvas.start)
-            logged = ept.set_dirty_run(frames)
-        else:
-            addrs = np.asarray(gvas, dtype=np.int64)
-            bits, gpas, places = self._gather(addrs)
-            self._scatter(places, len(addrs), _WRITTEN, _WRITTEN_A)
-            protected = addrs[bits & _WRITABLE == 0].tolist()
-            logged = ept.set_dirty_run(gpas)
-            frames, gvas = gpas.tolist(), addrs.tolist()
-        return protected, list(zip(compress(frames, logged), compress(gvas, logged)))
-
     def clear_soft_dirty(self) -> int:
         """Clear every soft-dirty bit; returns how many were set."""
         cleared = sum(r.bits.translate(_HAS_SOFT_DIRTY).count(1) for r in self._all())
@@ -692,50 +638,6 @@ class Ept(_PageMap):
         region.bits[i] = _SET_DIRTY[bits]
         return not bits & _DIRTY
 
-    def region_run(self, gpas: Sequence[int], transitions: int | None = None) -> int:
-        """How many writes of a run to the frames ``gpas``, in order, can dirty them.
-
-        The run stops before the first frame that is not mapped and, when
-        ``transitions`` is given, before the write that would be the
-        ``transitions + 1``-th to set a dirty bit from clear: a frame's first
-        write in the run, if its bit is clear.  A ``range`` of frames also
-        stops before the first that is no live frame of the first one's
-        region (one mapped by :meth:`map_region`).  No state change.
-        """
-        if _consecutive(gpas):
-            run = self._live_run(gpas.start, len(gpas))
-            if run is None:
-                return 0
-            bits = run[2]
-            if transitions is None:
-                return len(bits)
-            clean = bits.translate(_CLEAN)
-            if clean.count(1) <= transitions:
-                return len(bits)
-            return bisect_left(list(accumulate(clean)), transitions + 1)
-        addrs = np.asarray(gpas, dtype=np.int64)
-        bits = self._gather(addrs)[0]
-        stops = (bits == 0).nonzero()[0]
-        n = int(stops[0]) if len(stops) else len(addrs)
-        if transitions is None or not n:
-            return n
-        seen = np.cumsum(_first(addrs[:n]) & (bits[:n] & _DIRTY == 0))  # integer counts
-        return n if seen[-1] <= transitions else int(np.searchsorted(seen, transitions + 1))
-
-    def set_dirty_run(self, gpas: Sequence[int]) -> bytes:
-        """:meth:`set_dirty` for each of ``gpas``, in order, which :meth:`region_run`
-        passed; 1 for each write that set its frame's bit from clear, else 0."""
-        if _consecutive(gpas):
-            region, i = self._locate(gpas.start)
-            stop = i + len(gpas)
-            bits = region.bits[i:stop]
-            region.bits[i:stop] = bits.translate(_SET_DIRTY)
-            return bits.translate(_CLEAN)
-        addrs = np.asarray(gpas, dtype=np.int64)
-        bits, _, places = self._gather(addrs)
-        self._scatter(places, len(addrs), _SET_DIRTY, _SET_DIRTY_A)
-        return (_first(addrs) & (bits & _DIRTY == 0)).tobytes()
-
     def clear_dirty(self, gpas: list[int]) -> None:
         """Re-arm logging for ``gpas``: the next write transitions again.  One
         ``translate`` clears a run of frames.  Unmapped GPAs are skipped."""
@@ -747,6 +649,102 @@ class Ept(_PageMap):
 
     def dirty_gpas(self) -> set[int]:
         return self._pages(_HAS_DIRTY)
+
+
+class Stretch:
+    """A run of writes to ``gvas``, in order, peeked at in a page table and the
+    EPT; :meth:`apply` applies its first writes, once.
+
+    ``bits`` holds the page-table byte each write finds, a page written
+    again finding the byte its first write left.  The run stops before the
+    first write to a page that is not mapped (in the page table or the EPT);
+    with ``protected`` False also before the first to a write-protected one;
+    and before the write that would set an EPT dirty bit from clear with no
+    slot left, ``free`` being the slots left in the log buffers (None when
+    none logs).  A ``range`` of pages takes the slice path: it also stops at
+    the first page or frame that is no live one of the first one's region
+    (one mapped by ``map_region``).  Any other sequence is gathered once per
+    region and from ``entries``.  No state change: the peek keeps where each
+    table's bytes live and which writes set a dirty bit, for :meth:`apply`.
+    """
+
+    __slots__ = ("bits", "_gvas", "_gpas", "_places", "_logs", "_applied")
+
+    def __init__(
+        self,
+        table: GuestPageTable,
+        ept: Ept,
+        gvas: Sequence[int],
+        *,
+        protected: bool = True,
+        free: int | None = None,
+    ):
+        self.bits, self._logs, self._applied = b"", None, False
+        if _consecutive(gvas):
+            run = table._live_run(gvas.start, len(gvas))
+            pte = b"" if run is None else run[2]
+            if pte and not protected:
+                stop = pte.translate(_PROTECTED).find(1)
+                pte = pte if stop < 0 else pte[:stop]
+            if not pte:
+                return
+            gpa = run[0].target + run[1] * PAGE_SIZE
+            frames = ept._live_run(gpa, len(pte))
+            if frames is None:
+                return
+            logs = frames[2].translate(_CLEAN)
+            n = len(logs)
+            if free is not None and logs.count(1) > free:  # stop at the (free + 1)-th
+                n = int(np.flatnonzero(np.frombuffer(logs, dtype=np.uint8))[free])
+            self._gvas, self._gpas = gvas, range(gpa, gpa + n * PAGE_SIZE, PAGE_SIZE)
+            self._places, self._logs = (run[:2], frames[:2]), None if free is None else logs
+        else:
+            gvas = np.asarray(gvas, dtype=np.int64)
+            pte, gpas, pte_places = table._gather(gvas)
+            n = _until(pte & (_MAPPED if protected else _WRITABLE) == 0)
+            frames, _, frame_places = ept._gather(gpas[:n])
+            n = _until(frames == 0)
+            if free is not None:
+                self._logs = _first(gpas[:n]) & (frames[:n] & _DIRTY == 0)
+                hits = self._logs.nonzero()[0]
+                n = n if len(hits) <= free else int(hits[free])
+            self._gvas, self._gpas, self._places = gvas, gpas, (pte_places, frame_places)
+            pte = np.where(_first(gvas[:n]), pte[:n], _WRITTEN_A[pte[:n]])
+        self.bits = bytes(pte[:n])
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def apply(self, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """Apply the first ``k`` writes, each leaving the state
+        :meth:`GuestPageTable.write_page` leaves when it completes the write, a
+        write-protected page's with ``ignore_protection``.
+
+        Returns the GVAs whose writes faulted on write protection first, and
+        the ``(gpa, gva)`` of each write that set an EPT dirty bit from clear,
+        in order, when a buffer logs.  Whether a write is its page's first
+        depends only on the writes before it, so the peek's masks, cut to
+        ``k``, are those of the first ``k`` writes.  A stretch applies once,
+        with ``1 <= k <= len(bits)``; anything else raises ``ValueError``.
+        """
+        if self._applied or not 1 <= k <= len(self.bits):
+            state = "applied" if self._applied else f"of {len(self.bits)} writes"
+            raise ValueError(f"cannot apply {k} writes of a stretch {state}")
+        self._applied = True
+        gvas, gpas, logs, marks = self._gvas[:k], self._gpas[:k], self._logs, self.bits[:k]
+        if isinstance(gvas, range):
+            (region, i), (frames, j) = self._places
+            region.bits[i : i + k] = marks.translate(_WRITTEN)
+            frames.bits[j : j + k] = frames.bits[j : j + k].translate(_SET_DIRTY)
+            protected = _addresses(marks, _PROTECTED, gvas.start)
+            logged = () if logs is None else zip(compress(gpas, logs), compress(gvas, logs))
+        else:
+            pte, frames = self._places
+            _PageMap._scatter(pte, k, _WRITTEN, _WRITTEN_A)
+            _PageMap._scatter(frames, k, _SET_DIRTY, _SET_DIRTY_A)
+            protected = gvas[np.frombuffer(marks.translate(_PROTECTED), bool)].tolist()
+            logged = () if logs is None else zip(gpas[logs[:k]].tolist(), gvas[logs[:k]].tolist())
+        return protected, list(logged)
 
 
 class PageStore:

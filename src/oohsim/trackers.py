@@ -613,9 +613,11 @@ _FAULTS = [sd + 2 * wp for sd, wp in map(write_faults, range(256))]
 _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 
 #: The fewest writes a stretch peeks at; below it each write goes through
-#: ``write_one``.  A stretch of pages in any order has a fixed cost of about
-#: 150 µs of NumPy calls against about 4.5 µs per ``write_one`` (2-vCPU x86
-#: host, CPython 3.11), and the churn traces ran fastest with 32.
+#: ``write_one``.  A stretch of 16 pages in any order, peeked and applied,
+#: costs about 50 µs of NumPy calls against 2-3 µs per ``write_one`` (2-vCPU
+#: x86 host, CPython 3.11).  Of 8, 16, 32 and 64, 8 and 64 ran churn-ckpt
+#: slower, and 16 and 32 did not differ beyond the host's noise on churn-ckpt
+#: or kv-sparse.
 STRETCH_MIN = 32
 
 
@@ -663,16 +665,18 @@ class _MechanicalRun(_Run):
     A *stretch* of quiet writes takes one step, in a micro-benchmark round
     (writes to consecutive pages) and in a trace's run of writes between
     its other ops (pages in any order, some written more than once) alike.
-    The machine says how many of the next writes would be quiet and hands
-    back the page byte each one finds, a page written again finding the
-    byte its first write left (:meth:`~oohsim.vm.VirtualMachine.quiet_run`);
-    a 256-entry table built from the price list turns each byte into that
-    write's wall and run µs.  :func:`itertools.accumulate` advances the
-    clock and the run time one write at a time, as the per-write loop adds
-    them, and :func:`bisect.bisect_left` finds the first write that reaches
-    the tick, the horizon or the quantum.  The machine applies the writes up to and
-    including it (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that
-    write's event exit is the per-write loop's.  The state, the counters and
+    The machine peeks once (:meth:`~oohsim.vm.VirtualMachine.quiet_run`):
+    the stretch it returns holds the page byte each of the next quiet writes
+    finds, a page written again finding the byte its first write left, and
+    where both tables keep each page; a 256-entry table built from the price
+    list turns each byte into that write's wall and run µs.
+    :func:`itertools.accumulate` advances the clock and the run time one
+    write at a time, as the per-write loop adds them, and
+    :func:`bisect.bisect_left` finds the first write that reaches the tick,
+    the horizon or the quantum.  The machine applies the writes up to and
+    including it from what the peek found
+    (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that write's event
+    exit is the per-write loop's.  The state, the counters and
     every float are those of write-by-write stepping; the write that finds
     a log buffer full still goes through ``write_one``, as does every write
     of a stretch shorter than :data:`STRETCH_MIN`.
@@ -785,8 +789,12 @@ class _MechanicalRun(_Run):
         page of the sweep, in order.  A trace's ops are decoded first
         (:func:`_decode`).  In each run of writes between the other ops, a
         stretch of quiet writes (:meth:`~oohsim.vm.VirtualMachine.quiet_run`)
-        of at least :data:`STRETCH_MIN` writes is applied in one step; a
-        write a stretch cannot take goes through ``write_one``.  A write's
+        of at least :data:`STRETCH_MIN` writes is peeked at once and applied
+        in one step (:meth:`~oohsim.vm.VirtualMachine.write_run`); a write a
+        stretch cannot take goes through ``write_one``.  The peek reaches the
+        tick or the quantum at the cheapest write price and, while a log
+        buffer is armed, 1.5 writes per free slot: a stretch ends at the
+        slots' last dirty transition, so more would be thrown away.  A write's
         cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
         fault for a recorded fault (``_write_us``); the class docstring lists
         the event exits.
@@ -806,7 +814,7 @@ class _MechanicalRun(_Run):
         write_us = self._write_us
         vm, pid = self.vm, TRACKED_PID
         write_one, apply_op = vm.write_one, vm.apply_op
-        quiet_run, write_run = vm.quiet_run, vm.write_run
+        quiet_run, write_run, free_slots = vm.quiet_run, vm.write_run, vm.hv.pml.free_slots
         stretch_min = STRETCH_MIN
         oracle_add, oracle_update = self.oracle.add, self.oracle.update
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
@@ -816,18 +824,23 @@ class _MechanicalRun(_Run):
         for end in chain(others, (total,)):  # the writes up to the next other op
             blocked = False
             while pos < end:
-                bits = b""
+                stretch = None
                 if not blocked and end - pos >= stretch_min and t < limit and run_acc < quantum:
                     # peek at enough writes to reach the tick or the quantum at ``w``
                     # each; a round can start past the tick (proc's pagemap walk is
                     # not ticked), and then its first write goes through write_one
                     n = min(end - pos, int((limit - t) / w) + 2, int((quantum - run_acc) / w) + 2)
+                    free = free_slots()
+                    if free is not None:
+                        # of 1, 1.25, 1.5, 2, 3 and 4 writes a slot, 1.5 peeked least
+                        # without adding stretches: kv-sparse peeks 63,195 addresses
+                        # in 118 stretches, against 90,790 in 120 with no bound
+                        n = min(n, free + free // 2 + 1)
                     if n >= stretch_min:
-                        stretch = batch[pos : pos + n]
-                        bits = quiet_run(pid, stretch, n)
+                        stretch = quiet_run(pid, batch[pos : pos + n], n)
                 blocked = False
-                if bits:
-                    walls, runs = self._byte_us
+                if stretch:
+                    bits, (walls, runs) = stretch.bits, self._byte_us
                     quiet = len(bits)
                     # dearer writes (uffd's) reach the tick sooner: clock no more of them
                     bits = bits[: int((limit - t) / walls[bits[0]]) + 2]

@@ -15,11 +15,13 @@ softirq and replay path.
 :meth:`VirtualMachine.quiet_run` and :meth:`VirtualMachine.write_run` are
 the bulk form of ``write_one`` for a stretch of writes: to consecutive pages
 (a sweep) or to pages in any order, some more than once (a trace).  The
-first says how many of the next writes would be quiet and how each would
-fault; the second applies them to the two tables, as slice operations for
-consecutive pages and as one gather and scatter per region otherwise, and
-bulk appends to the log buffers, entry tags and uffd record, leaving exactly
-the state that one ``write_one`` per write leaves.
+first peeks: it looks the writes up once in each table (a region slice for
+consecutive pages, one gather per region otherwise) and returns the
+:class:`~oohsim.memory.Stretch`, which says how many of the next writes
+would be quiet and how each would fault.  The second applies its first
+writes from what the peek found, with no second lookup, and bulk appends to
+the log buffers, entry tags and uffd record, leaving exactly the state that
+one ``write_one`` per write leaves.
 
 Allocation hands out fresh guest-physical and host-physical frames —
 addresses are never reused, so a page remapped after churn is always
@@ -47,7 +49,7 @@ from .costs import PAGE_SIZE as PAGE
 from .costs import CostTable
 from .guest import GuestKernel, Process
 from .hypervisor import Hypervisor, VmexitResult
-from .memory import Ept, PageStore, WriteOutcome
+from .memory import Ept, PageStore, Stretch, WriteOutcome
 from .pml import LogOutcome
 
 __all__ = ["WriteResult", "VirtualMachine"]
@@ -238,38 +240,36 @@ class VirtualMachine:
             uffd_recorded,
         )
 
-    def quiet_run(self, pid: int, gvas: int | Sequence[int], n: int) -> bytes:
-        """The state bytes of the next ``n`` or fewer writes to ``gvas`` that
-        :meth:`write_one` would complete quietly, one per write.
+    def quiet_run(self, pid: int, gvas: int | Sequence[int], n: int) -> Stretch:
+        """The next ``n`` or fewer writes to ``gvas`` that :meth:`write_one` would
+        complete quietly, as a :class:`~oohsim.memory.Stretch` to apply once.
 
         ``gvas`` is a sequence of page addresses, or the first of a run of
         consecutive pages.  Quiet means no vmexit, stall or softirq copy.  The
         run stops before a write to a page that is not mapped (in the page
         table or the EPT), before a write-protect fault with no monitor to take
         it, and before the write whose dirty transition would find a log buffer
-        full.  A page written again in the run finds the byte its first write
-        left; :func:`~oohsim.memory.write_faults` reads the faults each write
-        takes from its byte.  Consecutive pages take slice operations and stop
-        at the end of their region too.  ``n`` must be at least 1.  No state
-        change.
+        full.  The stretch's ``bits`` hold the state byte each write finds, a
+        page written again finding the byte its first write left;
+        :func:`~oohsim.memory.write_faults` reads the faults each write takes
+        from its byte.  Consecutive pages take slice operations and stop at the
+        end of their region too.  ``n`` must be at least 1.  No state change:
+        the stretch keeps what the peek found in both tables, so
+        :meth:`write_run` looks nothing up again.
         """
         if n < 1:
             raise ValueError(f"a run holds at least one write, got {n}")
         proc = self.kernel._proc(pid)
         gvas = range(gvas, gvas + n * PAGE, PAGE) if isinstance(gvas, int) else gvas[:n]
-        bits, gpas = proc.table.region_run(gvas, protected=proc.uffd_mode is not None)
-        if not bits:
-            return bits
-        return bits[: self.ept.region_run(gpas, self.hv.pml.free_slots())]
+        free = self.hv.pml.free_slots()
+        return Stretch(proc.table, self.ept, gvas, protected=proc.uffd_mode is not None, free=free)
 
-    def write_run(self, pid: int, gvas: int | Sequence[int], count: int) -> None:
-        """The first ``count`` writes of a :meth:`quiet_run` of ``gvas``, applied in
-        one step: the state after is the state after ``count`` :meth:`write_one`
-        calls."""
-        proc = self.kernel._proc(pid)
-        if isinstance(gvas, int):
-            gvas = range(gvas, gvas + count * PAGE, PAGE)
-        protected, logged = proc.table.write_run(gvas[:count], self.ept)
+    def write_run(self, pid: int, stretch: Stretch, count: int) -> None:
+        """The first ``count`` writes of a :meth:`quiet_run` stretch, applied in one
+        step from what the peek found: the state after is the state after
+        ``count`` :meth:`write_one` calls.  A stretch applies once, with
+        ``1 <= count <= len(stretch)``; anything else raises ``ValueError``."""
+        protected, logged = stretch.apply(count)
         if protected:
             self.kernel.uffd_record_run(pid, protected)
         if logged:

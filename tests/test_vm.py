@@ -317,12 +317,13 @@ def test_write_run_leaves_the_state_of_one_write_one_per_write(
     args = (technique, sched_in, hole, single, protect, prewrites, rearm)
     (bulk, pages), (single_steps, _) = _twin_machine(*args), _twin_machine(*args)
     first = pages[start]
-    bits = bulk.quiet_run(7, first, n)
+    stretch = bulk.quiet_run(7, first, n)
+    bits = stretch.bits
     assert len(bits) <= n
     assert _machine_state(bulk) == _machine_state(single_steps)  # the peek changes nothing
     if bits:
         k = data.draw(st.integers(min_value=1, max_value=len(bits)), label="k")
-        bulk.write_run(7, first, k)
+        bulk.write_run(7, stretch, k)
     else:
         k = 0
     for i in range(k):
@@ -354,6 +355,23 @@ def test_quiet_run_rejects_a_run_of_no_pages(n):
         vm.quiet_run(7, pages[1], n)
 
 
+@pytest.mark.parametrize("consecutive", [True, False])
+def test_a_stretch_applies_once_with_one_to_all_of_its_writes(consecutive):
+    vm, pages = _twin_machine("spml", True, 20, 5, 21, [], [])
+    stretch = vm.quiet_run(7, pages[1] if consecutive else list(pages[1:5]), 4)
+    assert len(stretch) == 4
+    before = _machine_state(vm)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError):
+            vm.write_run(7, stretch, k)
+    assert _machine_state(vm) == before
+    vm.write_run(7, stretch, 2)
+    applied = _machine_state(vm)
+    with pytest.raises(ValueError):
+        vm.write_run(7, stretch, 1)  # a stretch applies once
+    assert _machine_state(vm) == applied
+
+
 _target = st.integers(min_value=0, max_value=TWIN_PAGES + 1)  # the last two are not mapped
 
 
@@ -362,6 +380,16 @@ _target = st.integers(min_value=0, max_value=TWIN_PAGES + 1)  # the last two are
     technique="epml", sched_in=True, hole=20, single=5, protect=21, prewrites=[1, 2],
     rearm=[], lacking=None, soft_clear=True, targets=[3, 5, 3, 5, 6, 7, 8, 9, 10, 11, 3], n=11,
     cut=0,
+)
+@example(  # six free slots end the run before its seventh transition; apply four of its writes
+    technique="spml", sched_in=True, hole=20, single=5, protect=21, prewrites=[1, 2],
+    rearm=[], lacking=None, soft_clear=False, targets=[3, 4, 3, 6, 7, 8, 9, 10, 11, 12], n=10,
+    cut=4,
+)
+@example(  # the guest buffer's five free slots end the run; apply three of its writes
+    technique="epml", sched_in=True, hole=20, single=5, protect=21, prewrites=[1, 2, 3],
+    rearm=[], lacking=None, soft_clear=False, targets=[5, 4, 5, 6, 4, 7, 8, 9, 10, 11], n=10,
+    cut=3,
 )
 @given(
     technique=st.sampled_from(TECHNIQUES),
@@ -392,12 +420,13 @@ def test_write_run_of_any_pages_leaves_the_state_of_one_write_one_per_write(
         if gpa is not None:
             vm.ept.unmap_gpa(gpa)
     gvas = [pages[0] + i * P for i in targets]
-    bits = bulk.quiet_run(7, gvas, n)
+    stretch = bulk.quiet_run(7, gvas, n)
+    bits = stretch.bits
     assert len(bits) <= min(n, len(gvas))
     assert _machine_state(bulk) == _machine_state(single_steps)  # the peek changes nothing
     k = min(cut, len(bits)) if cut else len(bits)  # 0: the whole run
     if k:
-        bulk.write_run(7, gvas, k)
+        bulk.write_run(7, stretch, k)
     for i in range(k):
         res = single_steps.write_one(7, gvas[i])
         assert res.completed and res.vmexit is None and not res.softirq_copied
