@@ -393,12 +393,13 @@ class CheckpointSession:
 
     def _collect(self) -> set[int]:
         kernel = self.vm.kernel
+        # the kernel names pages by number: back to addresses at this edge
         if self.technique == "proc":
             dirty, _us = kernel.read_pagemap(TRACKED_PID)
             kernel.clear_soft_dirty(TRACKED_PID)
-            return dirty
+            return set(map(PAGE.__mul__, dirty))
         if self.technique == "uffd":
-            return kernel.uffd_harvest(TRACKED_PID)
+            return set(map(PAGE.__mul__, kernel.uffd_harvest(TRACKED_PID)))
         if self.technique == "epml":
             names = self._epml_names | set(kernel.epml_consume_ring())
             self._epml_names = set()

@@ -14,13 +14,17 @@ log device; each kernel service returns its µs from the registration's prices:
   reported), and
 * write-protect fault registration/recording for the userspace-fault
   technique.
+
+The kernel names the pages it records and reports by page number,
+``gva // PAGE_SIZE``: page-aligned addresses share their low bits, so a set
+of them probes on most lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .costs import CostTable, Prices
+from .costs import PAGE_SIZE, CostTable, Prices
 from .hypervisor import Hypervisor
 from .memory import Ept, GuestPageTable
 from .pml import (
@@ -58,10 +62,12 @@ class NotRegistered(RuntimeError):
 class Process:
     pid: int
     table: GuestPageTable
-    # soft-dirty pages unmapped before the interval's pagemap read; the
-    # kernel reports them so no dirtied page is lost to address-space churn
+    # page numbers of the soft-dirty pages unmapped before the interval's
+    # pagemap read; the kernel reports them so no dirtied page is lost to
+    # address-space churn
     softdirty_residue: set[int] = field(default_factory=set)
-    # write-protect fault registration for the userspace-fault technique
+    # write-protect fault registration for the userspace-fault technique,
+    # and the page numbers of the faults recorded since the last harvest
     uffd_mode: str | None = None
     uffd_dirty: set[int] = field(default_factory=set)
 
@@ -121,7 +127,7 @@ class GuestKernel:
         """Take a page out of the table, keeping a set soft-dirty bit as residue."""
         proc = self._proc(pid)
         if proc.table.unmap(gva).flags.soft_dirty:
-            proc.softdirty_residue.add(gva)
+            proc.softdirty_residue.add(gva // PAGE_SIZE)
 
     # --------------------------------------------------------- registration
 
@@ -261,36 +267,37 @@ class GuestKernel:
         return count, uio.prices.m15
 
     def read_pagemap(self, pid: int) -> tuple[set[int], float]:
-        """Walk the pagemap (suspends the process); returns (dirty GVAs, µs).
+        """Walk the pagemap (suspends the process); returns (dirty page numbers, µs).
 
         Reports live soft-dirty pages plus the residue of pages unmapped
-        since the last clear.
+        since the last clear, each by its page number, ``gva // PAGE_SIZE``.
         """
         uio = self.uio
         if uio is None or uio.pid != pid:
             raise NotRegistered(f"pid {pid} is not tracked")
         proc = self._proc(pid)
-        dirty = proc.table.soft_dirty_set()  # a fresh set: add the residue in place
+        dirty = proc.table.soft_dirty_pages()  # a fresh set: add the residue in place
         dirty.update(proc.softdirty_residue)
         return dirty, uio.prices.m16
 
     # ------------------------------------------------- userspace-fault (uffd)
 
     def uffd_record(self, pid: int, gva: int) -> None:
-        """Monitor thread records a write-protect fault's address."""
+        """Monitor thread records a write-protect fault at ``gva``: its page's number."""
         proc = self._proc(pid)
         if proc.uffd_mode is None:
             raise NotRegistered(f"pid {pid} has no fault registration")
-        proc.uffd_dirty.add(gva)
+        proc.uffd_dirty.add(gva // PAGE_SIZE)
 
-    def uffd_record_run(self, pid: int, gvas: list[int]) -> None:
-        """:meth:`uffd_record` for each of ``gvas``."""
+    def uffd_record_run(self, pid: int, pages: list[int]) -> None:
+        """:meth:`uffd_record` for each of ``pages``, given as page numbers."""
         proc = self._proc(pid)
         if proc.uffd_mode is None:
             raise NotRegistered(f"pid {pid} has no fault registration")
-        proc.uffd_dirty.update(gvas)
+        proc.uffd_dirty.update(pages)
 
     def uffd_harvest(self, pid: int) -> set[int]:
+        """The page numbers of the faults recorded since the last harvest."""
         proc = self._proc(pid)
         if proc.uffd_mode is None:
             raise NotRegistered(f"pid {pid} has no fault registration")

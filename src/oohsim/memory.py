@@ -158,12 +158,12 @@ def _view(gpa: int, bits: int) -> PageEntry:
     )
 
 
-def _addresses(bits: bytes, select: bytes, base: int) -> list[int]:
-    """Addresses, ``PAGE_SIZE`` apart from ``base``, of the bytes ``select`` maps to 1."""
+def _addresses(bits: bytes, select: bytes, base: int, step: int = PAGE_SIZE) -> list[int]:
+    """Addresses, ``step`` apart from ``base``, of the bytes ``select`` maps to 1."""
     marks = bits.translate(select)
     if 1 not in marks:
         return []
-    return (np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)) * PAGE_SIZE + base).tolist()
+    return (np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)) * step + base).tolist()
 
 
 class _Region:
@@ -302,11 +302,12 @@ class _PageMap:
     def _all(self) -> Iterator[_Region]:
         return chain(self._regions, self.entries.values())
 
-    def _pages(self, select: bytes) -> set[int]:
-        """Addresses of the pages whose byte ``select`` maps to 1."""
-        out = {addr for addr, region in self.entries.items() if select[region.bits[0]]}
+    def _pages(self, select: bytes, unit: int = 1) -> set[int]:
+        """``addr // unit`` of each page ``addr`` whose byte ``select`` maps to 1:
+        its address, or with ``unit`` ``PAGE_SIZE`` its page number."""
+        out = {addr // unit for addr, region in self.entries.items() if select[region.bits[0]]}
         for region in self._regions:
-            out.update(_addresses(region.bits, select, region.base))
+            out.update(_addresses(region.bits, select, region.base // unit, PAGE_SIZE // unit))
         return out
 
     def _translate(self, table: bytes) -> None:
@@ -564,6 +565,10 @@ class GuestPageTable(_PageMap):
     def soft_dirty_set(self) -> set[int]:
         return self._pages(_HAS_SOFT_DIRTY)
 
+    def soft_dirty_pages(self) -> set[int]:
+        """The page numbers (``gva // PAGE_SIZE``) of :meth:`soft_dirty_set`."""
+        return self._pages(_HAS_SOFT_DIRTY, PAGE_SIZE)
+
     def mapped_set(self) -> set[int]:
         return self._pages(_LIVE)
 
@@ -720,12 +725,13 @@ class Stretch:
         :meth:`GuestPageTable.write_page` leaves when it completes the write, a
         write-protected page's with ``ignore_protection``.
 
-        Returns the GVAs whose writes faulted on write protection first, and
-        the ``(gpa, gva)`` of each write that set an EPT dirty bit from clear,
-        in order, when a buffer logs.  Whether a write is its page's first
-        depends only on the writes before it, so the peek's masks, cut to
-        ``k``, are those of the first ``k`` writes.  A stretch applies once,
-        with ``1 <= k <= len(bits)``; anything else raises ``ValueError``.
+        Returns the page numbers (``gva // PAGE_SIZE``) of the writes that
+        faulted on write protection first, and the ``(gpa, gva)`` of each write
+        that set an EPT dirty bit from clear, in order, when a buffer logs.
+        Whether a write is its page's first depends only on the writes before
+        it, so the peek's masks, cut to ``k``, are those of the first ``k``
+        writes.  A stretch applies once, with ``1 <= k <= len(bits)``; anything
+        else raises ``ValueError``.
         """
         if self._applied or not 1 <= k <= len(self.bits):
             state = "applied" if self._applied else f"of {len(self.bits)} writes"
@@ -736,13 +742,14 @@ class Stretch:
             (region, i), (frames, j) = self._places
             region.bits[i : i + k] = marks.translate(_WRITTEN)
             frames.bits[j : j + k] = frames.bits[j : j + k].translate(_SET_DIRTY)
-            protected = _addresses(marks, _PROTECTED, gvas.start)
+            protected = _addresses(marks, _PROTECTED, gvas.start // PAGE_SIZE, 1)
             logged = () if logs is None else zip(compress(gpas, logs), compress(gvas, logs))
         else:
             pte, frames = self._places
             _PageMap._scatter(pte, k, _WRITTEN, _WRITTEN_A)
             _PageMap._scatter(frames, k, _SET_DIRTY, _SET_DIRTY_A)
-            protected = gvas[np.frombuffer(marks.translate(_PROTECTED), bool)].tolist()
+            protected = gvas[np.frombuffer(marks.translate(_PROTECTED), bool)] // PAGE_SIZE
+            protected = protected.tolist()
             logged = () if logs is None else zip(gpas[logs[:k]].tolist(), gvas[logs[:k]].tolist())
         return protected, list(logged)
 

@@ -612,6 +612,10 @@ class _SegmentRun(_Run):
 _FAULTS = [sd + 2 * wp for sd, wp in map(write_faults, range(256))]
 _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 
+#: The techniques whose collection tick does work (``_Run._tick``), so a tick
+#: ends a stretch; the others' ticks only schedule the next one.
+_COLLECTING_TICKS = ("spml", "epml")
+
 #: The fewest writes a stretch peeks at; below it each write goes through
 #: ``write_one``.  A stretch of 16 pages in any order, peeked and applied,
 #: costs about 50 µs of NumPy calls against 2-3 µs per ``write_one`` (2-vCPU
@@ -653,8 +657,15 @@ class _MechanicalRun(_Run):
 
     * a write whose result carries a vmexit, a stall or a softirq copy;
     * ``run_acc`` reaching the quantum;
-    * the clock reaching the next collection tick or the horizon;
+    * the clock reaching the horizon or, under ``spml`` and ``epml``, the
+      next collection tick;
     * a non-write trace op.
+
+    A tick is an event exit only where it does work: ``spml``'s drains its
+    ring and ``epml``'s consumes its tool ring.  ``proc``'s and ``uffd``'s
+    only schedule the next tick, so their stretches run on to the quantum or
+    the horizon and :meth:`_swap_and_tick` catches ``next_tick`` up at the
+    next event exit, adding the interval once per tick as before.
 
     :meth:`_event` then adds the write's device costs, waits out a stall,
     swaps the quantum and runs the due ticks, with the same float
@@ -672,11 +683,11 @@ class _MechanicalRun(_Run):
     list turns each byte into that write's wall and run µs.
     :func:`itertools.accumulate` advances the clock and the run time one
     write at a time, as the per-write loop adds them, and
-    :func:`bisect.bisect_left` finds the first write that reaches the tick,
-    the horizon or the quantum.  The machine applies the writes up to and
-    including it from what the peek found
-    (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that write's event
-    exit is the per-write loop's.  The state, the counters and
+    :func:`bisect.bisect_left` finds the first write that reaches the limit
+    (the horizon, or the tick where ticks collect) or the quantum.  The
+    machine applies the writes up to and including it from what the peek
+    found (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that write's
+    event exit is the per-write loop's.  The state, the counters and
     every float are those of write-by-write stepping; the write that finds
     a log buffer full still goes through ``write_one``, as does every write
     of a stretch shorter than :data:`STRETCH_MIN`.
@@ -744,6 +755,8 @@ class _MechanicalRun(_Run):
             self._consume_tool_ring()
 
     def _collect(self, gvas) -> None:
+        """Add the pages logged by address (spml, epml); the kernel's page sets
+        (proc, uffd) are page numbers already and go straight to ``collected``."""
         self.collected.update(map(PAGE_SIZE.__rfloordiv__, gvas))
 
     def _consume_tool_ring(self) -> None:
@@ -792,7 +805,8 @@ class _MechanicalRun(_Run):
         of at least :data:`STRETCH_MIN` writes is peeked at once and applied
         in one step (:meth:`~oohsim.vm.VirtualMachine.write_run`); a write a
         stretch cannot take goes through ``write_one``.  The peek reaches the
-        tick or the quantum at the cheapest write price and, while a log
+        limit (the horizon, or under ``spml`` and ``epml`` the next tick) or
+        the quantum at the cheapest write price and, while a log
         buffer is armed, 1.5 writes per free slot: a stretch ends at the
         slots' last dirty transition, so more would be thrown away.  A write's
         cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
@@ -819,16 +833,18 @@ class _MechanicalRun(_Run):
         oracle_add, oracle_update = self.oracle.add, self.oracle.update
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
-        limit = min(self.next_tick, horizon)
+        ticked = self.tech in _COLLECTING_TICKS  # else the limit is the horizon
+        limit = min(self.next_tick, horizon) if ticked else horizon
         pos = 0
         for end in chain(others, (total,)):  # the writes up to the next other op
             blocked = False
             while pos < end:
                 stretch = None
                 if not blocked and end - pos >= stretch_min and t < limit and run_acc < quantum:
-                    # peek at enough writes to reach the tick or the quantum at ``w``
-                    # each; a round can start past the tick (proc's pagemap walk is
-                    # not ticked), and then its first write goes through write_one
+                    # peek at enough writes to reach the limit or the quantum at ``w``
+                    # each; a round can start past the tick (epml's round-end leftover
+                    # delivery moves the clock without a tick), and then its first
+                    # write goes through write_one
                     n = min(end - pos, int((limit - t) / w) + 2, int((quantum - run_acc) / w) + 2)
                     free = free_slots()
                     if free is not None:
@@ -892,7 +908,7 @@ class _MechanicalRun(_Run):
                     if pos < total:  # an op is left undone
                         self.truncated = True
                     return
-                limit = min(self.next_tick, horizon)
+                limit = min(self.next_tick, horizon) if ticked else horizon
             if end < total:
                 self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
                 self.suspension, self.tracker_busy = suspension, busy
@@ -945,7 +961,7 @@ class _MechanicalRun(_Run):
         if self.tech == "proc":
             dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
             _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-            self._collect(dirty)
+            self.collected.update(dirty)
             self._charge_walk(read_us, clear_us)
         elif self.tech == "epml":
             self.t += self._deliver_leftover()
@@ -956,10 +972,10 @@ class _MechanicalRun(_Run):
         if self.tech == "proc" and self.cfg.trace is not None:
             # traces have no per-round collection: harvest at the end
             dirty, read_us = kernel.read_pagemap(TRACKED_PID)
-            self._collect(dirty)
+            self.collected.update(dirty)
             self._charge("walk_us", read_us)
         elif self.tech == "uffd":
-            self._collect(kernel.uffd_harvest(TRACKED_PID))
+            self.collected.update(kernel.uffd_harvest(TRACKED_PID))
         elif self.tech == "epml":
             self._deliver_leftover()  # conservatively still suspension, off the clock
             self._consume_tool_ring()

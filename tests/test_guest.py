@@ -241,7 +241,7 @@ def test_pagemap_reports_live_and_residue_pages():
     proc.table.write_page(0x2000, ept)
     kern.unmap(7, 0x2000)
     dirty, us = kern.read_pagemap(7)
-    assert dirty == {0x1000, 0x2000}  # unmapped page survives via residue
+    assert dirty == {1, 2}  # unmapped page survives via residue
     assert us == CostTable.default().cost_us("M16", MB)
 
 
@@ -284,8 +284,18 @@ def test_uffd_record_and_harvest():
     kern.uffd_record(7, 0x1000)
     kern.uffd_record(7, 0x2000)
     kern.uffd_record(7, 0x1000)
-    assert kern.uffd_harvest(7) == {0x1000, 0x2000}
+    assert kern.uffd_harvest(7) == {1, 2}
     assert kern.uffd_harvest(7) == set()
+
+
+def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
+    kern, _ = make_kernel()
+    kern.new_process(7)
+    map_pages(kern, 7, 2)
+    kern.register_tracked(7, "uffd", MB)
+    for gva in (0x2000, 0x2008, 0x2FFF):
+        kern.uffd_record(7, gva)
+    assert kern.uffd_harvest(7) == {2}
 
 
 def test_uffd_register_write_protects_existing_pages():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import fields
@@ -1001,15 +1002,93 @@ def test_quiet_stretches_leave_every_report_field_as_write_by_write(
     _assert_stretches_exact(config)
 
 
+def _digest(report: TrackerPhaseReport) -> str:
+    """A short hash of every report field, floats exact and sets sorted."""
+    canon = [(k, sorted(v) if isinstance(v, set) else v) for k, v in _field_bits(report).items()]
+    return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]
+
+
+# (technique, MB, quantum µs) -> (monitored span as hex, _digest) of a 13-round
+# mechanical sweep, recorded when every collection tick still cut a stretch;
+# ``trace`` rows are _stretch_trace(11, 700, 2_500, 0.002, 1_000) at 40 µs ticks
+# and a 300 µs quantum.  proc's and uffd's ticks only schedule the next one,
+# so no interval may move a field
+_PINNED_NO_OP_TICKS = {
+    ("proc", 1, 300.0): ("0x1.ba48cccccce3ap+14", "dc881f73a88ff410"),
+    ("proc", 1, 10_000.0): ("0x1.ba48cccccce3ap+14", "26275f35a0affb4c"),
+    ("proc", 2, 300.0): ("0x1.86607d27d2ab1p+15", "8f95e76be98f30c3"),
+    ("proc", 2, 10_000.0): ("0x1.86607d27d2ab1p+15", "31310ba6fe55538a"),
+    ("proc", 16, 300.0): ("0x1.2274a70a3cfdcp+18", "540ced0c7727f2fd"),
+    ("proc", 16, 10_000.0): ("0x1.2274a70a3cfdcp+18", "3bec6758f7fde9db"),
+    ("uffd", 1, 300.0): ("0x1.159c666666797p+15", "7dcdcb16cf2435bd"),
+    ("uffd", 1, 10_000.0): ("0x1.159c666666797p+15", "46d34bc09b7d49a0"),
+    ("uffd", 2, 300.0): ("0x1.241c9f49f4bd2p+16", "7b9b6e9528f1f4ae"),
+    ("uffd", 2, 10_000.0): ("0x1.241c9f49f4bd2p+16", "3f7a2cc215ecf2dd"),
+    ("uffd", 16, 300.0): ("0x1.3eed866667c5bp+19", "8b6063c1566e9af7"),
+    ("uffd", 16, 10_000.0): ("0x1.3eed866667c5bp+19", "9b3a69ab267ef1a6"),
+    ("proc", "trace"): ("0x1.206e1f15f16e1p+11", "bc0843bdaef3212e"),
+    ("uffd", "trace"): ("0x1.b8c6709c09ddbp+14", "16bc5ff5432044a1"),
+}
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in _PINNED_NO_OP_TICKS if k[1] != "trace"], ids="{0[0]}-{0[1]}MB-q{0[2]:g}".format
+)
+def test_no_op_ticks_move_no_float_of_a_sweep(key):
+    technique, mb, quantum_us = key
+    for interval_us in (40.0, 250.0, 1_000.0, 2_100.0):
+        rep = run_tracker(
+            cfg(technique, mb * MB, quantum_us=quantum_us,
+                collection_interval_us=interval_us, mechanical=True)
+        )
+        assert (rep.monitor_span_us.hex(), _digest(rep)) == _PINNED_NO_OP_TICKS[key], interval_us
+
+
+@pytest.mark.parametrize("technique", ["proc", "uffd"])
+def test_no_op_ticks_move_no_float_of_a_trace(technique):
+    ops = _stretch_trace(11, 700, 2_500, 0.002, 1_000)
+    rep = run_tracker(
+        cfg(technique, 700 * PAGE_SIZE, quantum_us=300.0, collection_interval_us=40.0,
+            trace=_Trace(ops))
+    )
+    assert (rep.monitor_span_us.hex(), _digest(rep)) == _PINNED_NO_OP_TICKS[technique, "trace"]
+
+
 @pytest.mark.parametrize("rounds", [2, 3])
 @pytest.mark.parametrize("interval_us", [1_900.0, 2_000.0, 2_100.0, 2_200.0])
 def test_a_round_that_starts_past_the_tick_is_exact(rounds, interval_us):
-    # proc's pagemap walk is not ticked, so at these intervals a round starts
-    # with the clock already past the next collection tick
+    # proc's pagemap walk moves the clock without a tick, so at these intervals
+    # a round starts past the next collection tick; proc's ticks collect
+    # nothing, so its stretches run on past them
     config = cfg(
         "proc", 256 * PAGE_SIZE, rounds=rounds, collection_interval_us=interval_us, mechanical=True
     )
     _assert_stretches_exact(config)
+
+
+@pytest.mark.parametrize("rounds", [2, 3])
+@pytest.mark.parametrize(
+    ("pages", "interval_us"), [(77, 72.0), (77, 36.0), (300, 273.0), (300, 91.0), (700, 636.0)]
+)
+def test_an_epml_round_that_starts_past_the_tick_is_exact(pages, interval_us, rounds):
+    # epml's round-end leftover delivery moves the clock without a tick: at
+    # these intervals it carries the clock over the tick, so the next round's
+    # first write meets a stretch limit the clock has passed
+    late = []
+    drive = trackers._MechanicalRun._drive
+
+    def watched(self, ops=None):
+        late.append(self.t >= self.next_tick)
+        return drive(self, ops)
+
+    config = cfg(
+        "epml", pages * PAGE_SIZE, rounds=rounds, collection_interval_us=interval_us,
+        mechanical=True,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackers._MechanicalRun, "_drive", watched)
+        _assert_stretches_exact(config)
+    assert any(late)
 
 
 # ------------------------------------------ trace stretches are exact too

@@ -72,7 +72,7 @@ def test_remap_moves_dirty_state():
     vm.write_one(7, gva(0))
     vm.remap(7, gva(0), 0x900000)
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert dirty == {0x900000}
+    assert dirty == {0x900000 // 4096}
     assert vm.kernel.processes[7].softdirty_residue == set()
 
 
@@ -86,9 +86,23 @@ def test_unmap_keeps_residue_only_for_a_soft_dirty_region_page():
     table = vm.kernel.processes[7].table
     assert table.entries == {}  # both came straight out of the region
     assert gva(0) not in table and gva(1) not in table
-    assert vm.kernel.processes[7].softdirty_residue == {gva(0)}
+    assert vm.kernel.processes[7].softdirty_residue == {gva(0) // 4096}
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert dirty == {gva(0)}
+    assert dirty == {gva(0) // 4096}
+
+def test_pagemap_after_an_unmap_reports_live_pages_and_residue_by_number():
+    vm = make_vm("proc")
+    vm.kernel.clear_soft_dirty(7)
+    for i in (0, 2, 3):
+        vm.write_one(7, gva(i))
+    vm.unmap(7, gva(2))  # soft-dirty: kept as residue
+    vm.unmap(7, gva(1))  # clean: gone
+    dirty, _ = vm.kernel.read_pagemap(7)
+    assert dirty == {gva(0) // 4096, gva(2) // 4096, gva(3) // 4096}
+    assert vm.kernel.processes[7].softdirty_residue == {gva(2) // 4096}
+    # the page table itself still reports addresses
+    assert vm.kernel.processes[7].table.soft_dirty_set() == {gva(0), gva(3)}
+
 
 # ----------------------------------------------------------- write pipeline
 
@@ -119,7 +133,7 @@ def test_uffd_write_records_and_stays_protected():
     assert res.completed and res.uffd_recorded
     res2 = vm.write_one(7, gva(0))
     assert res2.uffd_recorded  # re-protected: every write faults
-    assert vm.kernel.uffd_harvest(7) == {gva(0)}
+    assert vm.kernel.uffd_harvest(7) == {gva(0) // 4096}
 
 
 def test_wp_fault_without_monitor_is_an_error():
@@ -240,7 +254,7 @@ def test_allocation_makes_entries_only_for_touched_pages():
     finally:
         tracemalloc.stop()
     table = vm.kernel.processes[1].table
-    assert dirty == written
+    assert dirty == {g // 4096 for g in written}
     assert len(table) == 614_400
     # a written page stays a byte in its region
     assert table.entries == {}
