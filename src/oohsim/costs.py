@@ -26,6 +26,8 @@ M17     reverse mapping GPA -> GVA                             ms @ size
 M18     ring-buffer copy                                       ms @ size
 ======  =====================================================  ==========
 
+M3, M4, M11 and M12 are calibration keys that no run charges.
+
 Size-dependent metrics are anchored at seven tracked-memory sizes and the
 table linearly interpolates between anchors, linearly extrapolates beyond
 the largest anchor, and clamps below the smallest.  The size axis is in MB
@@ -237,8 +239,6 @@ class CostTable:
             m8=self.cost_us("M8"),
             m9=self.cost_us("M9"),
             m10=self.cost_us("M10"),
-            m11=self.cost_us("M11"),
-            m12=self.cost_us("M12"),
             m13=self.cost_us("M13"),
             m14=m14,
             m15=self.cost_us("M15", memory_bytes),
@@ -367,8 +367,6 @@ class Prices:
     m8: float
     m9: float
     m10: float
-    m11: float
-    m12: float
     m13: float
     m14: float
     m15: float
@@ -383,10 +381,6 @@ class Prices:
     def register_us(self, technique: str) -> float:
         """The init hypercall (spml M9, epml M10), else opening the interface (M1)."""
         return {"spml": self.m9, "epml": self.m10}.get(technique, self.m1)
-
-    def unregister_us(self, technique: str) -> float:
-        """The deactivation hypercall (spml M11, epml M12); free otherwise."""
-        return {"spml": self.m11, "epml": self.m12}.get(technique, 0.0)
 
     def init_us(self, technique: str) -> float:
         """Registration; ``proc`` also clears its bits once (M15) to start clean."""

@@ -157,23 +157,6 @@ class GuestKernel:
         )
         return prices.register_us(technique)
 
-    def unregister(self) -> float:
-        """Deactivate the tool; returns the µs charged."""
-        if self.uio is None:
-            raise NotRegistered("no tracked process")
-        technique = self.uio.technique
-        if technique == "spml":
-            self.hv.hypercall("deactivate_pml")
-        elif technique == "epml":
-            self.hv.hypercall("deactivate_shadow_vmcs")
-            self.shadow = None
-        elif technique == "uffd":
-            proc = self._proc(self.uio.pid)
-            proc.uffd_mode = None
-        us = self.uio.prices.unregister_us(technique)
-        self.uio = None
-        return us
-
     # ------------------------------------------------------------ scheduling
 
     def on_schedule(self, pid: int, direction: str) -> float:

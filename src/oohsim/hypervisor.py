@@ -291,11 +291,14 @@ class Hypervisor:
         buffer, so the hypervisor-level buffer arms only for vmm use; on the
         shared pathway it arms for either owner.
         """
+        return self.flags.enable_by_vmm or self._guest_uses_ring
+
+    @property
+    def _guest_uses_ring(self) -> bool:
+        """The tracked guest is on-cpu and collects through the hypervisor ring
+        (shared mode), so its entries go through the hypervisor-level buffer."""
         f = self.flags
-        guest_needs_hv_buffer = (
-            f.enable_by_guest and f.sched_in and not self.pml.epml_enabled
-        )
-        return f.enable_by_vmm or guest_needs_hv_buffer
+        return f.enable_by_guest and f.sched_in and not self.pml.epml_enabled
 
     # -------------------------------------------------------------- logging
 
@@ -396,13 +399,8 @@ class Hypervisor:
         """
         buf = self.pml.hv_buffer
         pending = len(buf.entries)
-        wants_ring = (
-            self.flags.enable_by_guest
-            and self.flags.sched_in
-            and not self.pml.epml_enabled
-        )
         if (
-            wants_ring
+            self._guest_uses_ring
             and self.ring_full_policy == "stall"
             and self.ring.free < pending
         ):

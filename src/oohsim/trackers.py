@@ -20,8 +20,10 @@ region, one page-sized write each) — and reports where the time went:
 Two engines run the micro-benchmark on one run skeleton (``_Run``: the
 clock, the collection ticks, stalls, quantum swaps, the round loop, the final
 harvest and the report) and differ only in how they apply a round of writes
-and keep the device state.  The mechanical engine executes every
-write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
+and keep the device state.  Only ``spml`` and ``epml`` runs schedule
+collection ticks: ``proc`` collects at each round's end and ``uffd`` as each
+fault is resolved, so their runs have none.  The mechanical engine executes
+every write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
 semantics, runs every trace, and alone reports content-level results (the
 dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
 feeds it its ops, the micro-benchmark one round of writes at a time.  A
@@ -30,8 +32,8 @@ whole stretch of quiet writes, in a round or in a trace's run of writes, is
 applied in one step that leaves the clock and state of one write at a time.
 An *event* (a vmexit, stall or softirq copy, a full quantum, a due
 collection tick, the horizon, or a map/unmap/remap op) puts the clock back
-on the run and goes through the one event method, which adds each cost in
-the same order as a write-by-write accounting would.  The segment engine,
+on the run, adds each cost in the same order as a write-by-write accounting
+would, then swaps the quantum and runs the due ticks.  The segment engine,
 the default for the micro-benchmark because it is fast at large sizes,
 advances whole stretches of writes between events with closed-form
 arithmetic, following the mechanical event order (buffer event during the
@@ -51,8 +53,6 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, is_not, itemgetter, ne
 from typing import Any
-
-import numpy as np
 
 from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
@@ -85,7 +85,13 @@ class WrongTechnique(RuntimeError):
 class TrackerConfig:
     """One tracked run's inputs and the one home of their rules, which checkpoint
     sessions and experiment configs reuse: a bad value raises ``ValueError``
-    with a message that starts with the field's name."""
+    with a message that starts with the field's name.
+
+    ``collection_interval_us`` spaces the collection ticks of ``spml`` (the
+    collector drains the ring) and ``epml`` (the tool consumes its ring)
+    only; ``proc`` and ``uffd`` runs schedule no tick, so it changes none of
+    their results.
+    """
 
     technique: str
     memory_bytes: int = 100 * MB
@@ -98,7 +104,7 @@ class TrackerConfig:
     defer_reverse_map: bool = False
     mechanical: bool = False
     table: CostTable | None = None
-    trace: Any | None = None  # object with .ops; forces the mechanical engine
+    trace: Any | None = None  # a TraceWorkload; forces the mechanical engine
 
     def __post_init__(self) -> None:
         if self.technique not in TECHNIQUES:
@@ -340,7 +346,8 @@ class _Run:
 
         self.t = 0.0
         self.run_acc = 0.0
-        self.next_tick = cfg.collection_interval_us
+        # the next collection tick: proc and uffd runs have none
+        self.next_tick = cfg.collection_interval_us if self.tech in ("spml", "epml") else math.inf
         self.suspension = 0.0
         self.tracker_busy = 0.0
         self.collect_us = 0.0
@@ -356,13 +363,13 @@ class _Run:
     # ----- time -----------------------------------------------------------
 
     def _tick(self) -> None:
+        """spml's collector drains the ring; epml's tool consumes its own."""
         interval = self.cfg.collection_interval_us
         if self.tech == "spml":
             start = self.next_tick
             self.next_tick = _next_tick_after(start + self._drain(), start, interval)
         else:
-            if self.tech == "epml":
-                self._consume_tool_ring()
+            self._consume_tool_ring()
             self.next_tick += interval
 
     def _stall(self, flushed) -> bool:
@@ -612,10 +619,6 @@ class _SegmentRun(_Run):
 _FAULTS = [sd + 2 * wp for sd, wp in map(write_faults, range(256))]
 _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 
-#: The techniques whose collection tick does work (``_Run._tick``), so a tick
-#: ends a stretch; the others' ticks only schedule the next one.
-_COLLECTING_TICKS = ("spml", "epml")
-
 #: The fewest writes a stretch peeks at; below it each write goes through
 #: ``write_one``.  A stretch of 16 pages in any order, peeked and applied,
 #: costs about 50 µs of NumPy calls against 2-3 µs per ``write_one`` (2-vCPU
@@ -623,27 +626,6 @@ _COLLECTING_TICKS = ("spml", "epml")
 #: slower, and 16 and 32 did not differ beyond the host's noise on churn-ckpt
 #: or kv-sparse.
 STRETCH_MIN = 32
-
-
-def _decode(ops) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple]]:
-    """A trace's ops as :meth:`_MechanicalRun._drive` runs them: each op's page (the
-    page a write writes), the same as an array, their page numbers, the
-    positions of the ops that are not writes, and the ops.
-
-    A page is named by its page-aligned address: any other address raises
-    ``ValueError`` naming the first such op and the address.
-    """
-    ops = list(ops)
-    gvas = list(map(itemgetter(1), ops))
-    others = [i for i, op in enumerate(ops) if op[0] != "write"]
-    batch = np.array(gvas, dtype=np.int64)
-    bad = np.flatnonzero(batch % PAGE_SIZE).tolist()[:1]
-    bad += (i for i in others if ops[i][0] == "remap" and ops[i][2] % PAGE_SIZE)
-    if bad:
-        i = min(bad)
-        addr = gvas[i] if gvas[i] % PAGE_SIZE else ops[i][2]
-        raise ValueError(f"trace op {i}: address {addr:#x} is not page-aligned")
-    return gvas, batch, (batch // PAGE_SIZE).tolist(), others, ops
 
 
 class _MechanicalRun(_Run):
@@ -657,21 +639,16 @@ class _MechanicalRun(_Run):
 
     * a write whose result carries a vmexit, a stall or a softirq copy;
     * ``run_acc`` reaching the quantum;
-    * the clock reaching the horizon or, under ``spml`` and ``epml``, the
-      next collection tick;
+    * the clock reaching the horizon or the next collection tick (only
+      ``spml`` and ``epml`` runs have ticks);
     * a non-write trace op.
 
-    A tick is an event exit only where it does work: ``spml``'s drains its
-    ring and ``epml``'s consumes its tool ring.  ``proc``'s and ``uffd``'s
-    only schedule the next tick, so their stretches run on to the quantum or
-    the horizon and :meth:`_swap_and_tick` catches ``next_tick`` up at the
-    next event exit, adding the interval once per tick as before.
-
-    :meth:`_event` then adds the write's device costs, waits out a stall,
-    swaps the quantum and runs the due ticks, with the same float
-    operations in the same order as a write-by-write accounting.  Past the
-    horizon the run is truncated if an op is left undone; a round whose
-    last write crosses it still counts.
+    :meth:`_event` then adds the device costs of a write that carries them
+    and waits out a stall; every exit swaps the quantum and runs the due
+    ticks (:meth:`_swap_and_tick`), with the same float operations in the
+    same order as a write-by-write accounting.  Past the horizon the run is
+    truncated if an op is left undone; a round whose last write crosses it
+    still counts.
 
     A *stretch* of quiet writes takes one step, in a micro-benchmark round
     (writes to consecutive pages) and in a trace's run of writes between
@@ -684,7 +661,7 @@ class _MechanicalRun(_Run):
     :func:`itertools.accumulate` advances the clock and the run time one
     write at a time, as the per-write loop adds them, and
     :func:`bisect.bisect_left` finds the first write that reaches the limit
-    (the horizon, or the tick where ticks collect) or the quantum.  The
+    (the next tick or the horizon, whichever comes first) or the quantum.  The
     machine applies the writes up to and including it from what the peek
     found (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that write's
     event exit is the per-write loop's.  The state, the counters and
@@ -695,8 +672,8 @@ class _MechanicalRun(_Run):
     ``oracle`` (pages written) and ``collected`` (pages reported) hold page
     numbers, as page-aligned addresses share their low bits and a set of them
     probes on most lookups; :meth:`_content` turns them into addresses, so a
-    trace must name its pages by page-aligned addresses (:func:`_decode`
-    rejects any other).
+    trace must name its pages by page-aligned addresses
+    (:attr:`~oohsim.workloads.TraceWorkload.decoded` rejects any other).
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -760,8 +737,7 @@ class _MechanicalRun(_Run):
         self.collected.update(map(PAGE_SIZE.__rfloordiv__, gvas))
 
     def _consume_tool_ring(self) -> None:
-        if self.vm.kernel.uio and self.vm.kernel.uio.technique == "epml":
-            self._collect(self.vm.kernel.epml_consume_ring())
+        self._collect(self.vm.kernel.epml_consume_ring())
 
     def _deliver_leftover(self) -> float:
         """Copy the guest buffer's leftover entries out in one softirq; return its µs."""
@@ -795,28 +771,25 @@ class _MechanicalRun(_Run):
 
     # ----- the driver loop -------------------------------------------------
 
-    def _drive(self, ops=None) -> None:
-        """Execute ``ops`` until they run out, the horizon passes or a stall truncates.
+    def _drive(self, decoded=None) -> None:
+        """Execute ops until they run out, the horizon passes or a stall truncates.
 
-        ``ops`` None is one round of the micro-benchmark: a write to each
-        page of the sweep, in order.  A trace's ops are decoded first
-        (:func:`_decode`).  In each run of writes between the other ops, a
+        ``decoded`` is the trace's :attr:`~oohsim.workloads.TraceWorkload.decoded`;
+        None is one round of the micro-benchmark: a write to each page of the
+        sweep, in order.  In each run of writes between the other ops, a
         stretch of quiet writes (:meth:`~oohsim.vm.VirtualMachine.quiet_run`)
         of at least :data:`STRETCH_MIN` writes is peeked at once and applied
         in one step (:meth:`~oohsim.vm.VirtualMachine.write_run`); a write a
         stretch cannot take goes through ``write_one``.  The peek reaches the
-        limit (the horizon, or under ``spml`` and ``epml`` the next tick) or
-        the quantum at the cheapest write price and, while a log
+        limit (the next tick or the horizon, whichever comes first) or the
+        quantum at the cheapest write price and, while a log
         buffer is armed, 1.5 writes per free slot: a stretch ends at the
         slots' last dirty transition, so more would be thrown away.  A write's
         cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
         fault for a recorded fault (``_write_us``); the class docstring lists
         the event exits.
         """
-        if ops is None:
-            gvas, batch, pages, others, ops = self.gvas, self.gvas, self._sweep, [], ()
-        else:
-            gvas, batch, pages, others, ops = _decode(ops)
+        gvas, batch, pages, others, ops = decoded or (self.gvas, self.gvas, self._sweep, [], ())
         total = len(gvas)
         horizon = self.cfg.horizon_us
         if self.t >= horizon:
@@ -833,8 +806,7 @@ class _MechanicalRun(_Run):
         oracle_add, oracle_update = self.oracle.add, self.oracle.update
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
-        ticked = self.tech in _COLLECTING_TICKS  # else the limit is the horizon
-        limit = min(self.next_tick, horizon) if ticked else horizon
+        limit = min(self.next_tick, horizon)
         pos = 0
         for end in chain(others, (total,)):  # the writes up to the next other op
             blocked = False
@@ -858,8 +830,6 @@ class _MechanicalRun(_Run):
                 if stretch:
                     bits, (walls, runs) = stretch.bits, self._byte_us
                     quiet = len(bits)
-                    # dearer writes (uffd's) reach the tick sooner: clock no more of them
-                    bits = bits[: int((limit - t) / walls[bits[0]]) + 2]
                     # the stretch ends with the first write whose clock reaches the
                     # limit or whose run time reaches the quantum, if one does
                     ts = list(accumulate(map(walls.__getitem__, bits), initial=t))
@@ -879,7 +849,7 @@ class _MechanicalRun(_Run):
                         # that is no quiet one: that write goes through write_one
                         blocked = k == quiet < n
                         continue
-                    res, wall, run = None, walls[bits[k - 1]], runs[bits[k - 1]]
+                    res = None
                 else:
                     res = write_one(pid, gvas[pos])
                     outcome = res[0]
@@ -896,10 +866,13 @@ class _MechanicalRun(_Run):
                         run_acc += run
                         if t < limit and run_acc < quantum:
                             continue
-                        res = None  # counted: only the quantum and tick checks remain
+                        res = None
                 self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
                 self.suspension, self.tracker_busy = suspension, busy
-                self._event(res, wall, run)
+                if res is None:  # counted: only the quantum and tick checks remain
+                    self._swap_and_tick()
+                else:
+                    self._event(res, wall, run)
                 if self.truncated:
                     return
                 t, run_acc = self.t, self.run_acc
@@ -908,7 +881,7 @@ class _MechanicalRun(_Run):
                     if pos < total:  # an op is left undone
                         self.truncated = True
                     return
-                limit = min(self.next_tick, horizon) if ticked else horizon
+                limit = min(self.next_tick, horizon)
             if end < total:
                 self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
                 self.suspension, self.tracker_busy = suspension, busy
@@ -918,32 +891,30 @@ class _MechanicalRun(_Run):
         self.suspension, self.tracker_busy = suspension, busy
 
     def _event(self, res, wall: float, run: float) -> None:
-        """Finish the accounting of a write that ended a quiet stretch.
+        """Finish the accounting of a write whose result ``res`` carries a vmexit,
+        stall or softirq copy.
 
-        ``res`` is the write's result when it carried a vmexit, stall or
-        softirq copy; its ``wall`` and ``run`` time are then not yet on the
-        clock, and the device costs join ``wall`` first.  With ``res`` None
-        the write is already counted.  Then the quantum check and the
-        collection ticks due by now, in that order.
+        Its ``wall`` and ``run`` time are not yet on the clock, and the device
+        costs join ``wall`` first.  Then the quantum check and the collection
+        ticks due by now, in that order.
         """
         c = self.c
-        if res is not None:
-            if res.softirq_copied or res.softirq_us:
-                wall += res.softirq_us
-                self.suspension += res.softirq_us
-                self.softirqs += 1
-            if res.vmexit is not None and not res.stalled:
-                wall += c.vmexit_service
-                self.suspension += c.vmexit_service
-                self.vmexits += 1
-            self.t += wall
-            self.run_acc += run
-            if res.stalled:
-                # the producer waits for collection ticks to make ring room
-                hv, refused = self.vm.hv, res.refused
-                if not self._stall(lambda: not hv.handle_pml_full_vmexit(refused=refused).stalled):
-                    return
-                self._vmexit()
+        if res.softirq_copied or res.softirq_us:
+            wall += res.softirq_us
+            self.suspension += res.softirq_us
+            self.softirqs += 1
+        if res.vmexit is not None and not res.stalled:
+            wall += c.vmexit_service
+            self.suspension += c.vmexit_service
+            self.vmexits += 1
+        self.t += wall
+        self.run_acc += run
+        if res.stalled:
+            # the producer waits for collection ticks to make ring room
+            hv, refused = self.vm.hv, res.refused
+            if not self._stall(lambda: not hv.handle_pml_full_vmexit(refused=refused).stalled):
+                return
+            self._vmexit()
         self._swap_and_tick()
 
     # ----- workload drivers ----------------------------------------------
@@ -952,7 +923,7 @@ class _MechanicalRun(_Run):
         if self.cfg.trace is None:
             super()._workload()
         else:
-            self._drive(getattr(self.cfg.trace, "ops", self.cfg.trace))
+            self._drive(self.cfg.trace.decoded)
 
     def _round(self) -> None:
         self._drive()

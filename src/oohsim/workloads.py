@@ -7,6 +7,8 @@ what a tracker collected.  The page-sweep micro-benchmark is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,7 +48,9 @@ class TraceWorkload:
     Ops are tuples: ``("write", gva)``, ``("map", gva)``, ``("unmap", gva)``,
     ``("remap", old_gva, new_gva)``.  Pages named by the run's
     ``memory_bytes`` are pre-mapped at 0x1000, 0x2000, ... before the first
-    op executes.
+    op executes.  A trace is decoded at its first run and the decode kept
+    for the next (:attr:`decoded`), so its ops must not change after its
+    first run.
     """
 
     ops: list[tuple] = field(default_factory=list)
@@ -63,6 +67,27 @@ class TraceWorkload:
 
     def initial_gvas(self) -> list[int]:
         return [(i + 1) * PAGE for i in range(self.initial_pages)]
+
+    @cached_property
+    def decoded(self) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple]]:
+        """The ops as the mechanical tracker engine runs them: each op's page
+        (the page a write writes), the same as an array, their page numbers,
+        the positions of the ops that are not writes, and the ops.
+
+        A page is named by its page-aligned address: any other address raises
+        ``ValueError`` naming the first such op and the address.
+        """
+        ops = self.ops
+        gvas = list(map(itemgetter(1), ops))
+        others = [i for i, op in enumerate(ops) if op[0] != "write"]
+        batch = np.array(gvas, dtype=np.int64)
+        bad = np.flatnonzero(batch % PAGE).tolist()[:1]
+        bad += (i for i in others if ops[i][0] == "remap" and ops[i][2] % PAGE)
+        if bad:
+            i = min(bad)
+            addr = gvas[i] if gvas[i] % PAGE else ops[i][2]
+            raise ValueError(f"trace op {i}: address {addr:#x} is not page-aligned")
+        return gvas, batch, (batch // PAGE).tolist(), others, ops
 
 
 @dataclass

@@ -80,23 +80,6 @@ def test_epml_register_maps_the_guest_ring_page():
     assert kern.ept.translate(GUEST_RING_GPA) is not None
 
 
-def test_unregister_charges_deactivation():
-    kern, hv = make_kernel()
-    kern.new_process(7)
-    kern.register_tracked(7, "spml", MB)
-    prices = kern.uio.prices
-    assert kern.unregister() == prices.m11
-    assert not hv.flags.enable_by_guest
-    with pytest.raises(NotRegistered):
-        kern.unregister()
-
-    kern, hv = make_kernel()
-    kern.new_process(7)
-    kern.register_tracked(7, "epml", MB)
-    assert kern.unregister() == prices.m12
-    assert not hv.pml.epml_enabled
-
-
 # ---------------------------------------------------------------- scheduling
 
 

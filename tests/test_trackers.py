@@ -29,7 +29,7 @@ from oohsim.trackers import (
     tracked_machine,
 )
 from oohsim.vm import VirtualMachine
-from oohsim.workloads import random_trace
+from oohsim.workloads import TraceWorkload, random_trace
 
 MB = 1 << 20
 GB = 1000 * MB
@@ -353,7 +353,7 @@ _PINNED_MECHANICAL = {
 # The segment engine's rows over the same grid (keys as above) and over the
 # ``_EDGE_SHAPES`` below (keyed (shape, technique); 4 MB, three rounds),
 # recorded before its run loop and the mechanical engine's shared one
-# skeleton.  The engines differ on some of these rows (ROADMAP open item 2);
+# skeleton.  The engines differ on some of these rows (ROADMAP open item 3);
 # each is pinned to itself.
 _PINNED_SEGMENT = {
     ("proc", 1, 256, "stall", False): (768, 0, 0, 0, 2, 256, 0, 6532.2, 5832.0),
@@ -869,11 +869,6 @@ def test_bottleneck_zero_work_is_all_other():
 # --------------------------------------------------------------- trace runs
 
 
-class _Trace:
-    def __init__(self, ops):
-        self.ops = ops
-
-
 def _base_gvas(n=4):
     # allocation in a fresh machine hands out 0x1000, 0x2000, ...
     return [0x1000 * (i + 1) for i in range(n)]
@@ -883,7 +878,7 @@ def _base_gvas(n=4):
 def test_trace_unmap_churn_collected_exactly(technique):
     a, b, c, d = _base_gvas(4)
     ops = [("write", a), ("write", b), ("write", c), ("unmap", b), ("write", d)]
-    rep = run_tracker(cfg(technique, 16 * 4096, trace=_Trace(ops)))
+    rep = run_tracker(cfg(technique, 16 * 4096, trace=TraceWorkload(ops)))
     assert rep.dirty_set == {a, b, c, d}
     assert rep.missed == set()
 
@@ -891,7 +886,7 @@ def test_trace_unmap_churn_collected_exactly(technique):
 def test_trace_unmap_churn_ring_misses_only_unmapped():
     a, b, c, d = _base_gvas(4)
     ops = [("write", a), ("write", b), ("write", c), ("unmap", b), ("write", d)]
-    rep = run_tracker(cfg("spml", 16 * 4096, trace=_Trace(ops)))
+    rep = run_tracker(cfg("spml", 16 * 4096, trace=TraceWorkload(ops)))
     assert rep.missed == {b}
     assert rep.dirty_set == {a, c, d}
 
@@ -900,11 +895,11 @@ def test_trace_remap_moves_or_misnames_the_page():
     a = 0x1000
     e = 0x200000
     ops = [("write", a), ("remap", a, e)]
-    proc_rep = run_tracker(cfg("proc", 16 * 4096, trace=_Trace(ops)))
+    proc_rep = run_tracker(cfg("proc", 16 * 4096, trace=TraceWorkload(ops)))
     assert proc_rep.dirty_set == {e}  # the bit travelled with the mapping
-    epml_rep = run_tracker(cfg("epml", 16 * 4096, trace=_Trace(ops)))
+    epml_rep = run_tracker(cfg("epml", 16 * 4096, trace=TraceWorkload(ops)))
     assert epml_rep.dirty_set == {a}  # logged under the name used at write time
-    spml_rep = run_tracker(cfg("spml", 16 * 4096, trace=_Trace(ops)))
+    spml_rep = run_tracker(cfg("spml", 16 * 4096, trace=TraceWorkload(ops)))
     assert spml_rep.dirty_set == {e}
     assert (e, a) in spml_rep.inaccurate  # reverse map found the new name
 
@@ -913,8 +908,8 @@ def test_trace_determinism():
     a, b, _c, _d = _base_gvas(4)
     fresh = 0x20000  # beyond the 16 pre-allocated pages
     ops = [("write", a), ("write", b), ("unmap", a), ("map", fresh), ("write", fresh)]
-    r1 = run_tracker(cfg("uffd", 16 * 4096, trace=_Trace(ops)))
-    r2 = run_tracker(cfg("uffd", 16 * 4096, trace=_Trace(ops)))
+    r1 = run_tracker(cfg("uffd", 16 * 4096, trace=TraceWorkload(ops)))
+    r2 = run_tracker(cfg("uffd", 16 * 4096, trace=TraceWorkload(ops)))
     assert r1.dirty_set == r2.dirty_set
     assert r1.monitor_span_us == r2.monitor_span_us
 
@@ -1011,8 +1006,8 @@ def _digest(report: TrackerPhaseReport) -> str:
 # (technique, MB, quantum µs) -> (monitored span as hex, _digest) of a 13-round
 # mechanical sweep, recorded when every collection tick still cut a stretch;
 # ``trace`` rows are _stretch_trace(11, 700, 2_500, 0.002, 1_000) at 40 µs ticks
-# and a 300 µs quantum.  proc's and uffd's ticks only schedule the next one,
-# so no interval may move a field
+# and a 300 µs quantum.  proc and uffd runs schedule no collection tick, so
+# no interval may move a field
 _PINNED_NO_OP_TICKS = {
     ("proc", 1, 300.0): ("0x1.ba48cccccce3ap+14", "dc881f73a88ff410"),
     ("proc", 1, 10_000.0): ("0x1.ba48cccccce3ap+14", "26275f35a0affb4c"),
@@ -1049,17 +1044,91 @@ def test_no_op_ticks_move_no_float_of_a_trace(technique):
     ops = _stretch_trace(11, 700, 2_500, 0.002, 1_000)
     rep = run_tracker(
         cfg(technique, 700 * PAGE_SIZE, quantum_us=300.0, collection_interval_us=40.0,
-            trace=_Trace(ops))
+            trace=TraceWorkload(ops))
     )
     assert (rep.monitor_span_us.hex(), _digest(rep)) == _PINNED_NO_OP_TICKS[technique, "trace"]
+
+
+def _tracker_config(run: str, technique: str, interval_us: float, **kw) -> TrackerConfig:
+    """A short run of ``run``'s kind: a segment or mechanical sweep, or a trace."""
+    if run == "trace":
+        trace = random_trace(kw.pop("seed", 3), 512, 2_000)
+        return cfg(technique, trace.memory_bytes, collection_interval_us=interval_us,
+                   trace=trace, **kw)
+    return cfg(technique, kw.pop("pages", 700) * PAGE_SIZE, rounds=2,
+               collection_interval_us=interval_us, mechanical=run == "mechanical", **kw)
+
+
+@pytest.mark.parametrize("run", ["segment", "mechanical", "trace"])
+@pytest.mark.parametrize("technique", ["proc", "uffd"])
+def test_a_proc_or_uffd_run_makes_no_tick(technique, run):
+    ticks = []
+    tick = trackers._Run._tick
+
+    def counted(self):
+        ticks.append(self.tech)
+        tick(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackers._Run, "_tick", counted)
+        # a short quantum: each swap is an event exit, where due ticks would run
+        assert run_tracker(_tracker_config(run, technique, 40.0, quantum_us=300.0)).writes_done
+        assert ticks == []
+        run_tracker(_tracker_config(run, "spml", 40.0))  # the count sees ticks that happen
+    assert ticks and set(ticks) == {"spml"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    technique=st.sampled_from(["proc", "uffd"]),
+    run=st.sampled_from(["segment", "mechanical", "trace"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    pages=st.sampled_from([1, 77, 513, 700]),
+    quantum_us=st.sampled_from([0.5, 300.0, 10_000.0]),
+    horizon_us=st.sampled_from([0.0, 350.0, 3_000.0, 6e7]),
+    intervals=st.lists(
+        st.floats(min_value=0.5, max_value=1e7, allow_nan=False), min_size=2, max_size=3
+    ),
+)
+def test_the_interval_moves_no_field_of_a_proc_or_uffd_report(
+    technique, run, seed, pages, quantum_us, horizon_us, intervals
+):
+    kw = {"seed": seed} if run == "trace" else {"pages": pages}
+    reports = [
+        _field_bits(run_tracker(_tracker_config(
+            run, technique, interval_us, quantum_us=quantum_us, horizon_us=horizon_us, **kw
+        )))
+        for interval_us in intervals
+    ]
+    assert all(report == reports[0] for report in reports[1:])
+
+
+class _ReadCountingOps(list):
+    """A trace's ops that count how often they are read through."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_a_trace_is_decoded_once_for_all_its_runs():
+    trace = random_trace(4, 256, 600)
+    trace.ops = ops = _ReadCountingOps(trace.ops)
+    run_tracker(cfg("proc", trace.memory_bytes, trace=trace))
+    first = ops.reads
+    for technique in ("uffd", "spml"):
+        run_tracker(cfg(technique, trace.memory_bytes, trace=trace))
+    assert first and ops.reads == first
 
 
 @pytest.mark.parametrize("rounds", [2, 3])
 @pytest.mark.parametrize("interval_us", [1_900.0, 2_000.0, 2_100.0, 2_200.0])
 def test_a_round_that_starts_past_the_tick_is_exact(rounds, interval_us):
-    # proc's pagemap walk moves the clock without a tick, so at these intervals
-    # a round starts past the next collection tick; proc's ticks collect
-    # nothing, so its stretches run on past them
+    # proc's pagemap walk moves the clock without a tick; these intervals put
+    # a round's start past where a tick would be, but proc runs schedule no
+    # tick, so its stretches run on
     config = cfg(
         "proc", 256 * PAGE_SIZE, rounds=rounds, collection_interval_us=interval_us, mechanical=True
     )
@@ -1162,7 +1231,7 @@ def test_trace_stretches_leave_every_report_field_as_write_by_write(
         ring_full_policy=policy,
         defer_reverse_map=defer,
         horizon_us=horizon_us,
-        trace=_Trace(ops),
+        trace=TraceWorkload(ops),
     )
     reports = []
     for stretch_min in (1, math.inf):  # every stretch batched, then none
@@ -1176,7 +1245,7 @@ def test_trace_stretches_leave_every_report_field_as_write_by_write(
 def test_an_unaligned_trace_address_is_rejected(technique):
     ops = [("map", 0x100800), ("write", 0x100800)]
     with pytest.raises(ValueError, match=r"op 0: address 0x100800"):
-        run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=_Trace(ops)))
+        run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=TraceWorkload(ops)))
     ops = [("write", _base_gvas(1)[0]), ("map", 0x20000), ("write", 0x1010)]
     with pytest.raises(ValueError, match=r"op 2: address 0x1010 "):
-        run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=_Trace(ops)))
+        run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=TraceWorkload(ops)))
