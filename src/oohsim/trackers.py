@@ -29,7 +29,11 @@ dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
 feeds it its ops, the micro-benchmark one round of writes at a time.  A
 quiet write only adds its base cost to the clock, held in locals, and a
 whole stretch of quiet writes, in a round or in a trace's run of writes, is
-applied in one step that leaves the clock and state of one write at a time.
+applied in one step that leaves the clock and state of one write at a time:
+its clock is a NumPy prefix sum, which adds the writes' µs one by one, in
+order.  Its spml collector charges each drained entry as it leaves the ring
+but maps it to its GVA later, with every entry drained since the last
+map, unmap or remap op, as no other step changes a reverse mapping.
 An *event* (a vmexit, stall or softirq copy, a full quantum, a due
 collection tick, the horizon, or a map/unmap/remap op) puts the clock back
 on the run, adds each cost in the same order as a write-by-write accounting
@@ -47,12 +51,13 @@ engine where they differ.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, is_not, itemgetter, ne
 from typing import Any
+
+import numpy as np
 
 from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
@@ -67,6 +72,7 @@ __all__ = [
     "TrackerPhaseReport",
     "DrainResult",
     "drain_ring",
+    "reverse_map_blocks",
     "reverse_map_pairs",
     "run_tracker",
     "spml_bottleneck_breakdown",
@@ -234,6 +240,7 @@ def drain_ring(
     *,
     batch: int | None = None,
     defer_reverse_map: bool = False,
+    parked: dict[Any, dict[tuple[int, int], None]] | None = None,
 ) -> DrainResult:
     """Consume ring entries: copy out, then reverse-map unless deferred.
 
@@ -241,7 +248,13 @@ def drain_ring(
     immediately, a ring block at a time.  Addresses whose reverse mapping is
     gone are reported lost; aliased pages that resolve to a different virtual
     address than the one written are reported inaccurate.  (Logging was
-    re-armed when the device flushed these entries, not here.)
+    re-armed when the device flushed these entries, not here.)  With
+    ``parked``, a dict by pid, the entries are charged as if mapped now but
+    go into ``parked[pid]`` instead, for :func:`reverse_map_blocks` to map
+    while the mappings they were logged under still stand: the result is
+    the same, and a pair logged twice is mapped once.  ``parked[pid]`` is
+    a dict used as a set that keeps the drain order, so a run of
+    consecutive frames stays one run for the reverse map.
     """
     n = batch if batch is not None else vm.hv.ring.used
     blocks = vm.hv.ring.consume(n)
@@ -254,10 +267,25 @@ def drain_ring(
         for _pid, pairs in blocks:
             res.raw.extend(pairs)
         return res
+    if parked is not None:
+        for pid, pairs in blocks:
+            parked.setdefault(pid, {}).update(zip(pairs, repeat(None)))
+        # one addition per pair, in order, as the mapping below adds them
+        res.rm_us = reduce(add, repeat(prices.m17_pp, res.consumed), 0.0)
+        return res
+    return reverse_map_blocks(vm, blocks, prices.m17_pp, res)
+
+
+def reverse_map_blocks(
+    vm: VirtualMachine, blocks, rm_pp: float = 0.0, res: DrainResult | None = None
+) -> DrainResult:
+    """:func:`reverse_map_pairs` of each ``(pid, pairs)`` block through its
+    process's page table; every pair of a process that is gone is lost."""
+    res = res if res is not None else DrainResult()
     processes = vm.kernel.processes
     for pid, pairs in blocks:
         proc = processes.get(pid)
-        reverse_map_pairs(proc.table if proc is not None else None, pairs, prices.m17_pp, res)
+        reverse_map_pairs(proc.table if proc is not None else None, pairs, rm_pp, res)
     return res
 
 
@@ -284,8 +312,8 @@ def reverse_map_pairs(
     logged = list(map(itemgetter(1), pairs))
     gpas = list(map(itemgetter(0), pairs))
     gvas = table.reverse_map_many(gpas) if table is not None else [LOST] * len(pairs)
-    # one addition per pair, in order, as a per-pair loop adds them
-    res.rm_us = reduce(add, repeat(rm_pp, len(pairs)), res.rm_us)
+    if rm_pp:  # one addition per pair, in order, as a per-pair loop adds them
+        res.rm_us = reduce(add, repeat(rm_pp, len(pairs)), res.rm_us)
     if gvas != logged:
         for k in compress(count(), map(ne, gvas, logged)):
             if gvas[k] is LOST:
@@ -616,16 +644,32 @@ class _SegmentRun(_Run):
 
 # by a page-table page's state byte: the index of its write's faults in
 # ``_MechanicalRun._write_us``, and 1 where the write takes a uffd fault
-_FAULTS = [sd + 2 * wp for sd, wp in map(write_faults, range(256))]
+_FAULTS = np.array([sd + 2 * wp for sd, wp in map(write_faults, range(256))])
 _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 
 #: The fewest writes a stretch peeks at; below it each write goes through
-#: ``write_one``.  A stretch of 16 pages in any order, peeked and applied,
-#: costs about 50 µs of NumPy calls against 2-3 µs per ``write_one`` (2-vCPU
-#: x86 host, CPython 3.11).  Of 8, 16, 32 and 64, 8 and 64 ran churn-ckpt
-#: slower, and 16 and 32 did not differ beyond the host's noise on churn-ckpt
-#: or kv-sparse.
+#: ``write_one``.  A stretch of 16 to 64 pages in any order, peeked, clocked
+#: and applied, costs about 55 µs of NumPy calls against 1.8-3 µs per
+#: ``write_one`` (2-vCPU x86 host, CPython 3.11, NumPy 2.4.6).  Of 16, 32 and
+#: 64, 16 ran churn-ckpt slower (median 0.80 s against 0.73 s at 32); 32 and
+#: 64 did not differ beyond the host's noise on churn-ckpt or kv-sparse, and
+#: 64 sends more sweep writes through ``write_one`` (a 16 MB epml sweep: 539
+#: against 218), where a nearly full log buffer's few free slots bound the peek.
 STRETCH_MIN = 32
+
+
+def _sums(start: float, us, n: int) -> np.ndarray:
+    """The running sums from ``start`` over ``n`` terms: ``n`` µs values, or one
+    value ``n`` times.  Element 0 is ``start``; element ``i`` has ``i`` terms.
+
+    :func:`numpy.cumsum` adds one term at a time, left to right, so each sum
+    is the float that adding the terms one by one in Python gives
+    (``tests/test_trackers.py`` holds NumPy to that order).
+    """
+    out = np.empty(n + 1)
+    out[0] = start
+    out[1:] = us
+    return out.cumsum(out=out)
 
 
 class _MechanicalRun(_Run):
@@ -656,18 +700,26 @@ class _MechanicalRun(_Run):
     The machine peeks once (:meth:`~oohsim.vm.VirtualMachine.quiet_run`):
     the stretch it returns holds the page byte each of the next quiet writes
     finds, a page written again finding the byte its first write left, and
-    where both tables keep each page; a 256-entry table built from the price
-    list turns each byte into that write's wall and run µs.
-    :func:`itertools.accumulate` advances the clock and the run time one
-    write at a time, as the per-write loop adds them, and
-    :func:`bisect.bisect_left` finds the first write that reaches the limit
-    (the next tick or the horizon, whichever comes first) or the quantum.  The
+    where both tables keep each page; two 256-entry arrays built from the
+    price list turn each byte into that write's wall and run µs
+    (:func:`numpy.take`).  A :func:`numpy.cumsum` seeded with the clock, and
+    one seeded with the run time, add them one write at a time, as the
+    per-write loop adds them (:func:`_sums`), and
+    :meth:`numpy.ndarray.searchsorted` finds the first write that reaches the
+    limit (the next tick or the horizon, whichever comes first) or the
+    quantum; the stretch's uffd faults are a prefix sum of the fault price.  The
     machine applies the writes up to and including it from what the peek
     found (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that write's
     event exit is the per-write loop's.  The state, the counters and
     every float are those of write-by-write stepping; the write that finds
     a log buffer full still goes through ``write_one``, as does every write
     of a stretch shorter than :data:`STRETCH_MIN`.
+
+    spml's drained ``(gpa, gva)`` pairs wait in ``parked``, by pid, each
+    once and in drain order, and are reverse-mapped together
+    (:meth:`_map_parked`) before each map, unmap or remap op and before the
+    report: they map as they did when drained, and a pair drained again in
+    the same epoch is mapped once.
 
     ``oracle`` (pages written) and ``collected`` (pages reported) hold page
     numbers, as page-aligned addresses share their low bits and a set of them
@@ -683,6 +735,8 @@ class _MechanicalRun(_Run):
         self.collected: set[int] = set()
         self.inaccurate: set[tuple[int, int]] = set()
         self.raw_entries: list[tuple[int, int]] = []
+        # spml's drained (gpa, gva) pairs by pid, charged but not yet mapped
+        self.parked: dict[Any, dict[tuple[int, int], None]] = {}
 
     @property
     def ring_used(self) -> int:
@@ -712,10 +766,10 @@ class _MechanicalRun(_Run):
         return out
 
     @cached_property
-    def _byte_us(self) -> tuple[list[float], list[float]]:
+    def _byte_us(self) -> tuple[np.ndarray, np.ndarray]:
         """By a page-table page's state byte: its write's wall µs and run µs."""
-        walls, runs = zip(*self._write_us)
-        return list(map(walls.__getitem__, _FAULTS)), list(map(runs.__getitem__, _FAULTS))
+        walls, runs = map(np.array, zip(*self._write_us))
+        return walls[_FAULTS], runs[_FAULTS]
 
     # ----- helpers -------------------------------------------------------
 
@@ -749,17 +803,32 @@ class _MechanicalRun(_Run):
         return us
 
     def _drain(self) -> float:
+        """One collecting tick of spml: ``drain_batch`` entries (all, when
+        deferred) leave the ring and are charged as they leave.
+
+        A pair's reverse mapping changes only with a map, unmap or remap op,
+        so the pairs are parked (:func:`drain_ring`) and mapped by
+        :meth:`_map_parked` before the next such op and before the report:
+        one mapping per pair and mapping epoch, not one call per tick.
+        Deferred entries wait for :meth:`_reverse_map_deferred` instead.
+        """
         pre, defer = self.collect_us, self.cfg.defer_reverse_map
         batch = None if defer else self.c.drain_batch
-        res = drain_ring(self.vm, batch=batch, defer_reverse_map=defer)
-        self._collect(res.gvas)
+        res = drain_ring(self.vm, batch=batch, defer_reverse_map=defer, parked=self.parked)
         self.raw_entries.extend(res.raw)
-        self.inaccurate.update(res.inaccurate)
         self.tracker_busy += res.total_us
         self.collect_us += res.total_us
         self.parts["reverse_mapping_us"] += res.rm_us
         self.parts["copy_us"] += res.copy_us
         return self.collect_us - pre  # as the collection clock rounds it
+
+    def _map_parked(self) -> None:
+        """Map the parked pairs against the mappings they were drained under."""
+        if self.parked:
+            res = reverse_map_blocks(self.vm, self.parked.items())
+            self.parked.clear()
+            self._collect(res.gvas)
+            self.inaccurate.update(res.inaccurate)
 
     def _reverse_map_deferred(self) -> float:
         if not self.raw_entries:
@@ -782,11 +851,14 @@ class _MechanicalRun(_Run):
         in one step (:meth:`~oohsim.vm.VirtualMachine.write_run`); a write a
         stretch cannot take goes through ``write_one``.  The peek reaches the
         limit (the next tick or the horizon, whichever comes first) or the
-        quantum at the cheapest write price and, while a log
-        buffer is armed, 1.5 writes per free slot: a stretch ends at the
-        slots' last dirty transition, so more would be thrown away.  A write's
-        cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
-        fault for a recorded fault (``_write_us``); the class docstring lists
+        quantum at the cheapest write price, or takes the rest of the run of
+        writes where both are infinite, and, while a log buffer is armed,
+        1.5 writes per free slot: a stretch ends at the slots' last dirty
+        transition, so more would be thrown away.  A write's cost is ``w``,
+        then the soft-dirty fault for ``proc``, then the uffd fault for a
+        recorded fault (``_write_us``); a stretch's costs are NumPy prefix
+        sums (the class docstring).  The pairs spml parked are mapped before
+        each other op, which may change a mapping; the class docstring lists
         the event exits.
         """
         gvas, batch, pages, others, ops = decoded or (self.gvas, self.gvas, self._sweep, [], ())
@@ -814,10 +886,16 @@ class _MechanicalRun(_Run):
                 stretch = None
                 if not blocked and end - pos >= stretch_min and t < limit and run_acc < quantum:
                     # peek at enough writes to reach the limit or the quantum at ``w``
-                    # each; a round can start past the tick (epml's round-end leftover
-                    # delivery moves the clock without a tick), and then its first
-                    # write goes through write_one
-                    n = min(end - pos, int((limit - t) / w) + 2, int((quantum - run_acc) / w) + 2)
+                    # each, or at the writes left where either is infinite; a round
+                    # can start past the tick (epml's round-end leftover delivery
+                    # moves the clock without a tick), and then its first write goes
+                    # through write_one
+                    left = end - pos
+                    n = min(
+                        left,
+                        int(min((limit - t) / w, left)) + 2,
+                        int(min((quantum - run_acc) / w, left)) + 2,
+                    )
                     free = free_slots()
                     if free is not None:
                         # of 1, 1.25, 1.5, 2, 3 and 4 writes a slot, 1.5 peeked least
@@ -830,20 +908,21 @@ class _MechanicalRun(_Run):
                 if stretch:
                     bits, (walls, runs) = stretch.bits, self._byte_us
                     quiet = len(bits)
+                    codes = np.frombuffer(bits, np.uint8)
+                    ts = _sums(t, walls.take(codes), quiet)
+                    rs = _sums(run_acc, runs.take(codes), quiet)
                     # the stretch ends with the first write whose clock reaches the
                     # limit or whose run time reaches the quantum, if one does
-                    ts = list(accumulate(map(walls.__getitem__, bits), initial=t))
-                    rs = list(accumulate(map(runs.__getitem__, bits), initial=run_acc))
-                    k = min(bisect_left(ts, limit, 1), bisect_left(rs, quantum, 1), len(bits))
+                    k = min(int(ts.searchsorted(limit)), int(rs.searchsorted(quantum)), quiet)
                     write_run(pid, stretch, k)
                     faults = bits[:k].translate(_UFFD_FAULTS).count(1)
                     if faults:
-                        suspension = reduce(add, repeat(uffd_fault, faults), suspension)
-                        busy = reduce(add, repeat(uffd_fault, faults), busy)
+                        suspension = float(_sums(suspension, uffd_fault, faults)[-1])
+                        busy = float(_sums(busy, uffd_fault, faults)[-1])
                     oracle_update(pages[pos : pos + k])
                     pos += k
                     writes_done += k
-                    t, run_acc = ts[k], rs[k]
+                    t, run_acc = float(ts[k]), float(rs[k])
                     if t < limit and run_acc < quantum:
                         # a stretch shorter than its peek stopped before a write
                         # that is no quiet one: that write goes through write_one
@@ -885,6 +964,7 @@ class _MechanicalRun(_Run):
             if end < total:
                 self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
                 self.suspension, self.tracker_busy = suspension, busy
+                self._map_parked()  # the op may change the mappings
                 apply_op(pid, ops[end])
                 pos = end + 1
         self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
@@ -954,6 +1034,7 @@ class _MechanicalRun(_Run):
             super()._harvest()
 
     def _content(self) -> dict[str, Any]:
+        self._map_parked()
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
         return {

@@ -6,7 +6,11 @@ import hashlib
 import math
 import random
 from dataclasses import fields
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -837,6 +841,40 @@ def test_drain_ring_reports_lost_and_inaccurate():
     assert gvas[2] in res.gvas
 
 
+def _aliased_spml_vm(n_pages):
+    """A flushed ring whose first page is unmapped and second aliased lower."""
+    vm, gvas = _flushed_spml_vm(n_pages)
+    vm.unmap(1, gvas[0])
+    proc = vm.kernel.processes[1]
+    proc.table.map_page(0x800, proc.table.entry(gvas[1]).gpa)
+    return vm, gvas
+
+
+def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
+    vm, gvas = _aliased_spml_vm(6)
+    mapped = [drain_ring(vm, batch=4), drain_ring(vm, batch=4)]
+    vm, _ = _aliased_spml_vm(6)
+    parked = {}
+    charged = [drain_ring(vm, batch=4, parked=parked), drain_ring(vm, batch=4, parked=parked)]
+    assert parked.keys() == {1} and len(parked[1]) == 6
+    for now, later in zip(mapped, charged):
+        assert (later.consumed, later.rm_us.hex(), later.copy_us.hex()) == (
+            now.consumed, now.rm_us.hex(), now.copy_us.hex()
+        )
+        assert later.gvas == later.lost == later.inaccurate == []
+    res = trackers.reverse_map_blocks(vm, parked.items())
+    assert sorted(res.gvas) == sorted(mapped[0].gvas + mapped[1].gvas)
+    assert sorted(res.lost) == sorted(mapped[0].lost + mapped[1].lost)
+    assert sorted(res.inaccurate) == sorted(mapped[0].inaccurate + mapped[1].inaccurate)
+    assert res.rm_us == 0.0
+
+
+def test_pairs_of_a_process_that_is_gone_are_lost():
+    vm, gvas = _flushed_spml_vm(3)
+    res = trackers.reverse_map_blocks(vm, [(7, [(0x10_0000, gvas[0])])])
+    assert res.lost == [(0x10_0000, gvas[0])] and res.gvas == []
+
+
 # --------------------------------------------------------------- bottleneck
 
 
@@ -1249,3 +1287,144 @@ def test_an_unaligned_trace_address_is_rejected(technique):
     ops = [("write", _base_gvas(1)[0]), ("map", 0x20000), ("write", 0x1010)]
     with pytest.raises(ValueError, match=r"op 2: address 0x1010 "):
         run_tracker(cfg(technique, 16 * PAGE_SIZE, trace=TraceWorkload(ops)))
+
+
+# ------------------------- spml maps a drained pair once per mapping epoch
+
+
+def _with_remaps(trace: TraceWorkload, seed: int, p_remap: float = 0.05) -> TraceWorkload:
+    """``trace`` with mremap-style moves: after each op, with probability
+    ``p_remap``, a mapped page moves to a fresh address, and later ops follow
+    it to its new name.  Addresses are never reused."""
+    rng = random.Random(seed)
+    mapped = trace.initial_gvas()
+    fresh = (1 << 30) * PAGE_SIZE
+    renamed: dict[int, int] = {}
+    ops: list[tuple] = []
+    for op in trace.ops:
+        op = (op[0],) + tuple(renamed.get(a, a) for a in op[1:])
+        ops.append(op)
+        if op[0] == "map":
+            mapped.append(op[1])
+        elif op[0] == "unmap":
+            mapped.remove(op[1])
+        if mapped and rng.random() < p_remap:
+            i = rng.randrange(len(mapped))
+            old, mapped[i] = mapped[i], fresh
+            ops.append(("remap", old, fresh))
+            for orig, cur in renamed.items():
+                if cur == old:
+                    renamed[orig] = fresh
+            renamed[old] = fresh
+            fresh += PAGE_SIZE
+    return TraceWorkload(ops=ops, name=f"{trace.name}-remap", initial_pages=trace.initial_pages)
+
+
+def _parked_and_per_drain(config) -> tuple[TrackerPhaseReport, TrackerPhaseReport]:
+    """The run's report, and the one it gives when every drain maps its pairs at once."""
+    drain = trackers._MechanicalRun._drain
+
+    def mapped_at_once(self):
+        us = drain(self)
+        self._map_parked()
+        return us
+
+    parked = run_tracker(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackers._MechanicalRun, "_drain", mapped_at_once)
+        per_drain = run_tracker(config)
+    return parked, per_drain
+
+
+@pytest.mark.parametrize("policy", ["stall", "drop"])
+@pytest.mark.parametrize("ring", [512, 16384])
+@pytest.mark.parametrize("pages", [300, 513, 4096])
+def test_parked_pairs_leave_every_field_of_an_spml_sweep(pages, ring, policy):
+    config = cfg("spml", pages * PAGE_SIZE, rounds=3, collection_interval_us=40.0,
+                 ring_capacity=ring, ring_full_policy=policy, mechanical=True)
+    parked, per_drain = _parked_and_per_drain(config)
+    assert parked.writes_done and _field_bits(parked) == _field_bits(per_drain)
+
+
+@pytest.mark.parametrize("ring", [512, 16384])
+def test_parked_pairs_leave_every_field_of_an_spml_trace_with_moves(ring):
+    # maps, unmaps and moves between drains: a pair parked before an op must
+    # be mapped against the mappings it was logged under.  A short quantum
+    # flushes the log buffer at each swap, so the ticks drain pairs between ops
+    lost = 0
+    for seed in range(8):
+        trace = _with_remaps(random_trace(7 * seed + 1, 256, 1_500), seed)
+        assert {op[0] for op in trace.ops} == {"write", "map", "unmap", "remap"}
+        config = cfg("spml", trace.memory_bytes, quantum_us=100.0, collection_interval_us=40.0,
+                     ring_capacity=ring, trace=trace)
+        parked, per_drain = _parked_and_per_drain(config)
+        assert _field_bits(parked) == _field_bits(per_drain), seed
+        lost += len(parked.missed) + len(parked.inaccurate)
+    assert lost  # the traces reach pairs whose mapping an op changed
+
+
+# ---------------------------------- NumPy's prefix sum adds in Python's order
+
+# lengths up to 10**6, around the widths a SIMD loop would unroll by
+_SUM_LENGTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257,
+                1_000, 4_095, 4_096, 4_097, 65_537, 10**6]
+
+
+def _byte_tables() -> tuple[np.ndarray, ...]:
+    """Every technique's (wall, run) µs by state byte, as a stretch reads them."""
+    tables = []
+    for technique in TECHNIQUES:
+        tables += trackers._MechanicalRun(cfg(technique, PAGE_SIZE, mechanical=True))._byte_us
+    return tuple(tables)
+
+
+@pytest.mark.parametrize("n", _SUM_LENGTHS)
+def test_numpy_cumsum_adds_write_costs_as_accumulate_does(n):
+    # a stretch's clock is exact only while np.cumsum adds one term at a time,
+    # left to right; a NumPy that reorders the sum must fail here, not move
+    # pinned floats
+    rng = np.random.default_rng(n)
+    start = float(rng.uniform(0.0, 6e7))
+    for table in _byte_tables():
+        taken = table.take(rng.integers(0, 256, n, dtype=np.uint8))
+        costs = taken.tolist()
+        want = np.array(list(accumulate(costs)))
+        assert np.cumsum(taken).tobytes() == want.tobytes()
+        assert np.cumsum(np.array(costs)).tobytes() == want.tobytes()
+        seeded = np.array(list(accumulate(costs, initial=start)))
+        assert trackers._sums(start, taken, n).tobytes() == seeded.tobytes()
+
+
+@pytest.mark.parametrize("n", _SUM_LENGTHS)
+def test_numpy_cumsum_adds_repeated_faults_as_reduce_does(n):
+    uffd_fault = trackers._MechanicalRun(cfg("uffd", PAGE_SIZE, mechanical=True)).c.uffd_fault
+    for start in (0.0, 1234.5678, 5.9e7 + 0.1):
+        want = reduce(add, repeat(uffd_fault, n), start)
+        full = np.full(n + 1, uffd_fault)
+        full[0] = start
+        assert np.cumsum(full)[-1].hex() == want.hex()
+        assert float(trackers._sums(start, uffd_fault, n)[-1]).hex() == want.hex()
+
+
+# ----------------------------------------------- an infinite horizon is legal
+
+
+@pytest.mark.parametrize("run", ["segment", "mechanical", "trace"])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_an_infinite_horizon_runs_as_a_long_finite_one(technique, run):
+    # the stretch peek must not size itself from an infinite limit or quantum;
+    # little churn, so a trace's runs of writes are long enough to peek at
+    def report(**kw):
+        if run == "trace":
+            trace = random_trace(5, 512, 2_000, p_unmap=0.01, p_map=0.01)
+            config = cfg(technique, trace.memory_bytes, collection_interval_us=40.0,
+                         trace=trace, **kw)
+        else:
+            config = cfg(technique, 300 * PAGE_SIZE, rounds=3, collection_interval_us=40.0,
+                         mechanical=run == "mechanical", **kw)
+        return _field_bits(run_tracker(config))
+
+    finite = report(horizon_us=6e7)
+    assert not finite["truncated"] and report(horizon_us=math.inf) == finite
+    if run != "segment":  # the segment engine still raises on an infinite quantum
+        assert report(horizon_us=math.inf, quantum_us=math.inf) == report(quantum_us=1e12)
