@@ -23,6 +23,7 @@ of them probes on most lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .costs import PAGE_SIZE, CostTable, Prices
 from .hypervisor import Hypervisor
@@ -227,6 +228,24 @@ class GuestKernel:
         if not buf.entries and buf.index != buf.disabled_index:
             buf.index = buf.fresh_index
         return take, uio.prices.copy_us(take)
+
+    def deliver_fills(self, pid: int, logged: list[tuple[int, int]], fills: int) -> int:
+        """The softirq copies of a run of writes that fills the guest buffer
+        ``fills`` times, as :meth:`deliver_guest_buffer_full` makes them when the
+        tool ring takes each whole: the entries held before the run and the
+        ``(gpa, gva)`` dirty transitions ``logged`` up to the last filling one,
+        which each copy leaves as the first entry of the emptied buffer, go to
+        the ring in order.  The stretch that ran the writes re-armed the copied
+        frames.  Returns how many of ``logged`` were copied.
+        """
+        uio, buf = self.uio, self.hv.pml.guest_buffer
+        if fills * buf.slots > uio.ring_free:
+            raise ValueError(f"{fills} copies of {buf.slots} entries, {uio.ring_free} ring slots")
+        copied = buf.slots_left + buf.slots * (fills - 1)
+        uio.ring += buf.drain()
+        uio.ring += map(itemgetter(1), logged[:copied])
+        buf.drops_while_full += fills  # each filling write was refused once, then replayed
+        return copied
 
     def epml_consume_ring(self, max_n: int | None = None) -> list[int]:
         """Tool side: take harvested virtual addresses off the ring."""

@@ -27,6 +27,7 @@ out of its region, and a region with no page left is dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from itertools import chain, compress
 from typing import NamedTuple
@@ -377,17 +378,20 @@ class _PageMap:
         return bits, targets, places
 
     @staticmethod
-    def _scatter(places: tuple[list, list], count: int, table: bytes, array: np.ndarray) -> None:
-        """Byte ``b`` of each of the first ``count`` places :meth:`_gather` found becomes
-        ``table[b]`` (``array`` is the same table).  The tables applied this way
-        are idempotent, so a place found twice ends as if found once."""
+    def _scatter(
+        places: tuple[list, list], count: int, table: bytes, array: np.ndarray, start: int = 0
+    ) -> None:
+        """Byte ``b`` of each place :meth:`_gather` found at positions ``start`` to
+        ``count`` becomes ``table[b]`` (``array`` is the same table).  The tables
+        applied this way are idempotent, so a place found twice ends as if found once."""
         in_regions, singles = places
         for region, pos, idx in in_regions:
-            idx = idx[: np.searchsorted(pos, count)]
+            lo, hi = pos.searchsorted((start, count))
+            idx = idx[lo:hi]
             view = np.frombuffer(region.bits, dtype=np.uint8)
             view[idx] = array[view[idx]]
         for j, region in singles:
-            if j < count:
+            if start <= j < count:
                 region.bits[0] = table[region.bits[0]]
 
 
@@ -665,15 +669,24 @@ class Stretch:
     first write to a page that is not mapped (in the page table or the EPT);
     with ``protected`` False also before the first to a write-protected one;
     and before the write that would set an EPT dirty bit from clear with no
-    slot left, ``free`` being the slots left in the log buffers (None when
-    none logs).  A ``range`` of pages takes the slice path: it also stops at
-    the first page or frame that is no live one of the first one's region
-    (one mapped by ``map_region``).  Any other sequence is gathered once per
-    region and from ``entries``.  No state change: the peek keeps where each
-    table's bytes live and which writes set a dirty bit, for :meth:`apply`.
+    slot left, ``free`` being the dirty transitions the log buffers take
+    (None when none logs).  A ``range`` of pages takes the slice path: it
+    also stops at the first page or frame that is no live one of the first
+    one's region (one mapped by ``map_region``).  Any other sequence is
+    gathered once per region and from ``entries``.  No state change: the
+    peek keeps where each table's bytes live and which writes set a dirty
+    bit, for :meth:`apply`.
+
+    ``fills`` are the indices, among the run's dirty transitions, of those
+    that find a log buffer full and are logged after a copy empties it; the
+    copy re-arms the frames logged since the last one, and the first copy
+    also those ``held`` (addresses in ``table``) logged before the run.  A
+    write to a frame after a copy re-armed it is a transition the peek did
+    not see, so the run stops before the first.  ``fills`` holds, after the
+    peek, the positions of the filling writes in the run.
     """
 
-    __slots__ = ("bits", "_gvas", "_gpas", "_places", "_logs", "_applied")
+    __slots__ = ("bits", "fills", "_gvas", "_gpas", "_places", "_logs", "_rearm", "_applied")
 
     def __init__(
         self,
@@ -683,8 +696,10 @@ class Stretch:
         *,
         protected: bool = True,
         free: int | None = None,
+        fills: Sequence[int] = (),
+        held: Sequence[int] = (),
     ):
-        self.bits, self._logs, self._applied = b"", None, False
+        self.bits, self.fills, self._logs, self._rearm, self._applied = b"", [], None, None, False
         if _consecutive(gvas):
             run = table._live_run(gvas.start, len(gvas))
             pte = b"" if run is None else run[2]
@@ -699,8 +714,21 @@ class Stretch:
                 return
             logs = frames[2].translate(_CLEAN)
             n = len(logs)
-            if free is not None and logs.count(1) > free:  # stop at the (free + 1)-th
-                n = int(np.flatnonzero(np.frombuffer(logs, dtype=np.uint8))[free])
+            if free is not None and (fills or logs.count(1) > free):
+                hits = np.flatnonzero(np.frombuffer(logs, dtype=np.uint8))
+                n = n if len(hits) <= free else int(hits[free])  # stop at the (free + 1)-th
+                if fills:
+                    self.fills = hits[[f for f in fills if f < len(hits)]].tolist()
+            if self.fills:
+                # the pages of a range are distinct: only the held frames can be
+                # written after a copy re-armed them
+                held = table.gpas_of(held)
+                after, end = gpa + self.fills[0] * PAGE_SIZE, gpa + n * PAGE_SIZE
+                rewritten = [frame for frame in held if after < frame < end]
+                if rewritten:
+                    n = (min(rewritten) - gpa) // PAGE_SIZE
+                    self.fills = [q for q in self.fills if q < n]
+                self._rearm = ept, held
             self._gvas, self._gpas = gvas, range(gpa, gpa + n * PAGE_SIZE, PAGE_SIZE)
             self._places, self._logs = (run[:2], frames[:2]), None if free is None else logs
         else:
@@ -713,9 +741,33 @@ class Stretch:
                 self._logs = _first(gpas[:n]) & (frames[:n] & _DIRTY == 0)
                 hits = self._logs.nonzero()[0]
                 n = n if len(hits) <= free else int(hits[free])
+                if fills:
+                    self.fills = hits[[f for f in fills if f < len(hits)]].tolist()
+            if self.fills:
+                held = table.gpas_of(held)
+                n = self._rearmed(gpas[:n], held)
+                self.fills = [q for q in self.fills if q < n]
+                self._rearm = ept, held
             self._gvas, self._gpas, self._places = gvas, gpas, (pte_places, frame_places)
             pte = np.where(_first(gvas[:n]), pte[:n], _WRITTEN_A[pte[:n]])
         self.bits = bytes(pte[:n])
+
+    def _rearmed(self, gpas: np.ndarray, held: list[int]) -> int:
+        """Where a run of writes to ``gpas`` in any order first writes a frame a
+        copy before it re-armed: one of ``held`` after the first copy, or one
+        the run logged before a copy; else its length."""
+        fills, logs, n = self.fills, self._logs, len(gpas)
+        rearmed, start = np.array(held, dtype=np.int64), 0
+        for j, q in enumerate(fills):
+            # the copy at q re-arms the frames the run logged since the last one
+            rearmed = np.sort(np.concatenate((rearmed, gpas[start:q][logs[start:q]])))
+            start, end = q, fills[j + 1] + 1 if j + 1 < len(fills) else n
+            after = gpas[q + 1 : end]
+            if len(rearmed):  # none when every held page was unmapped since
+                found = rearmed[rearmed.searchsorted(after).clip(max=len(rearmed) - 1)] == after
+                if found.any():
+                    return q + 1 + int(found.argmax())
+        return n
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -723,34 +775,43 @@ class Stretch:
     def apply(self, k: int) -> tuple[list[int], list[tuple[int, int]]]:
         """Apply the first ``k`` writes, each leaving the state
         :meth:`GuestPageTable.write_page` leaves when it completes the write, a
-        write-protected page's with ``ignore_protection``.
+        write-protected page's with ``ignore_protection``, and the copies of the
+        buffer fills among them their re-arms.
 
         Returns the page numbers (``gva // PAGE_SIZE``) of the writes that
         faulted on write protection first, and the ``(gpa, gva)`` of each write
         that set an EPT dirty bit from clear, in order, when a buffer logs.
         Whether a write is its page's first depends only on the writes before
         it, so the peek's masks, cut to ``k``, are those of the first ``k``
-        writes.  A stretch applies once, with ``1 <= k <= len(bits)``; anything
-        else raises ``ValueError``.
+        writes.  A frame a copy re-arms is written by no later write of the
+        run, so it ends as the run found it: only the frames first written
+        from the last copy's filling write on are set dirty, and then the
+        held ones cleared.  A stretch applies once, with
+        ``1 <= k <= len(bits)``; anything else raises ``ValueError``.
         """
         if self._applied or not 1 <= k <= len(self.bits):
             state = "applied" if self._applied else f"of {len(self.bits)} writes"
             raise ValueError(f"cannot apply {k} writes of a stretch {state}")
         self._applied = True
         gvas, gpas, logs, marks = self._gvas[:k], self._gpas[:k], self._logs, self.bits[:k]
+        copies = bisect_left(self.fills, k)
+        lo = self.fills[copies - 1] if copies else 0
         if isinstance(gvas, range):
             (region, i), (frames, j) = self._places
             region.bits[i : i + k] = marks.translate(_WRITTEN)
-            frames.bits[j : j + k] = frames.bits[j : j + k].translate(_SET_DIRTY)
+            frames.bits[j + lo : j + k] = frames.bits[j + lo : j + k].translate(_SET_DIRTY)
             protected = _addresses(marks, _PROTECTED, gvas.start // PAGE_SIZE, 1)
             logged = () if logs is None else zip(compress(gpas, logs), compress(gvas, logs))
         else:
             pte, frames = self._places
             _PageMap._scatter(pte, k, _WRITTEN, _WRITTEN_A)
-            _PageMap._scatter(frames, k, _SET_DIRTY, _SET_DIRTY_A)
+            _PageMap._scatter(frames, k, _SET_DIRTY, _SET_DIRTY_A, lo)
             protected = gvas[np.frombuffer(marks.translate(_PROTECTED), bool)] // PAGE_SIZE
             protected = protected.tolist()
             logged = () if logs is None else zip(gpas[logs[:k]].tolist(), gvas[logs[:k]].tolist())
+        if copies and self._rearm[1]:
+            ept, held = self._rearm
+            ept.clear_dirty(held)
         return protected, list(logged)
 
 

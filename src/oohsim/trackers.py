@@ -31,13 +31,18 @@ quiet write only adds its base cost to the clock, held in locals, and a
 whole stretch of quiet writes, in a round or in a trace's run of writes, is
 applied in one step that leaves the clock and state of one write at a time:
 its clock is a NumPy prefix sum, which adds the writes' µs one by one, in
-order.  Its spml collector charges each drained entry as it leaves the ring
-but maps it to its GVA later, with every entry drained since the last
-map, unmap or remap op, as no other step changes a reverse mapping.
-An *event* (a vmexit, stall or softirq copy, a full quantum, a due
-collection tick, the horizon, or a map/unmap/remap op) puts the clock back
-on the run, adds each cost in the same order as a write-by-write accounting
-would, then swaps the quantum and runs the due ticks.  The segment engine,
+order.  An epml stretch runs through the fills of the guest log buffer
+whose softirq copy the tool ring takes whole: the filling write's cost is
+its µs plus the copy's, in its place in the sum.  Its spml collector
+charges each drained entry at its tick but takes it off the ring only when
+something next reads the ring, so the ticks of a stall take the ring in one
+step, and maps it to its GVA later, with every entry drained since the last
+map, unmap or remap op, as no other step changes a reverse mapping.  An
+*event* (a vmexit or stall, a softirq copy no stretch takes, a full
+quantum, a due collection tick, the horizon, or a map/unmap/remap op) puts
+the clock back on the run, adds each cost in the same order as a
+write-by-write accounting would, then swaps the quantum and runs the due
+ticks.  The segment engine,
 the default for the micro-benchmark because it is fast at large sizes,
 advances whole stretches of writes between events with closed-form
 arithmetic, following the mechanical event order (buffer event during the
@@ -268,12 +273,17 @@ def drain_ring(
             res.raw.extend(pairs)
         return res
     if parked is not None:
-        for pid, pairs in blocks:
-            parked.setdefault(pid, {}).update(zip(pairs, repeat(None)))
+        _park(blocks, parked)
         # one addition per pair, in order, as the mapping below adds them
         res.rm_us = reduce(add, repeat(prices.m17_pp, res.consumed), 0.0)
         return res
     return reverse_map_blocks(vm, blocks, prices.m17_pp, res)
+
+
+def _park(blocks, parked: dict[Any, dict[tuple[int, int], None]]) -> None:
+    """Add each ``(pid, pairs)`` block's pairs to ``parked[pid]``, once each, in order."""
+    for pid, pairs in blocks:
+        parked.setdefault(pid, {}).update(zip(pairs, repeat(None)))
 
 
 def reverse_map_blocks(
@@ -596,13 +606,16 @@ class _SegmentRun(_Run):
         if self.tech == "proc":
             w_run += c.softdirty_fault  # every post-clear write microfaults
         w_wall = w_run + (c.uffd_fault if self.tech == "uffd" else 0.0)
+        swaps = cfg.quantum_us < math.inf  # an infinite quantum never ends: it bounds nothing
         left = self.P
         while left > 0:
             if self.t >= cfg.horizon_us:
                 self.truncated = True
                 return
             n_event = (512 - self.buf_fill) + 1 if logging else left + 1
-            n_quant = math.ceil(max(0.0, cfg.quantum_us - self.run_acc) / w_run)
+            n_quant = (
+                math.ceil(max(0.0, cfg.quantum_us - self.run_acc) / w_run) if swaps else left + 1
+            )
             n_tick = (
                 math.ceil(max(0.0, self.next_tick - self.t) / w_wall) if logging else left + 1
             )
@@ -653,8 +666,9 @@ _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 #: ``write_one`` (2-vCPU x86 host, CPython 3.11, NumPy 2.4.6).  Of 16, 32 and
 #: 64, 16 ran churn-ckpt slower (median 0.80 s against 0.73 s at 32); 32 and
 #: 64 did not differ beyond the host's noise on churn-ckpt or kv-sparse, and
-#: 64 sends more sweep writes through ``write_one`` (a 16 MB epml sweep: 539
-#: against 218), where a nearly full log buffer's few free slots bound the peek.
+#: 64 sends more sweep writes through ``write_one`` (16 MB sweeps: spml 245
+#: against 167, epml 80 against 0), where a nearly full log buffer's few free
+#: slots, or a tick due soon, bound the peek.
 STRETCH_MIN = 32
 
 
@@ -681,7 +695,8 @@ class _MechanicalRun(_Run):
     ``tracker_busy``) in locals while writes are quiet, and stores them
     back only at an event exit:
 
-    * a write whose result carries a vmexit, a stall or a softirq copy;
+    * a write whose result carries a vmexit, a stall or a softirq copy
+      (but the whole guest-buffer copies a stretch takes);
     * ``run_acc`` reaching the quantum;
     * the clock reaching the horizon or the next collection tick (only
       ``spml`` and ``epml`` runs have ticks);
@@ -710,16 +725,25 @@ class _MechanicalRun(_Run):
     quantum; the stretch's uffd faults are a prefix sum of the fault price.  The
     machine applies the writes up to and including it from what the peek
     found (:meth:`~oohsim.vm.VirtualMachine.write_run`), and that write's
-    event exit is the per-write loop's.  The state, the counters and
-    every float are those of write-by-write stepping; the write that finds
-    a log buffer full still goes through ``write_one``, as does every write
-    of a stretch shorter than :data:`STRETCH_MIN`.
+    event exit is the per-write loop's.  An epml stretch runs through each
+    guest-buffer fill whose copy the tool ring takes whole: the filling
+    write's term in the clock's sum is its wall µs plus the copy's
+    (``copy_us`` of the 512 entries), and each copy adds the same to
+    ``suspension`` and one softirq, in order, as the write's event would.
+    The state, the counters and every float are those of write-by-write
+    stepping; a write that finds spml's buffer full, or epml's with no whole
+    copy left in the tool ring, still goes through ``write_one``, as does
+    every write of a stretch shorter than :data:`STRETCH_MIN`.
 
-    spml's drained ``(gpa, gva)`` pairs wait in ``parked``, by pid, each
-    once and in drain order, and are reverse-mapped together
-    (:meth:`_map_parked`) before each map, unmap or remap op and before the
-    report: they map as they did when drained, and a pair drained again in
-    the same epoch is mapped once.
+    spml's ticks charge their batches at once but leave the entries on the
+    ring, owed, until something reads the ring: :meth:`_settle` takes them
+    off in one step at the end of the ticks of an event exit, before a
+    stalled flush is retried and before the parked pairs are mapped.  The
+    drained ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once and
+    in drain order, and are reverse-mapped together (:meth:`_map_parked`)
+    before each map, unmap or remap op and before the report: they map as
+    they did when drained, and a pair drained again in the same epoch is
+    mapped once.
 
     ``oracle`` (pages written) and ``collected`` (pages reported) hold page
     numbers, as page-aligned addresses share their low bits and a set of them
@@ -737,10 +761,14 @@ class _MechanicalRun(_Run):
         self.raw_entries: list[tuple[int, int]] = []
         # spml's drained (gpa, gva) pairs by pid, charged but not yet mapped
         self.parked: dict[Any, dict[tuple[int, int], None]] = {}
+        # ring entries charged by spml's ticks but not yet taken off the ring,
+        # and by entries a tick drained, its (reverse-map µs, copy µs)
+        self._owed = 0
+        self._drain_us: dict[int, tuple[float, float]] = {}
 
     @property
     def ring_used(self) -> int:
-        return self.vm.hv.ring.used
+        return self.vm.hv.ring.used - self._owed
 
     @cached_property
     def _sweep(self) -> list[int]:
@@ -804,26 +832,50 @@ class _MechanicalRun(_Run):
 
     def _drain(self) -> float:
         """One collecting tick of spml: ``drain_batch`` entries (all, when
-        deferred) leave the ring and are charged as they leave.
+        deferred) are charged as they leave the ring.
 
+        The charge for a batch is :func:`drain_ring`'s, computed once per count,
+        but its entries stay on the ring, owed, until something reads the ring
+        (:meth:`_settle`): back-to-back ticks, such as those of a stall or of
+        the final harvest, take the ring in one step.
         A pair's reverse mapping changes only with a map, unmap or remap op,
-        so the pairs are parked (:func:`drain_ring`) and mapped by
-        :meth:`_map_parked` before the next such op and before the report:
-        one mapping per pair and mapping epoch, not one call per tick.
-        Deferred entries wait for :meth:`_reverse_map_deferred` instead.
+        so the pairs are parked and mapped by :meth:`_map_parked` before the
+        next such op and before the report: one mapping per pair and mapping
+        epoch, not one call per tick.  Deferred entries, all drained in one
+        tick, leave at once and wait for :meth:`_reverse_map_deferred`.
         """
-        pre, defer = self.collect_us, self.cfg.defer_reverse_map
-        batch = None if defer else self.c.drain_batch
-        res = drain_ring(self.vm, batch=batch, defer_reverse_map=defer, parked=self.parked)
-        self.raw_entries.extend(res.raw)
-        self.tracker_busy += res.total_us
-        self.collect_us += res.total_us
-        self.parts["reverse_mapping_us"] += res.rm_us
-        self.parts["copy_us"] += res.copy_us
+        pre = self.collect_us
+        if self.cfg.defer_reverse_map:
+            res = drain_ring(self.vm, defer_reverse_map=True)
+            self.raw_entries.extend(res.raw)
+            rm_us, copy_us = res.rm_us, res.copy_us
+        else:
+            k = min(self.c.drain_batch, self.ring_used)
+            self._owed += k
+            charge = self._drain_us.get(k)
+            if charge is None:  # as drain_ring charges k entries
+                rm_us = reduce(add, repeat(self.c.m17_pp, k), 0.0)
+                charge = self._drain_us[k] = rm_us, k * self.c.m18_pp
+            rm_us, copy_us = charge
+        self.tracker_busy += rm_us + copy_us
+        self.collect_us += rm_us + copy_us
+        self.parts["reverse_mapping_us"] += rm_us
+        self.parts["copy_us"] += copy_us
         return self.collect_us - pre  # as the collection clock rounds it
+
+    def _settle(self) -> None:
+        """Take the owed entries off the ring, in drain order, and park their pairs."""
+        if self._owed:
+            _park(self.vm.hv.ring.consume(self._owed), self.parked)
+            self._owed = 0
+
+    def _swap_and_tick(self) -> None:
+        super()._swap_and_tick()
+        self._settle()
 
     def _map_parked(self) -> None:
         """Map the parked pairs against the mappings they were drained under."""
+        self._settle()
         if self.parked:
             res = reverse_map_blocks(self.vm, self.parked.items())
             self.parked.clear()
@@ -853,13 +905,18 @@ class _MechanicalRun(_Run):
         limit (the next tick or the horizon, whichever comes first) or the
         quantum at the cheapest write price, or takes the rest of the run of
         writes where both are infinite, and, while a log buffer is armed,
-        1.5 writes per free slot: a stretch ends at the slots' last dirty
-        transition, so more would be thrown away.  A write's cost is ``w``,
-        then the soft-dirty fault for ``proc``, then the uffd fault for a
-        recorded fault (``_write_us``); a stretch's costs are NumPy prefix
-        sums (the class docstring).  The pairs spml parked are mapped before
-        each other op, which may change a mapping; the class docstring lists
-        the event exits.
+        1.5 writes per dirty transition the stretch may log: a stretch ends
+        before the transition it has no slot for, so more would be thrown
+        away.  A sweep may log through every whole guest-buffer copy the
+        tool ring takes (:meth:`~oohsim.vm.VirtualMachine.log_room`); a
+        trace's stretch ends soon after a copy, at its first write to a page
+        the copy re-armed, so it counts the free slots only.  A write's
+        cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
+        fault for a recorded fault (``_write_us``), and a filling write's
+        also its copy; a stretch's costs are NumPy prefix sums (the class
+        docstring).  The pairs spml parked are mapped before each other op,
+        which may change a mapping; the class docstring lists the event
+        exits.
         """
         gvas, batch, pages, others, ops = decoded or (self.gvas, self.gvas, self._sweep, [], ())
         total = len(gvas)
@@ -873,7 +930,9 @@ class _MechanicalRun(_Run):
         write_us = self._write_us
         vm, pid = self.vm, TRACKED_PID
         write_one, apply_op = vm.write_one, vm.apply_op
-        quiet_run, write_run, free_slots = vm.quiet_run, vm.write_run, vm.hv.pml.free_slots
+        quiet_run, write_run = vm.quiet_run, vm.write_run
+        log_room, free_slots, sweep = vm.log_room, vm.hv.pml.free_slots, decoded is None
+        softirq_us = self.c.copy_us(BUFFER_SLOTS)  # a whole guest buffer's copy
         stretch_min = STRETCH_MIN
         oracle_add, oracle_update = self.oracle.add, self.oracle.update
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
@@ -896,7 +955,12 @@ class _MechanicalRun(_Run):
                         int(min((limit - t) / w, left)) + 2,
                         int(min((quantum - run_acc) / w, left)) + 2,
                     )
-                    free = free_slots()
+                    # a sweep never rewrites a page a copy re-armed, so it peeks
+                    # through every whole copy (dense-sweep's epml pass: 65
+                    # stretches, against 149 that stop at each); a trace's stretch
+                    # soon ends at such a rewrite, so it counts the free slots only
+                    # (through copies, kv-sparse's epml run peeks 65% more addresses)
+                    free = log_room(pid) if sweep else free_slots()
                     if free is not None:
                         # of 1, 1.25, 1.5, 2, 3 and 4 writes a slot, 1.5 peeked least
                         # without adding stretches: kv-sparse peeks 63,195 addresses
@@ -909,12 +973,18 @@ class _MechanicalRun(_Run):
                     bits, (walls, runs) = stretch.bits, self._byte_us
                     quiet = len(bits)
                     codes = np.frombuffer(bits, np.uint8)
-                    ts = _sums(t, walls.take(codes), quiet)
+                    wall_us = walls.take(codes)
+                    if stretch.fills:
+                        wall_us[stretch.fills] += softirq_us  # a filling write waits for its copy
+                    ts = _sums(t, wall_us, quiet)
                     rs = _sums(run_acc, runs.take(codes), quiet)
                     # the stretch ends with the first write whose clock reaches the
                     # limit or whose run time reaches the quantum, if one does
                     k = min(int(ts.searchsorted(limit)), int(rs.searchsorted(quantum)), quiet)
-                    write_run(pid, stretch, k)
+                    copies = write_run(pid, stretch, k)
+                    if copies:
+                        suspension = float(_sums(suspension, softirq_us, copies)[-1])
+                        self.softirqs += copies
                     faults = bits[:k].translate(_UFFD_FAULTS).count(1)
                     if faults:
                         suspension = float(_sums(suspension, uffd_fault, faults)[-1])
@@ -990,9 +1060,19 @@ class _MechanicalRun(_Run):
         self.t += wall
         self.run_acc += run
         if res.stalled:
-            # the producer waits for collection ticks to make ring room
+            # the producer waits for collection ticks to make ring room; a retry
+            # the ring has no room for stalls again, so it is only counted
             hv, refused = self.vm.hv, res.refused
-            if not self._stall(lambda: not hv.handle_pml_full_vmexit(refused=refused).stalled):
+            ring, pending = hv.ring, len(hv.pml.hv_buffer.entries)
+
+            def flushed() -> bool:
+                if max(0, ring.capacity - self.ring_used) < pending:
+                    hv.vmexit_stalls += 1
+                    return False
+                self._settle()
+                return not hv.handle_pml_full_vmexit(refused=refused).stalled
+
+            if not self._stall(flushed):
                 return
             self._vmexit()
         self._swap_and_tick()

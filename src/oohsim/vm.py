@@ -18,10 +18,12 @@ the bulk form of ``write_one`` for a stretch of writes: to consecutive pages
 first peeks: it looks the writes up once in each table (a region slice for
 consecutive pages, one gather per region otherwise) and returns the
 :class:`~oohsim.memory.Stretch`, which says how many of the next writes
-would be quiet and how each would fault.  The second applies its first
-writes from what the peek found, with no second lookup, and bulk appends to
-the log buffers, entry tags and uffd record, leaving exactly the state that
-one ``write_one`` per write leaves.
+would be quiet, how each would fault and which fill the guest log buffer
+(in extended mode a fill whose copy the tool ring takes whole is quiet
+enough).  The second applies its first writes from what the peek found,
+with no second lookup, makes their copies and bulk appends to the log
+buffers, entry tags and uffd record, leaving exactly the state that one
+``write_one`` per write leaves.
 
 Allocation hands out fresh guest-physical and host-physical frames —
 addresses are never reused, so a page remapped after churn is always
@@ -42,6 +44,7 @@ checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -240,17 +243,49 @@ class VirtualMachine:
             uffd_recorded,
         )
 
+    def _copies(self, pid: int) -> int:
+        """Whole guest-buffer copies the tool ring still takes from ``pid``'s writes,
+        where a fill is only a copy: the guest buffer logs for the registered
+        extended-mode tool's process, alone (a hypervisor-buffer fill is a
+        vmexit) and not paused by a partial copy."""
+        uio, pml = self.kernel.uio, self.hv.pml
+        buf, hv_buf = pml.guest_buffer, pml.hv_buffer
+        if (
+            uio is None
+            or uio.technique != "epml"
+            or uio.pid != pid
+            or not pml.epml_enabled
+            or hv_buf.index != hv_buf.disabled_index
+            or buf.index == buf.disabled_index
+            or len(buf.entries) + buf.slots_left != buf.slots
+        ):
+            return 0
+        return uio.ring_free // buf.slots
+
+    def log_room(self, pid: int) -> int | None:
+        """The dirty transitions a :meth:`quiet_run` stretch of ``pid``'s writes
+        may log: the log buffers' free slots, and a buffer's worth more for each
+        whole guest-buffer copy the tool ring takes.  None when no buffer logs."""
+        free = self.hv.pml.free_slots()
+        if free is None:
+            return None
+        return free + self.hv.pml.guest_buffer.slots * self._copies(pid)
+
     def quiet_run(self, pid: int, gvas: int | Sequence[int], n: int) -> Stretch:
         """The next ``n`` or fewer writes to ``gvas`` that :meth:`write_one` would
         complete quietly, as a :class:`~oohsim.memory.Stretch` to apply once.
 
         ``gvas`` is a sequence of page addresses, or the first of a run of
-        consecutive pages.  Quiet means no vmexit, stall or softirq copy.  The
-        run stops before a write to a page that is not mapped (in the page
-        table or the EPT), before a write-protect fault with no monitor to take
-        it, and before the write whose dirty transition would find a log buffer
-        full.  The stretch's ``bits`` hold the state byte each write finds, a
-        page written again finding the byte its first write left;
+        consecutive pages.  Quiet means no vmexit, stall or softirq copy but a
+        whole one of a full guest buffer, which the tool ring takes (in
+        extended mode: :meth:`log_room`); the stretch's ``fills`` are the
+        positions of the writes that make one.  The run stops before a write
+        to a page that is not mapped (in the page table or the EPT), before a
+        write-protect fault with no monitor to take it, before the write whose
+        dirty transition would find a log buffer full with no whole copy left,
+        and before a write to a frame that a copy in the run re-armed.  The
+        stretch's ``bits`` hold the state byte each write finds, a page written
+        again finding the byte its first write left;
         :func:`~oohsim.memory.write_faults` reads the faults each write takes
         from its byte.  Consecutive pages take slice operations and stop at the
         end of their region too.  ``n`` must be at least 1.  No state change:
@@ -261,19 +296,33 @@ class VirtualMachine:
             raise ValueError(f"a run holds at least one write, got {n}")
         proc = self.kernel._proc(pid)
         gvas = range(gvas, gvas + n * PAGE, PAGE) if isinstance(gvas, int) else gvas[:n]
-        free = self.hv.pml.free_slots()
-        return Stretch(proc.table, self.ept, gvas, protected=proc.uffd_mode is not None, free=free)
+        free, fills, held = self.hv.pml.free_slots(), (), ()
+        copies = self._copies(pid)
+        if copies:
+            buf = self.hv.pml.guest_buffer
+            fills, held = range(free, free + copies * buf.slots, buf.slots), buf.entries
+            free = fills.stop
+        return Stretch(
+            proc.table, self.ept, gvas, protected=proc.uffd_mode is not None, free=free,
+            fills=fills, held=held,
+        )
 
-    def write_run(self, pid: int, stretch: Stretch, count: int) -> None:
+    def write_run(self, pid: int, stretch: Stretch, count: int) -> int:
         """The first ``count`` writes of a :meth:`quiet_run` stretch, applied in one
         step from what the peek found: the state after is the state after
-        ``count`` :meth:`write_one` calls.  A stretch applies once, with
+        ``count`` :meth:`write_one` calls.  Returns the softirq copies among them
+        (:meth:`~oohsim.guest.GuestKernel.deliver_fills`), each of a whole
+        buffer, for the caller to charge.  A stretch applies once, with
         ``1 <= count <= len(stretch)``; anything else raises ``ValueError``."""
         protected, logged = stretch.apply(count)
         if protected:
             self.kernel.uffd_record_run(pid, protected)
+        copies = bisect_left(stretch.fills, count)
+        if copies:
+            logged = logged[self.kernel.deliver_fills(pid, logged, copies) :]
         if logged:
             self.hv.log_writes(logged)
+        return copies
 
     def read_page(self, pid: int, gva: int) -> bytes:
         """Read a page's stored payload through the translation stack."""

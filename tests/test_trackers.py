@@ -1005,7 +1005,18 @@ def _assert_stretches_exact(config) -> None:
     assert _field_bits(stretched) == _field_bits(stepped)
 
 
+_FILL_CROSSING = dict(
+    technique="epml", rounds=3, quantum_us=10_000.0, policy="stall", defer=False, horizon_us=6e7
+)
+
+
 @settings(max_examples=80, deadline=None)
+# epml stretches that cross guest-buffer fills, and with a small ring and
+# sparse ticks copies that saturate the tool ring
+@example(pages=2048, interval_us=1_000.0, ring=16384, **_FILL_CROSSING)
+@example(pages=4096, interval_us=1_000.0, ring=16384, **_FILL_CROSSING)
+@example(pages=4096, interval_us=2_000.0, ring=512, **_FILL_CROSSING)
+@example(pages=2048, interval_us=2_000.0, ring=1024, **_FILL_CROSSING)
 @given(
     technique=st.sampled_from(TECHNIQUES),
     pages=st.sampled_from([1, 77, 512, 513, 700]),
@@ -1085,6 +1096,56 @@ def test_no_op_ticks_move_no_float_of_a_trace(technique):
             trace=TraceWorkload(ops))
     )
     assert (rep.monitor_span_us.hex(), _digest(rep)) == _PINNED_NO_OP_TICKS[technique, "trace"]
+
+
+def _spml_tick_runs(pages: int, ring: int):
+    """The spml mechanical sweeps of one (pages, ring) group of the tick pin:
+    stall and drop, deferred mapping or not, two quanta, two intervals, and a
+    horizon that cuts the run short (at 12 ms, some runs stop in the middle of
+    a stall) or lets it finish."""
+    for policy in ("stall", "drop"):
+        for defer in (False, True):
+            for quantum_us in (300.0, 10_000.0):
+                for interval_us in (40.0, 1_000.0):
+                    for horizon_us in (3_000.0, 12_000.0, 6e7):
+                        yield cfg(
+                            "spml", pages * PAGE_SIZE, rounds=3, quantum_us=quantum_us,
+                            collection_interval_us=interval_us, ring_capacity=ring,
+                            ring_full_policy=policy, defer_reverse_map=defer,
+                            horizon_us=horizon_us, mechanical=True,
+                        )
+
+
+def _spml_tick_digest(pages: int, ring: int) -> str:
+    """SHA-256 of every report field, floats exact, of the group's runs in order."""
+    canon = [
+        [(k, sorted(v) if isinstance(v, set) else v)
+         for k, v in _field_bits(run_tracker(config)).items()]
+        for config in _spml_tick_runs(pages, ring)
+    ]
+    return hashlib.sha256(repr(canon).encode()).hexdigest()
+
+
+# (pages, ring) -> _spml_tick_digest, recorded while every spml collection
+# tick took its batch off the ring itself.  The stall wait and the final
+# harvest are shared by the stretched and the stepped path, so the stretch
+# twin tests cannot see an error in how back-to-back ticks take the ring
+_PINNED_SPML_TICKS = {
+    (300, 512): "6be7ff4930f7b383ec651104a07871d2b0c7cae378fa4fd2970a993513729c23",
+    (300, 1024): "6be7ff4930f7b383ec651104a07871d2b0c7cae378fa4fd2970a993513729c23",
+    (300, 16384): "6be7ff4930f7b383ec651104a07871d2b0c7cae378fa4fd2970a993513729c23",
+    (513, 512): "e9bd8a869b01798558e856caade7a6e4922f6b50ba5207706839bf16abf2d439",
+    (513, 1024): "74039f3d89b4fa23149a66a33cc0407f0c826f23ce122d1a3579c18ba93092a1",
+    (513, 16384): "695e4b022dfcaa39915e3d1b01cf79f1d820a5b062652b45ea2a5669f7f5430c",
+    (4096, 512): "602041816f1867efe9c4fbd92c56a0c568e6951440a7a52775b997df10ed882c",
+    (4096, 1024): "478e8ec6ce96af27ecb5f0efdb9d4d160161a9db8787213f9a1a5c503f40eeef",
+    (4096, 16384): "6a4d6ec05d352e86e8f8a0fb72dbc6ac90224cec4169b0154690a35521e7da70",
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_SPML_TICKS), ids="{0[0]}p-ring{0[1]}".format)
+def test_spml_ticks_pinned(key):
+    assert _spml_tick_digest(*key) == _PINNED_SPML_TICKS[key]
 
 
 def _tracker_config(run: str, technique: str, interval_us: float, **kw) -> TrackerConfig:
@@ -1241,6 +1302,10 @@ _LONG_STRETCHES = dict(
 @settings(max_examples=60, deadline=None)
 @example(technique="spml", **_LONG_STRETCHES)  # stretches that reach a full buffer
 @example(technique="epml", **_LONG_STRETCHES)
+# epml stretches that cross guest-buffer fills among hot pages, which a copy
+# re-arms and the stretch then writes again
+@example(technique="epml", **{**_LONG_STRETCHES, "hot": 40, "ring": 16384})
+@example(technique="epml", **{**_LONG_STRETCHES, "hot": 300, "n_ops": 6_000, "ring": 16384})
 @given(
     technique=st.sampled_from(TECHNIQUES),
     pages=st.sampled_from([3, 300, 512, 700]),
@@ -1426,5 +1491,4 @@ def test_an_infinite_horizon_runs_as_a_long_finite_one(technique, run):
 
     finite = report(horizon_us=6e7)
     assert not finite["truncated"] and report(horizon_us=math.inf) == finite
-    if run != "segment":  # the segment engine still raises on an infinite quantum
-        assert report(horizon_us=math.inf, quantum_us=math.inf) == report(quantum_us=1e12)
+    assert report(horizon_us=math.inf, quantum_us=math.inf) == report(quantum_us=1e12)

@@ -267,12 +267,13 @@ def test_allocation_makes_entries_only_for_touched_pages():
 
 P = 0x1000
 TWIN_PAGES = 24
+TWIN_SLOTS = 8
 
 
-def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm):
+def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm, ring=64):
     """A tracked machine with an unmapped hole, a singly mapped page, a protected
     page and partly filled buffers; the same arguments build the same machine."""
-    vm = VirtualMachine(ring_capacity=64, ring_full_policy="drop", buffer_slots=8)
+    vm = VirtualMachine(ring_capacity=ring, ring_full_policy="drop", buffer_slots=TWIN_SLOTS)
     vm.create_process(7)
     pages = vm.allocate(7, TWIN_PAGES)
     vm.unmap(7, pages[hole])
@@ -305,8 +306,25 @@ def _machine_state(vm):
         regions(proc.table), proc.table._rmap, regions(vm.ept),
         [(b.entries, b.index, b.drops_while_full) for b in (pml.hv_buffer, pml.guest_buffer)],
         hv._entry_tags, hv.logged_guest_tagged, hv.logged_vmm_tagged,
-        proc.uffd_dirty, vm.kernel.uio.ring, [(b.pid, b.entries) for b in hv.ring.blocks],
+        proc.uffd_dirty, vm.kernel.uio.ring, vm.kernel.uio.ring_dropped,
+        [(b.pid, b.entries) for b in hv.ring.blocks],
     )
+
+
+def _step_twin(vm, gvas, stretch):
+    """One write_one per write of ``stretch``'s applied writes: each is quiet
+    but the ones the stretch names as filling, each a whole guest-buffer copy.
+    Returns the frames the guest buffer held before them and those they wrote:
+    a copy re-arms them."""
+    frames = set(vm.kernel.processes[7].table.gpas_of(vm.hv.pml.guest_buffer.entries))
+    for i, gva_i in enumerate(gvas):
+        res = vm.write_one(7, gva_i)
+        assert res.completed and res.vmexit is None
+        assert res.softirq_copied == (TWIN_SLOTS if i in stretch.fills else 0)
+        assert not res.stalled and not res.guest_dropped
+        assert (res.outcome.softdirty_fault, res.uffd_recorded) == write_faults(stretch.bits[i])
+        frames.add(res.outcome.gpa)
+    return frames
 
 
 _page = st.integers(min_value=0, max_value=TWIN_PAGES - 1)
@@ -337,18 +355,15 @@ def test_write_run_leaves_the_state_of_one_write_one_per_write(
     assert _machine_state(bulk) == _machine_state(single_steps)  # the peek changes nothing
     if bits:
         k = data.draw(st.integers(min_value=1, max_value=len(bits)), label="k")
-        bulk.write_run(7, stretch, k)
+        assert bulk.write_run(7, stretch, k) == sum(q < k for q in stretch.fills)
     else:
         k = 0
-    for i in range(k):
-        res = single_steps.write_one(7, first + i * P)
-        assert res.completed and res.vmexit is None and not res.softirq_copied
-        assert not res.stalled and not res.guest_dropped
-        assert (res.outcome.softdirty_fault, res.uffd_recorded) == write_faults(bits[i])
+    rearmed = _step_twin(single_steps, range(first, first + k * P, P), stretch)
     assert _machine_state(bulk) == _machine_state(single_steps)
 
     # the run stopped for a reason: the page after it is no region page, a
-    # protect fault no monitor takes, or a write that finds a buffer full
+    # protect fault no monitor takes, a write that finds a buffer full with no
+    # whole copy left, or one to a frame that a copy in the run re-armed
     if k == len(bits) < n and start + k < TWIN_PAGES:
         gva_next = first + k * P
         table = single_steps.kernel.processes[7].table
@@ -358,7 +373,9 @@ def test_write_run_leaves_the_state_of_one_write_one_per_write(
         if not entry.flags.writable and technique != "uffd":
             return
         log = single_steps.write_one(7, gva_next).log
-        assert log is not None and (log.hv_full or log.guest_full)
+        assert log is not None and (
+            log.hv_full or log.guest_full or stretch.fills and entry.gpa in rearmed
+        )
 
 
 @pytest.mark.parametrize("n", [0, -1, -200])
@@ -440,17 +457,14 @@ def test_write_run_of_any_pages_leaves_the_state_of_one_write_one_per_write(
     assert _machine_state(bulk) == _machine_state(single_steps)  # the peek changes nothing
     k = min(cut, len(bits)) if cut else len(bits)  # 0: the whole run
     if k:
-        bulk.write_run(7, stretch, k)
-    for i in range(k):
-        res = single_steps.write_one(7, gvas[i])
-        assert res.completed and res.vmexit is None and not res.softirq_copied
-        assert not res.stalled and not res.guest_dropped
-        assert (res.outcome.softdirty_fault, res.uffd_recorded) == write_faults(bits[i])
+        assert bulk.write_run(7, stretch, k) == sum(q < k for q in stretch.fills)
+    rearmed = _step_twin(single_steps, gvas[:k], stretch)
     assert _machine_state(bulk) == _machine_state(single_steps)
 
     # the run stopped for a reason: the next write is to a page that is not
-    # mapped, a protect fault no monitor takes, a frame the EPT lacks, or one
-    # that finds a buffer full
+    # mapped, a protect fault no monitor takes, a frame the EPT lacks, one
+    # that finds a buffer full with no whole copy left, or one to a frame that
+    # a copy in the run re-armed
     if k == len(bits) < min(n, len(gvas)):
         try:
             res = single_steps.write_one(7, gvas[k])
@@ -462,4 +476,57 @@ def test_write_run_of_any_pages_leaves_the_state_of_one_write_one_per_write(
         if res.outcome.fault is not None:
             assert res.outcome.fault == "not_present"
             return
-        assert res.log is not None and (res.log.hv_full or res.log.guest_full)
+        assert res.log is not None and (
+            res.log.hv_full or res.log.guest_full or stretch.fills and res.outcome.gpa in rearmed
+        )
+
+
+# (prewrites, first page of a range or None, pages in any order, tool ring,
+# positions of the filling writes, length of the stretch).  The twin machine's
+# region pages run 6..19 unbroken (5 is mapped singly, 20 is the hole, 21 is
+# protected); its guest buffer of 8 slots holds the prewrites' transitions
+_FILL_SHAPES = {
+    "range-one-fill": ([1, 2], 6, None, 64, [6], 14),
+    "range-several-fills": ([1, 2, 3, 4, 22, 23], 6, None, 64, [2, 10], 14),
+    "range-held-page-rewritten": ([15], 6, None, 64, [7], 9),
+    "range-ring-takes-one-copy": ([1, 22, 23], 6, None, 12, [5], 13),
+    # a page first written by a filling write may be written again
+    "trace-one-fill": ([], None, [6, 7, 6, 8, 9, 10, 11, 12, 13, 14, 15, 14], 64, [9], 12),
+    "trace-page-rewritten-after-its-rearm": ([], None, [6, 7, 8, 9, 10, 11, 12, 13, 14, 6], 64,
+                                             [8], 9),
+    "trace-several-fills": ([1], None, list(range(6, 20)) + [22, 23, 0, 2, 3, 4, 5, 6], 64,
+                            [7, 15], 21),
+    "trace-held-page-rewritten": ([3], None, [6, 3, 7, 8, 9, 10, 11, 12, 13, 3, 14], 64, [8], 9),
+    "trace-ring-takes-no-copy": ([], None, [6, 7, 8, 9, 10, 11, 12, 13, 14], 4, [], 8),
+    # a full buffer whose pages were all unmapped since (the copy re-arms
+    # nothing of them), and one whose page came back on a fresh, clean frame
+    # that the filling write dirties and its copy re-arms
+    "trace-held-pages-unmapped": ([0, 1, 2, 3, 4, 6, 7, 8], None, [9, 10, 11], 64, [0], 3, "unmap"),
+    "trace-held-page-mapped-afresh": ([0, 1, 2, 3, 4, 6, 7, 8], None, [1, 9, 1], 64, [0], 2,
+                                      "remap"),
+}
+
+
+@pytest.mark.parametrize(
+    ("prewrites", "start", "targets", "ring", "fills", "length", "churn"),
+    [shape + (None,) * (7 - len(shape)) for shape in _FILL_SHAPES.values()], ids=list(_FILL_SHAPES),
+)
+def test_a_stretch_crosses_whole_guest_buffer_copies_as_write_one_does(
+    prewrites, start, targets, ring, fills, length, churn
+):
+    args = ("epml", True, 20, 5, 21, prewrites, [], ring)
+    (bulk, pages), (single_steps, _) = _twin_machine(*args), _twin_machine(*args)
+    for vm in (bulk, single_steps) if churn else ():
+        for i in prewrites if churn == "unmap" else [1]:
+            vm.unmap(7, pages[i])
+        if churn == "remap":
+            vm.map_fresh(7, pages[1])
+    if targets is None:
+        gvas, stretch = range(pages[start], pages[20], P), bulk.quiet_run(7, pages[start], 14)
+    else:
+        gvas = [pages[i] for i in targets]
+        stretch = bulk.quiet_run(7, gvas, len(gvas))
+    assert (stretch.fills, len(stretch)) == (fills, length)
+    assert bulk.write_run(7, stretch, length) == len(fills)
+    _step_twin(single_steps, gvas[:length], stretch)
+    assert _machine_state(bulk) == _machine_state(single_steps)
