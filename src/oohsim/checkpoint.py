@@ -28,7 +28,6 @@ from pathlib import Path
 
 from .costs import PAGE_SIZE as PAGE
 from .costs import CostTable, Prices
-from .memory import UnknownMapping
 from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
 from .trackers import tracked_machine
 from .workloads import churn_trace, replay_dirty_oracle
@@ -366,7 +365,8 @@ class CheckpointSession:
         else:
             dump_gvas = names & mapped
             parent = self.images[-1].sequence_no
-        contents = {gva: self._read(gva) for gva in mapped}  # each mapped page read once
+        gvas = list(mapped)  # each mapped page read once
+        contents = dict(zip(gvas, self.vm.read_pages(TRACKED_PID, gvas, ZERO_PAGE)))
         image = CheckpointImage(
             sequence_no=self._seq,
             mode=mode,
@@ -411,12 +411,6 @@ class CheckpointSession:
         self.lost.extend(res.lost)
         self.inaccurate.extend(res.inaccurate)
         return set(res.gvas)
-
-    def _read(self, gva: int) -> bytes:
-        try:
-            return self.vm.read_page(TRACKED_PID, gva)
-        except (KeyError, UnknownMapping):
-            return ZERO_PAGE
 
 
 # --------------------------------------------------------------------------

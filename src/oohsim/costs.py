@@ -258,7 +258,8 @@ class CostTable:
 
         Keys are ``M<k>`` (fixed metrics, value in us), ``M<k>@<size>``
         (size-dependent metrics, value in ms at that anchor; new sizes insert
-        new anchors) or any scalar knob name from ``params``.
+        new anchors) or any scalar knob name from ``params``;
+        ``spml_drain_batch`` must be a whole number >= 1.
         """
         for key, value in overrides.items():
             if "@" in key:
@@ -280,7 +281,14 @@ class CostTable:
                     f"{key} depends on memory size; use {key}@<size>"
                 )
             elif key in self.params:
-                self.params[key] = float(value)
+                value = float(value)
+                # a stalled spml run waits for ticks that each drain a batch:
+                # an empty one would wait to the horizon
+                if key == "spml_drain_batch" and not (value >= 1 and value.is_integer()):
+                    raise CalibrationError(
+                        f"spml_drain_batch must be a whole number of entries >= 1, got {value}"
+                    )
+                self.params[key] = value
             else:
                 raise CalibrationError(f"unknown calibration key {key!r}")
 

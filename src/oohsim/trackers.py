@@ -351,13 +351,6 @@ def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range, float]:
     return vm, gvas, init_us
 
 
-def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> float:
-    """Collection ticks land on interval multiples; a long drain skips some."""
-    candidate = prev_tick + interval
-    aligned = interval * math.ceil(busy_end / interval)
-    return max(candidate, aligned)
-
-
 # --------------------------------------------------------------------------
 # the run skeleton shared by both engines
 # --------------------------------------------------------------------------
@@ -368,12 +361,20 @@ class _Run:
 
     Both engines advance time here in the same way.  Each supplies how it
     applies a round of writes (``_round``), ends a round (``_round_end``),
-    switches the tracked process (``_sched``), drains the spml ring
-    (``_drain``, returning the drain's cost; ``ring_used`` is what is left),
-    hands over the epml tool ring (``_consume_tool_ring``), maps deferred
-    ring entries (``_reverse_map_deferred``, returning its cost) and fills
-    the report's content fields (``_content``).
+    switches the tracked process (``_sched``), prices an spml tick that
+    drains ``k`` ring entries (``_drain_charge``; ``ring_used`` counts the
+    entries left), hands over the epml tool ring (``_consume_tool_ring``),
+    maps deferred ring entries (``_reverse_map_deferred``, returning its
+    cost) and fills the report's content fields (``_content``).
+
+    spml's ticks come back to back in a stall, the final harvest and the
+    catch-up after an event: :meth:`_spml_ticks` runs each such run on local
+    floats and a count of the ring, one tick's float operations at a time.
     """
+
+    #: whether an spml tick lasts as long as ``collect_us`` moved (the
+    #: mechanical engine) rather than its charge (the segment engine)
+    _drain_span_rounded = False
 
     def __init__(self, cfg: TrackerConfig, prices: Prices, init_us: float):
         self.cfg = cfg
@@ -397,33 +398,79 @@ class _Run:
         self.sched_events = 0
         self.dropped = 0
         self.truncated = False
+        # the most an spml tick drains, and by entries drained its
+        # (charge, reverse-map µs, copy µs), priced once per count
+        self.drain_batch: float = prices.drain_batch
+        self._drain_us: dict[int, tuple[float, float, float]] = {}
 
     # ----- time -----------------------------------------------------------
 
     def _tick(self) -> None:
-        """spml's collector drains the ring; epml's tool consumes its own."""
-        interval = self.cfg.collection_interval_us
-        if self.tech == "spml":
-            start = self.next_tick
-            self.next_tick = _next_tick_after(start + self._drain(), start, interval)
-        else:
-            self._consume_tool_ring()
-            self.next_tick += interval
+        """One epml collection tick: the tool consumes its ring."""
+        self._consume_tool_ring()
+        self.next_tick += self.cfg.collection_interval_us
 
-    def _stall(self, flushed) -> bool:
-        """The spml producer waits for collection ticks until ``flushed()`` gets its
-        buffer into the ring; False if the horizon comes first (the run is truncated)."""
-        while True:
-            if self.next_tick > self.t:
-                if self.next_tick >= self.cfg.horizon_us:
-                    self.t = self.cfg.horizon_us
-                    self.truncated = True
-                    return False
-                self.suspension += self.next_tick - self.t
-                self.t = self.next_tick
-            self._tick()
-            if flushed():
-                return True
+    def _spml_ticks(self, until: str, room: int = 0) -> int:
+        """Run spml collection ticks back to back; return how many ran.
+
+        ``until`` is ``"due"`` (the ticks due by the clock), ``"room"`` (until
+        the ring has ``room`` free entries; the clock waits for each tick, the
+        wait is suspension, and the run is truncated if the horizon comes
+        first) or ``"empty"`` (until the ring is empty; the clock follows
+        the ticks).  A tick drains ``drain_batch`` entries, or what is left,
+        at the charge the engine prices for that count, and the next lands on
+        the first interval multiple after the drain, a whole interval on at
+        least.
+        """
+        cfg = self.cfg
+        interval, horizon, cap = cfg.collection_interval_us, cfg.horizon_us, cfg.ring_capacity
+        batch, charges, rounded = self.drain_batch, self._drain_us, self._drain_span_rounded
+        ceil = math.ceil
+        parts = self.parts
+        t, tick, used = self.t, self.next_tick, self.ring_used
+        suspension, busy, collect = self.suspension, self.tracker_busy, self.collect_us
+        rm_us, copy_us = parts["reverse_mapping_us"], parts["copy_us"]
+        due, waits = until == "due", until == "room"
+        if until == "empty":
+            room = cap
+        ticks = 0
+        while t >= tick if due else cap - used < room:
+            if tick > t:  # the clock waits for the tick
+                if waits:
+                    if tick >= horizon:
+                        t = horizon
+                        self.truncated = True
+                        break
+                    suspension += tick - t
+                t = tick
+            k = used if used < batch else batch  # min(batch, used)
+            charge = charges.get(k)
+            if charge is None:
+                charge = charges[k] = self._drain_charge(k)
+            cost, rm, copy = charge
+            used -= k
+            busy += cost
+            pre, collect = collect, collect + cost
+            rm_us += rm
+            copy_us += copy
+            # ticks land on interval multiples, a whole interval apart at least:
+            # max(tick + interval, aligned), so a long drain skips some
+            end = tick + (collect - pre if rounded else cost)
+            aligned, tick = interval * ceil(end / interval), tick + interval
+            if aligned > tick:
+                tick = aligned
+            ticks += 1
+        self.t, self.next_tick, self.ring_used = t, tick, used
+        self.suspension, self.tracker_busy, self.collect_us = suspension, busy, collect
+        parts["reverse_mapping_us"], parts["copy_us"] = rm_us, copy_us
+        return ticks
+
+    def _stall(self, pending: int) -> int:
+        """The spml producer waits for collection ticks until the ring has room for
+        its ``pending`` buffer entries: one run of back-to-back ticks
+        (:meth:`_spml_ticks`), the wait on the clock and in ``suspension``.
+        Returns the ticks waited; the run is truncated if the horizon comes first."""
+        return self._spml_ticks("room", pending)
 
     def _vmexit(self) -> None:
         self.t += self.c.vmexit_service
@@ -436,8 +483,13 @@ class _Run:
             self._sched("out")
             self._sched("in")
             self.run_acc -= self.cfg.quantum_us
-        while self.t >= self.next_tick:
-            self._tick()
+        if self.t < self.next_tick:
+            return
+        if self.tech == "spml":
+            self._spml_ticks("due")
+        else:
+            while self.t >= self.next_tick:
+                self._tick()
 
     def _charge(self, part: str, us: float) -> None:
         """Collection work done off the tracked process's clock."""
@@ -475,14 +527,12 @@ class _Run:
     def _harvest(self) -> None:
         """Collect what is still queued once the tracked process is done.
 
-        spml ticks until its ring is empty, maps the deferred entries and
-        ends with one userspace page-table walk (M16).
+        spml ticks until its ring is empty, in one run of back-to-back ticks
+        (:meth:`_spml_ticks`), maps the deferred entries and ends with one
+        userspace page-table walk (M16).
         """
         if self.tech == "spml" and self.writes_done:
-            while self.ring_used > 0:
-                if self.t < self.next_tick:
-                    self.t = self.next_tick
-                self._tick()
+            self._spml_ticks("empty")
             if self.cfg.defer_reverse_map:
                 self._charge("reverse_mapping_us", self._reverse_map_deferred())
             self._charge("walk_us", self.c.m16)
@@ -562,19 +612,12 @@ class _SegmentRun(_Run):
         self.softirqs += 1
         return cost
 
-    def _drain(self) -> float:
-        k = min(self.c.drain_batch, self.ring_used)
+    def _drain_charge(self, k: int) -> tuple[float, float, float]:
+        c = self.c
         if self.cfg.defer_reverse_map:
-            cost = k * self.c.m18_pp
-            self.parts["copy_us"] += cost
-        else:
-            cost = k * (self.c.m18_pp + self.c.m17_pp)
-            self.parts["copy_us"] += k * self.c.m18_pp
-            self.parts["reverse_mapping_us"] += k * self.c.m17_pp
-        self.ring_used -= k
-        self.tracker_busy += cost
-        self.collect_us += cost
-        return cost
+            cost = k * c.m18_pp
+            return cost, 0.0, cost
+        return k * (c.m18_pp + c.m17_pp), k * c.m17_pp, k * c.m18_pp
 
     def _consume_tool_ring(self) -> None:
         self.tool_ring = 0  # tool consumes its ring (set union, free)
@@ -586,9 +629,8 @@ class _SegmentRun(_Run):
         """Buffer-full during a write: stall if needed, flush, replay."""
         pending, cap = 512, self.cfg.ring_capacity
         if self.cfg.ring_full_policy == "stall":
-            if cap - self.ring_used < pending and not self._stall(
-                lambda: cap - self.ring_used >= pending
-            ):
+            self._stall(pending)  # no tick when the ring has room already
+            if self.truncated:
                 return
             self.ring_used += pending
         else:  # drop
@@ -735,15 +777,16 @@ class _MechanicalRun(_Run):
     copy left in the tool ring, still goes through ``write_one``, as does
     every write of a stretch shorter than :data:`STRETCH_MIN`.
 
-    spml's ticks charge their batches at once but leave the entries on the
-    ring, owed, until something reads the ring: :meth:`_settle` takes them
-    off in one step at the end of the ticks of an event exit, before a
-    stalled flush is retried and before the parked pairs are mapped.  The
-    drained ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once and
-    in drain order, and are reverse-mapped together (:meth:`_map_parked`)
-    before each map, unmap or remap op and before the report: they map as
-    they did when drained, and a pair drained again in the same epoch is
-    mapped once.
+    spml's ticks (:meth:`_Run._spml_ticks`) charge their batches at once
+    but leave the entries on the ring, owed, until something reads the
+    ring: :meth:`_settle` takes them off in one step at the end of the
+    ticks of an event exit, before a stall's one flush and before the
+    parked pairs or the deferred entries are mapped.  The drained
+    ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once and in drain
+    order, and are reverse-mapped together (:meth:`_map_parked`) before
+    each map, unmap or remap op and before the report: they map as they
+    did when drained, and a pair drained again in the same epoch is mapped
+    once.
 
     ``oracle`` (pages written) and ``collected`` (pages reported) hold page
     numbers, as page-aligned addresses share their low bits and a set of them
@@ -751,6 +794,8 @@ class _MechanicalRun(_Run):
     trace must name its pages by page-aligned addresses
     (:attr:`~oohsim.workloads.TraceWorkload.decoded` rejects any other).
     """
+
+    _drain_span_rounded = True  # as the collection clock rounds it
 
     def __init__(self, cfg: TrackerConfig):
         self.vm, self.gvas, init_us = tracked_machine(cfg)
@@ -761,14 +806,18 @@ class _MechanicalRun(_Run):
         self.raw_entries: list[tuple[int, int]] = []
         # spml's drained (gpa, gva) pairs by pid, charged but not yet mapped
         self.parked: dict[Any, dict[tuple[int, int], None]] = {}
-        # ring entries charged by spml's ticks but not yet taken off the ring,
-        # and by entries a tick drained, its (reverse-map µs, copy µs)
+        # ring entries charged by spml's ticks but not yet taken off the ring
         self._owed = 0
-        self._drain_us: dict[int, tuple[float, float]] = {}
+        if cfg.defer_reverse_map:
+            self.drain_batch = math.inf  # a deferred tick takes the whole ring
 
     @property
     def ring_used(self) -> int:
         return self.vm.hv.ring.used - self._owed
+
+    @ring_used.setter
+    def ring_used(self, used: int) -> None:
+        self._owed = self.vm.hv.ring.used - used
 
     @cached_property
     def _sweep(self) -> list[int]:
@@ -830,44 +879,24 @@ class _MechanicalRun(_Run):
         self.softirqs += 1
         return us
 
-    def _drain(self) -> float:
-        """One collecting tick of spml: ``drain_batch`` entries (all, when
-        deferred) are charged as they leave the ring.
-
-        The charge for a batch is :func:`drain_ring`'s, computed once per count,
-        but its entries stay on the ring, owed, until something reads the ring
-        (:meth:`_settle`): back-to-back ticks, such as those of a stall or of
-        the final harvest, take the ring in one step.
-        A pair's reverse mapping changes only with a map, unmap or remap op,
-        so the pairs are parked and mapped by :meth:`_map_parked` before the
-        next such op and before the report: one mapping per pair and mapping
-        epoch, not one call per tick.  Deferred entries, all drained in one
-        tick, leave at once and wait for :meth:`_reverse_map_deferred`.
-        """
-        pre = self.collect_us
-        if self.cfg.defer_reverse_map:
-            res = drain_ring(self.vm, defer_reverse_map=True)
-            self.raw_entries.extend(res.raw)
-            rm_us, copy_us = res.rm_us, res.copy_us
-        else:
-            k = min(self.c.drain_batch, self.ring_used)
-            self._owed += k
-            charge = self._drain_us.get(k)
-            if charge is None:  # as drain_ring charges k entries
-                rm_us = reduce(add, repeat(self.c.m17_pp, k), 0.0)
-                charge = self._drain_us[k] = rm_us, k * self.c.m18_pp
-            rm_us, copy_us = charge
-        self.tracker_busy += rm_us + copy_us
-        self.collect_us += rm_us + copy_us
-        self.parts["reverse_mapping_us"] += rm_us
-        self.parts["copy_us"] += copy_us
-        return self.collect_us - pre  # as the collection clock rounds it
+    def _drain_charge(self, k: int) -> tuple[float, float, float]:
+        """The charge of a tick that drains ``k`` entries, as :func:`drain_ring`
+        charges them; the entries stay on the ring, owed, for :meth:`_settle`."""
+        rm_us = 0.0 if self.cfg.defer_reverse_map else reduce(add, repeat(self.c.m17_pp, k), 0.0)
+        copy_us = k * self.c.m18_pp
+        return rm_us + copy_us, rm_us, copy_us
 
     def _settle(self) -> None:
-        """Take the owed entries off the ring, in drain order, and park their pairs."""
+        """Take the owed entries off the ring, in drain order: park their pairs,
+        or keep them raw when the mapping is deferred."""
         if self._owed:
-            _park(self.vm.hv.ring.consume(self._owed), self.parked)
+            blocks = self.vm.hv.ring.consume(self._owed)
             self._owed = 0
+            if self.cfg.defer_reverse_map:
+                for _pid, pairs in blocks:
+                    self.raw_entries.extend(pairs)
+            else:
+                _park(blocks, self.parked)
 
     def _swap_and_tick(self) -> None:
         super()._swap_and_tick()
@@ -883,6 +912,7 @@ class _MechanicalRun(_Run):
             self.inaccurate.update(res.inaccurate)
 
     def _reverse_map_deferred(self) -> float:
+        self._settle()
         if not self.raw_entries:
             return 0.0
         res = reverse_map_raw(self.vm, self.raw_entries)
@@ -1060,20 +1090,16 @@ class _MechanicalRun(_Run):
         self.t += wall
         self.run_acc += run
         if res.stalled:
-            # the producer waits for collection ticks to make ring room; a retry
-            # the ring has no room for stalls again, so it is only counted
-            hv, refused = self.vm.hv, res.refused
-            ring, pending = hv.ring, len(hv.pml.hv_buffer.entries)
-
-            def flushed() -> bool:
-                if max(0, ring.capacity - self.ring_used) < pending:
-                    hv.vmexit_stalls += 1
-                    return False
-                self._settle()
-                return not hv.handle_pml_full_vmexit(refused=refused).stalled
-
-            if not self._stall(flushed):
+            # the producer waits for collection ticks to make ring room; the
+            # retry after each tick but the last finds no room and stalls again,
+            # so it is only counted
+            hv = self.vm.hv
+            ticks = self._stall(len(hv.pml.hv_buffer.entries))
+            hv.vmexit_stalls += ticks if self.truncated else ticks - 1
+            if self.truncated:
                 return
+            self._settle()
+            hv.handle_pml_full_vmexit(refused=res.refused)
             self._vmexit()
         self._swap_and_tick()
 

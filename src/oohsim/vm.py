@@ -48,6 +48,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
 
+import numpy as np
+
 from .costs import PAGE_SIZE as PAGE
 from .costs import CostTable
 from .guest import GuestKernel, Process
@@ -331,3 +333,15 @@ class VirtualMachine:
         if gpa is None:
             raise KeyError(f"gva {gva:#x} not readable")
         return self.store.read(self.ept.translate(gpa))
+
+    def read_pages(self, pid: int, gvas: list[int], missing: bytes) -> list[bytes]:
+        """Each of ``gvas``' stored payload, as :meth:`read_page` reads it, or
+        ``missing`` where it has none: one gather per table, then the store."""
+        table = self.kernel._proc(pid).table
+        pte, gpas, _ = table._gather(np.array(gvas, dtype=np.int64))
+        frame, hpas, _ = self.ept._gather(gpas)
+        read = self.store.contents.get
+        return [
+            read(hpa, missing) if mapped else missing
+            for mapped, hpa in zip(((pte != 0) & (frame != 0)).tolist(), hpas.tolist())
+        ]

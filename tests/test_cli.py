@@ -58,6 +58,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "migration_max_rounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["0", "0.5", "-64", "nan", "inf"])
+def test_an_empty_or_partial_drain_batch_exits_2(tmp_path, capsys, bad):
+    cal = tmp_path / "batch.cal"
+    cal.write_text(f"spml_drain_batch = {bad}\n")
+    cfg = write_config(tmp_path, "[experiment]\nmemory_sizes = 1MB\ntechniques = spml\n")
+    assert main(["run", "--config", cfg, "--calibration", str(cal)]) == EXIT_CONFIG
+    assert "spml_drain_batch" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
     assert "io error" in capsys.readouterr().err

@@ -170,6 +170,18 @@ def test_calibration_errors(tmp_path):
         load_calibration_file(str(worse))
 
 
+@pytest.mark.parametrize("bad", [0, 0.5, -64, math.nan, math.inf])
+def test_drain_batch_must_be_a_whole_number_of_entries(bad):
+    # an empty batch left a stalled spml run waiting to the horizon (and
+    # forever at an infinite one); a negative one broke the report
+    t = CostTable.default()
+    with pytest.raises(CalibrationError, match="spml_drain_batch"):
+        t.apply_overrides({"spml_drain_batch": bad})
+    assert t.param("spml_drain_batch") == 64.0
+    t.apply_overrides({"spml_drain_batch": 1.0})
+    assert t.prices(1 << 20).drain_batch == 1
+
+
 def test_anchor_lists_strictly_increasing_after_overrides():
     t = CostTable.default()
     t.apply_overrides({"M17@2GB": 30000.0, "M17@750MB": 9000.0})

@@ -1116,14 +1116,18 @@ def _spml_tick_runs(pages: int, ring: int):
                         )
 
 
-def _spml_tick_digest(pages: int, ring: int) -> str:
-    """SHA-256 of every report field, floats exact, of the group's runs in order."""
+def _runs_digest(configs) -> str:
+    """SHA-256 of every report field, floats exact, of the runs in order."""
     canon = [
         [(k, sorted(v) if isinstance(v, set) else v)
          for k, v in _field_bits(run_tracker(config)).items()]
-        for config in _spml_tick_runs(pages, ring)
+        for config in configs
     ]
     return hashlib.sha256(repr(canon).encode()).hexdigest()
+
+
+def _spml_tick_digest(pages: int, ring: int) -> str:
+    return _runs_digest(_spml_tick_runs(pages, ring))
 
 
 # (pages, ring) -> _spml_tick_digest, recorded while every spml collection
@@ -1148,6 +1152,245 @@ def test_spml_ticks_pinned(key):
     assert _spml_tick_digest(*key) == _PINNED_SPML_TICKS[key]
 
 
+# ---------------------------------- back-to-back spml ticks run in one loop
+
+
+def _segment_tick_runs(policy: str, defer: bool):
+    """The segment-engine spml sweeps of one (policy, defer) group of the pin:
+    two rings, three intervals, 1 to 250 MB, and horizons of 3 ms and 250 ms
+    that cut runs short (25 of the 288 in the middle of a stall) or of 60 s."""
+    for ring in (1024, 16384):
+        for interval_us in (40.0, 1_000.0, 5_000.0):
+            for mb in (1, 5, 50, 250):
+                for horizon_us in (3_000.0, 250_000.0, 6e7):
+                    yield cfg(
+                        "spml", mb * MB, ring_capacity=ring, ring_full_policy=policy,
+                        collection_interval_us=interval_us, defer_reverse_map=defer,
+                        horizon_us=horizon_us,
+                    )
+
+
+# (policy, defer) -> _runs_digest of _segment_tick_runs, recorded while every
+# tick of a stall, of the final harvest and of the catch-up after an event
+# was one _tick call
+_PINNED_SEGMENT_TICKS = {
+    ("stall", False): "b7a611a479feedf0a19b47023f144f063289489d7e57e2ec1a3a9ebbb5397663",
+    ("stall", True): "208838c78d456c337ca54f4f445ebb4af73ebb51cda78d60fa85feea9979c9da",
+    ("drop", False): "359e1c3bdd31428f99b897e329d60dee72cc8a8e691888fe5df73e87f0c6e502",
+    ("drop", True): "3a1bd51ebf291e2fd7c268181ce0982635a8a969b69ca8e4525e4653ed7b946e",
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_SEGMENT_TICKS), ids="{0[0]}-defer{0[1]}".format)
+def test_segment_spml_ticks_pinned(key):
+    assert _runs_digest(_segment_tick_runs(*key)) == _PINNED_SEGMENT_TICKS[key]
+
+
+def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> float:
+    candidate = prev_tick + interval
+    aligned = interval * math.ceil(busy_end / interval)
+    return max(candidate, aligned)
+
+
+class _PerTick:
+    """The collection chain of both engines before back-to-back spml ticks ran
+    in one loop, kept as the reference: every tick of a stall, of the final
+    harvest and of the catch-up after an event is one ``_tick`` call, which
+    drains through the engine's own ``_drain`` and places the next tick with
+    :func:`_next_tick_after`."""
+
+    def _tick(self) -> None:
+        interval = self.cfg.collection_interval_us
+        if self.tech == "spml":
+            start = self.next_tick
+            self.next_tick = _next_tick_after(start + self._drain(), start, interval)
+        else:
+            self._consume_tool_ring()
+            self.next_tick += interval
+
+    def _stall(self, flushed) -> bool:
+        while True:
+            if self.next_tick > self.t:
+                if self.next_tick >= self.cfg.horizon_us:
+                    self.t = self.cfg.horizon_us
+                    self.truncated = True
+                    return False
+                self.suspension += self.next_tick - self.t
+                self.t = self.next_tick
+            self._tick()
+            if flushed():
+                return True
+
+    def _swap_and_tick(self) -> None:
+        if self.run_acc >= self.cfg.quantum_us:
+            self._sched("out")
+            self._sched("in")
+            self.run_acc -= self.cfg.quantum_us
+        while self.t >= self.next_tick:
+            self._tick()
+
+    def _harvest(self) -> None:
+        if self.tech != "spml":
+            super()._harvest()
+        elif self.writes_done:
+            while self.ring_used > 0:
+                if self.t < self.next_tick:
+                    self.t = self.next_tick
+                self._tick()
+            if self.cfg.defer_reverse_map:
+                self._charge("reverse_mapping_us", self._reverse_map_deferred())
+            self._charge("walk_us", self.c.m16)
+
+
+class _PerTickSegment(_PerTick, trackers._SegmentRun):
+    def _drain(self) -> float:
+        k = min(self.c.drain_batch, self.ring_used)
+        if self.cfg.defer_reverse_map:
+            cost = k * self.c.m18_pp
+            self.parts["copy_us"] += cost
+        else:
+            cost = k * (self.c.m18_pp + self.c.m17_pp)
+            self.parts["copy_us"] += k * self.c.m18_pp
+            self.parts["reverse_mapping_us"] += k * self.c.m17_pp
+        self.ring_used -= k
+        self.tracker_busy += cost
+        self.collect_us += cost
+        return cost
+
+    def _spml_vmexit(self) -> None:
+        pending, cap = 512, self.cfg.ring_capacity
+        if self.cfg.ring_full_policy == "stall":
+            if cap - self.ring_used < pending and not self._stall(
+                lambda: cap - self.ring_used >= pending
+            ):
+                return
+            self.ring_used += pending
+        else:
+            sent = min(pending, max(0, cap - self.ring_used))
+            self.ring_used += sent
+            self.dropped += pending - sent
+        self._vmexit()
+        self.buf_fill = 1
+
+
+class _PerTickMechanical(_PerTick, trackers._MechanicalRun):
+    def _drain(self) -> float:
+        pre = self.collect_us
+        if self.cfg.defer_reverse_map:
+            res = drain_ring(self.vm, defer_reverse_map=True)
+            self.raw_entries.extend(res.raw)
+            rm_us, copy_us = res.rm_us, res.copy_us
+        else:
+            k = min(self.c.drain_batch, self.ring_used)
+            self._owed += k
+            rm_us = reduce(add, repeat(self.c.m17_pp, k), 0.0)
+            copy_us = k * self.c.m18_pp
+        self.tracker_busy += rm_us + copy_us
+        self.collect_us += rm_us + copy_us
+        self.parts["reverse_mapping_us"] += rm_us
+        self.parts["copy_us"] += copy_us
+        return self.collect_us - pre
+
+    def _swap_and_tick(self) -> None:
+        super()._swap_and_tick()
+        self._settle()
+
+    def _event(self, res, wall: float, run: float) -> None:
+        c = self.c
+        if res.softirq_copied or res.softirq_us:
+            wall += res.softirq_us
+            self.suspension += res.softirq_us
+            self.softirqs += 1
+        if res.vmexit is not None and not res.stalled:
+            wall += c.vmexit_service
+            self.suspension += c.vmexit_service
+            self.vmexits += 1
+        self.t += wall
+        self.run_acc += run
+        if res.stalled:
+            hv, refused = self.vm.hv, res.refused
+            ring, pending = hv.ring, len(hv.pml.hv_buffer.entries)
+
+            def flushed() -> bool:
+                if max(0, ring.capacity - self.ring_used) < pending:
+                    hv.vmexit_stalls += 1
+                    return False
+                self._settle()
+                return not hv.handle_pml_full_vmexit(refused=refused).stalled
+
+            if not self._stall(flushed):
+                return
+            self._vmexit()
+        self._swap_and_tick()
+
+
+def _batch_charge_us(pages: int, mechanical: bool) -> float:
+    """What an spml tick that drains a whole batch charges, by the engine's formula."""
+    prices = CostTable.default().prices(pages * PAGE_SIZE)
+    k = prices.drain_batch
+    if mechanical:
+        return reduce(add, repeat(prices.m17_pp, k), 0.0) + k * prices.m18_pp
+    return k * (prices.m18_pp + prices.m17_pp)
+
+
+def _run_fields(run) -> dict:
+    """Every field of the run's report, and the mechanical machine's stall count."""
+    out = _field_bits(run.run())
+    if hasattr(run, "vm"):
+        out["vmexit_stalls"] = run.vm.hv.vmexit_stalls
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+# a one-buffer ring under stall: 137 stalled retries in the mechanical run,
+# 7 before a horizon that lands in a stall, and deferred mapping, whose
+# ticks take the whole ring, stalling 22 times and ending in a stall
+@example(mechanical=True, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
+         interval_us=1_000.0, ring=512, policy="stall", defer=False, horizon_us=6e7)
+@example(mechanical=True, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
+         interval_us=1_000.0, ring=512, policy="stall", defer=False, horizon_us=12_000.0)
+@example(mechanical=False, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
+         interval_us=1_000.0, ring=512, policy="stall", defer=False, horizon_us=12_000.0)
+@example(mechanical=True, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
+         interval_us=5_000.0, ring=512, policy="stall", defer=True, horizon_us=6e7)
+@example(mechanical=True, technique="spml", pages=513, rounds=3, quantum_us=10_000.0,
+         interval_us=5_000.0, ring=512, policy="stall", defer=True, horizon_us=12_000.0)
+# an interval of one batch's charge: a drain then spans an interval, up to
+# how the collection clock rounds it, and whether the next tick skips one
+# depends on the engine's own rule for the span
+@example(mechanical=True, technique="spml", pages=1_500, rounds=3, quantum_us=10_000.0,
+         interval_us=_batch_charge_us(1_500, True), ring=512, policy="stall", defer=False,
+         horizon_us=6e7)
+@example(mechanical=False, technique="spml", pages=1_500, rounds=3, quantum_us=10_000.0,
+         interval_us=_batch_charge_us(1_500, False), ring=512, policy="stall", defer=False,
+         horizon_us=6e7)
+@given(
+    mechanical=st.booleans(),
+    technique=st.sampled_from(["spml", "spml", "spml", "epml"]),
+    pages=st.sampled_from([1, 300, 513, 1_500, 4_096]),
+    rounds=st.integers(min_value=0, max_value=3),
+    quantum_us=st.sampled_from([300.0, 10_000.0]),
+    interval_us=st.sampled_from([40.0, 250.0, 1_000.0, 5_000.0]),
+    ring=st.sampled_from([512, 1024, 16384]),
+    policy=st.sampled_from(["stall", "drop"]),
+    defer=st.booleans(),
+    horizon_us=st.sampled_from([0.0, 3_000.0, 12_000.0, 6e7]),
+)
+def test_back_to_back_ticks_leave_every_field_as_one_tick_at_a_time(
+    mechanical, technique, pages, rounds, quantum_us, interval_us, ring, policy, defer, horizon_us
+):
+    config = cfg(
+        technique, pages * PAGE_SIZE, rounds=rounds, quantum_us=quantum_us,
+        collection_interval_us=interval_us, ring_capacity=ring, ring_full_policy=policy,
+        defer_reverse_map=defer, horizon_us=horizon_us, mechanical=mechanical,
+    )
+    engine, reference = (
+        (trackers._MechanicalRun, _PerTickMechanical) if mechanical
+        else (trackers._SegmentRun, _PerTickSegment)
+    )
+    assert _run_fields(engine(config)) == _run_fields(reference(config))
+
+
 def _tracker_config(run: str, technique: str, interval_us: float, **kw) -> TrackerConfig:
     """A short run of ``run``'s kind: a segment or mechanical sweep, or a trace."""
     if run == "trace":
@@ -1162,14 +1405,18 @@ def _tracker_config(run: str, technique: str, interval_us: float, **kw) -> Track
 @pytest.mark.parametrize("technique", ["proc", "uffd"])
 def test_a_proc_or_uffd_run_makes_no_tick(technique, run):
     ticks = []
-    tick = trackers._Run._tick
 
-    def counted(self):
-        ticks.append(self.tech)
-        tick(self)
+    def counting(method):
+        def counted(self, *args):
+            ticks.append(self.tech)
+            return method(self, *args)
+
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trackers._Run, "_tick", counted)
+        # epml ticks one at a time, spml a run of back-to-back ticks at a time
+        for name in ("_tick", "_spml_ticks"):
+            mp.setattr(trackers._Run, name, counting(getattr(trackers._Run, name)))
         # a short quantum: each swap is an event exit, where due ticks would run
         assert run_tracker(_tracker_config(run, technique, 40.0, quantum_us=300.0)).writes_done
         assert ticks == []
@@ -1385,20 +1632,18 @@ def _with_remaps(trace: TraceWorkload, seed: int, p_remap: float = 0.05) -> Trac
     return TraceWorkload(ops=ops, name=f"{trace.name}-remap", initial_pages=trace.initial_pages)
 
 
-def _parked_and_per_drain(config) -> tuple[TrackerPhaseReport, TrackerPhaseReport]:
-    """The run's report, and the one it gives when every drain maps its pairs at once."""
-    drain = trackers._MechanicalRun._drain
+class _MappedAtOnce(_PerTickMechanical):
+    """The per-tick reference, with every drain mapping its pairs at once."""
 
-    def mapped_at_once(self):
-        us = drain(self)
+    def _drain(self) -> float:
+        us = super()._drain()
         self._map_parked()
         return us
 
-    parked = run_tracker(config)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trackers._MechanicalRun, "_drain", mapped_at_once)
-        per_drain = run_tracker(config)
-    return parked, per_drain
+
+def _parked_and_per_drain(config) -> tuple[TrackerPhaseReport, TrackerPhaseReport]:
+    """The run's report, and the one it gives when every drain maps its pairs at once."""
+    return run_tracker(config), _MappedAtOnce(config).run()
 
 
 @pytest.mark.parametrize("policy", ["stall", "drop"])

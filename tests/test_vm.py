@@ -228,6 +228,29 @@ def test_payload_round_trip():
     assert len(page) == 4096
 
 
+def test_read_pages_reads_each_page_as_read_page_does():
+    # written and unwritten region pages, a page mapped singly, a moved page,
+    # an unmapped one and an address never mapped
+    vm = make_vm("proc", pages=16)
+    for i in (0, 3, 4, 9):
+        vm.write_one(7, gva(i), payload=bytes([i + 1]))
+    single = vm.map_fresh(7)
+    vm.write_one(7, single, payload=b"single")
+    vm.remap(7, gva(4), gva(40))
+    vm.unmap(7, gva(9))
+    missing = b"\x00" * 4096
+
+    def read_page(addr):
+        try:
+            return vm.read_page(7, addr)
+        except KeyError:  # UnknownMapping is one too
+            return missing
+
+    addrs = [gva(i) for i in range(16)] + [single, gva(40), gva(60)]
+    assert vm.read_pages(7, addrs, missing) == list(map(read_page, addrs))
+    assert sum(page != missing for page in vm.read_pages(7, addrs, missing)) == 4
+
+
 def test_untracked_process_writes_log_nothing():
     vm = VirtualMachine()
     vm.create_process(9)
