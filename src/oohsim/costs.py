@@ -41,6 +41,7 @@ and the checkpoint and migration models.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -258,10 +259,17 @@ class CostTable:
 
         Keys are ``M<k>`` (fixed metrics, value in us), ``M<k>@<size>``
         (size-dependent metrics, value in ms at that anchor; new sizes insert
-        new anchors) or any scalar knob name from ``params``;
-        ``spml_drain_batch`` must be a whole number >= 1.
+        new anchors) or any scalar knob name from ``params``.  Every value
+        and anchor size must be a finite number, and every value >= 0;
+        ``write_cost_us`` must be positive and ``spml_drain_batch`` a whole
+        number >= 1.
         """
         for key, value in overrides.items():
+            value = float(value)
+            # nan or inf would print a nan overhead or run forever, and a
+            # negative cost would run the clock backwards
+            if not (math.isfinite(value) and value >= 0):
+                raise CalibrationError(f"{key} must be a finite number >= 0, got {value}")
             if "@" in key:
                 metric, _, size_text = key.partition("@")
                 metric = metric.strip().upper()
@@ -270,18 +278,22 @@ class CostTable:
                         f"{metric} is not a size-dependent metric"
                     )
                 size_mb = _parse_size_mb(size_text)
+                if not math.isfinite(size_mb):
+                    raise CalibrationError(f"{key}: the size must be finite")
                 anchors = [a for a in self.sized_ms[metric] if a[0] != size_mb]
-                anchors.append((size_mb, float(value)))
+                anchors.append((size_mb, value))
                 anchors.sort()
                 self.sized_ms[metric] = anchors
             elif key.upper() in self.fixed_us:
-                self.fixed_us[key.upper()] = float(value)
+                self.fixed_us[key.upper()] = value
             elif key.upper() in self.sized_ms:
                 raise CalibrationError(
                     f"{key} depends on memory size; use {key}@<size>"
                 )
             elif key in self.params:
-                value = float(value)
+                # a write's cost divides the quantum and the tick gaps into writes
+                if key == "write_cost_us" and value == 0:
+                    raise CalibrationError("write_cost_us must be positive, got 0.0")
                 # a stalled spml run waits for ticks that each drain a batch:
                 # an empty one would wait to the horizon
                 if key == "spml_drain_batch" and not (value >= 1 and value.is_integer()):

@@ -578,6 +578,18 @@ class _SegmentRun(_Run):
     mechanical engine at 512 pages or fewer, near the horizon and with
     small rings (the ROADMAP item on one engine); the mechanical engine is
     the reference.
+
+    A round (:meth:`_round`) is one loop on local variables: the clock, the
+    run time, ``suspension``, ``tracker_busy``, ``writes_done``, the buffer
+    and tool-ring counts, the next tick, the softirq count and the drops.
+    Each step is a stretch of writes, cut at the buffer's 513th write, the
+    quantum, the next tick or the round's end.  An epml buffer copy, an epml
+    tick and an spml buffer-full vmexit that finds room in the ring (or
+    drops under ``drop``) run inline, with the float operations of
+    :meth:`_epml_copy`, :meth:`_Run._tick` and :meth:`_Run._vmexit` in
+    their order.  The locals go back to ``self`` only around the events that
+    read it: a stall (:meth:`_Run._stall`), a quantum swap and spml's due
+    ticks (:meth:`_Run._swap_and_tick`).
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -625,62 +637,116 @@ class _SegmentRun(_Run):
     def _reverse_map_deferred(self) -> float:
         return self.writes_done * self.c.m17_pp  # every logged entry mapped
 
-    def _spml_vmexit(self) -> None:
-        """Buffer-full during a write: stall if needed, flush, replay."""
-        pending, cap = 512, self.cfg.ring_capacity
-        if self.cfg.ring_full_policy == "stall":
-            self._stall(pending)  # no tick when the ring has room already
-            if self.truncated:
-                return
-            self.ring_used += pending
-        else:  # drop
-            sent = min(pending, max(0, cap - self.ring_used))
-            self.ring_used += sent
-            self.dropped += pending - sent
-        self._vmexit()
-        self.buf_fill = 1  # the refused entry, replayed after the reset
-
     def _round(self) -> None:
-        """One sweep over every page, a stretch of writes at a time."""
-        cfg, c = self.cfg, self.c
-        logging = self.tech in ("spml", "epml")
+        """One sweep over every page, a stretch of writes at a time, on locals.
+
+        A stretch ends at the buffer's 513th write, at the quantum, at the
+        next tick or at the round's end; the class docstring lists which
+        events run inline and which go through ``self``.
+        """
+        cfg, c, tech = self.cfg, self.c, self.tech
+        spml, epml, uffd = tech == "spml", tech == "epml", tech == "uffd"
+        logging = spml or epml
         w_run = c.write
-        if self.tech == "proc":
+        if tech == "proc":
             w_run += c.softdirty_fault  # every post-clear write microfaults
-        w_wall = w_run + (c.uffd_fault if self.tech == "uffd" else 0.0)
-        swaps = cfg.quantum_us < math.inf  # an infinite quantum never ends: it bounds nothing
+        w_wall = w_run + (c.uffd_fault if uffd else 0.0)
+        uffd_fault, vmexit_us, copy_us = c.uffd_fault, c.vmexit_service, c.copy_us(512)
+        quantum, horizon, interval = cfg.quantum_us, cfg.horizon_us, cfg.collection_interval_us
+        cap, stalls = cfg.ring_capacity, cfg.ring_full_policy == "stall"
+        swaps = quantum < math.inf  # an infinite quantum never ends: it bounds nothing
+        ceil = math.ceil
+        t, run_acc, next_tick = self.t, self.run_acc, self.next_tick
+        suspension, busy, writes_done = self.suspension, self.tracker_busy, self.writes_done
+        buf_fill, tool_ring = self.buf_fill, self.tool_ring
+        softirqs, dropped = self.softirqs, self.dropped
         left = self.P
         while left > 0:
-            if self.t >= cfg.horizon_us:
+            if t >= horizon:
                 self.truncated = True
-                return
-            n_event = (512 - self.buf_fill) + 1 if logging else left + 1
-            n_quant = (
-                math.ceil(max(0.0, cfg.quantum_us - self.run_acc) / w_run) if swaps else left + 1
-            )
-            n_tick = (
-                math.ceil(max(0.0, self.next_tick - self.t) / w_wall) if logging else left + 1
-            )
-            n = min(left, n_event, max(1, n_quant), max(1, n_tick))
-            self.t += n * w_wall
-            self.run_acc += n * w_run
-            if self.tech == "uffd":
-                self.suspension += n * c.uffd_fault
-                self.tracker_busy += n * c.uffd_fault
-            self.writes_done += n
-            left -= n
+                break
+            # min(left, n_event, max(1, n_quant), max(1, n_tick)), each
+            # n_* the ceiling of max(0.0, gap) over a write's µs
+            n = left
+            if swaps:
+                gap = quantum - run_acc
+                k = ceil(gap / w_run) if gap > 0.0 else 0
+                if k < n:
+                    n = k
             if logging:
-                self.buf_fill += n
-            if logging and n == n_event:
-                self.buf_fill = 512  # the 513th attempt was refused
-                if self.tech == "spml":
-                    self._spml_vmexit()
+                n_event = 513 - buf_fill
+                if n_event < n:
+                    n = n_event
+                gap = next_tick - t
+                k = ceil(gap / w_wall) if gap > 0.0 else 0
+                if k < n:
+                    n = k
+            if n < 1:
+                n = 1
+            t += n * w_wall
+            run_acc += n * w_run
+            if uffd:
+                suspension += n * uffd_fault
+                busy += n * uffd_fault
+            writes_done += n
+            left -= n
+            stalled = False
+            if logging:
+                buf_fill += n
+                if n == n_event:  # the 513th attempt was refused
+                    if epml:  # copy the buffer out: _epml_copy(512)
+                        copied = 512
+                        space = cap - tool_ring
+                        if copied > space:  # tool too slow: losses are counted, never silent
+                            dropped += copied - space
+                            copied = space
+                        tool_ring += copied
+                        suspension += copy_us
+                        softirqs += 1
+                        t += copy_us
+                        buf_fill = 1
+                    elif not stalls or cap - self.ring_used >= 512:
+                        # a buffer-full vmexit: flush, or drop what the ring
+                        # has no room for, then replay the refused entry
+                        if stalls:
+                            self.ring_used += 512
+                        else:
+                            sent = min(512, max(0, cap - self.ring_used))
+                            self.ring_used += sent
+                            dropped += 512 - sent
+                        t += vmexit_us  # _vmexit
+                        suspension += vmexit_us
+                        self.vmexits += 1
+                        buf_fill = 1
+                    else:
+                        buf_fill = 512
+                        stalled = True
+            if stalled or run_acc >= quantum or (spml and t >= next_tick):
+                # the events that read self: a stall, a swap, spml's due ticks
+                self.t, self.run_acc, self.next_tick = t, run_acc, next_tick
+                self.suspension, self.tracker_busy = suspension, busy
+                self.writes_done, self.buf_fill, self.tool_ring = writes_done, buf_fill, tool_ring
+                self.softirqs, self.dropped = softirqs, dropped
+                if stalled:  # wait for ticks to make room, then flush and replay
+                    self._stall(512)
                     if self.truncated:
                         return
-                else:
-                    self.t += self._epml_copy(512)
+                    self.ring_used += 512
+                    self._vmexit()
                     self.buf_fill = 1
-            self._swap_and_tick()
+                self._swap_and_tick()
+                t, run_acc, next_tick = self.t, self.run_acc, self.next_tick
+                suspension, busy = self.suspension, self.tracker_busy
+                buf_fill, tool_ring = self.buf_fill, self.tool_ring
+                softirqs, dropped = self.softirqs, self.dropped
+            else:
+                while t >= next_tick:  # epml's ticks: the tool consumes its ring
+                    tool_ring = 0
+                    next_tick += interval
+        self.t, self.run_acc, self.next_tick = t, run_acc, next_tick
+        self.suspension, self.tracker_busy = suspension, busy
+        self.writes_done, self.buf_fill, self.tool_ring = writes_done, buf_fill, tool_ring
+        self.softirqs, self.dropped = softirqs, dropped
 
     def _round_end(self) -> None:
         if self.tech == "proc":

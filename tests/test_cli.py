@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oohsim import trackers
 from oohsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from oohsim.costs import CostTable
 from oohsim.reports import CSV_COLUMNS, rows_from_csv
@@ -65,6 +66,35 @@ def test_an_empty_or_partial_drain_batch_exits_2(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, "[experiment]\nmemory_sizes = 1MB\ntechniques = spml\n")
     assert main(["run", "--config", cfg, "--calibration", str(cal)]) == EXIT_CONFIG
     assert "spml_drain_batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("key", "bad"),
+    [
+        ("write_cost_us", "0"),
+        ("write_cost_us", "nan"),
+        ("write_cost_us", "inf"),
+        ("vmexit_ept_clear_us", "nan"),
+        ("M1", "-5"),
+        ("M17@1GB", "nan"),
+    ],
+)
+def test_a_bad_calibration_value_exits_2_before_any_run(tmp_path, capsys, key, bad):
+    cal = tmp_path / "bad.cal"
+    cal.write_text(f"{key} = {bad}\n")
+
+    def no_run(self):  # an infinite write cost would never finish
+        raise AssertionError("a tracker run started")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackers._Run, "_workload", no_run)
+        code = main([
+            "sweep", "--sizes", "4MB", "--techniques", "proc,spml", "--rounds", "2",
+            "--calibration", str(cal), "--out", str(tmp_path / "out"),
+        ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_missing_config_file_exits_3(tmp_path, capsys):

@@ -182,6 +182,38 @@ def test_drain_batch_must_be_a_whole_number_of_entries(bad):
     assert t.prices(1 << 20).drain_batch == 1
 
 
+@pytest.mark.parametrize(
+    ("key", "bad"),
+    [
+        ("write_cost_us", 0.0),  # divided a segment run's quantum: ZeroDivisionError
+        ("write_cost_us", -0.9),
+        ("write_cost_us", math.nan),  # ValueError in the stretch arithmetic
+        ("write_cost_us", math.inf),  # a run that never ends
+        ("vmexit_ept_clear_us", math.nan),  # a nan overhead, without a word
+        ("M1", -5.0),
+        ("M8", math.inf),
+        ("M17@1GB", math.nan),
+        ("M17@1GB", -1.0),
+        ("M17@infMB", 1.0),
+        ("dump_page_us", -math.inf),
+    ],
+)
+def test_a_non_finite_or_negative_calibration_value_is_rejected(key, bad):
+    t = CostTable.default()
+    with pytest.raises(CalibrationError, match=key.replace("@", ".")):
+        t.apply_overrides({key: bad})
+    default = CostTable.default()
+    assert (t.fixed_us, t.sized_ms, t.params) == (
+        default.fixed_us, default.sized_ms, default.params
+    )
+
+
+def test_a_zero_cost_is_a_legal_calibration_value():
+    t = CostTable.default()
+    t.apply_overrides({"M1": 0.0, "M17@1GB": 0.0, "vmexit_ept_clear_us": 0.0})
+    assert t.cost_us("M1") == 0.0 and t.param("vmexit_ept_clear_us") == 0.0
+
+
 def test_anchor_lists_strictly_increasing_after_overrides():
     t = CostTable.default()
     t.apply_overrides({"M17@2GB": 30000.0, "M17@750MB": 9000.0})

@@ -1186,6 +1186,50 @@ def test_segment_spml_ticks_pinned(key):
     assert _runs_digest(_segment_tick_runs(*key)) == _PINNED_SEGMENT_TICKS[key]
 
 
+# ------------------------------------------- a segment round runs on locals
+
+
+def _segment_round_runs(technique: str):
+    """The segment-engine sweeps of one technique of the round pin: 1, 300,
+    512 and 513 pages and 5 and 50 MB, 3 and 13 rounds, three quanta (one
+    infinite), two intervals, both rings (the spml ring, the epml tool ring),
+    stall and drop and deferred mapping for spml, and horizons of 0, of 3 ms
+    (which stops some runs in the middle of a round or of a stall) and of 60 s."""
+    rings = (1024, 16384) if technique in ("spml", "epml") else (16384,)
+    spml = technique == "spml"
+    sizes = [pages * PAGE_SIZE for pages in (1, 300, 512, 513)] + [5 * MB, 50 * MB]
+    for rounds in (3, 13):
+        for size in sizes:
+            for quantum_us in (300.0, 10_000.0, math.inf):
+                for interval_us in (40.0, 1_000.0):
+                    for ring in rings:
+                        for policy in ("stall", "drop") if spml else ("stall",):
+                            for defer in (False, True) if spml else (False,):
+                                for horizon_us in (0.0, 3_000.0, 6e7):
+                                    yield cfg(
+                                        technique, size, rounds=rounds, quantum_us=quantum_us,
+                                        collection_interval_us=interval_us, ring_capacity=ring,
+                                        ring_full_policy=policy, defer_reverse_map=defer,
+                                        horizon_us=horizon_us,
+                                    )
+
+
+# technique -> _runs_digest of _segment_round_runs, recorded while a segment
+# round called _swap_and_tick after every stretch, _epml_copy for every epml
+# buffer copy and _spml_vmexit for every spml buffer-full vmexit
+_PINNED_SEGMENT_ROUNDS = {
+    "proc": "91c852aae80bd396e8521318a6634cd2a5d2e354008d7e4836567dd4adb46d81",
+    "uffd": "54633db2980f326e62cf62fe8e772a1fcab98dbb9feeee9e46140d742bb2b8ca",
+    "spml": "148c4969e0874e141d5d95dfb85595534aa5c5699f10d8bcbdf2d83620afacab",
+    "epml": "0e9f692a60af4afbca18b6c8f38725eb6e730c6fd991974f3c33a1d31a1e7846",
+}
+
+
+@pytest.mark.parametrize("technique", list(_PINNED_SEGMENT_ROUNDS))
+def test_segment_rounds_pinned(technique):
+    assert _runs_digest(_segment_round_runs(technique)) == _PINNED_SEGMENT_ROUNDS[technique]
+
+
 def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> float:
     candidate = prev_tick + interval
     aligned = interval * math.ceil(busy_end / interval)
@@ -1242,7 +1286,71 @@ class _PerTick:
             self._charge("walk_us", self.c.m16)
 
 
-class _PerTickSegment(_PerTick, trackers._SegmentRun):
+class _PerEventSegment(trackers._SegmentRun):
+    """The segment round before it ran on locals, kept verbatim as the
+    reference: every stretch ends in a ``_swap_and_tick`` call, every epml
+    buffer copy in an ``_epml_copy`` call and every spml buffer-full vmexit in
+    an ``_spml_vmexit`` call, so a subclass that overrides them sees each event."""
+
+    def _spml_vmexit(self) -> None:
+        """Buffer-full during a write: stall if needed, flush, replay."""
+        pending, cap = 512, self.cfg.ring_capacity
+        if self.cfg.ring_full_policy == "stall":
+            self._stall(pending)  # no tick when the ring has room already
+            if self.truncated:
+                return
+            self.ring_used += pending
+        else:  # drop
+            sent = min(pending, max(0, cap - self.ring_used))
+            self.ring_used += sent
+            self.dropped += pending - sent
+        self._vmexit()
+        self.buf_fill = 1  # the refused entry, replayed after the reset
+
+    def _round(self) -> None:
+        """One sweep over every page, a stretch of writes at a time."""
+        cfg, c = self.cfg, self.c
+        logging = self.tech in ("spml", "epml")
+        w_run = c.write
+        if self.tech == "proc":
+            w_run += c.softdirty_fault  # every post-clear write microfaults
+        w_wall = w_run + (c.uffd_fault if self.tech == "uffd" else 0.0)
+        swaps = cfg.quantum_us < math.inf  # an infinite quantum never ends: it bounds nothing
+        left = self.P
+        while left > 0:
+            if self.t >= cfg.horizon_us:
+                self.truncated = True
+                return
+            n_event = (512 - self.buf_fill) + 1 if logging else left + 1
+            n_quant = (
+                math.ceil(max(0.0, cfg.quantum_us - self.run_acc) / w_run) if swaps else left + 1
+            )
+            n_tick = (
+                math.ceil(max(0.0, self.next_tick - self.t) / w_wall) if logging else left + 1
+            )
+            n = min(left, n_event, max(1, n_quant), max(1, n_tick))
+            self.t += n * w_wall
+            self.run_acc += n * w_run
+            if self.tech == "uffd":
+                self.suspension += n * c.uffd_fault
+                self.tracker_busy += n * c.uffd_fault
+            self.writes_done += n
+            left -= n
+            if logging:
+                self.buf_fill += n
+            if logging and n == n_event:
+                self.buf_fill = 512  # the 513th attempt was refused
+                if self.tech == "spml":
+                    self._spml_vmexit()
+                    if self.truncated:
+                        return
+                else:
+                    self.t += self._epml_copy(512)
+                    self.buf_fill = 1
+            self._swap_and_tick()
+
+
+class _PerTickSegment(_PerTick, _PerEventSegment):
     def _drain(self) -> float:
         k = min(self.c.drain_batch, self.ring_used)
         if self.cfg.defer_reverse_map:
@@ -1391,6 +1499,40 @@ def test_back_to_back_ticks_leave_every_field_as_one_tick_at_a_time(
     assert _run_fields(engine(config)) == _run_fields(reference(config))
 
 
+@settings(max_examples=100, deadline=None)
+# long epml rounds with no quantum, where a tick gap alone sometimes ends a
+# stretch one write before the buffer would, and a full spml ring under
+# stall, where every buffer-full vmexit waits for ticks
+@example(technique="epml", pages=12_800, rounds=13, quantum_us=math.inf, interval_us=1_000.0,
+         ring=1024, policy="stall", defer=False, horizon_us=6e7)
+@example(technique="spml", pages=12_800, rounds=3, quantum_us=10_000.0, interval_us=1_000.0,
+         ring=1024, policy="stall", defer=False, horizon_us=6e7)
+@given(
+    technique=st.sampled_from(TECHNIQUES),
+    pages=st.sampled_from([1, 300, 512, 513, 5 * MB // PAGE_SIZE, 50 * MB // PAGE_SIZE]),
+    rounds=st.integers(min_value=0, max_value=13),
+    quantum_us=st.sampled_from([300.0, 10_000.0, math.inf]),
+    interval_us=st.sampled_from([40.0, 1_000.0]),
+    ring=st.sampled_from([1024, 16384]),
+    policy=st.sampled_from(["stall", "drop"]),
+    defer=st.booleans(),
+    horizon_us=st.sampled_from([0.0, 3_000.0, 6e7]),
+)
+def test_a_segment_round_on_locals_leaves_every_field_as_one_event_at_a_time(
+    technique, pages, rounds, quantum_us, interval_us, ring, policy, defer, horizon_us
+):
+    config = cfg(
+        technique, pages * PAGE_SIZE, rounds=rounds, quantum_us=quantum_us,
+        collection_interval_us=interval_us, ring_capacity=ring, ring_full_policy=policy,
+        defer_reverse_map=defer, horizon_us=horizon_us,
+    )
+    run, reference = trackers._SegmentRun(config), _PerEventSegment(config)
+    assert _run_fields(run) == _run_fields(reference)
+    # the state a report does not show: the buffers, the rings and the clock's next tick
+    for name in ("t", "run_acc", "next_tick", "buf_fill", "ring_used", "tool_ring"):
+        assert getattr(run, name) == getattr(reference, name), name
+
+
 def _tracker_config(run: str, technique: str, interval_us: float, **kw) -> TrackerConfig:
     """A short run of ``run``'s kind: a segment or mechanical sweep, or a trace."""
     if run == "trace":
@@ -1418,7 +1560,15 @@ def test_a_proc_or_uffd_run_makes_no_tick(technique, run):
         for name in ("_tick", "_spml_ticks"):
             mp.setattr(trackers._Run, name, counting(getattr(trackers._Run, name)))
         # a short quantum: each swap is an event exit, where due ticks would run
-        assert run_tracker(_tracker_config(run, technique, 40.0, quantum_us=300.0)).writes_done
+        config = _tracker_config(run, technique, 40.0, quantum_us=300.0)
+        if run == "segment":
+            # the segment round runs epml's ticks inline, where no count sees
+            # them: the run's clock must still have no tick scheduled
+            segment = trackers._SegmentRun(config)
+            assert segment.run().writes_done
+            assert segment.next_tick == math.inf
+        else:
+            assert run_tracker(config).writes_done
         assert ticks == []
         run_tracker(_tracker_config(run, "spml", 40.0))  # the count sees ticks that happen
     assert ticks and set(ticks) == {"spml"}
