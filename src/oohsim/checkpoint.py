@@ -388,7 +388,7 @@ class CheckpointSession:
     # ------------------------------------------------------------ plumbing
 
     def _stage_ring(self) -> None:
-        res = drain_ring(self.vm, defer_reverse_map=True)
+        res = drain_ring(self.vm)
         self._raw.extend(res.raw)
 
     def _collect(self) -> set[int]:

@@ -34,7 +34,6 @@ class Event:
     kind: EventKind = field(compare=False)
     handler: Callable[["Event"], None] = field(compare=False, repr=False)
     payload: Any = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
 
 
 class SimEngine:
@@ -77,19 +76,10 @@ class SimEngine:
         heapq.heappush(self._queue, ev)
         return ev
 
-    def cancel(self, event: Event) -> None:
-        event.cancelled = True
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
-
     def run(self) -> None:
         last_key = (-1.0, -1)
         while self._queue:
             ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
             if self.horizon_us is not None and ev.time >= self.horizon_us:
                 # Horizon reached: remaining events are abandoned; the clock
                 # parks at the horizon so reports reflect the truncation.

@@ -640,10 +640,6 @@ class EstimatorCheck:
     sim_us: float
     est_us: float
 
-    @property
-    def rel_err(self) -> float:
-        return abs(self.est_us - self.sim_us) / self.sim_us
-
 
 def validate_estimator(
     n_configs: int = 20,

@@ -125,10 +125,6 @@ class SpmlRingBuffer:
     def free(self) -> int:
         return max(0, self.capacity - self.used)
 
-    @property
-    def is_full(self) -> bool:
-        return self.used >= self.capacity
-
     def append(self, pid: int, entries: list, force: bool = False) -> None:
         n = len(entries)
         if n == 0:

@@ -579,15 +579,6 @@ class GuestPageTable(_PageMap):
     def dirty_set(self) -> set[int]:
         return self._pages(_HAS_DIRTY)
 
-    def set_write_protect(self, gvas, protected: bool = True) -> None:
-        table = _PROTECT if protected else _UNPROTECT
-        for gva in gvas:
-            found = self._locate(gva)
-            if found is None:
-                raise UnknownMapping(gva)
-            region, i = found
-            region.bits[i] = table[region.bits[i]]
-
     def write_protect_all(self, protected: bool = True) -> None:
         """Set (or lift) write protection on every mapped page."""
         self._translate(_PROTECT if protected else _UNPROTECT)
@@ -624,9 +615,6 @@ class Ept(_PageMap):
         self._take(gpa)
         self.entries[gpa] = _Region(gpa, hpa, 1, _MAPPED)
 
-    def unmap_gpa(self, gpa: int) -> None:
-        self._take(gpa)
-
     def set_dirty(self, gpa: int) -> bool:
         """Set the dirty bit; True when this was a clear-to-set transition."""
         region = self.entries.get(gpa)
@@ -655,9 +643,6 @@ class Ept(_PageMap):
             bits = region.bits
             bits[i : i + k] = bits[i : i + k].translate(_CLEAR_DIRTY)
         self._scatter(places, len(gpas), _CLEAR_DIRTY, _CLEAR_DIRTY_A)
-
-    def dirty_gpas(self) -> set[int]:
-        return self._pages(_HAS_DIRTY)
 
 
 class Stretch:

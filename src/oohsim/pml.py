@@ -102,13 +102,6 @@ class PmlBuffer:
         return self.index < 0
 
     @property
-    def retrievable(self) -> int:
-        """Entries available to a drain: fresh - index (0 when disabled)."""
-        if self.index == self.disabled_index:
-            return 0
-        return self.fresh_index - self.index
-
-    @property
     def slots_left(self) -> int:
         return self.index + 1 if self.index >= 0 else 0
 

@@ -28,7 +28,8 @@ semantics, runs every trace, and alone reports content-level results (the
 dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
 feeds it its ops, the micro-benchmark one round of writes at a time.  A
 quiet write only adds its base cost to the clock, held in locals, and a
-whole stretch of quiet writes, in a round or in a trace's run of writes, is
+whole stretch of quiet writes, in a round or across a trace's maps and
+unmaps (which charge no time, so they go before or after it), is
 applied in one step that leaves the clock and state of one write at a time:
 its clock is a NumPy prefix sum, which adds the writes' µs one by one, in
 order.  An epml stretch runs through the fills of the guest log buffer
@@ -39,7 +40,7 @@ something next reads the ring, so the ticks of a stall take the ring in one
 step, and maps it to its GVA later, with every entry drained since the last
 map, unmap or remap op, as no other step changes a reverse mapping.  An
 *event* (a vmexit or stall, a softirq copy no stretch takes, a full
-quantum, a due collection tick, the horizon, or a map/unmap/remap op) puts
+quantum, a due collection tick or the horizon) puts
 the clock back on the run, adds each cost in the same order as a
 write-by-write accounting would, then swaps the quantum and runs the due
 ticks.  The segment engine,
@@ -56,9 +57,10 @@ engine where they differ.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import add, is_not, itemgetter, ne
 from typing import Any
 
@@ -100,8 +102,8 @@ class TrackerConfig:
 
     ``collection_interval_us`` spaces the collection ticks of ``spml`` (the
     collector drains the ring) and ``epml`` (the tool consumes its ring)
-    only; ``proc`` and ``uffd`` runs schedule no tick, so it changes none of
-    their results.
+    only, and must be finite for them; ``proc`` and ``uffd`` runs schedule no
+    tick, so it changes none of their results.
     """
 
     technique: str
@@ -131,6 +133,8 @@ class TrackerConfig:
             raise ValueError("quantum_us: must be positive")
         if not self.collection_interval_us > 0:
             raise ValueError("collection_interval_us: must be positive")
+        if self.technique in ("spml", "epml") and self.collection_interval_us == math.inf:
+            raise ValueError(f"collection_interval_us: must be finite for {self.technique}")
         if self.ring_capacity <= 0:
             raise ValueError("ring_capacity: must be positive")
         if self.ring_full_policy not in ("stall", "drop"):
@@ -218,12 +222,6 @@ class TrackerPhaseReport:
             return 0.0
         return 100.0 * self.tracker_busy_us / self.ideal_us
 
-    @property
-    def suspension_fraction(self) -> float:
-        if self.monitor_span_us <= 0:
-            return 0.0
-        return self.tracked_suspension_total_us / self.monitor_span_us
-
 
 @dataclass
 class DrainResult:
@@ -240,62 +238,28 @@ class DrainResult:
         return self.rm_us + self.copy_us
 
 
-def drain_ring(
-    vm: VirtualMachine,
-    *,
-    batch: int | None = None,
-    defer_reverse_map: bool = False,
-    parked: dict[Any, dict[tuple[int, int], None]] | None = None,
-) -> DrainResult:
-    """Consume ring entries: copy out, then reverse-map unless deferred.
-
-    Per entry: one ring-copy charge; one reverse-mapping charge when mapping
-    immediately, a ring block at a time.  Addresses whose reverse mapping is
-    gone are reported lost; aliased pages that resolve to a different virtual
-    address than the one written are reported inaccurate.  (Logging was
-    re-armed when the device flushed these entries, not here.)  With
-    ``parked``, a dict by pid, the entries are charged as if mapped now but
-    go into ``parked[pid]`` instead, for :func:`reverse_map_blocks` to map
-    while the mappings they were logged under still stand: the result is
-    the same, and a pair logged twice is mapped once.  ``parked[pid]`` is
-    a dict used as a set that keeps the drain order, so a run of
-    consecutive frames stays one run for the reverse map.
-    """
-    n = batch if batch is not None else vm.hv.ring.used
-    blocks = vm.hv.ring.consume(n)
-    res = DrainResult(consumed=sum(len(pairs) for _pid, pairs in blocks))
-    if not blocks:
-        return res
-    prices = vm.kernel.uio.prices
-    res.copy_us = res.consumed * prices.m18_pp
-    if defer_reverse_map:
-        for _pid, pairs in blocks:
-            res.raw.extend(pairs)
-        return res
-    if parked is not None:
-        _park(blocks, parked)
-        # one addition per pair, in order, as the mapping below adds them
-        res.rm_us = reduce(add, repeat(prices.m17_pp, res.consumed), 0.0)
-        return res
-    return reverse_map_blocks(vm, blocks, prices.m17_pp, res)
+def drain_ring(vm: VirtualMachine) -> DrainResult:
+    """Take every entry off the ring, charge its copy, and keep its
+    ``(gpa, meta_gva)`` pair raw, for a deferred reverse mapping
+    (:func:`reverse_map_raw`).  Logging was re-armed when the device flushed
+    these entries, not here."""
+    res = DrainResult()
+    for _pid, pairs in vm.hv.ring.consume(vm.hv.ring.used):
+        res.raw.extend(pairs)
+    res.consumed = len(res.raw)
+    if res.consumed:
+        res.copy_us = res.consumed * vm.kernel.uio.prices.m18_pp
+    return res
 
 
-def _park(blocks, parked: dict[Any, dict[tuple[int, int], None]]) -> None:
-    """Add each ``(pid, pairs)`` block's pairs to ``parked[pid]``, once each, in order."""
-    for pid, pairs in blocks:
-        parked.setdefault(pid, {}).update(zip(pairs, repeat(None)))
-
-
-def reverse_map_blocks(
-    vm: VirtualMachine, blocks, rm_pp: float = 0.0, res: DrainResult | None = None
-) -> DrainResult:
+def reverse_map_blocks(vm: VirtualMachine, blocks) -> DrainResult:
     """:func:`reverse_map_pairs` of each ``(pid, pairs)`` block through its
     process's page table; every pair of a process that is gone is lost."""
-    res = res if res is not None else DrainResult()
+    res = DrainResult()
     processes = vm.kernel.processes
     for pid, pairs in blocks:
         proc = processes.get(pid)
-        reverse_map_pairs(proc.table if proc is not None else None, pairs, rm_pp, res)
+        reverse_map_pairs(proc.table if proc is not None else None, pairs, 0.0, res)
     return res
 
 
@@ -771,10 +735,12 @@ _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 #: The fewest writes a stretch peeks at; below it each write goes through
 #: ``write_one``.  A stretch of 16 to 64 pages in any order, peeked, clocked
 #: and applied, costs about 55 µs of NumPy calls against 1.8-3 µs per
-#: ``write_one`` (2-vCPU x86 host, CPython 3.11, NumPy 2.4.6).  Of 16, 32 and
-#: 64, 16 ran churn-ckpt slower (median 0.80 s against 0.73 s at 32); 32 and
-#: 64 did not differ beyond the host's noise on churn-ckpt or kv-sparse, and
-#: 64 sends more sweep writes through ``write_one`` (16 MB sweeps: spml 245
+#: ``write_one`` (2-vCPU x86 host, CPython 3.11, NumPy 2.4.6).  As a stretch
+#: reaches across maps and unmaps, churn-ckpt's 400 trace runs make no
+#: ``write_one`` call at 16, 32 or 64; their host time (medians of five:
+#: 0.27, 0.24 and 0.27 s) and kv-sparse's (0.075, 0.074 and 0.076 s, with
+#: 125, 195 and 340 calls) do not differ beyond the host's noise, and 64
+#: sends more sweep writes through ``write_one`` (16 MB sweeps: spml 245
 #: against 167, epml 80 against 0), where a nearly full log buffer's few free
 #: slots, or a tick due soon, bound the peek.
 STRETCH_MIN = 32
@@ -807,8 +773,7 @@ class _MechanicalRun(_Run):
       (but the whole guest-buffer copies a stretch takes);
     * ``run_acc`` reaching the quantum;
     * the clock reaching the horizon or the next collection tick (only
-      ``spml`` and ``epml`` runs have ticks);
-    * a non-write trace op.
+      ``spml`` and ``epml`` runs have ticks).
 
     :meth:`_event` then adds the device costs of a write that carries them
     and waits out a stall; every exit swaps the quantum and runs the due
@@ -818,8 +783,17 @@ class _MechanicalRun(_Run):
     still counts.
 
     A *stretch* of quiet writes takes one step, in a micro-benchmark round
-    (writes to consecutive pages) and in a trace's run of writes between
-    its other ops (pages in any order, some written more than once) alike.
+    (writes to consecutive pages) and in a trace's *window* (pages in any
+    order, some written more than once) alike.  A window
+    (:attr:`~oohsim.workloads.TraceWorkload.decoded`) holds no remap, and
+    its maps and unmaps commute with the writes to other pages: a map names
+    a fresh frame, which no log entry holds, and no write to its page comes
+    before it; an unmap leaves its page's byte as the page's writes left it,
+    and none comes after it.  So a stretch reaches across them: the maps go
+    before it and the unmaps after it, before its event exit.  No event
+    exit reads what differs from trace order: a page mapped ahead that no
+    write or log entry has reached, or the dirty bit of a frame an epml copy
+    re-arms after its page's unmap, which no write reaches again.
     The machine peeks once (:meth:`~oohsim.vm.VirtualMachine.quiet_run`):
     the stretch it returns holds the page byte each of the next quiet writes
     finds, a page written again finding the byte its first write left, and
@@ -850,7 +824,8 @@ class _MechanicalRun(_Run):
     parked pairs or the deferred entries are mapped.  The drained
     ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once and in drain
     order, and are reverse-mapped together (:meth:`_map_parked`) before
-    each map, unmap or remap op and before the report: they map as they
+    each map, unmap or remap op, before a stretch passes one and before
+    the report: they map as they
     did when drained, and a pair drained again in the same epoch is mapped
     once.
 
@@ -886,11 +861,13 @@ class _MechanicalRun(_Run):
         self._owed = self.vm.hv.ring.used - used
 
     @cached_property
-    def _sweep(self) -> list[int]:
-        # page numbers, one int object per page reused every round, so the
-        # oracle's set lookups match keys by identity; built for the
-        # micro-benchmark only, as a trace may map far more pages than it writes
-        return list(map(PAGE_SIZE.__rfloordiv__, self.gvas))
+    def _sweep(self) -> tuple:
+        # a round as a trace's decode, in one window; its page numbers are one
+        # int object per page reused every round, so the oracle's set lookups
+        # match keys by identity; built for the micro-benchmark only, as a trace
+        # may map far more pages than it writes
+        pages = list(map(PAGE_SIZE.__rfloordiv__, self.gvas))
+        return self.gvas, self.gvas, pages, (), (), (len(pages),)
 
     @cached_property
     def _write_us(self) -> list[tuple[float, float]]:
@@ -946,8 +923,10 @@ class _MechanicalRun(_Run):
         return us
 
     def _drain_charge(self, k: int) -> tuple[float, float, float]:
-        """The charge of a tick that drains ``k`` entries, as :func:`drain_ring`
-        charges them; the entries stay on the ring, owed, for :meth:`_settle`."""
+        """The charge of a tick that drains ``k`` entries: each one's copy and,
+        unless deferred, its reverse mapping, one addition per entry, as
+        :func:`reverse_map_pairs` adds them; the entries stay on the ring,
+        owed, for :meth:`_settle`."""
         rm_us = 0.0 if self.cfg.defer_reverse_map else reduce(add, repeat(self.c.m17_pp, k), 0.0)
         copy_us = k * self.c.m18_pp
         return rm_us + copy_us, rm_us, copy_us
@@ -961,8 +940,9 @@ class _MechanicalRun(_Run):
             if self.cfg.defer_reverse_map:
                 for _pid, pairs in blocks:
                     self.raw_entries.extend(pairs)
-            else:
-                _park(blocks, self.parked)
+            else:  # each pair once, in drain order: consecutive frames stay one run
+                for pid, pairs in blocks:
+                    self.parked.setdefault(pid, {}).update(zip(pairs, repeat(None)))
 
     def _swap_and_tick(self) -> None:
         super()._swap_and_tick()
@@ -993,13 +973,17 @@ class _MechanicalRun(_Run):
 
         ``decoded`` is the trace's :attr:`~oohsim.workloads.TraceWorkload.decoded`;
         None is one round of the micro-benchmark: a write to each page of the
-        sweep, in order.  In each run of writes between the other ops, a
+        sweep, in order, in one window.  In each of a trace's windows, a
         stretch of quiet writes (:meth:`~oohsim.vm.VirtualMachine.quiet_run`)
         of at least :data:`STRETCH_MIN` writes is peeked at once and applied
         in one step (:meth:`~oohsim.vm.VirtualMachine.write_run`); a write a
-        stretch cannot take goes through ``write_one``.  The peek reaches the
+        stretch cannot take goes through ``write_one``.  The window's maps
+        that sit before the last write peeked at are applied before the peek,
+        and its unmaps that sit before the last write applied right after it,
+        before the write's event exit; a map applied ahead is not applied
+        again where it sits.  The peek reaches the
         limit (the next tick or the horizon, whichever comes first) or the
-        quantum at the cheapest write price, or takes the rest of the run of
+        quantum at the cheapest write price, or takes the rest of the window's
         writes where both are infinite, and, while a log buffer is armed,
         1.5 writes per dirty transition the stretch may log: a stretch ends
         before the transition it has no slot for, so more would be thrown
@@ -1010,15 +994,15 @@ class _MechanicalRun(_Run):
         cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
         fault for a recorded fault (``_write_us``), and a filling write's
         also its copy; a stretch's costs are NumPy prefix sums (the class
-        docstring).  The pairs spml parked are mapped before each other op,
-        which may change a mapping; the class docstring lists the event
-        exits.
+        docstring).  The pairs spml parked are mapped before each map, unmap
+        or remap, which may change a mapping, and before a stretch passes
+        one; the class docstring lists the event exits.
         """
-        gvas, batch, pages, others, ops = decoded or (self.gvas, self.gvas, self._sweep, [], ())
-        total = len(gvas)
+        gvas, batch, pages, at, others, stops = decoded or self._sweep
+        total, n_others = len(gvas), len(others)
         horizon = self.cfg.horizon_us
         if self.t >= horizon:
-            if total:  # an op is left undone
+            if total or n_others:  # an op is left undone
                 self.truncated = True
             return
         quantum = self.cfg.quantum_us
@@ -1034,18 +1018,23 @@ class _MechanicalRun(_Run):
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
         limit = min(self.next_tick, horizon)
-        pos = 0
-        for end in chain(others, (total,)):  # the writes up to the next other op
-            blocked = False
+        # ``pos`` counts the writes done, ``nxt`` the other ops; the maps among
+        # ``others[:mapped]`` are applied, ahead of a stretch that reached past them
+        pos = nxt = mapped = stop = 0
+        blocked = False
+        while True:
+            end = at[nxt] if nxt < n_others else total  # the writes before the next other op
             while pos < end:
                 stretch = None
-                if not blocked and end - pos >= stretch_min and t < limit and run_acc < quantum:
+                if pos >= stop:
+                    stop = stops[bisect_right(stops, pos)]  # the end of pos's window
+                if not blocked and stop - pos >= stretch_min and t < limit and run_acc < quantum:
                     # peek at enough writes to reach the limit or the quantum at ``w``
-                    # each, or at the writes left where either is infinite; a round
-                    # can start past the tick (epml's round-end leftover delivery
-                    # moves the clock without a tick), and then its first write goes
-                    # through write_one
-                    left = end - pos
+                    # each, or at the writes left in the window where either is
+                    # infinite; a round can start past the tick (epml's round-end
+                    # leftover delivery moves the clock without a tick), and then
+                    # its first write goes through write_one
+                    left = stop - pos
                     n = min(
                         left,
                         int(min((limit - t) / w, left)) + 2,
@@ -1063,6 +1052,15 @@ class _MechanicalRun(_Run):
                         # in 118 stretches, against 90,790 in 120 with no bound
                         n = min(n, free + free // 2 + 1)
                     if n >= stretch_min:
+                        if end < pos + n:
+                            # the window's maps before the last peeked write go first,
+                            # its unmaps after the last applied one
+                            self._map_parked()
+                            mapped = max(mapped, nxt)
+                            while mapped < n_others and at[mapped] < pos + n:
+                                if others[mapped][0] == "map":
+                                    apply_op(pid, others[mapped])
+                                mapped += 1
                         stretch = quiet_run(pid, batch[pos : pos + n], n)
                 blocked = False
                 if stretch:
@@ -1089,6 +1087,11 @@ class _MechanicalRun(_Run):
                     pos += k
                     writes_done += k
                     t, run_acc = float(ts[k]), float(rs[k])
+                    while end < pos:  # an op the stretch passed: an unmap, or a map done
+                        if others[nxt][0] != "map":
+                            apply_op(pid, others[nxt])
+                        nxt += 1
+                        end = at[nxt] if nxt < n_others else total
                     if t < limit and run_acc < quantum:
                         # a stretch shorter than its peek stopped before a write
                         # that is no quiet one: that write goes through write_one
@@ -1123,16 +1126,16 @@ class _MechanicalRun(_Run):
                 t, run_acc = self.t, self.run_acc
                 suspension, busy = self.suspension, self.tracker_busy
                 if t >= horizon:
-                    if pos < total:  # an op is left undone
+                    if pos < total or nxt < n_others:  # an op is left undone
                         self.truncated = True
                     return
                 limit = min(self.next_tick, horizon)
-            if end < total:
-                self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
-                self.suspension, self.tracker_busy = suspension, busy
-                self._map_parked()  # the op may change the mappings
-                apply_op(pid, ops[end])
-                pos = end + 1
+            if nxt == n_others:
+                break
+            self._map_parked()  # the op may change the mappings
+            if nxt >= mapped or others[nxt][0] != "map":
+                apply_op(pid, others[nxt])
+            nxt += 1
         self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
         self.suspension, self.tracker_busy = suspension, busy
 

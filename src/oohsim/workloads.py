@@ -6,6 +6,7 @@ what a tracker collected.  The page-sweep micro-benchmark is
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -69,25 +70,54 @@ class TraceWorkload:
         return [(i + 1) * PAGE for i in range(self.initial_pages)]
 
     @cached_property
-    def decoded(self) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple]]:
-        """The ops as the mechanical tracker engine runs them: each op's page
-        (the page a write writes), the same as an array, their page numbers,
-        the positions of the ops that are not writes, and the ops.
+    def decoded(self) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple], list[int]]:
+        """The ops as the mechanical tracker engine runs them: the pages the
+        writes write, the same as an array, their page numbers; the other
+        ops, each with the count of writes before it; and, as counts of
+        writes, the ends of the *windows*, the runs of ops a stretch of writes
+        may reach across.  A window is cut before a remap, a map of a page it
+        names already, and any op on a page it unmapped.  Maps and unmaps
+        charge no time, so in a window the engine applies the maps before a
+        stretch and the unmaps after it: a map names a fresh frame no log entry
+        holds, before any write to its page, and an unmap finds its page's byte
+        (soft-dirty residue included) as the page's writes left it.
 
         A page is named by its page-aligned address: any other address raises
         ``ValueError`` naming the first such op and the address.
         """
         ops = self.ops
-        gvas = list(map(itemgetter(1), ops))
+        addrs = np.array(list(map(itemgetter(1), ops)), dtype=np.int64)
         others = [i for i, op in enumerate(ops) if op[0] != "write"]
-        batch = np.array(gvas, dtype=np.int64)
-        bad = np.flatnonzero(batch % PAGE).tolist()[:1]
+        bad = np.flatnonzero(addrs % PAGE).tolist()[:1]
         bad += (i for i in others if ops[i][0] == "remap" and ops[i][2] % PAGE)
         if bad:
             i = min(bad)
-            addr = gvas[i] if gvas[i] % PAGE else ops[i][2]
+            addr = ops[i][1] if ops[i][1] % PAGE else ops[i][2]
             raise ValueError(f"trace op {i}: address {addr:#x} is not page-aligned")
-        return gvas, batch, (batch // PAGE).tolist(), others, ops
+        gvas = [op[1] for op in ops if op[0] == "write"]
+        batch = np.array(gvas, dtype=np.int64)
+        at = [i - j for j, i in enumerate(others)]  # the writes before each other op
+        stops = [i - bisect_left(others, i) for i in _window_starts(ops, others)]
+        return gvas, batch, (batch // PAGE).tolist(), at, [ops[i] for i in others], stops
+
+
+def _window_starts(ops: list[tuple], others: list[int]) -> list[int]:
+    """The ops after the first that open a window, then ``len(ops)``: each
+    remap, each map of a page the window named before, and each op on a page
+    it unmapped.  Only the pages that a map, unmap or remap names take part."""
+    named = {ops[i][1] for i in others}
+    seen: dict[int, str] = {}  # the window's pages: the first op on each, or unmap
+    starts = []
+    for i in [i for i, op in enumerate(ops) if op[1] in named]:
+        kind, gva = ops[i][0], ops[i][1]
+        if kind == "remap" or seen.get(gva) == "unmap" or kind == "map" and gva in seen:
+            starts.append(i)
+            seen = {}
+        if kind == "write":
+            seen.setdefault(gva, kind)
+        else:
+            seen[gva] = kind
+    return starts + [len(ops)]
 
 
 @dataclass

@@ -97,6 +97,18 @@ def test_a_bad_calibration_value_exits_2_before_any_run(tmp_path, capsys, key, b
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("technique", ["spml", "epml"])
+def test_an_infinite_collection_interval_exits_2(tmp_path, capsys, technique):
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmemory_sizes = 4MB\ntechniques = {technique}\n"
+        "collection_interval_us = inf\n",
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "collection_interval_us" in err
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
     assert "io error" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Event-loop ordering, cancellation, and horizon semantics."""
+"""Event-loop ordering and horizon semantics."""
 
 from __future__ import annotations
 
@@ -51,18 +51,6 @@ def test_scheduling_into_the_past_raises():
     eng.schedule_at(10.0, EventKind.WRITE, bad)
     with pytest.raises(SimulationError):
         eng.run()
-
-
-def test_cancelled_events_do_not_run():
-    eng = SimEngine()
-    seen = []
-    keep = eng.schedule_at(1.0, EventKind.WRITE, lambda ev: seen.append("keep"))
-    drop = eng.schedule_at(2.0, EventKind.WRITE, lambda ev: seen.append("drop"))
-    eng.cancel(drop)
-    assert eng.pending == 1
-    eng.run()
-    assert seen == ["keep"]
-    assert keep.cancelled is False
 
 
 def test_horizon_is_exclusive():

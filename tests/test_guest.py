@@ -12,7 +12,12 @@ from oohsim.guest import (
     NotRegistered,
 )
 from oohsim.hypervisor import Hypervisor
-from oohsim.memory import Ept
+from oohsim.memory import _HAS_DIRTY, Ept
+
+
+def _dirty_gpas(ept: Ept) -> set[int]:
+    """The frames whose EPT dirty bit is set."""
+    return ept._pages(_HAS_DIRTY)
 
 MB = 1 << 20
 
@@ -176,10 +181,10 @@ def test_softirq_copy_charges_ring_copy_rate():
 
 def test_softirq_copy_rearms_ept_dirty_bits():
     kern, _ = _epml_kernel_with_entries(2)
-    assert 0x100000 in kern.ept.dirty_gpas()
+    assert 0x100000 in _dirty_gpas(kern.ept)
     kern.deliver_guest_buffer_full(7)
-    assert 0x100000 not in kern.ept.dirty_gpas()
-    assert 0x101000 not in kern.ept.dirty_gpas()
+    assert 0x100000 not in _dirty_gpas(kern.ept)
+    assert 0x101000 not in _dirty_gpas(kern.ept)
 
 
 def test_softirq_partial_copy_holds_remainder():

@@ -18,7 +18,17 @@ from oohsim.hypervisor import (
     model_check_coordination,
     run_migration,
 )
-from oohsim.memory import PAGE_SIZE, Ept
+from oohsim.memory import _HAS_DIRTY, PAGE_SIZE, Ept
+
+
+def _dirty_gpas(ept: Ept) -> set[int]:
+    """The frames whose EPT dirty bit is set."""
+    return ept._pages(_HAS_DIRTY)
+
+
+def _retrievable(buf) -> int:
+    """The entries a drain of ``buf`` would take: fresh - index (0 when disabled)."""
+    return 0 if buf.index == buf.disabled_index else buf.fresh_index - buf.index
 
 # ----------------------------------------------------------------- ring
 
@@ -51,7 +61,7 @@ def test_ring_capacity_counts_addresses_only():
     ring.append(1, [(1, 1)])
     ring.append(2, [(2, 2)])
     ring.append(3, [(3, 3)])  # three blocks, three addresses: exactly full
-    assert ring.is_full
+    assert ring.used == ring.capacity and ring.free == 0
     with pytest.raises(ValueError):
         ring.append(4, [(4, 4)])
     ring.append(4, [(4, 4)], force=True)  # coordination flushes may overfill
@@ -176,7 +186,7 @@ def test_vmexit_flush_fills_ring_and_replays_refusal():
     assert res.flush.delivered_ring == 4
     assert res.replayed == "logged"
     assert hv.vmexit_count == 1
-    assert hv.pml.hv_buffer.retrievable == 1  # the replayed entry
+    assert _retrievable(hv.pml.hv_buffer) == 1  # the replayed entry
     assert [(b.pid, len(b.entries)) for b in hv.ring.blocks] == [(7, 4)]
 
 
@@ -308,7 +318,7 @@ def test_flush_routes_tag_runs_like_a_per_entry_loop(logs, now, epml, policy, ca
     assert hv.pml.hv_buffer.entries == [] and hv._entry_tags == []
     # every flushed frame is re-armed, and no other
     flushed = {gpa for gpa, _gva in taken}
-    assert ept.dirty_gpas() == {base + i * PAGE_SIZE for i in range(32)} - flushed
+    assert _dirty_gpas(ept) == {base + i * PAGE_SIZE for i in range(32)} - flushed
 
 
 def test_extended_mode_keeps_hv_buffer_off_without_vmm():

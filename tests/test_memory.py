@@ -18,7 +18,31 @@ from oohsim.memory import (
     PageFlags,
     PageStore,
     UnknownMapping,
+    _HAS_DIRTY,
+    _PROTECT,
+    _UNPROTECT,
 )
+
+
+def _dirty_gpas(ept: Ept) -> set[int]:
+    """The frames whose EPT dirty bit is set."""
+    return ept._pages(_HAS_DIRTY)
+
+
+def _set_write_protect(table: GuestPageTable, gvas, protected: bool = True) -> None:
+    """Set, or lift, write protection on each of ``gvas``, one page at a time."""
+    bits = _PROTECT if protected else _UNPROTECT
+    for gva in gvas:
+        found = table._locate(gva)
+        if found is None:
+            raise UnknownMapping(gva)
+        region, i = found
+        region.bits[i] = bits[region.bits[i]]
+
+
+def _unmap_gpa(ept: Ept, gpa: int) -> None:
+    """Take a frame out of the EPT."""
+    ept._take(gpa)
 
 
 def make_space(n_pages: int) -> tuple[GuestPageTable, Ept]:
@@ -99,7 +123,7 @@ def test_write_sets_dirty_and_reports_ept_transition():
     assert out.completed and out.gpa == 100
     assert out.ept_dirty_set  # first write transitions the EPT dirty bit
     assert pt.entry(0).flags.dirty
-    assert 100 in ept.dirty_gpas()
+    assert 100 in _dirty_gpas(ept)
     again = pt.write_page(0, ept)
     assert again.completed and not again.ept_dirty_set  # no second transition
 
@@ -108,7 +132,7 @@ def test_ept_dirty_transition_rearm_after_clear():
     pt, ept = make_space(1)
     pt.write_page(0, ept)
     ept.clear_dirty([100])
-    assert 100 not in ept.dirty_gpas()
+    assert 100 not in _dirty_gpas(ept)
     out = pt.write_page(0, ept)
     assert out.ept_dirty_set  # harvesting re-arms logging
 
@@ -124,11 +148,11 @@ def test_ept_dirty_set_once_per_gpa_across_aliases():
 
 def test_write_protect_faults_without_side_effects():
     pt, ept = make_space(1)
-    pt.set_write_protect([0])
+    _set_write_protect(pt, [0])
     out = pt.write_page(0, ept)
     assert out.fault == "write_protect"
     assert not pt.entry(0).flags.dirty
-    assert 100 not in ept.dirty_gpas()
+    assert 100 not in _dirty_gpas(ept)
     # fault handler completes the write on the process's behalf
     done = pt.write_page(0, ept, ignore_protection=True)
     assert done.completed and done.ept_dirty_set
@@ -163,8 +187,8 @@ def test_ept_errors_and_queries():
     with pytest.raises(UnknownMapping):
         ept.set_dirty(6)
     ept.set_dirty(5)
-    assert ept.dirty_gpas() == {5}
-    ept.unmap_gpa(5)
+    assert _dirty_gpas(ept) == {5}
+    _unmap_gpa(ept, 5)
     assert 5 not in ept
 
 
@@ -174,7 +198,7 @@ def test_write_to_a_frame_the_ept_lacks_raises_and_leaves_the_pte():
     ept.map_region(0x10_0000, 0x1000_0000, 2)
     pt.clear_soft_dirty()
     before = pt.entry(0x2000)
-    ept.unmap_gpa(0x10_1000)
+    _unmap_gpa(ept, 0x10_1000)
     with pytest.raises(UnknownMapping):
         pt.write_page(0x2000, ept)
     assert pt.entry(0x2000) == before  # neither dirty nor soft-dirty
@@ -400,14 +424,14 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
         if kind == "protect_all":
             if pt is lazy[0]:
                 return pt.write_protect_all(op[1])
-            return pt.set_write_protect(list(pt.entries), op[1])
+            return _set_write_protect(pt, list(pt.entries), op[1])
         if kind == "protect":
-            return pt.set_write_protect([gvas[i] for i in op[1]], op[2])
+            return _set_write_protect(pt, [gvas[i] for i in op[1]], op[2])
         if kind == "clear_dirty":
             return ept.clear_dirty([gpas[i] for i in op[1]])
         if kind == "ept_map":
             return ept.map_gpa(gpas[op[1]], REGION_HPA + 0x200_0000 + gpas[op[1]])
-        return ept.unmap_gpa(gpas[op[1]])
+        return _unmap_gpa(ept, gpas[op[1]])
 
     for op in ops:
         want = _outcome(lambda: model.step(op, gvas, gpas))
@@ -424,7 +448,7 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             assert pt.reverse_map_many(gpas) == [model.reverse_map(gpa) for gpa in gpas]
             assert pt.soft_dirty_set() == model.pages(3)
             assert pt.dirty_set() == model.pages(2)
-            assert ept.dirty_gpas() == {g for g, (_, dirty) in model.ept.items() if dirty}
+            assert _dirty_gpas(ept) == {g for g, (_, dirty) in model.ept.items() if dirty}
             assert len(pt) == len(model.pt)
             want_gpas = [model.pt[g][0] if g in model.pt else None for g in gvas]
             assert [pt.gpa_of(g) for g in gvas] == want_gpas
@@ -491,7 +515,7 @@ def test_run_walker_matches_the_dict_model(layout):
             pt.unmap(gva)
             del model.pt[gva]
     for i in layout["ept_unmap"]:
-        ept.unmap_gpa(REGION_GPA + i * P)
+        _unmap_gpa(ept, REGION_GPA + i * P)
         model.ept.pop(REGION_GPA + i * P, None)
     for i in layout["ept_single"]:
         gpa = REGION_GPA + i * P
@@ -516,7 +540,7 @@ def test_run_walker_matches_the_dict_model(layout):
     for gpa in model.ept:
         ept.set_dirty(gpa)
     ept.clear_dirty(gpas)
-    assert ept.dirty_gpas() == set(model.ept) - set(gpas)
+    assert _dirty_gpas(ept) == set(model.ept) - set(gpas)
 
 
 def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
@@ -533,7 +557,7 @@ def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
         assert ept.set_dirty(gpa)
     batch = [second, 0x10_0800, single, 0x90_0000, first, stored, 0x20_4000]
     ept.clear_dirty(batch)  # misaligned, unmapped and past-the-end GPAs are ignored
-    assert ept.dirty_gpas() == {untouched}
+    assert _dirty_gpas(ept) == {untouched}
     for gpa in (first, second, single, stored):
         assert ept.set_dirty(gpa)  # each one logs again
     assert not ept.set_dirty(untouched)
@@ -557,10 +581,10 @@ def _assert_same_answers(lazy, eager, gvas, gpas):
         assert lazy_pt.entry(gva) == eager_pt.entry(gva)
     for gpa in gpas:
         assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
-        assert (gpa in lazy_ept.dirty_gpas()) == (gpa in eager_ept.dirty_gpas())
+        assert (gpa in _dirty_gpas(lazy_ept)) == (gpa in _dirty_gpas(eager_ept))
     assert lazy_pt.dirty_set() == eager_pt.dirty_set()
     assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
-    assert lazy_ept.dirty_gpas() == eager_ept.dirty_gpas()
+    assert _dirty_gpas(lazy_ept) == _dirty_gpas(eager_ept)
     assert len(lazy_pt) == len(eager_pt)
 
 
@@ -586,14 +610,14 @@ def test_region_page_keeps_its_byte_until_moved():
     # the first write flips bits in the regions and stores nothing
     assert write().ept_dirty_set
     assert nothing_stored()
-    assert pt.dirty_set() == {gva} and ept.dirty_gpas() == {gpa}
+    assert pt.dirty_set() == {gva} and _dirty_gpas(ept) == {gpa}
     _assert_same_answers(lazy, eager, gvas, gpas)
 
     # a rewrite leaves the page in its region: no transition while dirty, a
     # transition again after a re-arm, and still nothing stored
     assert not write().ept_dirty_set
     clear_dirty()
-    assert gpa not in ept.dirty_gpas()
+    assert gpa not in _dirty_gpas(ept)
     _assert_same_answers(lazy, eager, gvas, gpas)
     assert write().ept_dirty_set
     assert not write().ept_dirty_set

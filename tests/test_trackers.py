@@ -33,7 +33,7 @@ from oohsim.trackers import (
     tracked_machine,
 )
 from oohsim.vm import VirtualMachine
-from oohsim.workloads import TraceWorkload, random_trace
+from oohsim.workloads import KvWorkloadSpec, TraceWorkload, churn_trace, random_trace
 
 MB = 1 << 20
 GB = 1000 * MB
@@ -41,6 +41,11 @@ GB = 1000 * MB
 
 def cfg(technique, memory_bytes, **kw):
     return TrackerConfig(technique=technique, memory_bytes=memory_bytes, **kw)
+
+
+def _suspension_fraction(rep: TrackerPhaseReport) -> float:
+    """The share of the monitored span the tracked process spent suspended."""
+    return rep.tracked_suspension_total_us / rep.monitor_span_us
 
 
 # --------------------------------------------------------------------- config
@@ -87,6 +92,8 @@ _SESSION_FIELDS = {"technique", "memory_bytes", "ring_capacity"}
         ("ring_capacity", {"technique": "spml", "ring_capacity": 256}),
         ("horizon_us", {"horizon_us": -1}),
         ("horizon_us", {"horizon_us": float("nan")}),
+        ("collection_interval_us", {"collection_interval_us": math.inf}),
+        ("collection_interval_us", {"technique": "spml", "collection_interval_us": math.inf}),
     ],
 )
 def test_bad_run_field_is_rejected_by_every_entry_point(field, bad):
@@ -103,6 +110,23 @@ def test_bad_run_field_is_rejected_by_every_entry_point(field, bad):
             CheckpointSession(**kwargs)
 
 
+@pytest.mark.parametrize("mechanical", [False, True])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_an_infinite_interval_is_rejected_where_a_collector_ticks(technique, mechanical):
+    # spml and epml runs tick at the interval: an infinite one once crashed
+    # both engines' tick arithmetic; proc and uffd runs schedule no tick
+    def report(interval_us):
+        config = cfg(technique, 4 * MB, rounds=2, collection_interval_us=interval_us,
+                     mechanical=mechanical)
+        return _field_bits(run_tracker(config))
+
+    if technique in ("spml", "epml"):
+        with pytest.raises(ValueError, match="^collection_interval_us: must be finite"):
+            report(math.inf)
+    else:
+        assert report(math.inf) == report(1_000.0)
+
+
 def test_pages_rounding():
     assert TrackerConfig(technique="proc", memory_bytes=1).pages == 1
     assert TrackerConfig(technique="proc", memory_bytes=GB).pages == 256_000
@@ -115,7 +139,7 @@ def test_softdirty_one_gb_overhead_and_suspension():
     rep = run_tracker(cfg("proc", GB))
     assert rep.ideal_us == pytest.approx(13 * 256_000 * 0.9)
     assert rep.overhead_tracked_pct == pytest.approx(273.44, abs=0.5)
-    assert rep.suspension_fraction == pytest.approx(0.6932, abs=0.005)
+    assert _suspension_fraction(rep) == pytest.approx(0.6932, abs=0.005)
     assert rep.vmexits == 0 and rep.dropped == 0
     assert not rep.truncated
     # collection walk+clear happen once per round
@@ -126,7 +150,7 @@ def test_softdirty_one_gb_overhead_and_suspension():
 def test_writeprotect_one_gb_overhead_and_suspension():
     rep = run_tracker(cfg("uffd", GB))
     assert rep.overhead_tracked_pct == pytest.approx(1526.3, abs=1.0)
-    assert rep.suspension_fraction == pytest.approx(0.9385, abs=0.002)
+    assert _suspension_fraction(rep) == pytest.approx(0.9385, abs=0.002)
     # the monitor thread resolves every fault: busy time == suspension
     assert rep.tracker_busy_us == pytest.approx(rep.tracked_suspension_total_us)
     assert not rep.truncated
@@ -146,7 +170,7 @@ def test_ring_log_50mb_throttled_by_collector():
     assert 1_400 < rep.overhead_tracked_pct < 1_800
     # most full events exit; quantum-boundary flushes absorb the remainder
     assert 250 <= rep.vmexits <= 13 * 12_800 // 512
-    assert rep.suspension_fraction > 0.8  # mostly stalled on the full ring
+    assert _suspension_fraction(rep) > 0.8  # mostly stalled on the full ring
     assert not rep.truncated
 
 
@@ -807,22 +831,26 @@ def _flushed_spml_vm(n_pages: int) -> tuple[VirtualMachine, list[int]]:
 
 
 def test_drain_ring_reverse_maps_batch():
+    # a mechanical spml tick charges its batch, and the entries come off the
+    # ring when something next reads it (_settle), to be mapped as parked pairs
     vm, gvas = _flushed_spml_vm(5)
-    res = drain_ring(vm, batch=3)
-    assert res.consumed == 3
+    run = trackers._MechanicalRun(cfg("spml", 4 * MB))
+    _cost, rm_us, copy_us = run._drain_charge(3)
+    t = vm.costs
+    assert rm_us == pytest.approx(3 * t.per_page_us("M17", 4 * MB))
+    assert copy_us == pytest.approx(3 * t.per_page_us("M18", 4 * MB))
+    res = trackers.reverse_map_blocks(vm, vm.hv.ring.consume(3))
     assert res.gvas == gvas[:3]
     assert res.lost == [] and res.inaccurate == []
-    t = vm.costs
-    assert res.rm_us == pytest.approx(3 * t.per_page_us("M17", 4 * MB))
-    assert res.copy_us == pytest.approx(3 * t.per_page_us("M18", 4 * MB))
     assert vm.hv.ring.used == 2
 
 
 def test_drain_ring_deferred_keeps_raw_addresses():
     vm, gvas = _flushed_spml_vm(4)
-    res = drain_ring(vm, defer_reverse_map=True)
-    assert res.consumed == 4
+    res = drain_ring(vm)
+    assert res.consumed == 4 and vm.hv.ring.used == 0
     assert res.gvas == [] and res.rm_us == 0.0
+    assert res.copy_us == pytest.approx(4 * vm.costs.per_page_us("M18", 4 * MB))
     assert [meta for _gpa, meta in res.raw] == gvas
 
 
@@ -835,10 +863,11 @@ def test_drain_ring_reports_lost_and_inaccurate():
     gpa1 = proc.table.entry(gvas[1]).gpa
     alias = 0x800
     proc.table.map_page(alias, gpa1)
-    res = drain_ring(vm)
+    res = trackers.reverse_map_raw(vm, drain_ring(vm).raw)
     assert [meta for _gpa, meta in res.lost] == [gvas[0]]
     assert (alias, gvas[1]) in res.inaccurate
     assert gvas[2] in res.gvas
+    assert res.rm_us == pytest.approx(3 * vm.costs.per_page_us("M17", 4 * MB))
 
 
 def _aliased_spml_vm(n_pages):
@@ -851,18 +880,25 @@ def _aliased_spml_vm(n_pages):
 
 
 def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
+    # two batches mapped as they come off the ring, against the same two
+    # charged by ticks, parked by _settle and mapped together later
     vm, gvas = _aliased_spml_vm(6)
-    mapped = [drain_ring(vm, batch=4), drain_ring(vm, batch=4)]
+    rm_pp = vm.kernel.uio.prices.m17_pp
+    batches = [vm.hv.ring.consume(4), vm.hv.ring.consume(4)]
+    mapped = [trackers.DrainResult() for _ in batches]
+    for blocks, res in zip(batches, mapped):
+        for _pid, pairs in blocks:
+            trackers.reverse_map_pairs(vm.kernel.processes[1].table, pairs, rm_pp, res)
     vm, _ = _aliased_spml_vm(6)
-    parked = {}
-    charged = [drain_ring(vm, batch=4, parked=parked), drain_ring(vm, batch=4, parked=parked)]
-    assert parked.keys() == {1} and len(parked[1]) == 6
-    for now, later in zip(mapped, charged):
-        assert (later.consumed, later.rm_us.hex(), later.copy_us.hex()) == (
-            now.consumed, now.rm_us.hex(), now.copy_us.hex()
-        )
-        assert later.gvas == later.lost == later.inaccurate == []
-    res = trackers.reverse_map_blocks(vm, parked.items())
+    run = trackers._MechanicalRun(cfg("spml", 4 * MB))
+    run.vm = vm
+    for blocks, res in zip(batches, mapped):
+        k = sum(len(pairs) for _pid, pairs in blocks)
+        assert run._drain_charge(k)[1].hex() == res.rm_us.hex()
+        run._owed = k
+        run._settle()
+    assert run.parked.keys() == {1} and len(run.parked[1]) == 6 and vm.hv.ring.used == 0
+    res = trackers.reverse_map_blocks(vm, run.parked.items())
     assert sorted(res.gvas) == sorted(mapped[0].gvas + mapped[1].gvas)
     assert sorted(res.lost) == sorted(mapped[0].lost + mapped[1].lost)
     assert sorted(res.inaccurate) == sorted(mapped[0].inaccurate + mapped[1].inaccurate)
@@ -1385,7 +1421,7 @@ class _PerTickMechanical(_PerTick, trackers._MechanicalRun):
     def _drain(self) -> float:
         pre = self.collect_us
         if self.cfg.defer_reverse_map:
-            res = drain_ring(self.vm, defer_reverse_map=True)
+            res = drain_ring(self.vm)
             self.raw_entries.extend(res.raw)
             rm_us, copy_us = res.rm_us, res.copy_us
         else:
@@ -1659,11 +1695,16 @@ def test_an_epml_round_that_starts_past_the_tick_is_exact(pages, interval_us, ro
 # ------------------------------------------ trace stretches are exact too
 
 
-def _stretch_trace(seed: int, pages: int, n_ops: int, p_churn: float, hot: int) -> list[tuple]:
+def _stretch_trace(
+    seed: int, pages: int, n_ops: int, p_churn: float, hot: int, stale: bool = False
+) -> list[tuple]:
     """Writes, most to a few hot pages and some to any page or to one that is
-    not mapped, mixed with maps, unmaps and moves of live pages."""
+    not mapped, mixed with maps, unmaps and moves of live pages.  A write to a
+    page not mapped names one the trace maps later; with ``stale``, half of
+    them name one it unmapped or moved away earlier, where there is one."""
     rng = random.Random(seed)
     mapped = [(i + 1) * PAGE_SIZE for i in range(pages)]
+    unmapped: list[int] = []
     fresh = (pages + 1) * PAGE_SIZE
     ops: list[tuple] = []
     for _ in range(n_ops):
@@ -1674,26 +1715,44 @@ def _stretch_trace(seed: int, pages: int, n_ops: int, p_churn: float, hot: int) 
                 ops.append(("map", fresh))
                 mapped.append(fresh)
             elif kind == "unmap":
-                ops.append(("unmap", mapped.pop(rng.randrange(len(mapped)))))
+                unmapped.append(mapped.pop(rng.randrange(len(mapped))))
+                ops.append(("unmap", unmapped[-1]))
                 continue
             else:
                 i = rng.randrange(len(mapped))
                 ops.append(("remap", mapped[i], fresh))
+                unmapped.append(mapped[i])
                 mapped[i] = fresh
             fresh += PAGE_SIZE
         elif r < 0.5:
             ops.append(("write", mapped[rng.randrange(min(hot, len(mapped)))]))
         elif r < 0.51:
-            ops.append(("write", fresh + PAGE_SIZE * rng.randrange(4)))  # not mapped
+            if stale and unmapped and rng.random() < 0.5:
+                ops.append(("write", rng.choice(unmapped)))
+            else:
+                ops.append(("write", fresh + PAGE_SIZE * rng.randrange(4)))
         else:
             ops.append(("write", rng.choice(mapped)))
     return ops
 
 
 _LONG_STRETCHES = dict(
-    pages=700, n_ops=2_500, p_churn=0.002, hot=1_000, seed=5, quantum_us=10_000.0,
-    interval_us=1_000.0, ring=1024, policy="stall", defer=False, horizon_us=6e7,
+    shape="mixed", pages=700, n_ops=2_500, p_churn=0.002, hot=1_000, seed=5,
+    quantum_us=10_000.0, interval_us=1_000.0, ring=1024, policy="stall", defer=False,
+    horizon_us=6e7,
 )
+# spml stretches that pass unmaps and end at a tick that drains pairs of
+# the pages they unmapped
+_LATE_UNMAPS = {
+    **_LONG_STRETCHES, "pages": 3, "p_churn": 0.05, "hot": 1, "seed": 0, "quantum_us": 300.0,
+    "interval_us": 40.0,
+}
+# churn-ckpt's traces: random_trace's 10% maps and 10% unmaps over a region
+# pre-mapped whole, at the default config, with the bench's seed-1 first seed
+_CHURN_CKPT = {
+    **_LONG_STRETCHES, "shape": "churn", "n_ops": 200, "p_churn": 0.2, "seed": 1_000_003,
+    "ring": 16384,
+}
 
 
 @settings(max_examples=60, deadline=None)
@@ -1703,11 +1762,23 @@ _LONG_STRETCHES = dict(
 # re-arms and the stretch then writes again
 @example(technique="epml", **{**_LONG_STRETCHES, "hot": 40, "ring": 16384})
 @example(technique="epml", **{**_LONG_STRETCHES, "hot": 300, "n_ops": 6_000, "ring": 16384})
+@example(technique="spml", **_LATE_UNMAPS)
+# a write to the page a move took away, in the window the move would end
+@example(technique="proc", **{**_LATE_UNMAPS, "pages": 40, "n_ops": 700, "hot": 40})
+@example(technique="proc", **{**_CHURN_CKPT, "pages": 64})
+@example(technique="uffd", **{**_CHURN_CKPT, "pages": 64})
+@example(technique="spml", **{**_CHURN_CKPT, "pages": 64})
+@example(technique="epml", **{**_CHURN_CKPT, "pages": 64})
+@example(technique="proc", **{**_CHURN_CKPT, "pages": 4096})
+@example(technique="uffd", **{**_CHURN_CKPT, "pages": 4096})
+@example(technique="spml", **{**_CHURN_CKPT, "pages": 4096})
+@example(technique="epml", **{**_CHURN_CKPT, "pages": 4096})
 @given(
     technique=st.sampled_from(TECHNIQUES),
+    shape=st.sampled_from(["mixed", "churn"]),
     pages=st.sampled_from([3, 300, 512, 700]),
     n_ops=st.sampled_from([1, 60, 700, 2_500]),
-    p_churn=st.sampled_from([0.0, 0.002, 0.05]),
+    p_churn=st.sampled_from([0.0, 0.002, 0.05, 0.2]),
     hot=st.sampled_from([1, 40, 1_000]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     quantum_us=st.sampled_from([0.5, 300.0, 10_000.0]),
@@ -1718,10 +1789,16 @@ _LONG_STRETCHES = dict(
     horizon_us=st.sampled_from([0.0, 350.0, 6e7]),
 )
 def test_trace_stretches_leave_every_report_field_as_write_by_write(
-    technique, pages, n_ops, p_churn, hot, seed, quantum_us, interval_us, ring, policy, defer,
-    horizon_us,
+    technique, shape, pages, n_ops, p_churn, hot, seed, quantum_us, interval_us, ring, policy,
+    defer, horizon_us,
 ):
-    ops = _stretch_trace(seed, pages, n_ops, p_churn, hot)
+    # a "mixed" trace's windows end at moves, at rewrites of an unmapped page
+    # and at maps of a page written before; a "churn" trace's run through its
+    # maps and unmaps, as churn-ckpt's do
+    if shape == "mixed":
+        ops = _stretch_trace(seed, pages, n_ops, p_churn, hot, stale=True)
+    else:
+        ops = random_trace(seed, pages, n_ops, p_unmap=p_churn / 2, p_map=p_churn / 2).ops
     config = cfg(
         technique,
         pages * PAGE_SIZE,
@@ -1739,6 +1816,95 @@ def test_trace_stretches_leave_every_report_field_as_write_by_write(
             mp.setattr(trackers, "STRETCH_MIN", stretch_min)
             reports.append(_field_bits(run_tracker(config)))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_a_trace_is_truncated_when_an_op_is_left_at_the_horizon(technique):
+    # the horizon falls on the last write: a trace that ends there is whole,
+    # one with an unmap after it is truncated, whether a stretch passed the
+    # unmap or not
+    writes = [("write", (i % 8 + 1) * PAGE_SIZE) for i in range(64)]
+    ends = []
+    workload = trackers._MechanicalRun._workload
+
+    def watched(self):
+        workload(self)
+        ends.append(self.t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackers._MechanicalRun, "_workload", watched)
+        run_tracker(cfg(technique, 8 * PAGE_SIZE, trace=TraceWorkload(writes)))
+    for ops, truncated in ((writes, False), (writes + [("unmap", PAGE_SIZE)], True)):
+        for stretch_min in (1, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trackers, "STRETCH_MIN", stretch_min)
+                rep = run_tracker(
+                    cfg(technique, 8 * PAGE_SIZE, horizon_us=ends[0], trace=TraceWorkload(ops))
+                )
+            assert (rep.writes_done, rep.truncated) == (64, truncated), stretch_min
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_a_churn_trace_writes_through_stretches(technique):
+    # churn-ckpt's trace shape: a map or an unmap every ~5 ops, none of which
+    # may end a stretch, so the writes reach write_one only where a stretch
+    # cannot take them
+    trace = random_trace(1, max_pages=1024)
+    trace = TraceWorkload(trace.ops, initial_pages=1024)
+    calls = {"write_one": 0, "quiet_run": 0, "written": 0}
+    write_one, quiet_run, write_run = (
+        VirtualMachine.write_one, VirtualMachine.quiet_run, VirtualMachine.write_run
+    )
+
+    def counted(name, method):
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return call
+
+    def applied(self, pid, stretch, count):
+        calls["written"] += count
+        return write_run(self, pid, stretch, count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VirtualMachine, "write_one", counted("write_one", write_one))
+        mp.setattr(VirtualMachine, "quiet_run", counted("quiet_run", quiet_run))
+        mp.setattr(VirtualMachine, "write_run", applied)
+        rep = run_tracker(cfg(technique, trace.memory_bytes, trace=trace))
+    assert rep.writes_done == trace.n_writes > 100
+    assert calls["quiet_run"] >= 1 and calls["write_one"] <= 4
+    assert calls["written"] + calls["write_one"] == trace.n_writes
+
+
+def _window_stops(ops: list[tuple]) -> list[int]:
+    """The window ends of ``decoded``, by a scan of every op: a window is cut
+    before a remap, a map of a page it named and any op on a page it unmapped."""
+    stops, seen, writes = [], {}, 0
+    for kind, gva, *_ in ops:
+        if kind == "remap" or seen.get(gva) == "unmap" or kind == "map" and gva in seen:
+            stops.append(writes)
+            seen = {}
+        if kind == "write":
+            writes += 1
+            seen.setdefault(gva, kind)
+        else:
+            seen[gva] = kind
+    return stops + [writes]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_windows_are_cut_where_a_scan_of_every_op_cuts_them(seed):
+    # decoded scans only the pages a map, unmap or remap names
+    traces = [
+        _stretch_trace(seed, 40, 2_000, 0.2, 40, stale=True),
+        _stretch_trace(seed, 3, 700, 0.05, 1, stale=True),
+        random_trace(seed, 64, 400).ops,
+        churn_trace(300, 40, seed=seed).ops,
+        KvWorkloadSpec("kv", 8 * MB, churn_rate=20_000.0, n_ops=3_000, seed=seed).make_trace().ops,
+    ]
+    stops = [TraceWorkload(ops).decoded[5] for ops in traces]
+    assert stops == list(map(_window_stops, traces))
+    assert len(stops[0]) > 1  # moves, stale writes and maps of written pages cut
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)

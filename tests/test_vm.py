@@ -10,8 +10,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oohsim.guest import TECHNIQUES
-from oohsim.memory import write_faults
+from oohsim.memory import _HAS_DIRTY, _PROTECT, Ept, GuestPageTable, write_faults
 from oohsim.vm import VirtualMachine
+
+
+def _dirty_gpas(ept: Ept) -> set[int]:
+    """The frames whose EPT dirty bit is set."""
+    return ept._pages(_HAS_DIRTY)
+
+
+def _set_write_protect(table: GuestPageTable, gvas) -> None:
+    """Write-protect each of ``gvas``, one page at a time."""
+    for gva in gvas:
+        region, i = table._locate(gva)
+        region.bits[i] = _PROTECT[region.bits[i]]
+
+
+def _unmap_gpa(ept: Ept, gpa: int) -> None:
+    """Take a frame out of the EPT."""
+    ept._take(gpa)
+
 
 MB = 1 << 20
 
@@ -114,7 +132,7 @@ def test_plain_write_sets_all_dirty_layers():
     assert res.outcome.ept_dirty_set
     entry = vm.kernel.processes[7].table.entry(gva(0))
     assert entry.flags.dirty and entry.flags.soft_dirty
-    assert entry.gpa in vm.ept.dirty_gpas()
+    assert entry.gpa in _dirty_gpas(vm.ept)
 
 
 def test_second_write_does_not_relog():
@@ -138,7 +156,7 @@ def test_uffd_write_records_and_stays_protected():
 
 def test_wp_fault_without_monitor_is_an_error():
     vm = make_vm("proc")
-    vm.kernel.processes[7].table.set_write_protect([gva(0)], True)
+    _set_write_protect(vm.kernel.processes[7].table, [gva(0)])
     with pytest.raises(RuntimeError):
         vm.write_one(7, gva(0))
 
@@ -305,7 +323,7 @@ def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm, 
         vm.map_fresh(7, pages[single])
     vm.kernel.register_tracked(7, technique, TWIN_PAGES * P)
     if protect not in (hole, single):
-        vm.kernel.processes[7].table.set_write_protect([pages[protect]])
+        _set_write_protect(vm.kernel.processes[7].table, [pages[protect]])
     if sched_in:
         vm.kernel.on_schedule(7, "in")
     for i in prewrites:
@@ -472,7 +490,7 @@ def test_write_run_of_any_pages_leaves_the_state_of_one_write_one_per_write(
             vm.kernel.processes[7].table.clear_soft_dirty()
         gpa = vm.kernel.processes[7].table.gpa_of(pages[lacking]) if lacking is not None else None
         if gpa is not None:
-            vm.ept.unmap_gpa(gpa)
+            _unmap_gpa(vm.ept, gpa)
     gvas = [pages[0] + i * P for i in targets]
     stretch = bulk.quiet_run(7, gvas, n)
     bits = stretch.bits
