@@ -127,7 +127,7 @@ class GuestKernel:
     def unmap(self, pid: int, gva: int) -> None:
         """Take a page out of the table, keeping a set soft-dirty bit as residue."""
         proc = self._proc(pid)
-        if proc.table.unmap(gva).flags.soft_dirty:
+        if proc.table.unmap(gva):
             proc.softdirty_residue.add(gva // PAGE_SIZE)
 
     # --------------------------------------------------------- registration
@@ -247,13 +247,11 @@ class GuestKernel:
         buf.drops_while_full += fills  # each filling write was refused once, then replayed
         return copied
 
-    def epml_consume_ring(self, max_n: int | None = None) -> list[int]:
-        """Tool side: take harvested virtual addresses off the ring."""
+    def epml_consume_ring(self) -> list[int]:
+        """Tool side: take every harvested virtual address off the ring."""
         if self.uio is None or self.uio.technique != "epml":
             raise NotRegistered("extended-mode tool is not registered")
-        n = len(self.uio.ring) if max_n is None else min(max_n, len(self.uio.ring))
-        out = self.uio.ring[:n]
-        del self.uio.ring[:n]
+        out, self.uio.ring = self.uio.ring, []
         return out
 
     # ------------------------------------------------------ soft-dirty (proc)

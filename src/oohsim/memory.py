@@ -13,14 +13,17 @@ arithmetic, and each page's state is one byte of the region's
 ``bytearray`` (page table: mapped, writable, dirty, soft-dirty; EPT: mapped,
 dirty).  An allocation is one region in each table; a page mapped singly
 or moved is a one-page region, kept in ``entries`` under its address.  So
-each rule about a page's state is one byte table, applied to one byte (a
-write, a protect, a re-arm), to a slice (writes to consecutive pages) or to
-the bytes of pages in any order, gathered and scattered with NumPy one
-region at a time (a trace's writes, a re-arm of logged frames); whole-table
-operations (soft-dirty clear, protect-all, the dirty and soft-dirty sets)
-run over the bytes with ``bytes.translate``, ``find`` and ``count``.  A
-:class:`Stretch` of writes looks each table up once, and applying its first
-writes reuses what that peek found.  Mapping a large address space and
+each rule about a page's state is one byte table, and pages are looked up
+one way per shape of input: one page by its region (a write, a protect, a
+translation); a ``range`` of pages as a slice of one region (a sweep's
+writes); and any other batch gathered and scattered with NumPy, one pass
+per region, then ``entries`` (a trace's writes, a re-arm of logged frames,
+the GPAs of logged GVAs; a reverse map of logged GPAs is one pass per
+region by its target, and the reverse index for pages mapped singly).
+Whole-table operations (soft-dirty clear, protect-all, the dirty and
+soft-dirty sets) run over the bytes with ``bytes.translate``, ``find`` and
+``count``.  A :class:`Stretch` of writes looks each table up once, and
+applying its first writes reuses what that peek found.  Mapping a large address space and
 writing it over and over builds no per-page object.  An unmap takes a page
 out of its region, and a region with no page left is dropped.
 """
@@ -54,6 +57,7 @@ __all__ = [
 
 #: Sentinel returned by reverse_map when no GVA currently maps the GPA.
 LOST = None
+_NO_GVA = np.iinfo(np.int64).max  # LOST, in an array of GVAs
 
 
 class MappingError(KeyError):
@@ -152,13 +156,6 @@ def write_faults(bits: int) -> tuple[bool, bool]:
     return not bits & _SOFT_DIRTY, not bits & _WRITABLE
 
 
-def _view(gpa: int, bits: int) -> PageEntry:
-    """The page-table entry of a page backed by ``gpa`` in state ``bits``."""
-    return PageEntry(
-        gpa, PageFlags(bits & _WRITABLE != 0, bits & _DIRTY != 0, bits & _SOFT_DIRTY != 0)
-    )
-
-
 def _addresses(bits: bytes, select: bytes, base: int, step: int = PAGE_SIZE) -> list[int]:
     """Addresses, ``step`` apart from ``base``, of the bytes ``select`` maps to 1."""
     marks = bits.translate(select)
@@ -216,40 +213,15 @@ def _first(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _runs(addrs: list[int], regions: list[_Region], start: str) -> tuple[list, Sequence, list]:
-    """Split ``addrs`` into maximal runs ``PAGE_SIZE`` apart (by one array
-    difference: addresses are below 2**63).  Returns each run of two or more
-    cut at the ends of ``regions`` (page 0 at ``getattr(region, start)``)
-    and at pages that left them, as live slices ``(region, i, k, pos)``, so
-    ``addrs[pos : pos + k]`` are pages ``i .. i + k - 1`` of ``region``; and
-    the positions and addresses of the rest, for one pass per region."""
-    values = np.array(addrs, dtype=np.int64)
-    steps = (values[1:] - values[:-1] == PAGE_SIZE).tobytes()  # 1 where a run goes on
-    runs: list[tuple[_Region, int, int, int]] = []
-    singles: list[int] = []
-    pos, j = 0, steps.find(1)
-    if j < 0:
-        return runs, range(len(addrs)), addrs
-    while j >= 0:
-        end = steps.find(0, j)
-        end = len(steps) if end < 0 else end  # addrs[j : end + 1] is the run
-        singles += range(pos, j)
-        for region in regions:
-            off = addrs[j] - getattr(region, start)
-            if off % PAGE_SIZE:
-                continue
-            first, bits = off // PAGE_SIZE, region.bits  # index of addrs[j], maybe out of range
-            i, stop = max(first, 0), min(first + end + 1 - j, len(bits))
-            at = j + i - first
-            while i < stop:  # cut at the pages that left the region
-                dead = bits.find(0, i, stop)
-                dead = stop if dead < 0 else dead
-                if dead > i:
-                    runs.append((region, i, dead - i, at))
-                at, i = at + dead + 1 - i, dead + 1
-        pos, j = end + 1, steps.find(1, end + 1)
-    singles += range(pos, len(addrs))
-    return runs, singles, [addrs[at] for at in singles]
+def _positions(
+    addrs: np.ndarray, aligned: np.ndarray, start: int, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``aligned`` addresses in ``[start, start + span)`` and
+    their offsets from ``start``."""
+    off = addrs - start
+    # a negative offset, read unsigned, is past the span too
+    pos = ((off.view(np.uint64) < span) & aligned).nonzero()[0]
+    return pos, off[pos]
 
 
 class _PageMap:
@@ -257,7 +229,9 @@ class _PageMap:
 
     ``entries`` holds the one-page regions of pages mapped singly or moved,
     under their address; ``_regions`` the regions mapped as a run.  A live
-    address is in exactly one of them.
+    address is in exactly one of them.  One page is found by :meth:`_locate`,
+    a ``range`` of pages by :meth:`_live_run`, and any other batch by
+    :meth:`_gather`, in the order of the batch.
     """
 
     def __init__(self):
@@ -289,16 +263,6 @@ class _PageMap:
             if i >= 0:
                 return region.target + i * PAGE_SIZE
         return None
-
-    def _walk(self, addrs: list[int]) -> tuple[list, tuple]:
-        """The pages of ``addrs``: :func:`_runs`'s live slices of the regions, and
-        the others, with the singly mapped pages, gathered (:meth:`_gather`)."""
-        entries = self.entries
-        singles = [addr for addr in addrs if addr in entries] if entries else []
-        if singles:
-            addrs = [addr for addr in addrs if addr not in entries]
-        runs, _positions, rest = _runs(addrs, self._regions, "base")
-        return runs, self._gather(np.array(rest + singles, dtype=np.int64))
 
     def _all(self) -> Iterator[_Region]:
         return chain(self._regions, self.entries.values())
@@ -360,11 +324,8 @@ class _PageMap:
             return bits, targets, places
         aligned = addrs % PAGE_SIZE == 0
         for region in self._regions:
-            off = addrs - region.base
-            # a negative offset, read unsigned, is past the span too
-            pos = ((off.view(np.uint64) < region.span) & aligned).nonzero()[0]
+            pos, off = _positions(addrs, aligned, region.base, region.span)
             if len(pos):
-                off = off[pos]
                 idx = off // PAGE_SIZE
                 bits[pos] = np.frombuffer(region.bits, dtype=np.uint8)[idx]
                 targets[pos] = off + region.target
@@ -433,7 +394,9 @@ class GuestPageTable(_PageMap):
         if found is None:
             return None
         region, i = found
-        return _view(region.target + i * PAGE_SIZE, region.bits[i])
+        bits = region.bits[i]
+        flags = PageFlags(bits & _WRITABLE != 0, bits & _DIRTY != 0, bits & _SOFT_DIRTY != 0)
+        return PageEntry(region.target + i * PAGE_SIZE, flags)
 
     gpa_of = _PageMap._target  # the GPA alone, building no entry
 
@@ -465,31 +428,26 @@ class GuestPageTable(_PageMap):
         bits = _MAPPED | (_WRITABLE if writable else 0) | (_SOFT_DIRTY if soft_dirty else 0)
         self._store(gva, gpa, bits)
 
-    def unmap(self, gva: int) -> PageEntry:
+    def unmap(self, gva: int) -> bool:
+        """Take ``gva``'s mapping out; returns whether the page was soft-dirty."""
         taken = self._take(gva)
         if taken is None:
             raise UnknownMapping(gva)
-        return _view(*taken)
+        return taken[1] & _SOFT_DIRTY != 0
 
-    def remap(self, gva_old: int, gva_new: int) -> PageEntry:
+    def remap(self, gva_old: int, gva_new: int) -> None:
         """Move the GPA backing (and flags) of ``gva_old`` to ``gva_new``."""
         if gva_old not in self:
             raise UnknownMapping(gva_old)
         if gva_new in self:
             raise AlreadyMapped(gva_new)
-        gpa, bits = self._take(gva_old)
-        self._store(gva_new, gpa, bits)
-        return _view(gpa, bits)
+        self._store(gva_new, *self._take(gva_old))
 
-    def gpas_of(self, gvas: list[int]) -> list[int]:
-        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, skipping unmapped
-        ones; a ``range`` per run of pages, so not in the order of ``gvas``."""
-        runs, (bits, targets, _) = self._walk(gvas)
-        out = targets[bits != 0].tolist()
-        for region, i, k, _pos in runs:
-            gpa = region.target + i * PAGE_SIZE
-            out += range(gpa, gpa + k * PAGE_SIZE, PAGE_SIZE)
-        return out
+    def gpas_of(self, gvas: Sequence[int]) -> list[int]:
+        """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, in the order of
+        ``gvas``, skipping unmapped ones."""
+        bits, targets, _ = self._gather(np.asarray(gvas, dtype=np.int64))
+        return targets[bits != 0].tolist()
 
     def reverse_map(self, gpa: int) -> int | None:
         """Some GVA currently mapping ``gpa``; lowest page number on aliases.
@@ -499,32 +457,25 @@ class GuestPageTable(_PageMap):
         """
         return self.reverse_map_many([gpa])[0]
 
-    def reverse_map_many(self, gpas: list[int]) -> list[int | None]:
-        """:meth:`reverse_map` of each of ``gpas``, in order.
-
-        Singly mapped aliases first; a run no alias contests is one slice
-        assignment; the rest in one pass per region, keeping the lowest.
-        """
-        rmap, out = self._rmap, [LOST] * len(gpas)
-        if rmap:
-            out = [min(gvas) if gvas else LOST for gvas in map(rmap.get, gpas)]
-        runs, positions, rest = _runs(gpas, self._regions, "target")
-        for region, i, k, pos in runs:
-            if out[pos : pos + k].count(LOST) == k:
-                gva = region.base + i * PAGE_SIZE
-                out[pos : pos + k] = range(gva, gva + k * PAGE_SIZE, PAGE_SIZE)
-            else:  # contested: a list, as runs were found
-                positions += range(pos, pos + k)
-                rest += gpas[pos : pos + k]
+    def reverse_map_many(self, gpas: Sequence[int]) -> list[int | None]:
+        """:meth:`reverse_map` of each of ``gpas``, in order: the lowest of its
+        singly mapped aliases and of the region pages it backs, found in one
+        pass per region."""
+        lowest = np.full(len(gpas), _NO_GVA, dtype=np.int64)
+        if self._rmap:
+            lowest[:] = [min(gvas) if gvas else _NO_GVA for gvas in map(self._rmap.get, gpas)]
+        values = np.asarray(gpas, dtype=np.int64)
+        aligned = values % PAGE_SIZE == 0
         for region in self._regions:
-            target, span, bits = region.target, region.span, region.bits
-            shift = region.base - target
-            for at, gpa in zip(positions, rest):
-                off = gpa - target
-                if 0 <= off < span and not off % PAGE_SIZE and bits[off // PAGE_SIZE]:
-                    best = out[at]
-                    if best is LOST or gpa + shift < best:
-                        out[at] = gpa + shift
+            pos, off = _positions(values, aligned, region.target, region.span)
+            live = np.frombuffer(region.bits, dtype=np.uint8)[off // PAGE_SIZE] != 0
+            pos, off = pos[live], off[live]
+            off += region.base  # the GVAs, in place: a batch may hold every page of 1 GB
+            lowest[pos] = np.minimum(off, lowest[pos], out=off)
+        del values, aligned  # before the list of GVAs is built, for the same reason
+        out = lowest.tolist()
+        for j in (lowest == _NO_GVA).nonzero()[0].tolist():
+            out[j] = LOST
         return out
 
     def write_page(self, gva: int, ept: "Ept", *, ignore_protection: bool = False) -> WriteOutcome:
@@ -635,13 +586,10 @@ class Ept(_PageMap):
         region.bits[i] = _SET_DIRTY[bits]
         return not bits & _DIRTY
 
-    def clear_dirty(self, gpas: list[int]) -> None:
-        """Re-arm logging for ``gpas``: the next write transitions again.  One
-        ``translate`` clears a run of frames.  Unmapped GPAs are skipped."""
-        runs, (_, _, places) = self._walk(gpas)
-        for region, i, k, _pos in runs:
-            bits = region.bits
-            bits[i : i + k] = bits[i : i + k].translate(_CLEAR_DIRTY)
+    def clear_dirty(self, gpas: Sequence[int]) -> None:
+        """Re-arm logging for ``gpas``: the next write transitions again.
+        Unmapped GPAs are skipped."""
+        places = self._gather(np.asarray(gpas, dtype=np.int64))[2]
         self._scatter(places, len(gpas), _CLEAR_DIRTY, _CLEAR_DIRTY_A)
 
 

@@ -822,8 +822,8 @@ class _MechanicalRun(_Run):
     ring: :meth:`_settle` takes them off in one step at the end of the
     ticks of an event exit, before a stall's one flush and before the
     parked pairs or the deferred entries are mapped.  The drained
-    ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once and in drain
-    order, and are reverse-mapped together (:meth:`_map_parked`) before
+    ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once, and are
+    reverse-mapped together (:meth:`_map_parked`) before
     each map, unmap or remap op, before a stretch passes one and before
     the report: they map as they
     did when drained, and a pair drained again in the same epoch is mapped
@@ -846,7 +846,7 @@ class _MechanicalRun(_Run):
         self.inaccurate: set[tuple[int, int]] = set()
         self.raw_entries: list[tuple[int, int]] = []
         # spml's drained (gpa, gva) pairs by pid, charged but not yet mapped
-        self.parked: dict[Any, dict[tuple[int, int], None]] = {}
+        self.parked: dict[Any, set[tuple[int, int]]] = {}
         # ring entries charged by spml's ticks but not yet taken off the ring
         self._owed = 0
         if cfg.defer_reverse_map:
@@ -932,17 +932,17 @@ class _MechanicalRun(_Run):
         return rm_us + copy_us, rm_us, copy_us
 
     def _settle(self) -> None:
-        """Take the owed entries off the ring, in drain order: park their pairs,
-        or keep them raw when the mapping is deferred."""
+        """Take the owed entries off the ring: park their pairs, or keep them
+        raw, in drain order, when the mapping is deferred."""
         if self._owed:
             blocks = self.vm.hv.ring.consume(self._owed)
             self._owed = 0
             if self.cfg.defer_reverse_map:
                 for _pid, pairs in blocks:
                     self.raw_entries.extend(pairs)
-            else:  # each pair once, in drain order: consecutive frames stay one run
+            else:  # each pair once
                 for pid, pairs in blocks:
-                    self.parked.setdefault(pid, {}).update(zip(pairs, repeat(None)))
+                    self.parked.setdefault(pid, set()).update(pairs)
 
     def _swap_and_tick(self) -> None:
         super()._swap_and_tick()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oohsim.memory import (
@@ -359,10 +359,9 @@ class _DictModel:
             if kind == "remap":
                 if gvas[op[2]] in pt:
                     raise AlreadyMapped(gvas[op[2]])
-                pt[gvas[op[2]]] = pt[gva]
-            view = self.entry(gva)
-            del pt[gva]
-            return view
+                pt[gvas[op[2]]] = pt.pop(gva)
+                return None
+            return pt.pop(gva)[3]  # an unmap reports whether the page was soft-dirty
         if kind == "map":
             gva, gpa = gvas[op[1]], gpas[op[2]]
             ept.setdefault(gpa, [REGION_HPA + 0x100_0000 + gpa, False])
@@ -400,7 +399,9 @@ class _DictModel:
 @settings(max_examples=300, deadline=None)
 @given(n_pages=st.integers(min_value=1, max_value=10), ops=st.lists(_ops, max_size=40))
 def test_region_pages_behave_like_mapped_pages(n_pages, ops):
-    # one region, the same pages mapped one by one, and a plain-dict model
+    """One region, the same pages mapped one by one, and a plain-dict model
+    answer every op and every lookup alike; a batch's GPAs
+    (:meth:`GuestPageTable.gpas_of`) come in the order of its GVAs."""
     gvas = [REGION_GVA + i * P for i in range(-1, 14)] + [REGION_GVA + P // 2]
     gpas = [REGION_GPA + i * P for i in range(-1, 14)] + [REGION_GPA + P // 2]
     lazy, eager = _twin_spaces(n_pages)
@@ -452,7 +453,7 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             assert len(pt) == len(model.pt)
             want_gpas = [model.pt[g][0] if g in model.pt else None for g in gvas]
             assert [pt.gpa_of(g) for g in gvas] == want_gpas
-            assert sorted(pt.gpas_of(gvas)) == sorted(g for g in want_gpas if g is not None)
+            assert pt.gpas_of(gvas) == [g for g in want_gpas if g is not None]
             assert pt.mapped_set() == set(model.pt)
 
 
@@ -486,9 +487,22 @@ def _run_layouts(draw):
     return layout
 
 
+_QUIET = {"unmap": [], "move": [], "alias": [], "ept_unmap": [], "ept_single": []}
+
+
 @settings(max_examples=60, deadline=None)
 @given(layout=_run_layouts())
+# 512 consecutive frames in one batch, as an spml flush re-arms them
+@example(layout={**_QUIET, "regions": [(0, 600)], "batch": [(40, 512, 0)], "repeat": False})
+# a run of frames one of which a lower GVA aliases: that alias wins its page
+@example(
+    layout={**_QUIET, "regions": [(0, 64)], "alias": [5], "batch": [(0, 32, 0)], "repeat": False}
+)
 def test_run_walker_matches_the_dict_model(layout):
+    """Batches of runs and scattered pages over a few regions, singly mapped
+    pages and aliases look up as the dict model does: :meth:`~GuestPageTable.gpas_of`
+    in the order of the batch, :meth:`~GuestPageTable.reverse_map_many` with the
+    lowest alias, and :meth:`Ept.clear_dirty` re-arming exactly the batch."""
     pt, ept, model = GuestPageTable(pid=1), Ept(), _DictModel(0)
     base = 0x100_0000  # above the aliases mapped low, which win the reverse map
     for start, size in layout["regions"]:
@@ -532,7 +546,7 @@ def test_run_walker_matches_the_dict_model(layout):
     gvas = [base + off for off in offsets] + [far + off for off in offsets[:200]]
     gpas = [REGION_GPA + off for off in offsets]
 
-    assert sorted(pt.gpas_of(gvas)) == sorted(model.pt[g][0] for g in gvas if g in model.pt)
+    assert pt.gpas_of(gvas) == [model.pt[g][0] for g in gvas if g in model.pt]
     lowest: dict[int, int] = {}
     for gva, (gpa, *_flags) in sorted(model.pt.items(), reverse=True):
         lowest[gpa] = gva
