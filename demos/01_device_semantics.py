@@ -27,7 +27,7 @@ def main() -> None:
     # 4) index 512 means "disabled": attempts leave no trace at all
     buf.reset(INDEX_DISABLED)
     assert buf.log(99) == LogResult.DISABLED
-    assert buf.entries == [] and buf.index == INDEX_DISABLED
+    assert len(buf.entries) == 0 and buf.index == INDEX_DISABLED
     print("disabled index suppresses logging entirely")
 
     print("device semantics demo ok")

@@ -311,7 +311,7 @@ class CheckpointSession:
         self.last_snapshot: dict[int, bytes] = {}
         self._token = 0
         self._seq = 0
-        self._raw: list[tuple[int, int]] = []  # staged device-log entries
+        self._raw: list = []  # staged device-log (gpa, gva) rows, an int64 array per drain
         self._epml_names: set[int] = set()
 
     # ------------------------------------------------------------ workload
@@ -327,7 +327,7 @@ class CheckpointSession:
             self._stage_ring()
             self.vm.hv.handle_pml_full_vmexit(refused=res.refused)
         if res.softirq_copied:
-            self._epml_names.update(self.vm.kernel.epml_consume_ring())
+            self._epml_names.update(self.vm.kernel.epml_consume_ring().tolist())
 
     def map(self, gva: int | None = None) -> int:
         return self.vm.map_fresh(TRACKED_PID, gva)
@@ -389,7 +389,7 @@ class CheckpointSession:
 
     def _stage_ring(self) -> None:
         res = drain_ring(self.vm)
-        self._raw.extend(res.raw)
+        self._raw.append(res.raw)
 
     def _collect(self) -> set[int]:
         kernel = self.vm.kernel
@@ -401,16 +401,17 @@ class CheckpointSession:
         if self.technique == "uffd":
             return set(map(PAGE.__mul__, kernel.uffd_harvest(TRACKED_PID)))
         if self.technique == "epml":
-            names = self._epml_names | set(kernel.epml_consume_ring())
+            names = self._epml_names | set(kernel.epml_consume_ring().tolist())
             self._epml_names = set()
             return names
         # shadowed device: resolve each logged frame once, newest name wins
         self._stage_ring()
-        res = reverse_map_pairs(kernel.processes[TRACKED_PID].table, dict(self._raw).items())
+        newest = dict(pair for rows in self._raw for pair in rows.tolist())
+        res = reverse_map_pairs(kernel.processes[TRACKED_PID].table, list(newest.items()))
         self._raw = []
         self.lost.extend(res.lost)
         self.inaccurate.extend(res.inaccurate)
-        return set(res.gvas)
+        return set(res.gvas.tolist())
 
 
 # --------------------------------------------------------------------------

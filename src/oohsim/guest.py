@@ -23,16 +23,13 @@ of them probes on most lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+
+import numpy as np
 
 from .costs import PAGE_SIZE, CostTable, Prices
 from .hypervisor import Hypervisor
 from .memory import Ept, GuestPageTable
-from .pml import (
-    FIELD_GUEST_PML_ADDRESS,
-    FIELD_GUEST_PML_INDEX,
-    ShadowVmcs,
-)
+from .pml import FIELD_GUEST_PML_ADDRESS, FIELD_GUEST_PML_INDEX, ShadowVmcs
 
 __all__ = [
     "AlreadyRegistered",
@@ -82,13 +79,19 @@ class UioModuleState:
     prices: Prices  # looked up once, for the tracked memory size
     ring_capacity: int
     # tool-visible ring of harvested virtual addresses (extended mode; the
-    # shared pathway consumes the hypervisor ring directly)
-    ring: list[int] = field(default_factory=list)
+    # shared pathway consumes the hypervisor ring directly): int64 arrays in
+    # copy order, ``ring_used`` addresses in all
+    ring: list[np.ndarray] = field(default_factory=list)
+    ring_used: int = 0
     ring_dropped: int = 0
 
     @property
     def ring_free(self) -> int:
-        return max(0, self.ring_capacity - len(self.ring))
+        return max(0, self.ring_capacity - self.ring_used)
+
+    def ring_append(self, gvas: np.ndarray) -> None:
+        self.ring.append(gvas)
+        self.ring_used += len(gvas)
 
 
 class GuestKernel:
@@ -150,12 +153,7 @@ class GuestKernel:
             proc.uffd_mode = "write_protect"
             proc.table.write_protect_all()
         prices = self.costs.prices(memory_bytes)
-        self.uio = UioModuleState(
-            technique=technique,
-            pid=pid,
-            prices=prices,
-            ring_capacity=self.ring_capacity,
-        )
+        self.uio = UioModuleState(technique, pid, prices, self.ring_capacity)
         return prices.register_us(technique)
 
     # ------------------------------------------------------------ scheduling
@@ -181,9 +179,7 @@ class GuestKernel:
         elif uio.technique == "epml":
             if direction == "in":
                 # point the device at this process's buffer, then arm it
-                self.shadow.guest_vmwrite(
-                    FIELD_GUEST_PML_ADDRESS, GUEST_RING_GPA, ept=self.ept
-                )
+                self.shadow.guest_vmwrite(FIELD_GUEST_PML_ADDRESS, GUEST_RING_GPA, ept=self.ept)
                 fresh = self.hv.pml.guest_buffer.fresh_index
                 self.shadow.guest_vmwrite(FIELD_GUEST_PML_INDEX, fresh)
                 self.hv.coordinate("sched_in", pid=pid)
@@ -193,8 +189,7 @@ class GuestKernel:
                 self.shadow.guest_vmread(FIELD_GUEST_PML_INDEX)
                 _, drain_us = self.deliver_guest_buffer_full(pid)
                 buf = self.hv.pml.guest_buffer
-                if buf.entries:  # tool ring saturated: parking loses these
-                    uio.ring_dropped += len(buf.entries)
+                uio.ring_dropped += buf.used  # tool ring saturated: parking loses these
                 self.shadow.guest_vmwrite(FIELD_GUEST_PML_INDEX, buf.disabled_index)
                 us += drain_us
                 self.hv.coordinate("sched_out")
@@ -214,45 +209,44 @@ class GuestKernel:
         if uio is None or uio.technique != "epml" or uio.pid != pid:
             return 0, 0.0
         buf = self.hv.pml.guest_buffer
-        pending = len(buf.entries)
+        pending = buf.used
         if pending == 0:
             return 0, 0.0  # spurious
         take = min(pending, uio.ring_free)
         if take == 0:
             return 0, 0.0  # ring saturated: buffer stays paused
-        copied = buf.entries[:take]
-        del buf.entries[:take]
-        uio.ring.extend(copied)
+        copied = buf.drain(take)  # re-armed only when fully emptied
+        uio.ring_append(copied)
         # re-arm: the next write to each copied page logs again
         self.ept.clear_dirty(self._proc(pid).table.gpas_of(copied))
-        if not buf.entries and buf.index != buf.disabled_index:
-            buf.index = buf.fresh_index
         return take, uio.prices.copy_us(take)
 
-    def deliver_fills(self, pid: int, logged: list[tuple[int, int]], fills: int) -> int:
+    def deliver_fills(self, pid: int, gvas: np.ndarray, fills: int) -> int:
         """The softirq copies of a run of writes that fills the guest buffer
         ``fills`` times, as :meth:`deliver_guest_buffer_full` makes them when the
         tool ring takes each whole: the entries held before the run and the
-        ``(gpa, gva)`` dirty transitions ``logged`` up to the last filling one,
+        GVAs ``gvas`` of its dirty transitions up to the last filling one,
         which each copy leaves as the first entry of the emptied buffer, go to
         the ring in order.  The stretch that ran the writes re-armed the copied
-        frames.  Returns how many of ``logged`` were copied.
+        frames.  Returns how many of ``gvas`` were copied.
         """
         uio, buf = self.uio, self.hv.pml.guest_buffer
         if fills * buf.slots > uio.ring_free:
             raise ValueError(f"{fills} copies of {buf.slots} entries, {uio.ring_free} ring slots")
         copied = buf.slots_left + buf.slots * (fills - 1)
-        uio.ring += buf.drain()
-        uio.ring += map(itemgetter(1), logged[:copied])
+        uio.ring_append(buf.drain())
+        uio.ring_append(gvas[:copied])
         buf.drops_while_full += fills  # each filling write was refused once, then replayed
         return copied
 
-    def epml_consume_ring(self) -> list[int]:
-        """Tool side: take every harvested virtual address off the ring."""
-        if self.uio is None or self.uio.technique != "epml":
+    def epml_consume_ring(self) -> np.ndarray:
+        """Tool side: take every harvested virtual address off the ring, in
+        copy order, as one int64 array."""
+        uio = self.uio
+        if uio is None or uio.technique != "epml":
             raise NotRegistered("extended-mode tool is not registered")
-        out, self.uio.ring = self.uio.ring, []
-        return out
+        chunks, uio.ring, uio.ring_used = uio.ring, [], 0
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------ soft-dirty (proc)
 

@@ -3,7 +3,8 @@
 This module owns everything that runs at the host level:
 
 * :class:`SpmlRingBuffer` — the guest-visible ring the hypervisor fills with
-  logged addresses, framed as per-process blocks ``{pid, count, addresses}``.
+  logged addresses, framed as per-process blocks ``{pid, count, addresses}``,
+  each block's entries one ``(n, 2)`` int64 array of ``(gpa, meta_gva)`` rows.
   Capacity counts addresses only; block headers are free (documented
   simplification — header space is negligible at realistic capacities).
 * :class:`Hypervisor` — hypercall entry points, the coordination protocol
@@ -33,8 +34,7 @@ is what prevents cross-process misattribution and entitlement loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -103,7 +103,7 @@ class CoexistenceFlags:
 @dataclass
 class RingBlock:
     pid: int
-    entries: list  # [(gpa, meta_gva), ...]
+    entries: np.ndarray  # (n, 2) int64 rows of (gpa, meta_gva)
 
 
 class SpmlRingBuffer:
@@ -125,30 +125,33 @@ class SpmlRingBuffer:
     def free(self) -> int:
         return max(0, self.capacity - self.used)
 
-    def append(self, pid: int, entries: list, force: bool = False) -> None:
+    def append(self, pid: int, entries, force: bool = False) -> None:
+        """Append ``(gpa, meta_gva)`` rows, an ``(n, 2)`` array or pairs."""
         n = len(entries)
         if n == 0:
             return
         if not force and n > self.free:
             raise ValueError(f"ring has {self.free} free slots, need {n}")
+        entries = np.asarray(entries, dtype=np.int64)
         if self.blocks and self.blocks[-1].pid == pid:
-            self.blocks[-1].entries.extend(entries)
+            self.blocks[-1].entries = np.concatenate((self.blocks[-1].entries, entries))
         else:
-            self.blocks.append(RingBlock(pid, list(entries)))
+            self.blocks.append(RingBlock(pid, entries))
         self.used += n
 
-    def consume(self, max_addresses: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    def consume(self, max_addresses: int) -> list[tuple[int, np.ndarray]]:
         """Pop up to ``max_addresses`` entries FIFO, a block at a time, as
-        ``(pid, [(gpa, meta_gva), ...])``; the last block taken may be cut."""
-        out: list[tuple[int, list[tuple[int, int]]]] = []
+        ``(pid, rows)``; the last block taken may be cut.  The rows are a copy,
+        so what a consumer keeps holds no block's storage."""
+        out: list[tuple[int, np.ndarray]] = []
         left = max_addresses
         while self.blocks and left > 0:
             blk = self.blocks[0]
-            out.append((blk.pid, blk.entries[:left]))
-            del blk.entries[:left]
-            if not blk.entries:
+            taken, blk.entries = blk.entries[:left].copy(), blk.entries[left:]
+            out.append((blk.pid, taken))
+            if not len(blk.entries):
                 self.blocks.pop(0)
-            left -= len(out[-1][1])
+            left -= len(taken)
         self.used -= max_addresses - left
         return out
 
@@ -191,7 +194,7 @@ class Hypervisor:
             raise ValueError(f"unknown ring_full_policy {ring_full_policy!r}")
         self.ept = ept  # when set, flushed addresses get their dirty bit re-armed
         self.pml = PmlState(
-            hv_buffer=PmlBuffer(slots=buffer_slots),
+            hv_buffer=PmlBuffer(slots=buffer_slots, width=2),
             guest_buffer=PmlBuffer(slots=buffer_slots),
         )
         self.flags = CoexistenceFlags()
@@ -200,7 +203,8 @@ class Hypervisor:
         self.migration_log: list[tuple[int, int]] = []  # (pid, gpa)
         self.current_pid: int | None = None
         self.guest_inited = False
-        self._entry_tags: list[tuple[bool, bool]] = []  # (guest_entitled, vmm_entitled)
+        # the buffered entries' tags as runs: ((guest_entitled, vmm_entitled), count)
+        self._entry_tags: list[tuple[tuple[bool, bool], int]] = []
         # counters
         self.vmexit_count = 0
         self.vmexit_stalls = 0
@@ -310,17 +314,26 @@ class Hypervisor:
             self._tag(1)
         return outcome
 
-    def log_writes(self, pairs: list[tuple[int, int]]) -> None:
-        """:meth:`log_write` for each ``(gpa, meta_gva)`` in order, where none finds
-        a buffer full (the caller checked :meth:`PmlState.free_slots`)."""
-        if self.pml.log_dirty_run(pairs):
-            self._tag(len(pairs))
+    def log_writes(self, gpas: np.ndarray, gvas: np.ndarray) -> None:
+        """:meth:`log_write` for each GPA of ``gpas`` and GVA of ``gvas`` in order,
+        where none finds a buffer full (the caller checked
+        :meth:`PmlState.free_slots`): one slice copy into each buffer that logs."""
+        hv_buf = self.pml.hv_buffer
+        if hv_buf.index != hv_buf.disabled_index:
+            hv_buf.log_run(np.column_stack((gpas, gvas)))
+            self._tag(len(gpas))
+        if self.pml.epml_enabled:
+            self.pml.guest_buffer.log_run(gvas)
 
     def _tag(self, n: int) -> None:
         """Tag the last ``n`` logged entries with the entitlement in force now."""
         flags = self.flags
         tag = (flags.enable_by_guest and flags.sched_in, flags.enable_by_vmm)
-        self._entry_tags.extend([tag] * n)
+        runs = self._entry_tags
+        if runs and runs[-1][0] == tag:
+            runs[-1] = (tag, runs[-1][1] + n)
+        else:
+            runs.append((tag, n))
         if tag[0]:
             self.logged_guest_tagged += n
         if tag[1]:
@@ -332,44 +345,40 @@ class Hypervisor:
         Guest-entitled entries go to the ring unless the guest consumes via
         its own dual-logged buffer (extended mode); vmm-entitled entries go
         to the migration log; others are discarded.  Each run of equal tags
-        goes as one slice of the buffer.  With ``allow_drop`` the ring may refuse
+        goes as one slice of the buffer, and the flushed frames are re-armed
+        in one step.  With ``allow_drop`` the ring may refuse
         entries beyond capacity (counted, interrupt injected by caller);
         otherwise delivery is forced.
         """
         buf = self.pml.hv_buffer
         taken = buf.drain()
-        tags = self._entry_tags
-        self._entry_tags = []
-        if not taken:
+        runs, self._entry_tags = self._entry_tags, []
+        if not len(taken):
             return FlushResult()
         if self.ept is not None:
             # hardware re-arms the flushed pages so the next write logs again
-            self.ept.clear_dirty(list(map(itemgetter(0), taken)))
+            self.ept.clear_dirty(taken[:, 0])
         now = (self.flags.enable_by_guest and self.flags.sched_in, self.flags.enable_by_vmm)
-        ring_entries: list[tuple[int, int]] = []
+        to_ring = [taken[:0]]
         n_mig = n_disc = mism = pos = 0
-        for tag, run in groupby(tags[: len(taken)]):
-            n = len(list(run))
+        for tag, n in runs:
             entries = taken[pos : pos + n]
+            n = len(entries)  # no more than were buffered
             pos += n
             guest, vmm = tag
             if tag != now:
                 mism += n
             if vmm:
-                self.migration_log += zip(repeat(self.current_pid, n), map(itemgetter(0), entries))
+                self.migration_log += zip(repeat(self.current_pid, n), entries[:, 0].tolist())
                 n_mig += n
             if guest and not self.pml.epml_enabled:
-                ring_entries.extend(entries)
+                to_ring.append(entries)
             elif not guest and not vmm:
                 n_disc += n
-        dropped = 0
-        if ring_entries:
-            if allow_drop and len(ring_entries) > self.ring.free:
-                fit = self.ring.free
-                dropped = len(ring_entries) - fit
-                ring_entries = ring_entries[:fit]
-            if ring_entries:
-                self.ring.append(self.current_pid, ring_entries, force=True)
+        ring_entries = np.concatenate(to_ring)
+        dropped = max(0, len(ring_entries) - self.ring.free) if allow_drop else 0
+        ring_entries = ring_entries[: len(ring_entries) - dropped]
+        self.ring.append(self.current_pid, ring_entries, force=True)
         self.tag_mismatches += mism
         self.discarded_total += n_disc
         self.dropped_total += dropped
@@ -383,9 +392,7 @@ class Hypervisor:
             tag_mismatches=mism,
         )
 
-    def handle_pml_full_vmexit(
-        self, refused: tuple[int, int] | None = None
-    ) -> VmexitResult:
+    def handle_pml_full_vmexit(self, refused: tuple[int, int] | None = None) -> VmexitResult:
         """Service a buffer-full vmexit: flush, re-arm, replay the refusal.
 
         Under the ``stall`` policy a full ring refuses the whole flush and
@@ -394,7 +401,7 @@ class Hypervisor:
         an interrupt so the consumer learns about the loss.
         """
         buf = self.pml.hv_buffer
-        pending = len(buf.entries)
+        pending = buf.used
         if (
             self._guest_uses_ring
             and self.ring_full_policy == "stall"
@@ -429,38 +436,30 @@ class ModelCheckResult:
         return not self.violations
 
 
-def _hv_from_state(
-    state: tuple, buffer_slots: int, hv_factory: type = Hypervisor
-) -> Hypervisor:
+def _hv_from_state(state: tuple, buffer_slots: int, hv_factory: type = Hypervisor) -> Hypervisor:
     ebv, ebg, sched_in, index, tags = state
-    hv = hv_factory(
-        ring_capacity=10**9, ring_full_policy="stall", buffer_slots=buffer_slots
-    )
+    hv = hv_factory(ring_capacity=10**9, ring_full_policy="stall", buffer_slots=buffer_slots)
     hv.flags = CoexistenceFlags(enable_by_vmm=ebv, enable_by_guest=ebg, sched_in=sched_in)
     hv.guest_inited = ebg
     hv.current_pid = 1
     buf = hv.pml.hv_buffer
+    buf.reset(buf.fresh_index)
+    for i in range(sum(n for _tag, n in tags)):
+        buf.log((900 + i, 900 + i))
     buf.index = index
-    buf.entries = [(900 + i, 900 + i) for i in range(len(tags))]
     hv._entry_tags = list(tags)
-    for g, v in tags:
+    for (g, v), n in tags:
         if g:
-            hv.logged_guest_tagged += 1
+            hv.logged_guest_tagged += n
         if v:
-            hv.logged_vmm_tagged += 1
+            hv.logged_vmm_tagged += n
     return hv
 
 
 def _state_of(hv: Hypervisor) -> tuple:
     f = hv.flags
     buf = hv.pml.hv_buffer
-    return (
-        f.enable_by_vmm,
-        f.enable_by_guest,
-        f.sched_in,
-        buf.index,
-        tuple(hv._entry_tags),
-    )
+    return (f.enable_by_vmm, f.enable_by_guest, f.sched_in, buf.index, tuple(hv._entry_tags))
 
 
 def model_check_coordination(
@@ -518,8 +517,8 @@ def model_check_coordination(
                         violations.append(f"entitlement tag mismatch at flush: {ctx}")
                     if hv.discarded_total or hv.dropped_total:
                         violations.append(f"entitled entry lost: {ctx}")
-                    buffered_g = sum(1 for g, _ in hv._entry_tags if g)
-                    buffered_v = sum(1 for _, v in hv._entry_tags if v)
+                    buffered_g = sum(n for (g, _), n in hv._entry_tags if g)
+                    buffered_v = sum(n for (_, v), n in hv._entry_tags if v)
                     if hv.logged_guest_tagged != hv.ring_delivered_total + buffered_g:
                         violations.append(f"guest-entitled conservation broken: {ctx}")
                     if hv.logged_vmm_tagged != hv.migration_delivered_total + buffered_v:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "UnknownMapping",
     "AlreadyMapped",
     "LOST",
+    "LOST_GVA",
     "GuestPageTable",
     "Ept",
     "PageStore",
@@ -57,7 +58,10 @@ __all__ = [
 
 #: Sentinel returned by reverse_map when no GVA currently maps the GPA.
 LOST = None
-_NO_GVA = np.iinfo(np.int64).max  # LOST, in an array of GVAs
+#: LOST, in an array of GVAs (reverse_map_many).
+LOST_GVA = np.iinfo(np.int64).max
+_NO_ENTRIES = np.empty(0, dtype=np.int64)
+_NO_ENTRIES.flags.writeable = False
 
 
 class MappingError(KeyError):
@@ -314,9 +318,9 @@ class _PageMap:
 
     def _gather(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[list, list]]:
         """Each of ``addrs``' state byte (0 for no live page) and target, one gather
-        per region, then ``entries``; and where each byte lives, for :meth:`_scatter`:
-        ``(region, positions, indices)`` per region and ``(position, region)`` per
-        singly mapped page."""
+        per region, then ``entries`` for the addresses no region holds live; and
+        where each byte lives, for :meth:`_scatter`: ``(region, positions,
+        indices)`` per region and ``(position, region)`` per singly mapped page."""
         bits = np.zeros(len(addrs), dtype=np.uint8)
         targets = np.zeros(len(addrs), dtype=np.int64)
         places: tuple[list, list] = ([], [])
@@ -331,9 +335,12 @@ class _PageMap:
                 targets[pos] = off + region.target
                 places[0].append((region, pos, idx))
         if self.entries:
-            hits = map(self.entries.get, addrs.tolist())
-            for j, region in enumerate(hits):
-                if region is not None:  # a page that left a region may be mapped singly
+            # a live address is in exactly one of _regions and entries: only where
+            # no region left a live byte (a page that left one may be mapped singly)
+            misses = (bits == 0).nonzero()[0]
+            hits = map(self.entries.get, addrs[misses].tolist())
+            for j, region in zip(misses.tolist(), hits):
+                if region is not None:
                     bits[j], targets[j] = region.bits[0], region.target
                     places[1].append((j, region))
         return bits, targets, places
@@ -443,11 +450,11 @@ class GuestPageTable(_PageMap):
             raise AlreadyMapped(gva_new)
         self._store(gva_new, *self._take(gva_old))
 
-    def gpas_of(self, gvas: Sequence[int]) -> list[int]:
+    def gpas_of(self, gvas: Sequence[int]) -> np.ndarray:
         """The GPAs that ``gvas`` translate to, as :meth:`gpa_of`, in the order of
         ``gvas``, skipping unmapped ones."""
         bits, targets, _ = self._gather(np.asarray(gvas, dtype=np.int64))
-        return targets[bits != 0].tolist()
+        return targets[bits != 0]
 
     def reverse_map(self, gpa: int) -> int | None:
         """Some GVA currently mapping ``gpa``; lowest page number on aliases.
@@ -455,16 +462,18 @@ class GuestPageTable(_PageMap):
         Returns :data:`LOST` (None) when no GVA maps the GPA — the
         missed-address pathology of GPA-level logging.
         """
-        return self.reverse_map_many([gpa])[0]
+        gva = int(self.reverse_map_many([gpa])[0])
+        return LOST if gva == LOST_GVA else gva
 
-    def reverse_map_many(self, gpas: Sequence[int]) -> list[int | None]:
-        """:meth:`reverse_map` of each of ``gpas``, in order: the lowest of its
-        singly mapped aliases and of the region pages it backs, found in one
-        pass per region."""
-        lowest = np.full(len(gpas), _NO_GVA, dtype=np.int64)
-        if self._rmap:
-            lowest[:] = [min(gvas) if gvas else _NO_GVA for gvas in map(self._rmap.get, gpas)]
+    def reverse_map_many(self, gpas: Sequence[int]) -> np.ndarray:
+        """:meth:`reverse_map` of each of ``gpas``, in order, as an int64 array
+        with :data:`LOST_GVA` for LOST: the lowest of its singly mapped aliases
+        and of the region pages it backs, found in one pass per region."""
         values = np.asarray(gpas, dtype=np.int64)
+        lowest = np.full(len(values), LOST_GVA, dtype=np.int64)
+        if self._rmap:
+            aliases = map(self._rmap.get, values.tolist())
+            lowest[:] = [min(gvas) if gvas else LOST_GVA for gvas in aliases]
         aligned = values % PAGE_SIZE == 0
         for region in self._regions:
             pos, off = _positions(values, aligned, region.target, region.span)
@@ -472,11 +481,7 @@ class GuestPageTable(_PageMap):
             pos, off = pos[live], off[live]
             off += region.base  # the GVAs, in place: a batch may hold every page of 1 GB
             lowest[pos] = np.minimum(off, lowest[pos], out=off)
-        del values, aligned  # before the list of GVAs is built, for the same reason
-        out = lowest.tolist()
-        for j in (lowest == _NO_GVA).nonzero()[0].tolist():
-            out[j] = LOST
-        return out
+        return lowest
 
     def write_page(self, gva: int, ept: "Ept", *, ignore_protection: bool = False) -> WriteOutcome:
         """One store to ``gva``: fault checks, then PTE/EPT dirty updates.
@@ -657,9 +662,9 @@ class Stretch:
                 # written after a copy re-armed them
                 held = table.gpas_of(held)
                 after, end = gpa + self.fills[0] * PAGE_SIZE, gpa + n * PAGE_SIZE
-                rewritten = [frame for frame in held if after < frame < end]
-                if rewritten:
-                    n = (min(rewritten) - gpa) // PAGE_SIZE
+                rewritten = held[(after < held) & (held < end)]
+                if len(rewritten):
+                    n = (int(rewritten.min()) - gpa) // PAGE_SIZE
                     self.fills = [q for q in self.fills if q < n]
                 self._rearm = ept, held
             self._gvas, self._gpas = gvas, range(gpa, gpa + n * PAGE_SIZE, PAGE_SIZE)
@@ -685,12 +690,12 @@ class Stretch:
             pte = np.where(_first(gvas[:n]), pte[:n], _WRITTEN_A[pte[:n]])
         self.bits = bytes(pte[:n])
 
-    def _rearmed(self, gpas: np.ndarray, held: list[int]) -> int:
+    def _rearmed(self, gpas: np.ndarray, held: np.ndarray) -> int:
         """Where a run of writes to ``gpas`` in any order first writes a frame a
         copy before it re-armed: one of ``held`` after the first copy, or one
         the run logged before a copy; else its length."""
         fills, logs, n = self.fills, self._logs, len(gpas)
-        rearmed, start = np.array(held, dtype=np.int64), 0
+        rearmed, start = held, 0
         for j, q in enumerate(fills):
             # the copy at q re-arms the frames the run logged since the last one
             rearmed = np.sort(np.concatenate((rearmed, gpas[start:q][logs[start:q]])))
@@ -705,15 +710,17 @@ class Stretch:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def apply(self, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    def apply(self, k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Apply the first ``k`` writes, each leaving the state
         :meth:`GuestPageTable.write_page` leaves when it completes the write, a
         write-protected page's with ``ignore_protection``, and the copies of the
         buffer fills among them their re-arms.
 
         Returns the page numbers (``gva // PAGE_SIZE``) of the writes that
-        faulted on write protection first, and the ``(gpa, gva)`` of each write
-        that set an EPT dirty bit from clear, in order, when a buffer logs.
+        faulted on write protection first, and the GPAs and the GVAs of the
+        writes that set an EPT dirty bit from clear, in order, as two int64
+        arrays (empty when no buffer logs); a ``range`` stretch computes them
+        from its mask of the writes that log.
         Whether a write is its page's first depends only on the writes before
         it, so the peek's masks, cut to ``k``, are those of the first ``k``
         writes.  A frame a copy re-arms is written by no later write of the
@@ -729,23 +736,27 @@ class Stretch:
         gvas, gpas, logs, marks = self._gvas[:k], self._gpas[:k], self._logs, self.bits[:k]
         copies = bisect_left(self.fills, k)
         lo = self.fills[copies - 1] if copies else 0
+        logged = _NO_ENTRIES, _NO_ENTRIES
         if isinstance(gvas, range):
             (region, i), (frames, j) = self._places
             region.bits[i : i + k] = marks.translate(_WRITTEN)
             frames.bits[j + lo : j + k] = frames.bits[j + lo : j + k].translate(_SET_DIRTY)
             protected = _addresses(marks, _PROTECTED, gvas.start // PAGE_SIZE, 1)
-            logged = () if logs is None else zip(compress(gpas, logs), compress(gvas, logs))
+            if logs is not None:
+                at = np.flatnonzero(np.frombuffer(logs, dtype=np.uint8)[:k]) * PAGE_SIZE
+                logged = at + gpas.start, at + gvas.start
         else:
             pte, frames = self._places
             _PageMap._scatter(pte, k, _WRITTEN, _WRITTEN_A)
             _PageMap._scatter(frames, k, _SET_DIRTY, _SET_DIRTY_A, lo)
             protected = gvas[np.frombuffer(marks.translate(_PROTECTED), bool)] // PAGE_SIZE
             protected = protected.tolist()
-            logged = () if logs is None else zip(gpas[logs[:k]].tolist(), gvas[logs[:k]].tolist())
-        if copies and self._rearm[1]:
+            if logs is not None:
+                logged = gpas[logs[:k]], gvas[logs[:k]]
+        if copies and len(self._rearm[1]):
             ept, held = self._rearm
             ept.clear_dirty(held)
-        return protected, list(logged)
+        return protected, *logged
 
 
 class PageStore:

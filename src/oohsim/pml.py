@@ -5,14 +5,16 @@ fresh buffer starts at index 511, each logged entry lands at the current
 index and decrements it, and the attempt that would push the index below
 zero is refused and raises the buffer-full signal instead (the refused
 entry is replayed by the handler after the index is reset).  Index 512
-disables logging outright.
+disables logging outright.  Its entries sit in preallocated int64 storage,
+in logging order, so a run of entries is logged by one slice copy and taken
+by one slice.
 
 :class:`PmlState` pairs the hypervisor-level GPA buffer with the optional
 guest-level GVA buffer of the extended design, where one write logs into
 both buffers independently; the hypervisor buffer signals fullness with a
 vmexit while the guest buffer posts a virtual self-IPI.  What a log did is
 a :class:`LogOutcome`; the twelve possible outcomes are built once and
-shared, so logging a write allocates nothing but the buffer entry, and
+shared, so logging a write allocates nothing, and
 each carries its ``hv_full``/``guest_full`` flags as precomputed fields.  Guest
 access to the device fields goes through a :class:`ShadowVmcs` under
 read/write bitmap control.
@@ -21,7 +23,8 @@ read/write bitmap control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+
+import numpy as np
 
 __all__ = [
     "BUFFER_SLOTS",
@@ -71,19 +74,30 @@ class PmlBuffer:
     underflowed state in which the next attempt raises the full signal),
     512 when logging is disabled.  ``slots`` scales that geometry down for
     exhaustive state-space exploration; the protocol is unchanged (fresh
-    index = slots - 1, disabled index = slots).  ``entries`` holds the
-    logged payloads in logging order; ``drops_while_full`` counts refused
-    attempts (net loss only if the caller never replays them).
+    index = slots - 1, disabled index = slots).  An entry is ``width``
+    int64 values: one (a GVA), or two (a ``(gpa, meta_gva)`` pair).
+    ``entries`` is the logged entries in logging order, a view of the first
+    ``used`` rows of the storage, valid until the buffer next changes;
+    ``drops_while_full`` counts refused attempts (net loss only if the
+    caller never replays them).
     """
 
     index: int | None = None
-    entries: list = field(default_factory=list)
     drops_while_full: int = 0
     slots: int = BUFFER_SLOTS
+    width: int = 1
+    used: int = field(default=0, init=False)
+    _store: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index is None:
             self.index = self.slots  # disabled until explicitly armed
+        shape = (self.slots, self.width) if self.width > 1 else self.slots
+        self._store = np.empty(shape, dtype=np.int64)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._store[: self.used]
 
     @property
     def fresh_index(self) -> int:
@@ -112,30 +126,38 @@ class PmlBuffer:
         if index < 0:
             self.drops_while_full += 1
             return LogResult.FULL
-        self.entries.append(entry)
+        self._store[self.used] = entry
+        self.used += 1
         self.index = index - 1
         return LogResult.LOGGED
 
-    def log_run(self, entries: list) -> bool:
+    def log_run(self, entries: np.ndarray) -> bool:
         """Log ``entries`` in order, as that many :meth:`log` calls would when
         each finds a free slot; False, logging nothing, when disabled."""
         if self.index == self.slots:
             return False
-        if len(entries) > self.slots_left:
-            raise ValueError(f"{len(entries)} entries, {self.slots_left} free slots")
-        self.entries.extend(entries)
-        self.index -= len(entries)
+        n = len(entries)
+        if n > self.slots_left:
+            raise ValueError(f"{n} entries, {self.slots_left} free slots")
+        self._store[self.used : self.used + n] = entries
+        self.used += n
+        self.index -= n
         return True
 
-    def drain(self) -> list:
-        """Take all entries and re-arm (copy-then-reset handler order).
+    def drain(self, n: int | None = None) -> np.ndarray:
+        """Take the first ``n`` entries (all by default), in logging order, and
+        re-arm once none is left (copy-then-reset handler order).
 
         A disabled buffer stays disabled; use :meth:`reset` to pick a
         different index explicitly.
         """
-        taken = self.entries
-        self.entries = []
-        if self.index != self.disabled_index:
+        used = self.used
+        n = used if n is None else min(n, used)
+        taken = self._store[:n].copy()
+        if n < used:
+            self._store[: used - n] = self._store[n:used]
+        self.used = used - n
+        if not self.used and self.index != self.disabled_index:
             self.index = self.fresh_index
         return taken
 
@@ -143,7 +165,7 @@ class PmlBuffer:
         if value not in (self.fresh_index, self.disabled_index):
             raise InvalidIndexValue(value)
         self.index = value
-        self.entries = []
+        self.used = 0
 
 
 @dataclass(frozen=True)
@@ -177,14 +199,15 @@ _LOG_OUTCOMES = {
 class PmlState:
     """Per-vCPU device state: hypervisor buffer plus optional guest buffer.
 
-    Buffer payloads: the hypervisor buffer logs ``(gpa, meta_gva)`` tuples —
-    the GPA is what the device records; the write-time GVA rides along as
-    simulator ground truth for diagnosing lost/inaccurate reverse mappings
-    and is never visible to modeled guest code.  The guest buffer logs GVAs.
+    Buffer payloads: each hypervisor-buffer entry is a ``(gpa, meta_gva)``
+    pair of int64s — the GPA is what the device records; the write-time GVA
+    rides along as simulator ground truth for diagnosing lost/inaccurate
+    reverse mappings and is never visible to modeled guest code.  The guest
+    buffer logs GVAs.
     """
 
     pml_address: int = 0
-    hv_buffer: PmlBuffer = field(default_factory=PmlBuffer)
+    hv_buffer: PmlBuffer = field(default_factory=lambda: PmlBuffer(width=2))
     epml_enabled: bool = False
     guest_pml_address: int = 0  # stored as HPA (translated at vmwrite)
     guest_buffer: PmlBuffer = field(default_factory=PmlBuffer)
@@ -194,14 +217,6 @@ class PmlState:
         hv = self.hv_buffer.log((gpa, gva))
         guest = self.guest_buffer.log(gva) if self.epml_enabled else None
         return _LOG_OUTCOMES[hv, guest]
-
-    def log_dirty_run(self, pairs: list[tuple[int, int]]) -> bool:
-        """:meth:`log_dirty` for each ``(gpa, gva)`` in order, none finding a
-        buffer full; True when the hypervisor buffer logged them."""
-        hv = self.hv_buffer.log_run(pairs)
-        if self.epml_enabled:
-            self.guest_buffer.log_run(list(map(itemgetter(1), pairs)))
-        return hv
 
     def free_slots(self) -> int | None:
         """Dirty transitions the buffers take before one refuses; None when none logs."""

@@ -22,28 +22,14 @@ clock, the collection ticks, stalls, quantum swaps, the round loop, the final
 harvest and the report) and differ only in how they apply a round of writes
 and keep the device state.  Only ``spml`` and ``epml`` runs schedule
 collection ticks: ``proc`` collects at each round's end and ``uffd`` as each
-fault is resolved, so their runs have none.  The mechanical engine executes
-every write through :class:`~oohsim.vm.VirtualMachine`; it is the reference
-semantics, runs every trace, and alone reports content-level results (the
-dirty set, missed and inaccurate pages).  One driver loop runs it: a trace
-feeds it its ops, the micro-benchmark one round of writes at a time.  A
-quiet write only adds its base cost to the clock, held in locals, and a
-whole stretch of quiet writes, in a round or across a trace's maps and
-unmaps (which charge no time, so they go before or after it), is
-applied in one step that leaves the clock and state of one write at a time:
-its clock is a NumPy prefix sum, which adds the writes' µs one by one, in
-order.  An epml stretch runs through the fills of the guest log buffer
-whose softirq copy the tool ring takes whole: the filling write's cost is
-its µs plus the copy's, in its place in the sum.  Its spml collector
-charges each drained entry at its tick but takes it off the ring only when
-something next reads the ring, so the ticks of a stall take the ring in one
-step, and maps it to its GVA later, with every entry drained since the last
-map, unmap or remap op, as no other step changes a reverse mapping.  An
-*event* (a vmexit or stall, a softirq copy no stretch takes, a full
-quantum, a due collection tick or the horizon) puts
-the clock back on the run, adds each cost in the same order as a
-write-by-write accounting would, then swaps the quantum and runs the due
-ticks.  The segment engine,
+fault is resolved, so their runs have none.  The mechanical engine
+(:class:`_MechanicalRun`) executes every write through
+:class:`~oohsim.vm.VirtualMachine`; it is the reference semantics, runs
+every trace, and alone reports content-level results (the dirty set,
+missed and inaccurate pages).  It applies whole stretches of quiet writes
+in one step that leaves the clock and state of one write at a time, and
+carries the logged entries as int64 arrays from the stretch to the report.
+The segment engine,
 the default for the micro-benchmark because it is fast at large sizes,
 advances whole stretches of writes between events with closed-form
 arithmetic, following the mechanical event order (buffer event during the
@@ -60,15 +46,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, count, repeat
-from operator import add, is_not, itemgetter, ne
+from itertools import repeat
+from operator import add
 from typing import Any
 
 import numpy as np
 
 from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
-from .memory import LOST, GuestPageTable, write_faults
+from .memory import LOST_GVA, GuestPageTable, write_faults
 from .pml import BUFFER_SLOTS
 from .reports import RunRow
 from .vm import VirtualMachine
@@ -226,26 +212,21 @@ class TrackerPhaseReport:
 @dataclass
 class DrainResult:
     consumed: int = 0
-    gvas: list[int] = field(default_factory=list)
-    raw: list[tuple[int, int]] = field(default_factory=list)  # (gpa, meta_gva)
+    gvas: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    raw: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
     lost: list[tuple[int, int]] = field(default_factory=list)
     inaccurate: list[tuple[int, int]] = field(default_factory=list)
     rm_us: float = 0.0
     copy_us: float = 0.0
 
-    @property
-    def total_us(self) -> float:
-        return self.rm_us + self.copy_us
-
 
 def drain_ring(vm: VirtualMachine) -> DrainResult:
     """Take every entry off the ring, charge its copy, and keep its
-    ``(gpa, meta_gva)`` pair raw, for a deferred reverse mapping
+    ``(gpa, meta_gva)`` row raw, for a deferred reverse mapping
     (:func:`reverse_map_raw`).  Logging was re-armed when the device flushed
     these entries, not here."""
-    res = DrainResult()
-    for _pid, pairs in vm.hv.ring.consume(vm.hv.ring.used):
-        res.raw.extend(pairs)
+    res, ring = DrainResult(), vm.hv.ring
+    res.raw = np.concatenate([res.raw] + [rows for _pid, rows in ring.consume(ring.used)])
     res.consumed = len(res.raw)
     if res.consumed:
         res.copy_us = res.consumed * vm.kernel.uio.prices.m18_pp
@@ -253,7 +234,7 @@ def drain_ring(vm: VirtualMachine) -> DrainResult:
 
 
 def reverse_map_blocks(vm: VirtualMachine, blocks) -> DrainResult:
-    """:func:`reverse_map_pairs` of each ``(pid, pairs)`` block through its
+    """:func:`reverse_map_pairs` of each ``(pid, rows)`` block through its
     process's page table; every pair of a process that is gone is lost."""
     res = DrainResult()
     processes = vm.kernel.processes
@@ -263,7 +244,7 @@ def reverse_map_blocks(vm: VirtualMachine, blocks) -> DrainResult:
     return res
 
 
-def reverse_map_raw(vm: VirtualMachine, raw: list[tuple[int, int]]) -> DrainResult:
+def reverse_map_raw(vm: VirtualMachine, raw: np.ndarray) -> DrainResult:
     """Deferred reverse mapping of previously harvested raw addresses."""
     rm_pp = vm.kernel.uio.prices.m17_pp
     table = vm.kernel.processes[TRACKED_PID].table
@@ -273,29 +254,30 @@ def reverse_map_raw(vm: VirtualMachine, raw: list[tuple[int, int]]) -> DrainResu
 def reverse_map_pairs(
     table: GuestPageTable | None, pairs, rm_pp: float = 0.0, res: DrainResult | None = None
 ) -> DrainResult:
-    """Reverse-map logged ``(gpa, meta_gva)`` pairs through a page table into ``res``.
+    """Reverse-map logged ``(gpa, meta_gva)`` pairs, an ``(n, 2)`` array or a
+    sequence of pairs, through a page table into ``res``.
 
     The one GPA-to-GVA step: the one spml pays ``rm_pp`` per pair for and
     epml skips.  A GPA no GVA maps any more (every GPA, when ``table`` is
     None) is lost; one that maps back to another GVA than the one written
     is inaccurate.  The batch is mapped and compared with the logged GVAs
-    whole; only the pairs that differ are visited.
+    whole; only the pairs that differ are visited.  The mapped GVAs join
+    ``res.gvas`` in order.
     """
     res = res if res is not None else DrainResult()
-    pairs = list(pairs)
-    logged = list(map(itemgetter(1), pairs))
-    gpas = list(map(itemgetter(0), pairs))
-    gvas = table.reverse_map_many(gpas) if table is not None else [LOST] * len(pairs)
+    gpas, logged = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    gvas = table.reverse_map_many(gpas) if table is not None else np.full(len(gpas), LOST_GVA)
     if rm_pp:  # one addition per pair, in order, as a per-pair loop adds them
-        res.rm_us = reduce(add, repeat(rm_pp, len(pairs)), res.rm_us)
-    if gvas != logged:
-        for k in compress(count(), map(ne, gvas, logged)):
-            if gvas[k] is LOST:
-                res.lost.append((gpas[k], logged[k]))
+        res.rm_us = reduce(add, repeat(rm_pp, len(gpas)), res.rm_us)
+    differ = (gvas != logged).nonzero()[0]
+    if len(differ):
+        for gpa, gva, meta in zip(*(a[differ].tolist() for a in (gpas, gvas, logged))):
+            if gva == LOST_GVA:
+                res.lost.append((gpa, meta))
             else:
-                res.inaccurate.append((gvas[k], logged[k]))
-        gvas = list(compress(gvas, map(is_not, gvas, repeat(LOST))))
-    res.gvas.extend(gvas)
+                res.inaccurate.append((gva, meta))
+        gvas = gvas[gvas != LOST_GVA]
+    res.gvas = np.concatenate((res.gvas, gvas)) if len(res.gvas) else gvas
     return res
 
 
@@ -746,6 +728,12 @@ _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 STRETCH_MIN = 32
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, sorted: a sort in place and a compare of neighbours."""
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
+
+
 def _sums(start: float, us, n: int) -> np.ndarray:
     """The running sums from ``start`` over ``n`` terms: ``n`` µs values, or one
     value ``n`` times.  Element 0 is ``start``; element ``i`` has ``i`` terms.
@@ -822,17 +810,18 @@ class _MechanicalRun(_Run):
     ring: :meth:`_settle` takes them off in one step at the end of the
     ticks of an event exit, before a stall's one flush and before the
     parked pairs or the deferred entries are mapped.  The drained
-    ``(gpa, gva)`` pairs wait in ``parked``, by pid, each once, and are
-    reverse-mapped together (:meth:`_map_parked`) before
-    each map, unmap or remap op, before a stretch passes one and before
-    the report: they map as they
-    did when drained, and a pair drained again in the same epoch is mapped
-    once.
+    ``(gpa, gva)`` rows wait in ``parked``, by pid, as the ring's int64
+    arrays in drain order, and are reverse-mapped together
+    (:meth:`_map_parked`) before each map, unmap or remap op, before a
+    stretch passes one, once a ring's worth has parked and before the
+    report: they map as they did when drained, as no other step changes a
+    mapping; a pair drained again in the same epoch maps again, at no charge.
 
-    ``oracle`` (pages written) and ``collected`` (pages reported) hold page
-    numbers, as page-aligned addresses share their low bits and a set of them
-    probes on most lookups; :meth:`_content` turns them into addresses, so a
-    trace must name its pages by page-aligned addresses
+    ``oracle`` is a boolean mask over the writes of the run's decode (a
+    trace's, or a sweep round's), True where a write completed, and
+    ``collected`` a list of arrays of the page numbers reported;
+    :meth:`_content` makes each distinct once and turns them into addresses,
+    so a trace must name its pages by page-aligned addresses
     (:attr:`~oohsim.workloads.TraceWorkload.decoded` rejects any other).
     """
 
@@ -841,12 +830,14 @@ class _MechanicalRun(_Run):
     def __init__(self, cfg: TrackerConfig):
         self.vm, self.gvas, init_us = tracked_machine(cfg)
         super().__init__(cfg, self.vm.kernel.uio.prices, init_us)
-        self.oracle: set[int] = set()
-        self.collected: set[int] = set()
+        writes = len(cfg.trace.decoded[0]) if cfg.trace is not None else cfg.pages
+        self.oracle = np.zeros(writes, dtype=bool)  # by write of the decode: it completed
+        self.collected: list[np.ndarray] = []  # page numbers reported
         self.inaccurate: set[tuple[int, int]] = set()
-        self.raw_entries: list[tuple[int, int]] = []
-        # spml's drained (gpa, gva) pairs by pid, charged but not yet mapped
-        self.parked: dict[Any, set[tuple[int, int]]] = {}
+        self.raw_entries: list[np.ndarray] = []  # (gpa, gva) rows, when deferred
+        # spml's drained (gpa, gva) rows by pid, charged but not yet mapped, and their count
+        self.parked: dict[Any, list[np.ndarray]] = {}
+        self._parked_rows = 0
         # ring entries charged by spml's ticks but not yet taken off the ring
         self._owed = 0
         if cfg.defer_reverse_map:
@@ -859,15 +850,6 @@ class _MechanicalRun(_Run):
     @ring_used.setter
     def ring_used(self, used: int) -> None:
         self._owed = self.vm.hv.ring.used - used
-
-    @cached_property
-    def _sweep(self) -> tuple:
-        # a round as a trace's decode, in one window; its page numbers are one
-        # int object per page reused every round, so the oracle's set lookups
-        # match keys by identity; built for the micro-benchmark only, as a trace
-        # may map far more pages than it writes
-        pages = list(map(PAGE_SIZE.__rfloordiv__, self.gvas))
-        return self.gvas, self.gvas, pages, (), (), (len(pages),)
 
     @cached_property
     def _write_us(self) -> list[tuple[float, float]]:
@@ -905,17 +887,17 @@ class _MechanicalRun(_Run):
                 self.softirqs += 1
             self._consume_tool_ring()
 
-    def _collect(self, gvas) -> None:
-        """Add the pages logged by address (spml, epml); the kernel's page sets
-        (proc, uffd) are page numbers already and go straight to ``collected``."""
-        self.collected.update(map(PAGE_SIZE.__rfloordiv__, gvas))
+    def _collect(self, gvas: np.ndarray) -> None:
+        """Add the pages logged by address (spml, epml); the kernel's sets (proc,
+        uffd) are page numbers already and go straight to ``collected``."""
+        self.collected.append(gvas // PAGE_SIZE)
 
     def _consume_tool_ring(self) -> None:
         self._collect(self.vm.kernel.epml_consume_ring())
 
     def _deliver_leftover(self) -> float:
         """Copy the guest buffer's leftover entries out in one softirq; return its µs."""
-        if not self.vm.hv.pml.guest_buffer.entries:
+        if not self.vm.hv.pml.guest_buffer.used:
             return 0.0
         _, us = self.vm.kernel.deliver_guest_buffer_full(TRACKED_PID)
         self.suspension += us
@@ -932,17 +914,19 @@ class _MechanicalRun(_Run):
         return rm_us + copy_us, rm_us, copy_us
 
     def _settle(self) -> None:
-        """Take the owed entries off the ring: park their pairs, or keep them
-        raw, in drain order, when the mapping is deferred."""
+        """Take the owed entries off the ring: park their rows, or keep them
+        raw when the mapping is deferred, in drain order.  A ring's worth of
+        parked rows is mapped at once, so the rows held stay bounded."""
         if self._owed:
-            blocks = self.vm.hv.ring.consume(self._owed)
-            self._owed = 0
-            if self.cfg.defer_reverse_map:
-                for _pid, pairs in blocks:
-                    self.raw_entries.extend(pairs)
-            else:  # each pair once
-                for pid, pairs in blocks:
-                    self.parked.setdefault(pid, set()).update(pairs)
+            blocks, self._owed = self.vm.hv.ring.consume(self._owed), 0
+            for pid, pairs in blocks:
+                if self.cfg.defer_reverse_map:
+                    self.raw_entries.append(pairs)
+                else:
+                    self.parked.setdefault(pid, []).append(pairs)
+                    self._parked_rows += len(pairs)
+            if self._parked_rows >= self.cfg.ring_capacity:
+                self._map_parked()
 
     def _swap_and_tick(self) -> None:
         super()._swap_and_tick()
@@ -952,8 +936,10 @@ class _MechanicalRun(_Run):
         """Map the parked pairs against the mappings they were drained under."""
         self._settle()
         if self.parked:
-            res = reverse_map_blocks(self.vm, self.parked.items())
+            blocks = [(pid, np.concatenate(rows)) for pid, rows in self.parked.items()]
             self.parked.clear()
+            self._parked_rows = 0
+            res = reverse_map_blocks(self.vm, blocks)
             self._collect(res.gvas)
             self.inaccurate.update(res.inaccurate)
 
@@ -961,7 +947,7 @@ class _MechanicalRun(_Run):
         self._settle()
         if not self.raw_entries:
             return 0.0
-        res = reverse_map_raw(self.vm, self.raw_entries)
+        res = reverse_map_raw(self.vm, np.concatenate(self.raw_entries))
         self._collect(res.gvas)
         self.inaccurate.update(res.inaccurate)
         return res.rm_us
@@ -973,32 +959,24 @@ class _MechanicalRun(_Run):
 
         ``decoded`` is the trace's :attr:`~oohsim.workloads.TraceWorkload.decoded`;
         None is one round of the micro-benchmark: a write to each page of the
-        sweep, in order, in one window.  In each of a trace's windows, a
-        stretch of quiet writes (:meth:`~oohsim.vm.VirtualMachine.quiet_run`)
-        of at least :data:`STRETCH_MIN` writes is peeked at once and applied
-        in one step (:meth:`~oohsim.vm.VirtualMachine.write_run`); a write a
-        stretch cannot take goes through ``write_one``.  The window's maps
-        that sit before the last write peeked at are applied before the peek,
-        and its unmaps that sit before the last write applied right after it,
-        before the write's event exit; a map applied ahead is not applied
-        again where it sits.  The peek reaches the
-        limit (the next tick or the horizon, whichever comes first) or the
-        quantum at the cheapest write price, or takes the rest of the window's
-        writes where both are infinite, and, while a log buffer is armed,
-        1.5 writes per dirty transition the stretch may log: a stretch ends
-        before the transition it has no slot for, so more would be thrown
-        away.  A sweep may log through every whole guest-buffer copy the
-        tool ring takes (:meth:`~oohsim.vm.VirtualMachine.log_room`); a
-        trace's stretch ends soon after a copy, at its first write to a page
-        the copy re-armed, so it counts the free slots only.  A write's
-        cost is ``w``, then the soft-dirty fault for ``proc``, then the uffd
-        fault for a recorded fault (``_write_us``), and a filling write's
-        also its copy; a stretch's costs are NumPy prefix sums (the class
-        docstring).  The pairs spml parked are mapped before each map, unmap
-        or remap, which may change a mapping, and before a stretch passes
-        one; the class docstring lists the event exits.
+        sweep, in order, in one window.  Stretches, event exits and the
+        mapping of parked pairs are as the class docstring says; a map
+        applied ahead of a stretch is not applied again where it sits.  The
+        peek reaches the limit (the next tick or the horizon, whichever comes
+        first) or the quantum at the cheapest write price, or takes the rest
+        of the window's writes where both are infinite, and, while a log
+        buffer is armed, 1.5 writes per dirty transition the stretch may log:
+        a stretch ends before the transition it has no slot for, so more
+        would be thrown away.  A sweep may log through every whole
+        guest-buffer copy the tool ring takes
+        (:meth:`~oohsim.vm.VirtualMachine.log_room`); a trace's stretch ends
+        soon after a copy, at its first write to a page the copy re-armed,
+        so it counts the free slots only.  A write's cost is ``w``, then the
+        soft-dirty fault for ``proc``, then the uffd fault for a recorded
+        fault (``_write_us``), and a filling write's also its copy.
         """
-        gvas, batch, pages, at, others, stops = decoded or self._sweep
+        one_round = self.gvas, self.gvas, (), (), (len(self.gvas),)  # one window, no other op
+        gvas, batch, at, others, stops = decoded or one_round
         total, n_others = len(gvas), len(others)
         horizon = self.cfg.horizon_us
         if self.t >= horizon:
@@ -1014,7 +992,7 @@ class _MechanicalRun(_Run):
         log_room, free_slots, sweep = vm.log_room, vm.hv.pml.free_slots, decoded is None
         softirq_us = self.c.copy_us(BUFFER_SLOTS)  # a whole guest buffer's copy
         stretch_min = STRETCH_MIN
-        oracle_add, oracle_update = self.oracle.add, self.oracle.update
+        written = self.oracle
         t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
         suspension, busy = self.suspension, self.tracker_busy
         limit = min(self.next_tick, horizon)
@@ -1083,7 +1061,7 @@ class _MechanicalRun(_Run):
                     if faults:
                         suspension = float(_sums(suspension, uffd_fault, faults)[-1])
                         busy = float(_sums(busy, uffd_fault, faults)[-1])
-                    oracle_update(pages[pos : pos + k])
+                    written[pos : pos + k] = True
                     pos += k
                     writes_done += k
                     t, run_acc = float(ts[k]), float(rs[k])
@@ -1107,7 +1085,7 @@ class _MechanicalRun(_Run):
                         busy += uffd_fault
                     if outcome.fault is None:
                         writes_done += 1
-                        oracle_add(pages[pos])
+                        written[pos] = True
                     pos += 1
                     if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
                         t += wall
@@ -1187,7 +1165,7 @@ class _MechanicalRun(_Run):
         if self.tech == "proc":
             dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
             _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-            self.collected.update(dirty)
+            self.collected.append(np.fromiter(dirty, np.int64, len(dirty)))
             self._charge_walk(read_us, clear_us)
         elif self.tech == "epml":
             self.t += self._deliver_leftover()
@@ -1198,10 +1176,11 @@ class _MechanicalRun(_Run):
         if self.tech == "proc" and self.cfg.trace is not None:
             # traces have no per-round collection: harvest at the end
             dirty, read_us = kernel.read_pagemap(TRACKED_PID)
-            self.collected.update(dirty)
+            self.collected.append(np.fromiter(dirty, np.int64, len(dirty)))
             self._charge("walk_us", read_us)
         elif self.tech == "uffd":
-            self.collected.update(kernel.uffd_harvest(TRACKED_PID))
+            dirty = kernel.uffd_harvest(TRACKED_PID)
+            self.collected.append(np.fromiter(dirty, np.int64, len(dirty)))
         elif self.tech == "epml":
             self._deliver_leftover()  # conservatively still suspension, off the clock
             self._consume_tool_ring()
@@ -1212,9 +1191,17 @@ class _MechanicalRun(_Run):
         self._map_parked()
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
+        writes = self.cfg.trace.decoded[1] if self.cfg.trace is not None else self.gvas
+        written = _distinct(np.asarray(writes)[self.oracle] // PAGE_SIZE)
+        collected = np.concatenate(self.collected) if self.collected else written[:0]
+        self.collected.clear()  # before the sort: a 1 GB run collects millions of pages
+        collected = _distinct(collected)
+        if len(collected):  # the written pages that were not collected
+            found = collected[collected.searchsorted(written).clip(max=len(collected) - 1)]
+            written = written[found != written]
         return {
-            "dirty_set": set(map(PAGE_SIZE.__mul__, self.collected)),
-            "missed": set(map(PAGE_SIZE.__mul__, self.oracle - self.collected)),
+            "dirty_set": set((collected * PAGE_SIZE).tolist()),
+            "missed": set((written * PAGE_SIZE).tolist()),
             "inaccurate": set(self.inaccurate),
         }
 

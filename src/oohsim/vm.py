@@ -3,14 +3,10 @@
 :class:`VirtualMachine` wires the layers together and provides the one
 operation everything else builds on: :meth:`VirtualMachine.write_one`, the
 full per-write pipeline from the store instruction down to device logging,
-buffer-full handling, and softirq delivery.  It runs once per simulated
-write, so what it returns is cheap to make: a :class:`WriteResult` named
-tuple around the page table's :class:`~oohsim.memory.WriteOutcome` tuple
-and one of the shared :class:`~oohsim.pml.LogOutcome` instances.  Most
-writes are quiet: the write logged nothing, or logged with neither buffer
-full.  ``write_one`` returns one of those as soon as it knows, with every
-device field at its default, and only a full buffer takes the flush,
-softirq and replay path.
+buffer-full handling, and softirq delivery.  Most writes are quiet (they log
+nothing, or log with neither buffer full): ``write_one`` returns one of
+those as soon as it knows, and only a full buffer takes the flush, softirq
+and replay path.
 
 :meth:`VirtualMachine.quiet_run` and :meth:`VirtualMachine.write_run` are
 the bulk form of ``write_one`` for a stretch of writes: to consecutive pages
@@ -21,21 +17,15 @@ consecutive pages, one gather per region otherwise) and returns the
 would be quiet, how each would fault and which fill the guest log buffer
 (in extended mode a fill whose copy the tool ring takes whole is quiet
 enough).  The second applies its first writes from what the peek found,
-with no second lookup, makes their copies and bulk appends to the log
-buffers, entry tags and uffd record, leaving exactly the state that one
-``write_one`` per write leaves.
+with no second lookup, makes their copies and bulk appends the logged GPAs
+and GVAs, as int64 arrays, to the log buffers, entry tags and uffd record,
+leaving exactly the state that one ``write_one`` per write leaves.
 
-Allocation hands out fresh guest-physical and host-physical frames —
-addresses are never reused, so a page remapped after churn is always
-distinguishable from its predecessor.
-
-:meth:`VirtualMachine.allocate` maps its pages as one region in the page
-table and one in the EPT: one byte of state per page in each, and no
-per-page object.  A write flips bits in those bytes; a page mapped singly
-(:meth:`VirtualMachine.map_fresh`) or moved is a one-page region (see
-:mod:`oohsim.memory`).  The address counters advance exactly as if every
-page had been mapped singly.  :meth:`VirtualMachine.read_page` and the epml
-re-arm look a page's GPA up without building an entry view for it.
+Allocation hands out fresh guest-physical and host-physical frames, never
+reused, so a page remapped after churn is always distinguishable from its
+predecessor.  :meth:`VirtualMachine.allocate` maps its pages as one region
+in the page table and one in the EPT (see :mod:`oohsim.memory`), and the
+address counters advance exactly as if every page had been mapped singly.
 
 A trace's ``map``/``unmap``/``remap`` ops, for the tracker engine and for
 checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and
@@ -259,7 +249,7 @@ class VirtualMachine:
             or not pml.epml_enabled
             or hv_buf.index != hv_buf.disabled_index
             or buf.index == buf.disabled_index
-            or len(buf.entries) + buf.slots_left != buf.slots
+            or buf.used + buf.slots_left != buf.slots
         ):
             return 0
         return uio.ring_free // buf.slots
@@ -316,14 +306,15 @@ class VirtualMachine:
         (:meth:`~oohsim.guest.GuestKernel.deliver_fills`), each of a whole
         buffer, for the caller to charge.  A stretch applies once, with
         ``1 <= count <= len(stretch)``; anything else raises ``ValueError``."""
-        protected, logged = stretch.apply(count)
+        protected, gpas, gvas = stretch.apply(count)
         if protected:
             self.kernel.uffd_record_run(pid, protected)
         copies = bisect_left(stretch.fills, count)
         if copies:
-            logged = logged[self.kernel.deliver_fills(pid, logged, copies) :]
-        if logged:
-            self.hv.log_writes(logged)
+            copied = self.kernel.deliver_fills(pid, gvas, copies)
+            gpas, gvas = gpas[copied:], gvas[copied:]
+        if len(gvas):
+            self.hv.log_writes(gpas, gvas)
         return copies
 
     def read_page(self, pid: int, gva: int) -> bytes:

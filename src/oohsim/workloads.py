@@ -70,9 +70,9 @@ class TraceWorkload:
         return [(i + 1) * PAGE for i in range(self.initial_pages)]
 
     @cached_property
-    def decoded(self) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple], list[int]]:
+    def decoded(self) -> tuple[list[int], np.ndarray, list[int], list[tuple], list[int]]:
         """The ops as the mechanical tracker engine runs them: the pages the
-        writes write, the same as an array, their page numbers; the other
+        writes write, and the same as an array; the other
         ops, each with the count of writes before it; and, as counts of
         writes, the ends of the *windows*, the runs of ops a stretch of writes
         may reach across.  A window is cut before a remap, a map of a page it
@@ -98,7 +98,7 @@ class TraceWorkload:
         batch = np.array(gvas, dtype=np.int64)
         at = [i - j for j, i in enumerate(others)]  # the writes before each other op
         stops = [i - bisect_left(others, i) for i in _window_starts(ops, others)]
-        return gvas, batch, (batch // PAGE).tolist(), at, [ops[i] for i in others], stops
+        return gvas, batch, at, [ops[i] for i in others], stops
 
 
 def _window_starts(ops: list[tuple], others: list[int]) -> list[int]:

@@ -45,7 +45,7 @@ def test_gate_01_log_device_semantics_hold_over_fuzzed_traces():
 
     disabled = PmlBuffer(index=INDEX_DISABLED)
     assert disabled.log(1) == LogResult.DISABLED
-    assert disabled.entries == [] and disabled.index == INDEX_DISABLED
+    assert disabled.entries.tolist() == [] and disabled.index == INDEX_DISABLED
 
     # property fuzz: the device tracks a three-line reference model exactly
     rng = np.random.default_rng(0xB0F)
@@ -65,7 +65,7 @@ def test_gate_01_log_device_semantics_hold_over_fuzzed_traces():
                     index -= 1
                 assert got == want
             elif op == 5:  # drain: copy out then re-arm unless disabled
-                assert dev.drain() == entries
+                assert dev.drain().tolist() == entries
                 entries = []
                 if index != INDEX_DISABLED:
                     index = 511
@@ -73,7 +73,7 @@ def test_gate_01_log_device_semantics_hold_over_fuzzed_traces():
                 value = 511 if op == 6 else INDEX_DISABLED
                 dev.reset(value)
                 index, entries = value, []
-            assert (dev.index, dev.entries, dev.drops_while_full) == (
+            assert (dev.index, dev.entries.tolist(), dev.drops_while_full) == (
                 index,
                 entries,
                 drops,

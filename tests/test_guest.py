@@ -128,6 +128,11 @@ def test_epml_schedule_pair_is_three_writes_one_read():
     assert total == pytest.approx(3.339)
 
 
+def _tool_ring(kern) -> list[int]:
+    """The GVAs on the tool ring, in copy order."""
+    return [gva for chunk in kern.uio.ring for gva in chunk.tolist()]
+
+
 def test_epml_sched_out_drains_leftovers_to_tool_ring():
     kern, hv = make_kernel()
     kern.new_process(7)
@@ -137,7 +142,7 @@ def test_epml_sched_out_drains_leftovers_to_tool_ring():
     for i in range(3):
         hv.pml.log_dirty(0x100000 + i * 0x1000, 0x1000 + i * 0x1000)
     kern.on_schedule(7, "out")
-    assert sorted(kern.uio.ring) == [0x1000, 0x2000, 0x3000]
+    assert sorted(_tool_ring(kern)) == [0x1000, 0x2000, 0x3000]
     assert kern.uio.ring_dropped == 0
 
 
@@ -174,7 +179,7 @@ def test_softirq_copy_charges_ring_copy_rate():
     assert us == pytest.approx(
         table.cost_us("M1") + 5 * table.per_page_us("M18", MB)
     )
-    assert len(kern.uio.ring) == 5
+    assert len(_tool_ring(kern)) == 5 == kern.uio.ring_used
     assert hv.pml.guest_buffer.armed  # fully drained: re-armed
     assert us == kern.uio.prices.copy_us(5)
 

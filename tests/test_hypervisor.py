@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oohsim.engine import EventKind, SimEngine
 from oohsim.hypervisor import (
+    COORD_REQUESTS,
     CoexistenceFlags,
     FlushResult,
     HvCore,
@@ -33,6 +35,21 @@ def _retrievable(buf) -> int:
 # ----------------------------------------------------------------- ring
 
 
+def _pairs(rows) -> list[tuple[int, int]]:
+    """An ``(n, 2)`` array of ``(gpa, meta_gva)`` rows as a list of pairs."""
+    return list(map(tuple, rows.tolist()))
+
+
+def _ring_entries(ring) -> list[tuple[int, tuple[int, int]]]:
+    """Each entry on ``ring``, in order, with its block's pid."""
+    return [(b.pid, e) for b in ring.blocks for e in _pairs(b.entries)]
+
+
+def _tags(hv) -> list[tuple[bool, bool]]:
+    """The buffered entries' tags, one per entry (``_entry_tags`` holds runs)."""
+    return [tag for tag, n in hv._entry_tags for _ in range(n)]
+
+
 def test_ring_append_merges_same_pid_blocks():
     ring = SpmlRingBuffer(capacity=100)
     ring.append(7, [(1, 1), (2, 2)])
@@ -48,10 +65,10 @@ def test_ring_consume_is_fifo_and_decrements_counts():
     ring.append(7, [(1, 1), (2, 2), (3, 3)])
     ring.append(9, [(4, 4)])
     got = ring.consume(2)
-    assert got == [(7, [(1, 1), (2, 2)])]  # the head block, cut
+    assert [(pid, _pairs(rows)) for pid, rows in got] == [(7, [(1, 1), (2, 2)])]  # head, cut
     assert ring.used == 2
     got = ring.consume(10)
-    assert got == [(7, [(3, 3)]), (9, [(4, 4)])]
+    assert [(pid, _pairs(rows)) for pid, rows in got] == [(7, [(3, 3)]), (9, [(4, 4)])]
     assert ring.used == 0 and ring.blocks == []
     assert ring.consume(5) == []
 
@@ -160,7 +177,7 @@ def test_log_write_tags_by_current_entitlement():
     hv.log_write(1, 1)
     hv.vmm_enable()
     hv.log_write(2, 2)
-    assert hv._entry_tags == [(True, True)]  # first entry flushed by vmm_enable
+    assert _tags(hv) == [(True, True)]  # first entry flushed by vmm_enable
     assert hv.logged_guest_tagged == 2 and hv.logged_vmm_tagged == 1
 
 
@@ -258,6 +275,18 @@ _COUNTERS = (
     "migration_delivered_total",
 )
 
+_log = st.tuples(st.just("log"))
+_log_ops = st.one_of(
+    _log, _log, _log, _log,  # logs weigh most: each other op empties or reconfigures
+    st.tuples(st.just("log_run"), st.integers(1, 5)),
+    st.tuples(st.just("drain"), st.none() | st.integers(0, 6)),
+    st.tuples(st.just("flags"), _owner_flags),  # a reconfigure with no flush: mixed tags
+    st.tuples(st.just("reset"), st.booleans()),
+    st.tuples(st.just("coordinate"), st.sampled_from(COORD_REQUESTS), st.integers(1, 3)),
+    st.tuples(st.just("vmexit"), st.booleans()),
+    st.tuples(st.just("consume"), st.integers(1, 6)),
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -291,8 +320,8 @@ def test_flush_routes_tag_runs_like_a_per_entry_loop(logs, now, epml, policy, ca
     guest, sched_in, vmm = now
     hv.flags = CoexistenceFlags(enable_by_vmm=vmm, enable_by_guest=guest, sched_in=sched_in)
 
-    taken, tags = list(hv.pml.hv_buffer.entries), list(hv._entry_tags)
-    ring_before = [(b.pid, e) for b in hv.ring.blocks for e in b.entries]
+    taken, tags = _pairs(hv.pml.hv_buffer.entries), _tags(hv)
+    ring_before = _ring_entries(hv.ring)
     migration_before = list(hv.migration_log)
     counters_before = {name: getattr(hv, name) for name in _COUNTERS}
     allow_drop = policy == "drop"
@@ -301,7 +330,7 @@ def test_flush_routes_tag_runs_like_a_per_entry_loop(logs, now, epml, policy, ca
     )
 
     assert hv._flush_buffer(allow_drop=allow_drop) == want
-    assert [(b.pid, e) for b in hv.ring.blocks for e in b.entries] == ring_before + [
+    assert _ring_entries(hv.ring) == ring_before + [
         (pid, e) for e in ring
     ]
     assert hv.ring.used == len(ring_before) + len(ring)
@@ -315,10 +344,184 @@ def test_flush_routes_tag_runs_like_a_per_entry_loop(logs, now, epml, policy, ca
             counters_before["migration_delivered_total"] + want.delivered_migration
         ),
     }
-    assert hv.pml.hv_buffer.entries == [] and hv._entry_tags == []
+    assert hv.pml.hv_buffer.entries.tolist() == [] and _tags(hv) == []
     # every flushed frame is re-armed, and no other
     flushed = {gpa for gpa, _gva in taken}
     assert _dirty_gpas(ept) == {base + i * PAGE_SIZE for i in range(32)} - flushed
+
+
+class _ListLog:
+    """The hypervisor's log path one entry at a time on lists of tuples: the
+    reference the array-backed buffers, tag runs and ring blocks are held to."""
+
+    def __init__(self, slots, capacity, policy, epml):
+        self.slots, self.capacity, self.policy, self.epml = slots, capacity, policy, epml
+        self.index, self.entries, self.tags, self.drops = slots, [], [], 0
+        # the guest buffer logs in extended mode, armed from the start
+        self.g_index, self.g_entries, self.g_drops = (slots - 1 if epml else slots), [], 0
+        self.guest = self.vmm = self.sched_in = False
+        self.pid = None
+        self.blocks, self.migration = [], []
+        self.dropped = self.discarded = self.mismatches = self.stalls = self.vmexits = 0
+
+    def _log(self, index, entries, entry):
+        if index == self.slots:
+            return index, "disabled", 0
+        if index < 0:
+            return index, "full", 1
+        entries.append(entry)
+        return index - 1, "logged", 0
+
+    def log(self, gpa, gva):
+        self.index, hv, drop = self._log(self.index, self.entries, (gpa, gva))
+        self.drops += drop
+        if hv == "logged":
+            self.tags.append((self.guest and self.sched_in, self.vmm))
+        if not self.epml:
+            return hv, None
+        self.g_index, guest, drop = self._log(self.g_index, self.g_entries, gva)
+        self.g_drops += drop
+        return hv, guest
+
+    def drain(self, n=None):
+        n = len(self.entries) if n is None else n
+        taken, self.entries = self.entries[:n], self.entries[n:]
+        if not self.entries and self.index != self.slots:
+            self.index = self.slots - 1
+        return taken
+
+    def flush(self, allow_drop):
+        taken, tags, self.tags = self.drain(), self.tags, []
+        now, ring = (self.guest and self.sched_in, self.vmm), []
+        for (gpa, gva), tag in zip(taken, tags):
+            self.mismatches += tag != now
+            if tag[1]:
+                self.migration.append((self.pid, gpa))
+            if tag[0] and not self.epml:
+                ring.append((gpa, gva))
+            elif not tag[0] and not tag[1]:
+                self.discarded += 1
+        free = max(0, self.capacity - self.used)
+        if allow_drop and len(ring) > free:
+            self.dropped += len(ring) - free
+            ring = ring[:free]
+        if ring and self.blocks and self.blocks[-1][0] == self.pid:
+            self.blocks[-1][1].extend(ring)
+        elif ring:
+            self.blocks.append((self.pid, ring))
+
+    @property
+    def used(self):
+        return sum(len(entries) for _pid, entries in self.blocks)
+
+    def coordinate(self, request, pid):
+        self.flush(allow_drop=False)
+        if request in ("guest_enable", "guest_disable"):
+            self.guest = request == "guest_enable"
+        elif request in ("vmm_enable", "vmm_disable"):
+            self.vmm = request == "vmm_enable"
+        else:
+            self.sched_in = request == "sched_in"
+            if self.sched_in:
+                self.pid = pid
+        armed = self.vmm or (self.guest and self.sched_in and not self.epml)
+        self.index, self.entries = (self.slots - 1 if armed else self.slots), []
+
+    def vmexit(self, refused):
+        uses_ring = self.guest and self.sched_in and not self.epml
+        free = max(0, self.capacity - self.used)
+        if uses_ring and self.policy == "stall" and free < len(self.entries):
+            self.stalls += 1
+            return
+        self.flush(allow_drop=self.policy == "drop")
+        self.vmexits += 1
+        if refused is not None:
+            self.log(*refused)
+
+    def consume(self, k):
+        out = []
+        while self.blocks and k > 0:
+            pid, entries = self.blocks[0]
+            out.append((pid, entries[:k]))
+            del entries[:k]
+            if not entries:
+                self.blocks.pop(0)
+            k -= len(out[-1][1])
+        return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=st.lists(_log_ops, min_size=20, max_size=60),
+    slots=st.integers(2, 6),
+    capacity=st.integers(2, 12),
+    policy=st.sampled_from(["stall", "drop"]),
+    epml=st.booleans(),
+    start=st.sampled_from([(), ("guest_enable", "sched_in"), ("vmm_enable",),
+                           ("guest_enable", "sched_in", "vmm_enable")]),
+)
+def test_array_log_path_matches_a_list_of_tuples_model(ops, slots, capacity, policy, epml, start):
+    hv = Hypervisor(ring_capacity=capacity, ring_full_policy=policy, buffer_slots=slots)
+    model = _ListLog(slots, capacity, policy, epml)
+    if epml:
+        hv.pml.epml_enabled = True
+        hv.pml.guest_buffer.reset(hv.pml.guest_buffer.fresh_index)
+    buf, gbuf = hv.pml.hv_buffer, hv.pml.guest_buffer
+    addr = 0x10_0000
+    for request in start:
+        hv.coordinate(request, pid=1)
+        model.coordinate(request, 1)
+    for op in ops:
+        kind = op[0]
+        if kind == "log":
+            addr += PAGE_SIZE
+            out = hv.log_write(addr, addr + 1)
+            assert (out.hv, out.guest) == model.log(addr, addr + 1), op
+        elif kind == "log_run":
+            free = hv.pml.free_slots()
+            if free is None or free < op[1]:
+                continue  # a run is logged only where each entry finds a slot
+            gpas = addr + PAGE_SIZE * np.arange(1, op[1] + 1)
+            addr += op[1] * PAGE_SIZE
+            hv.log_writes(gpas, gpas + 1)
+            for gpa in gpas.tolist():
+                model.log(gpa, gpa + 1)
+        elif kind == "drain":
+            assert _pairs(buf.drain(op[1])) == model.drain(op[1])
+        elif kind == "flags":
+            guest, sched_in, vmm = op[1]
+            hv.flags = CoexistenceFlags(enable_by_vmm=vmm, enable_by_guest=guest, sched_in=sched_in)
+            model.guest, model.sched_in, model.vmm = guest, sched_in, vmm
+        elif kind == "reset":
+            value = buf.fresh_index if op[1] else buf.disabled_index
+            buf.reset(value)
+            model.index, model.entries = value, []
+        elif kind == "coordinate":
+            hv.coordinate(op[1], pid=op[2])
+            model.coordinate(op[1], op[2])
+        elif kind == "vmexit":
+            refused = (addr + PAGE_SIZE, addr + PAGE_SIZE + 1) if op[1] else None
+            addr += PAGE_SIZE
+            hv.handle_pml_full_vmexit(refused=refused)
+            model.vmexit(refused)
+        else:
+            got = hv.ring.consume(op[1])
+            assert [(pid, _pairs(rows)) for pid, rows in got] == model.consume(op[1])
+        assert (buf.index, _pairs(buf.entries), buf.drops_while_full) == (
+            model.index, model.entries, model.drops
+        ), op
+        assert _tags(hv) == model.tags
+        assert (gbuf.index, gbuf.entries.tolist(), gbuf.drops_while_full) == (
+            (model.g_index, model.g_entries, model.g_drops) if epml else (slots, [], 0)
+        )
+        assert [(b.pid, _pairs(b.entries)) for b in hv.ring.blocks] == [
+            (pid, list(entries)) for pid, entries in model.blocks
+        ]
+        assert hv.ring.used == model.used and hv.migration_log == model.migration
+        assert (hv.dropped_total, hv.discarded_total, hv.tag_mismatches) == (
+            model.dropped, model.discarded, model.mismatches
+        )
+        assert (hv.vmexit_stalls, hv.vmexit_count) == (model.stalls, model.vmexits)
 
 
 def test_extended_mode_keeps_hv_buffer_off_without_vmm():

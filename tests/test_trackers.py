@@ -840,7 +840,7 @@ def test_drain_ring_reverse_maps_batch():
     assert rm_us == pytest.approx(3 * t.per_page_us("M17", 4 * MB))
     assert copy_us == pytest.approx(3 * t.per_page_us("M18", 4 * MB))
     res = trackers.reverse_map_blocks(vm, vm.hv.ring.consume(3))
-    assert res.gvas == gvas[:3]
+    assert res.gvas.tolist() == gvas[:3]
     assert res.lost == [] and res.inaccurate == []
     assert vm.hv.ring.used == 2
 
@@ -849,9 +849,9 @@ def test_drain_ring_deferred_keeps_raw_addresses():
     vm, gvas = _flushed_spml_vm(4)
     res = drain_ring(vm)
     assert res.consumed == 4 and vm.hv.ring.used == 0
-    assert res.gvas == [] and res.rm_us == 0.0
+    assert res.gvas.tolist() == [] and res.rm_us == 0.0
     assert res.copy_us == pytest.approx(4 * vm.costs.per_page_us("M18", 4 * MB))
-    assert [meta for _gpa, meta in res.raw] == gvas
+    assert [meta for _gpa, meta in res.raw.tolist()] == gvas
 
 
 def test_drain_ring_reports_lost_and_inaccurate():
@@ -897,9 +897,13 @@ def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
         assert run._drain_charge(k)[1].hex() == res.rm_us.hex()
         run._owed = k
         run._settle()
-    assert run.parked.keys() == {1} and len(run.parked[1]) == 6 and vm.hv.ring.used == 0
-    res = trackers.reverse_map_blocks(vm, run.parked.items())
-    assert sorted(res.gvas) == sorted(mapped[0].gvas + mapped[1].gvas)
+    # the parked rows are the six drained ones, in drain order
+    parked = np.concatenate(run.parked[1])
+    drained = [row for blocks in batches for _pid, rows in blocks for row in rows.tolist()]
+    assert run.parked.keys() == {1} and parked.tolist() == drained and len(drained) == 6
+    assert vm.hv.ring.used == 0
+    res = trackers.reverse_map_blocks(vm, [(1, parked)])
+    assert sorted(res.gvas.tolist()) == sorted(mapped[0].gvas.tolist() + mapped[1].gvas.tolist())
     assert sorted(res.lost) == sorted(mapped[0].lost + mapped[1].lost)
     assert sorted(res.inaccurate) == sorted(mapped[0].inaccurate + mapped[1].inaccurate)
     assert res.rm_us == 0.0
@@ -908,7 +912,7 @@ def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
 def test_pairs_of_a_process_that_is_gone_are_lost():
     vm, gvas = _flushed_spml_vm(3)
     res = trackers.reverse_map_blocks(vm, [(7, [(0x10_0000, gvas[0])])])
-    assert res.lost == [(0x10_0000, gvas[0])] and res.gvas == []
+    assert res.lost == [(0x10_0000, gvas[0])] and res.gvas.tolist() == []
 
 
 # --------------------------------------------------------------- bottleneck
@@ -1422,7 +1426,7 @@ class _PerTickMechanical(_PerTick, trackers._MechanicalRun):
         pre = self.collect_us
         if self.cfg.defer_reverse_map:
             res = drain_ring(self.vm)
-            self.raw_entries.extend(res.raw)
+            self.raw_entries.append(res.raw)
             rm_us, copy_us = res.rm_us, res.copy_us
         else:
             k = min(self.c.drain_batch, self.ring_used)
@@ -1902,7 +1906,7 @@ def test_windows_are_cut_where_a_scan_of_every_op_cuts_them(seed):
         churn_trace(300, 40, seed=seed).ops,
         KvWorkloadSpec("kv", 8 * MB, churn_rate=20_000.0, n_ops=3_000, seed=seed).make_trace().ops,
     ]
-    stops = [TraceWorkload(ops).decoded[5] for ops in traces]
+    stops = [TraceWorkload(ops).decoded[4] for ops in traces]
     assert stops == list(map(_window_stops, traces))
     assert len(stops[0]) > 1  # moves, stale writes and maps of written pages cut
 

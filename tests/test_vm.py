@@ -211,9 +211,9 @@ def test_guest_buffer_full_copies_and_replays():
     results = [vm.write_one(7, gva(i)) for i in range(5)]
     assert results[4].softirq_copied == 4
     assert results[4].softirq_us > 0
-    assert len(vm.kernel.uio.ring) == 4
+    assert [g for chunk in vm.kernel.uio.ring for g in chunk.tolist()] == [gva(i) for i in range(4)]
     # replayed fifth entry sits in the re-armed guest buffer
-    assert vm.hv.pml.guest_buffer.entries == [gva(4)]
+    assert vm.hv.pml.guest_buffer.entries.tolist() == [gva(4)]
     assert results[4].guest_dropped == 0
 
 
@@ -345,10 +345,13 @@ def _machine_state(vm):
     hv, pml = vm.hv, vm.hv.pml
     return (
         regions(proc.table), proc.table._rmap, regions(vm.ept),
-        [(b.entries, b.index, b.drops_while_full) for b in (pml.hv_buffer, pml.guest_buffer)],
-        hv._entry_tags, hv.logged_guest_tagged, hv.logged_vmm_tagged,
-        proc.uffd_dirty, vm.kernel.uio.ring, vm.kernel.uio.ring_dropped,
-        [(b.pid, b.entries) for b in hv.ring.blocks],
+        [(b.entries.tolist(), b.index, b.drops_while_full)
+         for b in (pml.hv_buffer, pml.guest_buffer)],
+        [tag for tag, n in hv._entry_tags for _ in range(n)],  # one tag per entry
+        hv.logged_guest_tagged, hv.logged_vmm_tagged, proc.uffd_dirty,
+        [g for chunk in vm.kernel.uio.ring for g in chunk.tolist()], vm.kernel.uio.ring_used,
+        vm.kernel.uio.ring_dropped,
+        [(b.pid, b.entries.tolist()) for b in hv.ring.blocks],
     )
 
 
