@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 from .costs import PAGE_SIZE as PAGE
@@ -336,12 +337,14 @@ class CheckpointSession:
         self.vm.unmap(TRACKED_PID, gva)
 
     def run_ops(self, ops) -> None:
-        """Feed a trace: (write|map|unmap|remap, addresses...) tuples."""
-        for op in ops:
-            if op[0] == "write":
-                self.write(op[1])
+        """Feed a trace: (write|map|unmap|remap, addresses...) tuples; each run of
+        ops between writes goes to :meth:`~oohsim.vm.VirtualMachine.apply_ops`."""
+        for writes, run in groupby(ops, key=lambda op: op[0] == "write"):
+            if writes:
+                for op in run:
+                    self.write(op[1])
             else:
-                self.vm.apply_op(TRACKED_PID, op)
+                self.vm.apply_ops(TRACKED_PID, list(run))
 
     @property
     def mapped(self) -> frozenset[int]:

@@ -22,13 +22,14 @@ of them probes on most lookups.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import PAGE_SIZE, CostTable, Prices
 from .hypervisor import Hypervisor
-from .memory import Ept, GuestPageTable
+from .memory import Ept, GuestPageTable, UnknownMapping
 from .pml import FIELD_GUEST_PML_ADDRESS, FIELD_GUEST_PML_INDEX, ShadowVmcs
 
 __all__ = [
@@ -132,6 +133,16 @@ class GuestKernel:
         proc = self._proc(pid)
         if proc.table.unmap(gva):
             proc.softdirty_residue.add(gva // PAGE_SIZE)
+
+    def unmap_pages(self, pid: int, gvas: Sequence[int]) -> None:
+        """:meth:`unmap` each of ``gvas`` in order, in one pass of the table and
+        one set update of the residue; a page not mapped raises
+        ``UnknownMapping``, the pages before it unmapped."""
+        proc = self._proc(pid)
+        n, soft_dirty = proc.table.unmap_pages(gvas)
+        proc.softdirty_residue.update(soft_dirty)
+        if n < len(gvas):
+            raise UnknownMapping(gvas[n])
 
     # --------------------------------------------------------- registration
 

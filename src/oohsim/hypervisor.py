@@ -445,7 +445,7 @@ def _hv_from_state(state: tuple, buffer_slots: int, hv_factory: type = Hyperviso
     buf = hv.pml.hv_buffer
     buf.reset(buf.fresh_index)
     for i in range(sum(n for _tag, n in tags)):
-        buf.log((900 + i, 900 + i))
+        buf.log(900 + i, 900 + i)
     buf.index = index
     hv._entry_tags = list(tags)
     for (g, v), n in tags:

@@ -11,21 +11,26 @@ Both tables hold every page in a *region*: page *i* of a region is backed
 by the region's base plus *i* pages, so translation and reverse mapping are
 arithmetic, and each page's state is one byte of the region's
 ``bytearray`` (page table: mapped, writable, dirty, soft-dirty; EPT: mapped,
-dirty).  An allocation is one region in each table; a page mapped singly
-or moved is a one-page region, kept in ``entries`` under its address.  So
-each rule about a page's state is one byte table, and pages are looked up
+dirty).  An allocation is one region in each table.  A page mapped singly
+(or a run of them) joins the region that ends right before it when its
+target is the next after that region's last and no other region or entry
+holds it, as Linux merges a new anonymous mapping into the VMA before it
+(``vma_merge``); any other page mapped singly, and a page moved, is a
+one-page region, kept in ``entries`` under its address.  So each rule about
+a page's state is one byte table, and pages are looked up
 one way per shape of input: one page by its region (a write, a protect, a
 translation); a ``range`` of pages as a slice of one region (a sweep's
 writes); and any other batch gathered and scattered with NumPy, one pass
 per region, then ``entries`` (a trace's writes, a re-arm of logged frames,
 the GPAs of logged GVAs; a reverse map of logged GPAs is one pass per
-region by its target, and the reverse index for pages mapped singly).
+region by its target, and the reverse index of ``entries``).
 Whole-table operations (soft-dirty clear, protect-all, the dirty and
 soft-dirty sets) run over the bytes with ``bytes.translate``, ``find`` and
 ``count``.  A :class:`Stretch` of writes looks each table up once, and
-applying its first writes reuses what that peek found.  Mapping a large address space and
-writing it over and over builds no per-page object.  An unmap takes a page
-out of its region, and a region with no page left is dropped.
+applying its first writes reuses what that peek found.  Mapping a large
+address space, growing it page by page and writing it over and over builds
+no per-page object.  An unmap takes a page out of its region, and a region
+with no page left is dropped.
 """
 
 from __future__ import annotations
@@ -153,6 +158,11 @@ _WRITTEN_A, _SET_DIRTY_A, _CLEAR_DIRTY_A = (
 )
 
 
+def _pte_byte(writable: bool, soft_dirty: bool) -> int:
+    """The state byte of a page-table page mapped with these flags."""
+    return _MAPPED | (_WRITABLE if writable else 0) | (_SOFT_DIRTY if soft_dirty else 0)
+
+
 def write_faults(bits: int) -> tuple[bool, bool]:
     """The faults a write to a page-table page in state ``bits`` takes:
     (soft-dirty fault, write-protect fault), as :meth:`GuestPageTable.write_page`
@@ -232,10 +242,11 @@ class _PageMap:
     """Page addresses mapped to targets, each page with one state byte in a region.
 
     ``entries`` holds the one-page regions of pages mapped singly or moved,
-    under their address; ``_regions`` the regions mapped as a run.  A live
-    address is in exactly one of them.  One page is found by :meth:`_locate`,
-    a ``range`` of pages by :meth:`_live_run`, and any other batch by
-    :meth:`_gather`, in the order of the batch.
+    under their address; ``_regions`` the regions mapped as a run, and the
+    pages mapped singly that joined one (:meth:`_join`).  A live address is
+    in exactly one of them, and no two of ``_regions`` overlap.  One page is
+    found by :meth:`_locate`, a ``range`` of pages by :meth:`_live_run`, and
+    any other batch by :meth:`_gather`, in the order of the batch.
     """
 
     def __init__(self):
@@ -283,6 +294,28 @@ class _PageMap:
         """Every page's byte ``b`` becomes ``table[b]``."""
         for region in self._all():
             region.bits = region.bits.translate(table)
+
+    def _join(self, addr: int, target: int, count: int, fresh: int) -> bool:
+        """Append ``count`` pages from ``addr`` on, backed from ``target`` on, each
+        with state ``fresh``, to the region that ends right before ``addr``, when
+        ``target`` is the next after its last and no other region or entry holds
+        one of the pages.  Returns whether it did; when not, nothing changed."""
+        end = addr + count * PAGE_SIZE
+        before = None
+        for region in self._regions:
+            if region.base + region.span == addr:
+                before = region
+            elif region.overlaps(addr, end):
+                return False
+        if before is None or before.target + before.span != target:
+            return False
+        entries = self.entries
+        if entries and any(a in entries for a in range(addr, end, PAGE_SIZE)):
+            return False
+        before.bits += bytes((fresh,)) * count
+        before.span += count * PAGE_SIZE
+        before.live += count
+        return True
 
     def _take(self, addr: int) -> tuple[int, int] | None:
         """Take page ``addr`` out of the map: its target and state byte, or None
@@ -366,10 +399,12 @@ class _PageMap:
 class GuestPageTable(_PageMap):
     """GVA -> (GPA, flags) map for one process, with a GPA reverse index.
 
-    Pages mapped as a run by :meth:`map_region` share a region; a page
-    mapped by :meth:`map_page` or moved by :meth:`remap` is a one-page
-    region in ``entries`` and in the reverse index ``_rmap`` (GPA -> its
-    singly mapped GVAs).  A write, a protect or a soft-dirty clear flips
+    Pages mapped as a run by :meth:`map_region` share a region, which a
+    page mapped by :meth:`map_page` (or a run of them, :meth:`join_pages`)
+    joins when it comes right after it, backed by the frame after its last.
+    Any other page so mapped, and a page moved by :meth:`remap`, is a
+    one-page region in ``entries`` and in the reverse index ``_rmap`` (GPA ->
+    its GVAs in ``entries``).  A write, a protect or a soft-dirty clear flips
     bits in the page's byte.
     """
 
@@ -432,8 +467,17 @@ class GuestPageTable(_PageMap):
     ) -> None:
         if gva in self:
             raise AlreadyMapped(gva)
-        bits = _MAPPED | (_WRITABLE if writable else 0) | (_SOFT_DIRTY if soft_dirty else 0)
-        self._store(gva, gpa, bits)
+        bits = _pte_byte(writable, soft_dirty)
+        if not self._join(gva, gpa, 1, bits):
+            self._store(gva, gpa, bits)
+
+    def join_pages(
+        self, gva: int, gpa: int, count: int, *, writable: bool = True, soft_dirty: bool = True
+    ) -> bool:
+        """Map ``count`` pages from ``gva`` on to GPAs from ``gpa`` on, as that many
+        :meth:`map_page` calls would, when they join the region that ends right
+        before ``gva`` in one slice; False, mapping nothing, when they cannot."""
+        return self._join(gva, gpa, count, _pte_byte(writable, soft_dirty))
 
     def unmap(self, gva: int) -> bool:
         """Take ``gva``'s mapping out; returns whether the page was soft-dirty."""
@@ -441,6 +485,19 @@ class GuestPageTable(_PageMap):
         if taken is None:
             raise UnknownMapping(gva)
         return taken[1] & _SOFT_DIRTY != 0
+
+    def unmap_pages(self, gvas: Sequence[int]) -> tuple[int, list[int]]:
+        """:meth:`unmap` each of ``gvas`` in order, up to the first that is not
+        mapped: how many it unmapped, and the page numbers (``gva // PAGE_SIZE``)
+        of those that were soft-dirty."""
+        soft_dirty = []
+        for n, gva in enumerate(gvas):
+            taken = self._take(gva)
+            if taken is None:
+                return n, soft_dirty
+            if taken[1] & _SOFT_DIRTY:
+                soft_dirty.append(gva // PAGE_SIZE)
+        return len(gvas), soft_dirty
 
     def remap(self, gva_old: int, gva_new: int) -> None:
         """Move the GPA backing (and flags) of ``gva_old`` to ``gva_new``."""
@@ -543,10 +600,12 @@ class GuestPageTable(_PageMap):
 class Ept(_PageMap):
     """VM-wide GPA -> HPA map with per-frame hardware dirty bits.
 
-    Frames mapped as a run by :meth:`map_region` share a region; a frame
-    mapped by :meth:`map_gpa` is a one-page region in ``entries``, which
-    replaces any mapping the frame had.  A write sets a frame's dirty bit
-    and a re-arm clears it in place.
+    Frames mapped as a run by :meth:`map_region` share a region, which a
+    frame mapped by :meth:`map_gpa` (or a run of them, :meth:`join_frames`)
+    joins when it comes right after it, backed by the HPA after its last;
+    any other frame so mapped is a one-page region in ``entries``.  A
+    :meth:`map_gpa` replaces any mapping the frame had.  A write sets a
+    frame's dirty bit and a re-arm clears it in place.
     """
 
     translate = _PageMap._target
@@ -569,7 +628,15 @@ class Ept(_PageMap):
 
     def map_gpa(self, gpa: int, hpa: int) -> None:
         self._take(gpa)
-        self.entries[gpa] = _Region(gpa, hpa, 1, _MAPPED)
+        if not self._join(gpa, hpa, 1, _MAPPED):
+            self.entries[gpa] = _Region(gpa, hpa, 1, _MAPPED)
+
+    def join_frames(self, gpa: int, hpa: int, count: int) -> bool:
+        """Map ``count`` unmapped frames from ``gpa`` on to HPAs from ``hpa`` on,
+        as that many :meth:`map_gpa` calls would, when they join the region that
+        ends right before ``gpa`` in one slice; False, mapping nothing, when they
+        cannot."""
+        return self._join(gpa, hpa, count, _MAPPED)
 
     def set_dirty(self, gpa: int) -> bool:
         """Set the dirty bit; True when this was a clear-to-set transition."""

@@ -119,15 +119,22 @@ class PmlBuffer:
     def slots_left(self) -> int:
         return self.index + 1 if self.index >= 0 else 0
 
-    def log(self, entry) -> str:
+    def log(self, entry: int, meta: int | None = None) -> str:
+        """Log one entry: ``entry`` alone in a one-column buffer, or ``entry`` and
+        ``meta`` (a GPA and its GVA) in a two-column one, stored as scalars."""
         index = self.index
         if index == self.slots:  # disabled
             return LogResult.DISABLED
         if index < 0:
             self.drops_while_full += 1
             return LogResult.FULL
-        self._store[self.used] = entry
-        self.used += 1
+        store, used = self._store, self.used
+        if meta is None:
+            store[used] = entry
+        else:
+            store[used, 0] = entry
+            store[used, 1] = meta
+        self.used = used + 1
         self.index = index - 1
         return LogResult.LOGGED
 
@@ -214,7 +221,7 @@ class PmlState:
 
     def log_dirty(self, gpa: int, gva: int) -> LogOutcome:
         """Log one EPT dirty-bit transition into the armed buffer(s)."""
-        hv = self.hv_buffer.log((gpa, gva))
+        hv = self.hv_buffer.log(gpa, gva)
         guest = self.guest_buffer.log(gva) if self.epml_enabled else None
         return _LOG_OUTCOMES[hv, guest]
 

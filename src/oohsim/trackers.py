@@ -960,8 +960,11 @@ class _MechanicalRun(_Run):
         ``decoded`` is the trace's :attr:`~oohsim.workloads.TraceWorkload.decoded`;
         None is one round of the micro-benchmark: a write to each page of the
         sweep, in order, in one window.  Stretches, event exits and the
-        mapping of parked pairs are as the class docstring says; a map
-        applied ahead of a stretch is not applied again where it sits.  The
+        mapping of parked pairs are as the class docstring says.  The other
+        ops reach :meth:`~oohsim.vm.VirtualMachine.apply_ops` in three lists:
+        the window's maps ahead of a stretch, the unmaps a stretch passed,
+        and the ops between two writes (or after the last); a map applied
+        ahead of a stretch is not applied again where it sits.  The
         peek reaches the limit (the next tick or the horizon, whichever comes
         first) or the quantum at the cheapest write price, or takes the rest
         of the window's writes where both are infinite, and, while a log
@@ -987,7 +990,7 @@ class _MechanicalRun(_Run):
         w, uffd_fault = self.c.write, self.c.uffd_fault
         write_us = self._write_us
         vm, pid = self.vm, TRACKED_PID
-        write_one, apply_op = vm.write_one, vm.apply_op
+        write_one, apply_ops = vm.write_one, vm.apply_ops
         quiet_run, write_run = vm.quiet_run, vm.write_run
         log_room, free_slots, sweep = vm.log_room, vm.hv.pml.free_slots, decoded is None
         softirq_us = self.c.copy_us(BUFFER_SLOTS)  # a whole guest buffer's copy
@@ -1034,11 +1037,10 @@ class _MechanicalRun(_Run):
                             # the window's maps before the last peeked write go first,
                             # its unmaps after the last applied one
                             self._map_parked()
-                            mapped = max(mapped, nxt)
+                            first = mapped = max(mapped, nxt)
                             while mapped < n_others and at[mapped] < pos + n:
-                                if others[mapped][0] == "map":
-                                    apply_op(pid, others[mapped])
                                 mapped += 1
+                            apply_ops(pid, [op for op in others[first:mapped] if op[0] == "map"])
                         stretch = quiet_run(pid, batch[pos : pos + n], n)
                 blocked = False
                 if stretch:
@@ -1065,11 +1067,12 @@ class _MechanicalRun(_Run):
                     pos += k
                     writes_done += k
                     t, run_acc = float(ts[k]), float(rs[k])
-                    while end < pos:  # an op the stretch passed: an unmap, or a map done
-                        if others[nxt][0] != "map":
-                            apply_op(pid, others[nxt])
-                        nxt += 1
-                        end = at[nxt] if nxt < n_others else total
+                    if end < pos:  # the ops the stretch passed: unmaps, and maps done
+                        first = nxt
+                        while end < pos:
+                            nxt += 1
+                            end = at[nxt] if nxt < n_others else total
+                        apply_ops(pid, [op for op in others[first:nxt] if op[0] != "map"])
                     if t < limit and run_acc < quantum:
                         # a stretch shorter than its peek stopped before a write
                         # that is no quiet one: that write goes through write_one
@@ -1110,10 +1113,12 @@ class _MechanicalRun(_Run):
                 limit = min(self.next_tick, horizon)
             if nxt == n_others:
                 break
-            self._map_parked()  # the op may change the mappings
-            if nxt >= mapped or others[nxt][0] != "map":
-                apply_op(pid, others[nxt])
-            nxt += 1
+            self._map_parked()  # the ops may change the mappings
+            first = nxt
+            while nxt < n_others and at[nxt] == pos:  # the ops before the next write
+                nxt += 1
+            ops = enumerate(others[first:nxt], first)
+            apply_ops(pid, [op for k, op in ops if k >= mapped or op[0] != "map"])
         self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
         self.suspension, self.tracker_busy = suspension, busy
 

@@ -28,8 +28,10 @@ in the page table and one in the EPT (see :mod:`oohsim.memory`), and the
 address counters advance exactly as if every page had been mapped singly.
 
 A trace's ``map``/``unmap``/``remap`` ops, for the tracker engine and for
-checkpoint sessions alike, go through :meth:`VirtualMachine.apply_op`, and
-:meth:`VirtualMachine.map_fresh` maps a tracked process's new page clean.
+checkpoint sessions alike, go through :meth:`VirtualMachine.apply_ops`, a
+run of them at a time, and :meth:`VirtualMachine.map_fresh` maps a tracked
+process's new page clean.  A run of maps to consecutive pages right after a
+region joins it in one slice of each table, and a run of unmaps is one pass.
 """
 
 from __future__ import annotations
@@ -104,11 +106,6 @@ class VirtualMachine:
         self._next_gva[pid] = 0x1000
         return proc
 
-    def _fresh_gpa(self) -> int:
-        gpa = self._next_gpa
-        self._next_gpa += PAGE
-        return gpa
-
     def map_fresh(self, pid: int, gva: int | None = None) -> int:
         """Map one new page at ``gva`` (or the next free address); returns its address.
 
@@ -118,17 +115,37 @@ class VirtualMachine:
         under ``proc``.  Any other page gets the default flags.
         """
         proc = self.kernel._proc(pid)
-        uio = self.kernel.uio
-        technique = uio.technique if uio is not None and uio.pid == pid else None
         if gva is None:
             gva = self._next_gva[pid]
         self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), gva + PAGE)
-        gpa = self._fresh_gpa()
-        hpa = self._next_hpa
+        gpa, hpa = self._next_gpa, self._next_hpa
+        self._next_gpa += PAGE
         self._next_hpa += PAGE
         self.ept.map_gpa(gpa, hpa)
-        proc.table.map_page(gva, gpa, writable=technique != "uffd", soft_dirty=technique != "proc")
+        proc.table.map_page(gva, gpa, **self._fresh_flags(pid))
         return gva
+
+    def _fresh_flags(self, pid: int) -> dict[str, bool]:
+        """The flags of a new page of process ``pid``, as :meth:`map_fresh` says."""
+        uio = self.kernel.uio
+        technique = uio.technique if uio is not None and uio.pid == pid else None
+        return {"writable": technique != "uffd", "soft_dirty": technique != "proc"}
+
+    def _join_fresh(self, pid: int, gva: int, count: int) -> bool:
+        """``count`` :meth:`map_fresh` calls for the pages from ``gva`` on, as one
+        slice of each table, when the pages join the page table's region that
+        ends right before ``gva``; False, mapping nothing, when they do not."""
+        table = self.kernel._proc(pid).table
+        gpa, hpa, span = self._next_gpa, self._next_hpa, count * PAGE
+        if not table.join_pages(gva, gpa, count, **self._fresh_flags(pid)):
+            return False
+        self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), gva + span)
+        self._next_gpa += span
+        self._next_hpa += span
+        if not self.ept.join_frames(gpa, hpa, count):  # a frame mapped in the way
+            for i in range(0, span, PAGE):
+                self.ept.map_gpa(gpa + i, hpa + i)
+        return True
 
     def allocate(self, pid: int, n_pages: int) -> range:
         """Map ``n_pages`` new pages at the next free addresses; returns them."""
@@ -152,17 +169,36 @@ class VirtualMachine:
         self.kernel._proc(pid).table.remap(old_gva, new_gva)
         self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), new_gva + PAGE)
 
-    def apply_op(self, pid: int, op: tuple) -> None:
-        """Apply a trace's ``("map", gva)``, ``("unmap", gva)`` or ``("remap", old, new)`` op."""
-        kind = op[0]
-        if kind == "map":
-            self.map_fresh(pid, op[1])
-        elif kind == "unmap":
-            self.unmap(pid, op[1])
-        elif kind == "remap":
-            self.remap(pid, op[1], op[2])
-        else:
-            raise ValueError(f"unknown trace op {kind!r}")
+    def apply_ops(self, pid: int, ops: Sequence[tuple]) -> None:
+        """Apply a trace's ``("map", gva)``, ``("unmap", gva)`` and
+        ``("remap", old, new)`` ops, in order, as one :meth:`map_fresh`,
+        :meth:`unmap` or :meth:`remap` call each would.
+
+        A run of maps to consecutive pages that joins the region before it is
+        mapped at once (:meth:`_join_fresh`), any other a page at a time, and a
+        run of unmaps is one pass that keeps their soft-dirty residue in one
+        set update.  An op that fails raises as its call would, with the
+        ops before it applied.
+        """
+        i, n = 0, len(ops)
+        while i < n:
+            op = ops[i]
+            kind, j = op[0], i + 1
+            if kind == "map":
+                while j < n and ops[j][0] == "map" and ops[j][1] == ops[j - 1][1] + PAGE:
+                    j += 1
+                if not self._join_fresh(pid, op[1], j - i):
+                    for k in range(i, j):
+                        self.map_fresh(pid, ops[k][1])
+            elif kind == "unmap":
+                while j < n and ops[j][0] == "unmap":
+                    j += 1
+                self.kernel.unmap_pages(pid, [op[1] for op in ops[i:j]])
+            elif kind == "remap":
+                self.remap(pid, op[1], op[2])
+            else:
+                raise ValueError(f"unknown trace op {kind!r}")
+            i = j
 
     # -------------------------------------------------------------- writing
 

@@ -150,32 +150,34 @@ class KvWorkloadSpec:
         t = table or CostTable.default()
         rng = np.random.default_rng(self.seed)
         pages = self.num_pages
-        ranks = np.arange(1, pages + 1, dtype=np.float64)
-        cdf = np.cumsum(ranks ** (-self.write_skew))
+        cdf = np.cumsum(np.arange(1, pages + 1, dtype=np.float64) ** (-self.write_skew))
         slot_of_rank = rng.permutation(pages)
-        # slot i starts at gva (i + 1) * PAGE; churned slots move to fresh
-        # addresses, recorded here (a list over every slot would cost more
-        # than the trace for a sparse multi-GB footprint)
-        moved: dict[int, int] = {}
-        next_fresh = (pages + 1) * PAGE
-
         draws = np.searchsorted(cdf, rng.random(self.n_ops) * cdf[-1])
+        # slot i starts at gva (i + 1) * PAGE
+        gvas = (slot_of_rank[draws] + 1) * PAGE
+        del cdf, slot_of_rank  # a value per page each: freed before the ops are built
         write_us = t.param("write_cost_us")
         churns = int(self.churn_rate * (self.n_ops * write_us) / 1e6)
         churn_every = self.n_ops // (churns + 1) if churns else 0
+        if churns and not churn_every:
+            raise ValueError(f"{churns} churn events do not fit between {self.n_ops} writes")
 
+        # churn event k comes after the first ends[k] writes: it retires the page
+        # the last of them wrote and moves that rank's slot to fresh address k,
+        # where the rank's later writes go
+        ends = [k * churn_every for k in range(1, churns + 1)]
+        fresh = (pages + 1) * PAGE
+        for k, e in enumerate(ends):
+            tail = gvas[e:]
+            tail[draws[e:] == draws[e - 1]] = fresh + k * PAGE
+        writes = [("write", gva) for gva in gvas.tolist()]
         ops: list[tuple] = []
-        churned = 0
-        for i, rank_idx in enumerate(draws, start=1):
-            slot = int(slot_of_rank[rank_idx])
-            gva = moved.get(slot, (slot + 1) * PAGE)
-            ops.append(("write", gva))
-            if churns and churned < churns and i % churn_every == 0:
-                ops.append(("unmap", gva))
-                moved[slot] = next_fresh
-                ops.append(("map", next_fresh))
-                next_fresh += PAGE
-                churned += 1
+        start = 0
+        for k, e in enumerate(ends):
+            ops += writes[start:e]
+            ops += (("unmap", writes[e - 1][1]), ("map", fresh + k * PAGE))
+            start = e
+        ops += writes[start:]
         return TraceWorkload(ops=ops, name=self.name, initial_pages=pages)
 
 
@@ -221,11 +223,10 @@ def churn_trace(working_set_pages: int, churn_events: int, seed: int = 0) -> Tra
     if churn_events >= working_set_pages:
         raise ValueError("churn must retire fewer pages than the working set")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(working_set_pages)
-    ops: list[tuple] = [("write", (int(i) + 1) * PAGE) for i in order]
+    gvas = ((rng.permutation(working_set_pages) + 1) * PAGE).tolist()
+    ops: list[tuple] = [("write", gva) for gva in gvas]
     if churn_events:
-        for i in reversed(order[-churn_events:]):
-            ops.append(("unmap", (int(i) + 1) * PAGE))
+        ops += [("unmap", gva) for gva in reversed(gvas[-churn_events:])]
     return TraceWorkload(
         ops=ops,
         name=f"churn-{working_set_pages}-{churn_events}",

@@ -653,3 +653,154 @@ def test_region_page_keeps_its_byte_until_moved():
     assert pt.entry(gvas[4]) == PageEntry(gpa, PageFlags(writable=True, dirty=True, soft_dirty=True))
     assert pt._rmap == {gpa: {gvas[4]}}
     _assert_same_answers(lazy, eager, gvas, gpas)
+
+
+# ------------------------------------------------------- region extension
+
+FAR_GVA, FAR_GPA, FAR_HPA = 0x100_0000, 0x80_0000, 0x4000_0000
+
+
+def test_a_page_mapped_right_after_a_region_joins_it():
+    # backed by the frame after the region's last in both tables: no one-page region
+    pt, ept = GuestPageTable(pid=1), Ept()
+    pt.map_region(REGION_GVA, REGION_GPA, 4)
+    ept.map_region(REGION_GPA, REGION_HPA, 4)
+    for i in (4, 5):
+        ept.map_gpa(REGION_GPA + i * P, REGION_HPA + i * P)
+        pt.map_page(REGION_GVA + i * P, REGION_GPA + i * P, soft_dirty=False)
+    assert pt.entries == {} and pt._rmap == {} and ept.entries == {}
+    assert [r.span for r in pt._regions + ept._regions] == [6 * P, 6 * P]
+    assert pt.entry(REGION_GVA + 5 * P) == PageEntry(
+        REGION_GPA + 5 * P, PageFlags(writable=True, dirty=False, soft_dirty=False)
+    )
+    # a frame that is not the next, or a page that is not right after, stays apart
+    ept.map_gpa(REGION_GPA + 6 * P, REGION_HPA + 9 * P)
+    pt.map_page(REGION_GVA + 7 * P, REGION_GPA + 6 * P)
+    assert list(ept.entries) == [REGION_GPA + 6 * P] and list(pt.entries) == [REGION_GVA + 7 * P]
+    # a run joins in one slice only when no page of it is held
+    assert not pt.join_pages(REGION_GVA + 6 * P, REGION_GPA + 6 * P, 2)
+    assert pt.join_pages(REGION_GVA + 6 * P, REGION_GPA + 6 * P, 1)
+    assert not ept.join_frames(REGION_GPA + 6 * P, REGION_HPA + 6 * P, 2)
+    assert len(pt) == 8 and pt._regions[0].live == 7
+
+
+EXT_SLOTS = 16  # pages from REGION_GVA, backed by frames from REGION_GPA
+_ext_slot = st.integers(min_value=0, max_value=EXT_SLOTS - 1)
+_ext_ops = st.one_of(
+    # a page mapped: backed by its own frame (the next after the region's last
+    # at the region's end) or by a fresh far one
+    st.tuples(st.just("map"), _ext_slot, st.booleans(), st.booleans(), st.booleans()),
+    st.tuples(st.just("join"), _ext_slot, st.integers(1, 4)),
+    st.tuples(st.just("write"), _ext_slot),
+    st.tuples(st.just("unmap"), st.lists(_ext_slot, min_size=1, max_size=3)),
+    st.tuples(st.just("remap"), _ext_slot, st.integers(0, 3)),
+    st.tuples(st.just("clear_dirty"), st.lists(_ext_slot, max_size=4)),
+    st.tuples(st.just("clear_soft_dirty")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_pages=st.integers(min_value=1, max_value=10),
+    second=st.none() | st.integers(min_value=0, max_value=2),
+    ops=st.lists(_ext_ops, max_size=40),
+)
+# maps at the end, a write, the tail unmapped, a map past it, a move out of the region
+@example(
+    n_pages=3,
+    second=None,
+    ops=[("map", 3, True, True, True), ("map", 4, True, True, False), ("write", 4),
+         ("unmap", [4]), ("map", 5, True, True, True), ("remap", 3, 0), ("write", 5),
+         ("clear_dirty", [5]), ("clear_soft_dirty",), ("write", 5)],
+)
+# a region page unmapped, mapped again singly, then unmapped in a batch; a
+# frame of the region right after the first unmapped and then mapped as the next
+@example(
+    n_pages=3,
+    second=0,
+    ops=[("unmap", [1]), ("map", 1, True, True, True), ("unmap", [2, 1]), ("unmap", [3]),
+         ("map", 3, True, True, True), ("write", 3), ("unmap", [0, 4, 5])],
+)
+def test_pages_that_join_a_region_behave_like_one_page_regions(n_pages, second, ops):
+    """Pages mapped at a region's end join it, and look up, write, unmap and
+    move as the dict model's one entry per page does, whatever else is mapped
+    around them: pages mapped singly, and a second region ``second`` pages
+    after the first."""
+    gvas = [REGION_GVA + i * P for i in range(EXT_SLOTS)] + [FAR_GVA + i * P for i in range(4)]
+    gpas = [REGION_GPA + i * P for i in range(EXT_SLOTS)] + [FAR_GPA + i * P for i in range(40)]
+    pt, ept = GuestPageTable(pid=1), Ept()
+    model = _DictModel(0)
+    for start, count in [(0, n_pages)] + ([] if second is None else [(n_pages + second, 3)]):
+        pt.map_region(gvas[start], gpas[start], count)
+        ept.map_region(gpas[start], REGION_HPA + start * P, count)
+        for i in range(start, start + count):
+            model.pt[gvas[i]] = [gpas[i], True, False, True]
+            model.ept[gpas[i]] = [REGION_HPA + i * P, False]
+    far = iter(range(40))
+
+    def step(op):
+        kind = op[0]
+        if kind == "map":
+            _, slot, own, writable, soft_dirty = op
+            k = slot if own else EXT_SLOTS + next(far)
+            gpa, hpa = gpas[k], (REGION_HPA + slot * P if own else FAR_HPA + k * P)
+            ept.map_gpa(gpa, hpa)
+            model.ept[gpa] = [hpa, False]
+            if gvas[slot] in model.pt:
+                with pytest.raises(AlreadyMapped):
+                    pt.map_page(gvas[slot], gpa, writable=writable, soft_dirty=soft_dirty)
+                return
+            pt.map_page(gvas[slot], gpa, writable=writable, soft_dirty=soft_dirty)
+            model.pt[gvas[slot]] = [gpa, writable, False, soft_dirty]
+        elif kind == "join":
+            _, slot, count = op
+            count = min(count, EXT_SLOTS - slot)
+            pages, frames = gvas[slot : slot + count], gpas[slot : slot + count]
+            if pt.join_pages(pages[0], frames[0], count):
+                assert not any(g in model.pt for g in pages)
+                model.pt.update((g, [f, True, False, True]) for g, f in zip(pages, frames))
+            hpa = REGION_HPA + slot * P
+            if ept.join_frames(frames[0], hpa, count):
+                assert not any(f in model.ept for f in frames)
+                model.ept.update((f, [hpa + i * P, False]) for i, f in enumerate(frames))
+        elif kind == "write":
+            want = _outcome(lambda: model.write(gvas[op[1]], False))
+            assert _outcome(lambda: tuple(pt.write_page(gvas[op[1]], ept))) == want
+        elif kind == "unmap":
+            want = []
+            for gva in (gvas[i] for i in op[1]):
+                if gva not in model.pt:
+                    break
+                want.append(model.pt.pop(gva)[3])
+            pages = [gvas[i] for i in op[1]]
+            soft = [g // P for g, s in zip(pages, want) if s]
+            assert pt.unmap_pages(pages) == (len(want), soft)
+        elif kind == "remap":
+            new = EXT_SLOTS + op[2]
+            assert _outcome(lambda: pt.remap(gvas[op[1]], gvas[new])) == _outcome(
+                lambda: model.step(("remap", op[1], new), gvas, gpas)
+            )
+        elif kind == "clear_dirty":
+            ept.clear_dirty([gpas[i] for i in op[1]])
+            model.step(op, gvas, gpas)
+        else:
+            assert pt.clear_soft_dirty() == model.step(op, gvas, gpas)
+
+    for op in ops:
+        step(op)
+        for gva in gvas:
+            assert pt.entry(gva) == model.entry(gva), op
+        want_gpas = [model.pt[g][0] for g in gvas if g in model.pt]
+        assert pt.gpas_of(gvas).tolist() == want_gpas
+        assert _lost_as_none(pt.reverse_map_many(gpas)) == [model.reverse_map(g) for g in gpas]
+        assert pt.mapped_set() == set(model.pt)
+        assert pt.dirty_set() == model.pages(2)
+        assert pt.soft_dirty_set() == model.pages(3)
+        assert _dirty_gpas(ept) == {g for g, (_, dirty) in model.ept.items() if dirty}
+        assert [ept.translate(g) for g in gpas] == [model.translate(g) for g in gpas]
+        assert len(pt) == len(model.pt)
+        for table in (pt, ept):  # no two regions overlap, no entry is a live region page
+            spans = sorted((r.base, r.base + r.span) for r in table._regions)
+            assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+            for addr in table.entries:
+                assert not any(r.index(addr - r.base) >= 0 for r in table._regions)

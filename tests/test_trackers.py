@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import reduce
 from itertools import accumulate, repeat
@@ -20,6 +21,7 @@ from oohsim.checkpoint import CheckpointSession
 from oohsim.costs import PAGE_SIZE, CostTable
 from oohsim.experiments import ConfigError, ExperimentConfig
 from oohsim.guest import TECHNIQUES
+from oohsim.memory import AlreadyMapped, GuestPageTable, UnknownMapping, _PageMap
 from oohsim.pml import BUFFER_SLOTS
 from oohsim.trackers import (
     TRACKED_PID,
@@ -2057,3 +2059,113 @@ def test_an_infinite_horizon_runs_as_a_long_finite_one(technique, run):
     finite = report(horizon_us=6e7)
     assert not finite["truncated"] and report(horizon_us=math.inf) == finite
     assert report(horizon_us=math.inf, quantum_us=math.inf) == report(quantum_us=1e12)
+
+
+# ------------------------- a window's maps and unmaps apply in one call each
+
+
+def _one_op_per_call(self, pid, ops):
+    """apply_ops as one map_fresh, unmap or remap call per op."""
+    for op in ops:
+        if op[0] == "map":
+            self.map_fresh(pid, op[1])
+        elif op[0] == "unmap":
+            self.unmap(pid, op[1])
+        elif op[0] == "remap":
+            self.remap(pid, op[1], op[2])
+        else:
+            raise ValueError(f"unknown trace op {op[0]!r}")
+
+
+@contextmanager
+def _ops_one_at_a_time():
+    """One op per call, and every page mapped singly a one-page region."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VirtualMachine, "apply_ops", _one_op_per_call)
+        mp.setattr(_PageMap, "_join", lambda self, *args: False)
+        yield
+
+
+def _batch_traces(seed: int) -> dict[str, TraceWorkload]:
+    pages = 256
+    plain = random_trace(seed, max_pages=pages, n_ops=600)
+    premapped = TraceWorkload(plain.ops, initial_pages=pages)  # maps right after the region
+    return {
+        "random": plain,
+        "premapped": premapped,
+        "remap": _with_remaps(premapped, seed),
+        "churn": churn_trace(300, 120, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_batched_ops_leave_every_report_field_of_one_op_per_call(technique, seed):
+    joined = [0]
+    join_pages = GuestPageTable.join_pages
+
+    def counted(self, gva, gpa, count, **flags):
+        done = join_pages(self, gva, gpa, count, **flags)
+        joined[0] += done and count > 1
+        return done
+
+    for kind, trace in _batch_traces(seed).items():
+        config = cfg(technique, trace.memory_bytes, quantum_us=300.0, trace=trace)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GuestPageTable, "join_pages", counted)
+            batched = run_tracker(config)
+        with _ops_one_at_a_time():
+            single = run_tracker(config)
+        assert _field_bits(batched) == _field_bits(single), kind
+    assert joined[0]  # runs of maps joined their region in one slice
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_batched_ops_leave_the_checkpoint_images_of_one_op_per_call(technique):
+    def session(trace):
+        sess = CheckpointSession(technique, trace.memory_bytes)
+        step = -(-len(trace.ops) // 4)
+        for k in range(4):
+            sess.run_ops(trace.ops[k * step : (k + 1) * step])
+            sess.checkpoint("full" if k == 0 else "incremental")
+        return sess.images, sess.lost, sess.inaccurate
+
+    for kind, trace in _batch_traces(3).items():
+        batched = session(trace)
+        with _ops_one_at_a_time():
+            assert session(trace) == batched, kind
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_a_bad_op_inside_a_batch_raises_with_the_ops_before_it_applied(technique):
+    base = (64 + 1) * PAGE_SIZE  # right after the 64 pages mapped at the start
+    bad_unmap = [("unmap", PAGE_SIZE), ("unmap", 9 * PAGE_SIZE), ("unmap", PAGE_SIZE),
+                 ("unmap", 3 * PAGE_SIZE)]
+    bad_map = [("map", base), ("map", base + PAGE_SIZE), ("map", 5 * PAGE_SIZE),
+               ("map", base + 2 * PAGE_SIZE)]
+
+    def state(vm):
+        table = vm.kernel.processes[TRACKED_PID].table
+        gvas = range(PAGE_SIZE, base + 4 * PAGE_SIZE, PAGE_SIZE)
+        gpas = range(0, vm._next_gpa, PAGE_SIZE)
+        return (
+            [table.entry(g) for g in gvas], vm.kernel.processes[TRACKED_PID].softdirty_residue,
+            [vm.ept.translate(g) for g in gpas], vm._next_gva, vm._next_gpa, vm._next_hpa,
+        )
+
+    for ops, error in ((bad_unmap, UnknownMapping), (bad_map, AlreadyMapped)):
+        ops = [("write", PAGE_SIZE), ("write", 9 * PAGE_SIZE)] + ops + [("write", 3 * PAGE_SIZE)]
+        trace = TraceWorkload(ops, initial_pages=64)
+        with pytest.raises(error) as raised:
+            run_tracker(cfg(technique, trace.memory_bytes, trace=trace))
+        with _ops_one_at_a_time(), pytest.raises(error) as once:
+            run_tracker(cfg(technique, trace.memory_bytes, trace=trace))
+        assert raised.value.args == once.value.args
+        runs = []
+        for apply in (VirtualMachine.apply_ops, _one_op_per_call):
+            vm, _, _ = tracked_machine(cfg(technique, trace.memory_bytes, trace=trace))
+            vm.write_one(TRACKED_PID, PAGE_SIZE)
+            with pytest.raises(error) as raised:
+                apply(vm, TRACKED_PID, [op for op in ops if op[0] != "write"])
+            runs.append((raised.value.args, state(vm)))
+        assert runs[0] == runs[1]

@@ -81,7 +81,34 @@ def test_map_fresh_joins_the_tracked_baseline_clean(technique, writable, soft_di
 def test_unknown_trace_op_rejected():
     vm = make_vm("epml")
     with pytest.raises(ValueError, match="unknown trace op 'fork'"):
-        vm.apply_op(7, ("fork", gva(0)))
+        vm.apply_ops(7, [("fork", gva(0))])
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_a_run_of_maps_maps_as_one_map_fresh_per_page(technique):
+    # 1,785 pages end 6 frames before the epml guest ring's frame: a run of
+    # 12 maps after them joins the page table's region, while the frames
+    # replace the ring's in the EPT, as map_fresh's map_gpa replaces it
+    machines = [make_vm(technique, pages=1_785) for _ in range(2)]
+    runs = [[gva(1_785 + i) for i in range(12)], [gva(2_000), gva(2_001), gva(1_797)]]
+    for vm, batched in zip(machines, (True, False)):
+        for run in runs:
+            if batched:
+                vm.apply_ops(7, [("map", g) for g in run])
+            else:
+                for g in run:
+                    vm.map_fresh(7, g)
+    states = []
+    for vm in machines:
+        table = vm.kernel.processes[7].table
+        gpas = range(0x10_0000, vm._next_gpa + 0x1000, 0x1000)
+        states.append((
+            [table.entry(gva(i)) for i in range(2_100)], [vm.ept.translate(g) for g in gpas],
+            vm._next_gva, vm._next_gpa, vm._next_hpa,
+        ))
+    assert states[0] == states[1]
+    table = machines[0].kernel.processes[7].table
+    assert len(table.entries) == 3  # the maps after the first run stay apart
 
 
 def test_remap_moves_dirty_state():

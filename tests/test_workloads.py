@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from oohsim.costs import CostTable
 from oohsim.trackers import TrackerConfig, run_tracker
 from oohsim.workloads import (
     KV_FOOTPRINTS,
@@ -70,6 +72,66 @@ def test_kv_trace_never_writes_an_unmapped_address():
             mapped.add(op[1])
         elif op[0] == "unmap":
             mapped.remove(op[1])
+
+
+def _kv_loop_ops(spec: KvWorkloadSpec) -> list[tuple]:
+    """KvWorkloadSpec.make_trace's ops, built one write at a time."""
+    rng = np.random.default_rng(spec.seed)
+    pages = spec.num_pages
+    cdf = np.cumsum(np.arange(1, pages + 1, dtype=np.float64) ** (-spec.write_skew))
+    slot_of_rank = rng.permutation(pages)
+    draws = np.searchsorted(cdf, rng.random(spec.n_ops) * cdf[-1])
+    churns = int(spec.churn_rate * (spec.n_ops * CostTable.default().param("write_cost_us")) / 1e6)
+    churn_every = spec.n_ops // (churns + 1) if churns else 0
+    moved: dict[int, int] = {}
+    next_fresh = (pages + 1) * PAGE
+    ops: list[tuple] = []
+    churned = 0
+    for i, rank_idx in enumerate(draws, start=1):
+        slot = int(slot_of_rank[rank_idx])
+        gva = moved.get(slot, (slot + 1) * PAGE)
+        ops.append(("write", gva))
+        if churns and churned < churns and i % churn_every == 0:
+            ops.append(("unmap", gva))
+            moved[slot] = next_fresh
+            ops.append(("map", next_fresh))
+            next_fresh += PAGE
+            churned += 1
+    return ops
+
+
+def _same_ops(got: list[tuple], want: list[tuple]) -> None:
+    """Equal ops, each address a Python int as in ``want``."""
+    assert got == want
+    assert [tuple(map(type, op)) for op in got] == [tuple(map(type, op)) for op in want]
+
+
+@pytest.mark.parametrize(
+    "footprint, churn_rate, n_ops",
+    [
+        (KV_FOOTPRINTS["stdhash"], 0.0, 20_000),  # fig8's trace: one gather
+        (KV_FOOTPRINTS["stdhash"], 5_000.0, 20_000),  # 90 churn events
+        (4 * MB, 200_000.0, 10_000),  # 1,800 events, hot ranks moved again and again
+    ],
+)
+def test_kv_trace_matches_the_write_by_write_build(footprint, churn_rate, n_ops):
+    spec = KvWorkloadSpec("t", footprint, churn_rate=churn_rate, n_ops=n_ops, seed=5)
+    _same_ops(spec.make_trace().ops, _kv_loop_ops(spec))
+
+
+def test_kv_trace_rejects_more_churn_events_than_writes():
+    spec = KvWorkloadSpec("t", 4 * MB, churn_rate=1e9, n_ops=100)
+    with pytest.raises(ValueError, match="churn events"):
+        spec.make_trace()
+
+
+@pytest.mark.parametrize("working_set, churn", [(512, 0), (512, 360), (7, 6)])
+def test_churn_trace_matches_the_write_by_write_build(working_set, churn):
+    order = np.random.default_rng(3).permutation(working_set)
+    want: list[tuple] = [("write", (int(i) + 1) * PAGE) for i in order]
+    if churn:
+        want += [("unmap", (int(i) + 1) * PAGE) for i in reversed(order[-churn:])]
+    _same_ops(churn_trace(working_set, churn, seed=3).ops, want)
 
 
 # ------------------------------------------------------------------ oracle
