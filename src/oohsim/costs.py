@@ -260,7 +260,8 @@ class CostTable:
         Keys are ``M<k>`` (fixed metrics, value in us), ``M<k>@<size>``
         (size-dependent metrics, value in ms at that anchor; new sizes insert
         new anchors) or any scalar knob name from ``params``.  Every value
-        and anchor size must be a finite number, and every value >= 0;
+        and anchor size must be a finite number, every value >= 0 and every
+        anchor size > 0;
         ``write_cost_us`` must be positive and ``spml_drain_batch`` a whole
         number >= 1.
         """
@@ -278,8 +279,9 @@ class CostTable:
                         f"{metric} is not a size-dependent metric"
                     )
                 size_mb = _parse_size_mb(size_text)
-                if not math.isfinite(size_mb):
-                    raise CalibrationError(f"{key}: the size must be finite")
+                # an anchor at or below 0 MB would steer the whole interpolation
+                if not (math.isfinite(size_mb) and size_mb > 0):
+                    raise CalibrationError(f"{key}: the size must be finite and > 0")
                 anchors = [a for a in self.sized_ms[metric] if a[0] != size_mb]
                 anchors.append((size_mb, value))
                 anchors.sort()

@@ -4,7 +4,7 @@ kernel services each technique relies on.
 The :class:`GuestKernel` glues per-process page tables to the hypervisor's
 log device; each kernel service returns its µs from the registration's prices:
 
-* registration/unregistration of the tracked process (hypercall round trips),
+* registration of the tracked process (hypercall round trips),
 * scheduler callbacks at quantum boundaries (enable/disable hypercalls on the
   shared pathway; shadow-field accesses in extended mode),
 * the softirq bottom half that copies the guest-level log buffer into the
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import PAGE_SIZE, CostTable, Prices
+from .costs import CostTable, Prices
 from .hypervisor import Hypervisor
 from .memory import Ept, GuestPageTable, UnknownMapping
 from .pml import FIELD_GUEST_PML_ADDRESS, FIELD_GUEST_PML_INDEX, ShadowVmcs
@@ -40,13 +40,18 @@ __all__ = [
     "UioModuleState",
     "GuestKernel",
     "GUEST_RING_GPA",
+    "GUEST_RING_HPA",
 ]
 
 TECHNIQUES = ("proc", "uffd", "spml", "epml")
 
 #: Fixed guest-physical address of the page backing the guest-level log
-#: buffer (mapped at registration so the shadow-field write can translate).
-GUEST_RING_GPA = 0x7F_F000
+#: buffer, mapped at registration so the shadow-field write can translate:
+#: the frame below the first one :class:`~oohsim.vm.VirtualMachine` hands
+#: out, backed by the host frame below the first one it hands out, so no
+#: process's page shares either.
+GUEST_RING_GPA = 0xF_F000
+GUEST_RING_HPA = 0xFFF_F000
 
 
 class AlreadyRegistered(RuntimeError):
@@ -128,16 +133,10 @@ class GuestKernel:
         except KeyError:
             raise NotRegistered(f"no such pid {pid}") from None
 
-    def unmap(self, pid: int, gva: int) -> None:
-        """Take a page out of the table, keeping a set soft-dirty bit as residue."""
-        proc = self._proc(pid)
-        if proc.table.unmap(gva):
-            proc.softdirty_residue.add(gva // PAGE_SIZE)
-
     def unmap_pages(self, pid: int, gvas: Sequence[int]) -> None:
-        """:meth:`unmap` each of ``gvas`` in order, in one pass of the table and
-        one set update of the residue; a page not mapped raises
-        ``UnknownMapping``, the pages before it unmapped."""
+        """Take each of ``gvas`` out of the table, in order, in one pass, keeping
+        the soft-dirty ones' page numbers as residue in one set update; a page
+        not mapped raises ``UnknownMapping``, the pages before it unmapped."""
         proc = self._proc(pid)
         n, soft_dirty = proc.table.unmap_pages(gvas)
         proc.softdirty_residue.update(soft_dirty)
@@ -158,8 +157,7 @@ class GuestKernel:
         elif technique == "epml":
             self.hv.hypercall("init_shadow_vmcs")
             self.shadow = ShadowVmcs(self.hv.pml)
-            if self.ept.translate(GUEST_RING_GPA) is None:
-                self.ept.map_gpa(GUEST_RING_GPA, GUEST_RING_GPA | 0x8000_0000)
+            self.ept.map_gpa(GUEST_RING_GPA, GUEST_RING_HPA)
         elif technique == "uffd":
             proc.uffd_mode = "write_protect"
             proc.table.write_protect_all()
@@ -287,15 +285,9 @@ class GuestKernel:
 
     # ------------------------------------------------- userspace-fault (uffd)
 
-    def uffd_record(self, pid: int, gva: int) -> None:
-        """Monitor thread records a write-protect fault at ``gva``: its page's number."""
-        proc = self._proc(pid)
-        if proc.uffd_mode is None:
-            raise NotRegistered(f"pid {pid} has no fault registration")
-        proc.uffd_dirty.add(gva // PAGE_SIZE)
-
-    def uffd_record_run(self, pid: int, pages: list[int]) -> None:
-        """:meth:`uffd_record` for each of ``pages``, given as page numbers."""
+    def uffd_record_run(self, pid: int, pages: Sequence[int]) -> None:
+        """Monitor thread records write-protect faults on ``pages``, given as
+        page numbers (``gva // PAGE_SIZE``)."""
         proc = self._proc(pid)
         if proc.uffd_mode is None:
             raise NotRegistered(f"pid {pid} has no fault registration")

@@ -479,16 +479,9 @@ class GuestPageTable(_PageMap):
         before ``gva`` in one slice; False, mapping nothing, when they cannot."""
         return self._join(gva, gpa, count, _pte_byte(writable, soft_dirty))
 
-    def unmap(self, gva: int) -> bool:
-        """Take ``gva``'s mapping out; returns whether the page was soft-dirty."""
-        taken = self._take(gva)
-        if taken is None:
-            raise UnknownMapping(gva)
-        return taken[1] & _SOFT_DIRTY != 0
-
     def unmap_pages(self, gvas: Sequence[int]) -> tuple[int, list[int]]:
-        """:meth:`unmap` each of ``gvas`` in order, up to the first that is not
-        mapped: how many it unmapped, and the page numbers (``gva // PAGE_SIZE``)
+        """Take each of ``gvas``' mappings out, in order, up to the first that is
+        not mapped: how many it unmapped, and the page numbers (``gva // PAGE_SIZE``)
         of those that were soft-dirty."""
         soft_dirty = []
         for n, gva in enumerate(gvas):
@@ -579,11 +572,8 @@ class GuestPageTable(_PageMap):
         self._translate(_CLEAR_SOFT_DIRTY)
         return cleared
 
-    def soft_dirty_set(self) -> set[int]:
-        return self._pages(_HAS_SOFT_DIRTY)
-
     def soft_dirty_pages(self) -> set[int]:
-        """The page numbers (``gva // PAGE_SIZE``) of :meth:`soft_dirty_set`."""
+        """The page numbers (``gva // PAGE_SIZE``) of the soft-dirty pages."""
         return self._pages(_HAS_SOFT_DIRTY, PAGE_SIZE)
 
     def mapped_set(self) -> set[int]:

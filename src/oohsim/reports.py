@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Iterable, TextIO
+from dataclasses import dataclass, field, fields
+from typing import Any, TextIO, get_type_hints
 
 __all__ = [
     "CSV_COLUMNS",
@@ -23,27 +23,6 @@ __all__ = [
     "rows_from_csv",
     "rows_from_json",
 ]
-
-CSV_COLUMNS = (
-    "technique",
-    "memory_bytes",
-    "ideal_us",
-    "tracked_us",
-    "tracker_us",
-    "overhead_tracked_pct",
-    "overhead_tracker_pct",
-    "init_us",
-    "collect_us",
-    "suspension_us",
-    "n_sched_events",
-    "vmexits",
-    "missed",
-    "dropped",
-    "checkpoint_ms",
-)
-
-_INT_COLUMNS = frozenset({"memory_bytes", "n_sched_events", "vmexits", "missed", "dropped"})
-
 
 @dataclass
 class RunRow:
@@ -72,6 +51,12 @@ class RunRow:
                 v = round(v, 3)
             out[f.name] = v
         return out
+
+
+#: A row's columns, in emission order: :class:`RunRow`'s fields, the one home
+#: of their names, order and types (a cell read back is parsed as its type).
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
+_COLUMN_TYPES = get_type_hints(RunRow)
 
 
 @dataclass
@@ -143,14 +128,6 @@ def write_report(report: RunReport, fmt: str, dest: str | TextIO) -> None:
         dest.write(text)
 
 
-def _coerce(column: str, raw: str) -> Any:
-    if column in _INT_COLUMNS:
-        return int(raw)
-    if column == "technique":
-        return raw
-    return float(raw)
-
-
 def _typed_row(rec: Any, where: str) -> dict[str, Any]:
     if not isinstance(rec, dict):
         raise ValueError(f"{where} is not a row of named columns")
@@ -159,7 +136,7 @@ def _typed_row(rec: Any, where: str) -> dict[str, Any]:
     for c in CSV_COLUMNS:
         if rec.get(c) is None:
             raise ValueError(f"{where} has no {c!r} column")
-    return {c: _coerce(c, str(rec[c])) for c in CSV_COLUMNS}
+    return {c: _COLUMN_TYPES[c](str(rec[c])) for c in CSV_COLUMNS}
 
 
 def rows_from_csv(text: str) -> list[dict[str, Any]]:

@@ -65,7 +65,6 @@ __all__ = [
     "TrackerPhaseReport",
     "DrainResult",
     "drain_ring",
-    "reverse_map_blocks",
     "reverse_map_pairs",
     "run_tracker",
     "spml_bottleneck_breakdown",
@@ -233,42 +232,27 @@ def drain_ring(vm: VirtualMachine) -> DrainResult:
     return res
 
 
-def reverse_map_blocks(vm: VirtualMachine, blocks) -> DrainResult:
-    """:func:`reverse_map_pairs` of each ``(pid, rows)`` block through its
-    process's page table; every pair of a process that is gone is lost."""
-    res = DrainResult()
-    processes = vm.kernel.processes
-    for pid, pairs in blocks:
-        proc = processes.get(pid)
-        reverse_map_pairs(proc.table if proc is not None else None, pairs, 0.0, res)
-    return res
-
-
 def reverse_map_raw(vm: VirtualMachine, raw: np.ndarray) -> DrainResult:
     """Deferred reverse mapping of previously harvested raw addresses."""
-    rm_pp = vm.kernel.uio.prices.m17_pp
     table = vm.kernel.processes[TRACKED_PID].table
-    return reverse_map_pairs(table, raw, rm_pp, DrainResult(consumed=len(raw)))
+    return reverse_map_pairs(table, raw, vm.kernel.uio.prices.m17_pp)
 
 
-def reverse_map_pairs(
-    table: GuestPageTable | None, pairs, rm_pp: float = 0.0, res: DrainResult | None = None
-) -> DrainResult:
+def reverse_map_pairs(table: GuestPageTable, pairs, rm_pp: float = 0.0) -> DrainResult:
     """Reverse-map logged ``(gpa, meta_gva)`` pairs, an ``(n, 2)`` array or a
-    sequence of pairs, through a page table into ``res``.
+    sequence of pairs, through a page table.
 
     The one GPA-to-GVA step: the one spml pays ``rm_pp`` per pair for and
-    epml skips.  A GPA no GVA maps any more (every GPA, when ``table`` is
-    None) is lost; one that maps back to another GVA than the one written
-    is inaccurate.  The batch is mapped and compared with the logged GVAs
-    whole; only the pairs that differ are visited.  The mapped GVAs join
-    ``res.gvas`` in order.
+    epml skips.  A GPA no GVA maps any more is lost; one that maps back to
+    another GVA than the one written is inaccurate.  The batch is mapped and
+    compared with the logged GVAs whole; only the pairs that differ are
+    visited.  The mapped GVAs are ``gvas``, in order.
     """
-    res = res if res is not None else DrainResult()
     gpas, logged = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    gvas = table.reverse_map_many(gpas) if table is not None else np.full(len(gpas), LOST_GVA)
+    gvas = table.reverse_map_many(gpas)
+    res = DrainResult(consumed=len(gpas), gvas=gvas)
     if rm_pp:  # one addition per pair, in order, as a per-pair loop adds them
-        res.rm_us = reduce(add, repeat(rm_pp, len(gpas)), res.rm_us)
+        res.rm_us = reduce(add, repeat(rm_pp, len(gpas)), 0.0)
     differ = (gvas != logged).nonzero()[0]
     if len(differ):
         for gpa, gva, meta in zip(*(a[differ].tolist() for a in (gpas, gvas, logged))):
@@ -276,8 +260,7 @@ def reverse_map_pairs(
                 res.lost.append((gpa, meta))
             else:
                 res.inaccurate.append((gva, meta))
-        gvas = gvas[gvas != LOST_GVA]
-    res.gvas = np.concatenate((res.gvas, gvas)) if len(res.gvas) else gvas
+        res.gvas = gvas[gvas != LOST_GVA]
     return res
 
 
@@ -411,13 +394,6 @@ class _Run:
         parts["reverse_mapping_us"], parts["copy_us"] = rm_us, copy_us
         return ticks
 
-    def _stall(self, pending: int) -> int:
-        """The spml producer waits for collection ticks until the ring has room for
-        its ``pending`` buffer entries: one run of back-to-back ticks
-        (:meth:`_spml_ticks`), the wait on the clock and in ``suspension``.
-        Returns the ticks waited; the run is truncated if the horizon comes first."""
-        return self._spml_ticks("room", pending)
-
     def _vmexit(self) -> None:
         self.t += self.c.vmexit_service
         self.suspension += self.c.vmexit_service
@@ -534,8 +510,8 @@ class _SegmentRun(_Run):
     drops under ``drop``) run inline, with the float operations of
     :meth:`_epml_copy`, :meth:`_Run._tick` and :meth:`_Run._vmexit` in
     their order.  The locals go back to ``self`` only around the events that
-    read it: a stall (:meth:`_Run._stall`), a quantum swap and spml's due
-    ticks (:meth:`_Run._swap_and_tick`).
+    read it: a stall (:meth:`_Run._spml_ticks` until the ring has room), a
+    quantum swap and spml's due ticks (:meth:`_Run._swap_and_tick`).
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -674,7 +650,7 @@ class _SegmentRun(_Run):
                 self.writes_done, self.buf_fill, self.tool_ring = writes_done, buf_fill, tool_ring
                 self.softirqs, self.dropped = softirqs, dropped
                 if stalled:  # wait for ticks to make room, then flush and replay
-                    self._stall(512)
+                    self._spml_ticks("room", 512)
                     if self.truncated:
                         return
                     self.ring_used += 512
@@ -810,12 +786,13 @@ class _MechanicalRun(_Run):
     ring: :meth:`_settle` takes them off in one step at the end of the
     ticks of an event exit, before a stall's one flush and before the
     parked pairs or the deferred entries are mapped.  The drained
-    ``(gpa, gva)`` rows wait in ``parked``, by pid, as the ring's int64
-    arrays in drain order, and are reverse-mapped together
-    (:meth:`_map_parked`) before each map, unmap or remap op, before a
-    stretch passes one, once a ring's worth has parked and before the
-    report: they map as they did when drained, as no other step changes a
-    mapping; a pair drained again in the same epoch maps again, at no charge.
+    ``(gpa, gva)`` rows wait in ``drained``, as the ring's int64 arrays in
+    drain order.  A deferred run maps them at the report; any other
+    reverse-maps them together as parked pairs (:meth:`_map_parked`) before
+    each map, unmap or remap op, before a stretch passes one, once a ring's
+    worth has parked and before the report: they map as they did when
+    drained, as no other step changes a mapping; a pair drained again in the
+    same epoch maps again, at no charge.
 
     ``oracle`` is a boolean mask over the writes of the run's decode (a
     trace's, or a sweep round's), True where a write completed, and
@@ -834,10 +811,9 @@ class _MechanicalRun(_Run):
         self.oracle = np.zeros(writes, dtype=bool)  # by write of the decode: it completed
         self.collected: list[np.ndarray] = []  # page numbers reported
         self.inaccurate: set[tuple[int, int]] = set()
-        self.raw_entries: list[np.ndarray] = []  # (gpa, gva) rows, when deferred
-        # spml's drained (gpa, gva) rows by pid, charged but not yet mapped, and their count
-        self.parked: dict[Any, list[np.ndarray]] = {}
-        self._parked_rows = 0
+        # spml's drained (gpa, gva) rows, charged but not yet mapped, and their count
+        self.drained: list[np.ndarray] = []
+        self._drained_rows = 0
         # ring entries charged by spml's ticks but not yet taken off the ring
         self._owed = 0
         if cfg.defer_reverse_map:
@@ -914,18 +890,17 @@ class _MechanicalRun(_Run):
         return rm_us + copy_us, rm_us, copy_us
 
     def _settle(self) -> None:
-        """Take the owed entries off the ring: park their rows, or keep them
-        raw when the mapping is deferred, in drain order.  A ring's worth of
-        parked rows is mapped at once, so the rows held stay bounded."""
+        """Take the owed entries off the ring and keep their rows in ``drained``,
+        in drain order.  Unless the mapping is deferred, a ring's worth of rows
+        is mapped at once, so the rows held stay bounded.  Every block carries
+        the one tracked process's pid (``hv.current_pid`` from the run's first
+        schedule-in on)."""
         if self._owed:
             blocks, self._owed = self.vm.hv.ring.consume(self._owed), 0
-            for pid, pairs in blocks:
-                if self.cfg.defer_reverse_map:
-                    self.raw_entries.append(pairs)
-                else:
-                    self.parked.setdefault(pid, []).append(pairs)
-                    self._parked_rows += len(pairs)
-            if self._parked_rows >= self.cfg.ring_capacity:
+            for _pid, pairs in blocks:
+                self.drained.append(pairs)
+                self._drained_rows += len(pairs)
+            if self._drained_rows >= self.cfg.ring_capacity:
                 self._map_parked()
 
     def _swap_and_tick(self) -> None:
@@ -933,21 +908,22 @@ class _MechanicalRun(_Run):
         self._settle()
 
     def _map_parked(self) -> None:
-        """Map the parked pairs against the mappings they were drained under."""
+        """Map the drained pairs against the mappings they were drained under,
+        unless the mapping is deferred to the report."""
         self._settle()
-        if self.parked:
-            blocks = [(pid, np.concatenate(rows)) for pid, rows in self.parked.items()]
-            self.parked.clear()
-            self._parked_rows = 0
-            res = reverse_map_blocks(self.vm, blocks)
+        if self.drained and not self.cfg.defer_reverse_map:
+            table = self.vm.kernel.processes[TRACKED_PID].table
+            res = reverse_map_pairs(table, np.concatenate(self.drained))
+            self.drained.clear()
+            self._drained_rows = 0
             self._collect(res.gvas)
             self.inaccurate.update(res.inaccurate)
 
     def _reverse_map_deferred(self) -> float:
         self._settle()
-        if not self.raw_entries:
+        if not self.drained:
             return 0.0
-        res = reverse_map_raw(self.vm, np.concatenate(self.raw_entries))
+        res = reverse_map_raw(self.vm, np.concatenate(self.drained))
         self._collect(res.gvas)
         self.inaccurate.update(res.inaccurate)
         return res.rm_us
@@ -1146,7 +1122,7 @@ class _MechanicalRun(_Run):
             # retry after each tick but the last finds no room and stalls again,
             # so it is only counted
             hv = self.vm.hv
-            ticks = self._stall(len(hv.pml.hv_buffer.entries))
+            ticks = self._spml_ticks("room", len(hv.pml.hv_buffer.entries))
             hv.vmexit_stalls += ticks if self.truncated else ticks - 1
             if self.truncated:
                 return

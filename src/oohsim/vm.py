@@ -30,8 +30,9 @@ address counters advance exactly as if every page had been mapped singly.
 A trace's ``map``/``unmap``/``remap`` ops, for the tracker engine and for
 checkpoint sessions alike, go through :meth:`VirtualMachine.apply_ops`, a
 run of them at a time, and :meth:`VirtualMachine.map_fresh` maps a tracked
-process's new page clean.  A run of maps to consecutive pages right after a
-region joins it in one slice of each table, and a run of unmaps is one pass.
+process's new pages clean.  A run of maps to consecutive pages is one
+``map_fresh`` call, which joins the pages to the region right before them in
+one slice of each table when it can, and a run of unmaps is one pass.
 """
 
 from __future__ import annotations
@@ -106,46 +107,46 @@ class VirtualMachine:
         self._next_gva[pid] = 0x1000
         return proc
 
-    def map_fresh(self, pid: int, gva: int | None = None) -> int:
-        """Map one new page at ``gva`` (or the next free address); returns its address.
+    def map_fresh(self, pid: int, gva: int | None = None, count: int = 1) -> int:
+        """Map ``count`` new pages from ``gva`` (or the next free address) on;
+        returns the first one's address.
 
         A page mapped into the tracked process joins the monitoring baseline
         clean, so only writes after the mapping show up as dirty: it is
         write-protected under ``uffd`` and has its soft-dirty bit clear
         under ``proc``.  Any other page gets the default flags.
+
+        When the pages join the page table's region that ends right before
+        ``gva``, their frames join the EPT's region that ends right before the
+        first one: the two grow in lockstep from :meth:`allocate`, and no frame
+        is ever unmapped.  Otherwise each page takes a frame and is mapped in
+        turn; a page already mapped raises ``AlreadyMapped``, the pages before
+        it mapped.
         """
-        proc = self.kernel._proc(pid)
+        table = self.kernel._proc(pid).table
         if gva is None:
             gva = self._next_gva[pid]
-        self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), gva + PAGE)
-        gpa, hpa = self._next_gpa, self._next_hpa
-        self._next_gpa += PAGE
-        self._next_hpa += PAGE
-        self.ept.map_gpa(gpa, hpa)
-        proc.table.map_page(gva, gpa, **self._fresh_flags(pid))
-        return gva
-
-    def _fresh_flags(self, pid: int) -> dict[str, bool]:
-        """The flags of a new page of process ``pid``, as :meth:`map_fresh` says."""
         uio = self.kernel.uio
         technique = uio.technique if uio is not None and uio.pid == pid else None
-        return {"writable": technique != "uffd", "soft_dirty": technique != "proc"}
+        flags = {"writable": technique != "uffd", "soft_dirty": technique != "proc"}
+        if table.join_pages(gva, self._next_gpa, count, **flags):
+            if not self.ept.join_frames(*self._claim(pid, gva, count * PAGE), count):
+                raise RuntimeError(f"the frames of {count} pages at {gva:#x} did not join the EPT")
+            return gva
+        for page in range(gva, gva + count * PAGE, PAGE):
+            gpa, hpa = self._claim(pid, page, PAGE)
+            self.ept.map_gpa(gpa, hpa)
+            table.map_page(page, gpa, **flags)
+        return gva
 
-    def _join_fresh(self, pid: int, gva: int, count: int) -> bool:
-        """``count`` :meth:`map_fresh` calls for the pages from ``gva`` on, as one
-        slice of each table, when the pages join the page table's region that
-        ends right before ``gva``; False, mapping nothing, when they do not."""
-        table = self.kernel._proc(pid).table
-        gpa, hpa, span = self._next_gpa, self._next_hpa, count * PAGE
-        if not table.join_pages(gva, gpa, count, **self._fresh_flags(pid)):
-            return False
+    def _claim(self, pid: int, gva: int, span: int) -> tuple[int, int]:
+        """The first GPA and HPA of ``span`` bytes of new frames, for ``pid``'s
+        pages from ``gva`` on, past which its next free address moves."""
+        gpa, hpa = self._next_gpa, self._next_hpa
         self._next_gva[pid] = max(self._next_gva.get(pid, 0x1000), gva + span)
         self._next_gpa += span
         self._next_hpa += span
-        if not self.ept.join_frames(gpa, hpa, count):  # a frame mapped in the way
-            for i in range(0, span, PAGE):
-                self.ept.map_gpa(gpa + i, hpa + i)
-        return True
+        return gpa, hpa
 
     def allocate(self, pid: int, n_pages: int) -> range:
         """Map ``n_pages`` new pages at the next free addresses; returns them."""
@@ -162,7 +163,7 @@ class VirtualMachine:
 
     def unmap(self, pid: int, gva: int) -> None:
         """Unmap a page, preserving the kernel's soft-dirty residue."""
-        self.kernel.unmap(pid, gva)
+        self.kernel.unmap_pages(pid, (gva,))
 
     def remap(self, pid: int, old_gva: int, new_gva: int) -> None:
         """Move a mapping; dirty state travels with it (mremap-style)."""
@@ -174,8 +175,7 @@ class VirtualMachine:
         ``("remap", old, new)`` ops, in order, as one :meth:`map_fresh`,
         :meth:`unmap` or :meth:`remap` call each would.
 
-        A run of maps to consecutive pages that joins the region before it is
-        mapped at once (:meth:`_join_fresh`), any other a page at a time, and a
+        A run of maps to consecutive pages is one :meth:`map_fresh` call, and a
         run of unmaps is one pass that keeps their soft-dirty residue in one
         set update.  An op that fails raises as its call would, with the
         ops before it applied.
@@ -187,9 +187,7 @@ class VirtualMachine:
             if kind == "map":
                 while j < n and ops[j][0] == "map" and ops[j][1] == ops[j - 1][1] + PAGE:
                     j += 1
-                if not self._join_fresh(pid, op[1], j - i):
-                    for k in range(i, j):
-                        self.map_fresh(pid, ops[k][1])
+                self.map_fresh(pid, op[1], j - i)
             elif kind == "unmap":
                 while j < n and ops[j][0] == "unmap":
                     j += 1
@@ -224,7 +222,7 @@ class VirtualMachine:
                 return WriteResult(outcome)
             if proc.uffd_mode is None:
                 raise RuntimeError(f"write-protect fault without a monitor: {gva:#x}")
-            kern.uffd_record(pid, gva)
+            kern.uffd_record_run(pid, (gva // PAGE,))
             uffd_recorded = True
             outcome = proc.table.write_page(gva, ept, ignore_protection=True)
             if outcome.fault is not None:

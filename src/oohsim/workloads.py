@@ -6,6 +6,7 @@ what a tracker collected.  The page-sweep micro-benchmark is
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -141,6 +142,11 @@ class KvWorkloadSpec:
     def __post_init__(self) -> None:
         if self.footprint_bytes <= 0:
             raise ValueError("footprint must be positive")
+        # a negative rate made no churn, and a negative count failed inside NumPy
+        if not 0 <= self.churn_rate < math.inf:
+            raise ValueError(f"churn_rate: must be a finite number >= 0, got {self.churn_rate}")
+        if self.n_ops < 0:
+            raise ValueError(f"n_ops: must be >= 0, got {self.n_ops}")
 
     @property
     def num_pages(self) -> int:
@@ -220,6 +226,8 @@ def churn_trace(working_set_pages: int, churn_events: int, seed: int = 0) -> Tra
     pages are exactly the ones whose log entries are least likely to have
     been harvested yet — the worst case for physical-address logging.
     """
+    if churn_events < 0:
+        raise ValueError(f"churn_events: must be >= 0, got {churn_events}")
     if churn_events >= working_set_pages:
         raise ValueError("churn must retire fewer pages than the working set")
     rng = np.random.default_rng(seed)

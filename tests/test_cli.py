@@ -203,6 +203,13 @@ def test_calibrate_check_accepts_good_and_rejects_bad(tmp_path, capsys):
     assert main(["calibrate", "--check", str(bad)]) == EXIT_CONFIG
 
 
+def test_calibrate_check_rejects_an_anchor_at_a_negative_size(tmp_path, capsys):
+    bad = tmp_path / "negative.cal"
+    bad.write_text("M16@-5MB = 1000\n")
+    assert main(["calibrate", "--check", str(bad)]) == EXIT_CONFIG
+    assert "M16@-5MB" in capsys.readouterr().err
+
+
 def test_calibration_env_var_feeds_the_run(tmp_path, monkeypatch):
     cal = tmp_path / "env.cal"
     # an absurd write cost makes the ideal time obviously calibrated

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -206,6 +207,15 @@ def test_a_non_finite_or_negative_calibration_value_is_rejected(key, bad):
     assert (t.fixed_us, t.sized_ms, t.params) == (
         default.fixed_us, default.sized_ms, default.params
     )
+
+
+@pytest.mark.parametrize("size", ["-5MB", "0MB", "0GB", "-0.5KB"])
+def test_an_anchor_at_or_below_zero_size_is_rejected(size):
+    # M16@-5MB = 1000 moved M16 at 0.5 MB from 1,912 to 85,086 us
+    t = CostTable.default()
+    with pytest.raises(CalibrationError, match=re.escape(f"M16@{size}")):
+        t.apply_overrides({f"M16@{size}": 1000.0})
+    assert t.sized_ms == CostTable.default().sized_ms
 
 
 def test_a_zero_cost_is_a_legal_calibration_value():

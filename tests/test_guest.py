@@ -12,7 +12,7 @@ from oohsim.guest import (
     NotRegistered,
 )
 from oohsim.hypervisor import Hypervisor
-from oohsim.memory import _HAS_DIRTY, Ept
+from oohsim.memory import _HAS_DIRTY, PAGE_SIZE, Ept
 
 
 def _dirty_gpas(ept: Ept) -> set[int]:
@@ -232,7 +232,7 @@ def test_pagemap_reports_live_and_residue_pages():
     ept = kern.ept
     proc.table.write_page(0x1000, ept)
     proc.table.write_page(0x2000, ept)
-    kern.unmap(7, 0x2000)
+    kern.unmap_pages(7, [0x2000])
     dirty, us = kern.read_pagemap(7)
     assert dirty == {1, 2}  # unmapped page survives via residue
     assert us == CostTable.default().cost_us("M16", MB)
@@ -249,7 +249,7 @@ def test_clear_soft_dirty_resets_everything():
     dirty, _ = kern.read_pagemap(7)
     assert dirty == set()
     proc.table.write_page(0x1000, kern.ept)
-    kern.unmap(7, 0x1000)
+    kern.unmap_pages(7, [0x1000])
     kern.clear_soft_dirty(7)  # also clears the residue
     dirty, _ = kern.read_pagemap(7)
     assert dirty == set()
@@ -274,9 +274,8 @@ def test_uffd_record_and_harvest():
     kern.new_process(7)
     map_pages(kern, 7, 2)
     kern.register_tracked(7, "uffd", MB)
-    kern.uffd_record(7, 0x1000)
-    kern.uffd_record(7, 0x2000)
-    kern.uffd_record(7, 0x1000)
+    kern.uffd_record_run(7, [1])
+    kern.uffd_record_run(7, [2, 1])
     assert kern.uffd_harvest(7) == {1, 2}
     assert kern.uffd_harvest(7) == set()
 
@@ -287,7 +286,7 @@ def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
     map_pages(kern, 7, 2)
     kern.register_tracked(7, "uffd", MB)
     for gva in (0x2000, 0x2008, 0x2FFF):
-        kern.uffd_record(7, gva)
+        kern.uffd_record_run(7, (gva // PAGE_SIZE,))  # as VirtualMachine.write_one records
     assert kern.uffd_harvest(7) == {2}
 
 
@@ -304,7 +303,7 @@ def test_uffd_record_requires_registration():
     kern, _ = make_kernel()
     kern.new_process(7)
     with pytest.raises(NotRegistered):
-        kern.uffd_record(7, 0x1000)
+        kern.uffd_record_run(7, [1])
     with pytest.raises(NotRegistered):
         kern.uffd_harvest(7)
 

@@ -20,6 +20,7 @@ from oohsim.memory import (
     PageStore,
     UnknownMapping,
     _HAS_DIRTY,
+    _HAS_SOFT_DIRTY,
     _PROTECT,
     _UNPROTECT,
 )
@@ -44,6 +45,19 @@ def _set_write_protect(table: GuestPageTable, gvas, protected: bool = True) -> N
 def _unmap_gpa(ept: Ept, gpa: int) -> None:
     """Take a frame out of the EPT."""
     ept._take(gpa)
+
+
+def _unmap(table: GuestPageTable, gva: int) -> bool:
+    """Take ``gva``'s mapping out; returns whether the page was soft-dirty."""
+    unmapped, soft_dirty = table.unmap_pages((gva,))
+    if not unmapped:
+        raise UnknownMapping(gva)
+    return bool(soft_dirty)
+
+
+def _soft_dirty_set(table: GuestPageTable) -> set[int]:
+    """The addresses of the soft-dirty pages."""
+    return table._pages(_HAS_SOFT_DIRTY)
 
 
 def make_space(n_pages: int) -> tuple[GuestPageTable, Ept]:
@@ -85,7 +99,7 @@ def test_reverse_map_single_mapping():
 def test_reverse_map_lost_when_unmapped():
     pt, _ = make_space(0)
     pt.map_page(3, 200)
-    pt.unmap(3)
+    _unmap(pt, 3)
     assert pt.reverse_map(200) is LOST
 
 
@@ -108,7 +122,7 @@ def test_remap_and_unmap_errors():
     pt, _ = make_space(0)
     pt.map_page(1, 10)
     with pytest.raises(UnknownMapping):
-        pt.unmap(99)
+        _unmap(pt, 99)
     with pytest.raises(UnknownMapping):
         pt.remap(99, 100)
     pt.map_page(2, 20)
@@ -161,7 +175,7 @@ def test_write_protect_faults_without_side_effects():
 
 def test_write_not_present_faults():
     pt, ept = make_space(1)
-    pt.unmap(0)
+    _unmap(pt, 0)
     assert pt.write_page(0, ept).fault == "not_present"
     assert pt.write_page(42, ept).fault == "not_present"
 
@@ -171,13 +185,13 @@ def test_soft_dirty_fault_on_first_write_after_clear():
     assert pt.entry(0).flags.soft_dirty  # set at allocation
     cleared = pt.clear_soft_dirty()
     assert cleared == 2
-    assert pt.soft_dirty_set() == set()
+    assert _soft_dirty_set(pt) == set()
     out = pt.write_page(0, ept)
     assert out.softdirty_fault  # kernel fault path sets the bit again
-    assert pt.soft_dirty_set() == {0}
+    assert _soft_dirty_set(pt) == {0}
     assert not pt.write_page(0, ept).softdirty_fault  # only the first write
     # page 1 untouched: appears clean until written
-    assert 1 not in pt.soft_dirty_set()
+    assert 1 not in _soft_dirty_set(pt)
 
 
 def test_ept_errors_and_queries():
@@ -203,7 +217,7 @@ def test_write_to_a_frame_the_ept_lacks_raises_and_leaves_the_pte():
     with pytest.raises(UnknownMapping):
         pt.write_page(0x2000, ept)
     assert pt.entry(0x2000) == before  # neither dirty nor soft-dirty
-    assert pt.dirty_set() == set() and pt.soft_dirty_set() == set()
+    assert pt.dirty_set() == set() and _soft_dirty_set(pt) == set()
 
 
 def test_page_store_payloads():
@@ -239,7 +253,7 @@ def test_dirty_set_matches_bruteforce_replay_oracle():
                 oracle_dirty.add(gva)
             elif op < 8 and mapped:  # unmap
                 gva = int(sorted(mapped)[int(rng.integers(0, len(mapped)))])
-                pt.unmap(gva)
+                _unmap(pt, gva)
                 mapped.discard(gva)
                 oracle_dirty.discard(gva)  # page gone, dirty PTE gone with it
             elif mapped:  # remap to a fresh GVA
@@ -418,7 +432,7 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
         if kind == "write":
             return pt.write_page(gvas[op[1]], ept, ignore_protection=op[2])
         if kind == "unmap":
-            return pt.unmap(gvas[op[1]])
+            return _unmap(pt, gvas[op[1]])
         if kind == "remap":
             return pt.remap(gvas[op[1]], gvas[op[2]])
         if kind == "map":
@@ -455,7 +469,7 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             assert _lost_as_none(pt.reverse_map_many(gpas)) == [
                 model.reverse_map(gpa) for gpa in gpas
             ]
-            assert pt.soft_dirty_set() == model.pages(3)
+            assert _soft_dirty_set(pt) == model.pages(3)
             assert pt.dirty_set() == model.pages(2)
             assert _dirty_gpas(ept) == {g for g, (_, dirty) in model.ept.items() if dirty}
             assert len(pt) == len(model.pt)
@@ -534,7 +548,7 @@ def test_run_walker_matches_the_dict_model(layout):
     for i in layout["unmap"]:
         gva = base + i * P
         if gva in model.pt:
-            pt.unmap(gva)
+            _unmap(pt, gva)
             del model.pt[gva]
     for i in layout["ept_unmap"]:
         _unmap_gpa(ept, REGION_GPA + i * P)
@@ -605,7 +619,7 @@ def _assert_same_answers(lazy, eager, gvas, gpas):
         assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
         assert (gpa in _dirty_gpas(lazy_ept)) == (gpa in _dirty_gpas(eager_ept))
     assert lazy_pt.dirty_set() == eager_pt.dirty_set()
-    assert lazy_pt.soft_dirty_set() == eager_pt.soft_dirty_set()
+    assert _soft_dirty_set(lazy_pt) == _soft_dirty_set(eager_pt)
     assert _dirty_gpas(lazy_ept) == _dirty_gpas(eager_ept)
     assert len(lazy_pt) == len(eager_pt)
 
@@ -795,7 +809,7 @@ def test_pages_that_join_a_region_behave_like_one_page_regions(n_pages, second, 
         assert _lost_as_none(pt.reverse_map_many(gpas)) == [model.reverse_map(g) for g in gpas]
         assert pt.mapped_set() == set(model.pt)
         assert pt.dirty_set() == model.pages(2)
-        assert pt.soft_dirty_set() == model.pages(3)
+        assert _soft_dirty_set(pt) == model.pages(3)
         assert _dirty_gpas(ept) == {g for g, (_, dirty) in model.ept.items() if dirty}
         assert [ept.translate(g) for g in gpas] == [model.translate(g) for g in gpas]
         assert len(pt) == len(model.pt)

@@ -841,7 +841,8 @@ def test_drain_ring_reverse_maps_batch():
     t = vm.costs
     assert rm_us == pytest.approx(3 * t.per_page_us("M17", 4 * MB))
     assert copy_us == pytest.approx(3 * t.per_page_us("M18", 4 * MB))
-    res = trackers.reverse_map_blocks(vm, vm.hv.ring.consume(3))
+    rows = np.concatenate([rows for _pid, rows in vm.hv.ring.consume(3)])
+    res = trackers.reverse_map_pairs(vm.kernel.processes[1].table, rows)
     assert res.gvas.tolist() == gvas[:3]
     assert res.lost == [] and res.inaccurate == []
     assert vm.hv.ring.used == 2
@@ -887,10 +888,11 @@ def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
     vm, gvas = _aliased_spml_vm(6)
     rm_pp = vm.kernel.uio.prices.m17_pp
     batches = [vm.hv.ring.consume(4), vm.hv.ring.consume(4)]
-    mapped = [trackers.DrainResult() for _ in batches]
-    for blocks, res in zip(batches, mapped):
-        for _pid, pairs in blocks:
-            trackers.reverse_map_pairs(vm.kernel.processes[1].table, pairs, rm_pp, res)
+    table = vm.kernel.processes[1].table
+    mapped = [
+        trackers.reverse_map_pairs(table, np.concatenate([pairs for _pid, pairs in blocks]), rm_pp)
+        for blocks in batches
+    ]
     vm, _ = _aliased_spml_vm(6)
     run = trackers._MechanicalRun(cfg("spml", 4 * MB))
     run.vm = vm
@@ -899,22 +901,18 @@ def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
         assert run._drain_charge(k)[1].hex() == res.rm_us.hex()
         run._owed = k
         run._settle()
-    # the parked rows are the six drained ones, in drain order
-    parked = np.concatenate(run.parked[1])
+    # the parked rows are the six drained ones, in drain order, every block
+    # carrying the tracked process's pid, as one list keeps them
+    assert {pid for blocks in batches for pid, _rows in blocks} == {1}
+    parked = np.concatenate(run.drained)
     drained = [row for blocks in batches for _pid, rows in blocks for row in rows.tolist()]
-    assert run.parked.keys() == {1} and parked.tolist() == drained and len(drained) == 6
+    assert parked.tolist() == drained and len(drained) == 6
     assert vm.hv.ring.used == 0
-    res = trackers.reverse_map_blocks(vm, [(1, parked)])
+    res = trackers.reverse_map_pairs(vm.kernel.processes[1].table, parked)
     assert sorted(res.gvas.tolist()) == sorted(mapped[0].gvas.tolist() + mapped[1].gvas.tolist())
     assert sorted(res.lost) == sorted(mapped[0].lost + mapped[1].lost)
     assert sorted(res.inaccurate) == sorted(mapped[0].inaccurate + mapped[1].inaccurate)
     assert res.rm_us == 0.0
-
-
-def test_pairs_of_a_process_that_is_gone_are_lost():
-    vm, gvas = _flushed_spml_vm(3)
-    res = trackers.reverse_map_blocks(vm, [(7, [(0x10_0000, gvas[0])])])
-    assert res.lost == [(0x10_0000, gvas[0])] and res.gvas.tolist() == []
 
 
 # --------------------------------------------------------------- bottleneck
@@ -1338,7 +1336,7 @@ class _PerEventSegment(trackers._SegmentRun):
         """Buffer-full during a write: stall if needed, flush, replay."""
         pending, cap = 512, self.cfg.ring_capacity
         if self.cfg.ring_full_policy == "stall":
-            self._stall(pending)  # no tick when the ring has room already
+            self._spml_ticks("room", pending)  # no tick when the ring has room already
             if self.truncated:
                 return
             self.ring_used += pending
@@ -1428,7 +1426,7 @@ class _PerTickMechanical(_PerTick, trackers._MechanicalRun):
         pre = self.collect_us
         if self.cfg.defer_reverse_map:
             res = drain_ring(self.vm)
-            self.raw_entries.append(res.raw)
+            self.drained.append(res.raw)
             rm_us, copy_us = res.rm_us, res.copy_us
         else:
             k = min(self.c.drain_batch, self.ring_used)

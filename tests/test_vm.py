@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oohsim.guest import TECHNIQUES
-from oohsim.memory import _HAS_DIRTY, _PROTECT, Ept, GuestPageTable, write_faults
+from oohsim.guest import GUEST_RING_GPA, GUEST_RING_HPA, TECHNIQUES
+from oohsim.memory import _HAS_DIRTY, _PROTECT, Ept, GuestPageTable, MappingError, write_faults
 from oohsim.vm import VirtualMachine
 
 
@@ -86,9 +86,9 @@ def test_unknown_trace_op_rejected():
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
 def test_a_run_of_maps_maps_as_one_map_fresh_per_page(technique):
-    # 1,785 pages end 6 frames before the epml guest ring's frame: a run of
-    # 12 maps after them joins the page table's region, while the frames
-    # replace the ring's in the EPT, as map_fresh's map_gpa replaces it
+    # a run of 12 maps right after 1,785 pages joins both tables' regions, as
+    # twelve one-page maps do; its frames pass 0x7F_F000, where the epml guest
+    # ring's frame once lay inside the frames handed out
     machines = [make_vm(technique, pages=1_785) for _ in range(2)]
     runs = [[gva(1_785 + i) for i in range(12)], [gva(2_000), gva(2_001), gva(1_797)]]
     for vm, batched in zip(machines, (True, False)):
@@ -109,6 +109,79 @@ def test_a_run_of_maps_maps_as_one_map_fresh_per_page(technique):
     assert states[0] == states[1]
     table = machines[0].kernel.processes[7].table
     assert len(table.entries) == 3  # the maps after the first run stay apart
+    if technique == "epml":
+        assert all(vm.ept.translate(GUEST_RING_GPA) == GUEST_RING_HPA for vm in machines)
+
+
+def test_the_epml_ring_frame_is_no_page_of_a_large_tracked_process():
+    # 2,048 pages reach past 0x7F_F000, the ring's frame when it lay inside
+    # the frames handed out: the ring's GPA translated to a page's HPA
+    vm = make_vm("epml", pages=2_048)
+    table = vm.kernel.processes[7].table
+    gpas = [table.gpa_of(gva(i)) for i in range(2_048)]
+    assert vm.ept.translate(GUEST_RING_GPA) == GUEST_RING_HPA
+    assert GUEST_RING_GPA not in gpas
+    assert GUEST_RING_HPA not in [vm.ept.translate(g) for g in gpas]
+
+
+_fresh_ops = st.one_of(
+    # map ``count`` pages from a slot: slots 0-7 hold the allocation, 8 comes
+    # right after it, and the slots past it come after a map or stand apart
+    st.tuples(st.just("map"), st.integers(min_value=0, max_value=20), st.integers(1, 5)),
+    st.tuples(st.just("next"), st.integers(1, 4)),  # from the next free address
+    st.tuples(st.just("unmap"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("other"), st.integers(0, 3)),  # process 8 allocates pages
+)
+
+
+def _fresh_state(vm):
+    table = vm.kernel.processes[7].table
+    gpas = chain((GUEST_RING_GPA,), range(0x10_0000, vm._next_gpa + P, P))
+    return (
+        [table.entry(gva(i)) for i in range(-1, 32)], [vm.ept.translate(g) for g in gpas],
+        dict(vm._next_gva), vm._next_gpa, vm._next_hpa,
+    )
+
+
+def _raised(call):
+    try:
+        call()
+    except MappingError as exc:
+        return type(exc), exc.args
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    technique=st.sampled_from((None, *TECHNIQUES)),
+    ops=st.lists(_fresh_ops, max_size=12),
+)
+def test_map_fresh_of_a_run_leaves_the_state_of_one_page_per_call(technique, ops):
+    """``map_fresh(pid, gva, count)`` against ``count`` one-page calls with the run
+    join turned off: every entry, EPT translation, address counter and raised
+    error alike after each op.  When the page table's join succeeds, the EPT's
+    must too (both grow in lockstep), or ``map_fresh`` raises."""
+    run, single = make_vm(technique), make_vm(technique)
+    single.kernel.processes[7].table.join_pages = lambda *args, **flags: False
+    for vm in (run, single):
+        vm.create_process(8)
+
+    def one_per_call(first, count):
+        for i in range(count):
+            single.map_fresh(7, None if first is None else first + i * P)
+
+    for op in ops:
+        if op[0] in ("map", "next"):
+            first, count = (gva(op[1]), op[2]) if op[0] == "map" else (None, op[1])
+            got = _raised(lambda: run.map_fresh(7, first, count))
+            assert got == _raised(lambda: one_per_call(first, count)), op
+        elif op[0] == "unmap":
+            got = _raised(lambda: run.unmap(7, gva(op[1])))
+            assert got == _raised(lambda: single.unmap(7, gva(op[1]))), op
+        else:
+            run.allocate(8, op[1])
+            single.allocate(8, op[1])
+        assert _fresh_state(run) == _fresh_state(single), op
 
 
 def test_remap_moves_dirty_state():
@@ -145,8 +218,8 @@ def test_pagemap_after_an_unmap_reports_live_pages_and_residue_by_number():
     dirty, _ = vm.kernel.read_pagemap(7)
     assert dirty == {gva(0) // 4096, gva(2) // 4096, gva(3) // 4096}
     assert vm.kernel.processes[7].softdirty_residue == {gva(2) // 4096}
-    # the page table itself still reports addresses
-    assert vm.kernel.processes[7].table.soft_dirty_set() == {gva(0), gva(3)}
+    # the page table's own soft-dirty pages leave the residue out
+    assert vm.kernel.processes[7].table.soft_dirty_pages() == {gva(0) // 4096, gva(3) // 4096}
 
 
 # ----------------------------------------------------------- write pipeline

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,20 @@ def test_kv_trace_matches_the_write_by_write_build(footprint, churn_rate, n_ops)
     _same_ops(spec.make_trace().ops, _kv_loop_ops(spec))
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("churn_rate", {"churn_rate": -1e6}),  # made no churn, without a word
+        ("churn_rate", {"churn_rate": math.nan}),
+        ("churn_rate", {"churn_rate": math.inf}),
+        ("n_ops", {"n_ops": -5}),  # failed inside NumPy: "negative dimensions"
+    ],
+)
+def test_kv_spec_rejects_a_negative_churn_rate_or_op_count(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        KvWorkloadSpec("t", 4 * MB, **kwargs)
+
+
 def test_kv_trace_rejects_more_churn_events_than_writes():
     spec = KvWorkloadSpec("t", 4 * MB, churn_rate=1e9, n_ops=100)
     with pytest.raises(ValueError, match="churn events"):
@@ -195,3 +211,9 @@ def test_churn_trace_misses_exactly_the_retired_fraction():
 def test_churn_trace_rejects_full_retirement():
     with pytest.raises(ValueError):
         churn_trace(100, 100)
+
+
+def test_churn_trace_rejects_a_negative_churn_count():
+    # churn_trace(10, -3) made a trace of seven unmaps
+    with pytest.raises(ValueError, match="^churn_events: "):
+        churn_trace(10, -3)
