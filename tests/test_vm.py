@@ -87,8 +87,8 @@ def test_unknown_trace_op_rejected():
 @pytest.mark.parametrize("technique", TECHNIQUES)
 def test_a_run_of_maps_maps_as_one_map_fresh_per_page(technique):
     # a run of 12 maps right after 1,785 pages joins both tables' regions, as
-    # twelve one-page maps do; its frames pass 0x7F_F000, where the epml guest
-    # ring's frame once lay inside the frames handed out
+    # twelve one-page maps do; its frames reach past 0x7F_F000, the 1,792nd
+    # frame handed out, and leave the epml guest ring's frame mapped
     machines = [make_vm(technique, pages=1_785) for _ in range(2)]
     runs = [[gva(1_785 + i) for i in range(12)], [gva(2_000), gva(2_001), gva(1_797)]]
     for vm, batched in zip(machines, (True, False)):
@@ -114,8 +114,8 @@ def test_a_run_of_maps_maps_as_one_map_fresh_per_page(technique):
 
 
 def test_the_epml_ring_frame_is_no_page_of_a_large_tracked_process():
-    # 2,048 pages reach past 0x7F_F000, the ring's frame when it lay inside
-    # the frames handed out: the ring's GPA translated to a page's HPA
+    # 2,048 pages reach past 0x7F_F000, the 1,792nd frame handed out: the
+    # ring's frame must be none of them, in the EPT and in host memory
     vm = make_vm("epml", pages=2_048)
     table = vm.kernel.processes[7].table
     gpas = [table.gpa_of(gva(i)) for i in range(2_048)]
