@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
+import numpy as np
+
 from .costs import PAGE_SIZE as PAGE
 from .costs import CostTable, Prices
+from .memory import _distinct
 from .trackers import TRACKED_PID, TrackerConfig, drain_ring, reverse_map_pairs, run_tracker
 from .trackers import tracked_machine
 from .workloads import churn_trace, replay_dirty_oracle
@@ -313,7 +316,7 @@ class CheckpointSession:
         self._token = 0
         self._seq = 0
         self._raw: list = []  # staged device-log (gpa, gva) rows, an int64 array per drain
-        self._epml_names: set[int] = set()
+        self._epml_names: list[np.ndarray] = []  # GVAs taken off the tool ring, per copy
 
     # ------------------------------------------------------------ workload
 
@@ -328,7 +331,7 @@ class CheckpointSession:
             self._stage_ring()
             self.vm.hv.handle_pml_full_vmexit(refused=res.refused)
         if res.softirq_copied:
-            self._epml_names.update(self.vm.kernel.epml_consume_ring().tolist())
+            self._epml_names.append(self.vm.kernel.epml_consume_ring())
 
     def map(self, gva: int | None = None) -> int:
         return self.vm.map_fresh(TRACKED_PID, gva)
@@ -349,7 +352,8 @@ class CheckpointSession:
     @property
     def mapped(self) -> frozenset[int]:
         """The tracked process's mapped page addresses, read from its page table."""
-        return frozenset(self.vm.kernel.processes[TRACKED_PID].table.mapped_set())
+        pages = self.vm.kernel.processes[TRACKED_PID].table.mapped_pages()
+        return frozenset((pages * PAGE).tolist())
 
     # ------------------------------------------------------------- dumping
 
@@ -361,20 +365,20 @@ class CheckpointSession:
         kernel = self.vm.kernel
         kernel.on_schedule(TRACKED_PID, "out")  # freeze flushes device buffers
         names = self._collect()
-        mapped = self.mapped
+        pages = kernel.processes[TRACKED_PID].table.mapped_pages()
         if mode == "full":
-            dump_gvas = mapped
+            dump = pages
             parent = None
         else:
-            dump_gvas = names & mapped
+            dump = np.intersect1d(names, pages, assume_unique=True)
             parent = self.images[-1].sequence_no
-        gvas = list(mapped)  # each mapped page read once
+        gvas = (pages * PAGE).tolist()  # each mapped page read once
         contents = dict(zip(gvas, self.vm.read_pages(TRACKED_PID, gvas, ZERO_PAGE)))
         image = CheckpointImage(
             sequence_no=self._seq,
             mode=mode,
-            pages={gva: contents[gva] for gva in sorted(dump_gvas)},
-            mapped=mapped,
+            pages={gva: contents[gva] for gva in (dump * PAGE).tolist()},
+            mapped=frozenset(gvas),
             parent=parent,
         )
         self._seq += 1
@@ -394,19 +398,19 @@ class CheckpointSession:
         res = drain_ring(self.vm)
         self._raw.append(res.raw)
 
-    def _collect(self) -> set[int]:
+    def _collect(self) -> np.ndarray:
+        """The page numbers reported dirty since the last dump, sorted and distinct."""
         kernel = self.vm.kernel
-        # the kernel names pages by number: back to addresses at this edge
         if self.technique == "proc":
             dirty, _us = kernel.read_pagemap(TRACKED_PID)
             kernel.clear_soft_dirty(TRACKED_PID)
-            return set(map(PAGE.__mul__, dirty))
+            return dirty
         if self.technique == "uffd":
-            return set(map(PAGE.__mul__, kernel.uffd_harvest(TRACKED_PID)))
+            return kernel.uffd_harvest(TRACKED_PID)
         if self.technique == "epml":
-            names = self._epml_names | set(kernel.epml_consume_ring().tolist())
-            self._epml_names = set()
-            return names
+            gvas = np.concatenate((*self._epml_names, kernel.epml_consume_ring()))
+            self._epml_names = []
+            return _distinct(gvas // PAGE)
         # shadowed device: resolve each logged frame once, newest name wins
         self._stage_ring()
         newest = dict(pair for rows in self._raw for pair in rows.tolist())
@@ -414,7 +418,7 @@ class CheckpointSession:
         self._raw = []
         self.lost.extend(res.lost)
         self.inaccurate.extend(res.inaccurate)
-        return set(res.gvas.tolist())
+        return _distinct(res.gvas // PAGE)
 
 
 # --------------------------------------------------------------------------

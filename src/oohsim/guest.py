@@ -10,14 +10,14 @@ log device; each kernel service returns its µs from the registration's prices:
 * the softirq bottom half that copies the guest-level log buffer into the
   tool's ring when the device posts a self-IPI,
 * soft-dirty bookkeeping (``clear_refs``-style clearing and pagemap-style
-  reads, with a residue set so pages unmapped mid-interval are still
+  reads, with a residue so pages unmapped mid-interval are still
   reported), and
 * write-protect fault registration/recording for the userspace-fault
   technique.
 
-The kernel names the pages it records and reports by page number,
-``gva // PAGE_SIZE``: page-aligned addresses share their low bits, so a set
-of them probes on most lookups.
+The kernel names the pages it records by page number, ``gva // PAGE_SIZE``
+(page-aligned addresses share their low bits, so a set of them probes on
+most lookups), and reports a set of them as one sorted, distinct int64 array.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .costs import CostTable, Prices
 from .hypervisor import Hypervisor
-from .memory import Ept, GuestPageTable, UnknownMapping
+from .memory import Ept, GuestPageTable, UnknownMapping, _distinct
 from .pml import FIELD_GUEST_PML_ADDRESS, FIELD_GUEST_PML_INDEX, ShadowVmcs
 
 __all__ = [
@@ -66,12 +66,11 @@ class NotRegistered(RuntimeError):
 class Process:
     pid: int
     table: GuestPageTable
-    # page numbers of the soft-dirty pages unmapped before the interval's
-    # pagemap read; the kernel reports them so no dirtied page is lost to
-    # address-space churn
+    # page numbers of the soft-dirty pages unmapped since the last clear; the
+    # pagemap read reports them so no dirtied page is lost to address-space churn
     softdirty_residue: set[int] = field(default_factory=set)
-    # write-protect fault registration for the userspace-fault technique,
-    # and the page numbers of the faults recorded since the last harvest
+    # write-protect fault registration for the userspace-fault technique, and
+    # the page numbers of the faults recorded since the last harvest, each once
     uffd_mode: str | None = None
     uffd_dirty: set[int] = field(default_factory=set)
 
@@ -269,19 +268,19 @@ class GuestKernel:
         proc.softdirty_residue.clear()
         return count, uio.prices.m15
 
-    def read_pagemap(self, pid: int) -> tuple[set[int], float]:
-        """Walk the pagemap (suspends the process); returns (dirty page numbers, µs).
+    def read_pagemap(self, pid: int) -> tuple[np.ndarray, float]:
+        """Walk the pagemap (suspends the process); returns (dirty pages, µs).
 
-        Reports live soft-dirty pages plus the residue of pages unmapped
-        since the last clear, each by its page number, ``gva // PAGE_SIZE``.
+        Reports live soft-dirty pages plus the residue of pages unmapped since
+        the last clear, by page number, as one sorted, distinct int64 array.
         """
         uio = self.uio
         if uio is None or uio.pid != pid:
             raise NotRegistered(f"pid {pid} is not tracked")
         proc = self._proc(pid)
-        dirty = proc.table.soft_dirty_pages()  # a fresh set: add the residue in place
-        dirty.update(proc.softdirty_residue)
-        return dirty, uio.prices.m16
+        residue = np.fromiter(proc.softdirty_residue, np.int64, len(proc.softdirty_residue))
+        dirty = np.concatenate((proc.table.soft_dirty_pages(), residue))
+        return _distinct(dirty), uio.prices.m16
 
     # ------------------------------------------------- userspace-fault (uffd)
 
@@ -293,10 +292,11 @@ class GuestKernel:
             raise NotRegistered(f"pid {pid} has no fault registration")
         proc.uffd_dirty.update(pages)
 
-    def uffd_harvest(self, pid: int) -> set[int]:
-        """The page numbers of the faults recorded since the last harvest."""
+    def uffd_harvest(self, pid: int) -> np.ndarray:
+        """The page numbers of the faults recorded since the last harvest, as one
+        sorted, distinct int64 array."""
         proc = self._proc(pid)
         if proc.uffd_mode is None:
             raise NotRegistered(f"pid {pid} has no fault registration")
-        out, proc.uffd_dirty = proc.uffd_dirty, set()  # the caller owns the old set
-        return out
+        record, proc.uffd_dirty = proc.uffd_dirty, set()
+        return _distinct(np.fromiter(record, np.int64, len(record)))

@@ -24,13 +24,13 @@ writes); and any other batch gathered and scattered with NumPy, one pass
 per region, then ``entries`` (a trace's writes, a re-arm of logged frames,
 the GPAs of logged GVAs; a reverse map of logged GPAs is one pass per
 region by its target, and the reverse index of ``entries``).
-Whole-table operations (soft-dirty clear, protect-all, the dirty and
-soft-dirty sets) run over the bytes with ``bytes.translate``, ``find`` and
-``count``.  A :class:`Stretch` of writes looks each table up once, and
-applying its first writes reuses what that peek found.  Mapping a large
-address space, growing it page by page and writing it over and over builds
-no per-page object.  An unmap takes a page out of its region, and a region
-with no page left is dropped.
+Whole-table operations (soft-dirty clear, protect-all, the mapped and
+soft-dirty pages, as sorted int64 page numbers) run over the bytes with
+``bytes.translate``, ``find`` and ``count``.  A :class:`Stretch` of writes
+looks each table up once, and applying its first writes reuses what that
+peek found.  Mapping a large address space, growing it page by page and
+writing it over and over builds no per-page object.  An unmap takes a page
+out of its region, and a region with no page left is dropped.
 """
 
 from __future__ import annotations
@@ -170,12 +170,15 @@ def write_faults(bits: int) -> tuple[bool, bool]:
     return not bits & _SOFT_DIRTY, not bits & _WRITABLE
 
 
-def _addresses(bits: bytes, select: bytes, base: int, step: int = PAGE_SIZE) -> list[int]:
-    """Addresses, ``step`` apart from ``base``, of the bytes ``select`` maps to 1."""
-    marks = bits.translate(select)
-    if 1 not in marks:
-        return []
-    return (np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)) * step + base).tolist()
+def _numbers(bits: bytes, select: bytes, first: int) -> np.ndarray:
+    """The page numbers, counting from ``first``, of the bytes ``select`` maps to 1."""
+    return np.frombuffer(bits.translate(select), dtype=np.uint8).nonzero()[0] + first
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, sorted: a sort in place and a compare of neighbours."""
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
 
 
 class _Region:
@@ -282,13 +285,12 @@ class _PageMap:
     def _all(self) -> Iterator[_Region]:
         return chain(self._regions, self.entries.values())
 
-    def _pages(self, select: bytes, unit: int = 1) -> set[int]:
-        """``addr // unit`` of each page ``addr`` whose byte ``select`` maps to 1:
-        its address, or with ``unit`` ``PAGE_SIZE`` its page number."""
-        out = {addr // unit for addr, region in self.entries.items() if select[region.bits[0]]}
-        for region in self._regions:
-            out.update(_addresses(region.bits, select, region.base // unit, PAGE_SIZE // unit))
-        return out
+    def _pages(self, select: bytes) -> np.ndarray:
+        """The page numbers (``addr // PAGE_SIZE``) of the pages whose byte ``select``
+        maps to 1, as a sorted, distinct int64 array."""
+        singles = [addr // PAGE_SIZE for addr, r in self.entries.items() if select[r.bits[0]]]
+        runs = [_numbers(r.bits, select, r.base // PAGE_SIZE) for r in self._regions]
+        return _distinct(np.concatenate([np.array(singles, dtype=np.int64), *runs]))
 
     def _translate(self, table: bytes) -> None:
         """Every page's byte ``b`` becomes ``table[b]``."""
@@ -367,10 +369,10 @@ class _PageMap:
                 bits[pos] = np.frombuffer(region.bits, dtype=np.uint8)[idx]
                 targets[pos] = off + region.target
                 places[0].append((region, pos, idx))
-        if self.entries:
-            # a live address is in exactly one of _regions and entries: only where
-            # no region left a live byte (a page that left one may be mapped singly)
-            misses = (bits == 0).nonzero()[0]
+        # a live address is in exactly one of _regions and entries: only where
+        # no region left a live byte (a page that left one may be mapped singly)
+        misses = (bits == 0).nonzero()[0] if self.entries else ()
+        if len(misses):
             hits = map(self.entries.get, addrs[misses].tolist())
             for j, region in zip(misses.tolist(), hits):
                 if region is not None:
@@ -572,15 +574,13 @@ class GuestPageTable(_PageMap):
         self._translate(_CLEAR_SOFT_DIRTY)
         return cleared
 
-    def soft_dirty_pages(self) -> set[int]:
+    def soft_dirty_pages(self) -> np.ndarray:
         """The page numbers (``gva // PAGE_SIZE``) of the soft-dirty pages."""
-        return self._pages(_HAS_SOFT_DIRTY, PAGE_SIZE)
+        return self._pages(_HAS_SOFT_DIRTY)
 
-    def mapped_set(self) -> set[int]:
+    def mapped_pages(self) -> np.ndarray:
+        """The page numbers of the mapped pages."""
         return self._pages(_LIVE)
-
-    def dirty_set(self) -> set[int]:
-        return self._pages(_HAS_DIRTY)
 
     def write_protect_all(self, protected: bool = True) -> None:
         """Set (or lift) write protection on every mapped page."""
@@ -767,17 +767,17 @@ class Stretch:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def apply(self, k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    def apply(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply the first ``k`` writes, each leaving the state
         :meth:`GuestPageTable.write_page` leaves when it completes the write, a
         write-protected page's with ``ignore_protection``, and the copies of the
         buffer fills among them their re-arms.
 
-        Returns the page numbers (``gva // PAGE_SIZE``) of the writes that
-        faulted on write protection first, and the GPAs and the GVAs of the
-        writes that set an EPT dirty bit from clear, in order, as two int64
-        arrays (empty when no buffer logs); a ``range`` stretch computes them
-        from its mask of the writes that log.
+        Returns three int64 arrays, in the order of the writes: the page
+        numbers (``gva // PAGE_SIZE``) of the writes that faulted on write
+        protection first, and the GPAs and the GVAs of the writes that set an
+        EPT dirty bit from clear (empty when no buffer logs); a ``range``
+        stretch computes them from its mask of the writes that log.
         Whether a write is its page's first depends only on the writes before
         it, so the peek's masks, cut to ``k``, are those of the first ``k``
         writes.  A frame a copy re-arms is written by no later write of the
@@ -798,7 +798,7 @@ class Stretch:
             (region, i), (frames, j) = self._places
             region.bits[i : i + k] = marks.translate(_WRITTEN)
             frames.bits[j + lo : j + k] = frames.bits[j + lo : j + k].translate(_SET_DIRTY)
-            protected = _addresses(marks, _PROTECTED, gvas.start // PAGE_SIZE, 1)
+            protected = _numbers(marks, _PROTECTED, gvas.start // PAGE_SIZE)
             if logs is not None:
                 at = np.flatnonzero(np.frombuffer(logs, dtype=np.uint8)[:k]) * PAGE_SIZE
                 logged = at + gpas.start, at + gvas.start
@@ -807,7 +807,6 @@ class Stretch:
             _PageMap._scatter(pte, k, _WRITTEN, _WRITTEN_A)
             _PageMap._scatter(frames, k, _SET_DIRTY, _SET_DIRTY_A, lo)
             protected = gvas[np.frombuffer(marks.translate(_PROTECTED), bool)] // PAGE_SIZE
-            protected = protected.tolist()
             if logs is not None:
                 logged = gpas[logs[:k]], gvas[logs[:k]]
         if copies and len(self._rearm[1]):

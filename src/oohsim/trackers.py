@@ -54,7 +54,7 @@ import numpy as np
 
 from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
-from .memory import LOST_GVA, GuestPageTable, write_faults
+from .memory import LOST_GVA, GuestPageTable, _distinct, write_faults
 from .pml import BUFFER_SLOTS
 from .reports import RunRow
 from .vm import VirtualMachine
@@ -704,12 +704,6 @@ _UFFD_FAULTS = bytes(wp for _sd, wp in map(write_faults, range(256)))
 STRETCH_MIN = 32
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values``, sorted: a sort in place and a compare of neighbours."""
-    values.sort()
-    return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
-
-
 def _sums(start: float, us, n: int) -> np.ndarray:
     """The running sums from ``start`` over ``n`` terms: ``n`` µs values, or one
     value ``n`` times.  Element 0 is ``start``; element ``i`` has ``i`` terms.
@@ -796,9 +790,10 @@ class _MechanicalRun(_Run):
 
     ``oracle`` is a boolean mask over the writes of the run's decode (a
     trace's, or a sweep round's), True where a write completed, and
-    ``collected`` a list of arrays of the page numbers reported;
-    :meth:`_content` makes each distinct once and turns them into addresses,
-    so a trace must name its pages by page-aligned addresses
+    ``collected`` a list of int64 arrays of the page numbers reported, which
+    each sweep round's end merges into one sorted, distinct array;
+    :meth:`_content` merges it once more and turns the pages into
+    addresses, so a trace must name its pages by page-aligned addresses
     (:attr:`~oohsim.workloads.TraceWorkload.decoded` rejects any other).
     """
 
@@ -864,7 +859,7 @@ class _MechanicalRun(_Run):
             self._consume_tool_ring()
 
     def _collect(self, gvas: np.ndarray) -> None:
-        """Add the pages logged by address (spml, epml); the kernel's sets (proc,
+        """Add the pages logged by address (spml, epml); the kernel's arrays (proc,
         uffd) are page numbers already and go straight to ``collected``."""
         self.collected.append(gvas // PAGE_SIZE)
 
@@ -1146,22 +1141,23 @@ class _MechanicalRun(_Run):
         if self.tech == "proc":
             dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
             _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-            self.collected.append(np.fromiter(dirty, np.int64, len(dirty)))
+            self.collected.append(dirty)
             self._charge_walk(read_us, clear_us)
         elif self.tech == "epml":
             self.t += self._deliver_leftover()
             self._consume_tool_ring()
+        if self.collected:
+            self.collected[:] = [_distinct(np.concatenate(self.collected))]
 
     def _harvest(self) -> None:
         kernel = self.vm.kernel
         if self.tech == "proc" and self.cfg.trace is not None:
             # traces have no per-round collection: harvest at the end
             dirty, read_us = kernel.read_pagemap(TRACKED_PID)
-            self.collected.append(np.fromiter(dirty, np.int64, len(dirty)))
+            self.collected.append(dirty)
             self._charge("walk_us", read_us)
         elif self.tech == "uffd":
-            dirty = kernel.uffd_harvest(TRACKED_PID)
-            self.collected.append(np.fromiter(dirty, np.int64, len(dirty)))
+            self.collected.append(kernel.uffd_harvest(TRACKED_PID))
         elif self.tech == "epml":
             self._deliver_leftover()  # conservatively still suspension, off the clock
             self._consume_tool_ring()
@@ -1174,16 +1170,14 @@ class _MechanicalRun(_Run):
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
         writes = self.cfg.trace.decoded[1] if self.cfg.trace is not None else self.gvas
         written = _distinct(np.asarray(writes)[self.oracle] // PAGE_SIZE)
-        collected = np.concatenate(self.collected) if self.collected else written[:0]
-        self.collected.clear()  # before the sort: a 1 GB run collects millions of pages
-        collected = _distinct(collected)
+        collected = _distinct(np.concatenate([written[:0], *self.collected]))
         if len(collected):  # the written pages that were not collected
             found = collected[collected.searchsorted(written).clip(max=len(collected) - 1)]
             written = written[found != written]
         return {
             "dirty_set": set((collected * PAGE_SIZE).tolist()),
             "missed": set((written * PAGE_SIZE).tolist()),
-            "inaccurate": set(self.inaccurate),
+            "inaccurate": self.inaccurate,
         }
 
 

@@ -341,8 +341,8 @@ class VirtualMachine:
         buffer, for the caller to charge.  A stretch applies once, with
         ``1 <= count <= len(stretch)``; anything else raises ``ValueError``."""
         protected, gpas, gvas = stretch.apply(count)
-        if protected:
-            self.kernel.uffd_record_run(pid, protected)
+        if len(protected):
+            self.kernel.uffd_record_run(pid, protected.tolist())
         copies = bisect_left(stretch.fills, count)
         if copies:
             copied = self.kernel.deliver_fills(pid, gvas, copies)

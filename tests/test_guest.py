@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from oohsim.costs import CostTable
@@ -17,7 +18,15 @@ from oohsim.memory import _HAS_DIRTY, PAGE_SIZE, Ept
 
 def _dirty_gpas(ept: Ept) -> set[int]:
     """The frames whose EPT dirty bit is set."""
-    return ept._pages(_HAS_DIRTY)
+    return set((ept._pages(_HAS_DIRTY) * PAGE_SIZE).tolist())
+
+
+def _page_list(pages: np.ndarray) -> list[int]:
+    """The page numbers the kernel reports, once checked to be in the one form a
+    set of pages takes: an int64 array, sorted and distinct."""
+    assert pages.dtype == np.int64
+    assert (pages[1:] > pages[:-1]).all()
+    return pages.tolist()
 
 MB = 1 << 20
 
@@ -230,11 +239,15 @@ def test_pagemap_reports_live_and_residue_pages():
     kern.register_tracked(7, "proc", MB)
     kern.clear_soft_dirty(7)  # allocation marks pages soft-dirty: start clean
     ept = kern.ept
+    for gva in (0x1000, 0x2000, 0x3000):
+        proc.table.write_page(gva, ept)
+    kern.unmap_pages(7, [0x1000, 0x2000])
+    # page 1 mapped again at its address and written: in the residue and live
+    proc.table.map_page(0x1000, 0x100000)
     proc.table.write_page(0x1000, ept)
-    proc.table.write_page(0x2000, ept)
-    kern.unmap_pages(7, [0x2000])
+    assert _page_list(proc.table.soft_dirty_pages()) == [1, 3]
     dirty, us = kern.read_pagemap(7)
-    assert dirty == {1, 2}  # unmapped page survives via residue
+    assert _page_list(dirty) == [1, 2, 3]  # unmapped page 2 survives via residue
     assert us == CostTable.default().cost_us("M16", MB)
 
 
@@ -247,12 +260,12 @@ def test_clear_soft_dirty_resets_everything():
     assert count == 3  # allocation had marked all three
     assert us == CostTable.default().cost_us("M15", MB)
     dirty, _ = kern.read_pagemap(7)
-    assert dirty == set()
+    assert _page_list(dirty) == []
     proc.table.write_page(0x1000, kern.ept)
     kern.unmap_pages(7, [0x1000])
     kern.clear_soft_dirty(7)  # also clears the residue
     dirty, _ = kern.read_pagemap(7)
-    assert dirty == set()
+    assert _page_list(dirty) == []
 
 
 def test_soft_dirty_services_require_tracked_pid():
@@ -272,12 +285,12 @@ def test_soft_dirty_services_require_tracked_pid():
 def test_uffd_record_and_harvest():
     kern, _ = make_kernel()
     kern.new_process(7)
-    map_pages(kern, 7, 2)
+    map_pages(kern, 7, 9)
     kern.register_tracked(7, "uffd", MB)
-    kern.uffd_record_run(7, [1])
-    kern.uffd_record_run(7, [2, 1])
-    assert kern.uffd_harvest(7) == {1, 2}
-    assert kern.uffd_harvest(7) == set()
+    kern.uffd_record_run(7, [9])  # first: a set of 9, 2 and 1 iterates unsorted
+    kern.uffd_record_run(7, [2, 1, 9])  # page 9 faults again
+    assert _page_list(kern.uffd_harvest(7)) == [1, 2, 9]
+    assert _page_list(kern.uffd_harvest(7)) == []
 
 
 def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
@@ -287,7 +300,7 @@ def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
     kern.register_tracked(7, "uffd", MB)
     for gva in (0x2000, 0x2008, 0x2FFF):
         kern.uffd_record_run(7, (gva // PAGE_SIZE,))  # as VirtualMachine.write_one records
-    assert kern.uffd_harvest(7) == {2}
+    assert _page_list(kern.uffd_harvest(7)) == [2]
 
 
 def test_uffd_register_write_protects_existing_pages():

@@ -25,7 +25,7 @@ from oohsim.memory import _HAS_DIRTY, PAGE_SIZE, Ept
 
 def _dirty_gpas(ept: Ept) -> set[int]:
     """The frames whose EPT dirty bit is set."""
-    return ept._pages(_HAS_DIRTY)
+    return set((ept._pages(_HAS_DIRTY) * PAGE_SIZE).tolist())
 
 
 def _retrievable(buf) -> int:

@@ -20,15 +20,35 @@ from oohsim.memory import (
     PageStore,
     UnknownMapping,
     _HAS_DIRTY,
-    _HAS_SOFT_DIRTY,
     _PROTECT,
     _UNPROTECT,
 )
 
 
+P = PAGE_SIZE
+
+
+def _page_set(pages: np.ndarray) -> set[int]:
+    """The page numbers a query of a table answers with, as a set, once checked to
+    be in the one form a set of pages takes: an int64 array, sorted and distinct."""
+    assert pages.dtype == np.int64
+    assert (pages[1:] > pages[:-1]).all()
+    return set(pages.tolist())
+
+
 def _dirty_gpas(ept: Ept) -> set[int]:
-    """The frames whose EPT dirty bit is set."""
-    return ept._pages(_HAS_DIRTY)
+    """The page numbers of the frames whose EPT dirty bit is set."""
+    return _page_set(ept._pages(_HAS_DIRTY))
+
+
+def _dirty_set(table: GuestPageTable) -> set[int]:
+    """The page numbers of the dirty pages."""
+    return _page_set(table._pages(_HAS_DIRTY))
+
+
+def _mapped_set(table: GuestPageTable) -> set[int]:
+    """The page numbers of the mapped pages."""
+    return _page_set(table.mapped_pages())
 
 
 def _set_write_protect(table: GuestPageTable, gvas, protected: bool = True) -> None:
@@ -56,30 +76,32 @@ def _unmap(table: GuestPageTable, gva: int) -> bool:
 
 
 def _soft_dirty_set(table: GuestPageTable) -> set[int]:
-    """The addresses of the soft-dirty pages."""
-    return table._pages(_HAS_SOFT_DIRTY)
+    """The page numbers of the soft-dirty pages."""
+    return _page_set(table.soft_dirty_pages())
 
 
 def make_space(n_pages: int) -> tuple[GuestPageTable, Ept]:
+    """Pages 0 to ``n_pages - 1`` mapped one by one to frames 100 on, and those
+    to host frames 5000 on."""
     pt = GuestPageTable(pid=1)
     ept = Ept()
     for i in range(n_pages):
-        pt.map_page(i, 100 + i)
-        ept.map_gpa(100 + i, 5000 + i)
+        pt.map_page(i * P, (100 + i) * P)
+        ept.map_gpa((100 + i) * P, (5000 + i) * P)
     return pt, ept
 
 
 def test_translate_direct_lookup():
     pt, _ = make_space(1)
-    pt.map_page(7, 100)  # alias of page 0's GPA
-    gpa, flags = pt.entry(7)
-    assert gpa == 100
+    pt.map_page(7 * P, 100 * P)  # alias of page 0's GPA
+    gpa, flags = pt.entry(7 * P)
+    assert gpa == 100 * P
     assert flags == (True, False, True)  # writable, clean, soft-dirty at allocation
 
 
 def test_translate_unmapped_returns_none():
     pt, _ = make_space(1)
-    assert pt.entry(9) is None
+    assert pt.entry(9 * P) is None
 
 
 def test_translate_aliasing_permitted():
@@ -135,7 +157,7 @@ def test_remap_and_unmap_errors():
 def test_write_sets_dirty_and_reports_ept_transition():
     pt, ept = make_space(1)
     out = pt.write_page(0, ept)
-    assert out.completed and out.gpa == 100
+    assert out.completed and out.gpa == 100 * P
     assert out.ept_dirty_set  # first write transitions the EPT dirty bit
     assert pt.entry(0).flags.dirty
     assert 100 in _dirty_gpas(ept)
@@ -146,7 +168,7 @@ def test_write_sets_dirty_and_reports_ept_transition():
 def test_ept_dirty_transition_rearm_after_clear():
     pt, ept = make_space(1)
     pt.write_page(0, ept)
-    ept.clear_dirty([100])
+    ept.clear_dirty([100 * P])
     assert 100 not in _dirty_gpas(ept)
     out = pt.write_page(0, ept)
     assert out.ept_dirty_set  # harvesting re-arms logging
@@ -177,7 +199,7 @@ def test_write_not_present_faults():
     pt, ept = make_space(1)
     _unmap(pt, 0)
     assert pt.write_page(0, ept).fault == "not_present"
-    assert pt.write_page(42, ept).fault == "not_present"
+    assert pt.write_page(42 * P, ept).fault == "not_present"
 
 
 def test_soft_dirty_fault_on_first_write_after_clear():
@@ -196,15 +218,15 @@ def test_soft_dirty_fault_on_first_write_after_clear():
 
 def test_ept_errors_and_queries():
     ept = Ept()
-    ept.map_gpa(5, 50)
-    assert ept.translate(5) == 50
-    assert ept.translate(6) is None
+    ept.map_gpa(5 * P, 50 * P)
+    assert ept.translate(5 * P) == 50 * P
+    assert ept.translate(6 * P) is None
     with pytest.raises(UnknownMapping):
-        ept.set_dirty(6)
-    ept.set_dirty(5)
+        ept.set_dirty(6 * P)
+    ept.set_dirty(5 * P)
     assert _dirty_gpas(ept) == {5}
-    _unmap_gpa(ept, 5)
-    assert 5 not in ept
+    _unmap_gpa(ept, 5 * P)
+    assert 5 * P not in ept
 
 
 def test_write_to_a_frame_the_ept_lacks_raises_and_leaves_the_pte():
@@ -217,7 +239,7 @@ def test_write_to_a_frame_the_ept_lacks_raises_and_leaves_the_pte():
     with pytest.raises(UnknownMapping):
         pt.write_page(0x2000, ept)
     assert pt.entry(0x2000) == before  # neither dirty nor soft-dirty
-    assert pt.dirty_set() == set() and _soft_dirty_set(pt) == set()
+    assert _dirty_set(pt) == set() and _soft_dirty_set(pt) == set()
 
 
 def test_page_store_payloads():
@@ -248,17 +270,17 @@ def test_dirty_set_matches_bruteforce_replay_oracle():
                 if not mapped:
                     continue
                 gva = int(sorted(mapped)[int(rng.integers(0, len(mapped)))])
-                out = pt.write_page(gva, ept)
+                out = pt.write_page(gva * P, ept)
                 assert out.completed
                 oracle_dirty.add(gva)
             elif op < 8 and mapped:  # unmap
                 gva = int(sorted(mapped)[int(rng.integers(0, len(mapped)))])
-                _unmap(pt, gva)
+                _unmap(pt, gva * P)
                 mapped.discard(gva)
                 oracle_dirty.discard(gva)  # page gone, dirty PTE gone with it
             elif mapped:  # remap to a fresh GVA
                 gva = int(sorted(mapped)[int(rng.integers(0, len(mapped)))])
-                pt.remap(gva, next_gva)
+                pt.remap(gva * P, next_gva * P)
                 mapped.discard(gva)
                 mapped.add(next_gva)
                 if gva in oracle_dirty:
@@ -266,16 +288,16 @@ def test_dirty_set_matches_bruteforce_replay_oracle():
                     oracle_dirty.discard(gva)
                     oracle_dirty.add(next_gva)
                 next_gva += 1
-        assert pt.dirty_set() == oracle_dirty
+        assert _dirty_set(pt) == oracle_dirty
 
 
 def test_reverse_map_inverts_translate_for_stable_mappings():
     rng = np.random.default_rng(99)
     pt, ept = make_space(32)
-    for gva in range(32):
+    for gva in range(0, 32 * P, P):
         if rng.random() < 0.5:
             pt.write_page(gva, ept)
-    for gva in range(32):
+    for gva in range(0, 32 * P, P):
         gpa, _ = pt.entry(gva)
         assert pt.reverse_map(gpa) == gva
 
@@ -283,7 +305,6 @@ def test_reverse_map_inverts_translate_for_stable_mappings():
 # ------------------------------------------------------ implicit regions
 
 REGION_GVA, REGION_GPA, REGION_HPA = 0x1000, 0x10_0000, 0x1000_0000
-P = PAGE_SIZE
 
 
 def _twin_spaces(n_pages: int):
@@ -347,7 +368,14 @@ class _DictModel:
         return self.ept[gpa][0] if gpa in self.ept else None
 
     def pages(self, flag: int) -> set[int]:
-        return {g for g, e in self.pt.items() if e[flag]}
+        """The page numbers of the pages with ``flag`` set."""
+        return {g // P for g, e in self.pt.items() if e[flag]}
+
+    def mapped(self) -> set[int]:
+        return {g // P for g in self.pt}
+
+    def dirty_frames(self) -> set[int]:
+        return {g // P for g, (_, dirty) in self.ept.items() if dirty}
 
     def write(self, gva, ignore_protection):
         if gva not in self.pt:
@@ -470,13 +498,13 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
                 model.reverse_map(gpa) for gpa in gpas
             ]
             assert _soft_dirty_set(pt) == model.pages(3)
-            assert pt.dirty_set() == model.pages(2)
-            assert _dirty_gpas(ept) == {g for g, (_, dirty) in model.ept.items() if dirty}
+            assert _dirty_set(pt) == model.pages(2)
+            assert _dirty_gpas(ept) == model.dirty_frames()
             assert len(pt) == len(model.pt)
             want_gpas = [model.pt[g][0] if g in model.pt else None for g in gvas]
             assert [pt.gpa_of(g) for g in gvas] == want_gpas
             assert pt.gpas_of(gvas).tolist() == [g for g in want_gpas if g is not None]
-            assert pt.mapped_set() == set(model.pt)
+            assert _mapped_set(pt) == model.mapped()
 
 
 @st.composite
@@ -576,7 +604,7 @@ def test_run_walker_matches_the_dict_model(layout):
     for gpa in model.ept:
         ept.set_dirty(gpa)
     ept.clear_dirty(gpas)
-    assert _dirty_gpas(ept) == set(model.ept) - set(gpas)
+    assert _dirty_gpas(ept) == {g // P for g in set(model.ept) - set(gpas)}
 
 
 def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
@@ -593,7 +621,7 @@ def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
         assert ept.set_dirty(gpa)
     batch = [second, 0x10_0800, single, 0x90_0000, first, stored, 0x20_4000]
     ept.clear_dirty(batch)  # misaligned, unmapped and past-the-end GPAs are ignored
-    assert _dirty_gpas(ept) == {untouched}
+    assert _dirty_gpas(ept) == {untouched // P}
     for gpa in (first, second, single, stored):
         assert ept.set_dirty(gpa)  # each one logs again
     assert not ept.set_dirty(untouched)
@@ -617,8 +645,8 @@ def _assert_same_answers(lazy, eager, gvas, gpas):
         assert lazy_pt.entry(gva) == eager_pt.entry(gva)
     for gpa in gpas:
         assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
-        assert (gpa in _dirty_gpas(lazy_ept)) == (gpa in _dirty_gpas(eager_ept))
-    assert lazy_pt.dirty_set() == eager_pt.dirty_set()
+        assert (gpa // P in _dirty_gpas(lazy_ept)) == (gpa // P in _dirty_gpas(eager_ept))
+    assert _dirty_set(lazy_pt) == _dirty_set(eager_pt)
     assert _soft_dirty_set(lazy_pt) == _soft_dirty_set(eager_pt)
     assert _dirty_gpas(lazy_ept) == _dirty_gpas(eager_ept)
     assert len(lazy_pt) == len(eager_pt)
@@ -646,14 +674,14 @@ def test_region_page_keeps_its_byte_until_moved():
     # the first write flips bits in the regions and stores nothing
     assert write().ept_dirty_set
     assert nothing_stored()
-    assert pt.dirty_set() == {gva} and _dirty_gpas(ept) == {gpa}
+    assert _dirty_set(pt) == {gva // P} and _dirty_gpas(ept) == {gpa // P}
     _assert_same_answers(lazy, eager, gvas, gpas)
 
     # a rewrite leaves the page in its region: no transition while dirty, a
     # transition again after a re-arm, and still nothing stored
     assert not write().ept_dirty_set
     clear_dirty()
-    assert gpa not in _dirty_gpas(ept)
+    assert gpa // P not in _dirty_gpas(ept)
     _assert_same_answers(lazy, eager, gvas, gpas)
     assert write().ept_dirty_set
     assert not write().ept_dirty_set
@@ -807,10 +835,10 @@ def test_pages_that_join_a_region_behave_like_one_page_regions(n_pages, second, 
         want_gpas = [model.pt[g][0] for g in gvas if g in model.pt]
         assert pt.gpas_of(gvas).tolist() == want_gpas
         assert _lost_as_none(pt.reverse_map_many(gpas)) == [model.reverse_map(g) for g in gpas]
-        assert pt.mapped_set() == set(model.pt)
-        assert pt.dirty_set() == model.pages(2)
+        assert _mapped_set(pt) == model.mapped()
+        assert _dirty_set(pt) == model.pages(2)
         assert _soft_dirty_set(pt) == model.pages(3)
-        assert _dirty_gpas(ept) == {g for g, (_, dirty) in model.ept.items() if dirty}
+        assert _dirty_gpas(ept) == model.dirty_frames()
         assert [ept.translate(g) for g in gpas] == [model.translate(g) for g in gpas]
         assert len(pt) == len(model.pt)
         for table in (pt, ept):  # no two regions overlap, no entry is a live region page

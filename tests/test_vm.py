@@ -5,6 +5,7 @@ from __future__ import annotations
 import tracemalloc
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,15 @@ from oohsim.vm import VirtualMachine
 
 def _dirty_gpas(ept: Ept) -> set[int]:
     """The frames whose EPT dirty bit is set."""
-    return ept._pages(_HAS_DIRTY)
+    return set((ept._pages(_HAS_DIRTY) * 4096).tolist())
+
+
+def _page_list(pages: np.ndarray) -> list[int]:
+    """The page numbers a query or the kernel reports, once checked to be in the
+    one form a set of pages takes: an int64 array, sorted and distinct."""
+    assert pages.dtype == np.int64
+    assert (pages[1:] > pages[:-1]).all()
+    return pages.tolist()
 
 
 def _set_write_protect(table: GuestPageTable, gvas) -> None:
@@ -190,7 +199,7 @@ def test_remap_moves_dirty_state():
     vm.write_one(7, gva(0))
     vm.remap(7, gva(0), 0x900000)
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert dirty == {0x900000 // 4096}
+    assert _page_list(dirty) == [0x900000 // 4096]
     assert vm.kernel.processes[7].softdirty_residue == set()
 
 
@@ -206,7 +215,7 @@ def test_unmap_keeps_residue_only_for_a_soft_dirty_region_page():
     assert gva(0) not in table and gva(1) not in table
     assert vm.kernel.processes[7].softdirty_residue == {gva(0) // 4096}
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert dirty == {gva(0) // 4096}
+    assert _page_list(dirty) == [gva(0) // 4096]
 
 def test_pagemap_after_an_unmap_reports_live_pages_and_residue_by_number():
     vm = make_vm("proc")
@@ -216,10 +225,17 @@ def test_pagemap_after_an_unmap_reports_live_pages_and_residue_by_number():
     vm.unmap(7, gva(2))  # soft-dirty: kept as residue
     vm.unmap(7, gva(1))  # clean: gone
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert dirty == {gva(0) // 4096, gva(2) // 4096, gva(3) // 4096}
+    assert _page_list(dirty) == [gva(0) // 4096, gva(2) // 4096, gva(3) // 4096]
     assert vm.kernel.processes[7].softdirty_residue == {gva(2) // 4096}
     # the page table's own soft-dirty pages leave the residue out
-    assert vm.kernel.processes[7].table.soft_dirty_pages() == {gva(0) // 4096, gva(3) // 4096}
+    table = vm.kernel.processes[7].table
+    assert _page_list(table.soft_dirty_pages()) == [gva(0) // 4096, gva(3) // 4096]
+    # gva(2) mapped again and written: in the residue and live, reported once
+    vm.map_fresh(7, gva(2))
+    vm.write_one(7, gva(2))
+    assert _page_list(table.soft_dirty_pages()) == [gva(i) // 4096 for i in (0, 2, 3)]
+    dirty, _ = vm.kernel.read_pagemap(7)
+    assert _page_list(dirty) == [gva(i) // 4096 for i in (0, 2, 3)]
 
 
 # ----------------------------------------------------------- write pipeline
@@ -246,12 +262,15 @@ def test_second_write_does_not_relog():
 
 
 def test_uffd_write_records_and_stays_protected():
-    vm = make_vm("uffd")
-    res = vm.write_one(7, gva(0))
+    vm = make_vm("uffd", pages=16)
+    res = vm.write_one(7, gva(8))
     assert res.completed and res.uffd_recorded
-    res2 = vm.write_one(7, gva(0))
+    res2 = vm.write_one(7, gva(8))
     assert res2.uffd_recorded  # re-protected: every write faults
-    assert vm.kernel.uffd_harvest(7) == {gva(0) // 4096}
+    # a stretch's writes fault again, on gva(8) and on a page it writes twice
+    stretch = vm.quiet_run(7, [gva(1), gva(0), gva(8), gva(1)], 4)
+    assert len(stretch) == 4 and vm.write_run(7, stretch, 4) == 0
+    assert _page_list(vm.kernel.uffd_harvest(7)) == [gva(i) // 4096 for i in (0, 1, 8)]
 
 
 def test_wp_fault_without_monitor_is_an_error():
@@ -395,12 +414,12 @@ def test_allocation_makes_entries_only_for_touched_pages():
     finally:
         tracemalloc.stop()
     table = vm.kernel.processes[1].table
-    assert dirty == {g // 4096 for g in written}
+    assert _page_list(dirty) == sorted(g // 4096 for g in written)
     assert len(table) == 614_400
     # a written page stays a byte in its region
     assert table.entries == {}
     assert vm.ept.entries == {}
-    assert table.dirty_set() == written
+    assert _page_list(table._pages(_HAS_DIRTY)) == sorted(g // 4096 for g in written)
     assert peak < 4 * MB
 
 
