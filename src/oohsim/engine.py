@@ -29,6 +29,12 @@ class EventKind(Enum):
 
 @dataclass(order=True)
 class Event:
+    """One scheduled event, handed to its handler when it runs.
+
+    Events compare by ``(time, seq)``; the engine's queue orders them by the
+    same key, kept beside each event, so running one compares no events.
+    """
+
     time: float
     seq: int
     kind: EventKind = field(compare=False)
@@ -42,12 +48,16 @@ class SimEngine:
     ``horizon_us`` bounds execution: events at or beyond the horizon are not
     executed (a zero horizon therefore runs nothing).  ``now`` only moves
     forward; scheduling into the past raises :class:`SimulationError`.
+
+    The queue is a heap of ``(time, seq, event)`` tuples.  ``event_counts``
+    counts the events run by their kind's value, read as ``_value_``: the
+    ``value`` property and an enum member's hash are Python calls.
     """
 
     def __init__(self, horizon_us: float | None = None):
         self.now: float = 0.0
         self.horizon_us = horizon_us
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.processed = 0
         self.event_counts: dict[str, int] = {}
@@ -72,27 +82,28 @@ class SimEngine:
             raise SimulationError(
                 f"cannot schedule {kind} at {time_us} before now={self.now}"
             )
-        ev = Event(time=time_us, seq=next(self._seq), kind=kind, handler=handler, payload=payload)
-        heapq.heappush(self._queue, ev)
+        seq = next(self._seq)
+        ev = Event(time_us, seq, kind, handler, payload)
+        heapq.heappush(self._queue, (time_us, seq, ev))
         return ev
 
     def run(self) -> None:
-        last_key = (-1.0, -1)
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if self.horizon_us is not None and ev.time >= self.horizon_us:
+        queue, counts, horizon = self._queue, self.event_counts, self.horizon_us
+        pop = heapq.heappop
+        last_time, last_seq = -1.0, -1
+        while queue:
+            time, seq, ev = pop(queue)
+            if horizon is not None and time >= horizon:
                 # Horizon reached: remaining events are abandoned; the clock
                 # parks at the horizon so reports reflect the truncation.
-                self.now = self.horizon_us
-                self._queue.clear()
+                self.now = horizon
+                queue.clear()
                 return
-            key = (ev.time, ev.seq)
-            if key <= last_key:
-                raise SimulationError(f"event order violation at {key}")
-            last_key = key
-            self.now = ev.time
+            if time < last_time or (time == last_time and seq <= last_seq):
+                raise SimulationError(f"event order violation at {(time, seq)}")
+            last_time, last_seq = time, seq
+            self.now = time
             self.processed += 1
-            self.event_counts[ev.kind.value] = (
-                self.event_counts.get(ev.kind.value, 0) + 1
-            )
+            kind = ev.kind._value_
+            counts[kind] = counts.get(kind, 0) + 1
             ev.handler(ev)

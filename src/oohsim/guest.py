@@ -278,9 +278,11 @@ class GuestKernel:
         if uio is None or uio.pid != pid:
             raise NotRegistered(f"pid {pid} is not tracked")
         proc = self._proc(pid)
-        residue = np.fromiter(proc.softdirty_residue, np.int64, len(proc.softdirty_residue))
-        dirty = np.concatenate((proc.table.soft_dirty_pages(), residue))
-        return _distinct(dirty), uio.prices.m16
+        dirty = proc.table.soft_dirty_pages()
+        if proc.softdirty_residue:
+            residue = np.fromiter(proc.softdirty_residue, np.int64, len(proc.softdirty_residue))
+            dirty = _distinct(np.concatenate((dirty, residue)))
+        return dirty, uio.prices.m16
 
     # ------------------------------------------------- userspace-fault (uffd)
 

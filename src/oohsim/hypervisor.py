@@ -610,6 +610,12 @@ class HvCore:
 
 # ---------------------------------------------------------------- migration
 
+#: The hot pages :func:`run_migration` draws at a time.  ``rng.integers(h,
+#: size=k)`` yields the stream of ``k`` draws ``rng.integers(h)`` (NumPy
+#: 2.4.6; ``tests/test_hypervisor.py`` holds NumPy to it), so a block only
+#: saves the per-draw call.
+_DRAW_BLOCK = 1024
+
 
 @dataclass
 class MigrationJob:
@@ -666,6 +672,11 @@ def run_migration(
     flush_service_us = table.prices(job.vm_pages * 4096).copy_us(512)
     write_period_us = 1e6 / job.writes_per_s
 
+    def draws():  # the written hot pages, drawn a block at a time
+        while True:
+            yield from rng.integers(job.hot_pages, size=_DRAW_BLOCK).tolist()
+
+    hot = draws()
     dirty: set[int] = set()
     rounds: list[MigrationRoundStat] = []
     state = {
@@ -684,7 +695,7 @@ def run_migration(
     def on_write(ev) -> None:
         if not state["migrating"] or state["paused"]:
             return
-        dirty.add(int(rng.integers(job.hot_pages)))
+        dirty.add(next(hot))
         state["writes"] += 1
         if state["writes"] % 512 == 0:
             state["vmexits"] += 1

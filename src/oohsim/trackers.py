@@ -297,8 +297,10 @@ class _Run:
     cost) and fills the report's content fields (``_content``).
 
     spml's ticks come back to back in a stall, the final harvest and the
-    catch-up after an event: :meth:`_spml_ticks` runs each such run on local
-    floats and a count of the ring, one tick's float operations at a time.
+    catch-up after an event: :meth:`_spml_ticks` runs each such run of the
+    mechanical engine, and the segment engine's harvest, on local floats and
+    a count of the ring, one tick's float operations at a time.  The
+    segment round runs its own ticks inline (:meth:`_SegmentRun._round`).
     """
 
     #: whether an spml tick lasts as long as ``collect_us`` moved (the
@@ -341,6 +343,10 @@ class _Run:
 
     def _spml_ticks(self, until: str, room: int = 0) -> int:
         """Run spml collection ticks back to back; return how many ran.
+
+        It serves the mechanical engine's stalls and catch-ups and both
+        engines' final harvest; the segment round runs the same tick, with
+        the same float operations, on its own locals.
 
         ``until`` is ``"due"`` (the ticks due by the clock), ``"room"`` (until
         the ring has ``room`` free entries; the clock waits for each tick, the
@@ -502,16 +508,26 @@ class _SegmentRun(_Run):
     the reference.
 
     A round (:meth:`_round`) is one loop on local variables: the clock, the
-    run time, ``suspension``, ``tracker_busy``, ``writes_done``, the buffer
-    and tool-ring counts, the next tick, the softirq count and the drops.
-    Each step is a stretch of writes, cut at the buffer's 513th write, the
-    quantum, the next tick or the round's end.  An epml buffer copy, an epml
-    tick and an spml buffer-full vmexit that finds room in the ring (or
-    drops under ``drop``) run inline, with the float operations of
-    :meth:`_epml_copy`, :meth:`_Run._tick` and :meth:`_Run._vmexit` in
-    their order.  The locals go back to ``self`` only around the events that
-    read it: a stall (:meth:`_Run._spml_ticks` until the ring has room), a
-    quantum swap and spml's due ticks (:meth:`_Run._swap_and_tick`).
+    run time, ``suspension``, ``tracker_busy``, ``collect_us`` and its two
+    ``parts``, ``writes_done``, the buffer, ring and tool-ring counts, the
+    next tick, and the softirq, vmexit, schedule and drop counts.  Each step
+    is a stretch of writes, cut at the buffer's 513th write, the quantum,
+    the next tick or the round's end.  Every event the stretch ends in runs
+    inline, in the mechanical order, with the float operations of the
+    methods named here in their order:
+
+    * an epml buffer copy (:meth:`_epml_copy`);
+    * an spml buffer-full vmexit (:meth:`_Run._vmexit`): a flush, or the
+      drop of what the ring has no room for; under ``stall`` with no room,
+      first the ticks that make room, the clock waiting for each and the
+      run truncated if the horizon comes first (:meth:`_Run._spml_ticks`
+      until ``room``);
+    * a quantum swap (:meth:`_sched` out and in), with epml's copy of a
+      partly filled buffer and spml's forced flush;
+    * the due ticks: spml's drains (:meth:`_Run._spml_ticks` while due) and
+      epml's tool ring consumed (:meth:`_Run._tick`).
+
+    The state goes back to ``self`` at the round's end or at truncation.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -563,8 +579,10 @@ class _SegmentRun(_Run):
         """One sweep over every page, a stretch of writes at a time, on locals.
 
         A stretch ends at the buffer's 513th write, at the quantum, at the
-        next tick or at the round's end; the class docstring lists which
-        events run inline and which go through ``self``.
+        next tick or at the round's end.  One loop then runs the events it
+        ended in, in the order the class docstring lists: spml's flush, once
+        the ring has room for it, then the swap, then the due ticks.  The
+        ticks a stall waits for and the due ticks share one tick body.
         """
         cfg, c, tech = self.cfg, self.c, self.tech
         spml, epml, uffd = tech == "spml", tech == "epml", tech == "uffd"
@@ -574,18 +592,28 @@ class _SegmentRun(_Run):
             w_run += c.softdirty_fault  # every post-clear write microfaults
         w_wall = w_run + (c.uffd_fault if uffd else 0.0)
         uffd_fault, vmexit_us, copy_us = c.uffd_fault, c.vmexit_service, c.copy_us(512)
+        sched_out, sched_in = c.sched_us(tech, "out"), c.sched_us(tech, "in")
         quantum, horizon, interval = cfg.quantum_us, cfg.horizon_us, cfg.collection_interval_us
         cap, stalls = cfg.ring_capacity, cfg.ring_full_policy == "stall"
+        batch = self.drain_batch
+        whole = self._drain_charge(batch)  # a tick that drains a whole batch
         swaps = quantum < math.inf  # an infinite quantum never ends: it bounds nothing
         ceil = math.ceil
+        parts = self.parts
         t, run_acc, next_tick = self.t, self.run_acc, self.next_tick
-        suspension, busy, writes_done = self.suspension, self.tracker_busy, self.writes_done
-        buf_fill, tool_ring = self.buf_fill, self.tool_ring
-        softirqs, dropped = self.softirqs, self.dropped
+        suspension, busy, collect = self.suspension, self.tracker_busy, self.collect_us
+        rm_part, copy_part = parts["reverse_mapping_us"], parts["copy_us"]
+        writes_done, buf_fill, used, tool_ring = (
+            self.writes_done, self.buf_fill, self.ring_used, self.tool_ring
+        )
+        softirqs, dropped, vmexits, sched_events = (
+            self.softirqs, self.dropped, self.vmexits, self.sched_events
+        )
+        truncated = flush = False
         left = self.P
         while left > 0:
             if t >= horizon:
-                self.truncated = True
+                truncated = True
                 break
             # min(left, n_event, max(1, n_quant), max(1, n_tick)), each
             # n_* the ceiling of max(0.0, gap) over a write's µs
@@ -612,7 +640,6 @@ class _SegmentRun(_Run):
                 busy += n * uffd_fault
             writes_done += n
             left -= n
-            stalled = False
             if logging:
                 buf_fill += n
                 if n == n_event:  # the 513th attempt was refused
@@ -627,48 +654,95 @@ class _SegmentRun(_Run):
                         softirqs += 1
                         t += copy_us
                         buf_fill = 1
-                    elif not stalls or cap - self.ring_used >= 512:
-                        # a buffer-full vmexit: flush, or drop what the ring
-                        # has no room for, then replay the refused entry
-                        if stalls:
-                            self.ring_used += 512
-                        else:
-                            sent = min(512, max(0, cap - self.ring_used))
-                            self.ring_used += sent
-                            dropped += 512 - sent
-                        t += vmexit_us  # _vmexit
-                        suspension += vmexit_us
-                        self.vmexits += 1
-                        buf_fill = 1
-                    else:
+                    else:  # a buffer-full vmexit, its flush below
                         buf_fill = 512
-                        stalled = True
-            if stalled or run_acc >= quantum or (spml and t >= next_tick):
-                # the events that read self: a stall, a swap, spml's due ticks
-                self.t, self.run_acc, self.next_tick = t, run_acc, next_tick
-                self.suspension, self.tracker_busy = suspension, busy
-                self.writes_done, self.buf_fill, self.tool_ring = writes_done, buf_fill, tool_ring
-                self.softirqs, self.dropped = softirqs, dropped
-                if stalled:  # wait for ticks to make room, then flush and replay
-                    self._spml_ticks("room", 512)
-                    if self.truncated:
-                        return
-                    self.ring_used += 512
-                    self._vmexit()
-                    self.buf_fill = 1
-                self._swap_and_tick()
-                t, run_acc, next_tick = self.t, self.run_acc, self.next_tick
-                suspension, busy = self.suspension, self.tracker_busy
-                buf_fill, tool_ring = self.buf_fill, self.tool_ring
-                softirqs, dropped = self.softirqs, self.dropped
-            else:
-                while t >= next_tick:  # epml's ticks: the tool consumes its ring
-                    tool_ring = 0
-                    next_tick += interval
-        self.t, self.run_acc, self.next_tick = t, run_acc, next_tick
-        self.suspension, self.tracker_busy = suspension, busy
-        self.writes_done, self.buf_fill, self.tool_ring = writes_done, buf_fill, tool_ring
-        self.softirqs, self.dropped = softirqs, dropped
+                        flush = True
+            if not (flush or run_acc >= quantum or t >= next_tick):
+                continue
+            # the events the stretch ended in, in the mechanical order: spml's
+            # flush (after the ticks that make room for it under a stall), the
+            # quantum swap, then the due ticks
+            swap = run_acc >= quantum
+            while True:
+                if flush:
+                    if not stalls or cap - used >= 512:
+                        # flush, or drop what the ring has no room for, then
+                        # replay the refused entry: _vmexit
+                        if stalls:
+                            used += 512
+                        else:
+                            sent = min(512, max(0, cap - used))
+                            used += sent
+                            dropped += 512 - sent
+                        t += vmexit_us
+                        suspension += vmexit_us
+                        vmexits += 1
+                        buf_fill = 1
+                        flush = False
+                        continue
+                    if next_tick > t:  # a stall: the clock waits for the tick
+                        if next_tick >= horizon:
+                            t = horizon
+                            truncated = True
+                            break
+                        suspension += next_tick - t
+                        t = next_tick
+                else:
+                    if swap:  # _sched("out"), _sched("in")
+                        swap = False
+                        cost = sched_out
+                        if buf_fill:
+                            if epml:  # the partial buffer's copy: _epml_copy(buf_fill)
+                                copied, us = buf_fill, c.copy_us(buf_fill)
+                                space = cap - tool_ring
+                                if copied > space:
+                                    dropped += copied - space
+                                    copied = space
+                                tool_ring += copied
+                                suspension += us
+                                softirqs += 1
+                                cost += us
+                            else:  # spml's coordination flush, forced
+                                used += buf_fill
+                            buf_fill = 0
+                        t += cost
+                        t += sched_in
+                        sched_events += 2
+                        run_acc -= quantum
+                    if t < next_tick:
+                        break
+                    if epml:  # the tool consumes its ring
+                        tool_ring = 0
+                        next_tick += interval
+                        continue
+                # an spml tick drains drain_batch entries, or what is left, and
+                # the next lands on the first interval multiple after the
+                # drain, a whole interval on at least
+                if used >= batch:
+                    cost, rm, copy = whole
+                    used -= batch
+                else:  # what is left
+                    cost, rm, copy = self._drain_charge(used)
+                    used = 0
+                busy += cost
+                collect += cost
+                rm_part += rm
+                copy_part += copy
+                end = next_tick + cost
+                aligned, next_tick = interval * ceil(end / interval), next_tick + interval
+                if aligned > next_tick:
+                    next_tick = aligned
+            if truncated:
+                break
+        self.t, self.run_acc, self.next_tick, self.truncated = t, run_acc, next_tick, truncated
+        self.suspension, self.tracker_busy, self.collect_us = suspension, busy, collect
+        parts["reverse_mapping_us"], parts["copy_us"] = rm_part, copy_part
+        self.writes_done, self.buf_fill, self.ring_used, self.tool_ring = (
+            writes_done, buf_fill, used, tool_ring
+        )
+        self.softirqs, self.dropped, self.vmexits, self.sched_events = (
+            softirqs, dropped, vmexits, sched_events
+        )
 
     def _round_end(self) -> None:
         if self.tech == "proc":
@@ -716,6 +790,20 @@ def _sums(start: float, us, n: int) -> np.ndarray:
     out[0] = start
     out[1:] = us
     return out.cumsum(out=out)
+
+
+def _merged(arrays: list[np.ndarray]) -> np.ndarray:
+    """The distinct values of ``arrays``, sorted.
+
+    One array that is sorted and distinct already (a kernel's page numbers,
+    a round end's merge, a sweep's writes) is returned as it is: checking
+    its order costs a small part of a sort.  One array alone may still be
+    out of order: spml's drained rows can span rounds."""
+    if len(arrays) == 1:
+        (values,) = arrays
+        if not (values[1:] <= values[:-1]).any():
+            return values
+    return _distinct(np.concatenate(arrays))
 
 
 class _MechanicalRun(_Run):
@@ -1147,7 +1235,7 @@ class _MechanicalRun(_Run):
             self.t += self._deliver_leftover()
             self._consume_tool_ring()
         if self.collected:
-            self.collected[:] = [_distinct(np.concatenate(self.collected))]
+            self.collected[:] = [_merged(self.collected)]
 
     def _harvest(self) -> None:
         kernel = self.vm.kernel
@@ -1169,8 +1257,8 @@ class _MechanicalRun(_Run):
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
         writes = self.cfg.trace.decoded[1] if self.cfg.trace is not None else self.gvas
-        written = _distinct(np.asarray(writes)[self.oracle] // PAGE_SIZE)
-        collected = _distinct(np.concatenate([written[:0], *self.collected]))
+        written = _merged([np.asarray(writes)[self.oracle] // PAGE_SIZE])
+        collected = _merged(self.collected) if self.collected else written[:0]
         if len(collected):  # the written pages that were not collected
             found = collected[collected.searchsorted(written).clip(max=len(collected) - 1)]
             written = written[found != written]

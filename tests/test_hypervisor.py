@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oohsim.engine import EventKind, SimEngine
@@ -17,6 +17,7 @@ from oohsim.hypervisor import (
     MigrationJob,
     ProtocolError,
     SpmlRingBuffer,
+    _DRAW_BLOCK,
     model_check_coordination,
     run_migration,
 )
@@ -671,3 +672,68 @@ def test_write_storm_hits_round_cap_not_livelock():
     rep = run_migration(job)
     assert rep.stop_reason == "max_rounds"
     assert len(rep.rounds) == 11  # 10 pre-copy rounds plus the stop-and-copy
+
+
+# (hot_pages, seed, concurrent_load) -> each round's (pages sent, start ms,
+# duration ms), total ms, downtime ms, stop reason and vmexits, recorded
+# while every write drew its hot page with one scalar ``rng.integers`` call
+_PINNED_MIGRATIONS = {
+    (1, 0, None): (
+        [(25600, 0.0, 64.00765000000001), (1, 64.00765000000001, 0.0025)],
+        64.01015000000001, 0.0025, "threshold", 6,
+    ),
+    (1, 11, (8000.0, 2186.0)): (
+        [(25600, 0.0, 85.8702), (1, 85.8702, 0.0025)],
+        85.8727, 0.0025, "threshold", 8,
+    ),
+    (1 << 20, 0, (8000.0, 2186.0)): (
+        [(25600, 0.0, 85.8702), (4288, 85.8702, 15.093274999999995),
+         (755, 100.96347499999999, 1.888774999999994), (94, 102.85224999999998, 0.235),
+         (12, 103.08724999999998, 0.03)],
+        103.11724999999998, 0.03, "threshold", 10,
+    ),
+    (1 << 20, 11, None): (
+        [(25600, 0.0, 64.00765000000001), (3191, 64.00765000000001, 7.978774999999994),
+         (398, 71.986425, 0.995), (50, 72.981425, 0.125)],
+        73.106425, 0.125, "threshold", 7,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(_PINNED_MIGRATIONS),
+    ids=lambda key: f"hot{key[0]}-seed{key[1]}-{'loaded' if key[2] else 'solo'}",
+)
+def test_migration_reports_pinned(key):
+    hot_pages, seed, load = key
+    rep = run_migration(MigrationJob(hot_pages=hot_pages, seed=seed), concurrent_load=load)
+    rounds = [(r.pages_sent, r.started_ms, r.duration_ms) for r in rep.rounds]
+    got = (rounds, rep.total_ms, rep.downtime_ms, rep.stop_reason, rep.vmexits)
+    assert got == _PINNED_MIGRATIONS[key]
+    assert [r.round_no for r in rep.rounds] == list(range(len(rep.rounds)))
+
+
+@settings(max_examples=60, deadline=None)
+# the default hot set, a 32-bit bound past 2**31 and the largest bound, in
+# the blocks the migration draws
+@example(seed=7, bound=2048, block=_DRAW_BLOCK, blocks=3)
+@example(seed=0, bound=2**31 + 5, block=_DRAW_BLOCK, blocks=2)
+@example(seed=11, bound=2**40, block=_DRAW_BLOCK, blocks=2)
+@example(seed=1, bound=1, block=7, blocks=3)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bound=st.integers(min_value=1, max_value=2**40),
+    block=st.integers(min_value=1, max_value=2 * _DRAW_BLOCK),
+    blocks=st.integers(min_value=1, max_value=3),
+)
+def test_block_draws_equal_scalar_draws(seed, bound, block, blocks):
+    """``run_migration`` draws its hot pages a block at a time: the draws must
+    be those of one ``rng.integers(bound)`` call per write."""
+    one_at_a_time = np.random.default_rng(seed)
+    scalar = [int(one_at_a_time.integers(bound)) for _ in range(block * blocks)]
+    in_blocks = np.random.default_rng(seed)
+    drawn = [v for _ in range(blocks) for v in in_blocks.integers(bound, size=block).tolist()]
+    assert drawn == scalar, (
+        f"NumPy {np.__version__}: rng.integers({bound}, size={block}) does not yield "
+        f"the stream of {block} scalar draws"
+    )

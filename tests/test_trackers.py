@@ -1547,13 +1547,29 @@ def test_back_to_back_ticks_leave_every_field_as_one_tick_at_a_time(
          ring=1024, policy="stall", defer=False, horizon_us=6e7)
 @example(technique="spml", pages=12_800, rounds=3, quantum_us=10_000.0, interval_us=1_000.0,
          ring=1024, policy="stall", defer=False, horizon_us=6e7)
+# a swap's forced flush of a partly filled spml buffer into a ring that has
+# no room for it, under stall (114 such swaps)
+@example(technique="spml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=1_000.0,
+         ring=512, policy="stall", defer=False, horizon_us=6e7)
+# a swap's copy of a partly filled epml buffer into a tool ring without
+# room for it, so entries drop (79 such swaps)
+@example(technique="epml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=1_000.0,
+         ring=512, policy="stall", defer=False, horizon_us=6e7)
+# a stall that the horizon cuts short
+@example(technique="spml", pages=513, rounds=3, quantum_us=10_000.0, interval_us=40.0,
+         ring=512, policy="stall", defer=False, horizon_us=3_000.0)
+# a swap and a due tick after the same stretch (70 times for spml, 13 for epml)
+@example(technique="spml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=40.0,
+         ring=1024, policy="stall", defer=False, horizon_us=6e7)
+@example(technique="epml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=40.0,
+         ring=16384, policy="stall", defer=False, horizon_us=6e7)
 @given(
     technique=st.sampled_from(TECHNIQUES),
     pages=st.sampled_from([1, 300, 512, 513, 5 * MB // PAGE_SIZE, 50 * MB // PAGE_SIZE]),
     rounds=st.integers(min_value=0, max_value=13),
     quantum_us=st.sampled_from([300.0, 10_000.0, math.inf]),
     interval_us=st.sampled_from([40.0, 1_000.0]),
-    ring=st.sampled_from([1024, 16384]),
+    ring=st.sampled_from([512, 1024, 16384]),
     policy=st.sampled_from(["stall", "drop"]),
     defer=st.booleans(),
     horizon_us=st.sampled_from([0.0, 3_000.0, 6e7]),
