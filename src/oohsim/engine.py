@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -52,6 +53,11 @@ class SimEngine:
     The queue is a heap of ``(time, seq, event)`` tuples.  ``event_counts``
     counts the events run by their kind's value, read as ``_value_``: the
     ``value`` property and an enum member's hash are Python calls.
+
+    A handler may apply, in one step, work that falls strictly before
+    :meth:`next_time` (and the horizon) and schedules nothing: no other event
+    can run in between, so everything happens in the order one event per step
+    would give.  The migration applies its writes between events this way.
     """
 
     def __init__(self, horizon_us: float | None = None):
@@ -86,6 +92,10 @@ class SimEngine:
         ev = Event(time_us, seq, kind, handler, payload)
         heapq.heappush(self._queue, (time_us, seq, ev))
         return ev
+
+    def next_time(self) -> float:
+        """The time of the next queued event, or ``inf`` when none is queued."""
+        return self._queue[0][0] if self._queue else math.inf
 
     def run(self) -> None:
         queue, counts, horizon = self._queue, self.event_counts, self.horizon_us

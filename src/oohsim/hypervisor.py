@@ -34,7 +34,7 @@ is what prevents cross-process misattribution and entitlement loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -462,6 +462,29 @@ def _state_of(hv: Hypervisor) -> tuple:
     return (f.enable_by_vmm, f.enable_by_guest, f.sched_in, buf.index, tuple(hv._entry_tags))
 
 
+def _broken_invariants(hv: Hypervisor) -> list[str]:
+    """What :func:`model_check_coordination` finds broken in ``hv``."""
+    broken = []
+    f = hv.flags
+    buf = hv.pml.hv_buffer
+    enabled = buf.index != buf.disabled_index
+    if enabled != f.armed_expected:
+        broken.append("arming invariant broken")
+    if not (-1 <= buf.index <= buf.disabled_index):
+        broken.append(f"index out of range ({buf.index})")
+    if hv.tag_mismatches:
+        broken.append("entitlement tag mismatch at flush")
+    if hv.discarded_total or hv.dropped_total:
+        broken.append("entitled entry lost")
+    buffered_g = sum(n for (g, _), n in hv._entry_tags if g)
+    buffered_v = sum(n for (_, v), n in hv._entry_tags if v)
+    if hv.logged_guest_tagged != hv.ring_delivered_total + buffered_g:
+        broken.append("guest-entitled conservation broken")
+    if hv.logged_vmm_tagged != hv.migration_delivered_total + buffered_v:
+        broken.append("vmm-entitled conservation broken")
+    return broken
+
+
 def model_check_coordination(
     depth: int = 12, buffer_slots: int = 2, hv_factory: type = Hypervisor
 ) -> ModelCheckResult:
@@ -469,7 +492,9 @@ def model_check_coordination(
 
     From the all-off state, apply every request followed by 0..slots+1
     attempted writes (full events are serviced inline, the refused write
-    replayed).  After every transition check:
+    replayed).  Each (state, request) pair builds one machine and writes
+    to it one write at a time, so the transitions with 0..slots+1 writes are
+    its successive states.  After every transition check:
 
     * arming invariant — the device index is non-disabled exactly when
       ``enable_by_vmm or (enable_by_guest and sched_in)``, and always within
@@ -497,32 +522,18 @@ def model_check_coordination(
                 continue
             expanded.add(state)
             for request in COORD_REQUESTS:
+                hv = _hv_from_state(state, buffer_slots, hv_factory)
+                hv.coordinate(request, pid=1)
                 for n_writes in range(buffer_slots + 2):
                     transitions += 1
-                    hv = _hv_from_state(state, buffer_slots, hv_factory)
-                    hv.coordinate(request, pid=1)
-                    for i in range(n_writes):
-                        out = hv.log_write(1000 + i, 1000 + i)
-                        if out.hv_full:
-                            hv.handle_pml_full_vmexit(refused=(1000 + i, 1000 + i))
-                    ctx = f"state={state} req={request} writes={n_writes}"
-                    f = hv.flags
-                    buf = hv.pml.hv_buffer
-                    enabled = buf.index != buf.disabled_index
-                    if enabled != f.armed_expected:
-                        violations.append(f"arming invariant broken: {ctx}")
-                    if not (-1 <= buf.index <= buf.disabled_index):
-                        violations.append(f"index out of range ({buf.index}): {ctx}")
-                    if hv.tag_mismatches:
-                        violations.append(f"entitlement tag mismatch at flush: {ctx}")
-                    if hv.discarded_total or hv.dropped_total:
-                        violations.append(f"entitled entry lost: {ctx}")
-                    buffered_g = sum(n for (g, _), n in hv._entry_tags if g)
-                    buffered_v = sum(n for (_, v), n in hv._entry_tags if v)
-                    if hv.logged_guest_tagged != hv.ring_delivered_total + buffered_g:
-                        violations.append(f"guest-entitled conservation broken: {ctx}")
-                    if hv.logged_vmm_tagged != hv.migration_delivered_total + buffered_v:
-                        violations.append(f"vmm-entitled conservation broken: {ctx}")
+                    if n_writes:
+                        addr = 1000 + n_writes - 1
+                        if hv.log_write(addr, addr).hv_full:
+                            hv.handle_pml_full_vmexit(refused=(addr, addr))
+                    for broken in _broken_invariants(hv):
+                        violations.append(
+                            f"{broken}: state={state} req={request} writes={n_writes}"
+                        )
                     new_state = _state_of(hv)
                     if new_state not in expanded:
                         next_frontier.append(new_state)
@@ -663,6 +674,12 @@ def run_migration(
     co-resident tracked machine — stretches the rounds and lets more dirty
     pages accumulate.  The final stop-and-copy transfers the residue with
     the source paused; its wall time is the downtime.
+
+    The guest writes a hot page every ``1e6 / writes_per_s`` µs.  A write
+    event also applies the writes that fall strictly before the next queued
+    event: nothing else can run between them and only a round's end reads
+    the dirty set.  Every 512th write fills the log buffer and loads the
+    service core with its flush at its own time, so it stays an event.
     """
     table = table or CostTable.default()
     engine = SimEngine()
@@ -700,7 +717,16 @@ def run_migration(
         if state["writes"] % 512 == 0:
             state["vmexits"] += 1
             core.service(flush_service_us)
-        engine.schedule(write_period_us, EventKind.WRITE, on_write)
+        # the writes after this one, up to the next queued event and short
+        # of the next 512th, each at the chain's running sum of periods
+        t, n, room = engine.now + write_period_us, 0, 511 - state["writes"] % 512
+        until = engine.next_time()
+        while t < until and n < room:
+            t += write_period_us
+            n += 1
+        dirty.update(islice(hot, n))
+        state["writes"] += n
+        engine.schedule_at(t, EventKind.WRITE, on_write)
 
     def start_round(pages: int) -> None:
         state["round_start"] = engine.now

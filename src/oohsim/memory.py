@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from itertools import chain
+from itertools import chain, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -175,9 +175,10 @@ def _numbers(bits: bytes, select: bytes, first: int) -> np.ndarray:
     return np.frombuffer(bits.translate(select), dtype=np.uint8).nonzero()[0] + first
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values``, sorted: a sort in place and a compare of neighbours."""
-    values.sort()
+def _distinct(values: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """The distinct ``values``, sorted: a sort in place (of ``kind``) and a
+    compare of neighbours."""
+    values.sort(kind=kind)
     return values[np.concatenate(([True], values[1:] != values[:-1]))] if len(values) else values
 
 
@@ -290,7 +291,11 @@ class _PageMap:
         maps to 1, as a sorted, distinct int64 array."""
         singles = [addr // PAGE_SIZE for addr, r in self.entries.items() if select[r.bits[0]]]
         runs = [_numbers(r.bits, select, r.base // PAGE_SIZE) for r in self._regions]
-        return _distinct(np.concatenate([np.array(singles, dtype=np.int64), *runs]))
+        pages = np.concatenate([np.array(singles, dtype=np.int64), *runs])
+        # regions never overlap: the scans of ascending regions are in order
+        if singles or any(a.base > b.base for a, b in pairwise(self._regions)):
+            pages = _distinct(pages)
+        return pages
 
     def _translate(self, table: bytes) -> None:
         """Every page's byte ``b`` becomes ``table[b]``."""

@@ -797,13 +797,17 @@ def _merged(arrays: list[np.ndarray]) -> np.ndarray:
 
     One array that is sorted and distinct already (a kernel's page numbers,
     a round end's merge, a sweep's writes) is returned as it is: checking
-    its order costs a small part of a sort.  One array alone may still be
-    out of order: spml's drained rows can span rounds."""
+    its order costs a small part of a sort.  Arrays that are each in order
+    (a round end's union and the round's pages) are merged by timsort
+    (``kind="stable"``), which takes them as runs: two runs merge in linear
+    time.  Arrays out of order get NumPy's default sort, which is faster
+    there: spml's drained rows can span rounds."""
     if len(arrays) == 1:
         (values,) = arrays
         if not (values[1:] <= values[:-1]).any():
             return values
-    return _distinct(np.concatenate(arrays))
+    in_order = all(not (a[1:] < a[:-1]).any() for a in arrays)
+    return _distinct(np.concatenate(arrays), "stable" if in_order else None)
 
 
 class _MechanicalRun(_Run):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oohsim.costs import CostTable
 from oohsim.engine import EventKind, SimEngine
 from oohsim.hypervisor import (
     COORD_REQUESTS,
@@ -15,9 +18,14 @@ from oohsim.hypervisor import (
     HvCore,
     Hypervisor,
     MigrationJob,
+    MigrationReport,
+    MigrationRoundStat,
+    ModelCheckResult,
     ProtocolError,
     SpmlRingBuffer,
     _DRAW_BLOCK,
+    _hv_from_state,
+    _state_of,
     model_check_coordination,
     run_migration,
 )
@@ -558,18 +566,90 @@ def test_model_check_finds_no_violations():
     assert res.transitions > 100
 
 
-def test_model_check_detects_reconfigure_before_flush():
-    class FaultyHypervisor(Hypervisor):
-        # unsets sched_in *before* flushing: buffered guest-entitled entries
-        # are then routed under the wrong flags
-        def coordinate(self, request, pid=None):
-            if request == "sched_out":
-                self.flags.sched_in = False
-            return super().coordinate(request, pid=pid)
+class FaultyHypervisor(Hypervisor):
+    # unsets sched_in *before* flushing: buffered guest-entitled entries
+    # are then routed under the wrong flags
+    def coordinate(self, request, pid=None):
+        if request == "sched_out":
+            self.flags.sched_in = False
+        return super().coordinate(request, pid=pid)
 
+
+def test_model_check_detects_reconfigure_before_flush():
     res = model_check_coordination(depth=4, buffer_slots=2, hv_factory=FaultyHypervisor)
     assert not res.ok
     assert any("tag mismatch" in v or "lost" in v for v in res.violations)
+
+
+def _model_check_rebuilding(
+    depth: int, buffer_slots: int, hv_factory: type
+) -> ModelCheckResult:
+    """``model_check_coordination`` as it was written first, the reference: a
+    machine rebuilt from its state for every transition."""
+    start = (False, False, False, buffer_slots, ())
+    expanded: set[tuple] = set()
+    frontier: list[tuple] = [start]
+    violations: list[str] = []
+    transitions = 0
+
+    for _ in range(depth):
+        if not frontier:
+            break
+        next_frontier: list[tuple] = []
+        for state in frontier:
+            if state in expanded:
+                continue
+            expanded.add(state)
+            for request in COORD_REQUESTS:
+                for n_writes in range(buffer_slots + 2):
+                    transitions += 1
+                    hv = _hv_from_state(state, buffer_slots, hv_factory)
+                    hv.coordinate(request, pid=1)
+                    for i in range(n_writes):
+                        out = hv.log_write(1000 + i, 1000 + i)
+                        if out.hv_full:
+                            hv.handle_pml_full_vmexit(refused=(1000 + i, 1000 + i))
+                    ctx = f"state={state} req={request} writes={n_writes}"
+                    f = hv.flags
+                    buf = hv.pml.hv_buffer
+                    enabled = buf.index != buf.disabled_index
+                    if enabled != f.armed_expected:
+                        violations.append(f"arming invariant broken: {ctx}")
+                    if not (-1 <= buf.index <= buf.disabled_index):
+                        violations.append(f"index out of range ({buf.index}): {ctx}")
+                    if hv.tag_mismatches:
+                        violations.append(f"entitlement tag mismatch at flush: {ctx}")
+                    if hv.discarded_total or hv.dropped_total:
+                        violations.append(f"entitled entry lost: {ctx}")
+                    buffered_g = sum(n for (g, _), n in hv._entry_tags if g)
+                    buffered_v = sum(n for (_, v), n in hv._entry_tags if v)
+                    if hv.logged_guest_tagged != hv.ring_delivered_total + buffered_g:
+                        violations.append(f"guest-entitled conservation broken: {ctx}")
+                    if hv.logged_vmm_tagged != hv.migration_delivered_total + buffered_v:
+                        violations.append(f"vmm-entitled conservation broken: {ctx}")
+                    new_state = _state_of(hv)
+                    if new_state not in expanded:
+                        next_frontier.append(new_state)
+        frontier = next_frontier
+
+    return ModelCheckResult(
+        states_explored=len(expanded),
+        transitions=transitions,
+        violations=violations,
+    )
+
+
+@pytest.mark.parametrize("hv_factory", [Hypervisor, FaultyHypervisor], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("buffer_slots", [1, 2, 3])
+@pytest.mark.parametrize("depth", [4, 8, 12])
+def test_model_check_equals_a_machine_rebuilt_per_transition(depth, buffer_slots, hv_factory):
+    """One machine per (state, request), written to one write at a time, finds
+    what a machine rebuilt for every transition finds, in the same order."""
+    got = model_check_coordination(depth, buffer_slots, hv_factory)
+    want = _model_check_rebuilding(depth, buffer_slots, hv_factory)
+    assert got.states_explored == want.states_explored
+    assert got.transitions == want.transitions
+    assert got.violations == want.violations
 
 
 def test_armed_expected_property():
@@ -711,6 +791,155 @@ def test_migration_reports_pinned(key):
     got = (rounds, rep.total_ms, rep.downtime_ms, rep.stop_reason, rep.vmexits)
     assert got == _PINNED_MIGRATIONS[key]
     assert [r.round_no for r in rep.rounds] == list(range(len(rep.rounds)))
+
+
+def _migration_per_write(
+    job: MigrationJob,
+    table: CostTable | None = None,
+    *,
+    concurrent_load: tuple[float, float] | None = None,
+) -> MigrationReport:
+    """``run_migration`` as it was written first, the reference: every
+    guest write is an event of its own."""
+    table = table or CostTable.default()
+    engine = SimEngine()
+    core = HvCore(engine)
+    rng = np.random.default_rng(job.seed)
+
+    flush_service_us = table.prices(job.vm_pages * 4096).copy_us(512)
+    write_period_us = 1e6 / job.writes_per_s
+
+    def draws():  # the written hot pages, drawn a block at a time
+        while True:
+            yield from rng.integers(job.hot_pages, size=_DRAW_BLOCK).tolist()
+
+    hot = draws()
+    dirty: set[int] = set()
+    rounds: list[MigrationRoundStat] = []
+    state = {
+        "round": 0,
+        "writes": 0,
+        "vmexits": 0,
+        "migrating": True,
+        "paused": False,
+        "round_start": 0.0,
+        "stop_reason": "",
+        "downtime_start": 0.0,
+        "downtime_ms": 0.0,
+        "total_ms": 0.0,
+    }
+
+    def on_write(ev) -> None:
+        if not state["migrating"] or state["paused"]:
+            return
+        dirty.add(next(hot))
+        state["writes"] += 1
+        if state["writes"] % 512 == 0:
+            state["vmexits"] += 1
+            core.service(flush_service_us)
+        engine.schedule(write_period_us, EventKind.WRITE, on_write)
+
+    def start_round(pages: int) -> None:
+        state["round_start"] = engine.now
+        core.start_background(pages * job.page_xfer_us, lambda t: on_round_done(pages, t))
+
+    def on_round_done(pages_sent: int, now: float) -> None:
+        rounds.append(
+            MigrationRoundStat(
+                round_no=state["round"],
+                pages_sent=pages_sent,
+                started_ms=state["round_start"] / 1000.0,
+                duration_ms=(now - state["round_start"]) / 1000.0,
+            )
+        )
+        residue = len(dirty)
+        dirty.clear()  # harvest re-arms the dirty bits
+        state["round"] += 1
+        if residue < job.stop_threshold_pages or state["round"] >= job.max_rounds:
+            state["stop_reason"] = (
+                "threshold" if residue < job.stop_threshold_pages else "max_rounds"
+            )
+            state["paused"] = True  # source stopped: no more dirtying
+            state["downtime_start"] = now
+            core.start_background(
+                residue * job.page_xfer_us, lambda t: on_stopcopy_done(residue, t)
+            )
+        else:
+            start_round(residue)
+
+    def on_stopcopy_done(pages_sent: int, now: float) -> None:
+        rounds.append(
+            MigrationRoundStat(
+                round_no=state["round"],
+                pages_sent=pages_sent,
+                started_ms=state["downtime_start"] / 1000.0,
+                duration_ms=(now - state["downtime_start"]) / 1000.0,
+            )
+        )
+        state["downtime_ms"] = (now - state["downtime_start"]) / 1000.0
+        state["total_ms"] = now / 1000.0
+        state["migrating"] = False
+
+    if concurrent_load is not None:
+        period_us, service_us = concurrent_load
+
+        def on_burst(ev) -> None:
+            if not state["migrating"]:
+                return
+            core.service(service_us)
+            engine.schedule(period_us, EventKind.VMEXIT, on_burst)
+
+        engine.schedule(period_us, EventKind.VMEXIT, on_burst)
+
+    engine.schedule(write_period_us, EventKind.WRITE, on_write)
+    start_round(job.vm_pages)
+    engine.run()
+
+    return MigrationReport(
+        rounds=rounds,
+        total_ms=state["total_ms"],
+        downtime_ms=state["downtime_ms"],
+        stop_reason=state["stop_reason"],
+        vmexits=state["vmexits"],
+    )
+
+# periods of 20 µs, 12.857… µs, 3 µs and 33.3… µs
+_PERIODIC_WRITES = st.sampled_from([50_000.0, 77_777.0, 1e6 / 3, 30_000.0])
+
+
+@settings(max_examples=100, deadline=None)
+# the (20, 5) load ties with every write at 50,000 writes/s
+@example(seed=7, hot_pages=2048, writes_per_s=50_000.0, page_xfer_us=2.5,
+         stop_threshold_pages=64, max_rounds=30, load=(20.0, 5.0))
+# round 0 ends at 10,240 µs, as the 256th write comes: the round's end runs
+# first, so the write is dirtied in round 1
+@example(seed=3, hot_pages=1 << 20, writes_per_s=25_000.0, page_xfer_us=2.5,
+         stop_threshold_pages=64, max_rounds=3, load=None)
+@example(seed=11, hot_pages=1 << 20, writes_per_s=1e6 / 3, page_xfer_us=1.0,
+         stop_threshold_pages=64, max_rounds=4, load=(333.3, 150.0))
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    hot_pages=st.sampled_from([1, 64, 2048, 1 << 20]),
+    writes_per_s=st.one_of(_PERIODIC_WRITES, st.floats(min_value=1_000.0, max_value=1e6 / 3)),
+    page_xfer_us=st.floats(min_value=0.25, max_value=3.0),
+    stop_threshold_pages=st.integers(min_value=1, max_value=600),
+    max_rounds=st.integers(min_value=1, max_value=5),
+    load=st.sampled_from([None, (8000.0, 2186.0), (20.0, 5.0), (333.3, 150.0)]),
+)
+def test_migration_equals_one_event_per_write(
+    seed, hot_pages, writes_per_s, page_xfer_us, stop_threshold_pages, max_rounds, load
+):
+    """Applying the writes between events in the event before them gives the
+    report of one event per write, field by field and to the last bit."""
+    job = MigrationJob(
+        vm_pages=4096, hot_pages=hot_pages, writes_per_s=writes_per_s,
+        page_xfer_us=page_xfer_us, stop_threshold_pages=stop_threshold_pages,
+        max_rounds=max_rounds, seed=seed,
+    )
+    got = run_migration(job, concurrent_load=load)
+    want = _migration_per_write(job, concurrent_load=load)
+    for f in fields(MigrationReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 @settings(max_examples=60, deadline=None)

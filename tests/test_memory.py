@@ -639,6 +639,23 @@ def test_region_ranges_may_not_overlap():
         pt.map_region(0x8000, 0x40_0000, 2)
 
 
+@pytest.mark.parametrize("single", [False, True], ids=["regions", "and-a-single-page"])
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_page_queries_answer_in_order_whatever_order_regions_were_mapped(order, single):
+    """The regions' scans are joined without a sort only when the regions are
+    ascending and no page is mapped singly."""
+    pt = GuestPageTable(pid=1)
+    for start in [0, 10, 30][::order]:
+        pt.map_region(start * P, (100 + start) * P, 5)
+    want = {start + i for start in (0, 10, 30) for i in range(5)}
+    if single:
+        pt.map_page(20 * P, 200 * P)
+        want.add(20)
+    assert _mapped_set(pt) == want
+    _unmap(pt, 11 * P)
+    assert _mapped_set(pt) == want - {11}
+
+
 def _assert_same_answers(lazy, eager, gvas, gpas):
     (lazy_pt, lazy_ept), (eager_pt, eager_ept) = lazy, eager
     for gva in gvas:

@@ -2052,6 +2052,26 @@ def test_numpy_cumsum_adds_repeated_faults_as_reduce_does(n):
         assert float(trackers._sums(start, uffd_fault, n)[-1]).hex() == want.hex()
 
 
+# ------------------------------------- collected pages merge to one array
+
+_PAGE_RUNS = st.lists(
+    st.tuples(st.lists(st.integers(0, 300), max_size=40), st.booleans()),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=_PAGE_RUNS)
+def test_merged_pages_are_the_sorted_distinct_union(runs):
+    """Whichever arrays are in order and whichever are not, the merge of a
+    round's collected arrays is their sorted, distinct union."""
+    arrays = [np.array(sorted(v) if ordered else v, dtype=np.int64) for v, ordered in runs]
+    want = sorted({v for a in arrays for v in a.tolist()})
+    merged = trackers._merged(arrays)
+    assert merged.dtype == np.int64
+    assert merged.tolist() == want
+
+
 # ----------------------------------------------- an infinite horizon is legal
 
 
