@@ -8,16 +8,16 @@ metric  meaning                                                unit
 ======  =====================================================  ==========
 M1      context switch, user to kernel space                   us (fixed)
 M2      userfaultfd write-protect ioctl (folded into M6)       --
-M3      ioctl path: PML init                                   us (fixed)
-M4      ioctl path: PML deactivation                           us (fixed)
+M3      ioctl path: PML init                                   not modelled
+M4      ioctl path: PML deactivation                           not modelled
 M5      page-fault handling in kernel space                    ms @ size
 M6      page-fault handling in userspace                       ms @ size
 M7      vmread on the shadow VMCS                              us (fixed)
 M8      vmwrite on the shadow VMCS                             us (fixed)
 M9      hypercall: PML init                                    us (fixed)
 M10     hypercall: PML init + VMCS shadowing init              us (fixed)
-M11     hypercall: PML deactivation                            us (fixed)
-M12     hypercall: PML + VMCS shadowing deactivation           us (fixed)
+M11     hypercall: PML deactivation                            not modelled
+M12     hypercall: PML + VMCS shadowing deactivation           not modelled
 M13     hypercall: enable PML logging                          us (fixed)
 M14     hypercall: disable PML logging                         ms @ size
 M15     soft-dirty clear (write 4 to /proc/PID/clear_refs)     ms @ size
@@ -26,7 +26,8 @@ M17     reverse mapping GPA -> GVA                             ms @ size
 M18     ring-buffer copy                                       ms @ size
 ======  =====================================================  ==========
 
-M3, M4, M11 and M12 are calibration keys that no run charges.
+No run charges M2, M3, M4, M11 or M12, so none is a calibration key: a
+calibration file that names one fails as an unknown key.
 
 Size-dependent metrics are anchored at seven tracked-memory sizes and the
 table linearly interpolates between anchors, linearly extrapolates beyond
@@ -74,14 +75,10 @@ ENV_CALIBRATION = "OOHSIM_CALIBRATION"
 
 _FIXED_DEFAULTS_US = {
     "M1": 0.315,
-    "M3": 5651.0,
-    "M4": 2816.0,
     "M7": 0.936,
     "M8": 0.801,
     "M9": 5495.0,
     "M10": 5878.0,
-    "M11": 2060.0,
-    "M12": 2755.0,
     "M13": 0.3,
 }
 

@@ -1260,8 +1260,11 @@ class _MechanicalRun(_Run):
         self._map_parked()
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
-        writes = self.cfg.trace.decoded[1] if self.cfg.trace is not None else self.gvas
-        written = _merged([np.asarray(writes)[self.oracle] // PAGE_SIZE])
+        if self.cfg.trace is not None:
+            writes = self.cfg.trace.decoded[1]
+        else:  # the sweep's range, without a Python int per page
+            writes = np.arange(self.gvas.start, self.gvas.stop, self.gvas.step)
+        written = _merged([writes[self.oracle] // PAGE_SIZE])
         collected = _merged(self.collected) if self.collected else written[:0]
         if len(collected):  # the written pages that were not collected
             found = collected[collected.searchsorted(written).clip(max=len(collected) - 1)]

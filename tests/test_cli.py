@@ -54,9 +54,10 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
     cal = tmp_path / "old.cal"
-    cal.write_text("migration_max_rounds = 30\n")
-    assert main(["run", "--calibration", str(cal)]) == EXIT_CONFIG
-    assert "migration_max_rounds" in capsys.readouterr().err
+    for key in ("migration_max_rounds", "M3"):  # a retired knob, and a metric no run charges
+        cal.write_text(f"{key} = 30\n")
+        assert main(["run", "--calibration", str(cal)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["0", "0.5", "-64", "nan", "inf"])

@@ -6,7 +6,7 @@ import hashlib
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add
@@ -36,6 +36,8 @@ from oohsim.trackers import (
 )
 from oohsim.vm import VirtualMachine
 from oohsim.workloads import KvWorkloadSpec, TraceWorkload, churn_trace, random_trace
+
+import knobs
 
 MB = 1 << 20
 GB = 1000 * MB
@@ -1020,7 +1022,7 @@ def test_zero_horizon_truncates_immediately():
     assert rep.monitor_span_us == 0.0
 
 
-# ------------------------------------------------ quiet stretches are exact
+# ----------------------------------------------- report fields, bit for bit
 
 
 def _field_bits(report: TrackerPhaseReport) -> dict:
@@ -1035,57 +1037,6 @@ def _field_bits(report: TrackerPhaseReport) -> dict:
     return {f.name: exact(getattr(report, f.name)) for f in fields(report)}
 
 
-def _assert_stretches_exact(config) -> None:
-    """The run gives the report it gives with every write by ``write_one``."""
-    stretched = run_tracker(config)
-    with pytest.MonkeyPatch.context() as mp:
-        # no quiet run: every write goes through write_one
-        mp.setattr(VirtualMachine, "quiet_run", lambda self, pid, gva, n: b"")
-        stepped = run_tracker(config)
-    assert _field_bits(stretched) == _field_bits(stepped)
-
-
-_FILL_CROSSING = dict(
-    technique="epml", rounds=3, quantum_us=10_000.0, policy="stall", defer=False, horizon_us=6e7
-)
-
-
-@settings(max_examples=80, deadline=None)
-# epml stretches that cross guest-buffer fills, and with a small ring and
-# sparse ticks copies that saturate the tool ring
-@example(pages=2048, interval_us=1_000.0, ring=16384, **_FILL_CROSSING)
-@example(pages=4096, interval_us=1_000.0, ring=16384, **_FILL_CROSSING)
-@example(pages=4096, interval_us=2_000.0, ring=512, **_FILL_CROSSING)
-@example(pages=2048, interval_us=2_000.0, ring=1024, **_FILL_CROSSING)
-@given(
-    technique=st.sampled_from(TECHNIQUES),
-    pages=st.sampled_from([1, 77, 512, 513, 700]),
-    rounds=st.integers(min_value=0, max_value=3),
-    quantum_us=st.sampled_from([0.5, 300.0, 3_000.0, 10_000.0]),
-    interval_us=st.sampled_from([40.0, 250.0, 1_000.0, 2_000.0]),
-    ring=st.sampled_from([512, 1024, 16384]),
-    policy=st.sampled_from(["stall", "drop"]),
-    defer=st.booleans(),
-    horizon_us=st.sampled_from([0.0, 350.0, 3_000.0, 6e7]),
-)
-def test_quiet_stretches_leave_every_report_field_as_write_by_write(
-    technique, pages, rounds, quantum_us, interval_us, ring, policy, defer, horizon_us
-):
-    config = cfg(
-        technique,
-        pages * PAGE_SIZE,
-        rounds=rounds,
-        quantum_us=quantum_us,
-        collection_interval_us=interval_us,
-        ring_capacity=ring,
-        ring_full_policy=policy,
-        defer_reverse_map=defer,
-        horizon_us=horizon_us,
-        mechanical=True,
-    )
-    _assert_stretches_exact(config)
-
-
 def _digest(report: TrackerPhaseReport) -> str:
     """A short hash of every report field, floats exact and sets sorted."""
     canon = [(k, sorted(v) if isinstance(v, set) else v) for k, v in _field_bits(report).items()]
@@ -1094,7 +1045,7 @@ def _digest(report: TrackerPhaseReport) -> str:
 
 # (technique, MB, quantum µs) -> (monitored span as hex, _digest) of a 13-round
 # mechanical sweep, recorded when every collection tick still cut a stretch;
-# ``trace`` rows are _stretch_trace(11, 700, 2_500, 0.002, 1_000) at 40 µs ticks
+# ``trace`` rows are knobs.stretch_trace(11, 700, 2_500, 0.002, 1_000) at 40 µs ticks
 # and a 300 µs quantum.  proc and uffd runs schedule no collection tick, so
 # no interval may move a field
 _PINNED_NO_OP_TICKS = {
@@ -1130,7 +1081,7 @@ def test_no_op_ticks_move_no_float_of_a_sweep(key):
 
 @pytest.mark.parametrize("technique", ["proc", "uffd"])
 def test_no_op_ticks_move_no_float_of_a_trace(technique):
-    ops = _stretch_trace(11, 700, 2_500, 0.002, 1_000)
+    ops = knobs.stretch_trace(11, 700, 2_500, 0.002, 1_000)
     rep = run_tracker(
         cfg(technique, 700 * PAGE_SIZE, quantum_us=300.0, collection_interval_us=40.0,
             trace=TraceWorkload(ops))
@@ -1270,6 +1221,9 @@ def test_segment_rounds_pinned(technique):
     assert _runs_digest(_segment_round_runs(technique)) == _PINNED_SEGMENT_ROUNDS[technique]
 
 
+# ------------------------------------------ each engine against its reference
+
+
 def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> float:
     candidate = prev_tick + interval
     aligned = interval * math.ceil(busy_end / interval)
@@ -1277,11 +1231,10 @@ def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> floa
 
 
 class _PerTick:
-    """The collection chain of both engines before back-to-back spml ticks ran
-    in one loop, kept as the reference: every tick of a stall, of the final
-    harvest and of the catch-up after an event is one ``_tick`` call, which
-    drains through the engine's own ``_drain`` and places the next tick with
-    :func:`_next_tick_after`."""
+    """The collection chain of both references: every tick of a stall, of the
+    final harvest and of the catch-up after an event is one ``_tick`` call,
+    which drains through the reference's own ``_drain`` and places the next
+    tick with :func:`_next_tick_after`."""
 
     def _tick(self) -> None:
         interval = self.cfg.collection_interval_us
@@ -1326,18 +1279,89 @@ class _PerTick:
             self._charge("walk_us", self.c.m16)
 
 
-class _PerEventSegment(trackers._SegmentRun):
-    """The segment round before it ran on locals, kept verbatim as the
-    reference: every stretch ends in a ``_swap_and_tick`` call, every epml
-    buffer copy in an ``_epml_copy`` call and every spml buffer-full vmexit in
-    an ``_spml_vmexit`` call, so a subclass that overrides them sees each event."""
+class _MechanicalReference(_PerTick, trackers._MechanicalRun):
+    """The mechanical engine's reference: every tick is one call and every
+    drain maps its pairs at once.  :func:`_assert_as_reference` also runs it
+    with every write through ``write_one`` and one op per call."""
+
+    def _drain(self) -> float:
+        pre = self.collect_us
+        if self.cfg.defer_reverse_map:
+            res = drain_ring(self.vm)
+            self.drained.append(res.raw)
+            rm_us, copy_us = res.rm_us, res.copy_us
+        else:
+            k = min(self.c.drain_batch, self.ring_used)
+            self._owed += k
+            rm_us = reduce(add, repeat(self.c.m17_pp, k), 0.0)
+            copy_us = k * self.c.m18_pp
+        self.tracker_busy += rm_us + copy_us
+        self.collect_us += rm_us + copy_us
+        self.parts["reverse_mapping_us"] += rm_us
+        self.parts["copy_us"] += copy_us
+        self._map_parked()
+        return self.collect_us - pre
+
+    def _swap_and_tick(self) -> None:
+        super()._swap_and_tick()
+        self._settle()
+
+    def _event(self, res, wall: float, run: float) -> None:
+        c = self.c
+        if res.softirq_copied or res.softirq_us:
+            wall += res.softirq_us
+            self.suspension += res.softirq_us
+            self.softirqs += 1
+        if res.vmexit is not None and not res.stalled:
+            wall += c.vmexit_service
+            self.suspension += c.vmexit_service
+            self.vmexits += 1
+        self.t += wall
+        self.run_acc += run
+        if res.stalled:
+            hv, refused = self.vm.hv, res.refused
+            ring, pending = hv.ring, len(hv.pml.hv_buffer.entries)
+
+            def flushed() -> bool:
+                if max(0, ring.capacity - self.ring_used) < pending:
+                    hv.vmexit_stalls += 1
+                    return False
+                self._settle()
+                return not hv.handle_pml_full_vmexit(refused=refused).stalled
+
+            if not self._stall(flushed):
+                return
+            self._vmexit()
+        self._swap_and_tick()
+
+
+class _SegmentReference(_PerTick, trackers._SegmentRun):
+    """The segment engine's reference: every tick is one call, every stretch
+    ends in a ``_swap_and_tick`` call, every epml buffer copy in an
+    ``_epml_copy`` call and every spml buffer-full vmexit in an
+    ``_spml_vmexit`` call."""
+
+    def _drain(self) -> float:
+        k = min(self.c.drain_batch, self.ring_used)
+        if self.cfg.defer_reverse_map:
+            cost = k * self.c.m18_pp
+            self.parts["copy_us"] += cost
+        else:
+            cost = k * (self.c.m18_pp + self.c.m17_pp)
+            self.parts["copy_us"] += k * self.c.m18_pp
+            self.parts["reverse_mapping_us"] += k * self.c.m17_pp
+        self.ring_used -= k
+        self.tracker_busy += cost
+        self.collect_us += cost
+        return cost
 
     def _spml_vmexit(self) -> None:
         """Buffer-full during a write: stall if needed, flush, replay."""
         pending, cap = 512, self.cfg.ring_capacity
         if self.cfg.ring_full_policy == "stall":
-            self._spml_ticks("room", pending)  # no tick when the ring has room already
-            if self.truncated:
+            if cap - self.ring_used < pending and not self._stall(
+                lambda: cap - self.ring_used >= pending
+            ):
                 return
             self.ring_used += pending
         else:  # drop
@@ -1390,86 +1414,61 @@ class _PerEventSegment(trackers._SegmentRun):
             self._swap_and_tick()
 
 
-class _PerTickSegment(_PerTick, _PerEventSegment):
-    def _drain(self) -> float:
-        k = min(self.c.drain_batch, self.ring_used)
-        if self.cfg.defer_reverse_map:
-            cost = k * self.c.m18_pp
-            self.parts["copy_us"] += cost
+def _one_op_per_call(self, pid, ops):
+    """apply_ops as one map_fresh, unmap or remap call per op."""
+    for op in ops:
+        if op[0] == "map":
+            self.map_fresh(pid, op[1])
+        elif op[0] == "unmap":
+            self.unmap(pid, op[1])
+        elif op[0] == "remap":
+            self.remap(pid, op[1], op[2])
         else:
-            cost = k * (self.c.m18_pp + self.c.m17_pp)
-            self.parts["copy_us"] += k * self.c.m18_pp
-            self.parts["reverse_mapping_us"] += k * self.c.m17_pp
-        self.ring_used -= k
-        self.tracker_busy += cost
-        self.collect_us += cost
-        return cost
-
-    def _spml_vmexit(self) -> None:
-        pending, cap = 512, self.cfg.ring_capacity
-        if self.cfg.ring_full_policy == "stall":
-            if cap - self.ring_used < pending and not self._stall(
-                lambda: cap - self.ring_used >= pending
-            ):
-                return
-            self.ring_used += pending
-        else:
-            sent = min(pending, max(0, cap - self.ring_used))
-            self.ring_used += sent
-            self.dropped += pending - sent
-        self._vmexit()
-        self.buf_fill = 1
+            raise ValueError(f"unknown trace op {op[0]!r}")
 
 
-class _PerTickMechanical(_PerTick, trackers._MechanicalRun):
-    def _drain(self) -> float:
-        pre = self.collect_us
-        if self.cfg.defer_reverse_map:
-            res = drain_ring(self.vm)
-            self.drained.append(res.raw)
-            rm_us, copy_us = res.rm_us, res.copy_us
-        else:
-            k = min(self.c.drain_batch, self.ring_used)
-            self._owed += k
-            rm_us = reduce(add, repeat(self.c.m17_pp, k), 0.0)
-            copy_us = k * self.c.m18_pp
-        self.tracker_busy += rm_us + copy_us
-        self.collect_us += rm_us + copy_us
-        self.parts["reverse_mapping_us"] += rm_us
-        self.parts["copy_us"] += copy_us
-        return self.collect_us - pre
+@contextmanager
+def _ops_one_at_a_time():
+    """One op per call, and every page mapped singly a one-page region."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VirtualMachine, "apply_ops", _one_op_per_call)
+        mp.setattr(_PageMap, "_join", lambda self, *args: False)
+        yield mp
 
-    def _swap_and_tick(self) -> None:
-        super()._swap_and_tick()
-        self._settle()
 
-    def _event(self, res, wall: float, run: float) -> None:
-        c = self.c
-        if res.softirq_copied or res.softirq_us:
-            wall += res.softirq_us
-            self.suspension += res.softirq_us
-            self.softirqs += 1
-        if res.vmexit is not None and not res.stalled:
-            wall += c.vmexit_service
-            self.suspension += c.vmexit_service
-            self.vmexits += 1
-        self.t += wall
-        self.run_acc += run
-        if res.stalled:
-            hv, refused = self.vm.hv, res.refused
-            ring, pending = hv.ring, len(hv.pml.hv_buffer.entries)
+def _run_fields(run) -> tuple[TrackerPhaseReport, dict]:
+    """Run ``run``: its report, and every field of it with the mechanical
+    machine's stall count."""
+    report = run.run()
+    out = _field_bits(report)
+    if isinstance(run, trackers._MechanicalRun):
+        out["vmexit_stalls"] = run.vm.hv.vmexit_stalls
+    return report, out
 
-            def flushed() -> bool:
-                if max(0, ring.capacity - self.ring_used) < pending:
-                    hv.vmexit_stalls += 1
-                    return False
-                self._settle()
-                return not hv.handle_pml_full_vmexit(refused=refused).stalled
 
-            if not self._stall(flushed):
-                return
-            self._vmexit()
-        self._swap_and_tick()
+def _assert_as_reference(config) -> TrackerPhaseReport:
+    """The engine that runs ``config`` leaves every field as its reference
+    does, and return the engine's report.  The mechanical reference writes
+    every page through ``write_one``, runs every tick as one call, maps
+    every drain at once, applies one op per call and joins no region; its
+    stall count must agree too.  The segment reference steps one event at a
+    time; the clock, buffers, rings and next tick, which no report shows,
+    must agree too."""
+    segment = not config.mechanical and config.trace is None
+    engine, reference = (
+        (trackers._SegmentRun, _SegmentReference) if segment
+        else (trackers._MechanicalRun, _MechanicalReference)
+    )
+    run = engine(config)
+    report, fields = _run_fields(run)
+    with _ops_one_at_a_time() as mp:
+        mp.setattr(trackers, "STRETCH_MIN", math.inf)  # no stretch: every write by write_one
+        ref = reference(config)
+        assert fields == _run_fields(ref)[1]
+    if segment:
+        for name in ("t", "run_acc", "next_tick", "buf_fill", "ring_used", "tool_ring"):
+            assert getattr(run, name) == getattr(ref, name), name
+    return report
 
 
 def _batch_charge_us(pages: int, mechanical: bool) -> float:
@@ -1481,112 +1480,113 @@ def _batch_charge_us(pages: int, mechanical: bool) -> float:
     return k * (prices.m18_pp + prices.m17_pp)
 
 
-def _run_fields(run) -> dict:
-    """Every field of the run's report, and the mechanical machine's stall count."""
-    out = _field_bits(run.run())
-    if hasattr(run, "vm"):
-        out["vmexit_stalls"] = run.vm.hv.vmexit_stalls
-    return out
+def _spml_sweep(pages: int, mechanical: bool, **kw) -> TrackerConfig:
+    """A three-round spml sweep of ``pages`` pages."""
+    return cfg("spml", pages * PAGE_SIZE, rounds=3, mechanical=mechanical, **kw)
 
 
-@settings(max_examples=60, deadline=None)
-# a one-buffer ring under stall: 137 stalled retries in the mechanical run,
-# 7 before a horizon that lands in a stall, and deferred mapping, whose
-# ticks take the whole ring, stalling 22 times and ending in a stall
-@example(mechanical=True, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
-         interval_us=1_000.0, ring=512, policy="stall", defer=False, horizon_us=6e7)
-@example(mechanical=True, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
-         interval_us=1_000.0, ring=512, policy="stall", defer=False, horizon_us=12_000.0)
-@example(mechanical=False, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
-         interval_us=1_000.0, ring=512, policy="stall", defer=False, horizon_us=12_000.0)
-@example(mechanical=True, technique="spml", pages=4096, rounds=3, quantum_us=10_000.0,
-         interval_us=5_000.0, ring=512, policy="stall", defer=True, horizon_us=6e7)
-@example(mechanical=True, technique="spml", pages=513, rounds=3, quantum_us=10_000.0,
-         interval_us=5_000.0, ring=512, policy="stall", defer=True, horizon_us=12_000.0)
+@settings(max_examples=110, deadline=None)
+# epml stretches that cross guest-buffer fills, and with a small ring and
+# sparse ticks copies that saturate the tool ring
+@example(config=cfg("epml", 2048 * PAGE_SIZE, rounds=3, mechanical=True))
+@example(config=cfg("epml", 4096 * PAGE_SIZE, rounds=3, mechanical=True))
+@example(config=cfg("epml", 4096 * PAGE_SIZE, rounds=3, collection_interval_us=2_000.0,
+                    ring_capacity=512, mechanical=True))
+@example(config=cfg("epml", 2048 * PAGE_SIZE, rounds=3, collection_interval_us=2_000.0,
+                    ring_capacity=1024, mechanical=True))
+# a one-buffer ring under stall: 137 stalled retries, 7 before a horizon that
+# lands in a stall, and deferred mapping, whose ticks take the whole ring,
+# stalling 22 times and ending in a stall
+@example(config=_spml_sweep(4096, True, ring_capacity=512))
+@example(config=_spml_sweep(4096, True, ring_capacity=512, horizon_us=12_000.0))
+@example(config=_spml_sweep(4096, True, collection_interval_us=5_000.0, ring_capacity=512,
+                            defer_reverse_map=True))
+@example(config=_spml_sweep(513, True, collection_interval_us=5_000.0, ring_capacity=512,
+                            defer_reverse_map=True, horizon_us=12_000.0))
 # an interval of one batch's charge: a drain then spans an interval, up to
 # how the collection clock rounds it, and whether the next tick skips one
 # depends on the engine's own rule for the span
-@example(mechanical=True, technique="spml", pages=1_500, rounds=3, quantum_us=10_000.0,
-         interval_us=_batch_charge_us(1_500, True), ring=512, policy="stall", defer=False,
-         horizon_us=6e7)
-@example(mechanical=False, technique="spml", pages=1_500, rounds=3, quantum_us=10_000.0,
-         interval_us=_batch_charge_us(1_500, False), ring=512, policy="stall", defer=False,
-         horizon_us=6e7)
-@given(
-    mechanical=st.booleans(),
-    technique=st.sampled_from(["spml", "spml", "spml", "epml"]),
-    pages=st.sampled_from([1, 300, 513, 1_500, 4_096]),
-    rounds=st.integers(min_value=0, max_value=3),
-    quantum_us=st.sampled_from([300.0, 10_000.0]),
-    interval_us=st.sampled_from([40.0, 250.0, 1_000.0, 5_000.0]),
-    ring=st.sampled_from([512, 1024, 16384]),
-    policy=st.sampled_from(["stall", "drop"]),
-    defer=st.booleans(),
-    horizon_us=st.sampled_from([0.0, 3_000.0, 12_000.0, 6e7]),
+@example(config=_spml_sweep(1_500, True, collection_interval_us=_batch_charge_us(1_500, True),
+                            ring_capacity=512))
+@given(config=knobs.runs("mechanical"))
+def test_quiet_stretches_leave_every_report_field_as_write_by_write(config):
+    # a mechanical sweep: its stretches, back-to-back ticks and parked pairs
+    # (a drain maps its pairs at once in the reference)
+    _assert_as_reference(config)
+
+
+# stretches of a trace that reach a full buffer
+_LONG_STRETCHES = dict(
+    shape="stretch", pages=700, n_ops=2_500, p_churn=0.002, hot=1_000, seed=5, ring_capacity=1024
 )
-def test_back_to_back_ticks_leave_every_field_as_one_tick_at_a_time(
-    mechanical, technique, pages, rounds, quantum_us, interval_us, ring, policy, defer, horizon_us
-):
-    config = cfg(
-        technique, pages * PAGE_SIZE, rounds=rounds, quantum_us=quantum_us,
-        collection_interval_us=interval_us, ring_capacity=ring, ring_full_policy=policy,
-        defer_reverse_map=defer, horizon_us=horizon_us, mechanical=mechanical,
-    )
-    engine, reference = (
-        (trackers._MechanicalRun, _PerTickMechanical) if mechanical
-        else (trackers._SegmentRun, _PerTickSegment)
-    )
-    assert _run_fields(engine(config)) == _run_fields(reference(config))
+# spml stretches that pass unmaps and end at a tick that drains pairs of
+# the pages they unmapped
+_LATE_UNMAPS = {
+    **_LONG_STRETCHES, "pages": 3, "p_churn": 0.05, "hot": 1, "seed": 0, "quantum_us": 300.0,
+    "collection_interval_us": 40.0,
+}
+# churn-ckpt's traces: random_trace's 10% maps and 10% unmaps over a region
+# pre-mapped whole, at the default config, with the bench's seed-1 first seed
+_CHURN_CKPT = {
+    **_LONG_STRETCHES, "shape": "premapped", "n_ops": 200, "p_churn": 0.2, "seed": 1_000_003,
+    "ring_capacity": 16384,
+}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
+@example(config=knobs.trace_run("spml", **_LONG_STRETCHES))
+@example(config=knobs.trace_run("epml", **_LONG_STRETCHES))
+# epml stretches that cross guest-buffer fills among hot pages, which a copy
+# re-arms and the stretch then writes again
+@example(config=knobs.trace_run("epml", **{**_LONG_STRETCHES, "hot": 40, "ring_capacity": 16384}))
+@example(config=knobs.trace_run(
+    "epml", **{**_LONG_STRETCHES, "hot": 300, "n_ops": 6_000, "ring_capacity": 16384}
+))
+@example(config=knobs.trace_run("spml", **_LATE_UNMAPS))
+# a write to the page a move took away, in the window the move would end
+@example(config=knobs.trace_run("proc", **{**_LATE_UNMAPS, "pages": 40, "n_ops": 700, "hot": 40}))
+@example(config=knobs.trace_run("proc", **{**_CHURN_CKPT, "pages": 64}))
+@example(config=knobs.trace_run("uffd", **{**_CHURN_CKPT, "pages": 64}))
+@example(config=knobs.trace_run("spml", **{**_CHURN_CKPT, "pages": 64}))
+@example(config=knobs.trace_run("epml", **{**_CHURN_CKPT, "pages": 64}))
+@example(config=knobs.trace_run("proc", **{**_CHURN_CKPT, "pages": 4096}))
+@example(config=knobs.trace_run("uffd", **{**_CHURN_CKPT, "pages": 4096}))
+@example(config=knobs.trace_run("spml", **{**_CHURN_CKPT, "pages": 4096}))
+@example(config=knobs.trace_run("epml", **{**_CHURN_CKPT, "pages": 4096}))
+@given(config=knobs.runs("trace"))
+def test_trace_stretches_leave_every_report_field_as_write_by_write(config):
+    # a "stretch" trace's windows end at moves, at rewrites of an unmapped
+    # page and at maps of a page written before; a "premapped" trace's run
+    # through its maps and unmaps, as churn-ckpt's do
+    _assert_as_reference(config)
+
+
+@settings(max_examples=130, deadline=None)
 # long epml rounds with no quantum, where a tick gap alone sometimes ends a
 # stretch one write before the buffer would, and a full spml ring under
 # stall, where every buffer-full vmexit waits for ticks
-@example(technique="epml", pages=12_800, rounds=13, quantum_us=math.inf, interval_us=1_000.0,
-         ring=1024, policy="stall", defer=False, horizon_us=6e7)
-@example(technique="spml", pages=12_800, rounds=3, quantum_us=10_000.0, interval_us=1_000.0,
-         ring=1024, policy="stall", defer=False, horizon_us=6e7)
+@example(config=cfg("epml", 50 * MB, rounds=13, quantum_us=math.inf, ring_capacity=1024))
+@example(config=cfg("spml", 50 * MB, rounds=3, ring_capacity=1024))
 # a swap's forced flush of a partly filled spml buffer into a ring that has
 # no room for it, under stall (114 such swaps)
-@example(technique="spml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=1_000.0,
-         ring=512, policy="stall", defer=False, horizon_us=6e7)
+@example(config=cfg("spml", 50 * MB, rounds=3, quantum_us=300.0, ring_capacity=512))
 # a swap's copy of a partly filled epml buffer into a tool ring without
 # room for it, so entries drop (79 such swaps)
-@example(technique="epml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=1_000.0,
-         ring=512, policy="stall", defer=False, horizon_us=6e7)
+@example(config=cfg("epml", 50 * MB, rounds=3, quantum_us=300.0, ring_capacity=512))
 # a stall that the horizon cuts short
-@example(technique="spml", pages=513, rounds=3, quantum_us=10_000.0, interval_us=40.0,
-         ring=512, policy="stall", defer=False, horizon_us=3_000.0)
+@example(config=_spml_sweep(513, False, collection_interval_us=40.0, ring_capacity=512,
+                            horizon_us=3_000.0))
+@example(config=_spml_sweep(4096, False, ring_capacity=512, horizon_us=12_000.0))
 # a swap and a due tick after the same stretch (70 times for spml, 13 for epml)
-@example(technique="spml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=40.0,
-         ring=1024, policy="stall", defer=False, horizon_us=6e7)
-@example(technique="epml", pages=12_800, rounds=3, quantum_us=300.0, interval_us=40.0,
-         ring=16384, policy="stall", defer=False, horizon_us=6e7)
-@given(
-    technique=st.sampled_from(TECHNIQUES),
-    pages=st.sampled_from([1, 300, 512, 513, 5 * MB // PAGE_SIZE, 50 * MB // PAGE_SIZE]),
-    rounds=st.integers(min_value=0, max_value=13),
-    quantum_us=st.sampled_from([300.0, 10_000.0, math.inf]),
-    interval_us=st.sampled_from([40.0, 1_000.0]),
-    ring=st.sampled_from([512, 1024, 16384]),
-    policy=st.sampled_from(["stall", "drop"]),
-    defer=st.booleans(),
-    horizon_us=st.sampled_from([0.0, 3_000.0, 6e7]),
-)
-def test_a_segment_round_on_locals_leaves_every_field_as_one_event_at_a_time(
-    technique, pages, rounds, quantum_us, interval_us, ring, policy, defer, horizon_us
-):
-    config = cfg(
-        technique, pages * PAGE_SIZE, rounds=rounds, quantum_us=quantum_us,
-        collection_interval_us=interval_us, ring_capacity=ring, ring_full_policy=policy,
-        defer_reverse_map=defer, horizon_us=horizon_us,
-    )
-    run, reference = trackers._SegmentRun(config), _PerEventSegment(config)
-    assert _run_fields(run) == _run_fields(reference)
-    # the state a report does not show: the buffers, the rings and the clock's next tick
-    for name in ("t", "run_acc", "next_tick", "buf_fill", "ring_used", "tool_ring"):
-        assert getattr(run, name) == getattr(reference, name), name
+@example(config=cfg("spml", 50 * MB, rounds=3, quantum_us=300.0, collection_interval_us=40.0,
+                    ring_capacity=1024))
+@example(config=cfg("epml", 50 * MB, rounds=3, quantum_us=300.0, collection_interval_us=40.0))
+# an interval of one batch's charge (see the mechanical sweeps)
+@example(config=_spml_sweep(1_500, False, collection_interval_us=_batch_charge_us(1_500, False),
+                            ring_capacity=512))
+@given(config=knobs.runs("segment"))
+def test_a_segment_round_on_locals_leaves_every_field_as_one_event_at_a_time(config):
+    _assert_as_reference(config)
 
 
 def _tracker_config(run: str, technique: str, interval_us: float, **kw) -> TrackerConfig:
@@ -1632,24 +1632,15 @@ def test_a_proc_or_uffd_run_makes_no_tick(technique, run):
 
 @settings(max_examples=40, deadline=None)
 @given(
+    data=st.data(),
+    engine=st.sampled_from(knobs.ENGINES),
     technique=st.sampled_from(["proc", "uffd"]),
-    run=st.sampled_from(["segment", "mechanical", "trace"]),
-    seed=st.integers(min_value=0, max_value=2**16),
-    pages=st.sampled_from([1, 77, 513, 700]),
-    quantum_us=st.sampled_from([0.5, 300.0, 10_000.0]),
-    horizon_us=st.sampled_from([0.0, 350.0, 3_000.0, 6e7]),
-    intervals=st.lists(
-        st.floats(min_value=0.5, max_value=1e7, allow_nan=False), min_size=2, max_size=3
-    ),
 )
-def test_the_interval_moves_no_field_of_a_proc_or_uffd_report(
-    technique, run, seed, pages, quantum_us, horizon_us, intervals
-):
-    kw = {"seed": seed} if run == "trace" else {"pages": pages}
+def test_the_interval_moves_no_field_of_a_proc_or_uffd_report(data, engine, technique):
+    config = data.draw(knobs.runs(engine, [technique]))
+    intervals = data.draw(st.lists(knobs.intervals(technique), min_size=2, max_size=3))
     reports = [
-        _field_bits(run_tracker(_tracker_config(
-            run, technique, interval_us, quantum_us=quantum_us, horizon_us=horizon_us, **kw
-        )))
+        _field_bits(run_tracker(replace(config, collection_interval_us=interval_us)))
         for interval_us in intervals
     ]
     assert all(report == reports[0] for report in reports[1:])
@@ -1684,7 +1675,7 @@ def test_a_round_that_starts_past_the_tick_is_exact(rounds, interval_us):
     config = cfg(
         "proc", 256 * PAGE_SIZE, rounds=rounds, collection_interval_us=interval_us, mechanical=True
     )
-    _assert_stretches_exact(config)
+    _assert_as_reference(config)
 
 
 @pytest.mark.parametrize("rounds", [2, 3])
@@ -1708,134 +1699,11 @@ def test_an_epml_round_that_starts_past_the_tick_is_exact(pages, interval_us, ro
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trackers._MechanicalRun, "_drive", watched)
-        _assert_stretches_exact(config)
+        _assert_as_reference(config)
     assert any(late)
 
 
-# ------------------------------------------ trace stretches are exact too
-
-
-def _stretch_trace(
-    seed: int, pages: int, n_ops: int, p_churn: float, hot: int, stale: bool = False
-) -> list[tuple]:
-    """Writes, most to a few hot pages and some to any page or to one that is
-    not mapped, mixed with maps, unmaps and moves of live pages.  A write to a
-    page not mapped names one the trace maps later; with ``stale``, half of
-    them name one it unmapped or moved away earlier, where there is one."""
-    rng = random.Random(seed)
-    mapped = [(i + 1) * PAGE_SIZE for i in range(pages)]
-    unmapped: list[int] = []
-    fresh = (pages + 1) * PAGE_SIZE
-    ops: list[tuple] = []
-    for _ in range(n_ops):
-        r = rng.random()
-        if r < p_churn and len(mapped) > 1:
-            kind = rng.choice(["map", "unmap", "remap"])
-            if kind == "map":
-                ops.append(("map", fresh))
-                mapped.append(fresh)
-            elif kind == "unmap":
-                unmapped.append(mapped.pop(rng.randrange(len(mapped))))
-                ops.append(("unmap", unmapped[-1]))
-                continue
-            else:
-                i = rng.randrange(len(mapped))
-                ops.append(("remap", mapped[i], fresh))
-                unmapped.append(mapped[i])
-                mapped[i] = fresh
-            fresh += PAGE_SIZE
-        elif r < 0.5:
-            ops.append(("write", mapped[rng.randrange(min(hot, len(mapped)))]))
-        elif r < 0.51:
-            if stale and unmapped and rng.random() < 0.5:
-                ops.append(("write", rng.choice(unmapped)))
-            else:
-                ops.append(("write", fresh + PAGE_SIZE * rng.randrange(4)))
-        else:
-            ops.append(("write", rng.choice(mapped)))
-    return ops
-
-
-_LONG_STRETCHES = dict(
-    shape="mixed", pages=700, n_ops=2_500, p_churn=0.002, hot=1_000, seed=5,
-    quantum_us=10_000.0, interval_us=1_000.0, ring=1024, policy="stall", defer=False,
-    horizon_us=6e7,
-)
-# spml stretches that pass unmaps and end at a tick that drains pairs of
-# the pages they unmapped
-_LATE_UNMAPS = {
-    **_LONG_STRETCHES, "pages": 3, "p_churn": 0.05, "hot": 1, "seed": 0, "quantum_us": 300.0,
-    "interval_us": 40.0,
-}
-# churn-ckpt's traces: random_trace's 10% maps and 10% unmaps over a region
-# pre-mapped whole, at the default config, with the bench's seed-1 first seed
-_CHURN_CKPT = {
-    **_LONG_STRETCHES, "shape": "churn", "n_ops": 200, "p_churn": 0.2, "seed": 1_000_003,
-    "ring": 16384,
-}
-
-
-@settings(max_examples=60, deadline=None)
-@example(technique="spml", **_LONG_STRETCHES)  # stretches that reach a full buffer
-@example(technique="epml", **_LONG_STRETCHES)
-# epml stretches that cross guest-buffer fills among hot pages, which a copy
-# re-arms and the stretch then writes again
-@example(technique="epml", **{**_LONG_STRETCHES, "hot": 40, "ring": 16384})
-@example(technique="epml", **{**_LONG_STRETCHES, "hot": 300, "n_ops": 6_000, "ring": 16384})
-@example(technique="spml", **_LATE_UNMAPS)
-# a write to the page a move took away, in the window the move would end
-@example(technique="proc", **{**_LATE_UNMAPS, "pages": 40, "n_ops": 700, "hot": 40})
-@example(technique="proc", **{**_CHURN_CKPT, "pages": 64})
-@example(technique="uffd", **{**_CHURN_CKPT, "pages": 64})
-@example(technique="spml", **{**_CHURN_CKPT, "pages": 64})
-@example(technique="epml", **{**_CHURN_CKPT, "pages": 64})
-@example(technique="proc", **{**_CHURN_CKPT, "pages": 4096})
-@example(technique="uffd", **{**_CHURN_CKPT, "pages": 4096})
-@example(technique="spml", **{**_CHURN_CKPT, "pages": 4096})
-@example(technique="epml", **{**_CHURN_CKPT, "pages": 4096})
-@given(
-    technique=st.sampled_from(TECHNIQUES),
-    shape=st.sampled_from(["mixed", "churn"]),
-    pages=st.sampled_from([3, 300, 512, 700]),
-    n_ops=st.sampled_from([1, 60, 700, 2_500]),
-    p_churn=st.sampled_from([0.0, 0.002, 0.05, 0.2]),
-    hot=st.sampled_from([1, 40, 1_000]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    quantum_us=st.sampled_from([0.5, 300.0, 10_000.0]),
-    interval_us=st.sampled_from([40.0, 1_000.0]),
-    ring=st.sampled_from([1024, 16384]),
-    policy=st.sampled_from(["stall", "drop"]),
-    defer=st.booleans(),
-    horizon_us=st.sampled_from([0.0, 350.0, 6e7]),
-)
-def test_trace_stretches_leave_every_report_field_as_write_by_write(
-    technique, shape, pages, n_ops, p_churn, hot, seed, quantum_us, interval_us, ring, policy,
-    defer, horizon_us,
-):
-    # a "mixed" trace's windows end at moves, at rewrites of an unmapped page
-    # and at maps of a page written before; a "churn" trace's run through its
-    # maps and unmaps, as churn-ckpt's do
-    if shape == "mixed":
-        ops = _stretch_trace(seed, pages, n_ops, p_churn, hot, stale=True)
-    else:
-        ops = random_trace(seed, pages, n_ops, p_unmap=p_churn / 2, p_map=p_churn / 2).ops
-    config = cfg(
-        technique,
-        pages * PAGE_SIZE,
-        quantum_us=quantum_us,
-        collection_interval_us=interval_us,
-        ring_capacity=ring,
-        ring_full_policy=policy,
-        defer_reverse_map=defer,
-        horizon_us=horizon_us,
-        trace=TraceWorkload(ops),
-    )
-    reports = []
-    for stretch_min in (1, math.inf):  # every stretch batched, then none
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trackers, "STRETCH_MIN", stretch_min)
-            reports.append(_field_bits(run_tracker(config)))
-    assert reports[0] == reports[1]
+# ------------------------------------------------ a trace's stretches and windows
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -1916,8 +1784,8 @@ def _window_stops(ops: list[tuple]) -> list[int]:
 def test_windows_are_cut_where_a_scan_of_every_op_cuts_them(seed):
     # decoded scans only the pages a map, unmap or remap names
     traces = [
-        _stretch_trace(seed, 40, 2_000, 0.2, 40, stale=True),
-        _stretch_trace(seed, 3, 700, 0.05, 1, stale=True),
+        knobs.stretch_trace(seed, 40, 2_000, 0.2, 40, stale=True),
+        knobs.stretch_trace(seed, 3, 700, 0.05, 1, stale=True),
         random_trace(seed, 64, 400).ops,
         churn_trace(300, 40, seed=seed).ops,
         KvWorkloadSpec("kv", 8 * MB, churn_rate=20_000.0, n_ops=3_000, seed=seed).make_trace().ops,
@@ -1940,56 +1808,13 @@ def test_an_unaligned_trace_address_is_rejected(technique):
 # ------------------------- spml maps a drained pair once per mapping epoch
 
 
-def _with_remaps(trace: TraceWorkload, seed: int, p_remap: float = 0.05) -> TraceWorkload:
-    """``trace`` with mremap-style moves: after each op, with probability
-    ``p_remap``, a mapped page moves to a fresh address, and later ops follow
-    it to its new name.  Addresses are never reused."""
-    rng = random.Random(seed)
-    mapped = trace.initial_gvas()
-    fresh = (1 << 30) * PAGE_SIZE
-    renamed: dict[int, int] = {}
-    ops: list[tuple] = []
-    for op in trace.ops:
-        op = (op[0],) + tuple(renamed.get(a, a) for a in op[1:])
-        ops.append(op)
-        if op[0] == "map":
-            mapped.append(op[1])
-        elif op[0] == "unmap":
-            mapped.remove(op[1])
-        if mapped and rng.random() < p_remap:
-            i = rng.randrange(len(mapped))
-            old, mapped[i] = mapped[i], fresh
-            ops.append(("remap", old, fresh))
-            for orig, cur in renamed.items():
-                if cur == old:
-                    renamed[orig] = fresh
-            renamed[old] = fresh
-            fresh += PAGE_SIZE
-    return TraceWorkload(ops=ops, name=f"{trace.name}-remap", initial_pages=trace.initial_pages)
-
-
-class _MappedAtOnce(_PerTickMechanical):
-    """The per-tick reference, with every drain mapping its pairs at once."""
-
-    def _drain(self) -> float:
-        us = super()._drain()
-        self._map_parked()
-        return us
-
-
-def _parked_and_per_drain(config) -> tuple[TrackerPhaseReport, TrackerPhaseReport]:
-    """The run's report, and the one it gives when every drain maps its pairs at once."""
-    return run_tracker(config), _MappedAtOnce(config).run()
-
-
 @pytest.mark.parametrize("policy", ["stall", "drop"])
 @pytest.mark.parametrize("ring", [512, 16384])
 @pytest.mark.parametrize("pages", [300, 513, 4096])
 def test_parked_pairs_leave_every_field_of_an_spml_sweep(pages, ring, policy):
     config = cfg("spml", pages * PAGE_SIZE, rounds=3, collection_interval_us=40.0,
                  ring_capacity=ring, ring_full_policy=policy, mechanical=True)
-    parked, per_drain = _parked_and_per_drain(config)
-    assert parked.writes_done and _field_bits(parked) == _field_bits(per_drain)
+    assert _assert_as_reference(config).writes_done
 
 
 @pytest.mark.parametrize("ring", [512, 16384])
@@ -1999,13 +1824,12 @@ def test_parked_pairs_leave_every_field_of_an_spml_trace_with_moves(ring):
     # flushes the log buffer at each swap, so the ticks drain pairs between ops
     lost = 0
     for seed in range(8):
-        trace = _with_remaps(random_trace(7 * seed + 1, 256, 1_500), seed)
+        trace = knobs.with_remaps(random_trace(7 * seed + 1, 256, 1_500), seed)
         assert {op[0] for op in trace.ops} == {"write", "map", "unmap", "remap"}
         config = cfg("spml", trace.memory_bytes, quantum_us=100.0, collection_interval_us=40.0,
                      ring_capacity=ring, trace=trace)
-        parked, per_drain = _parked_and_per_drain(config)
-        assert _field_bits(parked) == _field_bits(per_drain), seed
-        lost += len(parked.missed) + len(parked.inaccurate)
+        report = _assert_as_reference(config)
+        lost += len(report.missed) + len(report.inaccurate)
     assert lost  # the traces reach pairs whose mapping an op changed
 
 
@@ -2098,37 +1922,13 @@ def test_an_infinite_horizon_runs_as_a_long_finite_one(technique, run):
 # ------------------------- a window's maps and unmaps apply in one call each
 
 
-def _one_op_per_call(self, pid, ops):
-    """apply_ops as one map_fresh, unmap or remap call per op."""
-    for op in ops:
-        if op[0] == "map":
-            self.map_fresh(pid, op[1])
-        elif op[0] == "unmap":
-            self.unmap(pid, op[1])
-        elif op[0] == "remap":
-            self.remap(pid, op[1], op[2])
-        else:
-            raise ValueError(f"unknown trace op {op[0]!r}")
-
-
-@contextmanager
-def _ops_one_at_a_time():
-    """One op per call, and every page mapped singly a one-page region."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(VirtualMachine, "apply_ops", _one_op_per_call)
-        mp.setattr(_PageMap, "_join", lambda self, *args: False)
-        yield
-
-
 def _batch_traces(seed: int) -> dict[str, TraceWorkload]:
-    pages = 256
-    plain = random_trace(seed, max_pages=pages, n_ops=600)
-    premapped = TraceWorkload(plain.ops, initial_pages=pages)  # maps right after the region
+    """Four trace shapes with runs of maps; a premapped trace's maps go right
+    after its region."""
+    sizes = {"random": 256, "premapped": 256, "remap": 256, "churn": 300}
     return {
-        "random": plain,
-        "premapped": premapped,
-        "remap": _with_remaps(premapped, seed),
-        "churn": churn_trace(300, 120, seed=seed),
+        shape: knobs.trace(shape, pages, 120 if shape == "churn" else 600, 0.2, 1, seed)
+        for shape, pages in sizes.items()
     }
 
 
@@ -2143,14 +1943,11 @@ def test_batched_ops_leave_every_report_field_of_one_op_per_call(technique, seed
         joined[0] += done and count > 1
         return done
 
-    for kind, trace in _batch_traces(seed).items():
-        config = cfg(technique, trace.memory_bytes, quantum_us=300.0, trace=trace)
+    for trace in _batch_traces(seed).values():
         with pytest.MonkeyPatch.context() as mp:
+            # the reference joins no region, so the count sees the engine's joins only
             mp.setattr(GuestPageTable, "join_pages", counted)
-            batched = run_tracker(config)
-        with _ops_one_at_a_time():
-            single = run_tracker(config)
-        assert _field_bits(batched) == _field_bits(single), kind
+            _assert_as_reference(cfg(technique, trace.memory_bytes, quantum_us=300.0, trace=trace))
     assert joined[0]  # runs of maps joined their region in one slice
 
 
