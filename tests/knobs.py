@@ -17,7 +17,7 @@ engine twin tests draw from it, and its knobs range over:
   and moves, hot set and seed.
 
 A sweep's writes (pages × rounds) are capped by engine and quantum, so that
-each reference run stays cheap (:data:`MAX_WRITES`).
+each reference run stays cheap (:func:`runs`).
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ TRACE_PAGES = (3, 300, 512, 700)
 N_OPS = (1, 60, 700, 2_000, 2_500)
 P_CHURN = (0.0, 0.002, 0.05, 0.2)
 HOT = (1, 40, 1_000)
-
-#: The most writes a sweep draws, by what its reference steps through: the
-#: mechanical reference writes every page through ``write_one``, the segment
-#: one takes a stretch of writes at a time.  A quantum below one write's
-#: 0.9 µs swaps at every write, an event of both engines and both references,
-#: so a sweep at that quantum gets the least.
-MAX_WRITES = {"event": 700 * 3, "write": 4_096 * 3, "stretch": 12_800 * 13}
 
 
 def intervals(technique: str) -> st.SearchStrategy[float]:
@@ -89,8 +82,15 @@ def runs(draw, engine: str, techniques=TECHNIQUES) -> TrackerConfig:
             **knobs,
         )
     rounds = draw(st.integers(min_value=0, max_value=13))
-    step = "event" if quantum_us < 0.9 else "write" if engine == "mechanical" else "stretch"
-    cap = MAX_WRITES[step]
+    # The most writes a sweep draws, by what its reference steps through: the
+    # mechanical reference writes every page through ``write_one``, the
+    # segment one takes a stretch of writes at a time.  The least quantum,
+    # below one write's cost, swaps at every write, an event of both engines
+    # and both references, so a sweep at that quantum gets the least.
+    if quantum_us == QUANTA_US[0]:
+        cap = 700 * 3
+    else:
+        cap = 4_096 * 3 if engine == "mechanical" else 12_800 * 13
     pages = draw(st.sampled_from([p for p in PAGES if p * max(rounds, 1) <= cap]))
     return TrackerConfig(
         technique, pages * PAGE_SIZE, rounds=rounds, mechanical=engine == "mechanical", **knobs

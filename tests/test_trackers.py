@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import reduce
@@ -1451,20 +1450,25 @@ def _assert_as_reference(config) -> TrackerPhaseReport:
     does, and return the engine's report.  The mechanical reference writes
     every page through ``write_one``, runs every tick as one call, maps
     every drain at once, applies one op per call and joins no region; its
-    stall count must agree too.  The segment reference steps one event at a
-    time; the clock, buffers, rings and next tick, which no report shows,
-    must agree too."""
+    stall count must agree too, and the mechanical engine must match it
+    with every stretch batched (``STRETCH_MIN = 1``) and at the default.
+    The segment reference steps one event at a time; the clock, buffers,
+    rings and next tick, which no report shows, must agree too."""
     segment = not config.mechanical and config.trace is None
     engine, reference = (
         (trackers._SegmentRun, _SegmentReference) if segment
         else (trackers._MechanicalRun, _MechanicalReference)
     )
-    run = engine(config)
-    report, fields = _run_fields(run)
     with _ops_one_at_a_time() as mp:
         mp.setattr(trackers, "STRETCH_MIN", math.inf)  # no stretch: every write by write_one
         ref = reference(config)
-        assert fields == _run_fields(ref)[1]
+        want = _run_fields(ref)[1]
+    for stretch_min in (trackers.STRETCH_MIN,) if segment else (1, trackers.STRETCH_MIN):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trackers, "STRETCH_MIN", stretch_min)
+            run = engine(config)
+            report, fields = _run_fields(run)
+        assert fields == want, stretch_min
     if segment:
         for name in ("t", "run_acc", "next_tick", "buf_fill", "ring_used", "tool_ring"):
             assert getattr(run, name) == getattr(ref, name), name
