@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .checkpoint import checkpoint_time_model, missed_pages_experiment
+from .checkpoint import _dump_timing, checkpoint_time_model, missed_pages_experiment
 from .costs import CalibrationError, CostTable, estimate_epml, _parse_size_mb
 from .hypervisor import (
     MigrationJob,
@@ -285,9 +285,10 @@ def run(config: ExperimentConfig) -> RunReport:
             seed=config.seed,
         ).make_trace(table)
     for technique, size in config.points():
-        phase = run_tracker(config.tracker_config(technique, size, table=table, trace=trace))
-        dirty = phase.dirty_pages if phase.dirty_set is not None else None
-        model = checkpoint_time_model(technique, size, dirty_pages=dirty, table=table)
+        tracked = config.tracker_config(technique, size, table=table, trace=trace)
+        phase = run_tracker(tracked)
+        dirty = phase.dirty_pages if phase.dirty_set is not None else tracked.pages
+        model = _dump_timing(technique, tracked.prices, dirty)
         report.add(to_run_row(phase, checkpoint_ms=model.total_ms))
     return report
 

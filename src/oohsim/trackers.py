@@ -146,6 +146,12 @@ class TrackerConfig:
     def cost_table(self) -> CostTable:
         return self.table or CostTable.default()
 
+    @cached_property
+    def prices(self) -> Prices:
+        """The run's price list at its size, looked up at first use (change no
+        field after it): a segment run and a CLI row's checkpoint model share it."""
+        return self.cost_table().prices(self.memory_bytes)
+
 
 @dataclass
 class TrackerPhaseReport:
@@ -509,12 +515,13 @@ class _SegmentRun(_Run):
 
     A round (:meth:`_round`) is one loop on local variables: the clock, the
     run time, ``suspension``, ``tracker_busy``, ``collect_us`` and its two
-    ``parts``, ``writes_done``, the buffer, ring and tool-ring counts, the
-    next tick, and the softirq, vmexit, schedule and drop counts.  Each step
-    is a stretch of writes, cut at the buffer's 513th write, the quantum,
-    the next tick or the round's end.  Every event the stretch ends in runs
-    inline, in the mechanical order, with the float operations of the
-    methods named here in their order:
+    ``parts``, the writes left (``writes_done`` follows from them at the
+    end), the buffer, ring and tool-ring counts, the next tick, and the
+    softirq, vmexit, schedule and drop counts.  Each step is a stretch of
+    writes, cut at the buffer's 513th write, the quantum, the next tick or
+    the round's end.  Every event the stretch ends in runs inline, in the
+    mechanical order, with the float operations of the methods named here
+    in their order:
 
     * an epml buffer copy (:meth:`_epml_copy`);
     * an spml buffer-full vmexit (:meth:`_Run._vmexit`): a flush, or the
@@ -528,11 +535,16 @@ class _SegmentRun(_Run):
       epml's tool ring consumed (:meth:`_Run._tick`).
 
     The state goes back to ``self`` at the round's end or at truncation.
+
+    A round's host time is one loop iteration per event: per stretch, and
+    per flush, swap and tick the stretch ends in, a stall's ticks included.
+    A stretch pays a division only for the bounds that can end it: while a
+    buffer is armed (spml, epml) a stretch has at most 513 writes, so a
+    quantum or tick gap longer than 514 writes costs one comparison.
     """
 
     def __init__(self, cfg: TrackerConfig):
-        prices = cfg.cost_table().prices(cfg.memory_bytes)
-        super().__init__(cfg, prices, prices.init_us(cfg.technique))
+        super().__init__(cfg, cfg.prices, cfg.prices.init_us(cfg.technique))
         self.buf_fill = 0  # hv buffer (spml) or guest buffer (epml)
         self.ring_used = 0  # spml hypervisor ring
         self.tool_ring = 0  # epml tool-side ring
@@ -595,17 +607,27 @@ class _SegmentRun(_Run):
         sched_out, sched_in = c.sched_us(tech, "out"), c.sched_us(tech, "in")
         quantum, horizon, interval = cfg.quantum_us, cfg.horizon_us, cfg.collection_interval_us
         cap, stalls = cfg.ring_capacity, cfg.ring_full_policy == "stall"
+        # a flush goes ahead at this ring count or below: under drop, always
+        flush_at = cap - 512 if stalls else math.inf
+        copy_at = cap - 512  # epml's tool ring takes a whole buffer at this count or below
         batch = self.drain_batch
-        whole = self._drain_charge(batch)  # a tick that drains a whole batch
+        # a tick that drains a whole batch
+        whole_cost, whole_rm, whole_copy = self._drain_charge(batch)
         swaps = quantum < math.inf  # an infinite quantum never ends: it bounds nothing
+        # While a buffer is armed (spml, epml) a stretch has at most 513
+        # writes, so a gap longer than fl(514 w) cannot end it and its
+        # division is skipped: gap/w > fl(514 w)/w >= 514 (1 - 2**-53) > 513.5,
+        # rounding is monotone and 513.5 is a float, so fl(gap/w) >= 513.5 and
+        # its ceiling is 514 or more.  proc and uffd, with no buffer and no
+        # tick, compute every quantum gap.
+        far_run = 514 * w_run if logging else math.inf
+        far_wall = 514 * w_wall  # a tick gap: spml and epml only
         ceil = math.ceil
         parts = self.parts
         t, run_acc, next_tick = self.t, self.run_acc, self.next_tick
         suspension, busy, collect = self.suspension, self.tracker_busy, self.collect_us
         rm_part, copy_part = parts["reverse_mapping_us"], parts["copy_us"]
-        writes_done, buf_fill, used, tool_ring = (
-            self.writes_done, self.buf_fill, self.ring_used, self.tool_ring
-        )
+        buf_fill, used, tool_ring = self.buf_fill, self.ring_used, self.tool_ring
         softirqs, dropped, vmexits, sched_events = (
             self.softirqs, self.dropped, self.vmexits, self.sched_events
         )
@@ -620,36 +642,40 @@ class _SegmentRun(_Run):
             n = left
             if swaps:
                 gap = quantum - run_acc
-                k = ceil(gap / w_run) if gap > 0.0 else 0
-                if k < n:
-                    n = k
+                if gap <= far_run:
+                    k = ceil(gap / w_run) if gap > 0.0 else 0
+                    if k < n:
+                        n = k
             if logging:
                 n_event = 513 - buf_fill
                 if n_event < n:
                     n = n_event
                 gap = next_tick - t
-                k = ceil(gap / w_wall) if gap > 0.0 else 0
-                if k < n:
-                    n = k
+                if gap <= far_wall:
+                    k = ceil(gap / w_wall) if gap > 0.0 else 0
+                    if k < n:
+                        n = k
             if n < 1:
                 n = 1
-            t += n * w_wall
-            run_acc += n * w_run
             if uffd:
+                t += n * w_wall
+                run_acc += n * w_run
                 suspension += n * uffd_fault
                 busy += n * uffd_fault
-            writes_done += n
+            else:  # a write's wall price is its run price
+                run = n * w_run
+                t += run
+                run_acc += run
             left -= n
             if logging:
                 buf_fill += n
                 if n == n_event:  # the 513th attempt was refused
                     if epml:  # copy the buffer out: _epml_copy(512)
-                        copied = 512
-                        space = cap - tool_ring
-                        if copied > space:  # tool too slow: losses are counted, never silent
-                            dropped += copied - space
-                            copied = space
-                        tool_ring += copied
+                        if tool_ring <= copy_at:
+                            tool_ring += 512
+                        else:  # tool too slow: losses are counted, never silent
+                            dropped += tool_ring - copy_at
+                            tool_ring = cap
                         suspension += copy_us
                         softirqs += 1
                         t += copy_us
@@ -665,7 +691,7 @@ class _SegmentRun(_Run):
             swap = run_acc >= quantum
             while True:
                 if flush:
-                    if not stalls or cap - used >= 512:
+                    if used <= flush_at:
                         # flush, or drop what the ring has no room for, then
                         # replay the refused entry: _vmexit
                         if stalls:
@@ -719,7 +745,7 @@ class _SegmentRun(_Run):
                 # the next lands on the first interval multiple after the
                 # drain, a whole interval on at least
                 if used >= batch:
-                    cost, rm, copy = whole
+                    cost, rm, copy = whole_cost, whole_rm, whole_copy
                     used -= batch
                 else:  # what is left
                     cost, rm, copy = self._drain_charge(used)
@@ -728,8 +754,8 @@ class _SegmentRun(_Run):
                 collect += cost
                 rm_part += rm
                 copy_part += copy
-                end = next_tick + cost
-                aligned, next_tick = interval * ceil(end / interval), next_tick + interval
+                aligned = interval * ceil((next_tick + cost) / interval)
+                next_tick += interval
                 if aligned > next_tick:
                     next_tick = aligned
             if truncated:
@@ -737,9 +763,8 @@ class _SegmentRun(_Run):
         self.t, self.run_acc, self.next_tick, self.truncated = t, run_acc, next_tick, truncated
         self.suspension, self.tracker_busy, self.collect_us = suspension, busy, collect
         parts["reverse_mapping_us"], parts["copy_us"] = rm_part, copy_part
-        self.writes_done, self.buf_fill, self.ring_used, self.tool_ring = (
-            writes_done, buf_fill, used, tool_ring
-        )
+        self.writes_done += self.P - left
+        self.buf_fill, self.ring_used, self.tool_ring = buf_fill, used, tool_ring
         self.softirqs, self.dropped, self.vmexits, self.sched_events = (
             softirqs, dropped, vmexits, sched_events
         )
@@ -801,7 +826,11 @@ def _merged(arrays: list[np.ndarray]) -> np.ndarray:
     (a round end's union and the round's pages) are merged by timsort
     (``kind="stable"``), which takes them as runs: two runs merge in linear
     time.  Arrays out of order get NumPy's default sort, which is faster
-    there: spml's drained rows can span rounds."""
+    there: spml's drained rows can span rounds.  Two equal arrays (a sweep
+    round's pages and the union of the rounds before) are taken as one:
+    comparing them costs less than merging them."""
+    if len(arrays) == 2 and np.array_equal(*arrays):
+        arrays = arrays[:1]
     if len(arrays) == 1:
         (values,) = arrays
         if not (values[1:] <= values[:-1]).any():

@@ -10,6 +10,9 @@ engine twin tests draw from it, and its knobs range over:
 * quantum: 0.5 µs (below one write, so every write swaps) to 10 ms, and ∞;
 * collection interval: 40 µs to 5 ms; for ``proc`` and ``uffd``, which
   schedule no tick, also any float from 0.5 µs to 10 s (:func:`intervals`);
+* both also at 512 to 515 writes' µs (:data:`BUFFER_GAPS_US`), around the
+  gap past which the segment round skips a bound on an armed buffer's
+  stretch (514 writes);
 * ring: 512 (one log buffer) to 16,384 entries, ``stall`` and ``drop``,
   deferred reverse mapping or not;
 * horizon: 0, a few ms (which stops a run mid-round or mid-stall) and 60 s;
@@ -27,7 +30,7 @@ import random
 
 from hypothesis import strategies as st
 
-from oohsim.costs import PAGE_SIZE
+from oohsim.costs import PAGE_SIZE, CostTable
 from oohsim.guest import TECHNIQUES
 from oohsim.trackers import TrackerConfig
 from oohsim.workloads import TraceWorkload, churn_trace, random_trace
@@ -35,8 +38,14 @@ from oohsim.workloads import TraceWorkload, churn_trace, random_trace
 ENGINES = ("segment", "mechanical", "trace")
 
 PAGES = (1, 77, 300, 512, 513, 700, 1_280, 1_500, 4_096, 12_800)
-QUANTA_US = (0.5, 300.0, 3_000.0, 10_000.0, math.inf)
-INTERVALS_US = (40.0, 250.0, 1_000.0, 2_000.0, 5_000.0)
+#: 512, 513, 514 and 515 writes' µs at the default write price: an spml or
+#: epml stretch has at most 513 writes, so the segment round skips a quantum
+#: or tick gap longer than 514 writes
+BUFFER_GAPS_US = tuple(
+    k * CostTable.default().param("write_cost_us") for k in (512, 513, 514, 515)
+)
+QUANTA_US = (0.5, 300.0, *BUFFER_GAPS_US, 3_000.0, 10_000.0, math.inf)
+INTERVALS_US = (40.0, 250.0, *BUFFER_GAPS_US, 1_000.0, 2_000.0, 5_000.0)
 RINGS = (512, 1_024, 16_384)
 HORIZONS_US = (0.0, 350.0, 3_000.0, 12_000.0, 6e7)
 

@@ -1489,6 +1489,31 @@ def _spml_sweep(pages: int, mechanical: bool, **kw) -> TrackerConfig:
     return cfg("spml", pages * PAGE_SIZE, rounds=3, mechanical=mechanical, **kw)
 
 
+def _at_buffer_gaps(test):
+    """``test``, with examples of three-round 4,096-page segment sweeps whose
+    quantum is 512 to 515 writes' µs (``knobs.BUFFER_GAPS_US``), around the gap
+    past which the round skips a bound, and whose interval is one write
+    shorter (515 for 512): spml under stall (its ring of two buffers stalls)
+    and under drop (one buffer's ring drops), and epml, at each; and proc and
+    uffd at a quantum below 514 writes, whose gaps the round always computes.
+    A round that skipped gaps of 512 writes would fail at a 512-write quantum
+    and at a 512-write interval, where a stretch after a swap can end one
+    write before its buffer fills."""
+    gaps = knobs.BUFFER_GAPS_US
+    for quantum, interval in zip(gaps, gaps[-1:] + gaps[:-1]):
+        for technique, ring, policy in (
+            ("spml", 1024, "stall"), ("spml", 512, "drop"), ("epml", 16384, "stall")
+        ):
+            test = example(config=cfg(
+                technique, 4096 * PAGE_SIZE, rounds=3, quantum_us=quantum,
+                collection_interval_us=interval, ring_capacity=ring, ring_full_policy=policy,
+            ))(test)
+    for gap in gaps[:2]:
+        for technique in ("proc", "uffd"):
+            test = example(config=cfg(technique, 4096 * PAGE_SIZE, rounds=3, quantum_us=gap))(test)
+    return test
+
+
 @settings(max_examples=110, deadline=None)
 # epml stretches that cross guest-buffer fills, and with a small ring and
 # sparse ticks copies that saturate the tool ring
@@ -1588,6 +1613,7 @@ def test_trace_stretches_leave_every_report_field_as_write_by_write(config):
 # an interval of one batch's charge (see the mechanical sweeps)
 @example(config=_spml_sweep(1_500, False, collection_interval_us=_batch_charge_us(1_500, False),
                             ring_capacity=512))
+@_at_buffer_gaps
 @given(config=knobs.runs("segment"))
 def test_a_segment_round_on_locals_leaves_every_field_as_one_event_at_a_time(config):
     _assert_as_reference(config)
