@@ -4,6 +4,10 @@ Events are totally ordered by ``(time, seq)`` where ``seq`` is assigned
 monotonically at insertion, so identical runs replay identically regardless
 of handler complexity.  All simulated state changes flow through event
 handlers; a handler may schedule further events but never in the past.
+
+No simulation runs on it: the migration (:func:`oohsim.hypervisor.run_migration`)
+keeps its own three clocks.  It stays while the benchmark's tracer counts
+:meth:`SimEngine.schedule_at`.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class SimEngine:
     A handler may apply, in one step, work that falls strictly before
     :meth:`next_time` (and the horizon) and schedules nothing: no other event
     can run in between, so everything happens in the order one event per step
-    would give.  The migration applies its writes between events this way.
+    would give.
     """
 
     def __init__(self, horizon_us: float | None = None):

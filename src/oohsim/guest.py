@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostTable, Prices
+from .costs import Prices
 from .hypervisor import Hypervisor
 from .memory import Ept, GuestPageTable, UnknownMapping, _distinct
 from .pml import FIELD_GUEST_PML_ADDRESS, FIELD_GUEST_PML_INDEX, ShadowVmcs
@@ -102,15 +102,8 @@ class UioModuleState:
 class GuestKernel:
     """Kernel-level mechanics shared by the four tracking techniques."""
 
-    def __init__(
-        self,
-        hv: Hypervisor,
-        table: CostTable,
-        ept: Ept,
-        ring_capacity: int = 16384,
-    ):
+    def __init__(self, hv: Hypervisor, ept: Ept, ring_capacity: int = 16384):
         self.hv = hv
-        self.costs = table
         self.ept = ept
         self.ring_capacity = ring_capacity
         self.processes: dict[int, Process] = {}
@@ -144,8 +137,9 @@ class GuestKernel:
 
     # --------------------------------------------------------- registration
 
-    def register_tracked(self, pid: int, technique: str, memory_bytes: int) -> float:
-        """Register ``pid`` with the tool and price its run; returns the µs charged."""
+    def register_tracked(self, pid: int, technique: str, prices: Prices) -> float:
+        """Register ``pid`` with the tool, its run priced by ``prices``; returns
+        the µs charged."""
         if technique not in TECHNIQUES:
             raise ValueError(f"unknown technique {technique!r}")
         if self.uio is not None:
@@ -160,7 +154,6 @@ class GuestKernel:
         elif technique == "uffd":
             proc.uffd_mode = "write_protect"
             proc.table.write_protect_all()
-        prices = self.costs.prices(memory_bytes)
         self.uio = UioModuleState(technique, pid, prices, self.ring_capacity)
         return prices.register_us(technique)
 

@@ -15,9 +15,12 @@ This module owns everything that runs at the host level:
   and conservation of entitled log entries.
 * :class:`HvCore` — the single hypervisor service core: vmexit handlers are
   serialized priority work, bulk transfers run as background jobs that only
-  progress while the core is otherwise idle.
+  progress while the core is otherwise idle.  It keeps no clock: each call
+  takes the caller's ``now``, and ``done_at`` says when the job ends.
 * :func:`run_migration` — pre-copy migration of a second machine whose
-  transfer work shares the service core with a concurrent tracked machine.
+  transfer work shares the service core with a concurrent tracked machine:
+  one loop over three clocks (the next guest write, the next vmexit burst
+  and the core's ``done_at``) that runs the earliest.
 
 Coordination model: two ownership flags say who initialized the log device
 (``enable_by_vmm`` for host-side use such as migration, ``enable_by_guest``
@@ -33,14 +36,13 @@ is what prevents cross-process misattribution and entitlement loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from typing import Callable
+from itertools import count, islice, repeat
 
 import numpy as np
 
 from .costs import CostTable
-from .engine import EventKind, SimEngine
 from .pml import LogOutcome, PmlBuffer, PmlState
 
 __all__ = [
@@ -554,41 +556,42 @@ class HvCore:
 
     Vmexit services are priority busy intervals executed serially in arrival
     order.  At most one background job (a bulk transfer) may be active; it
-    accrues progress only while the core is idle.  Completion is tracked
-    with provisional events invalidated by a generation counter whenever new
-    priority work lands.
+    accrues progress only while the core is otherwise idle.  The caller owns
+    the clock and passes its ``now`` to each call.  ``done_at`` is the active
+    job's completion time given the priority work so far (``inf`` while no
+    job is active): each service moves it later, and the caller ends the job
+    with :meth:`finish` when its clock reaches it.
     """
 
-    def __init__(self, engine: SimEngine):
-        self.engine = engine
+    def __init__(self):
         self.busy_until = 0.0
+        self.done_at = math.inf
         self._job_remaining = 0.0
         self._job_last = 0.0
-        self._job_callback: Callable[[float], None] | None = None
-        self._generation = 0
 
     @property
     def job_active(self) -> bool:
-        return self._job_callback is not None
+        return self.done_at != math.inf
 
-    def service(self, duration_us: float) -> tuple[float, float]:
-        """Run priority work now (or as soon as the core frees up)."""
-        start = max(self.engine.now, self.busy_until)
+    def service(self, now: float, duration_us: float) -> None:
+        """Run priority work at ``now`` (or as soon as the core frees up)."""
+        start = max(now, self.busy_until)
+        end = start + duration_us
         if self.job_active:
             self._accrue(start)
-        end = start + duration_us
+            self.done_at = end + self._job_remaining
         self.busy_until = end
-        if self.job_active:
-            self._schedule_completion()
-        return start, end
 
-    def start_background(self, work_us: float, callback: Callable[[float], None]) -> None:
+    def start_background(self, now: float, work_us: float) -> None:
         if self.job_active:
             raise RuntimeError("background job already active")
         self._job_remaining = work_us
-        self._job_last = self.engine.now
-        self._job_callback = callback
-        self._schedule_completion()
+        self._job_last = now
+        self.done_at = max(now, self.busy_until) + work_us
+
+    def finish(self) -> None:
+        """End the active job: the caller's clock has reached ``done_at``."""
+        self.done_at = math.inf
 
     def _accrue(self, upto: float) -> None:
         # Idle progress since the last accounting point: the stretch of
@@ -597,26 +600,6 @@ class HvCore:
         progressed = max(0.0, upto - idle_from)
         self._job_remaining -= min(progressed, self._job_remaining)
         self._job_last = upto
-
-    def _schedule_completion(self) -> None:
-        self._generation += 1
-        gen = self._generation
-        resume = max(self.engine.now, self.busy_until)
-        t_done = resume + self._job_remaining
-
-        def fire(ev) -> None:
-            if gen != self._generation or not self.job_active:
-                return  # superseded by later priority work
-            self._accrue(ev.time)
-            if self._job_remaining <= 1e-9:
-                cb = self._job_callback
-                self._job_callback = None
-                self._job_remaining = 0.0
-                cb(ev.time)
-            else:  # pragma: no cover - completion always lands on time
-                self._schedule_completion()
-
-        self.engine.schedule_at(t_done, EventKind.MIGRATION_ROUND, fire)
 
 
 # ---------------------------------------------------------------- migration
@@ -675,19 +658,23 @@ def run_migration(
     pages accumulate.  The final stop-and-copy transfers the residue with
     the source paused; its wall time is the downtime.
 
-    The guest writes a hot page every ``1e6 / writes_per_s`` µs.  A write
-    event also applies the writes that fall strictly before the next queued
-    event: nothing else can run between them and only a round's end reads
-    the dirty set.  Every 512th write fills the log buffer and loads the
-    service core with its flush at its own time, so it stays an event.
+    Time advances over three clocks: the next guest write, every ``1e6 /
+    writes_per_s`` µs; the next vmexit burst; and the core's job completion,
+    ``HvCore.done_at``.  The loop runs the earliest, and at a tie the one set
+    first: each clock is a ``(time, seq)`` pair, ``seq`` counting the
+    settings.  A write also applies the writes that fall strictly before the
+    other two clocks: nothing else can run between them and only a round's
+    end reads the dirty set.  Every 512th write fills the log buffer and
+    loads the service core with its flush at its own time, so such a batch
+    stops short of it.
     """
     table = table or CostTable.default()
-    engine = SimEngine()
-    core = HvCore(engine)
+    core = HvCore()
     rng = np.random.default_rng(job.seed)
 
     flush_service_us = table.prices(job.vm_pages * 4096).copy_us(512)
     write_period_us = 1e6 / job.writes_per_s
+    period_us, service_us = concurrent_load or (math.inf, 0.0)
 
     def draws():  # the written hot pages, drawn a block at a time
         while True:
@@ -696,98 +683,59 @@ def run_migration(
     hot = draws()
     dirty: set[int] = set()
     rounds: list[MigrationRoundStat] = []
-    state = {
-        "round": 0,
-        "writes": 0,
-        "vmexits": 0,
-        "migrating": True,
-        "paused": False,
-        "round_start": 0.0,
-        "stop_reason": "",
-        "downtime_start": 0.0,
-        "downtime_ms": 0.0,
-        "total_ms": 0.0,
-    }
-
-    def on_write(ev) -> None:
-        if not state["migrating"] or state["paused"]:
-            return
-        dirty.add(next(hot))
-        state["writes"] += 1
-        if state["writes"] % 512 == 0:
-            state["vmexits"] += 1
-            core.service(flush_service_us)
-        # the writes after this one, up to the next queued event and short
-        # of the next 512th, each at the chain's running sum of periods
-        t, n, room = engine.now + write_period_us, 0, 511 - state["writes"] % 512
-        until = engine.next_time()
-        while t < until and n < room:
-            t += write_period_us
-            n += 1
-        dirty.update(islice(hot, n))
-        state["writes"] += n
-        engine.schedule_at(t, EventKind.WRITE, on_write)
-
-    def start_round(pages: int) -> None:
-        state["round_start"] = engine.now
-        core.start_background(pages * job.page_xfer_us, lambda t: on_round_done(pages, t))
-
-    def on_round_done(pages_sent: int, now: float) -> None:
-        rounds.append(
-            MigrationRoundStat(
-                round_no=state["round"],
-                pages_sent=pages_sent,
-                started_ms=state["round_start"] / 1000.0,
-                duration_ms=(now - state["round_start"]) / 1000.0,
-            )
-        )
-        residue = len(dirty)
-        dirty.clear()  # harvest re-arms the dirty bits
-        state["round"] += 1
-        if residue < job.stop_threshold_pages or state["round"] >= job.max_rounds:
-            state["stop_reason"] = (
-                "threshold" if residue < job.stop_threshold_pages else "max_rounds"
-            )
-            state["paused"] = True  # source stopped: no more dirtying
-            state["downtime_start"] = now
-            core.start_background(
-                residue * job.page_xfer_us, lambda t: on_stopcopy_done(residue, t)
-            )
+    writes = vmexits = 0
+    round_start, pages = 0.0, job.vm_pages
+    stop_reason = ""
+    seq = count()
+    burst = (period_us, next(seq))
+    write = (write_period_us, next(seq))
+    core.start_background(0.0, pages * job.page_xfer_us)
+    done = (core.done_at, next(seq))
+    while True:
+        clock = min(write, burst, done)
+        now = clock[0]
+        if clock is done:
+            core.finish()
+            rounds.append(MigrationRoundStat(
+                len(rounds), pages, round_start / 1000.0, (now - round_start) / 1000.0
+            ))
+            if stop_reason:  # the stop-and-copy is over
+                break
+            pages = len(dirty)
+            dirty.clear()  # harvest re-arms the dirty bits
+            if pages < job.stop_threshold_pages or len(rounds) >= job.max_rounds:
+                stop_reason = "threshold" if pages < job.stop_threshold_pages else "max_rounds"
+                write = (math.inf, next(seq))  # source stopped: no more dirtying
+            round_start = now
+            core.start_background(now, pages * job.page_xfer_us)
+            done = (core.done_at, next(seq))
+        elif clock is burst:
+            core.service(now, service_us)
+            done = (core.done_at, next(seq))
+            burst = (now + period_us, next(seq))
         else:
-            start_round(residue)
-
-    def on_stopcopy_done(pages_sent: int, now: float) -> None:
-        rounds.append(
-            MigrationRoundStat(
-                round_no=state["round"],
-                pages_sent=pages_sent,
-                started_ms=state["downtime_start"] / 1000.0,
-                duration_ms=(now - state["downtime_start"]) / 1000.0,
-            )
-        )
-        state["downtime_ms"] = (now - state["downtime_start"]) / 1000.0
-        state["total_ms"] = now / 1000.0
-        state["migrating"] = False
-
-    if concurrent_load is not None:
-        period_us, service_us = concurrent_load
-
-        def on_burst(ev) -> None:
-            if not state["migrating"]:
-                return
-            core.service(service_us)
-            engine.schedule(period_us, EventKind.VMEXIT, on_burst)
-
-        engine.schedule(period_us, EventKind.VMEXIT, on_burst)
-
-    engine.schedule(write_period_us, EventKind.WRITE, on_write)
-    start_round(job.vm_pages)
-    engine.run()
+            dirty.add(next(hot))
+            writes += 1
+            if writes % 512 == 0:
+                vmexits += 1
+                core.service(now, flush_service_us)
+                done = (core.done_at, next(seq))
+            # the writes after this one, strictly before the other two clocks
+            # and short of the next 512th, each at the chain's running sum of
+            # periods
+            t, n, room = now + write_period_us, 0, 511 - writes % 512
+            until = min(burst[0], done[0])
+            while t < until and n < room:
+                t += write_period_us
+                n += 1
+            dirty.update(islice(hot, n))
+            writes += n
+            write = (t, next(seq))
 
     return MigrationReport(
         rounds=rounds,
-        total_ms=state["total_ms"],
-        downtime_ms=state["downtime_ms"],
-        stop_reason=state["stop_reason"],
-        vmexits=state["vmexits"],
+        total_ms=now / 1000.0,
+        downtime_ms=rounds[-1].duration_ms,
+        stop_reason=stop_reason,
+        vmexits=vmexits,
     )

@@ -274,13 +274,11 @@ def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range, float]:
     """The tracked machine, its pages and the µs its set-up cost; under ``proc`` the
     soft-dirty bits start clear, so allocation-time bits are not the workload's."""
     vm = VirtualMachine(
-        cfg.cost_table(),
-        ring_capacity=cfg.ring_capacity,
-        ring_full_policy=cfg.ring_full_policy,
+        ring_capacity=cfg.ring_capacity, ring_full_policy=cfg.ring_full_policy
     )
     vm.create_process(TRACKED_PID)
     gvas = vm.allocate(TRACKED_PID, cfg.pages)
-    init_us = vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.memory_bytes)
+    init_us = vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.prices)
     if cfg.technique == "proc":
         init_us += vm.kernel.clear_soft_dirty(TRACKED_PID)[1]
     return vm, gvas, init_us

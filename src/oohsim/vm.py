@@ -44,7 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import PAGE_SIZE as PAGE
-from .costs import CostTable
 from .guest import GuestKernel, Process
 from .hypervisor import Hypervisor, VmexitResult
 from .memory import Ept, PageStore, Stretch, WriteOutcome
@@ -80,13 +79,11 @@ class VirtualMachine:
 
     def __init__(
         self,
-        table: CostTable | None = None,
         *,
         ring_capacity: int = 16384,
         ring_full_policy: str = "stall",
         buffer_slots: int = 512,
     ):
-        self.costs = table or CostTable.default()
         self.ept = Ept()
         self.store = PageStore()
         self.hv = Hypervisor(
@@ -95,7 +92,7 @@ class VirtualMachine:
             buffer_slots=buffer_slots,
             ept=self.ept,
         )
-        self.kernel = GuestKernel(self.hv, self.costs, self.ept, ring_capacity=ring_capacity)
+        self.kernel = GuestKernel(self.hv, self.ept, ring_capacity=ring_capacity)
         self._next_gpa = 0x10_0000
         self._next_hpa = 0x1000_0000
         self._next_gva: dict[int, int] = {}

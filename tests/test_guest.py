@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oohsim.costs import CostTable
+from oohsim.costs import CostTable, Prices
 from oohsim.guest import (
     GUEST_RING_GPA,
     AlreadyRegistered,
@@ -31,9 +31,14 @@ def _page_list(pages: np.ndarray) -> list[int]:
 MB = 1 << 20
 
 
+def _prices(memory_bytes: int) -> Prices:
+    """The default price list of a run that tracks ``memory_bytes``."""
+    return CostTable.default().prices(memory_bytes)
+
+
 def make_kernel(ring_capacity: int = 16384):
     hv = Hypervisor()
-    kern = GuestKernel(hv, CostTable.default(), Ept(), ring_capacity=ring_capacity)
+    kern = GuestKernel(hv, Ept(), ring_capacity=ring_capacity)
     return kern, hv
 
 
@@ -55,28 +60,28 @@ def test_register_charges_the_init_hypercall():
     for technique, expected in (("spml", prices.m9), ("epml", prices.m10)):
         kern, hv = make_kernel()
         kern.new_process(7)
-        assert kern.register_tracked(7, technique, 100 * MB) == expected
+        assert kern.register_tracked(7, technique, prices) == expected
         assert kern.uio.prices == prices
         assert hv.flags.enable_by_guest
     kern, hv = make_kernel()
     kern.new_process(7)
-    assert kern.register_tracked(7, "proc", 100 * MB) == prices.m1  # no hypercall
+    assert kern.register_tracked(7, "proc", prices) == prices.m1  # no hypercall
 
 
 def test_register_twice_rejected():
     kern, _ = make_kernel()
     kern.new_process(7)
     kern.new_process(8)
-    kern.register_tracked(7, "proc", MB)
+    kern.register_tracked(7, "proc", _prices(MB))
     with pytest.raises(AlreadyRegistered):
-        kern.register_tracked(8, "proc", MB)
+        kern.register_tracked(8, "proc", _prices(MB))
 
 
 def test_register_unknown_technique_rejected():
     kern, _ = make_kernel()
     kern.new_process(7)
     with pytest.raises(ValueError):
-        kern.register_tracked(7, "carrier-pigeon", MB)
+        kern.register_tracked(7, "carrier-pigeon", _prices(MB))
 
 
 def test_duplicate_pid_rejected():
@@ -89,7 +94,7 @@ def test_duplicate_pid_rejected():
 def test_epml_register_maps_the_guest_ring_page():
     kern, hv = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "epml", MB)
+    kern.register_tracked(7, "epml", _prices(MB))
     assert hv.pml.epml_enabled
     assert kern.ept.translate(GUEST_RING_GPA) is not None
 
@@ -101,7 +106,7 @@ def test_untracked_pid_schedules_for_free():
     kern, _ = make_kernel()
     kern.new_process(7)
     kern.new_process(9)
-    kern.register_tracked(7, "spml", MB)
+    kern.register_tracked(7, "spml", _prices(MB))
     assert kern.on_schedule(9, "in") == 0.0
     assert kern.on_schedule(9, "out") == 0.0
 
@@ -110,7 +115,7 @@ def test_spml_schedule_pair_charges_hypercalls():
     table = CostTable.default()
     kern, hv = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "spml", 100 * MB)
+    kern.register_tracked(7, "spml", _prices(100 * MB))
     us_in = kern.on_schedule(7, "in")
     assert us_in == table.cost_us("M13")
     assert hv.pml.hv_buffer.armed
@@ -125,7 +130,7 @@ def test_epml_schedule_pair_is_three_writes_one_read():
     table = CostTable.default()
     kern, hv = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "epml", 100 * MB)
+    kern.register_tracked(7, "epml", _prices(100 * MB))
     us_in = kern.on_schedule(7, "in")
     assert us_in == pytest.approx(2 * table.cost_us("M8"))
     assert hv.pml.guest_buffer.armed
@@ -146,7 +151,7 @@ def test_epml_sched_out_drains_leftovers_to_tool_ring():
     kern, hv = make_kernel()
     kern.new_process(7)
     map_pages(kern, 7, 3)
-    kern.register_tracked(7, "epml", MB)
+    kern.register_tracked(7, "epml", _prices(MB))
     kern.on_schedule(7, "in")
     for i in range(3):
         hv.pml.log_dirty(0x100000 + i * 0x1000, 0x1000 + i * 0x1000)
@@ -158,7 +163,7 @@ def test_epml_sched_out_drains_leftovers_to_tool_ring():
 def test_bad_direction_rejected():
     kern, _ = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "proc", MB)
+    kern.register_tracked(7, "proc", _prices(MB))
     with pytest.raises(ValueError):
         kern.on_schedule(7, "sideways")
 
@@ -170,7 +175,7 @@ def _epml_kernel_with_entries(n: int, ring_capacity: int = 16384):
     kern, hv = make_kernel(ring_capacity=ring_capacity)
     kern.new_process(7)
     map_pages(kern, 7, n)
-    kern.register_tracked(7, "epml", MB)
+    kern.register_tracked(7, "epml", _prices(MB))
     kern.on_schedule(7, "in")
     for i in range(n):
         gva = 0x1000 + i * 0x1000
@@ -217,14 +222,14 @@ def test_softirq_partial_copy_holds_remainder():
 def test_spurious_softirq_is_a_no_op():
     kern, _ = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "epml", MB)
+    kern.register_tracked(7, "epml", _prices(MB))
     assert kern.deliver_guest_buffer_full(7) == (0, 0.0)
 
 
 def test_consume_ring_requires_extended_mode():
     kern, _ = make_kernel()
     kern.new_process(7)
-    kern.register_tracked(7, "proc", MB)
+    kern.register_tracked(7, "proc", _prices(MB))
     with pytest.raises(NotRegistered):
         kern.epml_consume_ring()
 
@@ -236,7 +241,7 @@ def test_pagemap_reports_live_and_residue_pages():
     kern, _ = make_kernel()
     kern.new_process(7)
     proc = map_pages(kern, 7, 4)
-    kern.register_tracked(7, "proc", MB)
+    kern.register_tracked(7, "proc", _prices(MB))
     kern.clear_soft_dirty(7)  # allocation marks pages soft-dirty: start clean
     ept = kern.ept
     for gva in (0x1000, 0x2000, 0x3000):
@@ -255,7 +260,7 @@ def test_clear_soft_dirty_resets_everything():
     kern, _ = make_kernel()
     kern.new_process(7)
     proc = map_pages(kern, 7, 3)
-    kern.register_tracked(7, "proc", MB)
+    kern.register_tracked(7, "proc", _prices(MB))
     count, us = kern.clear_soft_dirty(7)
     assert count == 3  # allocation had marked all three
     assert us == CostTable.default().cost_us("M15", MB)
@@ -272,7 +277,7 @@ def test_soft_dirty_services_require_tracked_pid():
     kern, _ = make_kernel()
     kern.new_process(7)
     kern.new_process(9)
-    kern.register_tracked(7, "proc", MB)
+    kern.register_tracked(7, "proc", _prices(MB))
     with pytest.raises(NotRegistered):
         kern.clear_soft_dirty(9)
     with pytest.raises(NotRegistered):
@@ -286,7 +291,7 @@ def test_uffd_record_and_harvest():
     kern, _ = make_kernel()
     kern.new_process(7)
     map_pages(kern, 7, 9)
-    kern.register_tracked(7, "uffd", MB)
+    kern.register_tracked(7, "uffd", _prices(MB))
     kern.uffd_record_run(7, [9])  # first: a set of 9, 2 and 1 iterates unsorted
     kern.uffd_record_run(7, [2, 1, 9])  # page 9 faults again
     assert _page_list(kern.uffd_harvest(7)) == [1, 2, 9]
@@ -297,7 +302,7 @@ def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
     kern, _ = make_kernel()
     kern.new_process(7)
     map_pages(kern, 7, 2)
-    kern.register_tracked(7, "uffd", MB)
+    kern.register_tracked(7, "uffd", _prices(MB))
     for gva in (0x2000, 0x2008, 0x2FFF):
         kern.uffd_record_run(7, (gva // PAGE_SIZE,))  # as VirtualMachine.write_one records
     assert _page_list(kern.uffd_harvest(7)) == [2]
@@ -307,7 +312,7 @@ def test_uffd_register_write_protects_existing_pages():
     kern, _ = make_kernel()
     kern.new_process(7)
     proc = map_pages(kern, 7, 2)
-    kern.register_tracked(7, "uffd", MB)
+    kern.register_tracked(7, "uffd", _prices(MB))
     outcome = proc.table.write_page(0x1000, kern.ept)
     assert outcome.fault == "write_protect"
 

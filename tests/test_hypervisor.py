@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oohsim.costs import CostTable
-from oohsim.engine import EventKind, SimEngine
 from oohsim.hypervisor import (
     COORD_REQUESTS,
     CoexistenceFlags,
@@ -663,58 +664,41 @@ def test_armed_expected_property():
 
 
 def test_background_job_alone_runs_in_wall_time():
-    eng = SimEngine()
-    core = HvCore(eng)
-    done = []
-    core.start_background(100.0, done.append)
-    eng.run()
-    assert done == [100.0]
+    core = HvCore()
+    core.start_background(0.0, 100.0)
+    assert core.done_at == 100.0
 
 
 def test_priority_service_stretches_background_job():
-    eng = SimEngine()
-    core = HvCore(eng)
-    done = []
-    core.start_background(100.0, done.append)
-    eng.schedule_at(10.0, EventKind.VMEXIT, lambda ev: core.service(30.0))
-    eng.run()
+    core = HvCore()
+    core.start_background(0.0, 100.0)
+    core.service(10.0, 30.0)
     # job ran [0,10], blocked [10,40], ran [40,130]
-    assert done == [130.0]
+    assert core.done_at == 130.0
 
 
 def test_back_to_back_services_serialize():
-    eng = SimEngine()
-    core = HvCore(eng)
-    done = []
-    core.start_background(100.0, done.append)
-    eng.schedule_at(10.0, EventKind.VMEXIT, lambda ev: core.service(30.0))
-    eng.schedule_at(20.0, EventKind.VMEXIT, lambda ev: core.service(50.0))
-    eng.run()
+    core = HvCore()
+    core.start_background(0.0, 100.0)
+    core.service(10.0, 30.0)
+    core.service(20.0, 50.0)
     # busy [10,40] then [40,90]; job ran [0,10] and [90,180]
-    assert done == [180.0]
+    assert core.done_at == 180.0
     assert core.busy_until == 90.0
 
 
 def test_job_started_while_core_busy_waits():
-    eng = SimEngine()
-    core = HvCore(eng)
-    done = []
-
-    def kick(ev):
-        core.service(50.0)
-        core.start_background(100.0, done.append)
-
-    eng.schedule_at(0.0, EventKind.VMEXIT, kick)
-    eng.run()
-    assert done == [150.0]
+    core = HvCore()
+    core.service(0.0, 50.0)
+    core.start_background(0.0, 100.0)
+    assert core.done_at == 150.0
 
 
 def test_only_one_background_job_at_a_time():
-    eng = SimEngine()
-    core = HvCore(eng)
-    core.start_background(10.0, lambda t: None)
+    core = HvCore()
+    core.start_background(0.0, 10.0)
     with pytest.raises(RuntimeError):
-        core.start_background(10.0, lambda t: None)
+        core.start_background(0.0, 10.0)
 
 
 # --------------------------------------------------------------- migration
@@ -754,28 +738,51 @@ def test_write_storm_hits_round_cap_not_livelock():
     assert len(rep.rounds) == 11  # 10 pre-copy rounds plus the stop-and-copy
 
 
-# (hot_pages, seed, concurrent_load) -> each round's (pages sent, start ms,
-# duration ms), total ms, downtime ms, stop reason and vmexits, recorded
-# while every write drew its hot page with one scalar ``rng.integers`` call
+# (hot_pages, seed, concurrent_load, the job's other non-default fields) ->
+# each round's (pages sent, start ms, duration ms), total ms, downtime ms, stop
+# reason and vmexits, recorded while every write drew its hot page with one
+# scalar ``rng.integers`` call; the last two were recorded while the migration
+# ran on an event heap: the first's 1 µs writes tie with every burst, the
+# second is the write storm's ``max_rounds`` stop
 _PINNED_MIGRATIONS = {
-    (1, 0, None): (
+    (1, 0, None, ()): (
         [(25600, 0.0, 64.00765000000001), (1, 64.00765000000001, 0.0025)],
         64.01015000000001, 0.0025, "threshold", 6,
     ),
-    (1, 11, (8000.0, 2186.0)): (
+    (1, 11, (8000.0, 2186.0), ()): (
         [(25600, 0.0, 85.8702), (1, 85.8702, 0.0025)],
         85.8727, 0.0025, "threshold", 8,
     ),
-    (1 << 20, 0, (8000.0, 2186.0)): (
+    (1 << 20, 0, (8000.0, 2186.0), ()): (
         [(25600, 0.0, 85.8702), (4288, 85.8702, 15.093274999999995),
          (755, 100.96347499999999, 1.888774999999994), (94, 102.85224999999998, 0.235),
          (12, 103.08724999999998, 0.03)],
         103.11724999999998, 0.03, "threshold", 10,
     ),
-    (1 << 20, 11, None): (
+    (1 << 20, 11, None, ()): (
         [(25600, 0.0, 64.00765000000001), (3191, 64.00765000000001, 7.978774999999994),
          (398, 71.986425, 0.995), (50, 72.981425, 0.125)],
         73.106425, 0.125, "threshold", 7,
+    ),
+    (4514, 96, (8000.0, 2186.0), (("vm_pages", 6270), ("writes_per_s", 1e6), ("max_rounds", 14))): (
+        [(6270, 0.0, 20.11420844497607), (4465, 20.11420844497607, 15.586198803827735),
+         (4367, 35.700407248803806, 15.34119880382782), (4355, 51.04160605263163, 15.311198803827777),
+         (4392, 66.3528048564594, 13.210805629983923), (4285, 79.56361048644332, 15.134475510366682),
+         (4375, 94.69808599681001, 15.361198803827603), (4359, 110.05928480063761, 15.321198803827603),
+         (4356, 125.38048360446521, 15.31369880382788), (4377, 140.6941824082931, 15.36619880382804),
+         (4366, 156.06038121212114, 15.33869880382804), (4363, 171.39908001594918, 15.33119880382804),
+         (4361, 186.73027881977723, 13.133305629984301), (4255, 199.8635844497615, 15.059475510367106),
+         (4354, 214.92305996012863, 15.257)],
+        230.18005996012863, 15.257, "max_rounds", 419,
+    ),
+    (256, 7, None, (("vm_pages", 2048), ("writes_per_s", 1e6), ("max_rounds", 10))): (
+        [(2048, 0.0, 5.144261111111109), (256, 5.144261111111109, 0.6424261111111109),
+         (237, 5.78668722222222, 0.5949261111111109), (233, 6.381613333333331, 0.5849261111111109),
+         (229, 6.966539444444442, 0.5749261111111109), (225, 7.541465555555553, 0.5649261111111109),
+         (231, 8.106391666666664, 0.5799261111111109), (231, 8.686317777777775, 0.5823522222222236),
+         (226, 9.268669999999998, 0.5674261111111119), (229, 9.836096111111111, 0.5749261111111118),
+         (221, 10.411022222222222, 0.5525)],
+        10.963522222222222, 0.5525, "max_rounds", 20,
     ),
 }
 
@@ -785,8 +792,9 @@ _PINNED_MIGRATIONS = {
     ids=lambda key: f"hot{key[0]}-seed{key[1]}-{'loaded' if key[2] else 'solo'}",
 )
 def test_migration_reports_pinned(key):
-    hot_pages, seed, load = key
-    rep = run_migration(MigrationJob(hot_pages=hot_pages, seed=seed), concurrent_load=load)
+    hot_pages, seed, load, other = key
+    job = MigrationJob(hot_pages=hot_pages, seed=seed, **dict(other))
+    rep = run_migration(job, concurrent_load=load)
     rounds = [(r.pages_sent, r.started_ms, r.duration_ms) for r in rep.rounds]
     got = (rounds, rep.total_ms, rep.downtime_ms, rep.stop_reason, rep.vmexits)
     assert got == _PINNED_MIGRATIONS[key]
@@ -799,15 +807,23 @@ def _migration_per_write(
     *,
     concurrent_load: tuple[float, float] | None = None,
 ) -> MigrationReport:
-    """``run_migration`` as it was written first, the reference: every
-    guest write is an event of its own."""
+    """``run_migration`` as it was written first, the reference: every guest
+    write, vmexit burst and job completion is an event of its own on a heap
+    ordered by ``(time, seq)``.  Each service queues the job's completion
+    again, and the completions it moved are void."""
     table = table or CostTable.default()
-    engine = SimEngine()
-    core = HvCore(engine)
+    core = HvCore()
     rng = np.random.default_rng(job.seed)
 
     flush_service_us = table.prices(job.vm_pages * 4096).copy_us(512)
     write_period_us = 1e6 / job.writes_per_s
+    queue: list = []
+    seqs = itertools.count()
+
+    def schedule(time_us, handler) -> int:
+        seq = next(seqs)
+        heapq.heappush(queue, (time_us, seq, handler))
+        return seq
 
     def draws():  # the written hot pages, drawn a block at a time
         while True:
@@ -827,21 +843,38 @@ def _migration_per_write(
         "downtime_start": 0.0,
         "downtime_ms": 0.0,
         "total_ms": 0.0,
+        "done_seq": -1,  # the completion event that is not void
+        "on_finish": None,  # what the job's completion runs
     }
 
-    def on_write(ev) -> None:
+    def service(now, duration_us) -> None:
+        core.service(now, duration_us)
+        state["done_seq"] = schedule(core.done_at, on_done)
+
+    def start_background(now, work_us, on_finish) -> None:
+        core.start_background(now, work_us)
+        state["on_finish"] = on_finish
+        state["done_seq"] = schedule(core.done_at, on_done)
+
+    def on_done(now, seq) -> None:
+        if seq != state["done_seq"]:
+            return  # moved by later priority work
+        core.finish()
+        state["on_finish"](now)
+
+    def on_write(now, seq) -> None:
         if not state["migrating"] or state["paused"]:
             return
         dirty.add(next(hot))
         state["writes"] += 1
         if state["writes"] % 512 == 0:
             state["vmexits"] += 1
-            core.service(flush_service_us)
-        engine.schedule(write_period_us, EventKind.WRITE, on_write)
+            service(now, flush_service_us)
+        schedule(now + write_period_us, on_write)
 
-    def start_round(pages: int) -> None:
-        state["round_start"] = engine.now
-        core.start_background(pages * job.page_xfer_us, lambda t: on_round_done(pages, t))
+    def start_round(now, pages: int) -> None:
+        state["round_start"] = now
+        start_background(now, pages * job.page_xfer_us, lambda t: on_round_done(pages, t))
 
     def on_round_done(pages_sent: int, now: float) -> None:
         rounds.append(
@@ -861,11 +894,11 @@ def _migration_per_write(
             )
             state["paused"] = True  # source stopped: no more dirtying
             state["downtime_start"] = now
-            core.start_background(
-                residue * job.page_xfer_us, lambda t: on_stopcopy_done(residue, t)
+            start_background(
+                now, residue * job.page_xfer_us, lambda t: on_stopcopy_done(residue, t)
             )
         else:
-            start_round(residue)
+            start_round(now, residue)
 
     def on_stopcopy_done(pages_sent: int, now: float) -> None:
         rounds.append(
@@ -883,17 +916,19 @@ def _migration_per_write(
     if concurrent_load is not None:
         period_us, service_us = concurrent_load
 
-        def on_burst(ev) -> None:
+        def on_burst(now, seq) -> None:
             if not state["migrating"]:
                 return
-            core.service(service_us)
-            engine.schedule(period_us, EventKind.VMEXIT, on_burst)
+            service(now, service_us)
+            schedule(now + period_us, on_burst)
 
-        engine.schedule(period_us, EventKind.VMEXIT, on_burst)
+        schedule(period_us, on_burst)
 
-    engine.schedule(write_period_us, EventKind.WRITE, on_write)
-    start_round(job.vm_pages)
-    engine.run()
+    schedule(write_period_us, on_write)
+    start_round(0.0, job.vm_pages)
+    while queue:
+        time_us, seq, handler = heapq.heappop(queue)
+        handler(time_us, seq)
 
     return MigrationReport(
         rounds=rounds,
@@ -966,3 +1001,64 @@ def test_block_draws_equal_scalar_draws(seed, bound, block, blocks):
         f"NumPy {np.__version__}: rng.integers({bound}, size={block}) does not yield "
         f"the stream of {block} scalar draws"
     )
+
+
+def _time_doubled(table: CostTable) -> CostTable:
+    """``table`` with every µs and ms value doubled; ``spml_drain_batch`` is a
+    count and stays."""
+    return CostTable(
+        fixed_us={metric: 2 * us for metric, us in table.fixed_us.items()},
+        sized_ms={
+            metric: [(size, 2 * ms) for size, ms in anchors]
+            for metric, anchors in table.sized_ms.items()
+        },
+        params={
+            key: value if key == "spml_drain_batch" else 2 * value
+            for key, value in table.params.items()
+        },
+    )
+
+
+@settings(max_examples=100, deadline=None)
+# 1 µs writes that tie with every burst, and the write storm's max_rounds stop
+@example(seed=96, vm_pages=6270, hot_pages=4514, writes_per_s=1e6, page_xfer_us=2.5,
+         stop_threshold_pages=64, max_rounds=14, load=(8000.0, 2186.0))
+@example(seed=7, vm_pages=2048, hot_pages=256, writes_per_s=1e6, page_xfer_us=2.5,
+         stop_threshold_pages=64, max_rounds=10, load=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vm_pages=st.integers(min_value=512, max_value=8192),
+    hot_pages=st.sampled_from([1, 64, 2048, 1 << 20]),
+    writes_per_s=st.one_of(_PERIODIC_WRITES, st.floats(min_value=1_000.0, max_value=1e6 / 3)),
+    page_xfer_us=st.floats(min_value=0.25, max_value=3.0),
+    stop_threshold_pages=st.integers(min_value=1, max_value=600),
+    max_rounds=st.integers(min_value=1, max_value=8),
+    load=st.sampled_from([None, (8000.0, 2186.0), (20.0, 5.0), (333.3, 150.0)]),
+)
+def test_migration_times_scale_with_every_price(
+    seed, vm_pages, hot_pages, writes_per_s, page_xfer_us, stop_threshold_pages, max_rounds, load
+):
+    """Doubling every µs and ms price, the per-page transfer time, the write
+    period and both load terms doubles every time of the report exactly (a
+    double of a float is exact through every sum, difference and quotient),
+    and changes no page count, vmexit count or stop reason."""
+    job = MigrationJob(
+        vm_pages=vm_pages, hot_pages=hot_pages, writes_per_s=writes_per_s,
+        page_xfer_us=page_xfer_us, stop_threshold_pages=stop_threshold_pages,
+        max_rounds=max_rounds, seed=seed,
+    )
+    slow = MigrationJob(**{
+        **vars(job), "writes_per_s": writes_per_s / 2, "page_xfer_us": 2 * page_xfer_us,
+    })
+    base = run_migration(job, concurrent_load=load)
+    doubled = run_migration(
+        slow, _time_doubled(CostTable.default()),
+        concurrent_load=load and (2 * load[0], 2 * load[1]),
+    )
+    assert doubled.total_ms == 2 * base.total_ms
+    assert doubled.downtime_ms == 2 * base.downtime_ms
+    assert [(r.round_no, r.pages_sent, r.started_ms / 2, r.duration_ms / 2)
+            for r in doubled.rounds] == [
+        (r.round_no, r.pages_sent, r.started_ms, r.duration_ms) for r in base.rounds
+    ]
+    assert (doubled.vmexits, doubled.stop_reason) == (base.vmexits, base.stop_reason)

@@ -822,10 +822,10 @@ def test_truncated_and_event_dense_runs_pinned():
 
 
 def _flushed_spml_vm(n_pages: int) -> tuple[VirtualMachine, list[int]]:
-    vm = VirtualMachine(CostTable.default())
+    vm = VirtualMachine()
     vm.create_process(1)
     gvas = list(vm.allocate(1, n_pages))
-    vm.kernel.register_tracked(1, "spml", 4 * MB)
+    vm.kernel.register_tracked(1, "spml", CostTable.default().prices(4 * MB))
     vm.kernel.on_schedule(1, "in")
     for gva in gvas:
         vm.write_one(1, gva)
@@ -839,7 +839,7 @@ def test_drain_ring_reverse_maps_batch():
     vm, gvas = _flushed_spml_vm(5)
     run = trackers._MechanicalRun(cfg("spml", 4 * MB))
     _cost, rm_us, copy_us = run._drain_charge(3)
-    t = vm.costs
+    t = CostTable.default()
     assert rm_us == pytest.approx(3 * t.per_page_us("M17", 4 * MB))
     assert copy_us == pytest.approx(3 * t.per_page_us("M18", 4 * MB))
     rows = np.concatenate([rows for _pid, rows in vm.hv.ring.consume(3)])
@@ -854,7 +854,7 @@ def test_drain_ring_deferred_keeps_raw_addresses():
     res = drain_ring(vm)
     assert res.consumed == 4 and vm.hv.ring.used == 0
     assert res.gvas.tolist() == [] and res.rm_us == 0.0
-    assert res.copy_us == pytest.approx(4 * vm.costs.per_page_us("M18", 4 * MB))
+    assert res.copy_us == pytest.approx(4 * CostTable.default().per_page_us("M18", 4 * MB))
     assert [meta for _gpa, meta in res.raw.tolist()] == gvas
 
 
@@ -871,7 +871,7 @@ def test_drain_ring_reports_lost_and_inaccurate():
     assert [meta for _gpa, meta in res.lost] == [gvas[0]]
     assert (alias, gvas[1]) in res.inaccurate
     assert gvas[2] in res.gvas
-    assert res.rm_us == pytest.approx(3 * vm.costs.per_page_us("M17", 4 * MB))
+    assert res.rm_us == pytest.approx(3 * CostTable.default().per_page_us("M17", 4 * MB))
 
 
 def _aliased_spml_vm(n_pages):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oohsim.costs import CostTable
 from oohsim.guest import GUEST_RING_GPA, GUEST_RING_HPA, TECHNIQUES
 from oohsim.memory import _HAS_DIRTY, _PROTECT, Ept, GuestPageTable, MappingError, write_faults
 from oohsim.vm import VirtualMachine
@@ -48,7 +49,7 @@ def make_vm(technique: str | None = None, pages: int = 8, **kw) -> VirtualMachin
     vm.create_process(7)
     vm.allocate(7, pages)
     if technique:
-        vm.kernel.register_tracked(7, technique, pages * 4096)
+        vm.kernel.register_tracked(7, technique, CostTable.default().prices(pages * 4096))
     return vm
 
 
@@ -404,7 +405,7 @@ def test_allocation_makes_entries_only_for_touched_pages():
         vm = VirtualMachine()
         vm.create_process(1)
         gvas = vm.allocate(1, 614_400)
-        vm.kernel.register_tracked(1, "proc", len(gvas) * 4096)
+        vm.kernel.register_tracked(1, "proc", CostTable.default().prices(len(gvas) * 4096))
         vm.kernel.clear_soft_dirty(1)
         written = {gvas[0], gvas[307_200], gvas[-1]}
         for g in written:
@@ -440,7 +441,7 @@ def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm, 
     if single != hole:
         vm.unmap(7, pages[single])
         vm.map_fresh(7, pages[single])
-    vm.kernel.register_tracked(7, technique, TWIN_PAGES * P)
+    vm.kernel.register_tracked(7, technique, CostTable.default().prices(TWIN_PAGES * P))
     if protect not in (hole, single):
         _set_write_protect(vm.kernel.processes[7].table, [pages[protect]])
     if sched_in:
