@@ -266,7 +266,7 @@ def checkpoint_time_model(
     if dirty_pages is not None and dirty_pages < 0:
         raise ValueError("dirty_pages: must be >= 0")
     dirty = cfg.pages if dirty_pages is None else dirty_pages
-    return _dump_timing(technique, cfg.cost_table().prices(memory_bytes), dirty)
+    return _dump_timing(technique, cfg.prices, dirty)
 
 
 def _dump_timing(technique: str, prices: Prices, dirty: int) -> CheckpointTiming:
@@ -302,7 +302,7 @@ class CheckpointSession:
         memory_bytes: int,
         *,
         table: CostTable | None = None,
-        ring_capacity: int = 16384,
+        ring_capacity: int = TrackerConfig.ring_capacity,
     ):
         cfg = TrackerConfig(technique, memory_bytes, ring_capacity=ring_capacity, table=table)
         self.technique = technique

@@ -18,70 +18,46 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from .costs import CalibrationError, CostTable, load_calibration_file
 from .experiments import (
-    REPORT_FORMATS,
     REPRO_FIGURES,
     ExperimentConfig,
     comparison_csv,
     emit_reports,
+    parse_formats,
     repro,
     run,
 )
-from .reports import RunReport, RunRow, render, rows_from_csv, rows_from_json
+from .reports import REPORT_FORMATS, RunReport, RunRow, render, rows_from_csv, rows_from_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_ini(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "calibration", None):
-        overrides["calibration"] = args.calibration
-    return replace(cfg, **overrides) if overrides else cfg
+    """The ``--config`` file's experiment, else the default one, with every
+    flag given whose ``dest`` is a config key applied over it."""
+    cfg = ExperimentConfig.from_ini(args.config) if args.config else ExperimentConfig()
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    return cfg.override(given)
 
 
-def _emit(report: RunReport, out_dir: str, formats: str, stem: str) -> int:
-    chosen = tuple(f.strip() for f in formats.split(",") if f.strip())
-    for path in emit_reports(report, chosen, out_dir=out_dir, stem=stem):
+def cmd_run(args: argparse.Namespace, stem: str = "report") -> int:
+    formats = parse_formats(args.formats)  # before the run, which may take long
+    cfg = _config_from_args(args)
+    for path in emit_reports(run(cfg), formats, out_dir=cfg.out_dir, stem=stem):
         print(path)
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    return _emit(run(cfg), cfg.out_dir, args.formats, "report")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _config_from_args(args)
-    mapping = {}
-    if args.sizes is not None:
-        mapping["memory_sizes"] = args.sizes
-    if args.techniques is not None:
-        mapping["techniques"] = args.techniques
-    if args.rounds is not None:
-        mapping["rounds"] = args.rounds
-    grid = ExperimentConfig.from_mapping(mapping)
-    cfg = replace(
-        base,
-        memory_sizes=grid.memory_sizes if args.sizes is not None else base.memory_sizes,
-        techniques=grid.techniques if args.techniques is not None else base.techniques,
-        rounds=grid.rounds if args.rounds is not None else base.rounds,
-    )
-    return _emit(run(cfg), cfg.out_dir, args.formats, "sweep")
+    return cmd_run(args, "sweep")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -138,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
         p.add_argument("--seed", type=int, metavar="N", help="override the seed")
         p.add_argument(
             "--calibration", metavar="PATH", help="cost-calibration file"
@@ -157,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="cross-product of sizes x techniques")
     p_sweep.add_argument("--config", metavar="PATH", help="base INI config")
-    p_sweep.add_argument("--sizes", metavar="LIST", help="comma list, e.g. 1MB,1GB")
+    p_sweep.add_argument(
+        "--sizes", dest="memory_sizes", metavar="LIST", help="comma list, e.g. 1MB,1GB"
+    )
     p_sweep.add_argument(
         "--techniques", metavar="LIST", help="comma list of proc,uffd,spml,epml"
     )

@@ -15,12 +15,12 @@ are likewise pure functions of the cost table and the seed.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
 from statistics import fmean
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .hypervisor import (
     model_check_coordination,
     run_migration,
 )
-from .reports import RunReport, write_report
+from .reports import REPORT_FORMATS, RunReport, write_report
 from .trackers import (
     TECHNIQUES,
     TrackerConfig,
@@ -53,6 +53,7 @@ __all__ = [
     "UnknownFigure",
     "comparison_csv",
     "emit_reports",
+    "parse_formats",
     "reference_values",
     "repro",
     "run",
@@ -73,9 +74,6 @@ SIZE_GRID: tuple[tuple[str, int], ...] = tuple(
         ("1GB", 1000),
     )
 )
-
-REPORT_FORMATS = ("csv", "json", "plotdata")
-
 
 class ConfigError(ValueError):
     """A config field is missing, unknown, or fails validation."""
@@ -115,21 +113,25 @@ class ExperimentConfig:
     key-value write trace at that engine's fixed footprint, so
     ``memory_sizes`` is ignored).  ``calibration`` overrides the cost table;
     when ``None`` the ``OOHSIM_CALIBRATION`` environment variable applies,
-    then the built-in defaults.
+    then the built-in defaults.  Each point's run knobs
+    (``rounds``, ``quantum_us``, ``collection_interval_us``, the ring's two and
+    ``horizon_us``) take their defaults and rules from
+    :class:`~oohsim.trackers.TrackerConfig`, and the ``kv_`` fields their
+    defaults from :class:`~oohsim.workloads.KvWorkloadSpec`.
     """
 
     seed: int = 0
-    memory_sizes: tuple[int, ...] = (100 * MB,)
-    techniques: tuple[str, ...] = ("proc", "uffd", "spml", "epml")
+    memory_sizes: tuple[int, ...] = (TrackerConfig.memory_bytes,)
+    techniques: tuple[str, ...] = TECHNIQUES
     workload: str = "microbench"
-    rounds: int = 13
-    kv_ops: int = 20_000
-    kv_churn_rate: float = 0.0
-    quantum_us: float = 10_000.0
-    collection_interval_us: float = 1_000.0
-    ring_capacity: int = 16_384
-    ring_full_policy: str = "stall"
-    horizon_us: float = 60_000_000.0
+    rounds: int = TrackerConfig.rounds
+    kv_ops: int = KvWorkloadSpec.n_ops
+    kv_churn_rate: float = KvWorkloadSpec.churn_rate
+    quantum_us: float = TrackerConfig.quantum_us
+    collection_interval_us: float = TrackerConfig.collection_interval_us
+    ring_capacity: int = TrackerConfig.ring_capacity
+    ring_full_policy: str = TrackerConfig.ring_full_policy
+    horizon_us: float = TrackerConfig.horizon_us
     calibration: str | None = None
     out_dir: str = "."
 
@@ -175,11 +177,15 @@ class ExperimentConfig:
         the field's type, with ``KB``/``MB``/``GB`` suffixes accepted for
         memory sizes.
         """
-        known = {f.name: f for f in fields(cls)}
+        return cls().override(mapping)
+
+    def override(self, mapping: Mapping[str, Any]) -> "ExperimentConfig":
+        """This config with the keys of ``mapping`` replaced, checked and coerced
+        as :meth:`from_mapping` does."""
         kwargs: dict[str, Any] = {}
         for key, raw in mapping.items():
             name = key.strip()
-            if name not in known:
+            if name not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {name!r}")
             try:
                 kwargs[name] = _coerce_field(name, raw)
@@ -187,7 +193,7 @@ class ExperimentConfig:
                 raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-        return cls(**kwargs)
+        return replace(self, **kwargs)
 
     @classmethod
     def from_ini(cls, path: str | Path) -> "ExperimentConfig":
@@ -215,18 +221,8 @@ class ExperimentConfig:
         self, technique: str, size: int, *, table: CostTable | None = None, trace: Any = None
     ) -> TrackerConfig:
         """The tracker run of one (technique, size) point of this config."""
-        return TrackerConfig(
-            technique=technique,
-            memory_bytes=size,
-            rounds=self.rounds,
-            quantum_us=self.quantum_us,
-            collection_interval_us=self.collection_interval_us,
-            ring_capacity=self.ring_capacity,
-            ring_full_policy=self.ring_full_policy,
-            horizon_us=self.horizon_us,
-            table=table,
-            trace=trace,
-        )
+        knobs = {name: getattr(self, name) for name in _RUN_KNOBS}
+        return TrackerConfig(technique, size, table=table, trace=trace, **knobs)
 
     def points(self) -> list[tuple[str, int]]:
         """The (technique, memory_bytes) grid this config runs, sorted."""
@@ -239,24 +235,32 @@ class ExperimentConfig:
         return [(tech, size) for tech in techniques for size in sizes]
 
 
+#: The fields each point's :class:`~oohsim.trackers.TrackerConfig` takes as they are.
+_RUN_KNOBS = (
+    "rounds",
+    "quantum_us",
+    "collection_interval_us",
+    "ring_capacity",
+    "ring_full_policy",
+    "horizon_us",
+)
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
 def _coerce_field(name: str, raw: Any) -> Any:
-    if name == "memory_sizes":
-        if isinstance(raw, str):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-        elif isinstance(raw, int):
-            parts = [raw]
-        else:
-            parts = list(raw)
+    """``raw`` as a value of field ``name``'s type; sizes take suffixes."""
+    kind = _FIELD_TYPES[name]
+    if kind == tuple[int, ...]:  # memory sizes
+        parts = [raw] if isinstance(raw, int) else _parse_list(raw) if isinstance(raw, str) else raw
         return tuple(parse_size(p) for p in parts)
-    if name == "techniques":
+    if kind == tuple[str, ...]:
         return _parse_list(raw)
-    if name in ("seed", "rounds", "kv_ops", "ring_capacity"):
+    if kind is int:
         return int(str(raw).strip()) if not isinstance(raw, int) else raw
-    if name in ("kv_churn_rate", "quantum_us", "collection_interval_us", "horizon_us"):
+    if kind is float:
         return float(raw)
-    if name == "calibration":
-        text = str(raw).strip()
-        return text or None
+    if kind == str | None:
+        return str(raw).strip() or None
     return str(raw).strip() if isinstance(raw, str) else raw
 
 
@@ -293,6 +297,18 @@ def run(config: ExperimentConfig) -> RunReport:
     return report
 
 
+def parse_formats(value: str | tuple[str, ...]) -> tuple[str, ...]:
+    """The report formats ``value`` names, as a comma list or a tuple; it must
+    name at least one, and only formats :mod:`~oohsim.reports` renders."""
+    formats = _parse_list(value)
+    if not formats:
+        raise ConfigError("formats: at least one report format is required")
+    for fmt in formats:
+        if fmt not in REPORT_FORMATS:
+            raise ConfigError(f"unknown report format {fmt!r}")
+    return formats
+
+
 def emit_reports(
     report: RunReport,
     formats: tuple[str, ...] = REPORT_FORMATS,
@@ -300,9 +316,7 @@ def emit_reports(
     stem: str = "report",
 ) -> list[Path]:
     """Write ``report`` once per requested format; returns the paths written."""
-    for fmt in formats:
-        if fmt not in REPORT_FORMATS:
-            raise ConfigError(f"unknown report format {fmt!r}")
+    formats = parse_formats(formats)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -478,7 +492,7 @@ def repro_fig6(table: CostTable | None = None) -> list[ComparisonRow]:
 def repro_fig8(
     table: CostTable | None = None,
     *,
-    n_ops: int = 20_000,
+    n_ops: int = KvWorkloadSpec.n_ops,
     engines: tuple[str, ...] | None = None,
 ) -> list[ComparisonRow]:
     """Key-value store tracking overheads per engine and technique.

@@ -100,12 +100,13 @@ class UioModuleState:
 
 
 class GuestKernel:
-    """Kernel-level mechanics shared by the four tracking techniques."""
+    """Kernel-level mechanics shared by the four tracking techniques.
 
-    def __init__(self, hv: Hypervisor, ept: Ept, ring_capacity: int = 16384):
+    The tool's ring holds as many addresses as ``hv``'s ring does."""
+
+    def __init__(self, hv: Hypervisor, ept: Ept):
         self.hv = hv
         self.ept = ept
-        self.ring_capacity = ring_capacity
         self.processes: dict[int, Process] = {}
         self.uio: UioModuleState | None = None
         self.shadow: ShadowVmcs | None = None
@@ -154,7 +155,7 @@ class GuestKernel:
         elif technique == "uffd":
             proc.uffd_mode = "write_protect"
             proc.table.write_protect_all()
-        self.uio = UioModuleState(technique, pid, prices, self.ring_capacity)
+        self.uio = UioModuleState(technique, pid, prices, self.hv.ring.capacity)
         return prices.register_us(technique)
 
     # ------------------------------------------------------------ scheduling

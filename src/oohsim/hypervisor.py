@@ -43,13 +43,15 @@ from itertools import count, islice, repeat
 import numpy as np
 
 from .costs import CostTable
-from .pml import LogOutcome, PmlBuffer, PmlState
+from .pml import BUFFER_SLOTS, LogOutcome, PmlBuffer, PmlState
 
 __all__ = [
     "ProtocolError",
     "HYPERCALL_KINDS",
     "COORD_REQUESTS",
     "CoexistenceFlags",
+    "RING_CAPACITY",
+    "RING_FULL_POLICIES",
     "RingBlock",
     "SpmlRingBuffer",
     "FlushResult",
@@ -106,6 +108,12 @@ class CoexistenceFlags:
 class RingBlock:
     pid: int
     entries: np.ndarray  # (n, 2) int64 rows of (gpa, meta_gva)
+
+
+#: The ring's default capacity, in addresses, and its ring-full policies:
+#: the first, the default, stalls the producer, the second drops the flush.
+RING_CAPACITY = 16_384
+RING_FULL_POLICIES = ("stall", "drop")
 
 
 class SpmlRingBuffer:
@@ -187,12 +195,12 @@ class Hypervisor:
 
     def __init__(
         self,
-        ring_capacity: int = 16384,
-        ring_full_policy: str = "stall",
-        buffer_slots: int = 512,
+        ring_capacity: int = RING_CAPACITY,
+        ring_full_policy: str = RING_FULL_POLICIES[0],
+        buffer_slots: int = BUFFER_SLOTS,
         ept=None,
     ):
-        if ring_full_policy not in ("stall", "drop"):
+        if ring_full_policy not in RING_FULL_POLICIES:
             raise ValueError(f"unknown ring_full_policy {ring_full_policy!r}")
         self.ept = ept  # when set, flushed addresses get their dirty bit re-armed
         self.pml = PmlState(

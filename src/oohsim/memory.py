@@ -273,15 +273,11 @@ class _PageMap:
 
     def _target(self, addr: int) -> int | None:
         """The address page ``addr`` maps to, or None when it is not mapped."""
-        region = self.entries.get(addr)
-        if region is not None:
-            return region.target
-        # _locate's scan, inline: this runs for every payload write and page read
-        for region in self._regions:
-            i = region.index(addr - region.base)
-            if i >= 0:
-                return region.target + i * PAGE_SIZE
-        return None
+        place = self._locate(addr)
+        if place is None:
+            return None
+        region, i = place
+        return region.target + i * PAGE_SIZE
 
     def _all(self) -> Iterator[_Region]:
         return chain(self._regions, self.entries.values())
@@ -550,23 +546,12 @@ class GuestPageTable(_PageMap):
         was clear), and sets the EPT dirty bit for the backing GPA,
         reporting whether that was a clear-to-set transition.
         """
-        region = self.entries.get(gva)
-        if region is None:
-            # inline run lookup: this runs on every write, and a call costs
-            for region in self._regions:
-                off = gva - region.base
-                if 0 <= off < region.span:
-                    break
-            else:
-                return WriteOutcome(gva, None, "not_present")
-            i = off // PAGE_SIZE
-            bits = 0 if off % PAGE_SIZE else region.bits[i]
-        else:
-            off = i = 0
-            bits = region.bits[0]
-        if not bits:
+        place = self._locate(gva)
+        if place is None:
             return WriteOutcome(gva, None, "not_present")
-        gpa = region.target + off
+        region, i = place
+        bits = region.bits[i]
+        gpa = region.target + i * PAGE_SIZE
         if not bits & _WRITABLE and not ignore_protection:
             return WriteOutcome(gva, gpa, "write_protect")
         transition = ept.set_dirty(gpa)  # first: a frame the EPT lacks leaves the PTE as it was
@@ -635,21 +620,11 @@ class Ept(_PageMap):
 
     def set_dirty(self, gpa: int) -> bool:
         """Set the dirty bit; True when this was a clear-to-set transition."""
-        region = self.entries.get(gpa)
-        if region is None:
-            # inline run lookup, for the same reason as in GuestPageTable.write_page
-            for region in self._regions:
-                off = gpa - region.base
-                if 0 <= off < region.span:
-                    break
-            else:
-                raise UnknownMapping(gpa)
-            i = off // PAGE_SIZE
-            bits = 0 if off % PAGE_SIZE else region.bits[i]
-        else:
-            i, bits = 0, region.bits[0]
-        if not bits:
+        place = self._locate(gpa)
+        if place is None:
             raise UnknownMapping(gpa)
+        region, i = place
+        bits = region.bits[i]
         region.bits[i] = _SET_DIRTY[bits]
         return not bits & _DIRTY
 

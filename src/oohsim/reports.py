@@ -16,6 +16,7 @@ from typing import Any, TextIO, get_type_hints
 
 __all__ = [
     "CSV_COLUMNS",
+    "REPORT_FORMATS",
     "RunRow",
     "RunReport",
     "render",
@@ -109,6 +110,7 @@ def _render_plotdata(report: RunReport) -> str:
 
 
 _RENDERERS = {"csv": _render_csv, "json": _render_json, "plotdata": _render_plotdata}
+REPORT_FORMATS = tuple(_RENDERERS)
 
 
 def render(report: RunReport, fmt: str) -> str:

@@ -54,6 +54,7 @@ import numpy as np
 
 from .costs import MB, PAGE_SIZE, CostTable, Prices, overhead, pages_for
 from .guest import TECHNIQUES
+from .hypervisor import RING_CAPACITY, RING_FULL_POLICIES
 from .memory import LOST_GVA, GuestPageTable, _distinct, write_faults
 from .pml import BUFFER_SLOTS
 from .reports import RunRow
@@ -96,8 +97,8 @@ class TrackerConfig:
     rounds: int = 13
     quantum_us: float = 10_000.0
     collection_interval_us: float = 1_000.0
-    ring_capacity: int = 16384
-    ring_full_policy: str = "stall"
+    ring_capacity: int = RING_CAPACITY
+    ring_full_policy: str = RING_FULL_POLICIES[0]
     horizon_us: float = 60_000_000.0
     defer_reverse_map: bool = False
     mechanical: bool = False
@@ -122,9 +123,10 @@ class TrackerConfig:
             raise ValueError(f"collection_interval_us: must be finite for {self.technique}")
         if self.ring_capacity <= 0:
             raise ValueError("ring_capacity: must be positive")
-        if self.ring_full_policy not in ("stall", "drop"):
+        if self.ring_full_policy not in RING_FULL_POLICIES:
             raise ValueError(
-                f"ring_full_policy: must be 'stall' or 'drop', got {self.ring_full_policy!r}"
+                f"ring_full_policy: must be {' or '.join(map(repr, RING_FULL_POLICIES))}, "
+                f"got {self.ring_full_policy!r}"
             )
         if (
             self.technique == "spml"

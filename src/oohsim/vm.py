@@ -45,9 +45,9 @@ import numpy as np
 
 from .costs import PAGE_SIZE as PAGE
 from .guest import GuestKernel, Process
-from .hypervisor import Hypervisor, VmexitResult
+from .hypervisor import RING_CAPACITY, RING_FULL_POLICIES, Hypervisor, VmexitResult
 from .memory import Ept, PageStore, Stretch, WriteOutcome
-from .pml import LogOutcome
+from .pml import BUFFER_SLOTS, LogOutcome
 
 __all__ = ["WriteResult", "VirtualMachine"]
 
@@ -80,9 +80,9 @@ class VirtualMachine:
     def __init__(
         self,
         *,
-        ring_capacity: int = 16384,
-        ring_full_policy: str = "stall",
-        buffer_slots: int = 512,
+        ring_capacity: int = RING_CAPACITY,
+        ring_full_policy: str = RING_FULL_POLICIES[0],
+        buffer_slots: int = BUFFER_SLOTS,
     ):
         self.ept = Ept()
         self.store = PageStore()
@@ -92,7 +92,7 @@ class VirtualMachine:
             buffer_slots=buffer_slots,
             ept=self.ept,
         )
-        self.kernel = GuestKernel(self.hv, self.ept, ring_capacity=ring_capacity)
+        self.kernel = GuestKernel(self.hv, self.ept)
         self._next_gpa = 0x10_0000
         self._next_hpa = 0x1000_0000
         self._next_gva: dict[int, int] = {}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oohsim import trackers
+from oohsim import experiments, trackers
 from oohsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from oohsim.costs import CostTable
 from oohsim.reports import CSV_COLUMNS, rows_from_csv
@@ -19,6 +19,7 @@ def write_config(tmp_path: Path, body: str) -> str:
     return str(path)
 
 
+GOLDEN = Path(__file__).parent / "golden"
 SMALL = "[experiment]\nmemory_sizes = 1MB\ntechniques = epml, proc\nrounds = 3\n"
 
 
@@ -140,6 +141,20 @@ def test_unknown_format_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--formats", "pdf"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("formats", ["", " , ", "csv,xml"])
+def test_an_empty_or_unknown_format_list_exits_2_before_any_run(
+    tmp_path, capsys, monkeypatch, command, formats
+):
+    calls = []
+    real = experiments.run_tracker
+    monkeypatch.setattr(experiments, "run_tracker", lambda cfg: calls.append(cfg) or real(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--formats", formats]) == EXIT_CONFIG
+    assert "format" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 # ----------------------------------------------------------------- sweep
 
 
@@ -175,6 +190,22 @@ def test_sweep_single_cell_is_one_row(tmp_path):
         ]
     )
     assert len(rows_from_csv((tmp_path / "sweep.csv").read_text())) == 1
+
+
+def test_sweep_report_equals_the_golden_files(tmp_path, capsys):
+    """Every column of the 7-size x 4-technique sweep, in each format, byte for
+    byte; a change that alters them on purpose regenerates tests/golden/sweep.*."""
+    code = main(
+        [
+            "sweep",
+            "--sizes", "1MB,10MB,50MB,100MB,250MB,500MB,1GB",
+            "--techniques", "proc,uffd,spml,epml",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    for name in ("sweep.csv", "sweep.json", "sweep.plotdata"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_sweep_empty_technique_list_exits_2(tmp_path, capsys):

@@ -37,8 +37,8 @@ def _prices(memory_bytes: int) -> Prices:
 
 
 def make_kernel(ring_capacity: int = 16384):
-    hv = Hypervisor()
-    kern = GuestKernel(hv, Ept(), ring_capacity=ring_capacity)
+    hv = Hypervisor(ring_capacity=ring_capacity)
+    kern = GuestKernel(hv, Ept())
     return kern, hv
 
 
