@@ -46,6 +46,8 @@ import math
 import os
 from dataclasses import dataclass
 
+from .pml import BUFFER_SLOTS
+
 __all__ = [
     "PAGE_SIZE",
     "MB",
@@ -243,7 +245,7 @@ class CostTable:
             m16=self.cost_us("M16", memory_bytes),
             m17_pp=self.per_page_us("M17", memory_bytes),
             m18_pp=self.per_page_us("M18", memory_bytes),
-            vmexit_service=m14 + 512 * self.param("vmexit_ept_clear_us"),
+            vmexit_service=m14 + BUFFER_SLOTS * self.param("vmexit_ept_clear_us"),
             drain_batch=int(self.param("spml_drain_batch")),
             dump_base=self.param("dump_base_ms") * 1000.0,
             dump_page=self.param("dump_page_us"),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from statistics import fmean
@@ -116,8 +116,8 @@ class ExperimentConfig:
     then the built-in defaults.  Each point's run knobs
     (``rounds``, ``quantum_us``, ``collection_interval_us``, the ring's two and
     ``horizon_us``) take their defaults and rules from
-    :class:`~oohsim.trackers.TrackerConfig`, and the ``kv_`` fields their
-    defaults from :class:`~oohsim.workloads.KvWorkloadSpec`.
+    :class:`~oohsim.trackers.TrackerConfig`, and the ``kv_`` fields theirs
+    from :class:`~oohsim.workloads.KvWorkloadSpec`, whatever the workload.
     """
 
     seed: int = 0
@@ -150,18 +150,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"techniques: {tech!r} is not one of {sorted(TECHNIQUES)}"
                 )
-        if self.workload != "microbench":
-            prefix, _, engine = self.workload.partition(":")
-            if prefix != "kv" or engine not in KV_FOOTPRINTS:
-                raise ConfigError(
-                    "workload: expected 'microbench' or 'kv:<engine>' with "
-                    f"engine in {sorted(KV_FOOTPRINTS)}, got {self.workload!r}"
-                )
-        if self.kv_ops < 0:
-            raise ConfigError("kv_ops: must be >= 0")
-        if not self.kv_churn_rate >= 0:  # NaN fails too
-            raise ConfigError("kv_churn_rate: must be >= 0")
         try:
+            KvWorkloadSpec.check_knobs(self.kv_churn_rate, self.kv_ops)
+        except ValueError as exc:  # named by its config key, not the spec's field
+            name, _, rule = str(exc).partition(": ")
+            raise ConfigError(f"{_KV_KEYS[name]}: {rule}") from exc
+        try:  # points() checks the workload too, as it builds the kv spec
             for technique, size in self.points():
                 self.tracker_config(technique, size)
         except ValueError as exc:
@@ -224,14 +218,26 @@ class ExperimentConfig:
         knobs = {name: getattr(self, name) for name in _RUN_KNOBS}
         return TrackerConfig(technique, size, table=table, trace=trace, **knobs)
 
+    @cached_property
+    def kv_spec(self) -> KvWorkloadSpec | None:
+        """The key-value workload a ``kv:<engine>`` config runs, at that engine's
+        footprint; None for the micro-benchmark."""
+        if self.workload == "microbench":
+            return None
+        prefix, _, engine = self.workload.partition(":")
+        if prefix != "kv" or engine not in KV_FOOTPRINTS:
+            raise ConfigError(
+                "workload: expected 'microbench' or 'kv:<engine>' with "
+                f"engine in {sorted(KV_FOOTPRINTS)}, got {self.workload!r}"
+            )
+        return KvWorkloadSpec(engine, KV_FOOTPRINTS[engine], churn_rate=self.kv_churn_rate,
+                              n_ops=self.kv_ops, seed=self.seed)
+
     def points(self) -> list[tuple[str, int]]:
         """The (technique, memory_bytes) grid this config runs, sorted."""
         techniques = sorted(set(self.techniques))
-        if self.workload.startswith("kv:"):
-            footprint = KV_FOOTPRINTS[self.workload.partition(":")[2]]
-            sizes: list[int] = [footprint]
-        else:
-            sizes = sorted(set(self.memory_sizes))
+        spec = self.kv_spec
+        sizes = [spec.footprint_bytes] if spec else sorted(set(self.memory_sizes))
         return [(tech, size) for tech in techniques for size in sizes]
 
 
@@ -245,6 +251,8 @@ _RUN_KNOBS = (
     "horizon_us",
 )
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+#: The config key of each :meth:`~oohsim.workloads.KvWorkloadSpec.check_knobs` field.
+_KV_KEYS = {"churn_rate": "kv_churn_rate", "n_ops": "kv_ops"}
 
 
 def _coerce_field(name: str, raw: Any) -> Any:
@@ -278,16 +286,8 @@ def run(config: ExperimentConfig) -> RunReport:
     if config.horizon_us == 0:
         return report
     table = config.cost_table()
-    trace = None
-    if config.workload.startswith("kv:"):  # one trace, shared by every point
-        engine = config.workload.partition(":")[2]
-        trace = KvWorkloadSpec(
-            name=engine,
-            footprint_bytes=KV_FOOTPRINTS[engine],
-            churn_rate=config.kv_churn_rate,
-            n_ops=config.kv_ops,
-            seed=config.seed,
-        ).make_trace(table)
+    spec = config.kv_spec
+    trace = spec.make_trace(table) if spec else None  # one trace, shared by every point
     for technique, size in config.points():
         tracked = config.tracker_config(technique, size, table=table, trace=trace)
         phase = run_tracker(tracked)

@@ -680,7 +680,7 @@ def run_migration(
     core = HvCore()
     rng = np.random.default_rng(job.seed)
 
-    flush_service_us = table.prices(job.vm_pages * 4096).copy_us(512)
+    flush_service_us = table.prices(job.vm_pages * 4096).copy_us(BUFFER_SLOTS)
     write_period_us = 1e6 / job.writes_per_s
     period_us, service_us = concurrent_load or (math.inf, 0.0)
 
@@ -724,14 +724,14 @@ def run_migration(
         else:
             dirty.add(next(hot))
             writes += 1
-            if writes % 512 == 0:
+            if writes % BUFFER_SLOTS == 0:
                 vmexits += 1
                 core.service(now, flush_service_us)
                 done = (core.done_at, next(seq))
             # the writes after this one, strictly before the other two clocks
             # and short of the next 512th, each at the chain's running sum of
             # periods
-            t, n, room = now + write_period_us, 0, 511 - writes % 512
+            t, n, room = now + write_period_us, 0, BUFFER_SLOTS - 1 - writes % BUFFER_SLOTS
             until = min(burst[0], done[0])
             while t < until and n < room:
                 t += write_period_us

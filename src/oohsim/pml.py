@@ -213,7 +213,6 @@ class PmlState:
     buffer logs GVAs.
     """
 
-    pml_address: int = 0
     hv_buffer: PmlBuffer = field(default_factory=lambda: PmlBuffer(width=2))
     epml_enabled: bool = False
     guest_pml_address: int = 0  # stored as HPA (translated at vmwrite)

@@ -25,10 +25,11 @@ collection ticks: ``proc`` collects at each round's end and ``uffd`` as each
 fault is resolved, so their runs have none.  The mechanical engine
 (:class:`_MechanicalRun`) executes every write through
 :class:`~oohsim.vm.VirtualMachine`; it is the reference semantics, runs
-every trace, and alone reports content-level results (the dirty set,
-missed and inaccurate pages).  It applies whole stretches of quiet writes
-in one step that leaves the clock and state of one write at a time, and
-carries the logged entries as int64 arrays from the stretch to the report.
+every trace and every deferred reverse map, and alone reports
+content-level results (the dirty set, missed and inaccurate pages).  It
+applies whole stretches of quiet writes in one step that leaves the clock
+and state of one write at a time, and carries the logged entries as int64
+arrays from the stretch to the report.
 The segment engine,
 the default for the micro-benchmark because it is fast at large sizes,
 advances whole stretches of writes between events with closed-form
@@ -100,7 +101,7 @@ class TrackerConfig:
     ring_capacity: int = RING_CAPACITY
     ring_full_policy: str = RING_FULL_POLICIES[0]
     horizon_us: float = 60_000_000.0
-    defer_reverse_map: bool = False
+    defer_reverse_map: bool = False  # spml maps at the report; forces the mechanical engine
     mechanical: bool = False
     table: CostTable | None = None
     trace: Any | None = None  # a TraceWorkload; forces the mechanical engine
@@ -298,9 +299,10 @@ class _Run:
     applies a round of writes (``_round``), ends a round (``_round_end``),
     switches the tracked process (``_sched``), prices an spml tick that
     drains ``k`` ring entries (``_drain_charge``; ``ring_used`` counts the
-    entries left), hands over the epml tool ring (``_consume_tool_ring``),
-    maps deferred ring entries (``_reverse_map_deferred``, returning its
-    cost) and fills the report's content fields (``_content``).
+    entries left), hands over the epml tool ring (``_consume_tool_ring``)
+    and fills the report's content fields (``_content``).  The mechanical
+    engine alone runs a deferred reverse map, so it alone maps the deferred
+    ring entries (``_reverse_map_deferred``, returning its cost).
 
     spml's ticks come back to back in a stall, the final harvest and the
     catch-up after an event: :meth:`_spml_ticks` runs each such run of the
@@ -511,7 +513,8 @@ class _SegmentRun(_Run):
     does not clip a stretch at the horizon, so it departs from the
     mechanical engine at 512 pages or fewer, near the horizon and with
     small rings (the ROADMAP item on one engine); the mechanical engine is
-    the reference.
+    the reference.  It has no deferred reverse map: :func:`run_tracker` runs
+    such a config on the mechanical engine, and this class refuses one.
 
     A round (:meth:`_round`) is one loop on local variables: the clock, the
     run time, ``suspension``, ``tracker_busy``, ``collect_us`` and its two
@@ -544,6 +547,8 @@ class _SegmentRun(_Run):
     """
 
     def __init__(self, cfg: TrackerConfig):
+        if cfg.defer_reverse_map:  # run_tracker runs it on the mechanical engine
+            raise ValueError("defer_reverse_map: the segment engine has no deferred reverse map")
         super().__init__(cfg, cfg.prices, cfg.prices.init_us(cfg.technique))
         self.buf_fill = 0  # hv buffer (spml) or guest buffer (epml)
         self.ring_used = 0  # spml hypervisor ring
@@ -576,16 +581,10 @@ class _SegmentRun(_Run):
 
     def _drain_charge(self, k: int) -> tuple[float, float, float]:
         c = self.c
-        if self.cfg.defer_reverse_map:
-            cost = k * c.m18_pp
-            return cost, 0.0, cost
         return k * (c.m18_pp + c.m17_pp), k * c.m17_pp, k * c.m18_pp
 
     def _consume_tool_ring(self) -> None:
         self.tool_ring = 0  # tool consumes its ring (set union, free)
-
-    def _reverse_map_deferred(self) -> float:
-        return self.writes_done * self.c.m17_pp  # every logged entry mapped
 
     def _round(self) -> None:
         """One sweep over every page, a stretch of writes at a time, on locals.
@@ -603,13 +602,16 @@ class _SegmentRun(_Run):
         if tech == "proc":
             w_run += c.softdirty_fault  # every post-clear write microfaults
         w_wall = w_run + (c.uffd_fault if uffd else 0.0)
-        uffd_fault, vmexit_us, copy_us = c.uffd_fault, c.vmexit_service, c.copy_us(512)
+        # a log buffer's entries, the write a full one refuses (the 513th), and a
+        # gap's writes that no stretch of an armed buffer reaches (see far_run)
+        slots, refused, far = BUFFER_SLOTS, BUFFER_SLOTS + 1, BUFFER_SLOTS + 2
+        uffd_fault, vmexit_us, copy_us = c.uffd_fault, c.vmexit_service, c.copy_us(slots)
         sched_out, sched_in = c.sched_us(tech, "out"), c.sched_us(tech, "in")
         quantum, horizon, interval = cfg.quantum_us, cfg.horizon_us, cfg.collection_interval_us
         cap, stalls = cfg.ring_capacity, cfg.ring_full_policy == "stall"
         # a flush goes ahead at this ring count or below: under drop, always
-        flush_at = cap - 512 if stalls else math.inf
-        copy_at = cap - 512  # epml's tool ring takes a whole buffer at this count or below
+        flush_at = cap - slots if stalls else math.inf
+        copy_at = cap - slots  # epml's tool ring takes a whole buffer at this count or below
         batch = self.drain_batch
         # a tick that drains a whole batch
         whole_cost, whole_rm, whole_copy = self._drain_charge(batch)
@@ -620,8 +622,8 @@ class _SegmentRun(_Run):
         # rounding is monotone and 513.5 is a float, so fl(gap/w) >= 513.5 and
         # its ceiling is 514 or more.  proc and uffd, with no buffer and no
         # tick, compute every quantum gap.
-        far_run = 514 * w_run if logging else math.inf
-        far_wall = 514 * w_wall  # a tick gap: spml and epml only
+        far_run = far * w_run if logging else math.inf
+        far_wall = far * w_wall  # a tick gap: spml and epml only
         ceil = math.ceil
         parts = self.parts
         t, run_acc, next_tick = self.t, self.run_acc, self.next_tick
@@ -647,7 +649,7 @@ class _SegmentRun(_Run):
                     if k < n:
                         n = k
             if logging:
-                n_event = 513 - buf_fill
+                n_event = refused - buf_fill
                 if n_event < n:
                     n = n_event
                 gap = next_tick - t
@@ -672,7 +674,7 @@ class _SegmentRun(_Run):
                 if n == n_event:  # the 513th attempt was refused
                     if epml:  # copy the buffer out: _epml_copy(512)
                         if tool_ring <= copy_at:
-                            tool_ring += 512
+                            tool_ring += slots
                         else:  # tool too slow: losses are counted, never silent
                             dropped += tool_ring - copy_at
                             tool_ring = cap
@@ -681,7 +683,7 @@ class _SegmentRun(_Run):
                         t += copy_us
                         buf_fill = 1
                     else:  # a buffer-full vmexit, its flush below
-                        buf_fill = 512
+                        buf_fill = slots
                         flush = True
             if not (flush or run_acc >= quantum or t >= next_tick):
                 continue
@@ -695,11 +697,11 @@ class _SegmentRun(_Run):
                         # flush, or drop what the ring has no room for, then
                         # replay the refused entry: _vmexit
                         if stalls:
-                            used += 512
+                            used += slots
                         else:
-                            sent = min(512, max(0, cap - used))
+                            sent = min(slots, max(0, cap - used))
                             used += sent
-                            dropped += 512 - sent
+                            dropped += slots - sent
                         t += vmexit_us
                         suspension += vmexit_us
                         vmexits += 1
@@ -1313,14 +1315,14 @@ class _MechanicalRun(_Run):
 def run_tracker(cfg: TrackerConfig) -> TrackerPhaseReport:
     """Run the configured tracker and report its phase costs.
 
-    Traces always run mechanically; the micro-benchmark runs mechanically
-    only when ``cfg.mechanical`` is set.  The default segment engine is
-    faster but only approximates the mechanical one, which is the reference:
-    they agree on the shapes the tests compare and disagree at 512 pages or
-    fewer, at the horizon and with small rings (the ROADMAP item on one
-    engine).
+    Traces and deferred reverse maps always run mechanically; any other
+    micro-benchmark runs mechanically only when ``cfg.mechanical`` is set.
+    The default segment engine is faster but only approximates the
+    mechanical one, which is the reference: they agree on the shapes the
+    tests compare and disagree at 512 pages or fewer, at the horizon and
+    with small rings (the ROADMAP item on one engine).
     """
-    mechanical = cfg.mechanical or cfg.trace is not None
+    mechanical = cfg.mechanical or cfg.trace is not None or cfg.defer_reverse_map
     return (_MechanicalRun if mechanical else _SegmentRun)(cfg).run()
 
 

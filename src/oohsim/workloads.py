@@ -142,11 +142,17 @@ class KvWorkloadSpec:
     def __post_init__(self) -> None:
         if self.footprint_bytes <= 0:
             raise ValueError("footprint must be positive")
+        self.check_knobs(self.churn_rate, self.n_ops)
+
+    @staticmethod
+    def check_knobs(churn_rate: float, n_ops: int) -> None:
+        """The rules of the two knobs an experiment config sets: a bad value
+        raises ``ValueError`` with a message that starts with the field's name."""
         # a negative rate made no churn, and a negative count failed inside NumPy
-        if not 0 <= self.churn_rate < math.inf:
-            raise ValueError(f"churn_rate: must be a finite number >= 0, got {self.churn_rate}")
-        if self.n_ops < 0:
-            raise ValueError(f"n_ops: must be >= 0, got {self.n_ops}")
+        if not 0 <= churn_rate < math.inf:
+            raise ValueError(f"churn_rate: must be a finite number >= 0, got {churn_rate}")
+        if n_ops < 0:
+            raise ValueError(f"n_ops: must be >= 0, got {n_ops}")
 
     @property
     def num_pages(self) -> int:

@@ -13,8 +13,9 @@ engine twin tests draw from it, and its knobs range over:
 * both also at 512 to 515 writes' µs (:data:`BUFFER_GAPS_US`), around the
   gap past which the segment round skips a bound on an armed buffer's
   stretch (514 writes);
-* ring: 512 (one log buffer) to 16,384 entries, ``stall`` and ``drop``,
-  deferred reverse mapping or not;
+* ring: 512 (one log buffer) to 16,384 entries, ``stall`` and ``drop``;
+  deferred reverse mapping or not, but on the segment engine, which has none
+  (:func:`~oohsim.trackers.run_tracker` runs a deferred sweep mechanically);
 * horizon: 0, a few ms (which stops a run mid-round or mid-stall) and 60 s;
 * a trace's shape (:func:`trace`), pages, op count, share of maps, unmaps
   and moves, hot set and seed.
@@ -76,7 +77,7 @@ def runs(draw, engine: str, techniques=TECHNIQUES) -> TrackerConfig:
         collection_interval_us=draw(intervals(technique)),
         ring_capacity=draw(st.sampled_from(RINGS)),
         ring_full_policy=draw(st.sampled_from(("stall", "drop"))),
-        defer_reverse_map=draw(st.booleans()),
+        defer_reverse_map=draw(st.booleans()) if engine != "segment" else False,
         horizon_us=draw(st.sampled_from(HORIZONS_US)),
     )
     if engine == "trace":

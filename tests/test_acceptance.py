@@ -16,19 +16,16 @@ import pytest
 
 from oohsim.checkpoint import checkpoint_time_model, missed_pages_experiment
 from oohsim.costs import CostTable
-from oohsim.experiments import EstimatorCheck, ExperimentConfig, repro, run
+from oohsim.experiments import ExperimentConfig, repro, run
 from oohsim.hypervisor import model_check_coordination
 from oohsim.pml import INDEX_DISABLED, LogResult, PmlBuffer
 from oohsim.reports import render
 from oohsim.trackers import TrackerConfig, run_tracker, spml_bottleneck_breakdown
 from oohsim.workloads import MB, random_trace, replay_dirty_oracle
 
+from helpers import rel_err
+
 SIZES_50MB_UP = (50 * MB, 100 * MB, 250 * MB, 500 * MB, 1000 * MB)
-
-
-def _rel_err(check: EstimatorCheck) -> float:
-    """How far the closed-form estimate lies from the run, relative to the run."""
-    return abs(check.est_us - check.sim_us) / check.sim_us
 
 
 def test_gate_01_log_device_semantics_hold_over_fuzzed_traces():
@@ -111,9 +108,9 @@ def test_gate_04_estimator_matches_simulation_on_20_random_configs():
 
     checks = validate_estimator(n_configs=20, seed=2024)
     assert len(checks) == 20
-    worst = max(checks, key=_rel_err)
-    assert _rel_err(worst) <= 0.01, (
-        f"worst case {_rel_err(worst):.4%} at {worst.memory_bytes >> 20}MB, "
+    worst = max(checks, key=rel_err)
+    assert rel_err(worst) <= 0.01, (
+        f"worst case {rel_err(worst):.4%} at {worst.memory_bytes >> 20}MB, "
         f"rounds={worst.rounds}, quantum={worst.quantum_us}us"
     )
 

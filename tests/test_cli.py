@@ -111,6 +111,19 @@ def test_an_infinite_collection_interval_exits_2(tmp_path, capsys, technique):
     assert err.startswith("error:") and "collection_interval_us" in err
 
 
+def test_an_infinite_churn_rate_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = experiments.run_tracker
+    monkeypatch.setattr(experiments, "run_tracker", lambda cfg: calls.append(cfg) or real(cfg))
+    out = tmp_path / "out"
+    for workload in ("microbench", "kv:stdtree"):
+        cfg = write_config(tmp_path, SMALL + f"workload = {workload}\nkv_churn_rate = inf\n")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "kv_churn_rate" in err
+    assert calls == [] and not out.exists()
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
     assert "io error" in capsys.readouterr().err

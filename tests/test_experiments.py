@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oohsim.checkpoint import DEFAULT_WORKING_SETS, checkpoint_time_model
 from oohsim.experiments import (
     ComparisonRow,
     ConfigError,
-    EstimatorCheck,
     ExperimentConfig,
     REPRO_FIGURES,
     SIZE_GRID,
@@ -27,10 +29,7 @@ from oohsim.experiments import (
 from oohsim.reports import CSV_COLUMNS, render, rows_from_csv
 from oohsim.workloads import KV_FOOTPRINTS, MB, KvWorkloadSpec
 
-
-def _rel_err(check: EstimatorCheck) -> float:
-    """How far the closed-form estimate lies from the run, relative to the run."""
-    return abs(check.est_us - check.sim_us) / check.sim_us
+from helpers import rel_err
 
 
 # ----------------------------------------------------------- config parsing
@@ -81,11 +80,30 @@ def test_unknown_key_rejected():
         ({"horizon_us": -1}, "horizon_us"),
         ({"techniques": ("spml",), "ring_capacity": 256}, "ring_capacity"),
         ({"kv_churn_rate": float("nan")}, "kv_churn_rate"),
+        ({"kv_churn_rate": math.inf}, "kv_churn_rate"),
+        ({"workload": "kv:tiny", "kv_churn_rate": math.inf}, "kv_churn_rate"),
     ],
 )
 def test_bad_field_names_itself_in_the_diagnostic(overrides, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**overrides)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=st.sampled_from(["microbench", "kv:tiny", "kv:stdtree"]),
+    churn_rate=st.one_of(st.sampled_from([0.0, math.inf, -math.inf, math.nan]), st.floats()),
+)
+def test_a_config_takes_the_churn_rates_the_kv_spec_takes(workload, churn_rate):
+    # whatever the workload, the spec's rule decides, and the config's error
+    # names the config key
+    try:
+        KvWorkloadSpec("kv", MB, churn_rate=churn_rate)
+    except ValueError:
+        with pytest.raises(ConfigError, match="^kv_churn_rate: "):
+            ExperimentConfig(workload=workload, kv_churn_rate=churn_rate)
+    else:
+        ExperimentConfig(workload=workload, kv_churn_rate=churn_rate)  # accepted
 
 
 def test_from_mapping_coerces_strings():
@@ -329,5 +347,5 @@ def test_repro_coexist_inflation_is_inside_the_reported_band():
 def test_estimator_matches_simulation_within_one_percent():
     checks = validate_estimator(n_configs=6, seed=5)
     assert len(checks) == 6
-    assert all(_rel_err(c) <= 0.01 for c in checks)
+    assert all(rel_err(c) <= 0.01 for c in checks)
     assert len({c.memory_bytes for c in checks}) > 1

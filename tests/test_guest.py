@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from oohsim.costs import CostTable, Prices
@@ -13,20 +12,10 @@ from oohsim.guest import (
     NotRegistered,
 )
 from oohsim.hypervisor import Hypervisor
-from oohsim.memory import _HAS_DIRTY, PAGE_SIZE, Ept
+from oohsim.memory import PAGE_SIZE, Ept
 
+from helpers import dirty_gpas, page_list
 
-def _dirty_gpas(ept: Ept) -> set[int]:
-    """The frames whose EPT dirty bit is set."""
-    return set((ept._pages(_HAS_DIRTY) * PAGE_SIZE).tolist())
-
-
-def _page_list(pages: np.ndarray) -> list[int]:
-    """The page numbers the kernel reports, once checked to be in the one form a
-    set of pages takes: an int64 array, sorted and distinct."""
-    assert pages.dtype == np.int64
-    assert (pages[1:] > pages[:-1]).all()
-    return pages.tolist()
 
 MB = 1 << 20
 
@@ -200,10 +189,10 @@ def test_softirq_copy_charges_ring_copy_rate():
 
 def test_softirq_copy_rearms_ept_dirty_bits():
     kern, _ = _epml_kernel_with_entries(2)
-    assert 0x100000 in _dirty_gpas(kern.ept)
+    assert 0x100000 in dirty_gpas(kern.ept)
     kern.deliver_guest_buffer_full(7)
-    assert 0x100000 not in _dirty_gpas(kern.ept)
-    assert 0x101000 not in _dirty_gpas(kern.ept)
+    assert 0x100000 not in dirty_gpas(kern.ept)
+    assert 0x101000 not in dirty_gpas(kern.ept)
 
 
 def test_softirq_partial_copy_holds_remainder():
@@ -250,9 +239,9 @@ def test_pagemap_reports_live_and_residue_pages():
     # page 1 mapped again at its address and written: in the residue and live
     proc.table.map_page(0x1000, 0x100000)
     proc.table.write_page(0x1000, ept)
-    assert _page_list(proc.table.soft_dirty_pages()) == [1, 3]
+    assert page_list(proc.table.soft_dirty_pages()) == [1, 3]
     dirty, us = kern.read_pagemap(7)
-    assert _page_list(dirty) == [1, 2, 3]  # unmapped page 2 survives via residue
+    assert page_list(dirty) == [1, 2, 3]  # unmapped page 2 survives via residue
     assert us == CostTable.default().cost_us("M16", MB)
 
 
@@ -265,12 +254,12 @@ def test_clear_soft_dirty_resets_everything():
     assert count == 3  # allocation had marked all three
     assert us == CostTable.default().cost_us("M15", MB)
     dirty, _ = kern.read_pagemap(7)
-    assert _page_list(dirty) == []
+    assert page_list(dirty) == []
     proc.table.write_page(0x1000, kern.ept)
     kern.unmap_pages(7, [0x1000])
     kern.clear_soft_dirty(7)  # also clears the residue
     dirty, _ = kern.read_pagemap(7)
-    assert _page_list(dirty) == []
+    assert page_list(dirty) == []
 
 
 def test_soft_dirty_services_require_tracked_pid():
@@ -294,8 +283,8 @@ def test_uffd_record_and_harvest():
     kern.register_tracked(7, "uffd", _prices(MB))
     kern.uffd_record_run(7, [9])  # first: a set of 9, 2 and 1 iterates unsorted
     kern.uffd_record_run(7, [2, 1, 9])  # page 9 faults again
-    assert _page_list(kern.uffd_harvest(7)) == [1, 2, 9]
-    assert _page_list(kern.uffd_harvest(7)) == []
+    assert page_list(kern.uffd_harvest(7)) == [1, 2, 9]
+    assert page_list(kern.uffd_harvest(7)) == []
 
 
 def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
@@ -305,7 +294,7 @@ def test_uffd_record_of_an_address_inside_a_page_records_its_number_once():
     kern.register_tracked(7, "uffd", _prices(MB))
     for gva in (0x2000, 0x2008, 0x2FFF):
         kern.uffd_record_run(7, (gva // PAGE_SIZE,))  # as VirtualMachine.write_one records
-    assert _page_list(kern.uffd_harvest(7)) == [2]
+    assert page_list(kern.uffd_harvest(7)) == [2]
 
 
 def test_uffd_register_write_protects_existing_pages():

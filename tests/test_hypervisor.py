@@ -30,17 +30,10 @@ from oohsim.hypervisor import (
     model_check_coordination,
     run_migration,
 )
-from oohsim.memory import _HAS_DIRTY, PAGE_SIZE, Ept
+from oohsim.memory import PAGE_SIZE, Ept
 
+from helpers import dirty_gpas, retrievable
 
-def _dirty_gpas(ept: Ept) -> set[int]:
-    """The frames whose EPT dirty bit is set."""
-    return set((ept._pages(_HAS_DIRTY) * PAGE_SIZE).tolist())
-
-
-def _retrievable(buf) -> int:
-    """The entries a drain of ``buf`` would take: fresh - index (0 when disabled)."""
-    return 0 if buf.index == buf.disabled_index else buf.fresh_index - buf.index
 
 # ----------------------------------------------------------------- ring
 
@@ -213,7 +206,7 @@ def test_vmexit_flush_fills_ring_and_replays_refusal():
     assert res.flush.delivered_ring == 4
     assert res.replayed == "logged"
     assert hv.vmexit_count == 1
-    assert _retrievable(hv.pml.hv_buffer) == 1  # the replayed entry
+    assert retrievable(hv.pml.hv_buffer) == 1  # the replayed entry
     assert [(b.pid, len(b.entries)) for b in hv.ring.blocks] == [(7, 4)]
 
 
@@ -357,7 +350,7 @@ def test_flush_routes_tag_runs_like_a_per_entry_loop(logs, now, epml, policy, ca
     assert hv.pml.hv_buffer.entries.tolist() == [] and _tags(hv) == []
     # every flushed frame is re-armed, and no other
     flushed = {gpa for gpa, _gva in taken}
-    assert _dirty_gpas(ept) == {base + i * PAGE_SIZE for i in range(32)} - flushed
+    assert dirty_gpas(ept) == {base + i * PAGE_SIZE for i in range(32)} - flushed
 
 
 class _ListLog:

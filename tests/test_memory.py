@@ -20,9 +20,9 @@ from oohsim.memory import (
     PageStore,
     UnknownMapping,
     _HAS_DIRTY,
-    _PROTECT,
-    _UNPROTECT,
 )
+
+from helpers import set_write_protect, unmap_gpa
 
 
 P = PAGE_SIZE
@@ -36,7 +36,7 @@ def _page_set(pages: np.ndarray) -> set[int]:
     return set(pages.tolist())
 
 
-def _dirty_gpas(ept: Ept) -> set[int]:
+def _dirty_gpa_pages(ept: Ept) -> set[int]:
     """The page numbers of the frames whose EPT dirty bit is set."""
     return _page_set(ept._pages(_HAS_DIRTY))
 
@@ -49,22 +49,6 @@ def _dirty_set(table: GuestPageTable) -> set[int]:
 def _mapped_set(table: GuestPageTable) -> set[int]:
     """The page numbers of the mapped pages."""
     return _page_set(table.mapped_pages())
-
-
-def _set_write_protect(table: GuestPageTable, gvas, protected: bool = True) -> None:
-    """Set, or lift, write protection on each of ``gvas``, one page at a time."""
-    bits = _PROTECT if protected else _UNPROTECT
-    for gva in gvas:
-        found = table._locate(gva)
-        if found is None:
-            raise UnknownMapping(gva)
-        region, i = found
-        region.bits[i] = bits[region.bits[i]]
-
-
-def _unmap_gpa(ept: Ept, gpa: int) -> None:
-    """Take a frame out of the EPT."""
-    ept._take(gpa)
 
 
 def _unmap(table: GuestPageTable, gva: int) -> bool:
@@ -160,7 +144,7 @@ def test_write_sets_dirty_and_reports_ept_transition():
     assert out.completed and out.gpa == 100 * P
     assert out.ept_dirty_set  # first write transitions the EPT dirty bit
     assert pt.entry(0).flags.dirty
-    assert 100 in _dirty_gpas(ept)
+    assert 100 in _dirty_gpa_pages(ept)
     again = pt.write_page(0, ept)
     assert again.completed and not again.ept_dirty_set  # no second transition
 
@@ -169,7 +153,7 @@ def test_ept_dirty_transition_rearm_after_clear():
     pt, ept = make_space(1)
     pt.write_page(0, ept)
     ept.clear_dirty([100 * P])
-    assert 100 not in _dirty_gpas(ept)
+    assert 100 not in _dirty_gpa_pages(ept)
     out = pt.write_page(0, ept)
     assert out.ept_dirty_set  # harvesting re-arms logging
 
@@ -185,11 +169,11 @@ def test_ept_dirty_set_once_per_gpa_across_aliases():
 
 def test_write_protect_faults_without_side_effects():
     pt, ept = make_space(1)
-    _set_write_protect(pt, [0])
+    set_write_protect(pt, [0])
     out = pt.write_page(0, ept)
     assert out.fault == "write_protect"
     assert not pt.entry(0).flags.dirty
-    assert 100 not in _dirty_gpas(ept)
+    assert 100 not in _dirty_gpa_pages(ept)
     # fault handler completes the write on the process's behalf
     done = pt.write_page(0, ept, ignore_protection=True)
     assert done.completed and done.ept_dirty_set
@@ -224,8 +208,8 @@ def test_ept_errors_and_queries():
     with pytest.raises(UnknownMapping):
         ept.set_dirty(6 * P)
     ept.set_dirty(5 * P)
-    assert _dirty_gpas(ept) == {5}
-    _unmap_gpa(ept, 5 * P)
+    assert _dirty_gpa_pages(ept) == {5}
+    unmap_gpa(ept, 5 * P)
     assert 5 * P not in ept
 
 
@@ -235,7 +219,7 @@ def test_write_to_a_frame_the_ept_lacks_raises_and_leaves_the_pte():
     ept.map_region(0x10_0000, 0x1000_0000, 2)
     pt.clear_soft_dirty()
     before = pt.entry(0x2000)
-    _unmap_gpa(ept, 0x10_1000)
+    unmap_gpa(ept, 0x10_1000)
     with pytest.raises(UnknownMapping):
         pt.write_page(0x2000, ept)
     assert pt.entry(0x2000) == before  # neither dirty nor soft-dirty
@@ -473,14 +457,14 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
         if kind == "protect_all":
             if pt is lazy[0]:
                 return pt.write_protect_all(op[1])
-            return _set_write_protect(pt, list(pt.entries), op[1])
+            return set_write_protect(pt, list(pt.entries), op[1])
         if kind == "protect":
-            return _set_write_protect(pt, [gvas[i] for i in op[1]], op[2])
+            return set_write_protect(pt, [gvas[i] for i in op[1]], op[2])
         if kind == "clear_dirty":
             return ept.clear_dirty([gpas[i] for i in op[1]])
         if kind == "ept_map":
             return ept.map_gpa(gpas[op[1]], REGION_HPA + 0x200_0000 + gpas[op[1]])
-        return _unmap_gpa(ept, gpas[op[1]])
+        return unmap_gpa(ept, gpas[op[1]])
 
     for op in ops:
         want = _outcome(lambda: model.step(op, gvas, gpas))
@@ -499,7 +483,7 @@ def test_region_pages_behave_like_mapped_pages(n_pages, ops):
             ]
             assert _soft_dirty_set(pt) == model.pages(3)
             assert _dirty_set(pt) == model.pages(2)
-            assert _dirty_gpas(ept) == model.dirty_frames()
+            assert _dirty_gpa_pages(ept) == model.dirty_frames()
             assert len(pt) == len(model.pt)
             want_gpas = [model.pt[g][0] if g in model.pt else None for g in gvas]
             assert [pt.gpa_of(g) for g in gvas] == want_gpas
@@ -579,7 +563,7 @@ def test_run_walker_matches_the_dict_model(layout):
             _unmap(pt, gva)
             del model.pt[gva]
     for i in layout["ept_unmap"]:
-        _unmap_gpa(ept, REGION_GPA + i * P)
+        unmap_gpa(ept, REGION_GPA + i * P)
         model.ept.pop(REGION_GPA + i * P, None)
     for i in layout["ept_single"]:
         gpa = REGION_GPA + i * P
@@ -604,7 +588,7 @@ def test_run_walker_matches_the_dict_model(layout):
     for gpa in model.ept:
         ept.set_dirty(gpa)
     ept.clear_dirty(gpas)
-    assert _dirty_gpas(ept) == {g // P for g in set(model.ept) - set(gpas)}
+    assert _dirty_gpa_pages(ept) == {g // P for g in set(model.ept) - set(gpas)}
 
 
 def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
@@ -621,7 +605,7 @@ def test_clear_dirty_rearms_a_batch_across_regions_and_stored_frames():
         assert ept.set_dirty(gpa)
     batch = [second, 0x10_0800, single, 0x90_0000, first, stored, 0x20_4000]
     ept.clear_dirty(batch)  # misaligned, unmapped and past-the-end GPAs are ignored
-    assert _dirty_gpas(ept) == {untouched // P}
+    assert _dirty_gpa_pages(ept) == {untouched // P}
     for gpa in (first, second, single, stored):
         assert ept.set_dirty(gpa)  # each one logs again
     assert not ept.set_dirty(untouched)
@@ -662,10 +646,10 @@ def _assert_same_answers(lazy, eager, gvas, gpas):
         assert lazy_pt.entry(gva) == eager_pt.entry(gva)
     for gpa in gpas:
         assert lazy_pt.reverse_map(gpa) == eager_pt.reverse_map(gpa)
-        assert (gpa // P in _dirty_gpas(lazy_ept)) == (gpa // P in _dirty_gpas(eager_ept))
+        assert (gpa // P in _dirty_gpa_pages(lazy_ept)) == (gpa // P in _dirty_gpa_pages(eager_ept))
     assert _dirty_set(lazy_pt) == _dirty_set(eager_pt)
     assert _soft_dirty_set(lazy_pt) == _soft_dirty_set(eager_pt)
-    assert _dirty_gpas(lazy_ept) == _dirty_gpas(eager_ept)
+    assert _dirty_gpa_pages(lazy_ept) == _dirty_gpa_pages(eager_ept)
     assert len(lazy_pt) == len(eager_pt)
 
 
@@ -691,14 +675,14 @@ def test_region_page_keeps_its_byte_until_moved():
     # the first write flips bits in the regions and stores nothing
     assert write().ept_dirty_set
     assert nothing_stored()
-    assert _dirty_set(pt) == {gva // P} and _dirty_gpas(ept) == {gpa // P}
+    assert _dirty_set(pt) == {gva // P} and _dirty_gpa_pages(ept) == {gpa // P}
     _assert_same_answers(lazy, eager, gvas, gpas)
 
     # a rewrite leaves the page in its region: no transition while dirty, a
     # transition again after a re-arm, and still nothing stored
     assert not write().ept_dirty_set
     clear_dirty()
-    assert gpa // P not in _dirty_gpas(ept)
+    assert gpa // P not in _dirty_gpa_pages(ept)
     _assert_same_answers(lazy, eager, gvas, gpas)
     assert write().ept_dirty_set
     assert not write().ept_dirty_set
@@ -855,7 +839,7 @@ def test_pages_that_join_a_region_behave_like_one_page_regions(n_pages, second, 
         assert _mapped_set(pt) == model.mapped()
         assert _dirty_set(pt) == model.pages(2)
         assert _soft_dirty_set(pt) == model.pages(3)
-        assert _dirty_gpas(ept) == model.dirty_frames()
+        assert _dirty_gpa_pages(ept) == model.dirty_frames()
         assert [ept.translate(g) for g in gpas] == [model.translate(g) for g in gpas]
         assert len(pt) == len(model.pt)
         for table in (pt, ept):  # no two regions overlap, no entry is a live region page

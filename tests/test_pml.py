@@ -20,10 +20,7 @@ from oohsim.pml import (
     TrapViolation,
 )
 
-
-def _retrievable(buf: PmlBuffer) -> int:
-    """The entries a drain of ``buf`` would take: fresh - index (0 when disabled)."""
-    return 0 if buf.index == buf.disabled_index else buf.fresh_index - buf.index
+from helpers import retrievable
 
 
 def test_buffer_starts_disabled():
@@ -31,14 +28,14 @@ def test_buffer_starts_disabled():
     assert buf.index == INDEX_DISABLED
     assert buf.log(1) == LogResult.DISABLED
     assert buf.entries.tolist() == []
-    assert _retrievable(buf) == 0
+    assert retrievable(buf) == 0
 
 
 def test_single_log_index_arithmetic():
     buf = PmlBuffer(index=INDEX_FRESH)
     assert buf.log(1) == LogResult.LOGGED
     assert buf.index == 510
-    assert _retrievable(buf) == 1
+    assert retrievable(buf) == 1
     assert buf.slots_left == 511
 
 
@@ -48,7 +45,7 @@ def test_512_logs_fill_buffer_and_513th_attempt_signals_full():
         assert buf.log(i) == LogResult.LOGGED
     assert buf.index == -1
     assert buf.full
-    assert _retrievable(buf) == 512
+    assert retrievable(buf) == 512
     assert buf.slots_left == 0
     # the 513th attempt is refused and raises the full signal
     assert buf.log(512) == LogResult.FULL
@@ -185,8 +182,8 @@ def test_no_entry_logged_while_disabled_fuzz():
             else:
                 buf.drain()
             if buf.index != INDEX_DISABLED:
-                assert _retrievable(buf) == INDEX_FRESH - buf.index
-                assert len(buf.entries) == _retrievable(buf)
+                assert retrievable(buf) == INDEX_FRESH - buf.index
+                assert len(buf.entries) == retrievable(buf)
 
 
 def test_dual_logging_set_correspondence_fuzz():

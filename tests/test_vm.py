@@ -5,40 +5,16 @@ from __future__ import annotations
 import tracemalloc
 from itertools import chain
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oohsim.costs import CostTable
 from oohsim.guest import GUEST_RING_GPA, GUEST_RING_HPA, TECHNIQUES
-from oohsim.memory import _HAS_DIRTY, _PROTECT, Ept, GuestPageTable, MappingError, write_faults
+from oohsim.memory import _HAS_DIRTY, MappingError, write_faults
 from oohsim.vm import VirtualMachine
 
-
-def _dirty_gpas(ept: Ept) -> set[int]:
-    """The frames whose EPT dirty bit is set."""
-    return set((ept._pages(_HAS_DIRTY) * 4096).tolist())
-
-
-def _page_list(pages: np.ndarray) -> list[int]:
-    """The page numbers a query or the kernel reports, once checked to be in the
-    one form a set of pages takes: an int64 array, sorted and distinct."""
-    assert pages.dtype == np.int64
-    assert (pages[1:] > pages[:-1]).all()
-    return pages.tolist()
-
-
-def _set_write_protect(table: GuestPageTable, gvas) -> None:
-    """Write-protect each of ``gvas``, one page at a time."""
-    for gva in gvas:
-        region, i = table._locate(gva)
-        region.bits[i] = _PROTECT[region.bits[i]]
-
-
-def _unmap_gpa(ept: Ept, gpa: int) -> None:
-    """Take a frame out of the EPT."""
-    ept._take(gpa)
+from helpers import dirty_gpas, page_list, set_write_protect, unmap_gpa
 
 
 MB = 1 << 20
@@ -200,9 +176,8 @@ def test_remap_moves_dirty_state():
     vm.write_one(7, gva(0))
     vm.remap(7, gva(0), 0x900000)
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert _page_list(dirty) == [0x900000 // 4096]
+    assert page_list(dirty) == [0x900000 // 4096]
     assert vm.kernel.processes[7].softdirty_residue == set()
-
 
 
 def test_unmap_keeps_residue_only_for_a_soft_dirty_region_page():
@@ -216,7 +191,7 @@ def test_unmap_keeps_residue_only_for_a_soft_dirty_region_page():
     assert gva(0) not in table and gva(1) not in table
     assert vm.kernel.processes[7].softdirty_residue == {gva(0) // 4096}
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert _page_list(dirty) == [gva(0) // 4096]
+    assert page_list(dirty) == [gva(0) // 4096]
 
 def test_pagemap_after_an_unmap_reports_live_pages_and_residue_by_number():
     vm = make_vm("proc")
@@ -226,17 +201,17 @@ def test_pagemap_after_an_unmap_reports_live_pages_and_residue_by_number():
     vm.unmap(7, gva(2))  # soft-dirty: kept as residue
     vm.unmap(7, gva(1))  # clean: gone
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert _page_list(dirty) == [gva(0) // 4096, gva(2) // 4096, gva(3) // 4096]
+    assert page_list(dirty) == [gva(0) // 4096, gva(2) // 4096, gva(3) // 4096]
     assert vm.kernel.processes[7].softdirty_residue == {gva(2) // 4096}
     # the page table's own soft-dirty pages leave the residue out
     table = vm.kernel.processes[7].table
-    assert _page_list(table.soft_dirty_pages()) == [gva(0) // 4096, gva(3) // 4096]
+    assert page_list(table.soft_dirty_pages()) == [gva(0) // 4096, gva(3) // 4096]
     # gva(2) mapped again and written: in the residue and live, reported once
     vm.map_fresh(7, gva(2))
     vm.write_one(7, gva(2))
-    assert _page_list(table.soft_dirty_pages()) == [gva(i) // 4096 for i in (0, 2, 3)]
+    assert page_list(table.soft_dirty_pages()) == [gva(i) // 4096 for i in (0, 2, 3)]
     dirty, _ = vm.kernel.read_pagemap(7)
-    assert _page_list(dirty) == [gva(i) // 4096 for i in (0, 2, 3)]
+    assert page_list(dirty) == [gva(i) // 4096 for i in (0, 2, 3)]
 
 
 # ----------------------------------------------------------- write pipeline
@@ -249,7 +224,7 @@ def test_plain_write_sets_all_dirty_layers():
     assert res.outcome.ept_dirty_set
     entry = vm.kernel.processes[7].table.entry(gva(0))
     assert entry.flags.dirty and entry.flags.soft_dirty
-    assert entry.gpa in _dirty_gpas(vm.ept)
+    assert entry.gpa in dirty_gpas(vm.ept)
 
 
 def test_second_write_does_not_relog():
@@ -271,12 +246,12 @@ def test_uffd_write_records_and_stays_protected():
     # a stretch's writes fault again, on gva(8) and on a page it writes twice
     stretch = vm.quiet_run(7, [gva(1), gva(0), gva(8), gva(1)], 4)
     assert len(stretch) == 4 and vm.write_run(7, stretch, 4) == 0
-    assert _page_list(vm.kernel.uffd_harvest(7)) == [gva(i) // 4096 for i in (0, 1, 8)]
+    assert page_list(vm.kernel.uffd_harvest(7)) == [gva(i) // 4096 for i in (0, 1, 8)]
 
 
 def test_wp_fault_without_monitor_is_an_error():
     vm = make_vm("proc")
-    _set_write_protect(vm.kernel.processes[7].table, [gva(0)])
+    set_write_protect(vm.kernel.processes[7].table, [gva(0)])
     with pytest.raises(RuntimeError):
         vm.write_one(7, gva(0))
 
@@ -415,12 +390,12 @@ def test_allocation_makes_entries_only_for_touched_pages():
     finally:
         tracemalloc.stop()
     table = vm.kernel.processes[1].table
-    assert _page_list(dirty) == sorted(g // 4096 for g in written)
+    assert page_list(dirty) == sorted(g // 4096 for g in written)
     assert len(table) == 614_400
     # a written page stays a byte in its region
     assert table.entries == {}
     assert vm.ept.entries == {}
-    assert _page_list(table._pages(_HAS_DIRTY)) == sorted(g // 4096 for g in written)
+    assert page_list(table._pages(_HAS_DIRTY)) == sorted(g // 4096 for g in written)
     assert peak < 4 * MB
 
 
@@ -443,7 +418,7 @@ def _twin_machine(technique, sched_in, hole, single, protect, prewrites, rearm, 
         vm.map_fresh(7, pages[single])
     vm.kernel.register_tracked(7, technique, CostTable.default().prices(TWIN_PAGES * P))
     if protect not in (hole, single):
-        _set_write_protect(vm.kernel.processes[7].table, [pages[protect]])
+        set_write_protect(vm.kernel.processes[7].table, [pages[protect]])
     if sched_in:
         vm.kernel.on_schedule(7, "in")
     for i in prewrites:
@@ -613,7 +588,7 @@ def test_write_run_of_any_pages_leaves_the_state_of_one_write_one_per_write(
             vm.kernel.processes[7].table.clear_soft_dirty()
         gpa = vm.kernel.processes[7].table.gpa_of(pages[lacking]) if lacking is not None else None
         if gpa is not None:
-            _unmap_gpa(vm.ept, gpa)
+            unmap_gpa(vm.ept, gpa)
     gvas = [pages[0] + i * P for i in targets]
     stretch = bulk.quiet_run(7, gvas, n)
     bits = stretch.bits
