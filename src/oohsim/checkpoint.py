@@ -306,7 +306,7 @@ class CheckpointSession:
     ):
         cfg = TrackerConfig(technique, memory_bytes, ring_capacity=ring_capacity, table=table)
         self.technique = technique
-        self.vm, self.gvas, _init_us = tracked_machine(cfg)
+        self.vm, self.gvas = tracked_machine(cfg)
         self.vm.kernel.on_schedule(TRACKED_PID, "in")
         self.images: list[CheckpointImage] = []
         self.timings: list[CheckpointTiming] = []

@@ -422,6 +422,17 @@ class Prices:
         """One copy of ``k`` log entries: a context switch (M1) plus M18 per entry."""
         return self.m1 + k * self.m18_pp
 
+    def write_us(
+        self, technique: str, softdirty_fault: bool, uffd_fault: bool
+    ) -> tuple[float, float]:
+        """One write's (wall, run) µs: the ideal write, plus, under ``proc``, the
+        post-clear soft-dirty fault on both clocks where the write takes one, plus
+        a recorded userspace fault on the wall clock only."""
+        run = self.write
+        if softdirty_fault and technique == "proc":
+            run += self.softdirty_fault
+        return (run + self.uffd_fault if uffd_fault else run), run
+
 
 @dataclass(frozen=True)
 class EpmlEstimate:

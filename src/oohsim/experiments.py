@@ -15,6 +15,7 @@ are likewise pure functions of the cost table and the seed.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
@@ -152,9 +153,8 @@ class ExperimentConfig:
                 )
         try:
             KvWorkloadSpec.check_knobs(self.kv_churn_rate, self.kv_ops)
-        except ValueError as exc:  # named by its config key, not the spec's field
-            name, _, rule = str(exc).partition(": ")
-            raise ConfigError(f"{_KV_KEYS[name]}: {rule}") from exc
+        except ValueError as exc:
+            raise _kv_error(exc) from exc
         try:  # points() checks the workload too, as it builds the kv spec
             for technique, size in self.points():
                 self.tracker_config(technique, size)
@@ -251,8 +251,13 @@ _RUN_KNOBS = (
     "horizon_us",
 )
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
-#: The config key of each :meth:`~oohsim.workloads.KvWorkloadSpec.check_knobs` field.
+#: The config key of each :class:`~oohsim.workloads.KvWorkloadSpec` field a config sets.
 _KV_KEYS = {"churn_rate": "kv_churn_rate", "n_ops": "kv_ops"}
+
+
+def _kv_error(exc: ValueError) -> ConfigError:
+    """A kv spec's error, with its fields named by their config keys."""
+    return ConfigError(re.sub(r"\b(churn_rate|n_ops)\b", lambda m: _KV_KEYS[m[0]], str(exc)))
 
 
 def _coerce_field(name: str, raw: Any) -> Any:
@@ -287,7 +292,10 @@ def run(config: ExperimentConfig) -> RunReport:
         return report
     table = config.cost_table()
     spec = config.kv_spec
-    trace = spec.make_trace(table) if spec else None  # one trace, shared by every point
+    try:  # one trace, shared by every point; its churn must fit at the calibrated write price
+        trace = spec.make_trace(table) if spec else None
+    except ValueError as exc:
+        raise _kv_error(exc) from exc
     for technique, size in config.points():
         tracked = config.tracker_config(technique, size, table=table, trace=trace)
         phase = run_tracker(tracked)
@@ -582,9 +590,10 @@ def repro_coexist(table: CostTable | None = None) -> list[ComparisonRow]:
     """
     t = table or CostTable.default()
     ref = reference_values()["coexist"]
-    guest = _micro("spml", 50 * MB, t)
+    guest_cfg = TrackerConfig("spml", memory_bytes=50 * MB, table=t)
+    guest = run_tracker(guest_cfg)
     period_us = guest.monitor_span_us / max(1, guest.vmexits)
-    service_us = t.prices(50 * MB).vmexit_service
+    service_us = guest_cfg.prices.vmexit_service  # the price list the run read
     solo = run_migration(MigrationJob(), t)
     shared = run_migration(MigrationJob(), t, concurrent_load=(period_us, service_us))
     inflation = 100.0 * (shared.total_ms / solo.total_ms - 1.0)

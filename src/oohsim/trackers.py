@@ -19,8 +19,9 @@ region, one page-sized write each) — and reports where the time went:
 
 Two engines run the micro-benchmark on one run skeleton (``_Run``: the
 clock, the collection ticks, stalls, quantum swaps, the round loop, the final
-harvest and the report) and differ only in how they apply a round of writes
-and keep the device state.  Only ``spml`` and ``epml`` runs schedule
+harvest, the report and the price of each event, one expression that both
+engines charge) and differ only in how they apply a round of writes and keep
+the device state.  Only ``spml`` and ``epml`` runs schedule
 collection ticks: ``proc`` collects at each round's end and ``uffd`` as each
 fault is resolved, so their runs have none.  The mechanical engine
 (:class:`_MechanicalRun`) executes every write through
@@ -35,10 +36,11 @@ the default for the micro-benchmark because it is fast at large sizes,
 advances whole stretches of writes between events with closed-form
 arithmetic, following the mechanical event order (buffer event during the
 triggering write, then the quantum check, then collection ticks).  The two
-agree on the shapes that ``tests/test_trackers.py`` compares (4 MB, three
-rounds, default ring), but not everywhere: they disagree at 512 pages or fewer, at the horizon and
-with small rings (the ROADMAP item on one engine).  Trust the mechanical
-engine where they differ.
+agree on the shapes that ``tests/test_trackers.py`` compares (4 and 16 MB,
+three rounds: every count, and the init and collector µs bit for bit), but
+not everywhere: they disagree at 512 pages or fewer, at the horizon and with
+small rings (the ROADMAP item on one engine).  Trust the mechanical engine
+where they differ.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import repeat
-from operator import add
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -259,9 +259,7 @@ def reverse_map_pairs(table: GuestPageTable, pairs, rm_pp: float = 0.0) -> Drain
     """
     gpas, logged = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     gvas = table.reverse_map_many(gpas)
-    res = DrainResult(consumed=len(gpas), gvas=gvas)
-    if rm_pp:  # one addition per pair, in order, as a per-pair loop adds them
-        res.rm_us = reduce(add, repeat(rm_pp, len(gpas)), 0.0)
+    res = DrainResult(consumed=len(gpas), gvas=gvas, rm_us=len(gpas) * rm_pp)
     differ = (gvas != logged).nonzero()[0]
     if len(differ):
         for gpa, gva, meta in zip(*(a[differ].tolist() for a in (gpas, gvas, logged))):
@@ -273,18 +271,19 @@ def reverse_map_pairs(table: GuestPageTable, pairs, rm_pp: float = 0.0) -> Drain
     return res
 
 
-def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range, float]:
-    """The tracked machine, its pages and the µs its set-up cost; under ``proc`` the
-    soft-dirty bits start clear, so allocation-time bits are not the workload's."""
+def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range]:
+    """The tracked machine, registered with the tool, and its pages; under ``proc``
+    the soft-dirty bits start clear, so allocation-time bits are not the workload's.
+    What the set-up costs is :meth:`~oohsim.costs.Prices.init_us`."""
     vm = VirtualMachine(
         ring_capacity=cfg.ring_capacity, ring_full_policy=cfg.ring_full_policy
     )
     vm.create_process(TRACKED_PID)
     gvas = vm.allocate(TRACKED_PID, cfg.pages)
-    init_us = vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.prices)
+    vm.kernel.register_tracked(TRACKED_PID, cfg.technique, cfg.prices)
     if cfg.technique == "proc":
-        init_us += vm.kernel.clear_soft_dirty(TRACKED_PID)[1]
-    return vm, gvas, init_us
+        vm.kernel.clear_soft_dirty(TRACKED_PID)
+    return vm, gvas
 
 
 # --------------------------------------------------------------------------
@@ -293,16 +292,23 @@ def tracked_machine(cfg: TrackerConfig) -> tuple[VirtualMachine, range, float]:
 
 
 class _Run:
-    """One tracked run: the clock, the counters, the collection schedule and the report.
+    """One tracked run: the clock, the counters, the collection schedule, the
+    prices and the report.
 
-    Both engines advance time here in the same way.  Each supplies how it
-    applies a round of writes (``_round``), ends a round (``_round_end``),
-    switches the tracked process (``_sched``), prices an spml tick that
-    drains ``k`` ring entries (``_drain_charge``; ``ring_used`` counts the
-    entries left), hands over the epml tool ring (``_consume_tool_ring``)
-    and fills the report's content fields (``_content``).  The mechanical
-    engine alone runs a deferred reverse map, so it alone maps the deferred
-    ring entries (``_reverse_map_deferred``, returning its cost).
+    Both engines advance time here in the same way and charge each event at
+    one price, read from the run's price list (``cfg.prices``): the set-up
+    (:meth:`~oohsim.costs.Prices.init_us`), a write
+    (:meth:`~oohsim.costs.Prices.write_us`), a buffer copy
+    (:meth:`~oohsim.costs.Prices.copy_us`), a buffer-full vmexit
+    (:meth:`_vmexit`) and an spml tick that drains ``k`` ring entries
+    (:meth:`_drain_charge`), which lasts as long as its charge.  Each engine
+    supplies how it applies a round of writes (``_round``), ends a round
+    (``_round_end``), switches the tracked process (``_sched``), hands over
+    the epml tool ring (``_consume_tool_ring``) and fills the report's
+    content fields (``_content``); ``ring_used`` counts the spml ring entries
+    left.  The mechanical engine alone runs a deferred reverse map, so it
+    alone maps the deferred ring entries (``_reverse_map_deferred``,
+    returning its cost).
 
     spml's ticks come back to back in a stall, the final harvest and the
     catch-up after an event: :meth:`_spml_ticks` runs each such run of the
@@ -311,14 +317,10 @@ class _Run:
     segment round runs its own ticks inline (:meth:`_SegmentRun._round`).
     """
 
-    #: whether an spml tick lasts as long as ``collect_us`` moved (the
-    #: mechanical engine) rather than its charge (the segment engine)
-    _drain_span_rounded = False
-
-    def __init__(self, cfg: TrackerConfig, prices: Prices, init_us: float):
+    def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
-        self.c = prices
-        self.init_us = init_us
+        self.c = cfg.prices
+        self.init_us = self.c.init_us(cfg.technique)
         self.tech = cfg.technique
         self.P = cfg.pages
 
@@ -337,12 +339,17 @@ class _Run:
         self.sched_events = 0
         self.dropped = 0
         self.truncated = False
-        # the most an spml tick drains, and by entries drained its
-        # (charge, reverse-map µs, copy µs), priced once per count
-        self.drain_batch: float = prices.drain_batch
-        self._drain_us: dict[int, tuple[float, float, float]] = {}
+        self.drain_batch: float = self.c.drain_batch  # the most an spml tick drains
 
     # ----- time -----------------------------------------------------------
+
+    def _drain_charge(self, k: int) -> tuple[float, float, float]:
+        """The (charge, reverse-map µs, copy µs) of an spml tick that drains
+        ``k`` ring entries: each one's copy (M18) and, unless the mapping is
+        deferred to the report, its reverse mapping (M17)."""
+        c = self.c
+        rm_pp = 0.0 if self.cfg.defer_reverse_map else c.m17_pp
+        return k * (c.m18_pp + rm_pp), k * rm_pp, k * c.m18_pp
 
     def _tick(self) -> None:
         """One epml collection tick: the tool consumes its ring."""
@@ -361,13 +368,12 @@ class _Run:
         wait is suspension, and the run is truncated if the horizon comes
         first) or ``"empty"`` (until the ring is empty; the clock follows
         the ticks).  A tick drains ``drain_batch`` entries, or what is left,
-        at the charge the engine prices for that count, and the next lands on
-        the first interval multiple after the drain, a whole interval on at
-        least.
+        at :meth:`_drain_charge`'s price, and the next lands on the first
+        interval multiple after the drain, a whole interval on at least.
         """
         cfg = self.cfg
         interval, horizon, cap = cfg.collection_interval_us, cfg.horizon_us, cfg.ring_capacity
-        batch, charges, rounded = self.drain_batch, self._drain_us, self._drain_span_rounded
+        batch, drain_charge = self.drain_batch, self._drain_charge
         ceil = math.ceil
         parts = self.parts
         t, tick, used = self.t, self.next_tick, self.ring_used
@@ -387,19 +393,15 @@ class _Run:
                     suspension += tick - t
                 t = tick
             k = used if used < batch else batch  # min(batch, used)
-            charge = charges.get(k)
-            if charge is None:
-                charge = charges[k] = self._drain_charge(k)
-            cost, rm, copy = charge
+            cost, rm, copy = drain_charge(k)
             used -= k
             busy += cost
-            pre, collect = collect, collect + cost
+            collect += cost
             rm_us += rm
             copy_us += copy
             # ticks land on interval multiples, a whole interval apart at least:
             # max(tick + interval, aligned), so a long drain skips some
-            end = tick + (collect - pre if rounded else cost)
-            aligned, tick = interval * ceil(end / interval), tick + interval
+            aligned, tick = interval * ceil((tick + cost) / interval), tick + interval
             if aligned > tick:
                 tick = aligned
             ticks += 1
@@ -549,7 +551,7 @@ class _SegmentRun(_Run):
     def __init__(self, cfg: TrackerConfig):
         if cfg.defer_reverse_map:  # run_tracker runs it on the mechanical engine
             raise ValueError("defer_reverse_map: the segment engine has no deferred reverse map")
-        super().__init__(cfg, cfg.prices, cfg.prices.init_us(cfg.technique))
+        super().__init__(cfg)
         self.buf_fill = 0  # hv buffer (spml) or guest buffer (epml)
         self.ring_used = 0  # spml hypervisor ring
         self.tool_ring = 0  # epml tool-side ring
@@ -579,10 +581,6 @@ class _SegmentRun(_Run):
         self.softirqs += 1
         return cost
 
-    def _drain_charge(self, k: int) -> tuple[float, float, float]:
-        c = self.c
-        return k * (c.m18_pp + c.m17_pp), k * c.m17_pp, k * c.m18_pp
-
     def _consume_tool_ring(self) -> None:
         self.tool_ring = 0  # tool consumes its ring (set union, free)
 
@@ -598,10 +596,7 @@ class _SegmentRun(_Run):
         cfg, c, tech = self.cfg, self.c, self.tech
         spml, epml, uffd = tech == "spml", tech == "epml", tech == "uffd"
         logging = spml or epml
-        w_run = c.write
-        if tech == "proc":
-            w_run += c.softdirty_fault  # every post-clear write microfaults
-        w_wall = w_run + (c.uffd_fault if uffd else 0.0)
+        w_wall, w_run = c.write_us(tech, True, uffd)  # every post-clear write microfaults
         # a log buffer's entries, the write a full one refuses (the 513th), and a
         # gap's writes that no stretch of an armed buffer reaches (see far_run)
         slots, refused, far = BUFFER_SLOTS, BUFFER_SLOTS + 1, BUFFER_SLOTS + 2
@@ -920,11 +915,9 @@ class _MechanicalRun(_Run):
     (:attr:`~oohsim.workloads.TraceWorkload.decoded` rejects any other).
     """
 
-    _drain_span_rounded = True  # as the collection clock rounds it
-
     def __init__(self, cfg: TrackerConfig):
-        self.vm, self.gvas, init_us = tracked_machine(cfg)
-        super().__init__(cfg, self.vm.kernel.uio.prices, init_us)
+        self.vm, self.gvas = tracked_machine(cfg)
+        super().__init__(cfg)
         writes = len(cfg.trace.decoded[0]) if cfg.trace is not None else cfg.pages
         self.oracle = np.zeros(writes, dtype=bool)  # by write of the decode: it completed
         self.collected: list[np.ndarray] = []  # page numbers reported
@@ -948,18 +941,8 @@ class _MechanicalRun(_Run):
     @cached_property
     def _write_us(self) -> list[tuple[float, float]]:
         """A write's (wall, run) µs, at index soft-dirty fault + 2 × uffd fault."""
-        c = self.c
-        out = []
-        for uffd_recorded in (False, True):
-            for softdirty_fault in (False, True):
-                wall = run = c.write
-                if softdirty_fault and self.tech == "proc":
-                    run += c.softdirty_fault
-                    wall += c.softdirty_fault
-                if uffd_recorded:
-                    wall += c.uffd_fault
-                out.append((wall, run))
-        return out
+        write_us, tech = self.c.write_us, self.tech
+        return [write_us(tech, sd, uffd) for uffd in (False, True) for sd in (False, True)]
 
     @cached_property
     def _byte_us(self) -> tuple[np.ndarray, np.ndarray]:
@@ -970,15 +953,12 @@ class _MechanicalRun(_Run):
     # ----- helpers -------------------------------------------------------
 
     def _sched(self, direction: str) -> None:
-        us = self.vm.kernel.on_schedule(TRACKED_PID, direction)
-        self.t += us
+        epml_out = self.tech == "epml" and direction == "out"
+        # epml copies the buffer's leftover out before the switch parks it
+        copy_us = self._deliver_leftover() if epml_out else 0.0
+        self.t += self.vm.kernel.on_schedule(TRACKED_PID, direction) + copy_us
         self.sched_events += 1
-        if self.tech == "epml" and direction == "out":
-            # an embedded leftover drain is a softirq-style copy
-            drain_us = us - self.c.sched_us("epml", "out")
-            if drain_us > 0:
-                self.suspension += drain_us
-                self.softirqs += 1
+        if epml_out:
             self._consume_tool_ring()
 
     def _collect(self, gvas: np.ndarray) -> None:
@@ -990,22 +970,14 @@ class _MechanicalRun(_Run):
         self._collect(self.vm.kernel.epml_consume_ring())
 
     def _deliver_leftover(self) -> float:
-        """Copy the guest buffer's leftover entries out in one softirq; return its µs."""
+        """Copy the guest buffer's leftover entries out in one softirq, counted also
+        when a full tool ring takes none; return its µs."""
         if not self.vm.hv.pml.guest_buffer.used:
             return 0.0
         _, us = self.vm.kernel.deliver_guest_buffer_full(TRACKED_PID)
         self.suspension += us
         self.softirqs += 1
         return us
-
-    def _drain_charge(self, k: int) -> tuple[float, float, float]:
-        """The charge of a tick that drains ``k`` entries: each one's copy and,
-        unless deferred, its reverse mapping, one addition per entry, as
-        :func:`reverse_map_pairs` adds them; the entries stay on the ring,
-        owed, for :meth:`_settle`."""
-        rm_us = 0.0 if self.cfg.defer_reverse_map else reduce(add, repeat(self.c.m17_pp, k), 0.0)
-        copy_us = k * self.c.m18_pp
-        return rm_us + copy_us, rm_us, copy_us
 
     def _settle(self) -> None:
         """Take the owed entries off the ring and keep their rows in ``drained``,

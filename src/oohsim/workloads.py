@@ -159,7 +159,18 @@ class KvWorkloadSpec:
         return pages_for(self.footprint_bytes)
 
     def make_trace(self, table: CostTable | None = None) -> TraceWorkload:
-        t = table or CostTable.default()
+        """The trace at ``table``'s write price, which sets how many churn events
+        fall in its ideal write time; they must fit between its writes (a
+        ``ValueError`` naming ``churn_rate`` and ``n_ops`` otherwise)."""
+        write_us = (table or CostTable.default()).param("write_cost_us")
+        churns = int(self.churn_rate * (self.n_ops * write_us) / 1e6)
+        churn_every = self.n_ops // (churns + 1) if churns else 0
+        if churns and not churn_every:
+            raise ValueError(
+                f"churn_rate: {self.churn_rate:g} a second over n_ops = {self.n_ops} writes "
+                f"of {write_us:g} µs makes {churns} churn events, which do not fit between "
+                "the writes"
+            )
         rng = np.random.default_rng(self.seed)
         pages = self.num_pages
         cdf = np.cumsum(np.arange(1, pages + 1, dtype=np.float64) ** (-self.write_skew))
@@ -168,12 +179,6 @@ class KvWorkloadSpec:
         # slot i starts at gva (i + 1) * PAGE
         gvas = (slot_of_rank[draws] + 1) * PAGE
         del cdf, slot_of_rank  # a value per page each: freed before the ops are built
-        write_us = t.param("write_cost_us")
-        churns = int(self.churn_rate * (self.n_ops * write_us) / 1e6)
-        churn_every = self.n_ops // (churns + 1) if churns else 0
-        if churns and not churn_every:
-            raise ValueError(f"{churns} churn events do not fit between {self.n_ops} writes")
-
         # churn event k comes after the first ends[k] writes: it retires the page
         # the last of them wrote and moves that rank's slot to fresh address k,
         # where the rank's later writes go

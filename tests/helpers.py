@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oohsim.costs import CostTable
 from oohsim.experiments import EstimatorCheck
 from oohsim.memory import (
     _HAS_DIRTY,
@@ -55,3 +56,19 @@ def retrievable(buf: PmlBuffer) -> int:
 def rel_err(check: EstimatorCheck) -> float:
     """How far the closed-form estimate lies from the run, relative to the run."""
     return abs(check.est_us - check.sim_us) / check.sim_us
+
+
+def time_doubled(table: CostTable) -> CostTable:
+    """``table`` with every µs and ms value doubled; ``spml_drain_batch`` is a
+    count and stays."""
+    return CostTable(
+        fixed_us={metric: 2 * us for metric, us in table.fixed_us.items()},
+        sized_ms={
+            metric: [(size, 2 * ms) for size, ms in anchors]
+            for metric, anchors in table.sized_ms.items()
+        },
+        params={
+            key: value if key == "spml_drain_batch" else 2 * value
+            for key, value in table.params.items()
+        },
+    )

@@ -124,6 +124,23 @@ def test_an_infinite_churn_rate_exits_2_before_any_run(tmp_path, capsys, monkeyp
     assert calls == [] and not out.exists()
 
 
+def test_churn_that_does_not_fit_between_the_writes_exits_2_naming_both_keys(
+    tmp_path, capsys, monkeypatch
+):
+    # 1e12 churn events a second over 10 writes of 0.9 µs: 9,000,000 events
+    calls = []
+    real = experiments.run_tracker
+    monkeypatch.setattr(experiments, "run_tracker", lambda cfg: calls.append(cfg) or real(cfg))
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "[experiment]\nworkload = kv:stdtree\nkv_ops = 10\nkv_churn_rate = 1e12\n"
+    )
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: kv_churn_rate:") and "kv_ops" in err
+    assert calls == [] and not out.exists()
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
     assert "io error" in capsys.readouterr().err

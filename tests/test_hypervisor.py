@@ -32,7 +32,7 @@ from oohsim.hypervisor import (
 )
 from oohsim.memory import PAGE_SIZE, Ept
 
-from helpers import dirty_gpas, retrievable
+from helpers import dirty_gpas, retrievable, time_doubled
 
 
 # ----------------------------------------------------------------- ring
@@ -996,22 +996,6 @@ def test_block_draws_equal_scalar_draws(seed, bound, block, blocks):
     )
 
 
-def _time_doubled(table: CostTable) -> CostTable:
-    """``table`` with every µs and ms value doubled; ``spml_drain_batch`` is a
-    count and stays."""
-    return CostTable(
-        fixed_us={metric: 2 * us for metric, us in table.fixed_us.items()},
-        sized_ms={
-            metric: [(size, 2 * ms) for size, ms in anchors]
-            for metric, anchors in table.sized_ms.items()
-        },
-        params={
-            key: value if key == "spml_drain_batch" else 2 * value
-            for key, value in table.params.items()
-        },
-    )
-
-
 @settings(max_examples=100, deadline=None)
 # 1 µs writes that tie with every burst, and the write storm's max_rounds stop
 @example(seed=96, vm_pages=6270, hot_pages=4514, writes_per_s=1e6, page_xfer_us=2.5,
@@ -1045,7 +1029,7 @@ def test_migration_times_scale_with_every_price(
     })
     base = run_migration(job, concurrent_load=load)
     doubled = run_migration(
-        slow, _time_doubled(CostTable.default()),
+        slow, time_doubled(CostTable.default()),
         concurrent_load=load and (2 * load[0], 2 * load[1]),
     )
     assert doubled.total_ms == 2 * base.total_ms

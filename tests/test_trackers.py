@@ -37,6 +37,7 @@ from oohsim.vm import VirtualMachine
 from oohsim.workloads import KvWorkloadSpec, TraceWorkload, churn_trace, random_trace
 
 import knobs
+from helpers import time_doubled
 
 MB = 1 << 20
 GB = 1000 * MB
@@ -199,30 +200,46 @@ def test_overhead_ordering_at_50_and_100_mb():
 # ------------------------------------------------------- engine equivalence
 
 
-@pytest.mark.parametrize("technique", ["proc", "uffd", "spml", "epml"])
-def test_segment_engine_matches_mechanical_engine(technique):
+@pytest.mark.parametrize(
+    ("technique", "mb", "ring"),
+    [  # the 4 MB shape is named by its technique alone
+        pytest.param(tech, mb, ring, id=f"{tech}-{mb}MB-ring{ring}" if mb > 4 else tech)
+        for mb, ring in ((4, 16384), (16, 16384), (16, 2048))
+        for tech in TECHNIQUES
+    ],
+)
+def test_segment_engine_matches_mechanical_engine(technique, mb, ring):
     kw = dict(
-        memory_bytes=4 * MB,  # 1024 pages
+        memory_bytes=mb * MB,  # 1024 or 4096 pages
         rounds=3,
         quantum_us=2_000.0,
         collection_interval_us=1_000.0,
+        ring_capacity=ring,
     )
     seg = run_tracker(cfg(technique, **kw))
     mech = run_tracker(cfg(technique, mechanical=True, **kw))
-    assert mech.writes_done == seg.writes_done == 3 * 1024
+    pages = mb * MB // PAGE_SIZE
+    assert mech.writes_done == seg.writes_done == 3 * pages
     assert mech.rounds_done == seg.rounds_done == 3
     assert mech.vmexits == seg.vmexits
     assert mech.softirq_copies == seg.softirq_copies
     assert mech.n_sched_events == seg.n_sched_events
     assert mech.dropped == seg.dropped == 0
+    # both engines charge each collection event at one price, so where every
+    # count agrees the collector's µs agree bit for bit; uffd's fault µs are
+    # added per write on one engine and per stretch on the other
+    assert mech.init_time_us == seg.init_time_us
+    assert mech.collect_time_us == seg.collect_time_us
+    assert mech.collect_parts == seg.collect_parts
     rel = 1e-6
+    if technique == "uffd":
+        assert mech.tracker_busy_us == pytest.approx(seg.tracker_busy_us, rel=rel, abs=1e-6)
+    else:
+        assert mech.tracker_busy_us == seg.tracker_busy_us
     assert mech.monitor_span_us == pytest.approx(seg.monitor_span_us, rel=rel)
     assert mech.tracked_suspension_total_us == pytest.approx(
         seg.tracked_suspension_total_us, rel=rel, abs=1e-6
     )
-    assert mech.tracker_busy_us == pytest.approx(seg.tracker_busy_us, rel=rel, abs=1e-6)
-    assert mech.collect_time_us == pytest.approx(seg.collect_time_us, rel=rel, abs=1e-6)
-    assert mech.init_time_us == pytest.approx(seg.init_time_us)
 
 
 def _overridden_table() -> CostTable:
@@ -248,10 +265,9 @@ def test_every_charge_is_read_from_the_price_list(technique, size, calibrated):
     )
     assert seg.init_time_us == mech.init_time_us == prices.init_us(technique)
 
-    vm, gvas, init_us = tracked_machine(cfg(technique, size, table=table))
+    vm, gvas = tracked_machine(cfg(technique, size, table=table))
     kern = vm.kernel
     assert kern.uio.prices == prices
-    assert init_us == prices.init_us(technique)
     assert kern.on_schedule(TRACKED_PID, "in") == prices.sched_us(technique, "in")
     for gva in gvas[:5]:
         vm.write_one(TRACKED_PID, gva)
@@ -261,6 +277,37 @@ def test_every_charge_is_read_from_the_price_list(technique, size, calibrated):
         assert kern.read_pagemap(TRACKED_PID)[1] == prices.m16
         assert kern.clear_soft_dirty(TRACKED_PID)[1] == prices.m15
     assert kern.on_schedule(TRACKED_PID, "out") == prices.sched_us(technique, "out")
+
+
+@settings(deadline=None)
+# spml ticks on both engines, deferred ones, and epml copies into a small tool ring
+@example(config=cfg("spml", 4 * MB, rounds=3, ring_capacity=1024))
+@example(config=cfg("spml", 4 * MB, rounds=3, ring_capacity=512, mechanical=True))
+@example(config=cfg("spml", 4 * MB, rounds=3, defer_reverse_map=True, mechanical=True))
+@example(config=cfg("epml", 4 * MB, rounds=3, collection_interval_us=40.0, ring_capacity=512,
+                    mechanical=True))
+@given(config=st.one_of(*map(knobs.runs, knobs.ENGINES)))
+def test_tracker_times_scale_with_every_price(config):
+    """Doubling every µs and ms price, the quantum, the collection interval and
+    the horizon doubles every µs of the report exactly (a double of a float is
+    exact through every sum, difference and product, and a quotient of two
+    doubled values is unchanged), and changes no count, flag or page set.  A
+    µs literal outside the price list, or a time compared with an absolute
+    epsilon, breaks it."""
+    doubled = replace(
+        config, table=time_doubled(config.cost_table()), quantum_us=2 * config.quantum_us,
+        collection_interval_us=2 * config.collection_interval_us,
+        horizon_us=2 * config.horizon_us,
+    )
+    base, twice = run_tracker(config), run_tracker(doubled)
+    for f in fields(base):
+        want, got = getattr(base, f.name), getattr(twice, f.name)
+        if isinstance(want, float):
+            assert got == 2 * want, f.name
+        elif f.name == "collect_parts":
+            assert got == {part: 2 * us for part, us in want.items()}
+        else:
+            assert got == want, f.name
 
 
 @pytest.mark.parametrize("technique", ["proc", "uffd", "spml", "epml"])
@@ -1115,19 +1162,22 @@ def _spml_tick_digest(pages: int, ring: int) -> str:
 
 
 # (pages, ring) -> _spml_tick_digest, recorded while every spml collection
-# tick took its batch off the ring itself.  The stall wait and the final
-# harvest are shared by the stretched and the stepped path, so the stretch
-# twin tests cannot see an error in how back-to-back ticks take the ring
+# tick took its batch off the ring itself, and again once both engines
+# charged a tick k (M18 + M17) and made it last as long as its charge (every
+# count, flag and page set of the 432 runs unchanged, every float within
+# 1.7e-13 relative).  The stall wait and the final harvest are shared by the
+# stretched and the stepped path, so the stretch twin tests cannot see an
+# error in how back-to-back ticks take the ring
 _PINNED_SPML_TICKS = {
-    (300, 512): "6be7ff4930f7b383ec651104a07871d2b0c7cae378fa4fd2970a993513729c23",
-    (300, 1024): "6be7ff4930f7b383ec651104a07871d2b0c7cae378fa4fd2970a993513729c23",
-    (300, 16384): "6be7ff4930f7b383ec651104a07871d2b0c7cae378fa4fd2970a993513729c23",
-    (513, 512): "e9bd8a869b01798558e856caade7a6e4922f6b50ba5207706839bf16abf2d439",
-    (513, 1024): "74039f3d89b4fa23149a66a33cc0407f0c826f23ce122d1a3579c18ba93092a1",
-    (513, 16384): "695e4b022dfcaa39915e3d1b01cf79f1d820a5b062652b45ea2a5669f7f5430c",
-    (4096, 512): "602041816f1867efe9c4fbd92c56a0c568e6951440a7a52775b997df10ed882c",
-    (4096, 1024): "478e8ec6ce96af27ecb5f0efdb9d4d160161a9db8787213f9a1a5c503f40eeef",
-    (4096, 16384): "6a4d6ec05d352e86e8f8a0fb72dbc6ac90224cec4169b0154690a35521e7da70",
+    (300, 512): "d47e98275bc620b6f190c0f80edf656a7f1476a62d63f8422d911c5c86b7e2c7",
+    (300, 1024): "d47e98275bc620b6f190c0f80edf656a7f1476a62d63f8422d911c5c86b7e2c7",
+    (300, 16384): "d47e98275bc620b6f190c0f80edf656a7f1476a62d63f8422d911c5c86b7e2c7",
+    (513, 512): "0ded7ba8267b2453d74531b3d9fb1ed893f9bb3081f226f4d361d7b191452d33",
+    (513, 1024): "4edb03e3832ed926323b91dc32c97487b55eb93bb231ddd861f8a5d98aae3fe4",
+    (513, 16384): "664b953ff237daac8060714ddc02bed26d23e127da1086fe1a339c8ec2a2b2f4",
+    (4096, 512): "beddc7f7775c29d8a05b014f3fcc0b00858d31feec9897eb6d13fa2dcd6a26b9",
+    (4096, 1024): "44dbd62bb8bda3fba36511382b8b14c27d24e378b4367eccbe19e55c2de271cb",
+    (4096, 16384): "93ddd44c46425d1eca44002cbe170ee7ec3a401ac757afebc78802512e1eabf5",
 }
 
 
@@ -1225,8 +1275,20 @@ def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> floa
 class _PerTick:
     """The collection chain of both references: every tick of a stall, of the
     final harvest and of the catch-up after an event is one ``_tick`` call,
-    which drains through the reference's own ``_drain`` and places the next
-    tick with :func:`_next_tick_after`."""
+    which drains through the reference's own ``_drain``, charged by
+    ``_charge_drain``, and places the next tick with :func:`_next_tick_after`."""
+
+    def _charge_drain(self, k: int) -> float:
+        """Charge a tick that drains ``k`` ring entries: M18 each, and M17 each
+        unless the mapping is deferred; return the charge, the tick's length."""
+        c = self.c
+        rm_pp = 0.0 if self.cfg.defer_reverse_map else c.m17_pp
+        cost = k * (c.m18_pp + rm_pp)
+        self.parts["copy_us"] += k * c.m18_pp
+        self.parts["reverse_mapping_us"] += k * rm_pp
+        self.tracker_busy += cost
+        self.collect_us += cost
+        return cost
 
     def _tick(self) -> None:
         interval = self.cfg.collection_interval_us
@@ -1277,22 +1339,16 @@ class _MechanicalReference(_PerTick, trackers._MechanicalRun):
     with every write through ``write_one`` and one op per call."""
 
     def _drain(self) -> float:
-        pre = self.collect_us
         if self.cfg.defer_reverse_map:
             res = drain_ring(self.vm)
             self.drained.append(res.raw)
-            rm_us, copy_us = res.rm_us, res.copy_us
+            k = res.consumed
         else:
             k = min(self.c.drain_batch, self.ring_used)
             self._owed += k
-            rm_us = reduce(add, repeat(self.c.m17_pp, k), 0.0)
-            copy_us = k * self.c.m18_pp
-        self.tracker_busy += rm_us + copy_us
-        self.collect_us += rm_us + copy_us
-        self.parts["reverse_mapping_us"] += rm_us
-        self.parts["copy_us"] += copy_us
+        cost = self._charge_drain(k)
         self._map_parked()
-        return self.collect_us - pre
+        return cost
 
     def _swap_and_tick(self) -> None:
         super()._swap_and_tick()
@@ -1335,13 +1391,8 @@ class _SegmentReference(_PerTick, trackers._SegmentRun):
 
     def _drain(self) -> float:
         k = min(self.c.drain_batch, self.ring_used)
-        cost = k * (self.c.m18_pp + self.c.m17_pp)
-        self.parts["copy_us"] += k * self.c.m18_pp
-        self.parts["reverse_mapping_us"] += k * self.c.m17_pp
         self.ring_used -= k
-        self.tracker_busy += cost
-        self.collect_us += cost
-        return cost
+        return self._charge_drain(k)
 
     def _spml_vmexit(self) -> None:
         """Buffer-full during a write: stall if needed, flush, replay."""
@@ -1464,13 +1515,10 @@ def _assert_as_reference(config) -> TrackerPhaseReport:
     return report
 
 
-def _batch_charge_us(pages: int, mechanical: bool) -> float:
-    """What an spml tick that drains a whole batch charges, by the engine's formula."""
+def _batch_charge_us(pages: int) -> float:
+    """What an spml tick that drains a whole batch charges, on either engine."""
     prices = CostTable.default().prices(pages * PAGE_SIZE)
-    k = prices.drain_batch
-    if mechanical:
-        return reduce(add, repeat(prices.m17_pp, k), 0.0) + k * prices.m18_pp
-    return k * (prices.m18_pp + prices.m17_pp)
+    return prices.drain_batch * (prices.m18_pp + prices.m17_pp)
 
 
 def _spml_sweep(pages: int, mechanical: bool, **kw) -> TrackerConfig:
@@ -1521,10 +1569,9 @@ def _at_buffer_gaps(test):
                             defer_reverse_map=True))
 @example(config=_spml_sweep(513, True, collection_interval_us=5_000.0, ring_capacity=512,
                             defer_reverse_map=True, horizon_us=12_000.0))
-# an interval of one batch's charge: a drain then spans an interval, up to
-# how the collection clock rounds it, and whether the next tick skips one
-# depends on the engine's own rule for the span
-@example(config=_spml_sweep(1_500, True, collection_interval_us=_batch_charge_us(1_500, True),
+# an interval of one batch's charge: a drain then spans exactly an interval,
+# and the next tick lands on the next multiple, skipping none
+@example(config=_spml_sweep(1_500, True, collection_interval_us=_batch_charge_us(1_500),
                             ring_capacity=512))
 @given(config=knobs.runs("mechanical"))
 def test_quiet_stretches_leave_every_report_field_as_write_by_write(config):
@@ -1600,7 +1647,7 @@ def test_trace_stretches_leave_every_report_field_as_write_by_write(config):
                     ring_capacity=1024))
 @example(config=cfg("epml", 50 * MB, rounds=3, quantum_us=300.0, collection_interval_us=40.0))
 # an interval of one batch's charge (see the mechanical sweeps)
-@example(config=_spml_sweep(1_500, False, collection_interval_us=_batch_charge_us(1_500, False),
+@example(config=_spml_sweep(1_500, False, collection_interval_us=_batch_charge_us(1_500),
                             ring_capacity=512))
 @_at_buffer_gaps
 @given(config=knobs.runs("segment"))
@@ -2037,7 +2084,7 @@ def test_a_bad_op_inside_a_batch_raises_with_the_ops_before_it_applied(technique
         assert raised.value.args == once.value.args
         runs = []
         for apply in (VirtualMachine.apply_ops, _one_op_per_call):
-            vm, _, _ = tracked_machine(cfg(technique, trace.memory_bytes, trace=trace))
+            vm, _ = tracked_machine(cfg(technique, trace.memory_bytes, trace=trace))
             vm.write_one(TRACKED_PID, PAGE_SIZE)
             with pytest.raises(error) as raised:
                 apply(vm, TRACKED_PID, [op for op in ops if op[0] != "write"])
