@@ -49,7 +49,8 @@ TECHNIQUES = ("proc", "uffd", "spml", "epml")
 #: buffer, mapped at registration so the shadow-field write can translate:
 #: the frame below the first one :class:`~oohsim.vm.VirtualMachine` hands
 #: out, backed by the host frame below the first one it hands out, so no
-#: process's page shares either.
+#: process's page shares either.  It is a one-page EPT region, not an entry,
+#: so no batch lookup of the EPT scans ``entries`` for it.
 GUEST_RING_GPA = 0xF_F000
 GUEST_RING_HPA = 0xFFF_F000
 
@@ -151,7 +152,7 @@ class GuestKernel:
         elif technique == "epml":
             self.hv.hypercall("init_shadow_vmcs")
             self.shadow = ShadowVmcs(self.hv.pml)
-            self.ept.map_gpa(GUEST_RING_GPA, GUEST_RING_HPA)
+            self.ept.map_region(GUEST_RING_GPA, GUEST_RING_HPA, 1)
         elif technique == "uffd":
             proc.uffd_mode = "write_protect"
             proc.table.write_protect_all()
@@ -189,11 +190,11 @@ class GuestKernel:
                 # read how far the buffer filled, drain the leftovers to the
                 # tool ring, then park the device
                 self.shadow.guest_vmread(FIELD_GUEST_PML_INDEX)
-                _, drain_us = self.deliver_guest_buffer_full(pid)
                 buf = self.hv.pml.guest_buffer
+                if buf.used:  # an empty buffer has nothing to copy
+                    us += self.deliver_guest_buffer_full(pid)[1]
                 uio.ring_dropped += buf.used  # tool ring saturated: parking loses these
                 self.shadow.guest_vmwrite(FIELD_GUEST_PML_INDEX, buf.disabled_index)
-                us += drain_us
                 self.hv.coordinate("sched_out")
         return us
 

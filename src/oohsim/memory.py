@@ -20,10 +20,11 @@ one-page region, kept in ``entries`` under its address.  So each rule about
 a page's state is one byte table, and pages are looked up
 one way per shape of input: one page by its region (a write, a protect, a
 translation); a ``range`` of pages as a slice of one region (a sweep's
-writes); and any other batch gathered and scattered with NumPy, one pass
-per region, then ``entries`` (a trace's writes, a re-arm of logged frames,
-the GPAs of logged GVAs; a reverse map of logged GPAs is one pass per
-region by its target, and the reverse index of ``entries``).
+writes); and any other batch gathered and scattered with NumPy, in one step
+when it lies in one region's span, else one pass per region, then
+``entries`` (a trace's writes, a re-arm of logged frames, the GPAs of logged
+GVAs; a reverse map of logged GPAs is one pass per region by its target, and
+the reverse index of ``entries``).
 Whole-table operations (soft-dirty clear, protect-all, the mapped and
 soft-dirty pages, as sorted int64 page numbers) run over the bytes with
 ``bytes.translate``, ``find`` and ``count``.  A :class:`Stretch` of writes
@@ -250,7 +251,10 @@ class _PageMap:
     pages mapped singly that joined one (:meth:`_join`).  A live address is
     in exactly one of them, and no two of ``_regions`` overlap.  One page is
     found by :meth:`_locate`, a ``range`` of pages by :meth:`_live_run`, and
-    any other batch by :meth:`_gather`, in the order of the batch.
+    any other batch by :meth:`_gather`, in the order of the batch: in one step
+    when every address is an aligned page in the span of the region that holds
+    the first (a trace's writes to one allocation, and their frames), else one
+    pass per region; either way then ``entries``, for the pages no region holds.
     """
 
     def __init__(self):
@@ -353,23 +357,36 @@ class _PageMap:
         return region, i, bits if stop < 0 else bits[:stop]
 
     def _gather(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[list, list]]:
-        """Each of ``addrs``' state byte (0 for no live page) and target, one gather
-        per region, then ``entries`` for the addresses no region holds live; and
-        where each byte lives, for :meth:`_scatter`: ``(region, positions,
-        indices)`` per region and ``(position, region)`` per singly mapped page."""
-        bits = np.zeros(len(addrs), dtype=np.uint8)
-        targets = np.zeros(len(addrs), dtype=np.int64)
+        """Each of ``addrs``' state byte (0 for no live page) and target, then
+        ``entries`` for the addresses no region holds live; and where each byte
+        lives, for :meth:`_scatter`: ``(region, positions, indices)`` per region
+        and ``(position, region)`` per singly mapped page.  A batch of aligned
+        pages all in the span of the region holding its first takes one step,
+        its positions None (all of them); any other, one gather per region."""
+        n = len(addrs)
         places: tuple[list, list] = ([], [])
-        if not len(addrs):
-            return bits, targets, places
-        aligned = addrs % PAGE_SIZE == 0
-        for region in self._regions:
-            pos, off = _positions(addrs, aligned, region.base, region.span)
-            if len(pos):
-                idx = off // PAGE_SIZE
-                bits[pos] = np.frombuffer(region.bits, dtype=np.uint8)[idx]
-                targets[pos] = off + region.target
-                places[0].append((region, pos, idx))
+        if not n:
+            return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), places
+        first = int(addrs[0])
+        home = next((r for r in self._regions if 0 <= first - r.base < r.span), None)
+        off = None if home is None else addrs - home.base
+        # one step when no address has a low bit set and the largest offset, a
+        # negative one read unsigned, is inside the span
+        one_step = off is not None and not np.bitwise_or.reduce(addrs) % PAGE_SIZE
+        if one_step and off.view(np.uint64).max() < home.span:
+            idx = off // PAGE_SIZE
+            bits, targets = np.frombuffer(home.bits, dtype=np.uint8)[idx], off + home.target
+            places[0].append((home, None, idx))
+        else:
+            bits, targets = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.int64)
+            aligned = addrs % PAGE_SIZE == 0
+            for region in self._regions:
+                pos, off = _positions(addrs, aligned, region.base, region.span)
+                if len(pos):
+                    idx = off // PAGE_SIZE
+                    bits[pos] = np.frombuffer(region.bits, dtype=np.uint8)[idx]
+                    targets[pos] = off + region.target
+                    places[0].append((region, pos, idx))
         # a live address is in exactly one of _regions and entries: only where
         # no region left a live byte (a page that left one may be mapped singly)
         misses = (bits == 0).nonzero()[0] if self.entries else ()
@@ -390,7 +407,7 @@ class _PageMap:
         applied this way are idempotent, so a place found twice ends as if found once."""
         in_regions, singles = places
         for region, pos, idx in in_regions:
-            lo, hi = pos.searchsorted((start, count))
+            lo, hi = (start, count) if pos is None else pos.searchsorted((start, count))
             idx = idx[lo:hi]
             view = np.frombuffer(region.bits, dtype=np.uint8)
             view[idx] = array[view[idx]]
@@ -712,8 +729,12 @@ class Stretch:
             n = _until(pte & (_MAPPED if protected else _WRITABLE) == 0)
             frames, _, frame_places = ept._gather(gpas[:n])
             n = _until(frames == 0)
+            first = _first(gvas[:n])  # a write's firstness depends only on those before
             if free is not None:
-                self._logs = _first(gpas[:n]) & (frames[:n] & _DIRTY == 0)
+                # one region and no entries map no two pages to one frame: a write
+                # is its frame's first where it is its page's first
+                one = len(table._regions) == 1 and not table.entries
+                self._logs = (first if one else _first(gpas[:n])) & (frames[:n] & _DIRTY == 0)
                 hits = self._logs.nonzero()[0]
                 n = n if len(hits) <= free else int(hits[free])
                 if fills:
@@ -724,7 +745,7 @@ class Stretch:
                 self.fills = [q for q in self.fills if q < n]
                 self._rearm = ept, held
             self._gvas, self._gpas, self._places = gvas, gpas, (pte_places, frame_places)
-            pte = np.where(_first(gvas[:n]), pte[:n], _WRITTEN_A[pte[:n]])
+            pte = np.where(first[:n], pte[:n], _WRITTEN_A[pte[:n]])
         self.bits = bytes(pte[:n])
 
     def _rearmed(self, gpas: np.ndarray, held: np.ndarray) -> int:

@@ -18,8 +18,11 @@ from oohsim.memory import (
     PageEntry,
     PageFlags,
     PageStore,
+    Stretch,
     UnknownMapping,
     _HAS_DIRTY,
+    _WRITTEN,
+    _WRITTEN_A,
 )
 
 from helpers import set_write_protect, unmap_gpa
@@ -847,3 +850,157 @@ def test_pages_that_join_a_region_behave_like_one_page_regions(n_pages, second, 
             assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
             for addr in table.entries:
                 assert not any(r.index(addr - r.base) >= 0 for r in table._regions)
+
+
+# ------------------------------------------------- batch lookups in one step
+
+GATHER_FAR = 0x200_0000  # pages mapped singly, away from every region
+
+
+@st.composite
+def _gather_layouts(draw):
+    """One to three regions of 1-40 pages, apart or adjacent; some of their
+    pages protected, some gone (unmapped, or mapped again singly at the same
+    address), a few pages mapped singly far away; and a batch of pages inside
+    the span of one region, or of any addresses: past a region's ends, between
+    regions, misaligned, far away.  Positions ``start`` (at least 1) to
+    ``count`` of the batch are then written."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
+    starts, at = [], 0
+    for size, gap in zip(sizes, gaps):
+        starts.append(at + gap)
+        at += gap + size
+    index = st.integers(0, at - 1)
+    layout = {
+        "regions": list(zip(starts, sizes)),
+        "protect": draw(st.lists(index, max_size=6)),
+        "gone": draw(st.lists(st.tuples(index, st.booleans()), max_size=6)),
+        "singles": draw(st.integers(0, 3)),
+    }
+    if draw(st.booleans()):
+        start, size = draw(st.sampled_from(layout["regions"]))
+        pages = st.integers(start, start + size - 1)
+        layout["batch"] = [p * P for p in draw(st.lists(pages, min_size=1, max_size=30))]
+    else:
+        anywhere = st.one_of(
+            st.integers(-3, at + 3).map(lambda p: p * P),
+            st.integers(0, at).map(lambda p: p * P + P // 2),
+            st.integers(0, 4).map(lambda k: GATHER_FAR - REGION_GVA + k * P),
+        )
+        layout["batch"] = draw(st.lists(anywhere, min_size=1, max_size=30))
+    layout["start"] = draw(st.integers(1, len(layout["batch"])))
+    layout["count"] = draw(st.integers(layout["start"], len(layout["batch"]) + 2))
+    return layout
+
+
+def _gather_table(layout) -> GuestPageTable:
+    pt = GuestPageTable(pid=1)
+    for start, size in layout["regions"]:
+        pt.map_region(REGION_GVA + start * P, REGION_GPA + start * P, size)
+    for k in range(layout["singles"]):
+        pt.map_page(GATHER_FAR + k * P, REGION_GPA + (1000 + k) * P, soft_dirty=False)
+    set_write_protect(pt, [g for g in (REGION_GVA + i * P for i in layout["protect"]) if g in pt])
+    for k, (i, again) in enumerate(layout["gone"]):
+        gva = REGION_GVA + i * P
+        if gva in pt:
+            _unmap(pt, gva)
+            if again:  # a page that left its region, mapped singly where it was
+                pt.map_page(gva, REGION_GPA + (2000 + k) * P, writable=bool(k % 2))
+    return pt
+
+
+_GATHER_BASE = {"protect": [], "singles": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_gather_layouts())
+# a batch inside one region's span holding a page that left it and was mapped
+# singly at its address, written from its second position on
+@example(layout={**_GATHER_BASE, "regions": [(0, 8)], "gone": [(3, True), (5, False)],
+                 "batch": [6 * P, 3 * P, 5 * P, 6 * P, 3 * P, 0], "start": 1, "count": 5})
+# the same across two regions and a far page
+@example(layout={**_GATHER_BASE, "regions": [(0, 4), (6, 4)], "gone": [(2, True)],
+                 "batch": [7 * P, 2 * P, GATHER_FAR - REGION_GVA, 3 * P + P // 2, 12 * P, 1 * P],
+                 "start": 2, "count": 7})
+def test_a_batch_gathers_and_scatters_as_each_page_looks_up_alone(layout):
+    """:meth:`_PageMap._gather` finds each address's byte and target as
+    :meth:`_PageMap._locate` finds them one at a time, in one step when the
+    batch lies in the span of one region, and :meth:`_PageMap._scatter` from a
+    position ``start`` past the first changes exactly the bytes those lookups
+    name from ``start`` to ``count``, and no other."""
+    pt = _gather_table(layout)
+    addrs = [REGION_GVA + off for off in layout["batch"]]
+    alone = [pt._locate(a) for a in addrs]
+    bits, targets, places = pt._gather(np.array(addrs, dtype=np.int64))
+    assert bits.tolist() == [place[0].bits[place[1]] if place else 0 for place in alone]
+    assert targets[bits != 0].tolist() == [r.target + i * P for r, i in filter(None, alone)]
+    one_region = [r for r in pt._regions if r.overlaps(min(addrs), max(addrs) + 1)]
+    if len(one_region) == 1 and all(
+        r.base <= a < r.base + r.span and not a % P for r in one_region for a in addrs
+    ):
+        assert [pos for _, pos, _ in places[0]] == [None]  # the one step
+
+    start, count = layout["start"], layout["count"]
+    want = {id(r): bytearray(r.bits) for r in pt._all()}
+    for region, i in filter(None, alone[start:count]):
+        want[id(region)][i] = _WRITTEN[region.bits[i]]
+    pt._scatter(places, count, _WRITTEN, _WRITTEN_A, start)
+    assert {id(r): r.bits for r in pt._all()} == want
+
+
+def _stretch_space(alias: bool):
+    """Eight pages as one region of each table, and with ``alias`` a page mapped
+    singly far away to the frame of the region's third."""
+    pt, ept = GuestPageTable(pid=1), Ept()
+    pt.map_region(REGION_GVA, REGION_GPA, 8)
+    ept.map_region(REGION_GPA, REGION_HPA, 8)
+    if alias:
+        pt.map_page(FAR_GVA, REGION_GPA + 2 * P)
+    return pt, ept
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alias=st.booleans(),
+    # slots 0-7 are the region's pages, 8 the alias, 9 a page not mapped
+    targets=st.lists(st.integers(0, 9), min_size=1, max_size=24),
+    prewrites=st.lists(st.integers(0, 7), max_size=4),
+    free=st.none() | st.integers(0, 8),
+)
+# the alias writes the frame its region page dirtied before it: no second log
+@example(alias=True, targets=[2, 8, 3, 8, 2, 5], prewrites=[], free=8)
+def test_a_stretch_over_aliased_pages_logs_as_one_write_at_a_time(alias, targets, prewrites, free):
+    """A :class:`Stretch` of writes to pages in any order, under a log buffer
+    with ``free`` slots, finds the bytes, logs the frames and leaves the state
+    that one :meth:`GuestPageTable.write_page` per write does, whether or not
+    two of its pages share a frame."""
+    slots = [REGION_GVA + i * P for i in range(8)] + [FAR_GVA, FAR_GVA + P]
+    gvas = [slots[t] for t in targets]
+    spaces = _stretch_space(alias), _stretch_space(alias)
+    for pt, ept in spaces:
+        for i in prewrites:
+            pt.write_page(slots[i], ept)
+    (pt, ept), (bulk_pt, bulk_ept) = spaces
+    found, logged = [], []
+    for gva in gvas:  # one write at a time, up to the first the stretch stops before
+        if pt.entry(gva) is None:
+            break
+        frame, i = ept._locate(pt.gpa_of(gva))
+        if free is not None and not _HAS_DIRTY[frame.bits[i]] and len(logged) == free:
+            break
+        region, j = pt._locate(gva)
+        found.append(region.bits[j])
+        outcome = pt.write_page(gva, ept)
+        if outcome.ept_dirty_set and free is not None:
+            logged.append((outcome.gpa, gva))
+    stretch = Stretch(bulk_pt, bulk_ept, gvas, free=free)
+    assert stretch.bits == bytes(found)
+    if found:
+        _, gpas_logged, gvas_logged = stretch.apply(len(found))
+        assert list(zip(gpas_logged.tolist(), gvas_logged.tolist())) == logged
+
+    def state(table):
+        return [(r.base, r.target, bytes(r.bits), r.live) for r in table._all()]
+
+    assert (state(bulk_pt), state(bulk_ept)) == (state(pt), state(ept))
