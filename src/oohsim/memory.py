@@ -465,9 +465,12 @@ class GuestPageTable(_PageMap):
     def map_region(self, gva: int, gpa: int, count: int) -> None:
         """Map ``count`` pages, ``PAGE_SIZE`` apart, from ``gva`` to GPAs from ``gpa``.
 
-        One byte per page is made.  The range must hold no mapped page and
-        overlap no earlier region.
+        One byte per page is made.  ``gva`` must be a multiple of
+        ``PAGE_SIZE``, and the range must hold no mapped page and overlap no
+        earlier region.
         """
+        if gva % PAGE_SIZE:
+            raise ValueError(f"map_region: base {gva:#x} is not a multiple of PAGE_SIZE")
         if count <= 0:
             return
         end = gva + count * PAGE_SIZE
@@ -611,9 +614,11 @@ class Ept(_PageMap):
         """Map ``count`` frames, ``PAGE_SIZE`` apart, from ``gpa`` to HPAs from ``hpa``.
 
         Frames mapped one at a time inside the range are replaced, as
-        :meth:`map_gpa` replaces them.  The range must overlap no earlier
-        region.
+        :meth:`map_gpa` replaces them.  ``gpa`` must be a multiple of
+        ``PAGE_SIZE``, and the range must overlap no earlier region.
         """
+        if gpa % PAGE_SIZE:
+            raise ValueError(f"map_region: base {gpa:#x} is not a multiple of PAGE_SIZE")
         if count <= 0:
             return
         end = gpa + count * PAGE_SIZE

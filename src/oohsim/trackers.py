@@ -307,8 +307,8 @@ class _Run:
     the epml tool ring (``_consume_tool_ring``) and fills the report's
     content fields (``_content``); ``ring_used`` counts the spml ring entries
     left.  The mechanical engine alone runs a deferred reverse map, so it
-    alone maps the deferred ring entries (``_reverse_map_deferred``,
-    returning its cost).
+    alone maps the deferred ring entries at the harvest
+    (``_map_drained(harvest=True)``, returning its cost).
 
     spml's ticks come back to back in a stall, the final harvest and the
     catch-up after an event: :meth:`_spml_ticks` runs each such run of the
@@ -467,12 +467,14 @@ class _Run:
 
         spml ticks until its ring is empty, in one run of back-to-back ticks
         (:meth:`_spml_ticks`), maps the deferred entries and ends with one
-        userspace page-table walk (M16).
+        userspace page-table walk (M16).  epml has nothing left: the run's
+        last schedule-out copied the guest buffer's leftover to the tool
+        ring, and the mechanical engine's consumed the ring.
         """
         if self.tech == "spml" and self.writes_done:
             self._spml_ticks("empty")
             if self.cfg.defer_reverse_map:
-                self._charge("reverse_mapping_us", self._reverse_map_deferred())
+                self._charge("reverse_mapping_us", self._map_drained(harvest=True))
             self._charge("walk_us", self.c.m16)
 
     def _finish(self) -> TrackerPhaseReport:
@@ -840,10 +842,10 @@ class _MechanicalRun(_Run):
     """Every write executed through the machine: the reference engine.
 
     :meth:`_drive` is the one loop over writes, for traces and for the
-    micro-benchmark's rounds alike.  It keeps ``t``, ``run_acc``,
-    ``writes_done`` and the uffd fault charges (``suspension``,
-    ``tracker_busy``) in locals while writes are quiet, and stores them
-    back only at an event exit:
+    micro-benchmark's rounds alike.  It adds each write, or each stretch of
+    quiet writes, to the run's own ``t``, ``run_acc``, ``writes_done`` and
+    uffd fault charges (``suspension``, ``tracker_busy``), and leaves the
+    loop for an *event exit* only at:
 
     * a write whose result carries a vmexit, a stall or a softirq copy
       (but the whole guest-buffer copies a stretch takes);
@@ -896,13 +898,13 @@ class _MechanicalRun(_Run):
     spml's ticks (:meth:`_Run._spml_ticks`) charge their batches at once
     but leave the entries on the ring, owed, until something reads the
     ring: :meth:`_settle` takes them off in one step at the end of the
-    ticks of an event exit, before a stall's one flush and before the
-    parked pairs or the deferred entries are mapped.  The drained
-    ``(gpa, gva)`` rows wait in ``drained``, as the ring's int64 arrays in
-    drain order.  A deferred run maps them at the report; any other
-    reverse-maps them together as parked pairs (:meth:`_map_parked`) before
-    each map, unmap or remap op, before a stretch passes one, once a ring's
-    worth has parked and before the report: they map as they did when
+    ticks of an event exit, before a stall's one flush and before each
+    mapping step.  The drained ``(gpa, gva)`` rows wait in ``drained``, as
+    the ring's int64 arrays in drain order.  One step maps them
+    (:meth:`_map_drained`): a deferred run at the harvest, which charges
+    their M17 µs then; any other before each map, unmap or remap op, before
+    a stretch passes one, once a ring's worth has parked and before the
+    report, their M17 µs charged at the drain: they map as they did when
     drained, as no other step changes a mapping; a pair drained again in the
     same epoch maps again, at no charge.
 
@@ -991,29 +993,25 @@ class _MechanicalRun(_Run):
                 self.drained.append(pairs)
                 self._drained_rows += len(pairs)
             if self._drained_rows >= self.cfg.ring_capacity:
-                self._map_parked()
+                self._map_drained()
 
     def _swap_and_tick(self) -> None:
         super()._swap_and_tick()
         self._settle()
 
-    def _map_parked(self) -> None:
-        """Map the drained pairs against the mappings they were drained under,
-        unless the mapping is deferred to the report."""
-        self._settle()
-        if self.drained and not self.cfg.defer_reverse_map:
-            table = self.vm.kernel.processes[TRACKED_PID].table
-            res = reverse_map_pairs(table, np.concatenate(self.drained))
-            self.drained.clear()
-            self._drained_rows = 0
-            self._collect(res.gvas)
-            self.inaccurate.update(res.inaccurate)
+    def _map_drained(self, harvest: bool = False) -> float:
+        """Settle the ring, then map the drained pairs against the mappings they
+        were drained under, collect them and clear them; return their M17 µs.
 
-    def _reverse_map_deferred(self) -> float:
+        A deferred run maps them only at the ``harvest``, which charges that
+        cost; any other run maps them whenever called, their M17 µs charged
+        by the ticks that drained them."""
         self._settle()
-        if not self.drained:
+        if not self.drained or self.cfg.defer_reverse_map and not harvest:
             return 0.0
         res = reverse_map_raw(self.vm, np.concatenate(self.drained))
+        self.drained.clear()
+        self._drained_rows = 0
         self._collect(res.gvas)
         self.inaccurate.update(res.inaccurate)
         return res.rm_us
@@ -1026,7 +1024,7 @@ class _MechanicalRun(_Run):
         ``decoded`` is the trace's :attr:`~oohsim.workloads.TraceWorkload.decoded`;
         None is one round of the micro-benchmark: a write to each page of the
         sweep, in order, in one window.  Stretches, event exits and the
-        mapping of parked pairs are as the class docstring says.  The other
+        mapping of drained pairs are as the class docstring says.  The other
         ops reach :meth:`~oohsim.vm.VirtualMachine.apply_ops` in three lists:
         the window's maps ahead of a stretch, the unmaps a stretch passed,
         and the ops between two writes (or after the last); a map applied
@@ -1062,8 +1060,6 @@ class _MechanicalRun(_Run):
         softirq_us = self.c.copy_us(BUFFER_SLOTS)  # a whole guest buffer's copy
         stretch_min = STRETCH_MIN
         written = self.oracle
-        t, run_acc, writes_done = self.t, self.run_acc, self.writes_done
-        suspension, busy = self.suspension, self.tracker_busy
         limit = min(self.next_tick, horizon)
         # ``pos`` counts the writes done, ``nxt`` the other ops; the maps among
         # ``others[:mapped]`` are applied, ahead of a stretch that reached past them
@@ -1075,7 +1071,8 @@ class _MechanicalRun(_Run):
                 stretch = None
                 if pos >= stop:
                     stop = stops[bisect_right(stops, pos)]  # the end of pos's window
-                if not blocked and stop - pos >= stretch_min and t < limit and run_acc < quantum:
+                can_peek = stop - pos >= stretch_min and self.t < limit and self.run_acc < quantum
+                if can_peek and not blocked:
                     # peek at enough writes to reach the limit or the quantum at ``w``
                     # each, or at the writes left in the window where either is
                     # infinite; a round can start past the tick (epml's round-end
@@ -1084,8 +1081,8 @@ class _MechanicalRun(_Run):
                     left = stop - pos
                     n = min(
                         left,
-                        int(min((limit - t) / w, left)) + 2,
-                        int(min((quantum - run_acc) / w, left)) + 2,
+                        int(min((limit - self.t) / w, left)) + 2,
+                        int(min((quantum - self.run_acc) / w, left)) + 2,
                     )
                     # a sweep never rewrites a page a copy re-armed, so it peeks
                     # through every whole copy (dense-sweep's epml pass: 65
@@ -1102,7 +1099,7 @@ class _MechanicalRun(_Run):
                         if end < pos + n:
                             # the window's maps before the last peeked write go first,
                             # its unmaps after the last applied one
-                            self._map_parked()
+                            self._map_drained()
                             first = mapped = max(mapped, nxt)
                             while mapped < n_others and at[mapped] < pos + n:
                                 mapped += 1
@@ -1116,30 +1113,30 @@ class _MechanicalRun(_Run):
                     wall_us = walls.take(codes)
                     if stretch.fills:
                         wall_us[stretch.fills] += softirq_us  # a filling write waits for its copy
-                    ts = _sums(t, wall_us, quiet)
-                    rs = _sums(run_acc, runs.take(codes), quiet)
+                    ts = _sums(self.t, wall_us, quiet)
+                    rs = _sums(self.run_acc, runs.take(codes), quiet)
                     # the stretch ends with the first write whose clock reaches the
                     # limit or whose run time reaches the quantum, if one does
                     k = min(int(ts.searchsorted(limit)), int(rs.searchsorted(quantum)), quiet)
                     copies = write_run(pid, stretch, k)
                     if copies:
-                        suspension = float(_sums(suspension, softirq_us, copies)[-1])
+                        self.suspension = float(_sums(self.suspension, softirq_us, copies)[-1])
                         self.softirqs += copies
                     faults = bits[:k].translate(_UFFD_FAULTS).count(1)
                     if faults:
-                        suspension = float(_sums(suspension, uffd_fault, faults)[-1])
-                        busy = float(_sums(busy, uffd_fault, faults)[-1])
+                        self.suspension = float(_sums(self.suspension, uffd_fault, faults)[-1])
+                        self.tracker_busy = float(_sums(self.tracker_busy, uffd_fault, faults)[-1])
                     written[pos : pos + k] = True
                     pos += k
-                    writes_done += k
-                    t, run_acc = float(ts[k]), float(rs[k])
+                    self.writes_done += k
+                    self.t, self.run_acc = float(ts[k]), float(rs[k])
                     if end < pos:  # the ops the stretch passed: unmaps, and maps done
                         first = nxt
                         while end < pos:
                             nxt += 1
                             end = at[nxt] if nxt < n_others else total
                         apply_ops(pid, [op for op in others[first:nxt] if op[0] != "map"])
-                    if t < limit and run_acc < quantum:
+                    if self.t < limit and self.run_acc < quantum:
                         # a stretch shorter than its peek stopped before a write
                         # that is no quiet one: that write goes through write_one
                         blocked = k == quiet < n
@@ -1150,43 +1147,37 @@ class _MechanicalRun(_Run):
                     outcome = res[0]
                     wall, run = write_us[outcome.softdirty_fault + 2 * res.uffd_recorded]
                     if res.uffd_recorded:
-                        suspension += uffd_fault
-                        busy += uffd_fault
+                        self.suspension += uffd_fault
+                        self.tracker_busy += uffd_fault
                     if outcome.fault is None:
-                        writes_done += 1
+                        self.writes_done += 1
                         written[pos] = True
                     pos += 1
                     if res.vmexit is None and not res.softirq_copied and not res.softirq_us:
-                        t += wall
-                        run_acc += run
-                        if t < limit and run_acc < quantum:
+                        self.t += wall
+                        self.run_acc += run
+                        if self.t < limit and self.run_acc < quantum:
                             continue
                         res = None
-                self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
-                self.suspension, self.tracker_busy = suspension, busy
                 if res is None:  # counted: only the quantum and tick checks remain
                     self._swap_and_tick()
                 else:
                     self._event(res, wall, run)
                 if self.truncated:
                     return
-                t, run_acc = self.t, self.run_acc
-                suspension, busy = self.suspension, self.tracker_busy
-                if t >= horizon:
+                if self.t >= horizon:
                     if pos < total or nxt < n_others:  # an op is left undone
                         self.truncated = True
                     return
                 limit = min(self.next_tick, horizon)
             if nxt == n_others:
                 break
-            self._map_parked()  # the ops may change the mappings
+            self._map_drained()  # the ops may change the mappings
             first = nxt
             while nxt < n_others and at[nxt] == pos:  # the ops before the next write
                 nxt += 1
             ops = enumerate(others[first:nxt], first)
             apply_ops(pid, [op for k, op in ops if k >= mapped or op[0] != "map"])
-        self.t, self.run_acc, self.writes_done = t, run_acc, writes_done
-        self.suspension, self.tracker_busy = suspension, busy
 
     def _event(self, res, wall: float, run: float) -> None:
         """Finish the accounting of a write whose result ``res`` carries a vmexit,
@@ -1253,14 +1244,11 @@ class _MechanicalRun(_Run):
             self._charge("walk_us", read_us)
         elif self.tech == "uffd":
             self.collected.append(kernel.uffd_harvest(TRACKED_PID))
-        elif self.tech == "epml":
-            self._deliver_leftover()  # conservatively still suspension, off the clock
-            self._consume_tool_ring()
         else:
             super()._harvest()
 
     def _content(self) -> dict[str, Any]:
-        self._map_parked()
+        self._map_drained()
         uio = self.vm.kernel.uio
         self.dropped = self.vm.hv.dropped_total + (uio.ring_dropped if uio else 0)
         if self.cfg.trace is not None:

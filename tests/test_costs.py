@@ -7,6 +7,8 @@ import re
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oohsim.checkpoint import checkpoint_time_model
 from oohsim.costs import (
@@ -22,6 +24,8 @@ from oohsim.costs import (
 )
 from oohsim.guest import TECHNIQUES
 from oohsim.trackers import TrackerConfig, run_tracker
+
+from helpers import time_doubled
 
 
 def mb(n: float) -> int:
@@ -297,6 +301,38 @@ def test_estimator_identity_enforced():
         )
     with pytest.raises(ValueError):
         estimate_epml(1.0, -1, CostTable.default())
+
+
+@settings(deadline=None)
+@given(
+    technique=st.sampled_from(TECHNIQUES),
+    memory_bytes=st.integers(3 * 1024, 2_400 * MB),
+    dirty_share=st.none() | st.floats(0.0, 1.0),
+    p_vanilla_us=st.floats(0.0, 1e9),
+    n_events=st.integers(0, 10**7),
+)
+# the ends of the range: below the first anchor (1 MB) and past the last (1 GB),
+# at stdhash's footprint
+@example(technique="spml", memory_bytes=3 * 1024, dirty_share=None, p_vanilla_us=1.0, n_events=1)
+@example(technique="proc", memory_bytes=2_400 * MB, dirty_share=0.016, p_vanilla_us=3e6,
+         n_events=6_840)
+def test_closed_forms_scale_with_every_price(
+    technique, memory_bytes, dirty_share, p_vanilla_us, n_events
+):
+    """Doubling every µs and ms price doubles a dump's collect and dump µs
+    (:func:`checkpoint_time_model`) and, with the vanilla time doubled too,
+    :func:`estimate_epml`'s ``p_epml_us``, exactly: both are sums and
+    products of prices, interpolated linearly between anchors or past the
+    last, and a double of a float is exact through each."""
+    table = CostTable.default()
+    doubled = time_doubled(table)
+    dirty = None if dirty_share is None else int(dirty_share * pages_for(memory_bytes))
+    base = checkpoint_time_model(technique, memory_bytes, dirty_pages=dirty, table=table)
+    twice = checkpoint_time_model(technique, memory_bytes, dirty_pages=dirty, table=doubled)
+    assert (twice.collect_us, twice.dump_us) == (2 * base.collect_us, 2 * base.dump_us)
+    est = estimate_epml(p_vanilla_us, n_events, table, memory_bytes=memory_bytes)
+    est2 = estimate_epml(2 * p_vanilla_us, n_events, doubled, memory_bytes=memory_bytes)
+    assert est2.p_epml_us == 2 * est.p_epml_us
 
 
 def test_overhead_definition():

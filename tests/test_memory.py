@@ -928,7 +928,15 @@ def test_a_batch_gathers_and_scatters_as_each_page_looks_up_alone(layout):
     :meth:`_PageMap._locate` finds them one at a time, in one step when the
     batch lies in the span of one region, and :meth:`_PageMap._scatter` from a
     position ``start`` past the first changes exactly the bytes those lookups
-    name from ``start`` to ``count``, and no other."""
+    name from ``start`` to ``count``, and no other.  A region whose base is
+    no page multiple, which the two lookups would read apart (at ``0x1800``,
+    ``gpa_of(0x2000)`` is None but a batch found ``0x100800`` for it), is
+    refused by both tables, naming its base."""
+    first, size = layout["regions"][0]
+    base = REGION_GVA + first * P + P // 2
+    for table in (GuestPageTable(pid=1), Ept()):
+        with pytest.raises(ValueError, match=f"base {base:#x} is not a multiple"):
+            table.map_region(base, REGION_GPA, size)
     pt = _gather_table(layout)
     addrs = [REGION_GVA + off for off in layout["batch"]]
     alone = [pt._locate(a) for a in addrs]

@@ -310,6 +310,24 @@ def test_tracker_times_scale_with_every_price(config):
             assert got == want, f.name
 
 
+@settings(deadline=None)
+@given(config=st.one_of(*(knobs.runs(engine, ("spml", "epml")) for engine in knobs.ENGINES)))
+def test_untruncated_runs_do_the_same_writes_under_every_technique(config):
+    """The tracker changes what a run costs, not what it does: an untruncated
+    run reports the same ``writes_done`` and ``ideal_us`` under all four
+    techniques.  The knobs are drawn for a ticking technique, so every
+    technique accepts them (``proc`` and ``uffd`` schedule no tick); where the
+    drawn horizon truncates a run, the four run again with none."""
+    reports = [run_tracker(replace(config, technique=tech)) for tech in TECHNIQUES]
+    if any(report.truncated for report in reports):
+        reports = [
+            run_tracker(replace(config, technique=tech, horizon_us=math.inf))
+            for tech in TECHNIQUES
+        ]
+    done = [(report.truncated, report.writes_done, report.ideal_us) for report in reports]
+    assert done == [(False, reports[0].writes_done, reports[0].ideal_us)] * len(TECHNIQUES)
+
+
 @pytest.mark.parametrize("technique", ["proc", "uffd", "spml", "epml"])
 def test_mechanical_collects_exact_dirty_set(technique):
     rep = run_tracker(cfg(technique, 4 * MB, rounds=2, mechanical=True))
@@ -1329,7 +1347,7 @@ class _PerTick:
                     self.t = self.next_tick
                 self._tick()
             if self.cfg.defer_reverse_map:
-                self._charge("reverse_mapping_us", self._reverse_map_deferred())
+                self._charge("reverse_mapping_us", self._map_drained(harvest=True))
             self._charge("walk_us", self.c.m16)
 
 
@@ -1347,7 +1365,7 @@ class _MechanicalReference(_PerTick, trackers._MechanicalRun):
             k = min(self.c.drain_batch, self.ring_used)
             self._owed += k
         cost = self._charge_drain(k)
-        self._map_parked()
+        self._map_drained()
         return cost
 
     def _swap_and_tick(self) -> None:
