@@ -15,6 +15,7 @@ are likewise pure functions of the cost table and the seed.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -94,9 +95,12 @@ def parse_size(value: Any) -> int:
     if text.isdigit():
         return int(text)
     try:
-        return int(_parse_size_mb(text) * MB)
+        size = _parse_size_mb(text) * MB
     except CalibrationError as exc:
         raise ConfigError(str(exc)) from exc
+    if not math.isfinite(size):  # infMB, nanMB, or 1e300GB's byte count
+        raise ConfigError(f"memory size {value!r} is not a finite number of bytes")
+    return int(size)
 
 
 def _parse_list(value: Any) -> tuple[str, ...]:

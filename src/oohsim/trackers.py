@@ -18,10 +18,12 @@ region, one page-sized write each) — and reports where the time went:
   read per quantum pair.
 
 Two engines run the micro-benchmark on one run skeleton (``_Run``: the
-clock, the collection ticks, stalls, quantum swaps, the round loop, the final
-harvest, the report and the price of each event, one expression that both
-engines charge) and differ only in how they apply a round of writes and keep
-the device state.  Only ``spml`` and ``epml`` runs schedule
+clock, the collection ticks, stalls, the schedule switch and its quantum
+swaps, the round loop and each round's end, the final harvest, the report
+and the price of each event, one expression that both engines charge) and
+differ only in how they apply a round of writes and keep the device state:
+each supplies the device steps of a switch, a leftover copy, a pagemap walk
+and a tool-ring hand-over.  Only ``spml`` and ``epml`` runs schedule
 collection ticks: ``proc`` collects at each round's end and ``uffd`` as each
 fault is resolved, so their runs have none.  The mechanical engine
 (:class:`_MechanicalRun`) executes every write through
@@ -37,10 +39,10 @@ advances whole stretches of writes between events with closed-form
 arithmetic, following the mechanical event order (buffer event during the
 triggering write, then the quantum check, then collection ticks).  The two
 agree on the shapes that ``tests/test_trackers.py`` compares (4 and 16 MB,
-three rounds: every count, and the init and collector µs bit for bit), but
-not everywhere: they disagree at 512 pages or fewer, at the horizon and with
-small rings (the ROADMAP item on one engine).  Trust the mechanical engine
-where they differ.
+three rounds, and a 1 MB epml run whose tool ring holds half a buffer: every
+count, and the init and collector µs bit for bit), but not everywhere: they
+disagree at 512 pages or fewer, at the horizon and with small rings (the
+ROADMAP item on one engine).  Trust the mechanical engine where they differ.
 """
 
 from __future__ import annotations
@@ -301,14 +303,24 @@ class _Run:
     (:meth:`~oohsim.costs.Prices.write_us`), a buffer copy
     (:meth:`~oohsim.costs.Prices.copy_us`), a buffer-full vmexit
     (:meth:`_vmexit`) and an spml tick that drains ``k`` ring entries
-    (:meth:`_drain_charge`), which lasts as long as its charge.  Each engine
-    supplies how it applies a round of writes (``_round``), ends a round
-    (``_round_end``), switches the tracked process (``_sched``), hands over
-    the epml tool ring (``_consume_tool_ring``) and fills the report's
-    content fields (``_content``); ``ring_used`` counts the spml ring entries
-    left.  The mechanical engine alone runs a deferred reverse map, so it
-    alone maps the deferred ring entries at the harvest
-    (``_map_drained(harvest=True)``, returning its cost).
+    (:meth:`_drain_charge`), which lasts as long as its charge.
+
+    The run owns the one schedule switch (:meth:`_sched`; :meth:`_swap` is a
+    quantum's out and in) and the one round end (:meth:`_round_end`).  An
+    epml schedule-out copies the guest buffer's leftover to the tool ring,
+    switches, is counted, and then the tool consumes its ring; a round end
+    is proc's pagemap walk, or epml's leftover copy and the same consume.
+    Each engine supplies only the steps on its device state: how it applies
+    a round of writes (``_round``); the switch, returning its µs
+    (``_switch``: the guest kernel's, or the switch price after the segment
+    engine's forced spml flush); the leftover copy, returning its µs
+    (``_copy_leftover``); the pagemap walk, returning its read and clear µs
+    (``_walk``); the hand-over of the epml tool ring
+    (``_consume_tool_ring``); and the report's content fields
+    (``_content``).  ``ring_used`` counts the spml ring entries left.  The
+    mechanical engine alone runs a deferred reverse map, so it alone maps
+    the deferred ring entries at the harvest (``_map_drained(harvest=True)``,
+    returning its cost).
 
     spml's ticks come back to back in a stall, the final harvest and the
     catch-up after an event: :meth:`_spml_ticks` runs each such run of the
@@ -415,12 +427,27 @@ class _Run:
         self.suspension += self.c.vmexit_service
         self.vmexits += 1
 
+    def _sched(self, direction: str) -> None:
+        """Switch the tracked process ``direction``.  An epml schedule-out first
+        copies the guest buffer's leftover to the tool ring, and once the switch
+        is counted the tool consumes its ring."""
+        epml_out = self.tech == "epml" and direction == "out"
+        copy_us = self._copy_leftover() if epml_out else 0.0
+        self.t += self._switch(direction) + copy_us
+        self.sched_events += 1
+        if epml_out:
+            self._consume_tool_ring()
+
+    def _swap(self) -> None:
+        """A full quantum: the tracked process is switched out and back in."""
+        self._sched("out")
+        self._sched("in")
+        self.run_acc -= self.cfg.quantum_us
+
     def _swap_and_tick(self) -> None:
         """A full quantum swaps the tracked process out and in; then the due ticks."""
         if self.run_acc >= self.cfg.quantum_us:
-            self._sched("out")
-            self._sched("in")
-            self.run_acc -= self.cfg.quantum_us
+            self._swap()
         if self.t < self.next_tick:
             return
         if self.tech == "spml":
@@ -462,6 +489,16 @@ class _Run:
             self.rounds_done += 1
             self._round_end()
 
+    def _round_end(self) -> None:
+        """proc walks the pagemap and clears the bits, suspending the process;
+        epml copies the guest buffer's leftover to the tool ring, and the tool
+        consumes its ring."""
+        if self.tech == "proc":
+            self._charge_walk(*self._walk())
+        elif self.tech == "epml":
+            self.t += self._copy_leftover()
+            self._consume_tool_ring()
+
     def _harvest(self) -> None:
         """Collect what is still queued once the tracked process is done.
 
@@ -469,7 +506,7 @@ class _Run:
         (:meth:`_spml_ticks`), maps the deferred entries and ends with one
         userspace page-table walk (M16).  epml has nothing left: the run's
         last schedule-out copied the guest buffer's leftover to the tool
-        ring, and the mechanical engine's consumed the ring.
+        ring, and the tool consumed the ring.
         """
         if self.tech == "spml" and self.writes_done:
             self._spml_ticks("empty")
@@ -524,11 +561,11 @@ class _SegmentRun(_Run):
     run time, ``suspension``, ``tracker_busy``, ``collect_us`` and its two
     ``parts``, the writes left (``writes_done`` follows from them at the
     end), the buffer, ring and tool-ring counts, the next tick, and the
-    softirq, vmexit, schedule and drop counts.  Each step is a stretch of
+    softirq, vmexit and drop counts.  Each step is a stretch of
     writes, cut at the buffer's 513th write, the quantum, the next tick or
-    the round's end.  Every event the stretch ends in runs inline, in the
-    mechanical order, with the float operations of the methods named here
-    in their order:
+    the round's end.  Every event the stretch ends in runs in the
+    mechanical order, and all but the swap run inline, with the float
+    operations of the methods named here in their order:
 
     * an epml buffer copy (:meth:`_epml_copy`);
     * an spml buffer-full vmexit (:meth:`_Run._vmexit`): a flush, or the
@@ -536,12 +573,15 @@ class _SegmentRun(_Run):
       first the ticks that make room, the clock waiting for each and the
       run truncated if the horizon comes first (:meth:`_Run._spml_ticks`
       until ``room``);
-    * a quantum swap (:meth:`_sched` out and in), with epml's copy of a
-      partly filled buffer and spml's forced flush;
+    * a quantum swap, through :meth:`_Run._swap` itself (epml's copy of a
+      partly filled buffer and the tool ring consumed, spml's forced
+      flush): the round stores the locals it touches, calls it and reloads
+      them;
     * the due ticks: spml's drains (:meth:`_Run._spml_ticks` while due) and
       epml's tool ring consumed (:meth:`_Run._tick`).
 
-    The state goes back to ``self`` at the round's end or at truncation.
+    The state goes back to ``self`` at a swap, at the round's end or at
+    truncation.
 
     A round's host time is one loop iteration per event: per stretch, and
     per flush, swap and tick the stretch ends in, a stall's ticks included.
@@ -561,16 +601,21 @@ class _SegmentRun(_Run):
     def run(self) -> TrackerPhaseReport:  # its own entry: bench/tracing.py times it
         return super().run()
 
-    def _sched(self, direction: str) -> None:
-        cost = self.c.sched_us(self.tech, direction)
-        if self.tech == "epml" and direction == "out" and self.buf_fill:
-            cost += self._epml_copy(self.buf_fill)
-            self.buf_fill = 0
-        if self.tech == "spml" and direction == "out" and self.buf_fill:
+    def _switch(self, direction: str) -> float:
+        if self.tech == "spml" and direction == "out":
             self.ring_used += self.buf_fill  # coordination flush, forced
             self.buf_fill = 0
-        self.t += cost
-        self.sched_events += 1
+        return self.c.sched_us(self.tech, direction)
+
+    def _copy_leftover(self) -> float:
+        if not self.buf_fill:
+            return 0.0
+        us = self._epml_copy(self.buf_fill)
+        self.buf_fill = 0
+        return us
+
+    def _walk(self) -> tuple[float, float]:
+        return self.c.m16, self.c.m15
 
     def _epml_copy(self, k: int) -> float:
         cost = self.c.copy_us(k)
@@ -603,7 +648,6 @@ class _SegmentRun(_Run):
         # gap's writes that no stretch of an armed buffer reaches (see far_run)
         slots, refused, far = BUFFER_SLOTS, BUFFER_SLOTS + 1, BUFFER_SLOTS + 2
         uffd_fault, vmexit_us, copy_us = c.uffd_fault, c.vmexit_service, c.copy_us(slots)
-        sched_out, sched_in = c.sched_us(tech, "out"), c.sched_us(tech, "in")
         quantum, horizon, interval = cfg.quantum_us, cfg.horizon_us, cfg.collection_interval_us
         cap, stalls = cfg.ring_capacity, cfg.ring_full_policy == "stall"
         # a flush goes ahead at this ring count or below: under drop, always
@@ -627,9 +671,7 @@ class _SegmentRun(_Run):
         suspension, busy, collect = self.suspension, self.tracker_busy, self.collect_us
         rm_part, copy_part = parts["reverse_mapping_us"], parts["copy_us"]
         buf_fill, used, tool_ring = self.buf_fill, self.ring_used, self.tool_ring
-        softirqs, dropped, vmexits, sched_events = (
-            self.softirqs, self.dropped, self.vmexits, self.sched_events
-        )
+        softirqs, dropped, vmexits = self.softirqs, self.dropped, self.vmexits
         truncated = flush = False
         left = self.P
         while left > 0:
@@ -713,27 +755,15 @@ class _SegmentRun(_Run):
                         suspension += next_tick - t
                         t = next_tick
                 else:
-                    if swap:  # _sched("out"), _sched("in")
+                    if swap:  # _swap, on the run's own fields
                         swap = False
-                        cost = sched_out
-                        if buf_fill:
-                            if epml:  # the partial buffer's copy: _epml_copy(buf_fill)
-                                copied, us = buf_fill, c.copy_us(buf_fill)
-                                space = cap - tool_ring
-                                if copied > space:
-                                    dropped += copied - space
-                                    copied = space
-                                tool_ring += copied
-                                suspension += us
-                                softirqs += 1
-                                cost += us
-                            else:  # spml's coordination flush, forced
-                                used += buf_fill
-                            buf_fill = 0
-                        t += cost
-                        t += sched_in
-                        sched_events += 2
-                        run_acc -= quantum
+                        self.t, self.run_acc, self.suspension = t, run_acc, suspension
+                        self.buf_fill, self.ring_used, self.tool_ring = buf_fill, used, tool_ring
+                        self.softirqs, self.dropped = softirqs, dropped
+                        self._swap()
+                        t, run_acc, suspension = self.t, self.run_acc, self.suspension
+                        buf_fill, used, tool_ring = self.buf_fill, self.ring_used, self.tool_ring
+                        softirqs, dropped = self.softirqs, self.dropped
                     if t < next_tick:
                         break
                     if epml:  # the tool consumes its ring
@@ -764,16 +794,7 @@ class _SegmentRun(_Run):
         parts["reverse_mapping_us"], parts["copy_us"] = rm_part, copy_part
         self.writes_done += self.P - left
         self.buf_fill, self.ring_used, self.tool_ring = buf_fill, used, tool_ring
-        self.softirqs, self.dropped, self.vmexits, self.sched_events = (
-            softirqs, dropped, vmexits, sched_events
-        )
-
-    def _round_end(self) -> None:
-        if self.tech == "proc":
-            self._charge_walk(self.c.m16, self.c.m15)
-        elif self.tech == "epml" and self.buf_fill:
-            self.t += self._epml_copy(self.buf_fill)
-            self.buf_fill = 0
+        self.softirqs, self.dropped, self.vmexits = softirqs, dropped, vmexits
 
     def _content(self) -> dict[str, Any]:
         return {"dirty_pages": min(self.writes_done, self.P)}
@@ -954,14 +975,8 @@ class _MechanicalRun(_Run):
 
     # ----- helpers -------------------------------------------------------
 
-    def _sched(self, direction: str) -> None:
-        epml_out = self.tech == "epml" and direction == "out"
-        # epml copies the buffer's leftover out before the switch parks it
-        copy_us = self._deliver_leftover() if epml_out else 0.0
-        self.t += self.vm.kernel.on_schedule(TRACKED_PID, direction) + copy_us
-        self.sched_events += 1
-        if epml_out:
-            self._consume_tool_ring()
+    def _switch(self, direction: str) -> float:
+        return self.vm.kernel.on_schedule(TRACKED_PID, direction)
 
     def _collect(self, gvas: np.ndarray) -> None:
         """Add the pages logged by address (spml, epml); the kernel's arrays (proc,
@@ -971,7 +986,7 @@ class _MechanicalRun(_Run):
     def _consume_tool_ring(self) -> None:
         self._collect(self.vm.kernel.epml_consume_ring())
 
-    def _deliver_leftover(self) -> float:
+    def _copy_leftover(self) -> float:
         """Copy the guest buffer's leftover entries out in one softirq, counted also
         when a full tool ring takes none; return its µs."""
         if not self.vm.hv.pml.guest_buffer.used:
@@ -1223,15 +1238,15 @@ class _MechanicalRun(_Run):
     def _round(self) -> None:
         self._drive()
 
+    def _walk(self) -> tuple[float, float]:
+        kernel = self.vm.kernel
+        dirty, read_us = kernel.read_pagemap(TRACKED_PID)
+        _, clear_us = kernel.clear_soft_dirty(TRACKED_PID)
+        self.collected.append(dirty)
+        return read_us, clear_us
+
     def _round_end(self) -> None:
-        if self.tech == "proc":
-            dirty, read_us = self.vm.kernel.read_pagemap(TRACKED_PID)
-            _, clear_us = self.vm.kernel.clear_soft_dirty(TRACKED_PID)
-            self.collected.append(dirty)
-            self._charge_walk(read_us, clear_us)
-        elif self.tech == "epml":
-            self.t += self._deliver_leftover()
-            self._consume_tool_ring()
+        super()._round_end()
         if self.collected:
             self.collected[:] = [_merged(self.collected)]
 

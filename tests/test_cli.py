@@ -244,6 +244,14 @@ def test_sweep_empty_technique_list_exits_2(tmp_path, capsys):
     assert "techniques" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["infMB", "nanMB", "1e300GB"])
+def test_sweep_a_size_of_no_finite_byte_count_exits_2_naming_it(tmp_path, capsys, size):
+    code = main(["sweep", "--sizes", size, "--techniques", "proc", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert repr(size) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------- calibrate
 
 

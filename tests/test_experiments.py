@@ -49,6 +49,10 @@ def test_parse_size_accepts_suffixes_and_bytes():
     assert parse_size("4096") == 4096
     with pytest.raises(ConfigError):
         parse_size("10 acres")
+    # not finite, or a byte count that is not: each named in the error
+    for text in ("infMB", "nanMB", "-infKB", "1e300GB"):
+        with pytest.raises(ConfigError, match=repr(text)):
+            parse_size(text)
 
 
 def test_unknown_key_rejected():
