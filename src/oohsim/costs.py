@@ -346,9 +346,11 @@ def load_calibration_file(path: str) -> dict[str, float]:
 
     Blank lines and ``#`` comments are ignored.  Values are floats; units
     follow the table conventions (us for fixed metrics and scalar knobs, ms
-    for ``M<k>@<size>`` anchors).
+    for ``M<k>@<size>`` anchors).  A key set on two lines is refused, as an
+    ``[experiment]`` file refuses one, rather than the last line winning.
     """
     overrides: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -358,6 +360,11 @@ def load_calibration_file(path: str) -> dict[str, float]:
                 raise CalibrationError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
+            if key in first_line:
+                raise CalibrationError(
+                    f"{path}:{lineno}: {key!r} is already set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
                 overrides[key] = float(value.strip())
             except ValueError as exc:

@@ -230,15 +230,17 @@ class DrainResult:
     copy_us: float = 0.0
 
 
-def drain_ring(vm: VirtualMachine) -> DrainResult:
-    """Take every entry off the ring, charge its copy, and keep its
-    ``(gpa, meta_gva)`` row raw, for a deferred reverse mapping
-    (:func:`reverse_map_raw`).  Logging was re-armed when the device flushed
-    these entries, not here."""
+def drain_ring(vm: VirtualMachine, n: int | None = None) -> DrainResult:
+    """Take the first ``n`` entries off the ring, or every one, charge their
+    copy, and keep their ``(gpa, meta_gva)`` rows raw, in ring order, for a
+    reverse mapping (:func:`reverse_map_raw`).  The one way entries leave the
+    ring.  Logging was re-armed when the device flushed these entries, not
+    here."""
     res, ring = DrainResult(), vm.hv.ring
-    res.raw = np.concatenate([res.raw] + [rows for _pid, rows in ring.consume(ring.used)])
-    res.consumed = len(res.raw)
-    if res.consumed:
+    blocks = [rows for _pid, rows in ring.consume(ring.used if n is None else n)]
+    if blocks:  # each block's rows are a copy already: one is kept as it is
+        res.raw = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        res.consumed = len(res.raw)
         res.copy_us = res.consumed * vm.kernel.uio.prices.m18_pp
     return res
 
@@ -317,7 +319,10 @@ class _Run:
     (``_copy_leftover``); the pagemap walk, returning its read and clear µs
     (``_walk``); the hand-over of the epml tool ring
     (``_consume_tool_ring``); and the report's content fields
-    (``_content``).  ``ring_used`` counts the spml ring entries left.  The
+    (``_content``).  ``ring_used`` counts the spml ring entries left: a run
+    of ticks reads it once and writes what it left once, a count on the
+    segment engine, and on the mechanical engine the ring itself, which that
+    write drains (:func:`drain_ring`).  The
     mechanical engine alone runs a deferred reverse map, so it alone maps
     the deferred ring entries at the harvest (``_map_drained(harvest=True)``,
     returning its cost).
@@ -916,12 +921,11 @@ class _MechanicalRun(_Run):
     copy left in the tool ring, still goes through ``write_one``, as does
     every write of a stretch shorter than :data:`STRETCH_MIN`.
 
-    spml's ticks (:meth:`_Run._spml_ticks`) charge their batches at once
-    but leave the entries on the ring, owed, until something reads the
-    ring: :meth:`_settle` takes them off in one step at the end of the
-    ticks of an event exit, before a stall's one flush and before each
-    mapping step.  The drained ``(gpa, gva)`` rows wait in ``drained``, as
-    the ring's int64 arrays in drain order.  One step maps them
+    ``ring_used`` is the hypervisor ring's own count.  A run of spml ticks
+    (:meth:`_Run._spml_ticks`) charges its batches and then writes what it
+    left; the setter takes the difference off the ring in one
+    :func:`drain_ring` call, and the drained ``(gpa, gva)`` rows wait in
+    ``drained``, as int64 arrays in drain order.  One step maps them
     (:meth:`_map_drained`): a deferred run at the harvest, which charges
     their M17 µs then; any other before each map, unmap or remap op, before
     a stretch passes one, once a ring's worth has parked and before the
@@ -948,18 +952,24 @@ class _MechanicalRun(_Run):
         # spml's drained (gpa, gva) rows, charged but not yet mapped, and their count
         self.drained: list[np.ndarray] = []
         self._drained_rows = 0
-        # ring entries charged by spml's ticks but not yet taken off the ring
-        self._owed = 0
         if cfg.defer_reverse_map:
             self.drain_batch = math.inf  # a deferred tick takes the whole ring
 
     @property
     def ring_used(self) -> int:
-        return self.vm.hv.ring.used - self._owed
+        return self.vm.hv.ring.used
 
     @ring_used.setter
     def ring_used(self, used: int) -> None:
-        self._owed = self.vm.hv.ring.used - used
+        """spml's ticks drained the ring down to ``used`` entries: take them off
+        and keep their rows in ``drained``.  Unless the mapping is deferred, a
+        ring's worth of rows is mapped at once, so the rows held stay bounded."""
+        k = self.vm.hv.ring.used - used
+        if k:
+            self.drained.append(drain_ring(self.vm, k).raw)
+            self._drained_rows += k
+            if self._drained_rows >= self.cfg.ring_capacity:
+                self._map_drained()
 
     @cached_property
     def _write_us(self) -> list[tuple[float, float]]:
@@ -996,32 +1006,13 @@ class _MechanicalRun(_Run):
         self.softirqs += 1
         return us
 
-    def _settle(self) -> None:
-        """Take the owed entries off the ring and keep their rows in ``drained``,
-        in drain order.  Unless the mapping is deferred, a ring's worth of rows
-        is mapped at once, so the rows held stay bounded.  Every block carries
-        the one tracked process's pid (``hv.current_pid`` from the run's first
-        schedule-in on)."""
-        if self._owed:
-            blocks, self._owed = self.vm.hv.ring.consume(self._owed), 0
-            for _pid, pairs in blocks:
-                self.drained.append(pairs)
-                self._drained_rows += len(pairs)
-            if self._drained_rows >= self.cfg.ring_capacity:
-                self._map_drained()
-
-    def _swap_and_tick(self) -> None:
-        super()._swap_and_tick()
-        self._settle()
-
     def _map_drained(self, harvest: bool = False) -> float:
-        """Settle the ring, then map the drained pairs against the mappings they
-        were drained under, collect them and clear them; return their M17 µs.
+        """Map the drained pairs against the mappings they were drained under,
+        collect them and clear them; return their M17 µs.
 
         A deferred run maps them only at the ``harvest``, which charges that
         cost; any other run maps them whenever called, their M17 µs charged
         by the ticks that drained them."""
-        self._settle()
         if not self.drained or self.cfg.defer_reverse_map and not harvest:
             return 0.0
         res = reverse_map_raw(self.vm, np.concatenate(self.drained))
@@ -1222,7 +1213,6 @@ class _MechanicalRun(_Run):
             hv.vmexit_stalls += ticks if self.truncated else ticks - 1
             if self.truncated:
                 return
-            self._settle()
             hv.handle_pml_full_vmexit(refused=res.refused)
             self._vmexit()
         self._swap_and_tick()

@@ -280,6 +280,30 @@ def test_calibrate_check_rejects_an_anchor_at_a_negative_size(tmp_path, capsys):
     assert "M16@-5MB" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["calibrate", "--check", "{cal}"], False),
+        (["calibrate", "--calibration", "{cal}", "--dump", "{out}/eff.cal"], False),
+        (["repro", "--figure", "table5", "--out", "{out}", "--calibration", "{cal}"], False),
+        (["run", "--out", "{out}"], True),
+    ],
+    ids=["check", "dump", "repro", "env"],
+)
+def test_a_calibration_key_set_twice_exits_2_naming_both_lines(
+    tmp_path, capsys, monkeypatch, argv, env
+):
+    # a second line must not silently win over the first
+    cal, out = tmp_path / "twice.cal", tmp_path / "out"
+    cal.write_text("M1 = 0.5\nM8 = 0.9\nM1 = 0.7\n")
+    if env:
+        monkeypatch.setenv("OOHSIM_CALIBRATION", str(cal))
+    assert main([arg.format(cal=cal, out=out) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "'M1' is already set on line 1" in captured.err and ":3:" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_calibration_env_var_feeds_the_run(tmp_path, monkeypatch):
     cal = tmp_path / "env.cal"
     # an absurd write cost makes the ideal time obviously calibrated

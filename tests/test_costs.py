@@ -175,6 +175,18 @@ def test_calibration_errors(tmp_path):
         load_calibration_file(str(worse))
 
 
+@pytest.mark.parametrize("key", ["M1", "M17@1GB", "write_cost_us"])
+def test_a_key_set_on_two_lines_is_refused_naming_both(tmp_path, key):
+    # a second line must not silently win over the first
+    path = tmp_path / "twice.cal"
+    path.write_text(f"{key} = 0.5\n# a comment\nM8 = 0.9\n  {key}=0.7  # again\n")
+    with pytest.raises(CalibrationError) as err:
+        load_calibration_file(str(path))
+    assert str(err.value) == f"{path}:4: {key!r} is already set on line 1"
+    with pytest.raises(CalibrationError):
+        CostTable.from_calibration(str(path))
+
+
 @pytest.mark.parametrize("bad", [0, 0.5, -64, math.nan, math.inf])
 def test_drain_batch_must_be_a_whole_number_of_entries(bad):
     # an empty batch left a stalled spml run waiting to the horizon (and

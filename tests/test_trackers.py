@@ -896,19 +896,21 @@ def _flushed_spml_vm(n_pages: int) -> tuple[VirtualMachine, list[int]]:
 
 
 def test_drain_ring_reverse_maps_batch():
-    # a mechanical spml tick charges its batch, and the entries come off the
-    # ring when something next reads it (_settle), to be mapped as parked pairs
+    # a mechanical spml tick charges its batch, and drain_ring takes its first
+    # entries off the ring, in ring order, to be mapped as parked pairs
     vm, gvas = _flushed_spml_vm(5)
     run = trackers._MechanicalRun(cfg("spml", 4 * MB))
     _cost, rm_us, copy_us = run._drain_charge(3)
     t = CostTable.default()
     assert rm_us == pytest.approx(3 * t.per_page_us("M17", 4 * MB))
     assert copy_us == pytest.approx(3 * t.per_page_us("M18", 4 * MB))
-    rows = np.concatenate([rows for _pid, rows in vm.hv.ring.consume(3)])
-    res = trackers.reverse_map_pairs(vm.kernel.processes[1].table, rows)
+    drained = drain_ring(vm, 3)
+    assert drained.consumed == 3 and drained.copy_us == pytest.approx(copy_us)
+    res = trackers.reverse_map_pairs(vm.kernel.processes[1].table, drained.raw)
     assert res.gvas.tolist() == gvas[:3]
     assert res.lost == [] and res.inaccurate == []
     assert vm.hv.ring.used == 2
+    assert [meta for _gpa, meta in drain_ring(vm).raw.tolist()] == gvas[3:]
 
 
 def test_drain_ring_deferred_keeps_raw_addresses():
@@ -947,7 +949,8 @@ def _aliased_spml_vm(n_pages):
 
 def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
     # two batches mapped as they come off the ring, against the same two
-    # charged by ticks, parked by _settle and mapped together later
+    # charged by ticks, taken off as a run of ticks leaves the ring and mapped
+    # together later
     vm, gvas = _aliased_spml_vm(6)
     rm_pp = vm.kernel.uio.prices.m17_pp
     batches = [vm.hv.ring.consume(4), vm.hv.ring.consume(4)]
@@ -962,8 +965,7 @@ def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
     for blocks, res in zip(batches, mapped):
         k = sum(len(pairs) for _pid, pairs in blocks)
         assert run._drain_charge(k)[1].hex() == res.rm_us.hex()
-        run._owed = k
-        run._settle()
+        run.ring_used -= k
     # the parked rows are the six drained ones, in drain order, every block
     # carrying the tracked process's pid, as one list keeps them
     assert {pid for blocks in batches for pid, _rows in blocks} == {1}
@@ -976,6 +978,35 @@ def test_parked_pairs_are_charged_and_mapped_as_a_drain_maps_them():
     assert sorted(res.lost) == sorted(mapped[0].lost + mapped[1].lost)
     assert sorted(res.inaccurate) == sorted(mapped[0].inaccurate + mapped[1].inaccurate)
     assert res.rm_us == 0.0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(
+            cfg("spml", 4 * MB, rounds=3, mechanical=True, ring_capacity=1024,
+                ring_full_policy=policy, defer_reverse_map=defer),
+            id=f"{policy}{'-defer' if defer else ''}",
+        )
+        for policy in ("stall", "drop") for defer in (False, True)
+    ] + [pytest.param(cfg("spml", random_trace(3).memory_bytes, trace=random_trace(3)),
+                      id="trace")],
+)
+def test_every_ring_entry_leaves_through_drain_ring(monkeypatch, config):
+    # every entry the device delivered leaves the ring through drain_ring,
+    # the one path, which the bench's drain span times and counts
+    taken, drain = [], trackers.drain_ring
+
+    def counted(vm, n=None):
+        res = drain(vm, n)
+        taken.append(res.consumed)
+        return res
+
+    monkeypatch.setattr(trackers, "drain_ring", counted)
+    run = trackers._MechanicalRun(config)
+    assert not run.run().truncated
+    assert sum(taken) == run.vm.hv.ring_delivered_total > 0
+    assert run.vm.hv.ring.used == 0
 
 
 # --------------------------------------------------------------- bottleneck
@@ -1298,8 +1329,9 @@ def _next_tick_after(busy_end: float, prev_tick: float, interval: float) -> floa
 class _PerTick:
     """The collection chain of both references: every tick of a stall, of the
     final harvest and of the catch-up after an event is one ``_tick`` call,
-    which drains through the reference's own ``_drain``, charged by
-    ``_charge_drain``, and places the next tick with :func:`_next_tick_after`."""
+    which drains a batch off ``ring_used`` (``_drain``; the mechanical
+    reference also maps it at once), charged by ``_charge_drain``, and places
+    the next tick with :func:`_next_tick_after`."""
 
     def _charge_drain(self, k: int) -> float:
         """Charge a tick that drains ``k`` ring entries: M18 each, and M17 each
@@ -1312,6 +1344,11 @@ class _PerTick:
         self.tracker_busy += cost
         self.collect_us += cost
         return cost
+
+    def _drain(self) -> float:
+        k = min(self.drain_batch, self.ring_used)
+        self.ring_used -= k
+        return self._charge_drain(k)
 
     def _tick(self) -> None:
         interval = self.cfg.collection_interval_us
@@ -1362,20 +1399,9 @@ class _MechanicalReference(_PerTick, trackers._MechanicalRun):
     with every write through ``write_one`` and one op per call."""
 
     def _drain(self) -> float:
-        if self.cfg.defer_reverse_map:
-            res = drain_ring(self.vm)
-            self.drained.append(res.raw)
-            k = res.consumed
-        else:
-            k = min(self.c.drain_batch, self.ring_used)
-            self._owed += k
-        cost = self._charge_drain(k)
+        cost = super()._drain()
         self._map_drained()
         return cost
-
-    def _swap_and_tick(self) -> None:
-        super()._swap_and_tick()
-        self._settle()
 
     def _event(self, res, wall: float, run: float) -> None:
         c = self.c
@@ -1397,7 +1423,6 @@ class _MechanicalReference(_PerTick, trackers._MechanicalRun):
                 if max(0, ring.capacity - self.ring_used) < pending:
                     hv.vmexit_stalls += 1
                     return False
-                self._settle()
                 return not hv.handle_pml_full_vmexit(refused=refused).stalled
 
             if not self._stall(flushed):
@@ -1411,11 +1436,6 @@ class _SegmentReference(_PerTick, trackers._SegmentRun):
     ends in a ``_swap_and_tick`` call, every epml buffer copy in an
     ``_epml_copy`` call and every spml buffer-full vmexit in an
     ``_spml_vmexit`` call."""
-
-    def _drain(self) -> float:
-        k = min(self.c.drain_batch, self.ring_used)
-        self.ring_used -= k
-        return self._charge_drain(k)
 
     def _spml_vmexit(self) -> None:
         """Buffer-full during a write: stall if needed, flush, replay."""
